@@ -14,15 +14,26 @@ the same layer as a handful of batched NumPy ops instead:
   vectorised pass that mirrors the engine's truncating sense-amp
   arithmetic exactly.
 
-Two fused modes exist.  With noise *off* on ideal arrays the kernel
-computes the part counts directly from ``programmed_weights`` — the
-noiseless count domain is deterministic (integer-valued, exactly
-representable in float64), so this path is bit-identical to the
-per-engine path, which itself answers through
-:meth:`CrossbarArray.exact_mvm_counts` in that regime.  With noise
-*on* the kernel stacks the pair conductances and draws the read noise
-for all tiles from one vectorised RNG call, seeded from the engines'
-shared generator, so results stay reproducible under a fixed seed.
+Two fused modes exist.  With noise *off* the kernel computes the part
+counts as one matmul against a cached count-domain stack:
+
+* on ideal arrays the stack holds the integer weight halves from
+  ``programmed_weights`` — the noiseless count domain is deterministic
+  (integer-valued, exactly representable in float), so this path is
+  bit-identical to the per-engine path, which itself answers through
+  :meth:`CrossbarArray.exact_mvm_counts` in that regime;
+* on arrays programmed with variation the stack holds each cell's
+  differential weight ``(G+ - G-) / g_step`` in float64.  Counts are
+  then continuous, so the sense-amp ``floor`` sees the same integer
+  as the walk's conductance round trip: the two differ only by float
+  rounding, far from any truncation boundary.  Arrays whose non-ideal
+  state stays on the integer lattice (stuck-at faults on a noise-free
+  device) keep the walk, whose floors there hinge on that rounding.
+
+With noise *on* the kernel stacks the pair conductances and draws the
+read noise for all tiles from one vectorised RNG call, seeded from the
+engines' shared generator, so results stay reproducible under a fixed
+seed.
 
 Telemetry semantics are preserved: ``mvm.invocations``, model-time and
 energy counters, per-engine invocation counts, and sense-amp
@@ -163,6 +174,19 @@ class FusedLayerKernel:
         """All engines hold exact conductances (deterministic counts)."""
         return all(e.is_ideal for row in self.tiles for e in row)
 
+    @property
+    def varied(self) -> bool:
+        """All engines' cells were programmed with variation (each
+        array has an RNG and the device a non-zero
+        ``programming_sigma``), so noise-free counts are continuous."""
+        return all(
+            array.cells.rng is not None
+            and array.cells.device.programming_sigma > 0.0
+            for row in self.tiles
+            for e in row
+            for array in (e.pair.positive, e.pair.negative)
+        )
+
     def _noisy(self, with_noise: bool) -> bool:
         """Whether this call actually samples read noise anywhere."""
         return (
@@ -184,33 +208,35 @@ class FusedLayerKernel:
     def can_fuse(self, with_noise: bool) -> bool:
         """Whether a fused evaluation preserves the engine semantics.
 
-        Noise-free calls fuse through the exact integer path, which
-        requires ideal arrays (no programming variation, faults, or IR
-        drop) — exactly the regime where the per-engine path is
-        deterministic too.  Noisy calls fuse through the stacked analog
-        path, which needs all engines to share one RNG so a single
-        derived seed covers every tile.  Engines whose outputs pass
-        through resilience post-processing (column sparing / masking)
-        never fuse.  Anything else falls back to the per-engine loop,
-        which handles arbitrary conductance state.
+        Noise-free calls fuse through the count-domain stack, which
+        requires either ideal arrays (exact integer counts) or arrays
+        programmed with variation (continuous counts, see the module
+        docstring).  Noisy calls fuse through the stacked analog path,
+        which needs all engines to share one RNG so a single derived
+        seed covers every tile.  Engines whose outputs pass through
+        resilience post-processing (column sparing / masking) never
+        fuse.  Anything else — notably on-lattice faulted arrays of a
+        noise-free device — falls back to the per-engine loop, which
+        handles arbitrary conductance state.
         """
         if self._remapped:
             return False
         if self._noisy(with_noise):
             return self._rng_shared and self._rng is not None
-        return self.is_ideal
+        return self.is_ideal or self.varied
 
     def invalidate(self) -> None:
-        """Drop cached weight/conductance stacks after reprogramming."""
+        """Drop cached weight/conductance stacks after reprogramming,
+        drift, or any other in-place change to the engines' cells."""
         self._w_cat = None
         self._g_pos = None
         self._g_neg = None
 
     def weight_stack(self) -> np.ndarray:
-        """The cached signed weight-half stack (see
-        :meth:`_weight_stack`).  Public entry point for the plan
-        compiler, which slices its trimmed/packed stacks out of the
-        same array and uses its identity to detect reprogramming."""
+        """The cached count-domain stack (see :meth:`_weight_stack`).
+        Public entry point for the plan compiler, which slices its
+        trimmed/packed stacks out of the same array and uses its
+        identity to detect reprogramming."""
         return self._weight_stack()
 
     def charge(self, batch: int, output_shift: int) -> None:
@@ -306,7 +332,7 @@ class FusedLayerKernel:
         if self._noisy(with_noise):
             planes = self._analog_planes(codes)
             return self._accumulate(planes, shift)
-        counts = self._integer_counts(codes)
+        counts = self._stack_counts(codes)
         return self._accumulate_exact(counts, codes.shape[0], shift)
 
     def calibrate_output_shift(
@@ -387,42 +413,71 @@ class FusedLayerKernel:
         bound = max(self.rows_used) * in_max * w_max
         return np.float32 if bound < (1 << 24) else np.float64
 
-    def _weight_stack(self) -> np.ndarray:
-        """(row_blocks, max_rows, 2*total_cols) signed weight halves.
+    def _engine_halves(
+        self, engine, varied: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One engine's (hi, lo) count-domain weights at its used cells.
 
-        Columns [:total_cols] hold the signed high halves, columns
-        [total_cols:] the signed low halves, so one matmul per drive
-        phase yields both part planes.
+        Ideal engines contribute their signed integer weight halves.
+        Engines programmed with variation contribute each cell pair's
+        differential weight ``(G+ - G-) / g_step`` read at the even
+        (hi) and odd (lo) bitlines — the per-cell factor the walk's
+        ``pos - neg`` count difference applies to every input level.
+        """
+        if not varied:
+            w = engine.programmed_weights
+            sign = np.sign(w)
+            hi, lo = split_unsigned(np.abs(w), self.spec.pw)
+            return sign * hi, sign * lo
+        dev = engine.params.device
+        g_step = (dev.g_on - dev.g_off) / (dev.mlc_levels - 1)
+        pair = engine.pair
+        diff = (
+            pair.positive.cells.conductances()
+            - pair.negative.cells.conductances()
+        ) / g_step
+        rows, cols = engine.rows_used, engine.cols_used
+        return diff[:rows, 0 : 2 * cols : 2], diff[:rows, 1 : 2 * cols : 2]
+
+    def _weight_stack(self) -> np.ndarray:
+        """(row_blocks, max_rows, 2*total_cols) count-domain stack.
+
+        Columns [:total_cols] hold the high weight halves, columns
+        [total_cols:] the low halves (see :meth:`_engine_halves`), so
+        one matmul per drive phase yields both part planes.  Variation
+        stacks are continuous and take float64; integer stacks the
+        narrowest exact dtype (see :meth:`_count_dtype`).
         """
         if self._w_cat is None:
+            varied = self.varied
             rmax = max(self.rows_used)
             t = self.total_cols
             w_cat = np.zeros(
-                (self.row_blocks, rmax, 2 * t), dtype=self._count_dtype()
+                (self.row_blocks, rmax, 2 * t),
+                dtype=np.float64 if varied else self._count_dtype(),
             )
             for rb, row in enumerate(self.tiles):
                 c0 = 0
                 for engine in row:
-                    w = engine.programmed_weights
-                    sign = np.sign(w)
-                    hi, lo = split_unsigned(np.abs(w), self.spec.pw)
-                    rows, cols = w.shape
-                    w_cat[rb, :rows, c0 : c0 + cols] = sign * hi
-                    w_cat[rb, :rows, t + c0 : t + c0 + cols] = sign * lo
+                    hi, lo = self._engine_halves(engine, varied)
+                    rows, cols = hi.shape
+                    w_cat[rb, :rows, c0 : c0 + cols] = hi
+                    w_cat[rb, :rows, t + c0 : t + c0 + cols] = lo
                     c0 += cols
             self._w_cat = w_cat
         return self._w_cat
 
-    def _integer_counts(self, codes: np.ndarray) -> np.ndarray:
-        """Exact noise-free part counts, straight from the weights.
+    def _stack_counts(self, codes: np.ndarray) -> np.ndarray:
+        """Noise-free part counts: one matmul against the stack.
 
         Returns the raw ``(row_blocks, 2*batch, 2*total_cols)`` count
         tensor: rows split hi/lo drive phase, columns split hi/lo
-        weight half.  Every entry is an integer inside the chosen float
-        dtype's contiguous-integer range (see :meth:`_count_dtype`), so
-        the matmul is exact and the result matches the per-engine path
-        (which answers through ``exact_mvm_counts`` in this regime)
-        bit for bit.
+        weight half.  On ideal arrays every entry is an integer inside
+        the chosen float dtype's contiguous-integer range (see
+        :meth:`_count_dtype`), so the matmul is exact and the result
+        matches the per-engine path (which answers through
+        ``exact_mvm_counts`` in this regime) bit for bit.  Variation
+        stacks give the walk's continuous counts up to float rounding.
         """
         w_cat = self._weight_stack()
         drive = self._stacked_inputs(codes, w_cat.shape[1], w_cat.dtype)
@@ -548,13 +603,13 @@ class FusedLayerKernel:
         """Digitise the raw count tensor in one broadcast pass.
 
         ``counts`` is the contiguous ``(row_blocks, 2*batch,
-        2*total_cols)`` tensor from :meth:`_integer_counts`; reshaping
+        2*total_cols)`` tensor from :meth:`_stack_counts`; reshaping
         it to ``(row_blocks, 2, batch, 2, total_cols)`` exposes the
         drive phase and weight half as axes, so all four partial
         products digitise with one abs/floor/clip/scale sweep instead
-        of four strided passes.  Counts are exact float integers, so
-        multiplying by an exact power of two and flooring equals the
-        engine's ``floor(|c| / 2**shift)`` truncation bit for bit.
+        of four strided passes.  Multiplying by an exact power of two
+        and flooring equals the engine's ``floor(|c| / 2**shift)``
+        truncation bit for bit, for integer and continuous counts alike.
         Parts entirely below the SA window get a zero post-scale and
         vanish, matching the engine's skip.
         """

@@ -31,11 +31,15 @@ invariant :class:`FusedLayerKernel` relies on), so the compiled path
 is bit-identical to the fused and per-engine paths.  The packed stack
 keeps two 12-bit-separated integer fields whose dot products stay
 below ``2**24`` per 16-row sub-block, so float32 matmul and ``rint``
-field extraction are exact too.  Layers that cannot take the exact
-inline path (read noise on, resilience-remapped tiles, non-ideal
-arrays) delegate to ``FusedLayerKernel.mvm_batch``, which applies its
-own fused-noisy or per-engine fallback — semantics, seeded noise
-reproducibility, and telemetry counters are preserved in every case.
+field extraction are exact too.  On arrays programmed with variation
+the kernel's stack holds float64 differential cell weights instead;
+the same trimmed inline path runs them (never the packed one), and
+its truncating digitisation matches the kernel's and the walk's.
+Layers that cannot take the inline path (read noise on,
+resilience-remapped tiles, on-lattice faulted arrays) delegate to
+``FusedLayerKernel.mvm_batch``, which applies its own fused-noisy or
+per-engine fallback — semantics, seeded noise reproducibility, and
+telemetry counters are preserved in every case.
 
 ``PRIME_PLAN_COMPILE=0`` disables compilation (the executor falls back
 to the per-layer interpreter); compilation failures warn once per
@@ -153,12 +157,13 @@ class _WeightStep:
 
     Two execution paths share the precomputed quantisation front end:
 
-    * ``inline`` — the exact noise-free count-domain math, fully in
-      place (requires :meth:`FusedLayerKernel.can_fuse` for the
-      noise-free regime at compile time);
+    * ``inline`` — the noise-free count-domain math, fully in place
+      (requires :meth:`FusedLayerKernel.can_fuse` for the noise-free
+      regime at compile time);
     * ``delegate`` — :meth:`FusedLayerKernel.mvm_batch`, which keeps
       the fused-noisy and per-engine fallbacks (remapped tiles,
-      non-ideal arrays, read noise) bit-identical to the interpreter.
+      on-lattice faulted arrays, read noise) bit-identical to the
+      interpreter.
     """
 
     def __init__(self, layer, programmed, pin: int) -> None:
@@ -548,9 +553,10 @@ class _WeightStep:
 
         ``clip(trunc(c * pre), -limit, limit)`` equals the engine's
         ``sign * min(floor(|c| / 2**shift), limit)`` (truncation toward
-        zero), and the float32 products/partial sums stay exact by the
-        compile-time bounds, so accumulating the planes into a float64
-        buffer reproduces the interpreter's int64 totals bit for bit.
+        zero) for integer and continuous counts alike, and the
+        digitised products/partial sums stay exact by the compile-time
+        bounds, so accumulating the planes into a float64 buffer
+        reproduces the interpreter's int64 totals bit for bit.
         """
         parts = counts.reshape(self.rb, 2, n, 2, self.t)
         parts *= self.pre_c

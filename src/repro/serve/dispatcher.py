@@ -1017,9 +1017,9 @@ class ThreadDispatcher:
     routing-independent and bit-identical to
     ``ServingRuntime.reference`` in both regimes.  Workloads whose
     kernels cannot take the re-entrant fused path (remapped tiles,
-    non-ideal arrays with noise off, per-engine noise fallbacks)
-    serialise every batch under the state write lock — correct, just
-    without parallel speedup.
+    on-lattice faulted arrays with noise off, per-engine noise
+    fallbacks) serialise every batch under the state write lock —
+    correct, just without parallel speedup.
 
     Fault model: threads cannot be SIGKILLed.  An injected ``kill``
     surfaces as :class:`WorkerCrash`; a ``hang`` really sleeps but
@@ -1064,10 +1064,11 @@ class ThreadDispatcher:
         """Whether concurrent execution over the shared copy is safe.
 
         Exactly the regimes whose hot paths are re-entrant: the fused
-        noise-free integer path and the fused noisy path (under
-        per-task private noise streams).  Anything that would fall to
-        the per-engine tile walk — remapped tiles, non-ideal arrays
-        with noise off, split RNGs, ``PRIME_FUSED=0`` — serialises
+        noise-free path (ideal arrays or arrays programmed with
+        variation) and the fused noisy path (under per-task private
+        noise streams).  Anything that would fall to the per-engine
+        tile walk — remapped tiles, on-lattice faulted arrays of a
+        noise-free device, split RNGs, ``PRIME_FUSED=0`` — serialises
         under the write lock instead.
         """
         if not fused_enabled():

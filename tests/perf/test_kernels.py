@@ -1,10 +1,12 @@
 """Tests for the fused layer kernels and the streaming functional path.
 
-The contract under test: with noise off on ideal arrays the fused path
-is *bit-identical* to the per-engine tile walk (``np.array_equal``, not
-allclose), telemetry charges the same hardware firings either way, the
-noisy fused path reproduces under a fixed seed, and streaming the batch
-through ``run_functional`` in chunks never changes the output.
+The contract under test: with noise off on ideal arrays and on arrays
+programmed with variation the fused path is *bit-identical* to the
+per-engine tile walk (``np.array_equal``, not allclose), on-lattice
+faulted arrays stay on the walk, telemetry charges the same hardware
+firings either way, the noisy fused path reproduces under a fixed
+seed, and streaming the batch through ``run_functional`` in chunks
+never changes the output.
 """
 
 import numpy as np
@@ -108,18 +110,74 @@ class TestFusedBitIdentity:
             tiles, codes, kernel.spec.po
         )
 
-    def test_non_ideal_grid_refuses_to_fuse(self, small_xbar, rng):
-        # Programming variation makes the counts depend on the actual
-        # conductances, so the exact path must decline and the kernel
-        # must fall back (outputs still equal the walk).
-        tiles = make_grid(
-            small_xbar, [16], [16], rng,
-            engine_rng=np.random.default_rng(5),
+    def test_variation_grid_fuses_and_matches_walk(self, small_xbar, rng):
+        # Programming variation makes the counts continuous: the fused
+        # path reads them from the differential conductance stack and
+        # must digitise to exactly the walk's integers.
+        assert small_xbar.device.programming_sigma > 0
+        geometries = [
+            ([32], [16]),
+            ([32, 7], [16]),
+            ([32], [16, 5]),
+            ([32, 11], [16, 9]),
+        ]
+        for seed, (grid_rows, grid_cols) in enumerate(geometries):
+            tiles = make_grid(
+                small_xbar, grid_rows, grid_cols, rng,
+                engine_rng=np.random.default_rng(seed),
+            )
+            kernel = FusedLayerKernel(tiles)
+            assert kernel.varied and not kernel.is_ideal
+            assert kernel.can_fuse(with_noise=False)
+            assert kernel.weight_stack().dtype == np.float64
+            codes = make_codes(small_xbar, kernel, 17, rng)
+            for shift in (0, 2, kernel.spec.target_shift, 12):
+                fused = kernel.mvm_batch(
+                    codes, with_noise=False, output_shift=shift,
+                    fused=True,
+                )
+                walked = kernel.mvm_batch(
+                    codes, with_noise=False, output_shift=shift,
+                    fused=False,
+                )
+                assert fused.dtype == walked.dtype == np.int64
+                assert np.array_equal(fused, walked)
+
+    def test_on_lattice_faulted_grid_declines_to_fuse(self, rng):
+        # Stuck cells on a noise-free device keep every conductance on
+        # the level lattice, where the walk's floors hinge on float
+        # rounding: such grids stay on the walk.
+        import dataclasses
+
+        from repro.crossbar.pair import DifferentialPair
+        from repro.device.faults import FaultMap
+        from repro.params.crossbar import CrossbarParams
+        from repro.params.reram import PT_TIO2_DEVICE
+
+        params = CrossbarParams(
+            rows=32,
+            cols=32,
+            sense_amps=8,
+            device=dataclasses.replace(
+                PT_TIO2_DEVICE, programming_sigma=0.0, read_noise_sigma=0.0
+            ),
         )
-        kernel = FusedLayerKernel(tiles)
-        if small_xbar.device.programming_sigma > 0:
-            assert not kernel.can_fuse(with_noise=False)
-        codes = make_codes(small_xbar, kernel, 5, rng)
+        w_max = (1 << params.effective_weight_bits) - 1
+        row = []
+        for _ in range(2):
+            pos = FaultMap.none(params.rows, params.cols)
+            neg = FaultMap.none(params.rows, params.cols)
+            pos.stuck_lrs[:20:3, 1] = True
+            neg.stuck_hrs[2:9, 6] = True
+            engine = CrossbarMVMEngine(params)
+            engine.pair = DifferentialPair(params, fault_maps=(pos, neg))
+            engine.program(rng.integers(-w_max, w_max + 1, (20, 7)))
+            assert not engine.remapped and not engine.is_ideal
+            row.append(engine)
+        kernel = FusedLayerKernel([row])
+        assert not kernel.varied
+        assert not kernel.can_fuse(with_noise=False)
+        codes = make_codes(params, kernel, 9, rng)
         assert np.array_equal(
             kernel.mvm_batch(codes, with_noise=False),
             kernel.mvm_batch(codes, with_noise=False, fused=False),

@@ -1,0 +1,274 @@
+"""Differential tests for crossbars programmed with variation.
+
+Programming variation moves every cell's conductance off the level
+lattice, so noise-free counts are continuous and the fused kernels read
+them from a differential conductance stack instead of the integer
+weights.  The contract under test: the fused kernel, the compiled plan
+and chunked streaming all equal the per-engine tile walk
+(``PRIME_FUSED=0``) bit for bit; every path charges the same hardware
+counters; and a stack cached before drift or reprogramming is never
+served after it.
+"""
+
+import contextlib
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import telemetry
+from repro.core.compiler import PrimeCompiler
+from repro.core.executor import PrimeExecutor
+from repro.crossbar.engine import CrossbarMVMEngine
+from repro.params.crossbar import CrossbarParams
+from repro.params.prime import DEFAULT_PRIME_CONFIG
+from repro.perf.kernels import FusedLayerKernel
+from repro.serve.dispatcher import WorkerSpec, reprogram_state
+from repro.serve.health import apply_drift
+
+PARAMS = CrossbarParams(rows=32, cols=32, sense_amps=8)
+
+
+@pytest.fixture(scope="module")
+def executor():
+    return PrimeExecutor(DEFAULT_PRIME_CONFIG)
+
+
+@pytest.fixture(scope="module")
+def compiler():
+    return PrimeCompiler(DEFAULT_PRIME_CONFIG)
+
+
+@pytest.fixture(autouse=True)
+def _clean_env(monkeypatch):
+    monkeypatch.delenv("PRIME_PLAN_COMPILE", raising=False)
+    monkeypatch.delenv("PRIME_FUSED", raising=False)
+    monkeypatch.delenv("PRIME_FUNC_CHUNK_BYTES", raising=False)
+    telemetry.disable()
+    yield
+    telemetry.disable()
+
+
+@contextlib.contextmanager
+def _walk():
+    """Force the per-engine tile walk (``PRIME_FUSED=0``)."""
+    os.environ["PRIME_FUSED"] = "0"
+    try:
+        yield
+    finally:
+        os.environ.pop("PRIME_FUSED", None)
+
+
+def _engines(grids):
+    """Every engine of an iterable of tile grids."""
+    return [e for tiles in grids for row in tiles for e in row]
+
+
+def _counted(run, engines):
+    """``run()`` plus the hardware firings it charged: the
+    ``mvm.invocations`` counter and each engine's invocation and
+    sense-amp conversion increments."""
+    before = [(e.mvm_invocations, e.sense.conversions) for e in engines]
+    session = telemetry.enable(fresh=True)
+    try:
+        out = run()
+        firings = session.metrics.counter_total("mvm.invocations")
+    finally:
+        telemetry.disable()
+    deltas = [
+        (e.mvm_invocations - inv, e.sense.conversions - conv)
+        for e, (inv, conv) in zip(engines, before)
+    ]
+    return out, (firings, deltas)
+
+
+# -- kernel level ------------------------------------------------------
+
+
+@st.composite
+def split_merge_grids(draw):
+    """The executor's tiling pattern: full tiles except the last row
+    and column block."""
+    row_blocks = draw(st.integers(1, 3))
+    col_blocks = draw(st.integers(1, 3))
+    last_rows = draw(st.integers(1, PARAMS.rows))
+    last_cols = draw(st.integers(1, PARAMS.logical_cols))
+    rows = [PARAMS.rows] * (row_blocks - 1) + [last_rows]
+    cols = [PARAMS.logical_cols] * (col_blocks - 1) + [last_cols]
+    return rows, cols
+
+
+def _varied_grid(rows, cols, weight_seed, variation_seed):
+    weights = np.random.default_rng(weight_seed)
+    variation = np.random.default_rng(variation_seed)
+    w_max = (1 << PARAMS.effective_weight_bits) - 1
+    tiles = []
+    for r in rows:
+        row = []
+        for c in cols:
+            engine = CrossbarMVMEngine(PARAMS, rng=variation)
+            engine.program(weights.integers(-w_max, w_max + 1, (r, c)))
+            row.append(engine)
+        tiles.append(row)
+    return tiles
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=split_merge_grids(),
+    batch=st.integers(1, 24),
+    shift=st.integers(0, 14),
+    variation_seed=st.integers(0, 2**32 - 1),
+    weight_seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_kernel_equals_walk(
+    grid, batch, shift, variation_seed, weight_seed
+):
+    rows, cols = grid
+    tiles = _varied_grid(rows, cols, weight_seed, variation_seed)
+    engines = _engines([tiles])
+    kernel = FusedLayerKernel(tiles)
+    assert kernel.varied and kernel.can_fuse(with_noise=False)
+    codes = np.random.default_rng(weight_seed + 1).integers(
+        0, 1 << PARAMS.effective_input_bits, (batch, kernel.total_rows)
+    )
+
+    def run(fused):
+        return kernel.mvm_batch(
+            codes, with_noise=False, output_shift=shift, fused=fused
+        )
+
+    fused, fused_counts = _counted(lambda: run(True), engines)
+    walked, walked_counts = _counted(lambda: run(False), engines)
+    np.testing.assert_array_equal(fused, walked)
+    assert fused_counts == walked_counts
+    assert fused_counts[0] == batch * len(rows) * len(cols)
+
+
+# -- network level -----------------------------------------------------
+
+
+def _program(executor, net, plan, seed):
+    programmed = executor.program_network(
+        net, plan, rng=np.random.default_rng(seed)
+    )
+    assert all(p.kernel.varied for p in programmed)
+    return programmed
+
+
+def _compiled_and_walked(executor, net, plan, x, seed):
+    """Calibrate on a fresh variation-programmed copy (interpreter),
+    then run the compiled plan and the walk on the same state."""
+    programmed = _program(executor, net, plan, seed)
+    engines = _engines(p.tiles for p in programmed)
+
+    def run():
+        return executor.run_functional(net, plan, x, programmed=programmed)
+
+    interpreted = run()
+    compiled, compiled_counts = _counted(run, engines)
+    # Every weight layer runs the plan's inline path, none delegates.
+    steps = programmed[0].compiled_plan.steps
+    assert all(getattr(step, "inline_ok", True) for step in steps)
+    with _walk():
+        walked, walked_counts = _counted(run, engines)
+    np.testing.assert_array_equal(interpreted, compiled)
+    np.testing.assert_array_equal(compiled, walked)
+    assert compiled_counts == walked_counts
+    assert compiled_counts[0] > 0
+
+
+def _chunked_equals_whole(executor, net, plan, x, seed):
+    whole = executor.run_functional(
+        net, plan, x, programmed=_program(executor, net, plan, seed)
+    )
+    chunked = executor.run_functional(
+        net,
+        plan,
+        x,
+        programmed=_program(executor, net, plan, seed),
+        chunk_bytes=1,
+    )
+    np.testing.assert_array_equal(whole, chunked)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 40))
+def test_mlp_compiled_equals_walk(
+    executor, compiler, trained_tiny_mlp, tiny_digit_data, seed, batch
+):
+    topology, net = trained_tiny_mlp
+    x = tiny_digit_data[2][:batch]
+    plan = compiler.compile(topology)
+    _compiled_and_walked(executor, net, plan, x, seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6))
+def test_cnn_compiled_equals_walk(
+    executor, compiler, trained_tiny_cnn, seed, batch
+):
+    topology, net, x_test, _ = trained_tiny_cnn
+    plan = compiler.compile(topology)
+    _compiled_and_walked(executor, net, plan, x_test[:batch], seed)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(65, 90))
+def test_chunked_equals_unchunked(
+    executor, compiler, trained_tiny_mlp, trained_tiny_cnn,
+    tiny_digit_data, seed, batch,
+):
+    """Past the 64-sample calibration prefix, one-sample chunks run
+    the compiled plan; the result still equals one call."""
+    topology, net = trained_tiny_mlp
+    x = tiny_digit_data[2][:batch]
+    _chunked_equals_whole(
+        executor, net, compiler.compile(topology), x, seed
+    )
+    topology, net, x_test, _ = trained_tiny_cnn
+    _chunked_equals_whole(
+        executor, net, compiler.compile(topology), x_test[:batch], seed
+    )
+
+
+# -- stale stacks --------------------------------------------------------
+
+
+def test_drift_and_reprogram_never_serve_a_stale_stack(
+    executor, compiler, trained_tiny_mlp, tiny_digit_data
+):
+    """The compiled plan caches the differential stack; drift and
+    reprogramming rewrite the conductances under it, and the next run
+    must read the new state (equal to the walk of that state)."""
+    topology, net = trained_tiny_mlp
+    x = tiny_digit_data[2][:24]
+    plan = compiler.compile(topology)
+    spec = WorkerSpec(
+        network=net, plan=plan, config=DEFAULT_PRIME_CONFIG, seed=5
+    )
+    programmed = _program(executor, net, plan, 5)
+
+    def run():
+        return executor.run_functional(net, plan, x, programmed=programmed)
+
+    def walk():
+        with _walk():
+            return run()
+
+    run()  # calibrates
+    before = run()
+    compiled = programmed[0].compiled_plan
+    assert compiled is not None
+    apply_drift(programmed, magnitude=0.3, seed=9)
+    drifted = run()
+    recompiled = programmed[0].compiled_plan
+    assert recompiled is not None and recompiled is not compiled
+    assert not np.array_equal(drifted, before)
+    np.testing.assert_array_equal(drifted, walk())
+    reprogram_state(spec, programmed)
+    healed = run()
+    assert all(p.kernel.can_fuse(with_noise=False) for p in programmed)
+    np.testing.assert_array_equal(healed, walk())

@@ -158,6 +158,29 @@ class TestThreadBitIdentity:
                         served[lo : lo + 5], reference
                     )
 
+    def test_variation_noise_off_runs_parallel(self, network, samples):
+        """Verified writes give the deployment an RNG, so its arrays
+        carry programming variation; with noise off they fuse through
+        the differential stack and the replicas never serialise."""
+        telemetry.enable(fresh=True)
+        with _runtime(
+            network,
+            samples,
+            config=_small_config(PT_TIO2_DEVICE),
+            resilience=ResiliencePolicy(verify_writes=True),
+        ) as runtime:
+            assert runtime.spec.use_rng and not runtime.spec.with_noise
+            disp = runtime.dispatcher
+            assert disp._parallel
+            assert all(p.kernel.varied for p in disp._state[1])
+            disp.grow(2)
+            served = runtime.serve(samples)
+            reference = runtime.reference(samples)
+        assert (
+            telemetry.counter_total("serve.dispatch.thread_serialized") == 0
+        )
+        np.testing.assert_array_equal(served, reference)
+
     def test_eight_thread_stress_interleaved_widths(
         self, network, samples
     ):
