@@ -117,9 +117,8 @@ class CommandStreamRunner:
         buf_cursor = in_region.size
         for layer in net.layers:
             if isinstance(layer, (Dense, Conv2D)):
-                tiles, w_fmt = programmed.pop(0)
                 act, buf_cursor = self._run_weight_layer(
-                    layer, tiles, w_fmt, act, buf_cursor
+                    layer, programmed.pop(0), act, buf_cursor
                 )
             else:
                 act = layer.forward(act)
@@ -148,7 +147,8 @@ class CommandStreamRunner:
 
     # -- internals ------------------------------------------------------
 
-    def _run_weight_layer(self, layer, tiles, w_fmt, act, buf_cursor):
+    def _run_weight_layer(self, layer, entry, act, buf_cursor):
+        tiles, w_fmt = entry
         executor = self.session.executor
         xbar = executor.config.crossbar
         pin = xbar.effective_input_bits
@@ -175,9 +175,7 @@ class CommandStreamRunner:
         )
         buf_cursor = region.offset + region.size
 
-        output_shift = executor._calibrate_output_shift(
-            tiles, codes, tiles[0][0].spec.po
-        )
+        output_shift = entry.kernel.calibrate_output_shift(codes)
         outputs = None
         for rb, tile_row in enumerate(tiles):
             r0 = rb * xbar.rows

@@ -959,35 +959,6 @@ class PrimeExecutor:
         return result
 
     @staticmethod
-    def _calibrate_output_shift(
-        tiles: list[list[CrossbarMVMEngine]],
-        codes: np.ndarray,
-        po: int,
-        calibration_samples: int = 64,
-    ) -> int:
-        """Choose the layer's SA output window (right shift).
-
-        The SA reference is tuned offline so that the largest observed
-        per-engine partial result still fits in the Po-bit output
-        register — the standard calibration step of dot-product
-        engines, enabled by PRIME's reconfigurable SA.
-        """
-        sample = codes[:calibration_samples]
-        bound = 1
-        xbar_rows = tiles[0][0].params.rows
-        for rb, tile_row in enumerate(tiles):
-            # Engines in one tile row share the same input rows, so the
-            # whole row calibrates with a single matmul against the
-            # horizontally stacked programmed weights.
-            r0 = rb * xbar_rows
-            block = sample[:, r0 : r0 + tile_row[0].rows_used]
-            row_weights = np.hstack(
-                [engine.programmed_weights for engine in tile_row]
-            )
-            bound = max(bound, int(np.max(np.abs(block @ row_weights))))
-        return max(0, bound.bit_length() - po)
-
-    @staticmethod
     def _im2col_activations(
         layer: Conv2D, act: np.ndarray
     ) -> tuple[np.ndarray, tuple[int, int, int]]:

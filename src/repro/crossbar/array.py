@@ -145,6 +145,21 @@ class CrossbarArray:
             )
         return input_levels
 
+    def _checked_levels(self, levels: np.ndarray, op: str) -> np.ndarray:
+        """Shared compute-mode + shape validation for the programming
+        entry points.  Integer levels pass through in their own (narrow)
+        dtype; the cells range-check them and store int16."""
+        self._require(ArrayMode.COMPUTE, op)
+        levels = np.asarray(levels)
+        if levels.shape != (self.params.rows, self.params.cols):
+            raise CrossbarError(
+                f"levels must be {(self.params.rows, self.params.cols)}, "
+                f"got {levels.shape}"
+            )
+        if not np.issubdtype(levels.dtype, np.integer):
+            levels = levels.astype(np.int64)
+        return levels
+
     def program_weight_levels(
         self,
         levels: np.ndarray,
@@ -157,15 +172,9 @@ class CrossbarArray:
         write-and-verify pass (optionally restricted to ``verify_mask``)
         and a :class:`ProgramReport` is returned.
         """
-        self._require(ArrayMode.COMPUTE, "program_weight_levels")
-        levels = np.asarray(levels)
-        if levels.shape != (self.params.rows, self.params.cols):
-            raise CrossbarError(
-                f"levels must be {(self.params.rows, self.params.cols)}, "
-                f"got {levels.shape}"
-            )
+        levels = self._checked_levels(levels, "program_weight_levels")
         return self.cells.program_levels(
-            levels.astype(np.int64), verify=verify, verify_mask=verify_mask
+            levels, verify=verify, verify_mask=verify_mask
         )
 
     def program_masked_weight_levels(
@@ -175,16 +184,10 @@ class CrossbarArray:
         verify: ResiliencePolicy | None = None,
     ) -> ProgramReport | None:
         """Program a subset of cells with synapse levels (compute mode)."""
-        self._require(ArrayMode.COMPUTE, "program_masked_weight_levels")
-        levels = np.asarray(levels)
-        if levels.shape != (self.params.rows, self.params.cols):
-            raise CrossbarError(
-                f"levels must be {(self.params.rows, self.params.cols)}, "
-                f"got {levels.shape}"
-            )
-        return self.cells.program_masked(
-            mask, levels.astype(np.int64), verify=verify
+        levels = self._checked_levels(
+            levels, "program_masked_weight_levels"
         )
+        return self.cells.program_masked(mask, levels, verify=verify)
 
     def analog_mvm_counts(
         self, input_levels: np.ndarray, with_noise: bool = True

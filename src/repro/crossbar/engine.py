@@ -84,13 +84,17 @@ class CrossbarMVMEngine:
     ) -> np.ndarray:
         """Physical signed-level matrix for logical weights ``w``
         occupying slots ``slot0 .. slot0 + w.shape[1]`` (hi/lo halves in
-        adjacent even/odd bitlines); other cells stay at level 0."""
+        adjacent even/odd bitlines); other cells stay at level 0.
+
+        Held in the narrowest integer dtype that holds ``±2**pw`` (int16
+        at the default 8-bit weights), which the pair and the cells take
+        without widening."""
         rows, cols = w.shape
-        sign = np.sign(w).astype(np.int64)
-        hi, lo = split_unsigned(np.abs(w).astype(np.int64), self.spec.pw)
-        levels = np.zeros(
-            (self.params.rows, self.params.cols), dtype=np.int64
-        )
+        dtype = np.min_scalar_type(-(1 << self.spec.pw))
+        w = w.astype(dtype, copy=False)
+        sign = np.sign(w)
+        hi, lo = split_unsigned(np.abs(w), self.spec.pw)
+        levels = np.zeros((self.params.rows, self.params.cols), dtype=dtype)
         levels[:rows, 2 * slot0 : 2 * (slot0 + cols) : 2] = sign * hi
         levels[:rows, 2 * slot0 + 1 : 2 * (slot0 + cols) : 2] = sign * lo
         return levels
@@ -143,7 +147,7 @@ class CrossbarMVMEngine:
         #: Ideal programmed weights, kept for SA-reference calibration
         #: (dead columns, if any, are zeroed to match the masked
         #: outputs).
-        self.programmed_weights = w.astype(np.int64).copy()
+        self.programmed_weights = w.astype(np.int64)
         if resilience is None or not resilience.verify_writes:
             self.pair.program_signed_levels(levels)
         else:

@@ -71,8 +71,8 @@ class DifferentialPair:
             raise CrossbarError(
                 f"signed levels must have magnitude < {limit}"
             )
-        pos = np.clip(signed_levels, 0, None).astype(np.int64)
-        neg = np.clip(-signed_levels, 0, None).astype(np.int64)
+        pos = np.clip(signed_levels, 0, None)
+        neg = np.clip(-signed_levels, 0, None)
         if verify is None:
             self.positive.program_weight_levels(pos)
             self.negative.program_weight_levels(neg)
@@ -106,8 +106,8 @@ class DifferentialPair:
             raise CrossbarError(
                 f"signed levels must have magnitude < {limit}"
             )
-        pos = np.clip(signed_levels, 0, None).astype(np.int64)
-        neg = np.clip(-signed_levels, 0, None).astype(np.int64)
+        pos = np.clip(signed_levels, 0, None)
+        neg = np.clip(-signed_levels, 0, None)
         report_pos = self.positive.program_masked_weight_levels(
             mask, pos, verify=verify
         )

@@ -11,9 +11,25 @@ This is the lowest layer of the functional simulator: crossbar arrays
 delegate their conductance state to a :class:`CellArray` so that device
 non-idealities (variation, noise, faults, wear) affect every analog
 matrix-vector product exactly once.
+
+Derived conductances.  While an array's stored conductance is exactly
+the linear map of its levels (no perturbation was drawn and no fault
+map applies), it keeps only the int16 levels and derives the float64
+matrix on first read.  Every reader and every partial writer goes
+through one accessor, :meth:`CellArray._stored_conductance`, which
+builds ``g_off + g_step * levels`` once and caches it; partial writes
+materialise the matrix before they change any level, so the cells they
+leave alone keep their old conductance.  Arrays programmed with
+variation or carrying a fault map are written eagerly, exactly as
+before, so every RNG draw and every seeded conductance is unchanged.
+Ideal serving never reads the matrix — the fused and compiled tiers
+run on the integer weights — so a deployed ideal network holds 2 B per
+cell on the host.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -25,6 +41,10 @@ from repro.resilience.report import ProgramReport
 from repro.device.faults import FaultMap
 from repro.device.endurance import EnduranceTracker
 from repro.device.irdrop import apply_ir_drop
+
+#: Serialises first reads of derived conductances, so concurrent
+#: readers of one array build and share a single matrix.
+_DERIVE_LOCK = threading.Lock()
 
 
 class CellArray:
@@ -76,11 +96,10 @@ class CellArray:
             else None
         )
         self._levels = np.zeros((rows, cols), dtype=np.int16)
-        self._conductance = np.full(
-            (rows, cols), device.g_off, dtype=np.float64
-        )
-        # Conductances start at the exact level-0 mapping; programming
-        # may later perturb them (variation / faults).
+        # Conductances start at the exact level-0 mapping, derived on
+        # first read; programming may later perturb them (variation /
+        # faults) and store them eagerly.
+        self._conductance: np.ndarray | None = None
         self._pristine = fault_map is None
 
     # -- programming -------------------------------------------------
@@ -120,9 +139,12 @@ class CellArray:
                 f"levels outside [0, {self.device.mlc_levels})"
             )
         self._levels = levels.astype(np.int16)
-        ideal = self._ideal_conductance(self._levels)
-        self._conductance = self._perturb(ideal)
         self._pristine = not self._perturbs() and self.fault_map is None
+        if self._pristine:
+            self._conductance = None
+        else:
+            ideal = self._ideal_conductance(self._levels)
+            self._conductance = self._perturb(ideal)
         if self.fault_map is not None:
             self._conductance = self.fault_map.apply(
                 self._conductance, self.device
@@ -151,11 +173,10 @@ class CellArray:
             raise DeviceError(
                 f"levels outside [0, {self.device.mlc_levels})"
             )
+        g = self._stored_conductance()
         self._levels[row0 : row0 + r, col0 : col0 + c] = levels
         ideal = self._ideal_conductance(levels)
-        self._conductance[row0 : row0 + r, col0 : col0 + c] = self._perturb(
-            ideal
-        )
+        g[row0 : row0 + r, col0 : col0 + c] = self._perturb(ideal)
         self._pristine = (
             self._pristine
             and not self._perturbs()
@@ -216,6 +237,7 @@ class CellArray:
             raise DeviceError(
                 f"levels outside [0, {self.device.mlc_levels})"
             )
+        self._stored_conductance()  # materialise before levels change
         self._levels[mask] = selected.astype(np.int16)
         ideal = self._ideal_conductance(self._levels)
         self._write_cells(mask, ideal, self.device.programming_sigma)
@@ -246,12 +268,11 @@ class CellArray:
         if magnitude <= 0:
             raise DeviceError("drift magnitude must be > 0")
         g_off = self.device.g_off
+        g = self._stored_conductance()
         rate = magnitude * np.abs(
-            1.0 + 0.25 * rng.standard_normal(self._conductance.shape)
+            1.0 + 0.25 * rng.standard_normal(g.shape)
         )
-        self._conductance = g_off + (self._conductance - g_off) * np.exp(
-            -rate
-        )
+        self._conductance = g_off + (g - g_off) * np.exp(-rate)
         self._pristine = False
         if self.fault_map is not None:
             self._conductance = self.fault_map.apply(
@@ -280,7 +301,7 @@ class CellArray:
         ``with_read_noise`` adds an independent Gaussian perturbation
         per call, modelling sense-time thermal noise.
         """
-        g = self._conductance
+        g = self._stored_conductance()
         if self.wire_resistance > 0.0:
             g = apply_ir_drop(g, self.wire_resistance)
         if with_read_noise and self.rng is not None:
@@ -299,7 +320,7 @@ class CellArray:
         """
         dev = self.device
         step = (dev.g_on - dev.g_off) / (dev.mlc_levels - 1)
-        return (self._conductance - dev.g_off) / step
+        return (self._stored_conductance() - dev.g_off) / step
 
     def bitline_currents(
         self, voltages: np.ndarray, with_read_noise: bool = False
@@ -319,6 +340,20 @@ class CellArray:
         return voltages @ g
 
     # -- internals ---------------------------------------------------
+
+    def _stored_conductance(self) -> np.ndarray:
+        """The stored conductance matrix, derived from the levels on
+        first read while the array holds none (see the module
+        docstring).  The one accessor every reader and partial writer
+        uses; a partial writer calls it before changing ``_levels``."""
+        g = self._conductance
+        if g is None:
+            with _DERIVE_LOCK:
+                g = self._conductance
+                if g is None:
+                    g = self._ideal_conductance(self._levels)
+                    self._conductance = g
+        return g
 
     def _ideal_conductance(self, levels: np.ndarray) -> np.ndarray:
         dev = self.device
@@ -355,7 +390,7 @@ class CellArray:
                 self.rng.standard_normal(targets.shape), -3.0, 3.0
             )
             targets = np.clip(targets * (1.0 + sigma * noise), 0.0, None)
-        self._conductance[mask] = targets
+        self._stored_conductance()[mask] = targets
         if self.fault_map is not None:
             self._conductance = self.fault_map.apply(
                 self._conductance, self.device
@@ -376,7 +411,7 @@ class CellArray:
 
         def out_of_tolerance() -> np.ndarray:
             return mask & (
-                np.abs(self._conductance - ideal) > tolerance
+                np.abs(self._stored_conductance() - ideal) > tolerance
             )
 
         bad = out_of_tolerance()

@@ -340,18 +340,27 @@ class FusedLayerKernel:
     ) -> int:
         """Choose the layer's SA output window from a code prefix.
 
-        Same procedure as the executor's offline calibration: the
-        largest observed per-tile-row partial result must still fit in
-        the Po-bit output register.  Costs one host matmul per tile
-        row; no engines fire.
+        The SA reference is tuned offline so that the largest observed
+        per-tile-row partial result still fits in the Po-bit output
+        register — the standard calibration step of dot-product
+        engines, enabled by PRIME's reconfigurable SA.  Costs one host
+        matmul per tile row; no engines fire.
+
+        The matmul runs in float64 BLAS (NumPy has no integer BLAS) and
+        is exact: every product and partial sum is an integer of
+        magnitude at most ``rows * (2**pin - 1) * (2**pw - 1)`` — under
+        2**22 at the default geometry, far below float64's 2**53
+        contiguous-integer range for any crossbar.
         """
-        sample = np.asarray(codes)[:calibration_samples]
+        sample = np.asarray(codes)[:calibration_samples].astype(np.float64)
         bound = 1
         off = 0
         for rb, row in enumerate(self.tiles):
             block = sample[:, off : off + self.rows_used[rb]]
-            row_weights = np.hstack(
-                [engine.programmed_weights for engine in row]
+            row_weights = np.concatenate(
+                [engine.programmed_weights for engine in row],
+                axis=1,
+                dtype=np.float64,
             )
             bound = max(bound, int(np.max(np.abs(block @ row_weights))))
             off += self.rows_used[rb]

@@ -51,6 +51,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
+import weakref
 
 import numpy as np
 
@@ -175,7 +176,10 @@ class _WeightStep:
                 "calibration batch first"
             )
         self.layer = layer
-        self.programmed = programmed
+        # Weak: the programmed layer memoises the plan, so a strong
+        # back-reference would make a reference cycle that keeps every
+        # engine alive until a gc pass.
+        self._programmed = weakref.ref(programmed)
         self.kernel = kernel
         self.is_conv = isinstance(layer, Conv2D)
         self.in_fmt = programmed.in_fmt
@@ -285,9 +289,11 @@ class _WeightStep:
 
     def valid(self) -> bool:
         """Whether the programmed state still matches this lowering."""
+        programmed = self._programmed()
         return (
-            self.programmed.in_fmt is self.in_fmt
-            and self.programmed.output_shift == self.shift
+            programmed is not None
+            and programmed.in_fmt is self.in_fmt
+            and programmed.output_shift == self.shift
             and self.kernel._w_cat is self._w_ref
         )
 
@@ -583,12 +589,15 @@ class CompiledPlan:
     ``run_functional``.  The plan holds *references* to the programmed
     state (engines, kernels, formats) — :meth:`matches` detects
     reprogramming / recalibration / kernel invalidation, and the
-    executor recompiles when it no longer holds.
+    executor recompiles when it no longer holds.  The programmed layers
+    themselves are held weakly: the first of them memoises the plan,
+    and a closed deployment must free its engines by reference
+    counting alone.
     """
 
     def __init__(self, network, layers, pin, steps) -> None:
         self.network = network
-        self.layers = list(layers)
+        self._layers = [weakref.ref(layer) for layer in layers]
         self.pin = pin
         self.steps = steps
         # Workspace lease pool: each concurrent execute() holds its own
@@ -679,8 +688,8 @@ class CompiledPlan:
         return (
             self.network is network
             and self.pin == pin
-            and len(self.layers) == len(layers)
-            and all(a is b for a, b in zip(self.layers, layers))
+            and len(self._layers) == len(layers)
+            and all(ref() is b for ref, b in zip(self._layers, layers))
             and all(step.valid() for step in self.steps)
         )
 

@@ -174,20 +174,26 @@ def dispatch_mode() -> str | None:
     return None
 
 
-#: Programmed state held per crossbar cell: the int16 MLC level plus
-#: the float64 conductance (see :class:`~repro.device.cell.CellArray`).
+#: Modelled programmed state per crossbar cell: the int16 MLC level
+#: plus a float64 conductance.  An ideal array stores only the level on
+#: the host and derives the conductance on first read (see
+#: :mod:`repro.device.cell`); this constant counts the full state.
 _CELL_STATE_BYTES = 10
 
 
 def spec_resident_bytes(spec: WorkerSpec) -> int:
-    """Programmed-crossbar footprint of ONE copy of ``spec``'s network.
+    """Modelled programmed-crossbar state of ONE copy of ``spec``'s
+    network.
 
     Every mat pair of every mapped weight layer holds a differential
     array pair whose per-cell state is the stored MLC level plus the
-    programmed conductance.  This is the per-replica RAM the dispatch
-    modes multiply differently: thread mode shares one copy across all
-    replica threads, serial/process mode hold one per replica — the
-    ``serve.replica.resident_bytes`` gauge makes that visible.
+    programmed conductance.  The ``serve.replica.resident_bytes`` gauge
+    reports this modelled state, not measured host RAM: an ideal
+    network (noise-free, no variation or faults) holds 2 B per cell on
+    the host, because its conductances are derived only when read.
+    What the gauge shows is how the dispatch modes multiply it: thread
+    mode shares one copy across all replica threads, serial/process
+    mode hold one per replica.
     """
     xbar = spec.config.crossbar
     per_pair = 2 * xbar.rows * xbar.cols * _CELL_STATE_BYTES

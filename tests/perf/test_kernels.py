@@ -11,6 +11,8 @@ never changes the output.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core.compiler import PrimeCompiler
@@ -59,6 +61,27 @@ def make_codes(params, kernel, batch, rng):
     )
 
 
+def int64_calibrate_shift(tiles, codes, po, calibration_samples=64):
+    """Reference SA-window calibration in integer arithmetic: the
+    largest per-tile-row partial result of the code prefix must fit
+    the Po-bit output register.  The kernel's float64 BLAS routine must
+    reproduce it exactly."""
+    sample = np.asarray(codes, dtype=np.int64)[:calibration_samples]
+    bound = 1
+    off = 0
+    for row in tiles:
+        rows = row[0].rows_used
+        weights = np.hstack([e.programmed_weights for e in row]).astype(
+            np.int64
+        )
+        bound = max(
+            bound,
+            int(np.max(np.abs(sample[:, off : off + rows] @ weights))),
+        )
+        off += rows
+    return max(0, bound.bit_length() - po)
+
+
 class TestFusedBitIdentity:
     """Noise-off fused output == per-engine output, exactly."""
 
@@ -104,10 +127,8 @@ class TestFusedBitIdentity:
         tiles = make_grid(small_xbar, [32, 13], [16, 6], rng)
         kernel = FusedLayerKernel(tiles)
         codes = make_codes(small_xbar, kernel, 40, rng)
-        assert kernel.calibrate_output_shift(
-            codes
-        ) == PrimeExecutor._calibrate_output_shift(
-            tiles, codes, kernel.spec.po
+        assert kernel.calibrate_output_shift(codes) == (
+            int64_calibrate_shift(tiles, codes, kernel.spec.po)
         )
 
     def test_variation_grid_fuses_and_matches_walk(self, small_xbar, rng):
@@ -182,6 +203,79 @@ class TestFusedBitIdentity:
             kernel.mvm_batch(codes, with_noise=False),
             kernel.mvm_batch(codes, with_noise=False, fused=False),
         )
+
+
+#: Conv layers' im2col geometry at the default 28x28 input: (rows incl.
+#: the bias row, vectors per sample) of CNN-1's 5x5 and CNN-2's 7x7
+#: kernels.
+CONV_GEOMETRY = [(5 * 5 + 1, 24 * 24), (7 * 7 + 1, 22 * 22)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_float_calibration_equals_int64_at_the_bound(data):
+    """The float64 BLAS calibration equals the integer reference where
+    partial sums peak: codes at ``2**pin - 1``, weights at
+    ``±(2**pw - 1)``, full 256-row blocks, tail blocks, and a conv
+    layer's calibration prefix (64 samples x their im2col vectors)."""
+    params = DEFAULT_PRIME_CONFIG.crossbar
+    code_max = (1 << params.effective_input_bits) - 1
+    w_max = (1 << params.effective_weight_bits) - 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans(), label="conv"):
+        rows, vecs = data.draw(st.sampled_from(CONV_GEOMETRY))
+        grid_rows = [rows]
+        cal_rows = 64 * vecs
+        batch = cal_rows + data.draw(st.integers(0, vecs))
+    else:
+        full = data.draw(st.integers(0, 2), label="full blocks")
+        tail = data.draw(st.integers(0 if full else 1, params.rows - 1))
+        grid_rows = [params.rows] * full + ([tail] if tail else [])
+        cal_rows = 64
+        batch = data.draw(st.integers(1, 80))
+    grid_cols = data.draw(
+        st.lists(st.integers(1, 6), min_size=1, max_size=2)
+    )
+    # Share of entries pinned to the extremes; the rest are uniform.
+    extreme = data.draw(st.sampled_from([1.0, 0.9, 0.5]))
+    sign = data.draw(st.sampled_from([1, -1, 0]), label="weight sign")
+    tiles = []
+    for rows in grid_rows:
+        row = []
+        for cols in grid_cols:
+            w = rng.integers(-w_max, w_max + 1, (rows, cols))
+            pinned = rng.random((rows, cols)) < extreme
+            signs = sign or rng.choice([-1, 1], (rows, cols))
+            w[pinned] = (signs * w_max * np.ones_like(w))[pinned]
+            engine = CrossbarMVMEngine(params)
+            engine.program(w)
+            row.append(engine)
+        tiles.append(row)
+    kernel = FusedLayerKernel(tiles)
+    codes = rng.integers(0, code_max + 1, (batch, kernel.total_rows))
+    codes[rng.random(codes.shape) < extreme] = code_max
+    assert kernel.calibrate_output_shift(
+        codes, calibration_samples=cal_rows
+    ) == int64_calibrate_shift(tiles, codes, kernel.spec.po, cal_rows)
+
+
+def test_calibration_bound_at_full_scale():
+    """All codes and weights at full scale in one full block: the
+    partial sum reaches ``rows * (2**pin - 1) * (2**pw - 1)`` exactly."""
+    params = DEFAULT_PRIME_CONFIG.crossbar
+    code_max = (1 << params.effective_input_bits) - 1
+    w_max = (1 << params.effective_weight_bits) - 1
+    engine = CrossbarMVMEngine(params)
+    engine.program(np.full((params.rows, 3), -w_max))
+    kernel = FusedLayerKernel([[engine]])
+    codes = np.full((64, params.rows), code_max)
+    bound = params.rows * code_max * w_max
+    assert bound < 1 << 22
+    expected = max(0, bound.bit_length() - kernel.spec.po)
+    assert kernel.calibrate_output_shift(codes) == expected
+    assert int64_calibrate_shift([[engine]], codes, kernel.spec.po) == (
+        expected
+    )
 
 
 class TestFaultyPlanFallback:

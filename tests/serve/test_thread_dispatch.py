@@ -14,7 +14,9 @@ warn-and-default pattern.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -328,6 +330,70 @@ class TestResidentBytes:
         assert (
             report.to_json()["tenants"][0]["resident_bytes"] == expected
         )
+
+
+def _cell_arrays(programmed):
+    return [
+        array.cells
+        for layer in programmed
+        for row in layer.tiles
+        for engine in row
+        for array in (engine.pair.positive, engine.pair.negative)
+    ]
+
+
+class TestDeployFootprint:
+    def test_ideal_deployment_never_derives_conductances(
+        self, network, samples, monkeypatch
+    ):
+        """Noise-free serving of an ideal network runs on the integer
+        weights: deployed, warmed and served, no array builds its
+        float conductance matrix.  The per-engine walk over the same
+        state (``PRIME_FUSED=0``) still answers identically."""
+        monkeypatch.delenv("PRIME_FUSED", raising=False)
+        with _runtime(
+            network, samples, config=_small_config(PT_TIO2_DEVICE)
+        ) as runtime:
+            assert not runtime.spec.use_rng
+            executor, programmed = runtime.dispatcher._state[:2]
+            runtime.serve(samples)
+            served = runtime.serve(samples)
+            assert programmed[0].compiled_plan is not None
+            assert all(
+                c._conductance is None for c in _cell_arrays(programmed)
+            )
+            np.testing.assert_array_equal(
+                served, runtime.reference(samples)
+            )
+            monkeypatch.setenv("PRIME_FUSED", "0")
+            walked = run_programmed(
+                runtime.spec, executor, programmed, samples
+            )
+        np.testing.assert_array_equal(walked, served)
+
+    def test_closed_deployment_frees_engines_without_gc(
+        self, network, samples
+    ):
+        """The compiled plan memoised on a programmed layer must not
+        keep that layer alive: a served (plan-compiled) deployment
+        frees its cell arrays by reference counting alone."""
+
+        def serve_and_close():
+            runtime = _runtime(network, samples)
+            runtime.serve(samples)
+            programmed = runtime.dispatcher._state[1]
+            assert programmed[0].compiled_plan is not None
+            ref = weakref.ref(_cell_arrays(programmed)[0])
+            runtime.close()
+            return ref
+
+        gc.collect()
+        gc.disable()
+        try:
+            ref = serve_and_close()
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 @pytest.mark.chaos
