@@ -5,8 +5,11 @@ kernels want wide matmuls.  :class:`MicroBatcher` is the queue between
 the two: requests accumulate until either a full micro-batch is
 available (``max_batch``, sized against the executor's streaming chunk
 model so a batch always evaluates in one fused pass) or the oldest
-request has waited ``max_wait_s`` (the latency knob — a lightly loaded
-server ships small batches early instead of stalling).
+request has waited ``max_wait_s`` (the latency knob).  A lightly
+loaded server does not wait at all: the runtime's pipelined ``poll``
+flushes the queue head whenever a replica is idle (see
+:meth:`~repro.serve.runtime.ServingRuntime.poll`), so ``max_wait_s``
+only bounds how long a partial batch waits behind busy replicas.
 
 The batcher is deliberately synchronous: requests and batches move
 only when the owner pumps it, so a serving run is a deterministic
@@ -28,7 +31,9 @@ from repro.telemetry.request import TraceContext, make_trace_id
 
 __all__ = ["ServeRequest", "MicroBatcher", "DEFAULT_MAX_WAIT_S"]
 
-#: Default maximum queueing delay before a partial batch ships.
+#: Default maximum queueing delay before a partial batch ships.  The
+#: runtime's pipelined ``poll`` ships earlier, at once, whenever a
+#: replica is idle; the delay applies while every replica is busy.
 DEFAULT_MAX_WAIT_S = 0.002
 
 
@@ -173,7 +178,8 @@ class MicroBatcher:
 
         A batch ships when it is full, when the oldest queued request
         has aged past ``max_wait_s``, or unconditionally with
-        ``flush=True`` (end-of-stream drain).
+        ``flush=True`` (end-of-stream drain, and the runtime's release
+        to an idle replica).
         """
         if not self._queue:
             return None

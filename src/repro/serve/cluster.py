@@ -20,7 +20,10 @@ shared-memory slot depth and harvests only the *finished* prefix of
 the in-flight queue.  Batch formation for tenant A overlaps execution
 for tenant B (and for A's own other replicas), keeping every granted
 bank busy.  ``pipelined=False`` degrades the same loop to the
-synchronous pump — the benchmark baseline.
+synchronous pump — the benchmark baseline.  One exception to the
+overlap: a thread-mode tenant runs micro-batches of at most two
+samples inline (see :class:`~repro.serve.dispatcher.ThreadDispatcher`),
+so such a batch holds the loop for one forward pass.
 
 Determinism: arrivals are a pure function of each tenant's seed,
 admission decisions depend only on queue state at the decision

@@ -127,6 +127,18 @@ def pool_timeout_s() -> float:
 #: pickling (the runtime keeps at most a handful of batches inflight
 #: per replica, so four slots absorb normal pipelining).
 _SLAB_SLOTS = 4
+#: Widest micro-batch a :class:`ThreadDispatcher` runs on the
+#: dispatching thread instead of a replica thread.  An inline batch
+#: holds the pumping thread for its whole forward (MLP-L on a 2-CPU
+#: host: ~4.3 ms at 1 sample, ~6.1 ms at 2, 7-9 ms at 3-4), while a
+#: replica thread adds a GIL handoff with the poll loop to every
+#: batch.  Light open-loop traffic forms batches of 1-2 samples (bench
+#: serve-light averages ~1.1, serve-heavy's 200 req/s phase ~1.3);
+#: wider ones form behind busy replicas, where the coordinator is
+#: better kept free to feed the other replica.  Measured there: a
+#: bound of 1 left serve-heavy's steady median at 8-10 ms against
+#: ~6.2 ms at 2, and 4 read within noise of 2 (EXPERIMENTS.md).
+_INLINE_MAX_SAMPLES = 2
 
 
 def shm_enabled() -> bool:
@@ -1018,6 +1030,17 @@ class ThreadDispatcher:
     * N replicas cost one weight-copy of RAM instead of N
       (:meth:`resident_bytes`).
 
+    Tiny micro-batches (at most :data:`_INLINE_MAX_SAMPLES` samples)
+    run inline on the dispatching thread, through the same task (read
+    lock, cancellation check, measured ``execute_ns``, envelope), and
+    come back as an already-completed future: at batch 1 a replica
+    thread only adds a GIL handoff with the coordinator's poll loop
+    to a forward the coordinator could run itself.  Batches that
+    carry a fault, paced batches, the first batch of an uncalibrated
+    copy and every serialised batch keep the replica threads.  In a
+    :class:`~repro.serve.cluster.ServingCluster` an inline batch holds
+    the cluster loop for one forward pass.
+
     Noise-on batches draw from private per-task streams
     (:func:`run_programmed_shared`), so results stay
     routing-independent and bit-identical to
@@ -1182,6 +1205,22 @@ class ThreadDispatcher:
             value=result, worker=replica, execute_ns=execute_ns
         )
 
+    def _runs_inline(self, batch: np.ndarray, fault: tuple | None) -> bool:
+        """Whether ``batch`` runs on the dispatching thread.
+
+        Only a tiny batch on the concurrent read path: a fault must
+        occupy a replica thread (a hang would stall the coordinator),
+        so must pacing (it models a busy device, not a busy host), and
+        a first uncalibrated or serialised batch needs the write lock.
+        """
+        return (
+            len(batch) <= _INLINE_MAX_SAMPLES
+            and fault is None
+            and not self.spec.pace_batch_s
+            and self._calibrated
+            and self._parallel
+        )
+
     def dispatch(
         self,
         batch: np.ndarray,
@@ -1199,6 +1238,23 @@ class ThreadDispatcher:
             self._rr = (self._rr + 1) % len(self._pools)
         else:
             replica %= len(self._pools)
+        if self._runs_inline(batch, fault):
+            future: Future = Future()
+            try:
+                future.set_result(
+                    self._task(
+                        batch,
+                        noise_seed,
+                        None,
+                        self._cancels[replica],
+                        replica,
+                    )
+                )
+            except Exception as exc:
+                # Delivered where a replica thread's failure would be:
+                # the runtime reads every future in ``_resolve``.
+                future.set_exception(exc)
+            return future
         return self._pools[replica].submit(
             self._task,
             batch,

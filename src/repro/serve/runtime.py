@@ -10,7 +10,9 @@ of the existing stack:
    single time and freezes calibration on a shared calibration batch;
 3. ``serve`` — queued single-sample requests coalesce into
    micro-batches sized against the executor's streaming chunk model
-   and round-robin across the replica workers.
+   and round-robin across the replica workers; the pipelined
+   :meth:`~ServingRuntime.poll` ships the queue head at once to any
+   idle replica instead (work-conserving release).
 
 Bit-identity guarantee: with calibration frozen at deploy time, the
 runtime's outputs equal a direct
@@ -96,6 +98,11 @@ class _Inflight:
     #: ``time.monotonic()`` at the last (re)dispatch; the per-batch
     #: deadline counts from here.
     t_wall: float = 0.0
+    #: Dispatcher generation at the last (re)dispatch.  A batch whose
+    #: dispatcher has since been replaced (degrade to serial) fails
+    #: with its closed pool; that failure belongs to the old replicas,
+    #: never to the replacement's.
+    generation: int = 0
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,10 @@ class ServeConfig:
     #: Upper bound on the derived micro-batch size — beyond a point a
     #: wider matmul stops paying and only adds queueing latency.
     max_batch_cap: int = 256
-    #: Maximum queueing delay before a partial batch ships.
+    #: Longest a partial batch waits for company while every replica
+    #: is busy.  The pipelined ``poll`` ships the queue head at once
+    #: whenever some replica has no batch executing; the synchronous
+    #: ``pump`` applies the batcher's plain age rule.
     max_wait_s: float = DEFAULT_MAX_WAIT_S
     #: Dispatch mode: ``auto`` | ``thread`` | ``process`` | ``serial``
     #: (``auto`` honours the ``PRIME_DISPATCH`` env override; see the
@@ -230,6 +240,9 @@ class ServingRuntime:
         )
         #: Per-replica restart epochs (see :class:`_Inflight`).
         self._replica_epoch = [0] * max(self.deployment.replicas, 1)
+        #: Bumped whenever the dispatcher is replaced (see
+        #: :class:`_Inflight`).
+        self._generation = 0
         #: Executed replica restarts, in order.
         self.restarts: list[RestartEvent] = []
         #: Executed drift-triggered reprogrammings, in order.
@@ -305,14 +318,7 @@ class ServingRuntime:
         except POOL_SPAWN_FAILURES as exc:
             if self.serve_config.mode == "process":
                 raise
-            try:
-                self.dispatcher.close()
-            except Exception:  # pragma: no cover - already broken
-                pass
-            self.dispatcher = serial_fallback(self.spec, 1, exc)
-            self.monitor = ReplicaHealthMonitor(1, self.health)
-            self._replica_epoch = [0]
-            self._record_resident_bytes()
+            self._replace_dispatcher(serial_fallback(self.spec, 1, exc))
 
     # -- serving --------------------------------------------------------
 
@@ -349,23 +355,34 @@ class ServingRuntime:
     def poll(self, flush: bool = False) -> int:
         """Move work without waiting: the pipelined pump.
 
-        Dispatches ready micro-batches only while the dispatcher has
+        Dispatches micro-batches only while the dispatcher has
         uncontended capacity (its shared-memory slot depth), then
         resolves the *finished* prefix of the in-flight queue — never
         blocking on a batch still executing.  Interleaving ``poll``
         across several runtimes keeps every deployment's replicas
         saturated while batches form: batch formation overlaps
-        in-flight execution instead of serialising behind it.  Returns
-        the number of requests completed by this call.
+        in-flight execution instead of serialising behind it.
+
+        Release is work-conserving: while some replica has no batch
+        executing, the queue head ships to it at once, however small —
+        holding a lone request for company would only idle that
+        replica.  ``max_wait_s`` bounds the wait of a partial batch
+        only while every replica is busy.  Returns the number of
+        requests completed by this call.
         """
         if self._closed:
             raise ExecutionError("serving runtime is closed")
         limit = self.dispatcher.inflight_limit
-        while limit is None or len(self._inflight) < limit:
-            batch = self.batcher.next_batch(flush=flush)
+        while len(self.batcher) and (
+            limit is None or len(self._inflight) < limit
+        ):
+            idle = self._idle_replica()
+            batch = self.batcher.next_batch(
+                flush=flush or idle is not None
+            )
             if batch is None:
                 break
-            self._dispatch(batch, block=False)
+            self._dispatch(batch, block=False, replica=idle)
         completed = self._drained
         self._drained = 0
         while self._inflight and self._inflight[0].future.done():
@@ -408,8 +425,33 @@ class ServingRuntime:
         self.pump(flush=True)
         return np.stack([r.result for r in requests])
 
+    def _idle_replica(self) -> int | None:
+        """A routable replica with no batch executing, or ``None``.
+
+        The round-robin choice wins when it is idle, so a lightly
+        loaded runtime routes exactly as the plain round-robin does;
+        otherwise the first idle replica after it.
+        """
+        healthy = self.monitor.routable()
+        busy = {
+            entry.replica
+            for entry in self._inflight
+            if entry.generation == self._generation
+            and not entry.future.done()
+        }
+        for k in range(len(healthy)):
+            replica = healthy[
+                (self.batches_dispatched + k) % len(healthy)
+            ]
+            if replica not in busy:
+                return replica
+        return None
+
     def _dispatch(
-        self, batch: list[ServeRequest], block: bool = True
+        self,
+        batch: list[ServeRequest],
+        block: bool = True,
+        replica: int | None = None,
     ) -> None:
         stacked = np.stack([r.x for r in batch])
         if stacked.dtype != np.float64:
@@ -422,7 +464,8 @@ class ServingRuntime:
         # Route over the healthy set only.  With every replica healthy
         # this is exactly the historical round-robin (index modulo the
         # replica count), so fault-free routing — and therefore noise
-        # seeding, slab pinning, telemetry — is unchanged.
+        # seeding, slab pinning, telemetry — is unchanged.  ``poll``
+        # passes the idle replica it released the batch for.
         healthy = self.monitor.routable()
         if not healthy:
             self._degrade_to_serial()
@@ -431,7 +474,8 @@ class ServingRuntime:
             raise ExecutionError(
                 "no healthy replicas left to dispatch to"
             )
-        replica = healthy[self.batches_dispatched % len(healthy)]
+        if replica is None:
+            replica = healthy[self.batches_dispatched % len(healthy)]
         fault = None
         if self.fault_plan is not None:
             event = self.fault_plan.take(self.batches_dispatched)
@@ -485,6 +529,7 @@ class ServingRuntime:
                 replica=replica,
                 epoch=self._epoch_of(replica),
                 t_wall=time.monotonic(),
+                generation=self._generation,
             )
         )
 
@@ -555,8 +600,9 @@ class ServingRuntime:
                 reason = "cancelled"
             if not self._recover(entry, reason):
                 return self._fail_batch(entry, reason)
+        current = entry.generation == self._generation
         restart_outlier = False
-        if entry.replica < len(self.monitor.replicas):
+        if current and entry.replica < len(self.monitor.replicas):
             restart_outlier = self.monitor.record_success(
                 entry.replica, envelope.execute_ns / 1e9
             )
@@ -579,23 +625,33 @@ class ServingRuntime:
         return completed
 
     def _recover(self, entry: _Inflight, reason: str) -> bool:
-        """Handle one failed attempt; True when a retry was dispatched."""
+        """Handle one failed attempt; True when a retry was dispatched.
+
+        A batch stranded on a dispatcher that has since been replaced
+        (its pool closed by the degrade to serial) is re-dispatched
+        without a health verdict, a restart or a spent retry: the
+        failure was the old dispatcher's, and charging it to the
+        replacement's fresh replica would retire that replica too.
+        """
         policy = self.health
-        if entry.replica < len(self.monitor.replicas):
-            self.monitor.record_failure(entry.replica, reason)
         # Abandon the dead future's slab slot first: the restart below
         # reclaims (and re-generations) the replica's slots, so a late
         # release from this future must never fire.
         if hasattr(entry.future, "abandon"):
             entry.future.abandon()
-        if self._epoch_of(entry.replica) == entry.epoch:
-            # First failure against this replica incarnation: it is
-            # genuinely bad (crashed pool, hung worker) — restart it.
-            # Later failures with a stale epoch came from the already-
-            # replaced pool and only need their batch re-dispatched.
-            self._restart_replica(entry.replica, reason)
-        if entry.attempts >= policy.max_retries:
-            return False
+        current = entry.generation == self._generation
+        if current:
+            if entry.replica < len(self.monitor.replicas):
+                self.monitor.record_failure(entry.replica, reason)
+            if self._epoch_of(entry.replica) == entry.epoch:
+                # First failure against this replica incarnation: it
+                # is genuinely bad (crashed pool, hung worker) —
+                # restart it.  Later failures with a stale epoch came
+                # from the already-replaced pool and only need their
+                # batch re-dispatched.
+                self._restart_replica(entry.replica, reason)
+            if entry.attempts >= policy.max_retries:
+                return False
         healthy = self.monitor.routable()
         if not healthy:
             self._degrade_to_serial()
@@ -608,12 +664,13 @@ class ServingRuntime:
                 reason=reason,
                 tenant=self.tenant,
             )
-        backoff = policy.backoff_base_s * (
-            policy.backoff_factor**entry.attempts
-        )
-        if backoff > 0.0:
-            time.sleep(backoff)
-        entry.attempts += 1
+        if current:
+            backoff = policy.backoff_base_s * (
+                policy.backoff_factor**entry.attempts
+            )
+            if backoff > 0.0:
+                time.sleep(backoff)
+            entry.attempts += 1
         replica = (
             entry.replica
             if entry.replica in healthy
@@ -629,6 +686,7 @@ class ServingRuntime:
         )
         entry.replica = replica
         entry.epoch = self._epoch_of(replica)
+        entry.generation = self._generation
         entry.t_wall = time.monotonic()
         return True
 
@@ -752,13 +810,25 @@ class ServingRuntime:
                 reason="unhealthy",
                 tenant=self.tenant,
             )
+        self._replace_dispatcher(SerialDispatcher(self.spec, 1))
+
+    def _replace_dispatcher(self, dispatcher) -> None:
+        """Close the current dispatcher and serve from ``dispatcher``,
+        one fresh replica with its own health record.
+
+        Bumps the dispatcher generation, so batches and drift probes
+        still out on the old dispatcher are never charged to the new
+        replica (see :meth:`_recover`).
+        """
         try:
             self.dispatcher.close()
         except Exception:  # pragma: no cover - already broken
             pass
-        self.dispatcher = SerialDispatcher(self.spec, 1)
+        self.dispatcher = dispatcher
+        self._generation += 1
         self.monitor = ReplicaHealthMonitor(1, self.health)
         self._replica_epoch = [0]
+        self._pending_probes = []
         self._record_resident_bytes()
 
     # -- drift probes ---------------------------------------------------

@@ -1,9 +1,11 @@
 """ServingCluster: open-loop loop, admission, autoscaling, identity.
 
-Everything here runs serial dispatch under a fake clock whose
-``advance`` doubles as the cluster's sleep, so each test is a
-deterministic function of the seeds: same arrivals, same admission
-decisions, same batching, same latencies, run after run.
+Everything here runs under a fake clock whose ``advance`` doubles as
+the cluster's sleep, and all but the deadline-shedding test run serial
+dispatch, so each test is a deterministic function of the seeds: same
+arrivals, same admission decisions, same batching, same latencies, run
+after run.  Deadline shedding needs replicas that stay busy while the
+loop runs, so it paces thread replicas in wall time.
 """
 
 import dataclasses
@@ -178,7 +180,10 @@ class TestOpenLoopRun:
 
     def test_deadline_shedding(self):
         # A batcher that never fills (max_batch huge, max_wait long)
-        # forces queued requests past the deadline before dispatch.
+        # behind busy replicas forces queued requests past the deadline
+        # before dispatch.  Pacing holds each replica thread for 50 ms
+        # of wall time (a paced batch never runs inline), while the
+        # idle loop advances the fake clock far past the deadline.
         cluster, _ = _cluster(
             [
                 _tenant(
@@ -186,7 +191,10 @@ class TestOpenLoopRun:
                     9,
                     rate_rps=50_000.0,
                     serve_config=ServeConfig(
-                        mode="serial", max_batch=256, max_wait_s=10.0
+                        mode="thread",
+                        max_batch=256,
+                        max_wait_s=10.0,
+                        pace_batch_s=0.05,
                     ),
                     admission=AdmissionPolicy(deadline_s=5e-4),
                 )

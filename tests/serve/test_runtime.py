@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -305,3 +306,109 @@ class TestDispatchModes:
             runtime.spec, replicas=1, mode="auto"
         )
         assert isinstance(dispatcher, SerialDispatcher)
+
+
+class _FakeClock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, dt: float) -> None:
+        self.now += dt
+
+
+class _GatedDispatcher:
+    """Holds each dispatched batch's future open until :meth:`release`,
+    so a test decides which replicas still have a batch executing."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.gates: list[tuple[Future, Future]] = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def dispatch(self, *args, **kw) -> Future:
+        gate: Future = Future()
+        self.gates.append((gate, self._inner.dispatch(*args, **kw)))
+        return gate
+
+    def release(self, index: int) -> None:
+        gate, done = self.gates[index]
+        gate.set_result(done.result())
+
+
+class TestWorkConservingRelease:
+    MAX_WAIT_S = 1e-3
+
+    def _runtime(self, network, samples, clock):
+        return _runtime(
+            network,
+            samples,
+            clock=clock,
+            serve=dict(max_batch=8, max_wait_s=self.MAX_WAIT_S),
+        )
+
+    def test_poll_ships_to_an_idle_replica_at_once(
+        self, network, samples
+    ):
+        clock = _FakeClock()
+        with self._runtime(network, samples, clock) as runtime:
+            gated = _GatedDispatcher(runtime.dispatcher)
+            runtime.dispatcher = gated
+            first = runtime.submit(samples[0])
+            runtime.poll()
+            second = runtime.submit(samples[1])
+            runtime.poll()
+            # The clock never moved: each lone request shipped the
+            # moment it arrived, one to each idle replica.
+            assert runtime.batches_dispatched == 2
+            assert first.t_batched == first.t_enqueue
+            assert second.t_batched == second.t_enqueue
+            assert [e.replica for e in runtime._inflight] == [0, 1]
+            # Every replica holds an unfinished batch: a lone request
+            # waits the full max_wait_s for company.
+            third = runtime.submit(samples[2])
+            runtime.poll()
+            clock.advance(self.MAX_WAIT_S / 2)
+            runtime.poll()
+            assert runtime.batches_dispatched == 2
+            assert third.t_batched is None
+            clock.advance(self.MAX_WAIT_S / 2)
+            runtime.poll()
+            assert runtime.batches_dispatched == 3
+            assert third.t_batched - third.t_enqueue == pytest.approx(
+                self.MAX_WAIT_S
+            )
+            assert runtime._inflight[-1].replica == 0  # round-robin
+            # Replica 0 finishes both its batches; replica 1 is still
+            # busy.  The next lone request ships at once, to replica 0,
+            # where the plain round-robin would queue it on replica 1.
+            gated.release(0)
+            gated.release(2)
+            fourth = runtime.submit(samples[3])
+            runtime.poll()
+            assert fourth.t_batched == fourth.t_enqueue
+            assert runtime._inflight[-1].replica == 0
+            gated.release(1)
+            gated.release(3)
+            runtime.poll()
+            requests = [first, second, third, fourth]
+            assert all(r.done for r in requests)
+            served = np.stack([r.result for r in requests])
+            reference = runtime.reference(samples[:4])
+        np.testing.assert_array_equal(served, reference)
+
+    def test_pump_keeps_the_age_rule(self, network, samples):
+        """The synchronous pump still holds a lone request for
+        max_wait_s, however idle the replicas are."""
+        clock = _FakeClock()
+        with self._runtime(network, samples, clock) as runtime:
+            request = runtime.submit(samples[0])
+            assert runtime.pump() == 0
+            assert request.t_batched is None
+            clock.advance(self.MAX_WAIT_S)
+            assert runtime.pump() == 1
+            assert request.done

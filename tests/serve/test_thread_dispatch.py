@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import threading
 import time
 import weakref
 
@@ -332,6 +333,90 @@ class TestResidentBytes:
         )
 
 
+def _task_threads(dispatcher) -> list[int]:
+    """Record the ident of the thread each of ``dispatcher``'s batches
+    runs on, in the order they run."""
+    idents: list[int] = []
+    task = dispatcher._task
+
+    def spy(*args):
+        idents.append(threading.get_ident())
+        return task(*args)
+
+    dispatcher._task = spy
+    return idents
+
+
+class TestInlineTinyBatches:
+    def test_one_and_two_sample_batches_run_on_the_calling_thread(
+        self, network, samples
+    ):
+        x = samples[:6]
+        for with_noise, device in (
+            (False, NOISE_FREE),
+            (True, PT_TIO2_DEVICE),
+        ):
+            for width in (1, 2):
+                with _runtime(
+                    network,
+                    samples,
+                    config=_small_config(device),
+                    serve=dict(
+                        max_batch=width, with_noise=with_noise, seed=5
+                    ),
+                ) as runtime:
+                    idents = _task_threads(runtime.dispatcher)
+                    served = runtime.serve(x)
+                    assert idents == [threading.get_ident()] * (
+                        len(x) // width
+                    )
+                    for i, lo in enumerate(range(0, len(x), width)):
+                        rows = slice(lo, lo + width)
+                        if with_noise:
+                            expected = runtime.reference(x[rows], i)
+                        else:
+                            expected = runtime.reference(x[rows])
+                        np.testing.assert_array_equal(
+                            served[rows], expected
+                        )
+
+    def test_other_batches_keep_the_replica_threads(
+        self, network, samples, monkeypatch
+    ):
+        main = threading.get_ident()
+        x = samples[:3]
+
+        def check(expect_inline, exact_rows=len(x), **kw):
+            with _runtime(network, samples, **kw) as runtime:
+                idents = _task_threads(runtime.dispatcher)
+                served = runtime.serve(x)
+                reference = runtime.reference(x[:exact_rows])
+            assert [i == main for i in idents] == expect_inline
+            np.testing.assert_array_equal(served[:exact_rows], reference)
+
+        # A 3-sample batch.
+        check([False], serve=dict(max_batch=3))
+        # A batch carrying a fault event; the next batches run inline.
+        plan = FaultPlan.of(
+            FaultEvent(batch_index=0, kind="slow", duration_s=1e-3)
+        )
+        check([False, True, True], serve=dict(max_batch=1), fault_plan=plan)
+        # A paced deployment: pacing occupies a replica thread.
+        check([False] * 3, serve=dict(max_batch=1, pace_batch_s=1e-3))
+        # Uncalibrated: the first batch freezes calibration under the
+        # write lock on a replica thread, so only its replies equal a
+        # fresh reference; later batches run inline.
+        check(
+            [False, True, True],
+            exact_rows=1,
+            serve=dict(max_batch=1),
+            calibration=None,
+        )
+        # A state that cannot run concurrently (the per-engine walk).
+        monkeypatch.setenv("PRIME_FUSED", "0")
+        check([False] * 3, serve=dict(max_batch=1))
+
+
 def _cell_arrays(programmed):
     return [
         array.cells
@@ -471,4 +556,40 @@ class TestThreadChaos:
             )
             == 1
         )
+        np.testing.assert_array_equal(served, reference)
+
+    @pytest.mark.parametrize("probe_every", [None, 2])
+    def test_degrade_reroutes_batches_stranded_on_the_closed_pools(
+        self, network, samples, probe_every
+    ):
+        """Batches (and drift probes) still queued on the replica
+        threads when the runtime degrades to serial are cancelled with
+        their pools.  The batches are re-dispatched to the serial
+        replica and the probes dropped, neither charged to it: charged,
+        they retired it (restart budget zero) and failed a batch."""
+        plan = FaultPlan.of(
+            FaultEvent(batch_index=0, kind="hang", duration_s=30.0),
+            FaultEvent(batch_index=1, kind="kill"),
+        )
+        health = HealthPolicy(
+            max_restarts_per_replica=0,
+            backoff_base_s=0.0,
+            batch_timeout_s=0.5,
+            probe_interval_batches=probe_every,
+        )
+        with _runtime(
+            network,
+            samples,
+            fault_plan=plan,
+            health=health,
+            serve=dict(max_batch=4),
+        ) as runtime:
+            requests = [runtime.submit(x) for x in samples]
+            runtime.pump(flush=True)
+            assert runtime.mode == "serial"
+            assert runtime.monitor.routable() == [0]
+            assert runtime.shed_failed == 0
+            assert all(r.done and r.error is None for r in requests)
+            served = np.stack([r.result for r in requests])
+            reference = runtime.reference(samples)
         np.testing.assert_array_equal(served, reference)
