@@ -31,9 +31,11 @@ from repro.nn.network import Sequential
 from repro.params.prime import PrimeConfig, DEFAULT_PRIME_CONFIG
 from repro.perf.kernels import FusedLayerKernel, fused_enabled
 from repro.perf.plan import (
+    CALIBRATION_SAMPLES,
     CompiledPlan,
     PlanCompileError,
     PlanFallbackWarning,
+    freeze_calibration,
     plan_compile_enabled,
 )
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
@@ -46,8 +48,6 @@ T_MERGE_PER_BLOCK = 2.0 * ns
 #: Groups evaluated per analog round during 4:1 max pooling
 #: (min(256 rows / 4 candidates, 256 bitlines / 6 difference columns)).
 POOL_GROUPS_PER_ROUND = 42
-#: Samples used to freeze a layer's input format and SA output window.
-CALIBRATION_SAMPLES = 64
 #: Default streaming budget for functional activations (overridable
 #: via ``PRIME_FUNC_CHUNK_BYTES``).
 DEFAULT_CHUNK_BYTES = 256 * 1024 * 1024
@@ -490,20 +490,22 @@ class PrimeExecutor:
         e.g. engines living inside real bank mats.  Returns the (float)
         output logits as computed by the quantised analog pipeline.
 
-        Once calibration is frozen the whole chain executes through a
+        Every chunk, the first of a freshly programmed network
+        included, executes through a
         :class:`~repro.perf.plan.CompiledPlan` — one flat precompiled
         schedule with no per-layer Python bookkeeping
-        (``PRIME_PLAN_COMPILE=0`` restores the per-layer interpreter).
-        Each interpreted layer evaluates through its fused layer kernel
-        (``PRIME_FUSED=0`` restores the per-engine tile walk), and the
+        (``PRIME_PLAN_COMPILE=0`` restores the per-layer interpreter,
+        which evaluates each layer through its fused layer kernel;
+        ``PRIME_FUSED=0`` restores the per-engine tile walk).  The
         batch streams in chunks sized so the widest layer's activations
         stay under ``chunk_bytes`` (default ``PRIME_FUNC_CHUNK_BYTES``
-        or 256 MiB) — conv im2col never materialises the whole batch.
+        or 256 MiB) — conv patches never materialise the whole batch.
         Per-layer calibration (input format and SA output window) is
-        frozen from the first ``CALIBRATION_SAMPLES`` samples and
-        cached on the programmed plan, so the first chunk always covers
-        the calibration prefix and chunked output equals unchunked
-        output for every chunk size.
+        frozen from the first ``CALIBRATION_SAMPLES`` samples by
+        :func:`~repro.perf.plan.freeze_calibration`, on whichever tier
+        runs the first chunk, and cached on the programmed plan, so the
+        first chunk always covers the calibration prefix and chunked
+        output equals unchunked output for every chunk size.
         """
         xbar = self.config.crossbar
         pin = input_bits or xbar.effective_input_bits
@@ -585,11 +587,11 @@ class PrimeExecutor:
     ) -> np.ndarray:
         """One chunk, through the compiled plan when one is available.
 
-        The first chunk of a freshly programmed network runs through
-        the interpreter (calibration is not frozen yet); every chunk
-        after that executes the compiled schedule.  Both paths are
-        bit-identical, so chunked == unchunked holds regardless of
-        which chunk compiled the plan.
+        The first chunk of a freshly programmed network compiles the
+        plan, whose weight steps freeze calibration as they first run;
+        the interpreter runs only when compilation is disabled or
+        fails.  Both tiers freeze and compute bit-identically, so
+        chunked == unchunked holds whichever tier ran a chunk.
         """
         compiled = self._compiled_plan(network, layers, pin)
         if compiled is not None:
@@ -607,23 +609,17 @@ class PrimeExecutor:
         The plan memoises on the chain's first ProgrammedLayer and is
         validated against the live programmed state on every chunk —
         recalibration, reprogramming, or kernel invalidation all break
-        :meth:`CompiledPlan.matches` and force a recompile.  Returns
-        ``None`` (interpreter fallback, counted as
-        ``perf.plan.fallback``) when compilation is disabled, the chain
-        is not yet calibrated, or lowering fails.
+        :meth:`CompiledPlan.matches` and force a recompile.  An
+        uncalibrated chain compiles too: its steps freeze calibration
+        on their first run.  Returns ``None`` (interpreter fallback)
+        when compilation is disabled or lowering fails (counted as
+        ``perf.plan.fallback``).
         """
         if not layers or not plan_compile_enabled():
             return None
         # PRIME_FUSED=0 forces the per-engine tile walk; the compiled
         # plan is the fused tier's successor, so it stands down too.
         if not fused_enabled():
-            return None
-        if any(
-            entry.in_fmt is None or entry.output_shift is None
-            for entry in layers
-        ):
-            # First pass after programming: let the interpreter freeze
-            # calibration, compile from the next chunk on.
             return None
         host = layers[0]
         compiled = host.compiled_plan
@@ -915,34 +911,12 @@ class PrimeExecutor:
         batch_vecs = np.concatenate(
             [vectors, np.ones((vectors.shape[0], 1))], axis=1
         )
-        kernel = programmed.kernel
         if programmed.in_fmt is None:
-            # Freeze calibration on first use: the input format and SA
-            # output window come from the first CALIBRATION_SAMPLES
-            # samples' vectors (all of a sample's im2col vectors count
-            # as that sample).  Later chunks/batches reuse the frozen
-            # calibration; out-of-range activations saturate in
-            # quantize_int, as a fixed hardware reference would.
-            vecs_per_sample = (
-                batch_vecs.shape[0] // spatial[0] if spatial else 1
-            )
-            cal_rows = min(
-                batch_vecs.shape[0], CALIBRATION_SAMPLES * vecs_per_sample
-            )
-            programmed.in_fmt = DynamicFixedPoint.for_data(
-                batch_vecs[:cal_rows], bits=pin, signed=False
-            )
-            codes = programmed.in_fmt.quantize_int(
-                np.clip(batch_vecs, 0.0, None)
-            )
-            programmed.output_shift = kernel.calibrate_output_shift(
-                codes, calibration_samples=cal_rows
-            )
-        else:
-            codes = programmed.in_fmt.quantize_int(
-                np.clip(batch_vecs, 0.0, None)
-            )
-        outputs = kernel.mvm_batch(
+            freeze_calibration(layer, programmed, act, pin)
+        codes = programmed.in_fmt.quantize_int(
+            np.clip(batch_vecs, 0.0, None)
+        )
+        outputs = programmed.kernel.mvm_batch(
             codes,
             with_noise=with_noise,
             output_shift=programmed.output_shift,

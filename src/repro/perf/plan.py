@@ -6,9 +6,15 @@ still interprets the network layer by layer on every chunk: rebuild
 the bias-augmented vector matrix, quantize through ``DynamicFixedPoint``
 object calls, round-trip codes through ``int64``, re-derive the
 digitisation constants, and allocate every intermediate afresh.
-:class:`CompiledPlan` lowers a calibrated :class:`ProgrammedLayer`
+:class:`CompiledPlan` lowers a programmed :class:`ProgrammedLayer`
 chain into a flat step list once, at deploy time:
 
+* the chain may be uncalibrated: each weight step freezes its layer's
+  input format and SA output shift the first time it runs, in layer
+  order, from the first chunk's ``CALIBRATION_SAMPLES`` prefix
+  (:func:`freeze_calibration`, which the interpreter calls too), and
+  only then bakes them into constants — so a fresh network runs its
+  very first chunk compiled;
 * weight/conductance stacks are trimmed and cached per layer (full
   256-row blocks evaluate as one batched matmul; short tail blocks get
   their own right-sized matmul instead of padding to the block size);
@@ -18,8 +24,11 @@ chain into a flat step list once, at deploy time:
 * quantisation, the hi/lo drive split, digitisation, and the output
   scale all run in place on preallocated buffers that persist across
   chunks and batches of the same width;
-* conv layers gather their im2col patches through a precomputed index
-  map instead of a Python loop over kernel offsets;
+* conv layers quantise and split each padded input pixel once, then
+  build the integer-code drive with one slice copy per kernel offset
+  (:func:`_gather_patches`) — no float64 patch matrix — and compute
+  ``W^T @ drive`` so the long vector axis stays innermost through the
+  count planes and the digitisation;
 * micro-batches (``<= PACKED_MAX_VECS`` vectors) evaluate through a
   *packed* weight stack that fuses the hi/lo weight halves into one
   float32 field pair — halving the streamed weight bytes in the
@@ -59,8 +68,11 @@ from repro import telemetry
 from repro.errors import ExecutionError
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
+from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 __all__ = [
+    "CALIBRATION_SAMPLES",
+    "freeze_calibration",
     "plan_compile_enabled",
     "PlanFallbackWarning",
     "PlanCompileError",
@@ -69,6 +81,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger("repro.perf")
+
+#: Samples used to freeze a layer's input format and SA output window.
+CALIBRATION_SAMPLES = 64
 
 #: Row width of the packed small-batch weight sub-blocks.  16 rows of
 #: (7 * 15)-bounded products keep each field below 2**11, so the two
@@ -117,6 +132,89 @@ def plan_compile_enabled() -> bool:
     return True
 
 
+def _conv_geometry(layer: Conv2D, act: np.ndarray) -> tuple[int, int]:
+    """Output height and width of ``layer`` over image batch ``act``."""
+    if act.ndim != 4:
+        raise ExecutionError(
+            f"conv layer expects image activations, got {act.shape}"
+        )
+    span = 2 * layer.pad - layer.kernel + 1
+    return act.shape[1] + span, act.shape[2] + span
+
+
+def _gather_patches(pix: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Fill the ``k*k*c`` patch rows of ``out`` from padded pixels.
+
+    ``pix`` is channel-major, ``(c, ..., hp, wp)``; ``out`` is
+    ``(rows, ..., oh, ow)``.  Patch row ``(di*k + dj)*c + ch`` of the
+    vector at output pixel ``(i, j)`` reads pixel ``(ch, i+di, j+dj)``
+    — the interpreter's im2col column order — so one slice copy per
+    kernel offset fills ``c`` rows for every vector at once.
+    """
+    c = pix.shape[0]
+    oh, ow = out.shape[-2:]
+    for di in range(k):
+        for dj in range(k):
+            r = (di * k + dj) * c
+            out[r : r + c] = pix[..., di : di + oh, dj : dj + ow]
+
+
+def _input_codes(layer, act: np.ndarray, in_fmt: DynamicFixedPoint):
+    """``(vectors, rows)`` int64 input codes of one weight layer.
+
+    A dense layer takes one vector per sample, a conv layer one per
+    output pixel, each ending in the bias input 1.  Conv codes are
+    quantised once per zero-padded input pixel, channel-major, and
+    gathered by :func:`_gather_patches`; negative activations quantise
+    to zero.
+    """
+    one = in_fmt.quantize_int(1.0)
+    if isinstance(layer, Conv2D):
+        oh, ow = _conv_geometry(layer, act)
+        p, k = layer.pad, layer.kernel
+        padded = np.pad(act, ((0, 0), (p, p), (p, p), (0, 0)))
+        pix = in_fmt.quantize_int(
+            np.clip(padded.transpose(3, 0, 1, 2), 0.0, None)
+        )
+        codes = np.empty(
+            (k * k * pix.shape[0] + 1, act.shape[0], oh, ow), dtype=np.int64
+        )
+        _gather_patches(pix, k, codes)
+        codes[-1] = one
+        return codes.reshape(len(codes), -1).T
+    vectors = act.reshape(act.shape[0], -1)
+    codes = np.empty((len(vectors), vectors.shape[1] + 1), dtype=np.int64)
+    codes[:, :-1] = in_fmt.quantize_int(np.clip(vectors, 0.0, None))
+    codes[:, -1] = one
+    return codes
+
+
+def freeze_calibration(layer, programmed, act: np.ndarray, pin: int) -> None:
+    """Freeze a layer's input format and SA output shift on first use.
+
+    Both come from the first :data:`CALIBRATION_SAMPLES` samples of
+    ``act``, the layer's input (all of a sample's conv patches count as
+    that sample).  The ``pin``-bit unsigned format covers the largest
+    ``|value|`` among the prefix's input vectors: the prefix's own peak
+    or the bias input 1, since every pixel of a stride-1 conv input
+    lies in some patch and padding adds only zeros.  The output shift
+    is the kernel's calibration over the prefix's codes.  Later chunks
+    and batches reuse both; out-of-range activations saturate, as a
+    fixed hardware reference would.  The interpreter and the compiled
+    plan both freeze through here, so they freeze alike.
+    """
+    prefix = act[:CALIBRATION_SAMPLES]
+    peak = max(float(np.max(np.abs(prefix), initial=0.0)), 1.0)
+    in_fmt = DynamicFixedPoint.for_data(
+        np.array([peak]), bits=pin, signed=False
+    )
+    codes = _input_codes(layer, prefix, in_fmt)
+    programmed.output_shift = programmed.kernel.calibrate_output_shift(
+        codes, calibration_samples=len(codes)
+    )
+    programmed.in_fmt = in_fmt
+
+
 class PlanWorkspace:
     """One lease's worth of scratch stores, one dict per plan step.
 
@@ -156,43 +254,36 @@ class _ForwardStep:
 class _WeightStep:
     """One mapped weight layer, lowered to preallocated array math.
 
-    Two execution paths share the precomputed quantisation front end:
+    A step may be built over an uncalibrated layer.  Its first run
+    *lowers* it: :func:`freeze_calibration` freezes the layer's input
+    format and SA output shift from that chunk when the layer has none
+    yet, and the step bakes them into scalar constants.  Two execution
+    paths then share the quantisation front end:
 
     * ``inline`` — the noise-free count-domain math, fully in place
       (requires :meth:`FusedLayerKernel.can_fuse` for the noise-free
-      regime at compile time);
-    * ``delegate`` — :meth:`FusedLayerKernel.mvm_batch`, which keeps
-      the fused-noisy and per-engine fallbacks (remapped tiles,
-      on-lattice faulted arrays, read noise) bit-identical to the
-      interpreter.
+      regime);
+    * ``delegate`` — :meth:`FusedLayerKernel.mvm_batch` over
+      :func:`_input_codes`, which keeps the fused-noisy and per-engine
+      fallbacks (remapped tiles, on-lattice faulted arrays, read noise)
+      bit-identical to the interpreter.
+
+    Dense steps drive one vector per sample, conv steps one per output
+    pixel; the two share the quantiser (:meth:`_split`) and the SA
+    digitiser (:meth:`_sense`) and differ only in layout.
     """
 
     def __init__(self, layer, programmed, pin: int) -> None:
         kernel = programmed.kernel
         spec = kernel.spec
-        if programmed.in_fmt is None or programmed.output_shift is None:
-            raise PlanCompileError(
-                "cannot compile an uncalibrated layer; run a "
-                "calibration batch first"
-            )
         self.layer = layer
         # Weak: the programmed layer memoises the plan, so a strong
         # back-reference would make a reference cycle that keeps every
         # engine alive until a gc pass.
         self._programmed = weakref.ref(programmed)
         self.kernel = kernel
+        self.pin = pin
         self.is_conv = isinstance(layer, Conv2D)
-        self.in_fmt = programmed.in_fmt
-        self.shift = int(programmed.output_shift)
-        self.scale = (
-            (2.0 ** programmed.output_shift)
-            * programmed.in_fmt.resolution
-            * programmed.w_fmt.resolution
-        )
-        # Baked calibration constants: resolution is a power of two,
-        # so multiplying by its inverse equals quantize_int's division.
-        self.inv_in_res = 1.0 / self.in_fmt.resolution
-        self.code_max = float(self.in_fmt.int_max)
         self.lo_div = float(1 << (spec.pin // 2))
         self.inv_lo_div = 1.0 / self.lo_div
         self.t = kernel.total_cols
@@ -203,32 +294,20 @@ class _WeightStep:
         self.offs = [0]
         for rows in self.rows_used:
             self.offs.append(self.offs[-1] + rows)
-        # Digitisation constants (engine Eq. 8): [phase, half] part
-        # weights -> SA pre-shift and post-scale, zero for parts whose
-        # window lies entirely below the SA register.
-        pws = np.array(
-            [
-                [(spec.pin + spec.pw) // 2, spec.pin // 2],
-                [spec.pw // 2, 0],
-            ]
-        )
-        shifts = np.maximum(0, self.shift - pws)
-        active = shifts < spec.part_full_bits
-        self.pre = np.where(active, 2.0 ** -shifts.astype(np.float64), 0.0)
-        self.post = np.where(active, 2.0 ** (pws - self.shift + shifts), 0.0)
-        self.post_is_one = bool(active.all() and np.all(self.post == 1.0))
         self.limit = float((1 << spec.po) - 1)
-        # Inline exactness: the noise-free fused regime, plus every
-        # digitised value representable in the count dtype.
         w_cat = kernel.weight_stack()
         self.cdtype = w_cat.dtype
-        elem_ok = (
-            self.cdtype != np.float32
-            or self.limit * float(self.post.max()) < float(1 << 24)
-        )
-        self.inline_ok = kernel.can_fuse(with_noise=False) and elem_ok
-        self.pre_c = self.pre.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
-        self.post_c = self.post.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
+        self._w_ref = w_cat
+        # Calibration constants, baked by _lower on the first run.
+        self.in_fmt = None
+        if self.is_conv:
+            # Conv counts come out as W^T @ drive, one (2t, rows)
+            # matrix per row block, so the vector axis stays innermost.
+            self.w_rows = [
+                np.ascontiguousarray(w_cat[i, :rows].T)
+                for i, rows in enumerate(self.rows_used)
+            ]
+            return
         # Trimmed stacks: full-height blocks batch into one tensor,
         # short tail blocks keep their own right-sized matrices.
         self.full_idx = [
@@ -246,18 +325,11 @@ class _WeightStep:
             np.ascontiguousarray(w_cat[i, : self.rows_used[i]])
             for i in self.tail_idx
         ]
-        self._w_ref = w_cat
         # Packed micro-batch stack, built lazily on first use.
         in_max = (1 << (spec.pin - spec.pin // 2)) - 1
         w_max = (1 << (spec.pw - spec.pw // 2)) - 1
-        sub_bound = PACKED_SUB_ROWS * in_max * w_max
+        self.sub_bound = PACKED_SUB_ROWS * in_max * w_max
         self.pack_scale = float(1 << PACKED_FIELD_BITS)
-        self.packed_ok = (
-            self.inline_ok
-            and self.cdtype == np.float32
-            and sub_bound < (1 << (PACKED_FIELD_BITS - 1))
-            and sub_bound * (self.pack_scale + 1.0) < float(1 << 24)
-        )
         self.sub_counts = [
             -(-r // PACKED_SUB_ROWS) for r in self.rows_used
         ]
@@ -278,24 +350,84 @@ class _WeightStep:
             pos += self.sub_counts[i] * PACKED_SUB_ROWS
         self.pack_gather = gather
         self.pack_ones = np.ones(max(self.sub_counts), dtype=np.float32)
-        # Shared lazy caches: read-only once built, and a concurrent
-        # duplicate build is idempotent (deterministic values), so they
-        # stay on the step; mutable scratch lives in the leased
+        # Shared lazy cache: read-only once built, and a concurrent
+        # duplicate build is idempotent (deterministic values), so it
+        # stays on the step; mutable scratch lives in the leased
         # :class:`PlanWorkspace` stores instead.
         self._w_pack: np.ndarray | None = None
-        self._im2col: dict[tuple, tuple] = {}
 
     # -- compile-time pieces -------------------------------------------
 
     def valid(self) -> bool:
-        """Whether the programmed state still matches this lowering."""
+        """Whether the programmed state still matches this lowering.
+
+        A step not lowered yet adopts (or freezes) whatever calibration
+        its layer holds when it first runs.
+        """
         programmed = self._programmed()
-        return (
-            programmed is not None
-            and programmed.in_fmt is self.in_fmt
+        if programmed is None or self.kernel._w_cat is not self._w_ref:
+            return False
+        return self.in_fmt is None or (
+            programmed.in_fmt is self.in_fmt
             and programmed.output_shift == self.shift
-            and self.kernel._w_cat is self._w_ref
         )
+
+    def _lower(self, act: np.ndarray) -> None:
+        """Bake the layer's calibration into this step's constants,
+        freezing it from ``act`` (this first chunk) if it has none.
+
+        ``in_fmt`` is assigned last: it marks the step lowered.
+        """
+        programmed = self._programmed()
+        if programmed.in_fmt is None:
+            freeze_calibration(self.layer, programmed, act, self.pin)
+        in_fmt = programmed.in_fmt
+        spec = self.kernel.spec
+        self.shift = int(programmed.output_shift)
+        self.scale = (
+            (2.0 ** programmed.output_shift)
+            * in_fmt.resolution
+            * programmed.w_fmt.resolution
+        )
+        # Resolution is a power of two, so multiplying by its inverse
+        # equals quantize_int's division.
+        self.inv_in_res = 1.0 / in_fmt.resolution
+        self.code_max = float(in_fmt.int_max)
+        # Digitisation constants (engine Eq. 8): [phase, half] part
+        # weights -> SA pre-shift and post-scale, zero for parts whose
+        # window lies entirely below the SA register.
+        pws = np.array(
+            [
+                [(spec.pin + spec.pw) // 2, spec.pin // 2],
+                [spec.pw // 2, 0],
+            ]
+        )
+        shifts = np.maximum(0, self.shift - pws)
+        active = shifts < spec.part_full_bits
+        pre = np.where(active, 2.0 ** -shifts.astype(np.float64), 0.0)
+        post = np.where(active, 2.0 ** (pws - self.shift + shifts), 0.0)
+        self.post_is_one = bool(active.all() and np.all(post == 1.0))
+        # Count planes are [phase, half] for dense steps and
+        # [half, phase] for conv steps (see _conv_inline).
+        if self.is_conv:
+            pre, post = pre.T, post.T
+        self.pre_c = pre.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
+        self.post_c = post.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
+        # Inline exactness: the noise-free fused regime, plus every
+        # digitised value representable in the count dtype.
+        elem_ok = (
+            self.cdtype != np.float32
+            or self.limit * float(post.max()) < float(1 << 24)
+        )
+        self.inline_ok = self.kernel.can_fuse(with_noise=False) and elem_ok
+        self.packed_ok = (
+            not self.is_conv
+            and self.inline_ok
+            and self.cdtype == np.float32
+            and self.sub_bound < (1 << (PACKED_FIELD_BITS - 1))
+            and self.sub_bound * (self.pack_scale + 1.0) < float(1 << 24)
+        )
+        self.in_fmt = in_fmt
 
     def _packed_stack(self) -> np.ndarray:
         """(sub_blocks, PACKED_SUB_ROWS, cols) packed weight fields.
@@ -327,17 +459,24 @@ class _WeightStep:
             self._w_pack = w_pack
         return self._w_pack
 
+    @staticmethod
+    def _stored(store: dict, key):
+        """The buffer set under ``key``, evicting the oldest set when
+        the store is full; ``None`` when it must be built."""
+        buffers = store.get(key)
+        if buffers is None and len(store) >= _MAX_BUFFER_SETS:
+            store.pop(next(iter(store)))
+        return buffers
+
     def _buffer_set(self, n: int, packed: bool, store: dict) -> dict:
-        """Preallocated working set for ``n`` input vectors.
+        """Preallocated dense working set for ``n`` input vectors.
 
         ``store`` is this step's slot in the executing lease's
         :class:`PlanWorkspace` — never shared between concurrent
         executions, so everything below may be written in place.
         """
-        buffers = store.get(n)
+        buffers = self._stored(store, n)
         if buffers is None:
-            if len(store) >= _MAX_BUFFER_SETS:
-                store.pop(next(iter(store)))
             # One extra column past the bias row: the all-zero sentinel
             # the packed gather map points tail padding at.  It stays
             # zero forever (quantising zero yields zero halves).
@@ -375,25 +514,39 @@ class _WeightStep:
             ]
         return buffers
 
-    def _im2col_map(self, shape: tuple) -> tuple:
-        """Precomputed patch-gather index map for one input geometry."""
-        cached = self._im2col.get(shape)
-        if cached is None:
-            h, w, c = shape
+    def _conv_buffers(self, shape: tuple, oh: int, ow: int, store: dict):
+        """Preallocated conv working set for one input geometry.
+
+        The padded pixel planes keep their zero border forever (only
+        the interior is written), and the drive's bias row holds the
+        constant code halves of input 1.
+        """
+        buffers = self._stored(store, shape)
+        if buffers is None:
+            b, h, w, c = shape
             p = self.layer.pad
-            hp, wp = h + 2 * p, w + 2 * p
-            k = self.layer.kernel
-            oh, ow = hp - k + 1, wp - k + 1
-            # (oh, ow, k, k, c) flat indices into one padded sample.
-            i0 = np.arange(oh)[:, None, None, None, None]
-            j0 = np.arange(ow)[None, :, None, None, None]
-            di = np.arange(k)[None, None, :, None, None]
-            dj = np.arange(k)[None, None, None, :, None]
-            ch = np.arange(c)[None, None, None, None, :]
-            idx = ((i0 + di) * wp + (j0 + dj)) * c + ch
-            cached = (idx.reshape(-1), oh, ow)
-            self._im2col[shape] = cached
-        return cached
+            planes = (c, b, h + 2 * p, w + 2 * p)
+            n = b * oh * ow
+            drive = np.empty(
+                (self.total_rows, 2, b, oh, ow), dtype=self.cdtype
+            )
+            one = float(self.in_fmt.quantize_int(1.0))
+            hi = np.floor(one * self.inv_lo_div)
+            drive[-1, 0] = hi
+            drive[-1, 1] = one - hi * self.lo_div
+            buffers = {
+                "pix": np.zeros(planes),
+                "q": np.empty(planes),
+                "hl": np.empty((c, 2) + planes[1:], dtype=self.cdtype),
+                "drive": drive,
+                "counts": np.empty(
+                    (self.rb, 2 * self.t, 2 * n), dtype=self.cdtype
+                ),
+                "acc": np.empty((self.t, n)),
+                "out": np.empty((n, self.t)),
+            }
+            store[shape] = buffers
+        return buffers
 
     # -- execution ------------------------------------------------------
 
@@ -410,52 +563,33 @@ class _WeightStep:
     def _run(
         self, act: np.ndarray, with_noise: bool, store: dict
     ) -> np.ndarray:
-        spatial = None
         if self.is_conv:
-            if act.ndim != 4:
-                raise ExecutionError(
-                    f"conv layer expects image activations, got "
-                    f"{act.shape}"
-                )
-            idx, oh, ow = self._im2col_map(act.shape[1:])
-            if self.layer.pad:
-                p = self.layer.pad
-                act = np.pad(act, ((0, 0), (p, p), (p, p), (0, 0)))
-            b = act.shape[0]
-            vectors = act.reshape(b, -1)[:, idx].reshape(b * oh * ow, -1)
-            spatial = (b, oh, ow)
-        else:
-            if act.ndim != 2:
-                act = act.reshape(act.shape[0], -1)
-            vectors = act
+            oh, ow = _conv_geometry(self.layer, act)
+        elif act.ndim != 2:
+            act = act.reshape(act.shape[0], -1)
+        if self.in_fmt is None:
+            self._lower(act)
         inline = self.inline_ok and not (
             with_noise and self.kernel._noisy(True)
         )
-        if not inline:
-            result = self._delegate(vectors, with_noise, store)
-        else:
-            result = self._inline(vectors, store)
-        if spatial is not None:
-            b, oh, ow = spatial
-            result = result.reshape(b, oh, ow, -1)
+        if inline and self.is_conv:
+            return self._conv_inline(act, oh, ow, store)
+        if inline:
+            return self._inline(act, store)
+        result = self._delegate(act, with_noise)
+        if self.is_conv:
+            return result.reshape(act.shape[0], oh, ow, self.t)
         return result
 
-    def _delegate(self, vectors: np.ndarray, with_noise: bool, store: dict):
-        """The interpreter's math (kernel dispatch included), with the
-        bias column staged through the persistent buffer."""
-        n = vectors.shape[0]
-        buffers = self._buffer_set(n, packed=False, store=store)
-        vecs = buffers["vecs"]
-        vecs[:, : self.total_rows - 1] = vectors
-        codes = self.in_fmt.quantize_int(
-            np.clip(vecs[:, : self.total_rows], 0.0, None)
-        )
+    def _delegate(self, act: np.ndarray, with_noise: bool) -> np.ndarray:
+        """The interpreter's math (kernel dispatch included)."""
+        codes = _input_codes(self.layer, act, self.in_fmt)
         outputs = self.kernel.mvm_batch(
             codes, with_noise=with_noise, output_shift=self.shift
         )
         return outputs * self.scale
 
-    def _quantize_split(self, vectors: np.ndarray, buffers: dict):
+    def _split(self, values, q, hi, lo) -> None:
         """Fused quantise -> hi/lo drive halves, no int64 round trip.
 
         Bit-identical to ``in_fmt.quantize_int`` + ``split_unsigned``:
@@ -464,31 +598,75 @@ class _WeightStep:
         after rounding equals clipping before (negatives round toward
         zero either way).
         """
-        vecs = buffers["vecs"]
-        vecs[:, : self.total_rows - 1] = vectors
-        q = buffers["q"]
-        np.multiply(vecs, self.inv_in_res, out=q)
+        np.multiply(values, self.inv_in_res, out=q)
         np.rint(q, out=q)
         np.clip(q, 0.0, self.code_max, out=q)
-        hi, lo = buffers["hi"], buffers["lo"]
         np.multiply(q, self.inv_lo_div, out=hi)
         np.floor(hi, out=hi)
         np.multiply(hi, -self.lo_div, out=lo)
         lo += q
-        return hi, lo
 
     def _inline(self, vectors: np.ndarray, store: dict) -> np.ndarray:
         n = vectors.shape[0]
         packed = self.packed_ok and n <= PACKED_MAX_VECS
         buffers = self._buffer_set(n, packed, store=store)
-        hi, lo = self._quantize_split(vectors, buffers)
+        vecs = buffers["vecs"]
+        vecs[:, : self.total_rows - 1] = vectors
+        hi, lo = buffers["hi"], buffers["lo"]
+        self._split(vecs, buffers["q"], hi, lo)
         counts = buffers["counts"]
         if packed:
             self._packed_counts(hi, lo, counts, buffers, n)
         else:
             self._trimmed_counts(hi, lo, counts, buffers, n)
         self.kernel.charge(n, self.shift)
-        return self._digitise(counts, buffers, n)
+        # [block, phase, vector, half, col] planes.
+        self._sense(counts.reshape(self.rb, 2, n, 2, self.t))
+        acc = buffers["acc"]
+        np.add.reduce(
+            counts.reshape(self.rb * 2, n, 2 * self.t), axis=0, out=acc
+        )
+        out = buffers["out"]
+        t = self.t
+        np.add(acc[:, :t], acc[:, t:], out=out)
+        out *= self.scale
+        return out
+
+    def _conv_inline(
+        self, act: np.ndarray, oh: int, ow: int, store: dict
+    ) -> np.ndarray:
+        """Conv counts without a float64 patch matrix.
+
+        Each padded input pixel is quantised and split once; the drive
+        ``(rows, phase, vector)`` then fills by one slice copy per
+        kernel offset, and ``W^T @ drive`` per row block yields count
+        planes ``[block, half, col, phase, vector]`` whose long vector
+        axis is innermost for the digitisation and the reduction.
+        """
+        b, h, w, _ = act.shape
+        n = b * oh * ow
+        buffers = self._conv_buffers(act.shape, oh, ow, store)
+        pix, hl, drive = buffers["pix"], buffers["hl"], buffers["drive"]
+        p = self.layer.pad
+        pix[:, :, p : p + h, p : p + w] = act.transpose(3, 0, 1, 2)
+        self._split(pix, buffers["q"], hl[:, 0], hl[:, 1])
+        _gather_patches(hl, self.layer.kernel, drive)
+        counts = buffers["counts"]
+        flat = drive.reshape(self.total_rows, 2 * n)
+        for i, w_rows in enumerate(self.w_rows):
+            np.matmul(
+                w_rows,
+                flat[self.offs[i] : self.offs[i + 1]],
+                out=counts[i],
+            )
+        self.kernel.charge(n, self.shift)
+        parts = counts.reshape(self.rb, 2, self.t, 2, n)
+        self._sense(parts)
+        acc = buffers["acc"]
+        np.add.reduce(parts, axis=(0, 1, 3), out=acc)
+        out = buffers["out"]
+        np.multiply(acc.T, self.scale, out=out)
+        return out.reshape(b, oh, ow, self.t)
 
     def _trimmed_counts(self, hi, lo, counts, buffers, n: int) -> None:
         """Count planes via the trimmed full/tail weight stacks."""
@@ -554,37 +732,31 @@ class _WeightStep:
             counts[i, :, t:] = tmp.reshape(2 * n, t)
         counts[:, :, t:] *= self.pack_scale
 
-    def _digitise(self, counts, buffers, n: int) -> np.ndarray:
-        """In-place SA digitisation with the output scale folded in.
+    def _sense(self, parts: np.ndarray) -> None:
+        """In-place SA digitisation of the four partial-product planes.
 
-        ``clip(trunc(c * pre), -limit, limit)`` equals the engine's
-        ``sign * min(floor(|c| / 2**shift), limit)`` (truncation toward
-        zero) for integer and continuous counts alike, and the
-        digitised products/partial sums stay exact by the compile-time
-        bounds, so accumulating the planes into a float64 buffer
-        reproduces the interpreter's int64 totals bit for bit.
+        ``parts`` views the count planes with the drive phase and the
+        weight half as two length-2 axes, in the order ``pre_c`` and
+        ``post_c`` were baked for.  ``clip(trunc(c * pre), -limit,
+        limit) * post`` equals the engine's ``sign * min(floor(|c| /
+        2**shift), limit)`` (truncation toward zero) rescaled to the
+        output LSB, for integer and continuous counts alike, and the
+        digitised values stay exact by the compile-time bounds, so
+        summing the planes into a float64 buffer reproduces the
+        interpreter's int64 totals bit for bit.
         """
-        parts = counts.reshape(self.rb, 2, n, 2, self.t)
         parts *= self.pre_c
         np.trunc(parts, out=parts)
         np.clip(parts, -self.limit, self.limit, out=parts)
         if not self.post_is_one:
             parts *= self.post_c
-        acc = buffers["acc"]
-        np.add.reduce(
-            counts.reshape(self.rb * 2, n, 2 * self.t), axis=0, out=acc
-        )
-        out = buffers["out"]
-        t = self.t
-        np.add(acc[:, :t], acc[:, t:], out=out)
-        out *= self.scale
-        return out
 
 
 class CompiledPlan:
     """A programmed network lowered into one flat execution schedule.
 
-    Built by :meth:`compile` from a calibrated programmed-layer chain;
+    Built by :meth:`compile` from a programmed-layer chain, calibrated
+    or not (the first execution freezes what is missing, step by step);
     :meth:`execute` replaces the per-layer loop inside
     ``run_functional``.  The plan holds *references* to the programmed
     state (engines, kernels, formats) — :meth:`matches` detects
@@ -653,9 +825,10 @@ class CompiledPlan:
     ) -> "CompiledPlan":
         """Lower ``network`` over its programmed layers.
 
-        Raises :class:`PlanCompileError` when the programmed state is
-        uncalibrated or does not line up with the network's weight
-        layers.
+        The chain may be uncalibrated: each weight step freezes its
+        layer's calibration on its first run (see :class:`_WeightStep`).
+        Raises :class:`PlanCompileError` when the programmed state does
+        not line up with the network's weight layers.
         """
         weight_layers = [
             l for l in network.layers if isinstance(l, (Dense, Conv2D))
@@ -682,8 +855,8 @@ class CompiledPlan:
 
         Identity of the network, the programmed layers, the frozen
         calibration objects, and the kernels' cached weight stacks —
-        any reprogramming or recalibration breaks one of these and
-        triggers a recompile.
+        any reprogramming or recalibration (``reset_calibration``)
+        breaks one of these and triggers a recompile.
         """
         return (
             self.network is network
@@ -702,7 +875,10 @@ class CompiledPlan:
         stacks stay shared and read-only.  The final activation is
         copied out when the last step is a weight layer: its inline
         path returns a workspace buffer that the workspace's next
-        execution would otherwise overwrite in place.
+        execution would otherwise overwrite in place.  The first
+        execution over an uncalibrated chain freezes its calibration,
+        a state mutation: it must not race another execution (thread
+        serving runs it under the state's write lock).
         """
         workspace = self._lease()
         try:

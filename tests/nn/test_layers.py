@@ -191,9 +191,42 @@ class TestPooling:
 
         assert np.allclose(grad_in, numerical_grad(loss, x), atol=1e-5)
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_max_pool_equals_reshape_reduce(self, rng, size):
+        """The strided-view max equals the 6-D reshape-and-reduce it
+        replaced, bit for bit, on ties, negatives and -inf (also for a
+        non-contiguous input); the training mask still marks every
+        tied maximum."""
+
+        def reshape_reduce(a):
+            b, h, w, c = a.shape
+            tiles = a.reshape(b, h // size, size, w // size, size, c)
+            return tiles.max(axis=(2, 4))
+
+        x = rng.integers(-3, 2, (3, 6 * size, 4 * size, 5)).astype(float)
+        x[rng.random(x.shape) < 0.2] = -np.inf
+        x[0, :size, :size, 0] = -np.inf
+        x[1] = rng.standard_normal(x.shape[1:]) - 10.0
+        pool = MaxPool2D(size)
+        out = pool.forward(x, training=True)
+        reference = reshape_reduce(x)
+        assert out.shape == reference.shape
+        assert out.tobytes() == reference.tobytes()
+        expanded = np.repeat(np.repeat(reference, size, 1), size, 2)
+        np.testing.assert_array_equal(pool._mask, x == expanded)
+        flipped = x[:, :, ::-1]
+        assert (
+            pool.forward(flipped).tobytes()
+            == reshape_reduce(np.ascontiguousarray(flipped)).tobytes()
+        )
+
     def test_indivisible_spatial_dims(self):
         with pytest.raises(WorkloadError):
             MaxPool2D(3).forward(np.zeros((1, 4, 4, 1)))
+        with pytest.raises(WorkloadError):
+            MaxPool2D(2).forward(np.zeros((2, 4, 5, 3)))
+        with pytest.raises(WorkloadError):
+            MaxPool2D(2).forward(np.zeros((2, 5, 4, 3)))
 
     def test_output_shapes(self):
         assert MaxPool2D(2).output_shape((8, 8, 3)) == (4, 4, 3)

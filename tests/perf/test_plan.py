@@ -19,13 +19,17 @@ from repro import telemetry
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.eval.workloads import get_workload
+from repro.nn.layers import Conv2D, Dense
 from repro.params.prime import DEFAULT_PRIME_CONFIG
 from repro.perf import plan as plan_mod
 from repro.perf.plan import (
+    CALIBRATION_SAMPLES,
     CompiledPlan,
     PlanFallbackWarning,
     plan_compile_enabled,
 )
+from repro.precision.dynamic_fixed_point import DynamicFixedPoint
+from repro.serve import ServeConfig, ServingRuntime
 
 
 @pytest.fixture
@@ -48,10 +52,9 @@ def _clean_env(monkeypatch):
 def _run_modes(executor, compiler, monkeypatch, topology, net, x):
     """run_functional under all three execution paths, same inputs.
 
-    The first pass over a fresh programmed list runs the interpreter
-    (it freezes calibration); the plan compiles and executes from the
-    second call on, so each mode runs against a calibrated list and
-    the compiled mode asserts the plan really engaged.
+    The first pass over a fresh programmed list compiles the plan and
+    freezes calibration; each later mode runs against that calibrated
+    list, and the compiled mode asserts the plan really engaged.
     """
     plan = compiler.compile(topology)
     programmed = executor.program_network(net, plan)
@@ -64,7 +67,7 @@ def _run_modes(executor, compiler, monkeypatch, topology, net, x):
     fused = executor.run_functional(net, plan, x, programmed=programmed)
     monkeypatch.setenv("PRIME_FUSED", "0")
     walked = executor.run_functional(net, plan, x, programmed=programmed)
-    # The calibration warm-up pass (interpreter) saw the same inputs.
+    # The calibrating first pass saw the same inputs.
     np.testing.assert_array_equal(warmup, compiled)
     return compiled, fused, walked
 
@@ -210,8 +213,8 @@ class TestSeededNoise:
             programmed = ex.program_network(
                 net, plan, rng=np.random.default_rng(seed)
             )
-            # Calibration pass (noise off) so the plan engages on the
-            # measured run; it never touches the read-noise stream.
+            # Calibration pass (noise off), so the measured run needs
+            # no freezing; it never touches the read-noise stream.
             ex.run_functional(net, plan, x, programmed=programmed)
             if env:
                 os.environ.update(env)
@@ -260,8 +263,8 @@ class TestTelemetryParity:
         topology, net = trained_tiny_mlp
         plan = compiler.compile(topology)
         programmed = executor.program_network(net, plan)
-        # Calibration warm-up so the measured run takes the compiled
-        # path; measure engine counters as a delta across the run.
+        # Calibration warm-up, so the measured run freezes nothing;
+        # measure engine counters as a delta across the run.
         executor.run_functional(net, plan, x, programmed=programmed)
         base = self._engine_totals(programmed)
         session = telemetry.enable(fresh=True)
@@ -307,7 +310,7 @@ class TestPlanCache:
         topology, net = trained_tiny_mlp
         plan = compiler.compile(topology)
         programmed = executor.program_network(net, plan)
-        # First run calibrates (interpreter); second engages the plan.
+        # First run compiles and calibrates; the second reuses both.
         executor.run_functional(net, plan, x, programmed=programmed)
         out = executor.run_functional(
             net, plan, x, programmed=programmed
@@ -402,3 +405,162 @@ class TestPlanCache:
             telemetry.disable()
         np.testing.assert_array_equal(out, reference)
         np.testing.assert_array_equal(out2, reference)
+
+
+FRESH_WORKLOADS = ["MLP-S", "MLP-M", "MLP-L", "CNN-1", "CNN-2"]
+
+
+@pytest.fixture(scope="module", params=FRESH_WORKLOADS)
+def fresh_workload(request):
+    """A paper topology with random weights, its mapping plan, and 300
+    inputs (identity does not depend on training)."""
+    topology = get_workload(request.param).topology()
+    net = topology.build(rng=np.random.default_rng(3))
+    plan = PrimeCompiler(DEFAULT_PRIME_CONFIG).compile(topology)
+    x = np.random.default_rng(4).random((300, *topology.input_shape))
+    return topology, net, plan, x
+
+
+def _calibration(programmed):
+    return [(p.in_fmt.exponent, p.output_shift) for p in programmed]
+
+
+def _im2col_calibration(executor, net, programmed, x, pin):
+    """Each layer's calibration as the interpreter froze it before the
+    shared helper: from the float im2col vectors (bias column
+    included) of the first CALIBRATION_SAMPLES samples.  Activations
+    propagate through ``programmed``'s own frozen calibration."""
+    act = x[:CALIBRATION_SAMPLES]
+    frozen = []
+    layers = iter(programmed)
+    for layer in net.layers:
+        if not isinstance(layer, (Dense, Conv2D)):
+            act = layer.forward(act)
+            continue
+        entry = next(layers)
+        if isinstance(layer, Conv2D):
+            vectors, _ = executor._im2col_activations(layer, act)
+        else:
+            vectors = act.reshape(len(act), -1)
+        vecs = np.concatenate([vectors, np.ones((len(vectors), 1))], axis=1)
+        fmt = DynamicFixedPoint.for_data(vecs, bits=pin, signed=False)
+        codes = fmt.quantize_int(np.clip(vecs, 0.0, None))
+        shift = entry.kernel.calibrate_output_shift(
+            codes, calibration_samples=len(codes)
+        )
+        frozen.append((fmt.exponent, shift))
+        act = executor._run_weight_layer(layer, entry, act, pin, False)
+    return frozen
+
+
+class TestFreshNetworkCompiles:
+    """A freshly programmed network runs its first chunk compiled: the
+    plan's weight steps freeze calibration as they first run, exactly
+    as the interpreter would have."""
+
+    def test_first_chunk_compiles_and_freezes_like_the_interpreter(
+        self, executor, monkeypatch, fresh_workload
+    ):
+        _, net, plan, x = fresh_workload
+        # An input peak under 1/2: the bias input sets layer 0's format.
+        x = 0.4 * x
+        interpreted_chunks = []
+        forward_chunk = PrimeExecutor._forward_chunk
+
+        def spy(self, *args, **kwargs):
+            interpreted_chunks.append(len(args[2]))
+            return forward_chunk(self, *args, **kwargs)
+
+        programmed = executor.program_network(net, plan)
+        session = telemetry.enable(fresh=True)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(PrimeExecutor, "_forward_chunk", spy)
+                compiled = executor.run_functional(
+                    net, plan, x, programmed=programmed
+                )
+            compiles = session.metrics.counter_total("perf.plan.compiles")
+        finally:
+            telemetry.disable()
+        assert interpreted_chunks == []
+        assert compiles == 1
+        assert isinstance(programmed[0].compiled_plan, CompiledPlan)
+
+        monkeypatch.setenv("PRIME_PLAN_COMPILE", "0")
+        legacy = executor.program_network(net, plan)
+        interpreted = executor.run_functional(
+            net, plan, x, programmed=legacy
+        )
+        assert _calibration(programmed) == _calibration(legacy)
+        np.testing.assert_array_equal(compiled, interpreted)
+        pin = DEFAULT_PRIME_CONFIG.crossbar.effective_input_bits
+        assert _calibration(programmed) == _im2col_calibration(
+            executor, net, programmed, x, pin
+        )
+
+    def test_reset_calibration_recalibrates_on_the_next_call(
+        self, executor, fresh_workload
+    ):
+        _, net, plan, x = fresh_workload
+        programmed = executor.program_network(net, plan)
+        executor.run_functional(net, plan, x[:80], programmed=programmed)
+        first = _calibration(programmed)
+        # A larger input peak moves the first layer's input format.
+        louder = 2.5 * x[:80]
+        for layer in programmed:
+            layer.reset_calibration()
+        again = executor.run_functional(
+            net, plan, louder, programmed=programmed
+        )
+        fresh = executor.program_network(net, plan)
+        expected = executor.run_functional(
+            net, plan, louder, programmed=fresh
+        )
+        assert _calibration(programmed) == _calibration(fresh)
+        assert _calibration(programmed)[0] != first[0]
+        np.testing.assert_array_equal(again, expected)
+
+    @pytest.mark.parametrize("chunk", [64, 100])
+    def test_chunked_equals_unchunked(
+        self, executor, monkeypatch, fresh_workload, chunk
+    ):
+        """First chunks of exactly the calibration prefix and of more
+        than it, over a 300-sample batch."""
+        _, net, plan, x = fresh_workload
+        whole = executor.run_functional(
+            net, plan, x, programmed=executor.program_network(net, plan)
+        )
+        sizes = []
+        forward = PrimeExecutor._forward
+
+        def spy(self, network, layers, act, *args):
+            sizes.append(len(act))
+            return forward(self, network, layers, act, *args)
+
+        monkeypatch.setattr(PrimeExecutor, "_forward", spy)
+        monkeypatch.setattr(
+            executor,
+            "_chunk_samples",
+            lambda plan, batch, chunk_bytes: min(batch, chunk),
+        )
+        chunked = executor.run_functional(
+            net, plan, x, programmed=executor.program_network(net, plan)
+        )
+        assert sizes[0] == chunk and sum(sizes) == len(x)
+        np.testing.assert_array_equal(whole, chunked)
+
+    def test_thread_deploy_prewarms_a_compiled_plan(self, fresh_workload):
+        topology, net, _, x = fresh_workload
+        with ServingRuntime(
+            net,
+            topology,
+            serve_config=ServeConfig(mode="thread"),
+            max_replicas=2,
+            calibration=x[:CALIBRATION_SAMPLES],
+        ) as runtime:
+            dispatcher = runtime.dispatcher
+            compiled = dispatcher._state[1][0].compiled_plan
+            assert isinstance(compiled, CompiledPlan)
+            assert compiled.workspaces_allocated == dispatcher.replicas == 2
+            served = runtime.serve(x[:3])
+            np.testing.assert_array_equal(served, runtime.reference(x[:3]))

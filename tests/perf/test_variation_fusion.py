@@ -22,6 +22,7 @@ from repro import telemetry
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
 from repro.params.prime import DEFAULT_PRIME_CONFIG
 from repro.perf.kernels import FusedLayerKernel
@@ -151,32 +152,37 @@ def test_fused_kernel_equals_walk(
 
 
 def _program(executor, net, plan, seed):
-    programmed = executor.program_network(
-        net, plan, rng=np.random.default_rng(seed)
-    )
-    assert all(p.kernel.varied for p in programmed)
+    """Program with variation drawn from ``seed``; ``seed=None``
+    programs ideal arrays."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    programmed = executor.program_network(net, plan, rng=rng)
+    if seed is None:
+        assert all(p.kernel.is_ideal for p in programmed)
+    else:
+        assert all(p.kernel.varied for p in programmed)
     return programmed
 
 
 def _compiled_and_walked(executor, net, plan, x, seed):
-    """Calibrate on a fresh variation-programmed copy (interpreter),
-    then run the compiled plan and the walk on the same state."""
+    """Run a fresh programmed copy through the compiled plan twice (the
+    first chunk compiles it and freezes calibration), then walk the
+    same state: all three agree bit for bit and charge alike."""
     programmed = _program(executor, net, plan, seed)
     engines = _engines(p.tiles for p in programmed)
 
     def run():
         return executor.run_functional(net, plan, x, programmed=programmed)
 
-    interpreted = run()
+    first, first_counts = _counted(run, engines)
     compiled, compiled_counts = _counted(run, engines)
     # Every weight layer runs the plan's inline path, none delegates.
     steps = programmed[0].compiled_plan.steps
     assert all(getattr(step, "inline_ok", True) for step in steps)
     with _walk():
         walked, walked_counts = _counted(run, engines)
-    np.testing.assert_array_equal(interpreted, compiled)
+    np.testing.assert_array_equal(first, compiled)
     np.testing.assert_array_equal(compiled, walked)
-    assert compiled_counts == walked_counts
+    assert first_counts == compiled_counts == walked_counts
     assert compiled_counts[0] > 0
 
 
@@ -213,6 +219,64 @@ def test_cnn_compiled_equals_walk(
     topology, net, x_test, _ = trained_tiny_cnn
     plan = compiler.compile(topology)
     _compiled_and_walked(executor, net, plan, x_test[:batch], seed)
+
+
+#: Conv geometries no MlBench CNN reaches: same padding, and a second
+#: conv over 32 input channels whose 3x3x32 + 1 = 289 rows span a full
+#: 256-row block plus a 33-row tail.
+CONV_GEOMETRY = parse_topology(
+    "conv-geometry",
+    "conv3x32-conv3x8-pool-10",
+    input_shape=(6, 6, 1),
+    conv_padding="same",
+)
+
+
+@pytest.fixture(scope="module")
+def conv_geometry(compiler):
+    net = CONV_GEOMETRY.build(rng=np.random.default_rng(21))
+    plan = compiler.compile(CONV_GEOMETRY)
+    assert [(m.rows, m.row_blocks) for m in plan.weight_layers[:2]] == [
+        (10, 1),
+        (289, 2),
+    ]
+    x = np.random.default_rng(22).random((130, 6, 6, 1))
+    return net, plan, x
+
+
+@pytest.mark.parametrize("seed", [None, 31], ids=["ideal", "variation"])
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, 130])
+def test_conv_geometries_compiled_equal_walk(
+    executor, conv_geometry, batch, seed
+):
+    """Batches on both sides of the 64-sample calibration prefix."""
+    net, plan, x = conv_geometry
+    _compiled_and_walked(executor, net, plan, x[:batch], seed)
+
+
+@pytest.mark.parametrize("batch", [1, 65])
+def test_conv_geometries_delegated_with_noise(
+    executor, conv_geometry, monkeypatch, batch
+):
+    """With read noise on, the plan's steps delegate to the kernels
+    with codes from the slice-copy gather; same-seed copies equal the
+    interpreter's float im2col codes through the same noise draws."""
+    net, plan, x = conv_geometry
+
+    def noisy(compile_plan):
+        monkeypatch.setenv("PRIME_PLAN_COMPILE", "1" if compile_plan else "0")
+        programmed = _program(executor, net, plan, 31)
+        assert all(p.kernel._noisy(True) for p in programmed)
+        return executor.run_functional(
+            net, plan, x[:batch], programmed=programmed, with_noise=True
+        )
+
+    compiled = noisy(True)
+    np.testing.assert_array_equal(compiled, noisy(False))
+    quiet = executor.run_functional(
+        net, plan, x[:batch], programmed=_program(executor, net, plan, 31)
+    )
+    assert not np.array_equal(compiled, quiet)
 
 
 @settings(max_examples=10, deadline=None)

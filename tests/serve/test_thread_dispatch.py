@@ -386,13 +386,13 @@ class TestInlineTinyBatches:
         main = threading.get_ident()
         x = samples[:3]
 
-        def check(expect_inline, exact_rows=len(x), **kw):
+        def check(expect_inline, **kw):
             with _runtime(network, samples, **kw) as runtime:
                 idents = _task_threads(runtime.dispatcher)
                 served = runtime.serve(x)
-                reference = runtime.reference(x[:exact_rows])
+                reference = runtime.reference(x)
             assert [i == main for i in idents] == expect_inline
-            np.testing.assert_array_equal(served[:exact_rows], reference)
+            np.testing.assert_array_equal(served, reference)
 
         # A 3-sample batch.
         check([False], serve=dict(max_batch=3))
@@ -404,14 +404,19 @@ class TestInlineTinyBatches:
         # A paced deployment: pacing occupies a replica thread.
         check([False] * 3, serve=dict(max_batch=1, pace_batch_s=1e-3))
         # Uncalibrated: the first batch freezes calibration under the
-        # write lock on a replica thread, so only its replies equal a
-        # fresh reference; later batches run inline.
-        check(
-            [False, True, True],
-            exact_rows=1,
-            serve=dict(max_batch=1),
-            calibration=None,
-        )
+        # write lock on a replica thread, so only its reply equals a
+        # fresh reference; once it has returned, tiny batches run
+        # inline.  It is served on its own because ``serve`` dispatches
+        # every batch before it collects any.
+        with _runtime(
+            network, samples, serve=dict(max_batch=1), calibration=None
+        ) as runtime:
+            idents = _task_threads(runtime.dispatcher)
+            first = runtime.serve(x[:1])
+            assert [i == main for i in idents] == [False]
+            runtime.serve(x[1:])
+            assert [i == main for i in idents[1:]] == [True, True]
+            np.testing.assert_array_equal(first, runtime.reference(x[:1]))
         # A state that cannot run concurrently (the per-engine walk).
         monkeypatch.setenv("PRIME_FUSED", "0")
         check([False] * 3, serve=dict(max_batch=1))
