@@ -1,23 +1,16 @@
-"""Microbenchmarks of the fused/compiled functional execution path.
+"""Microbenchmarks of the compiled functional execution path.
 
 Not a paper figure — these time ``run_functional`` on the Fig. 6
 pipeline's largest MLC workload (MLP-L) through the plan-compiled
-fast path (the default), through the fused layer kernels with
-compilation disabled (``PRIME_PLAN_COMPILE=0``), and through the
-``PRIME_FUSED=0`` per-engine fallback, so each tier's speedup is
-tracked across PRs and a regression in any path is visible to
-``compare_bench.py``.
+fast path (the default) and through the ``PRIME_FUSED=0`` per-engine
+walk, so each path's speed is tracked across PRs and a regression in
+either is visible to ``compare_bench.py``.
 
-Two gates assert tentpole acceptance criteria, both as in-run ratios
-(both sides measured back-to-back on the same machine, so the gates
-are machine-normalised):
-
-* the fast path is at least 3x faster than the per-engine walk at
-  batch 16, with identical outputs and identical hardware-firing
-  counters;
-* the compiled plan is at least 2x faster than the fused kernels at
-  batch 1 — the latency regime serving runs in, where per-layer
-  dispatch overhead (not BLAS throughput) dominates.
+One gate asserts, as an in-run ratio (both sides measured
+back-to-back on the same machine, so the gate is machine-normalised),
+that the fast path is at least 3x faster than the per-engine walk at
+batch 16, with identical outputs and identical hardware-firing
+counters.
 """
 
 import os
@@ -124,13 +117,6 @@ def test_fused_speedup_and_parity(mlp_l):
     )
 
 
-# -- compiled plan vs fused kernels ----------------------------------
-
-#: Timing repeats per side of the compiled-vs-fused gate; both sides
-#: take the best (minimum) wall, which cancels scheduler noise.
-GATE_REPEATS = 15
-
-
 def _run_batch(mlp_l, n):
     executor, net, plan, programmed, x = mlp_l
     return executor.run_functional(
@@ -142,72 +128,3 @@ def test_functional_compiled_b1_mlp_l(once, mlp_l):
     """Batch-1 latency of the default (plan-compiled) path."""
     out = once(lambda: [_run_batch(mlp_l, 1) for _ in range(ITERATIONS)])
     assert out[0].shape == (1, 10)
-
-
-def test_functional_plan_off_b1_mlp_l(once, mlp_l):
-    """Batch-1 latency with compilation disabled (fused kernels)."""
-    os.environ["PRIME_PLAN_COMPILE"] = "0"
-    try:
-        out = once(
-            lambda: [_run_batch(mlp_l, 1) for _ in range(ITERATIONS)]
-        )
-    finally:
-        os.environ.pop("PRIME_PLAN_COMPILE", None)
-    assert out[0].shape == (1, 10)
-
-
-def test_compiled_speedup_and_parity(mlp_l):
-    """Compiled >= 2x over the fused kernels at batch 1, bit-identical.
-
-    Both walls are best-of-:data:`GATE_REPEATS` measured back-to-back
-    in this run, so the 2x floor is a same-machine ratio.  The batch-16
-    ratio is printed for the record but not gated — at that width both
-    paths sit on the same BLAS matmul floor.
-    """
-    executor, net, plan, programmed, x = mlp_l
-    # Warm both paths (plan compilation happens on the first compiled
-    # call; buffer pools fill on the first call per batch size).
-    compiled_out = _run_batch(mlp_l, 1)
-    _run_batch(mlp_l, 16)
-    os.environ["PRIME_PLAN_COMPILE"] = "0"
-    try:
-        fused_out = _run_batch(mlp_l, 1)
-    finally:
-        os.environ.pop("PRIME_PLAN_COMPILE", None)
-
-    def timed(n):
-        start = time.perf_counter()
-        _run_batch(mlp_l, n)
-        return time.perf_counter() - start
-
-    # Interleave the two sides (same batch size back-to-back) so
-    # machine-speed drift during the measurement hits both equally;
-    # min-wall per side cancels noise.
-    def duel(n, repeats):
-        ours = theirs = float("inf")
-        for _ in range(repeats):
-            ours = min(ours, timed(n))
-            os.environ["PRIME_PLAN_COMPILE"] = "0"
-            try:
-                theirs = min(theirs, timed(n))
-            finally:
-                os.environ.pop("PRIME_PLAN_COMPILE", None)
-        return ours, theirs
-
-    compiled_b1, fused_b1 = duel(1, GATE_REPEATS)
-    compiled_b16, fused_b16 = duel(16, 3)
-
-    assert np.array_equal(compiled_out, fused_out)
-    speedup_b1 = fused_b1 / compiled_b1
-    speedup_b16 = fused_b16 / compiled_b16
-    print()
-    print(
-        f"compiled vs fused: batch 1 {speedup_b1:.2f}x "
-        f"({compiled_b1 * 1e3:.2f} ms vs {fused_b1 * 1e3:.2f} ms), "
-        f"batch 16 {speedup_b16:.2f}x "
-        f"({compiled_b16 * 1e3:.2f} ms vs {fused_b16 * 1e3:.2f} ms)"
-    )
-    assert speedup_b1 >= 2.0, (
-        f"compiled plan only {speedup_b1:.2f}x over fused at batch 1 "
-        f"({compiled_b1 * 1e3:.2f} ms vs {fused_b1 * 1e3:.2f} ms)"
-    )

@@ -26,6 +26,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.memory.controller import DataFlowCommand
 from repro.nn.layers import Conv2D, Dense
+from repro.perf.plan import _conv_geometry, _input_codes
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 
@@ -117,7 +118,7 @@ class CommandStreamRunner:
         buf_cursor = in_region.size
         for layer in net.layers:
             if isinstance(layer, (Dense, Conv2D)):
-                act, buf_cursor = self._run_weight_layer(
+                act, buf_cursor = self._fire_weight_layer(
                     layer, programmed.pop(0), act, buf_cursor
                 )
             else:
@@ -147,20 +148,18 @@ class CommandStreamRunner:
 
     # -- internals ------------------------------------------------------
 
-    def _run_weight_layer(self, layer, entry, act, buf_cursor):
-        tiles, w_fmt = entry
-        executor = self.session.executor
-        xbar = executor.config.crossbar
-        pin = xbar.effective_input_bits
-        if isinstance(layer, Conv2D):
-            vectors, spatial = executor._im2col_activations(layer, act)
-        else:
-            vectors, spatial = act.reshape(1, -1), None
-        vectors = np.concatenate(
-            [vectors, np.ones((vectors.shape[0], 1))], axis=1
+    def _fire_weight_layer(self, layer, entry, act, buf_cursor):
+        """One weight layer: per-sample calibration, codes through the
+        buffer to the FF latches, and the per-engine tile walk."""
+        pin = self.session.executor.config.crossbar.effective_input_bits
+        # The format covers every input vector: the sample's peak (every
+        # pixel of a stride-1 conv input lies in some patch) or the
+        # bias input 1.
+        peak = max(float(np.max(np.abs(act))), 1.0)
+        in_fmt = DynamicFixedPoint.for_data(
+            np.array([peak]), bits=pin, signed=False
         )
-        in_fmt = DynamicFixedPoint.for_data(vectors, bits=pin, signed=False)
-        codes = in_fmt.quantize_int(np.clip(vectors, 0.0, None))
+        codes = _input_codes(layer, act, in_fmt)
 
         # store the (≤6-bit) codes in the buffer, then load them to
         # the FF latches through the private port
@@ -175,27 +174,18 @@ class CommandStreamRunner:
         )
         buf_cursor = region.offset + region.size
 
-        output_shift = entry.kernel.calibrate_output_shift(codes)
-        outputs = None
-        for rb, tile_row in enumerate(tiles):
-            r0 = rb * xbar.rows
-            cols = []
-            for engine in tile_row:
-                block = codes[:, r0 : r0 + engine.rows_used]
-                cols.append(
-                    engine.mvm_batch(
-                        block, with_noise=False, output_shift=output_shift
-                    )
-                )
-            row_result = np.concatenate(cols, axis=1)
-            outputs = (
-                row_result if outputs is None else outputs + row_result
-            )
-        scale = (2.0 ** output_shift) * in_fmt.resolution * w_fmt.resolution
+        kernel = entry.kernel
+        output_shift = kernel.calibrate_output_shift(codes)
+        outputs = kernel.mvm_batch(
+            codes, with_noise=False, output_shift=output_shift, fused=False
+        )
+        scale = (
+            (2.0 ** output_shift) * in_fmt.resolution * entry.w_fmt.resolution
+        )
         result = outputs * scale
-        if spatial is not None:
-            b, oh, ow = spatial
-            result = result.reshape(b, oh, ow, -1)
+        if isinstance(layer, Conv2D):
+            oh, ow = _conv_geometry(layer, act)
+            result = result.reshape(len(act), oh, ow, -1)
         else:
             result = result.reshape(1, -1)
         return result, buf_cursor

@@ -15,8 +15,6 @@ Two complementary execution paths share one mapping plan:
 from __future__ import annotations
 
 import logging
-import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,18 +24,12 @@ from repro.errors import ExecutionError
 from repro.baselines.common import ExecutionReport, record_report
 from repro.core.mapping import LayerMapping, MappingPlan, NetworkScale
 from repro.crossbar.engine import CrossbarMVMEngine
-from repro.nn.layers import Conv2D, Dense, Layer, MaxPool2D, MeanPool2D
+from repro.knobs import env_knob
+from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
 from repro.params.prime import PrimeConfig, DEFAULT_PRIME_CONFIG
 from repro.perf.kernels import FusedLayerKernel, fused_enabled
-from repro.perf.plan import (
-    CALIBRATION_SAMPLES,
-    CompiledPlan,
-    PlanCompileError,
-    PlanFallbackWarning,
-    freeze_calibration,
-    plan_compile_enabled,
-)
+from repro.perf.plan import CALIBRATION_SAMPLES, CompiledPlan
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import DegradationSummary, LayerDegradation
@@ -61,20 +53,14 @@ def env_chunk_bytes() -> int:
     An unparsable value logs a warning and falls back to the default
     rather than raising mid-inference.
     """
-    env = os.environ.get("PRIME_FUNC_CHUNK_BYTES", "").strip()
-    if not env:
-        return DEFAULT_CHUNK_BYTES
-    try:
-        return int(env)
-    except ValueError:
-        logger.warning(
-            "PRIME_FUNC_CHUNK_BYTES must be an integer, got %r; "
-            "using the default (%d)",
-            env,
-            DEFAULT_CHUNK_BYTES,
-        )
-        telemetry.count("perf.env.invalid", knob="PRIME_FUNC_CHUNK_BYTES")
-        return DEFAULT_CHUNK_BYTES
+    return env_knob(
+        "PRIME_FUNC_CHUNK_BYTES",
+        int,
+        DEFAULT_CHUNK_BYTES,
+        logger,
+        "an integer",
+        f"using the default ({DEFAULT_CHUNK_BYTES})",
+    )
 
 
 class ProgrammedLayer:
@@ -104,8 +90,6 @@ class ProgrammedLayer:
         #: executor's memo slot; validated via ``CompiledPlan.matches``
         #: before reuse, recompiled when stale).
         self.compiled_plan = None
-        #: One warning per programmed chain when compilation fails.
-        self.plan_warned = False
 
     @classmethod
     def coerce(cls, entry) -> "ProgrammedLayer":
@@ -493,19 +477,19 @@ class PrimeExecutor:
         Every chunk, the first of a freshly programmed network
         included, executes through a
         :class:`~repro.perf.plan.CompiledPlan` — one flat precompiled
-        schedule with no per-layer Python bookkeeping
-        (``PRIME_PLAN_COMPILE=0`` restores the per-layer interpreter,
-        which evaluates each layer through its fused layer kernel;
-        ``PRIME_FUSED=0`` restores the per-engine tile walk).  The
-        batch streams in chunks sized so the widest layer's activations
-        stay under ``chunk_bytes`` (default ``PRIME_FUNC_CHUNK_BYTES``
-        or 256 MiB) — conv patches never materialise the whole batch.
-        Per-layer calibration (input format and SA output window) is
-        frozen from the first ``CALIBRATION_SAMPLES`` samples by
-        :func:`~repro.perf.plan.freeze_calibration`, on whichever tier
-        runs the first chunk, and cached on the programmed plan, so the
-        first chunk always covers the calibration prefix and chunked
-        output equals unchunked output for every chunk size.
+        schedule with no per-layer Python bookkeeping.
+        ``PRIME_FUSED=0``, read once per call, sends every weight layer
+        of that plan down the per-engine tile walk, the semantic
+        reference.  The batch streams in chunks sized so the widest
+        layer's activations stay under ``chunk_bytes`` (default
+        ``PRIME_FUNC_CHUNK_BYTES`` or 256 MiB) — conv patches never
+        materialise the whole batch.  Per-layer calibration (input
+        format and SA output window) is frozen from the first
+        ``CALIBRATION_SAMPLES`` samples by
+        :func:`~repro.perf.plan.freeze_calibration` as each weight step
+        first runs, and cached on the programmed plan, so the first
+        chunk always covers the calibration prefix and chunked output
+        equals unchunked output for every chunk size.
         """
         xbar = self.config.crossbar
         pin = input_bits or xbar.effective_input_bits
@@ -523,9 +507,12 @@ class PrimeExecutor:
                 )
             layers = [ProgrammedLayer.coerce(p) for p in programmed]
             self._surface_degradation(plan, layers)
+            fused = fused_enabled()
             chunk = self._chunk_samples(plan, batch, chunk_bytes)
             if chunk >= batch:
-                out = self._forward(network, layers, x, pin, with_noise)
+                out = self._forward(
+                    network, layers, x, pin, with_noise, fused
+                )
             else:
                 # The first chunk must contain the calibration prefix,
                 # or chunked and unchunked runs would freeze different
@@ -542,6 +529,7 @@ class PrimeExecutor:
                             x[start : start + size],
                             pin,
                             with_noise,
+                            fused,
                         )
                     )
                     start += size
@@ -584,87 +572,38 @@ class PrimeExecutor:
         act: np.ndarray,
         pin: int,
         with_noise: bool,
+        fused: bool,
     ) -> np.ndarray:
-        """One chunk, through the compiled plan when one is available.
+        """One chunk through the chain's compiled plan.
 
         The first chunk of a freshly programmed network compiles the
         plan, whose weight steps freeze calibration as they first run;
-        the interpreter runs only when compilation is disabled or
-        fails.  Both tiers freeze and compute bit-identically, so
-        chunked == unchunked holds whichever tier ran a chunk.
+        ``fused=False`` walks the engines at every weight step.
         """
         compiled = self._compiled_plan(network, layers, pin)
-        if compiled is not None:
-            return compiled.execute(act, with_noise)
-        return self._forward_chunk(network, layers, act, pin, with_noise)
+        return compiled.execute(act, with_noise, fused)
 
     def _compiled_plan(
         self,
         network: Sequential,
         layers: list[ProgrammedLayer],
         pin: int,
-    ) -> CompiledPlan | None:
-        """The cached CompiledPlan for this programmed chain, if any.
+    ) -> CompiledPlan:
+        """The cached CompiledPlan for this programmed chain.
 
         The plan memoises on the chain's first ProgrammedLayer and is
         validated against the live programmed state on every chunk —
         recalibration, reprogramming, or kernel invalidation all break
         :meth:`CompiledPlan.matches` and force a recompile.  An
         uncalibrated chain compiles too: its steps freeze calibration
-        on their first run.  Returns ``None`` (interpreter fallback)
-        when compilation is disabled or lowering fails (counted as
-        ``perf.plan.fallback``).
+        on their first run.
         """
-        if not layers or not plan_compile_enabled():
-            return None
-        # PRIME_FUSED=0 forces the per-engine tile walk; the compiled
-        # plan is the fused tier's successor, so it stands down too.
-        if not fused_enabled():
-            return None
         host = layers[0]
         compiled = host.compiled_plan
-        if compiled is not None and compiled.matches(network, layers, pin):
-            return compiled
-        try:
+        if compiled is None or not compiled.matches(network, layers, pin):
             compiled = CompiledPlan.compile(network, layers, pin)
-        except PlanCompileError as exc:
-            if not host.plan_warned:
-                host.plan_warned = True
-                logger.warning("plan compilation failed: %s", exc)
-                warnings.warn(
-                    f"plan compilation failed ({exc}); falling back to "
-                    "the per-layer interpreter",
-                    PlanFallbackWarning,
-                    stacklevel=2,
-                )
-            telemetry.count("perf.plan.fallback", reason="compile_error")
-            return None
-        host.compiled_plan = compiled
+            host.compiled_plan = compiled
         return compiled
-
-    def _forward_chunk(
-        self,
-        network: Sequential,
-        layers: list[ProgrammedLayer],
-        act: np.ndarray,
-        pin: int,
-        with_noise: bool,
-    ) -> np.ndarray:
-        """One chunk's pass through the whole network."""
-        idx = 0
-        for layer in network.layers:
-            if isinstance(layer, (Dense, Conv2D)):
-                programmed = layers[idx]
-                idx += 1
-                with telemetry.span(
-                    "executor.layer", layer=type(layer).__name__
-                ):
-                    act = self._run_weight_layer(
-                        layer, programmed, act, pin, with_noise
-                    )
-            else:
-                act = layer.forward(act)
-        return act
 
     def max_chunk_samples(
         self, plan: MappingPlan, chunk_bytes: int | None = None
@@ -683,8 +622,10 @@ class PrimeExecutor:
     ) -> int:
         """Samples per streaming chunk under the memory budget.
 
-        Sized from the widest mapped layer's per-sample footprint
-        (im2col vectors, drive-phase stacks, and outputs in float64);
+        Sized from the widest mapped layer's per-sample footprint: a
+        few float64 copies (codes, drive phases, counts) of each of its
+        input vectors and outputs, one vector per sample for a dense
+        layer and one per output pixel for a conv layer.
         ``chunk_bytes <= 0`` disables streaming.
         """
         if chunk_bytes is None:
@@ -893,63 +834,3 @@ class PrimeExecutor:
                 )
             )
         return DegradationSummary(workload=plan.workload, layers=layers)
-
-    def _run_weight_layer(
-        self,
-        layer: Layer,
-        programmed: ProgrammedLayer,
-        act: np.ndarray,
-        pin: int,
-        with_noise: bool,
-    ) -> np.ndarray:
-        if isinstance(layer, Conv2D):
-            vectors, spatial = self._im2col_activations(layer, act)
-        else:
-            if act.ndim != 2:
-                act = act.reshape(act.shape[0], -1)
-            vectors, spatial = act, None
-        batch_vecs = np.concatenate(
-            [vectors, np.ones((vectors.shape[0], 1))], axis=1
-        )
-        if programmed.in_fmt is None:
-            freeze_calibration(layer, programmed, act, pin)
-        codes = programmed.in_fmt.quantize_int(
-            np.clip(batch_vecs, 0.0, None)
-        )
-        outputs = programmed.kernel.mvm_batch(
-            codes,
-            with_noise=with_noise,
-            output_shift=programmed.output_shift,
-        )
-        scale = (
-            (2.0 ** programmed.output_shift)
-            * programmed.in_fmt.resolution
-            * programmed.w_fmt.resolution
-        )
-        result = outputs * scale
-        if spatial is not None:
-            b, oh, ow = spatial
-            result = result.reshape(b, oh, ow, -1)
-        return result
-
-    @staticmethod
-    def _im2col_activations(
-        layer: Conv2D, act: np.ndarray
-    ) -> tuple[np.ndarray, tuple[int, int, int]]:
-        if act.ndim != 4:
-            raise ExecutionError(
-                f"conv layer expects image activations, got {act.shape}"
-            )
-        if layer.pad:
-            p = layer.pad
-            act = np.pad(act, ((0, 0), (p, p), (p, p), (0, 0)))
-        b, h, w, c = act.shape
-        k = layer.kernel
-        oh, ow = h - k + 1, w - k + 1
-        patches = np.empty((b, oh, ow, k * k * c))
-        for i in range(k):
-            for j in range(k):
-                patches[:, :, :, (i * k + j) * c : (i * k + j + 1) * c] = (
-                    act[:, i : i + oh, j : j + ow, :]
-                )
-        return patches.reshape(b * oh * ow, k * k * c), (b, oh, ow)

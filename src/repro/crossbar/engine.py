@@ -31,7 +31,12 @@ from repro.resilience.report import PairProgramReport
 from repro.crossbar.array import ArrayMode
 from repro.crossbar.drivers import WordlineDriver
 from repro.crossbar.pair import DifferentialPair
-from repro.crossbar.sense import PrecisionAccumulator, ReconfigurableSenseAmp
+from repro.crossbar.sense import (
+    PrecisionAccumulator,
+    ReconfigurableSenseAmp,
+    digitise,
+    part_window,
+)
 
 
 class CrossbarMVMEngine:
@@ -294,45 +299,40 @@ class CrossbarMVMEngine:
             "mvm.energy_nj", n * 2.0 * self.params.e_full_mvm * 1e9
         )
 
-    def _part_weights(self) -> dict[str, int]:
-        """Power-of-two weight of each partial product in Eq. 8."""
-        return {
-            "HH": (self.spec.pin + self.spec.pw) // 2,
-            "HL": self.spec.pw // 2,
-            "LH": self.spec.pin // 2,
-            "LL": 0,
-        }
-
     def _accumulate_parts(
-        self, part_counts: dict[str, np.ndarray], output_shift: int
+        self,
+        counts_hi: np.ndarray,
+        counts_lo: np.ndarray,
+        output_shift: int,
     ) -> np.ndarray:
         """Digitise and accumulate the four partial products.
 
-        ``output_shift`` selects the layer's output window: the result
-        approximates ``(inputs @ W) >> output_shift``.  The default,
-        ``spec.target_shift``, reproduces the paper's fixed Po-bit
-        window; smaller shifts model the calibrated SA reference real
-        dot-product engines use so that typical (far-below-full-scale)
-        signals keep their significant bits.  Each part conversion
-        saturates at the SA's Po-bit ceiling.
+        ``counts_hi`` and ``counts_lo`` are the bitline counts of the
+        high and low input phases; even bitlines carry the high weight
+        halves, odd ones the low.  ``output_shift`` selects the layer's
+        output window: the result approximates ``(inputs @ W) >>
+        output_shift``.  The default, ``spec.target_shift``, reproduces
+        the paper's fixed Po-bit window; smaller shifts model the
+        calibrated SA reference real dot-product engines use so that
+        typical (far-below-full-scale) signals keep their significant
+        bits.  Each part conversion saturates at the SA's Po-bit
+        ceiling (:func:`~repro.crossbar.sense.digitise`).
         """
-        limit = (1 << self.spec.po) - 1
-        shape = next(iter(part_counts.values())).shape
-        total = np.zeros(shape, dtype=np.int64)
-        for name, w_part in self._part_weights().items():
-            counts = part_counts[name]
-            shift = max(0, output_shift - w_part)
-            if shift >= self.spec.part_full_bits:
-                continue  # the part falls entirely below the window
-            sign = np.sign(counts)
-            magnitude = np.floor(np.abs(counts) / float(1 << shift))
-            digital = sign.astype(np.int64) * np.minimum(
-                magnitude, limit
-            ).astype(np.int64)
-            self.sense.conversions += counts.size
-            left = w_part - output_shift + shift
-            total += digital << left
-        return total
+        cols = self._prog_cols
+        parts = np.stack(
+            [counts_hi[..., : 2 * cols], counts_lo[..., : 2 * cols]]
+        )
+        # [input half, ..., column, weight half], as PART_GRID.
+        parts = parts.reshape(parts.shape[:-1] + (cols, 2))
+        pre, post = part_window(self.spec, output_shift)
+        grid = (2,) + (1,) * (parts.ndim - 2) + (2,)
+        digital = digitise(
+            parts, pre.reshape(grid), post.reshape(grid), self.spec.po
+        )
+        self.sense.conversions += (
+            int(np.count_nonzero(pre)) * parts.size // 4
+        )
+        return digital.sum(axis=(0, -1)).astype(np.int64)
 
     def mvm(
         self,
@@ -365,16 +365,8 @@ class CrossbarMVMEngine:
         in_hi, in_lo = split_unsigned(inputs.astype(np.int64), self.spec.pin)
         counts_hi = self._drive_phase(in_hi, with_noise)
         counts_lo = self._drive_phase(in_lo, with_noise)
-        even = slice(0, 2 * self._prog_cols, 2)
-        odd = slice(1, 2 * self._prog_cols, 2)
-        part_counts = {
-            "HH": counts_hi[even],
-            "LH": counts_hi[odd],
-            "HL": counts_lo[even],
-            "LL": counts_lo[odd],
-        }
         return self._finalize_outputs(
-            self._accumulate_parts(part_counts, shift)
+            self._accumulate_parts(counts_hi, counts_lo, shift)
         )
 
     def mvm_batch(
@@ -411,18 +403,10 @@ class CrossbarMVMEngine:
         padded[: inputs.shape[0], : self.rows_used] = in_hi
         padded[inputs.shape[0] :, : self.rows_used] = in_lo
         counts = self.pair.analog_mvm_counts(padded, with_noise=with_noise)
-        counts_hi = counts[: inputs.shape[0]]
-        counts_lo = counts[inputs.shape[0] :]
-        even = slice(0, 2 * self._prog_cols, 2)
-        odd = slice(1, 2 * self._prog_cols, 2)
-        part_counts = {
-            "HH": counts_hi[:, even],
-            "LH": counts_hi[:, odd],
-            "HL": counts_lo[:, even],
-            "LL": counts_lo[:, odd],
-        }
         return self._finalize_outputs(
-            self._accumulate_parts(part_counts, shift)
+            self._accumulate_parts(
+                counts[: inputs.shape[0]], counts[inputs.shape[0] :], shift
+            )
         )
 
     def _drive_phase(

@@ -10,13 +10,13 @@ rest of the stack can study accuracy degradation under yield loss.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from repro.errors import DeviceError
+from repro.knobs import env_knob
 from repro.params.reram import ReRAMDeviceParams
 
 logger = logging.getLogger("repro.device")
@@ -39,41 +39,33 @@ def env_fault_rates() -> tuple[float, float]:
     enter :mod:`repro.perf` cache keys — clear caches when sweeping it
     out-of-band, or prefer the explicit config fields.
     """
-    raw = os.environ.get(FAULT_RATES_ENV, "").strip()
-    if not raw:
-        return (0.0, 0.0)
-    parts = [p.strip() for p in raw.split(",")]
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        return _reject(raw, "must be 'rate' or 'hrs,lrs'")
+    return env_knob(
+        FAULT_RATES_ENV,
+        _parse_fault_rates,
+        (0.0, 0.0),
+        logger,
+        "'rate' or 'hrs,lrs', non-negative and summing to <= 1",
+        "injecting no faults",
+        warned=_WARNED_VALUES,
+    )
+
+
+def _parse_fault_rates(raw: str) -> tuple[float, float]:
+    values = [float(p) for p in raw.split(",")]
     if len(values) == 1:
         rate_hrs = rate_lrs = values[0] / 2.0
     elif len(values) == 2:
         rate_hrs, rate_lrs = values
     else:
-        return _reject(raw, "must be 'rate' or 'hrs,lrs'")
+        raise ValueError(raw)
     if rate_hrs < 0 or rate_lrs < 0 or rate_hrs + rate_lrs > 1:
-        return _reject(raw, "rates must be non-negative and sum <= 1")
+        raise ValueError(raw)
     return (rate_hrs, rate_lrs)
 
 
 #: Bad values already warned about — the knob is re-read on every array
 #: construction, so one typo would otherwise log hundreds of times.
 _WARNED_VALUES: set[str] = set()
-
-
-def _reject(raw: str, why: str) -> tuple[float, float]:
-    """Warn about a bad :data:`FAULT_RATES_ENV` and inject no faults."""
-    from repro import telemetry
-
-    if raw not in _WARNED_VALUES:
-        _WARNED_VALUES.add(raw)
-        logger.warning(
-            "%s %s, got %r; injecting no faults", FAULT_RATES_ENV, why, raw
-        )
-    telemetry.count("perf.env.invalid", knob=FAULT_RATES_ENV)
-    return (0.0, 0.0)
 
 
 class StuckAtFault(Enum):

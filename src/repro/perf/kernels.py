@@ -10,9 +10,9 @@ the same layer as a handful of batched NumPy ops instead:
   into block tensors once, at program time;
 * the whole batch, both drive phases, and all tiles evaluate with
   batched matmuls in the count domain;
-* the four partial-product planes (HH/HL/LH/LL) are digitised with one
-  vectorised pass that mirrors the engine's truncating sense-amp
-  arithmetic exactly.
+* the four partial-product planes (HH/HL/LH/LL) are digitised in one
+  vectorised pass through the SA transfer function every tier shares
+  (:func:`repro.crossbar.sense.digitise`).
 
 Two fused modes exist.  With noise *off* the kernel computes the part
 counts as one matmul against a cached count-domain stack:
@@ -24,11 +24,12 @@ counts as one matmul against a cached count-domain stack:
   :meth:`CrossbarArray.exact_mvm_counts` in that regime;
 * on arrays programmed with variation the stack holds each cell's
   differential weight ``(G+ - G-) / g_step`` in float64.  Counts are
-  then continuous, so the sense-amp ``floor`` sees the same integer
+  then continuous, so the sense amp's truncation sees the same integer
   as the walk's conductance round trip: the two differ only by float
   rounding, far from any truncation boundary.  Arrays whose non-ideal
   state stays on the integer lattice (stuck-at faults on a noise-free
-  device) keep the walk, whose floors there hinge on that rounding.
+  device) keep the walk, whose truncations there hinge on that
+  rounding.
 
 With noise *on* the kernel stacks the pair conductances and draws the
 read noise for all tiles from one vectorised RNG call, seeded from the
@@ -39,8 +40,10 @@ Telemetry semantics are preserved: ``mvm.invocations``, model-time and
 energy counters, per-engine invocation counts, and sense-amp
 conversion counts all reflect the hardware firings the fused math
 replaces, not the host matmuls that compute them.  Setting
-``PRIME_FUSED=0`` routes every call through the per-engine fallback
-for differential testing.
+``PRIME_FUSED=0`` routes every call through the per-engine walk, the
+semantic reference, for differential testing; the compiled plan
+(:mod:`repro.perf.plan`) runs its inline steps over the stacks cached
+here and delegates the rest to :meth:`FusedLayerKernel.mvm_batch`.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import threading
 import numpy as np
 
 from repro import telemetry
+from repro.crossbar.sense import digitise, part_window
 from repro.errors import CrossbarError
 from repro.precision.composing import split_unsigned
 
@@ -161,8 +165,7 @@ class FusedLayerKernel:
         self._w_cat: np.ndarray | None = None
         self._g_pos: np.ndarray | None = None
         self._g_neg: np.ndarray | None = None
-        self._even_idx: np.ndarray | None = None
-        self._odd_idx: np.ndarray | None = None
+        self._half_idx: np.ndarray | None = None
         # Serialises engine-counter charging: the read-only math is
         # re-entrant, but ``engine.mvm_invocations += batch`` is not.
         self._charge_lock = threading.Lock()
@@ -328,12 +331,15 @@ class FusedLayerKernel:
             fused = fused_enabled() and self.can_fuse(with_noise)
         if not fused:
             return self._per_engine(codes, with_noise, shift)
-        self._charge(codes.shape[0], shift)
+        n = codes.shape[0]
+        self._charge(n, shift)
         if self._noisy(with_noise):
-            planes = self._analog_planes(codes)
-            return self._accumulate(planes, shift)
-        counts = self._stack_counts(codes)
-        return self._accumulate_exact(counts, codes.shape[0], shift)
+            parts = self._analog_planes(codes)
+        else:
+            parts = self._stack_counts(codes).reshape(
+                self.row_blocks, 2, n, 2, self.total_cols
+            )
+        return self._accumulate(parts, shift)
 
     def calibrate_output_shift(
         self, codes: np.ndarray, calibration_samples: int = 64
@@ -511,27 +517,29 @@ class FusedLayerKernel:
             self._g_pos, self._g_neg = g_pos, g_neg
         return self._g_pos, self._g_neg
 
-    def _column_gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical-column indices of the hi/lo weight bitlines."""
-        if self._even_idx is None:
-            even, odd = [], []
-            for cb, cols in enumerate(self.cols_used):
-                base = cb * self.params.cols
-                lanes = base + 2 * np.arange(cols)
-                even.append(lanes)
-                odd.append(lanes + 1)
-            self._even_idx = np.concatenate(even)
-            self._odd_idx = np.concatenate(odd)
-        return self._even_idx, self._odd_idx
+    def _column_gather(self) -> np.ndarray:
+        """``(2, total_cols)`` physical-column indices of the hi (row
+        0) and lo (row 1) weight bitlines."""
+        if self._half_idx is None:
+            lanes = np.concatenate(
+                [
+                    cb * self.params.cols + 2 * np.arange(cols)
+                    for cb, cols in enumerate(self.cols_used)
+                ]
+            )
+            self._half_idx = np.stack([lanes, lanes + 1])
+        return self._half_idx
 
-    def _analog_planes(self, codes: np.ndarray) -> dict[str, np.ndarray]:
+    def _analog_planes(self, codes: np.ndarray) -> np.ndarray:
         """Noisy part counts through the stacked conductance tensors.
 
-        The read noise for every tile comes from one vectorised draw of
-        a Philox stream keyed by a seed pulled once from the engines'
-        shared generator: each tile's noise is a fixed slice of that
-        stream, so a seeded run reproduces exactly while consuming one
-        value of the shared stream per fused call.
+        Returns ``(row_blocks, 2, batch, 2, total_cols)`` planes, drive
+        phase and weight half as the two length-2 axes.  The read
+        noise for every tile comes from one vectorised draw of a Philox
+        stream keyed by a seed pulled once from the engines' shared
+        generator: each tile's noise is a fixed slice of that stream,
+        so a seeded run reproduces exactly while consuming one value of
+        the shared stream per fused call.
         """
         params = self.params
         dev = params.device
@@ -551,112 +559,49 @@ class FusedLayerKernel:
         g_p = np.clip(g_pos * (1.0 + sigma * noise[0]), 0.0, None)
         g_n = np.clip(g_neg * (1.0 + sigma * noise[1]), 0.0, None)
         counts = (drive * v_step) @ (g_p - g_n) / (v_step * g_step)
-        counts_hi = counts[:, :n]
-        counts_lo = counts[:, n:]
-        even, odd = self._column_gather()
-        return {
-            "HH": counts_hi[..., even],
-            "LH": counts_hi[..., odd],
-            "HL": counts_lo[..., even],
-            "LL": counts_lo[..., odd],
-        }
+        return counts.reshape(self.row_blocks, 2, n, -1)[
+            ..., self._column_gather()
+        ]
 
     # -- digitisation and accounting ----------------------------------
 
-    def _part_weights(self) -> dict[str, int]:
-        """Power-of-two weight of each partial product (engine Eq. 8)."""
-        return {
-            "HH": (self.spec.pin + self.spec.pw) // 2,
-            "LH": self.spec.pin // 2,
-            "HL": self.spec.pw // 2,
-            "LL": 0,
-        }
-
-    def _active_parts(self, output_shift: int) -> int:
-        """Parts the SA digitises (not entirely below the window)."""
-        return sum(
-            1
-            for w_part in self._part_weights().values()
-            if max(0, output_shift - w_part) < self.spec.part_full_bits
-        )
-
     def _accumulate(
-        self, planes: dict[str, np.ndarray], output_shift: int
+        self, parts: np.ndarray, output_shift: int
     ) -> np.ndarray:
-        """Vectorised mirror of the engine's ``_accumulate_parts``,
-        applied to all row blocks at once, then summed across them —
-        identical to digitising per tile and summing the tile rows.
+        """Digitise ``(row_blocks, 2, batch, 2, total_cols)`` part
+        planes in one broadcast pass and sum them, then the row blocks
+        — identical to digitising per tile and summing the tile rows.
+        The drive phase and the weight half are the two length-2 axes:
+        :meth:`_analog_planes` gathers them, and :meth:`_stack_counts`
+        exposes them by reshaping its ``(row_blocks, 2*batch,
+        2*total_cols)`` counts.
 
-        Used by the analog path, whose planes are float; the engine's
-        ``floor(|counts| / 2**shift)`` truncation is kept verbatim.
-        """
-        spec = self.spec
-        limit = (1 << spec.po) - 1
-        total = np.zeros(planes["HH"].shape, dtype=np.int64)
-        for name, w_part in self._part_weights().items():
-            counts = planes[name]
-            shift = max(0, output_shift - w_part)
-            if shift >= spec.part_full_bits:
-                continue
-            sign = np.sign(counts)
-            magnitude = np.floor(np.abs(counts) / float(1 << shift))
-            digital = sign.astype(np.int64) * np.minimum(
-                magnitude, limit
-            ).astype(np.int64)
-            total += digital << (w_part - output_shift + shift)
-        return total.sum(axis=0)
-
-    def _accumulate_exact(
-        self, counts: np.ndarray, batch: int, output_shift: int
-    ) -> np.ndarray:
-        """Digitise the raw count tensor in one broadcast pass.
-
-        ``counts`` is the contiguous ``(row_blocks, 2*batch,
-        2*total_cols)`` tensor from :meth:`_stack_counts`; reshaping
-        it to ``(row_blocks, 2, batch, 2, total_cols)`` exposes the
-        drive phase and weight half as axes, so all four partial
-        products digitise with one abs/floor/clip/scale sweep instead
-        of four strided passes.  Multiplying by an exact power of two
-        and flooring equals the engine's ``floor(|c| / 2**shift)``
-        truncation bit for bit, for integer and continuous counts alike.
-        Parts entirely below the SA window get a zero post-scale and
+        The planes digitise in place through the SA transfer function
+        (:func:`~repro.crossbar.sense.digitise`) at the layer's
+        :func:`~repro.crossbar.sense.part_window`, which matches the
+        engine bit for bit for integer and continuous counts alike;
+        parts entirely below the SA window get a zero post-scale and
         vanish, matching the engine's skip.
         """
         spec = self.spec
-        limit = float((1 << spec.po) - 1)
-        parts = counts.reshape(
-            self.row_blocks, 2, batch, 2, self.total_cols
-        )
-        # [phase, half] -> power-of-two weight of that partial product
-        pws = np.array(
-            [
-                [(spec.pin + spec.pw) // 2, spec.pin // 2],
-                [spec.pw // 2, 0],
-            ]
-        )
-        shifts = np.maximum(0, output_shift - pws)
-        active = shifts < spec.part_full_bits
-        pre = np.where(active, 2.0 ** -shifts.astype(np.float64), 0.0)
-        post = np.where(
-            active, 2.0 ** (pws - output_shift + shifts), 0.0
-        )
+        pre, post = part_window(spec, output_shift)
         # The digitised per-element total must also stay inside the
         # float dtype's contiguous-integer range for the sums below to
         # be exact; upcast in the rare geometry where it would not.
         if (
             parts.dtype == np.float32
-            and limit * float(post.sum()) >= float(1 << 24)
+            and ((1 << spec.po) - 1) * float(post.sum()) >= float(1 << 24)
         ):
             parts = parts.astype(np.float64)
-        pre = pre.reshape(1, 2, 1, 2, 1).astype(parts.dtype)
-        post = post.reshape(1, 2, 1, 2, 1).astype(parts.dtype)
-        magnitude = np.abs(parts)
-        magnitude *= pre
-        np.floor(magnitude, out=magnitude)
-        np.minimum(magnitude, limit, out=magnitude)
-        magnitude *= post
-        np.copysign(magnitude, parts, out=magnitude)
-        total = magnitude.sum(axis=(1, 3))
+        grid = (1, 2, 1, 2, 1)
+        digitise(
+            parts,
+            pre.reshape(grid).astype(parts.dtype),
+            post.reshape(grid).astype(parts.dtype),
+            spec.po,
+            out=parts,
+        )
+        total = parts.sum(axis=(1, 3))
         return total.astype(np.int64).sum(axis=0)
 
     def _charge(self, batch: int, output_shift: int) -> None:
@@ -666,7 +611,8 @@ class FusedLayerKernel:
         per input vector, and its SA converts one value per active
         part per used column per vector.
         """
-        active = self._active_parts(output_shift)
+        pre, _ = part_window(self.spec, output_shift)
+        active = int(np.count_nonzero(pre))
         with self._charge_lock:
             for row in self.tiles:
                 for engine in row:

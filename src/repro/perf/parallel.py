@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import os
 import pickle
 import time
 import warnings
@@ -34,6 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro import telemetry
 from repro.errors import ConfigurationError
+from repro.knobs import env_knob
 from repro.telemetry.shipping import merge_delta, ship_call
 
 logger = logging.getLogger("repro.perf")
@@ -64,19 +64,9 @@ def worker_count(workers: int | None = None) -> int:
     back to serial instead of failing a run mid-sweep over a typo.
     """
     if workers is None:
-        env = os.environ.get("PRIME_WORKERS", "").strip()
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            logger.warning(
-                "PRIME_WORKERS must be an integer, got %r; "
-                "running serially",
-                env,
-            )
-            telemetry.count("perf.env.invalid", knob="PRIME_WORKERS")
-            return 1
+        workers = env_knob(
+            "PRIME_WORKERS", int, 1, logger, "an integer", "running serially"
+        )
     return max(1, int(workers))
 
 

@@ -1,26 +1,22 @@
-"""Plan-compiled megakernel: whole-network functional execution.
+"""Plan-compiled megakernel: how ``run_functional`` runs a network.
 
-The fused kernels (PR 3) collapsed each mapped layer's tile walk into
-a handful of batched matmuls, but :meth:`PrimeExecutor.run_functional`
-still interprets the network layer by layer on every chunk: rebuild
-the bias-augmented vector matrix, quantize through ``DynamicFixedPoint``
-object calls, round-trip codes through ``int64``, re-derive the
-digitisation constants, and allocate every intermediate afresh.
-:class:`CompiledPlan` lowers a programmed :class:`ProgrammedLayer`
-chain into a flat step list once, at deploy time:
+:meth:`PrimeExecutor.run_functional` executes every chunk through a
+:class:`CompiledPlan`, which lowers a programmed
+:class:`ProgrammedLayer` chain into a flat step list once, at deploy
+time, instead of interpreting the network layer by layer:
 
 * the chain may be uncalibrated: each weight step freezes its layer's
   input format and SA output shift the first time it runs, in layer
   order, from the first chunk's ``CALIBRATION_SAMPLES`` prefix
-  (:func:`freeze_calibration`, which the interpreter calls too), and
-  only then bakes them into constants — so a fresh network runs its
-  very first chunk compiled;
+  (:func:`freeze_calibration`), and only then bakes them into
+  constants — so a fresh network runs its very first chunk compiled;
 * weight/conductance stacks are trimmed and cached per layer (full
   256-row blocks evaluate as one batched matmul; short tail blocks get
   their own right-sized matmul instead of padding to the block size);
 * the frozen calibration formats are baked into scalar constants
-  (``1/resolution``, saturation bounds, per-part digitisation pre/post
-  factors), so no format objects are touched on the hot path;
+  (``1/resolution``, saturation bounds, and each partial product's SA
+  window from :func:`~repro.crossbar.sense.part_window`), so no format
+  objects are touched on the hot path;
 * quantisation, the hi/lo drive split, digitisation, and the output
   scale all run in place on preallocated buffers that persist across
   chunks and batches of the same width;
@@ -37,34 +33,32 @@ chain into a flat step list once, at deploy time:
 Exactness: with noise off on ideal arrays every intermediate is an
 integer inside the float dtype's contiguous-integer range (the same
 invariant :class:`FusedLayerKernel` relies on), so the compiled path
-is bit-identical to the fused and per-engine paths.  The packed stack
-keeps two 12-bit-separated integer fields whose dot products stay
-below ``2**24`` per 16-row sub-block, so float32 matmul and ``rint``
-field extraction are exact too.  On arrays programmed with variation
-the kernel's stack holds float64 differential cell weights instead;
-the same trimmed inline path runs them (never the packed one), and
-its truncating digitisation matches the kernel's and the walk's.
-Layers that cannot take the inline path (read noise on,
-resilience-remapped tiles, on-lattice faulted arrays) delegate to
-``FusedLayerKernel.mvm_batch``, which applies its own fused-noisy or
-per-engine fallback — semantics, seeded noise reproducibility, and
-telemetry counters are preserved in every case.
-
-``PRIME_PLAN_COMPILE=0`` disables compilation (the executor falls back
-to the per-layer interpreter); compilation failures warn once per
-programmed plan and surface as the ``perf.plan.fallback`` counter.
+is bit-identical to the per-engine walk.  The packed stack keeps two
+12-bit-separated integer fields whose dot products stay below
+``2**24`` per 16-row sub-block, so float32 matmul and ``rint`` field
+extraction are exact too.  On arrays programmed with variation the
+kernel's stack holds float64 differential cell weights instead; the
+same trimmed inline path runs them (never the packed one).  Every path
+digitises through the one SA transfer function,
+:func:`~repro.crossbar.sense.digitise`.  Layers that cannot take the
+inline path (read noise on, resilience-remapped tiles, on-lattice
+faulted arrays) delegate to ``FusedLayerKernel.mvm_batch``, which
+applies its own fused-noisy or per-engine path — semantics, seeded
+noise reproducibility, and telemetry counters are preserved in every
+case.  With ``fused=False`` (``PRIME_FUSED=0``) every weight step
+delegates and the kernel walks the engines: the semantic reference
+the other paths are tested against.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import threading
 import weakref
 
 import numpy as np
 
 from repro import telemetry
+from repro.crossbar.sense import digitise, part_window
 from repro.errors import ExecutionError
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
@@ -73,14 +67,9 @@ from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 __all__ = [
     "CALIBRATION_SAMPLES",
     "freeze_calibration",
-    "plan_compile_enabled",
-    "PlanFallbackWarning",
-    "PlanCompileError",
     "PlanWorkspace",
     "CompiledPlan",
 ]
-
-logger = logging.getLogger("repro.perf")
 
 #: Samples used to freeze a layer's input format and SA output window.
 CALIBRATION_SAMPLES = 64
@@ -101,37 +90,6 @@ PACKED_MAX_VECS = 2
 _MAX_BUFFER_SETS = 8
 
 
-class PlanFallbackWarning(RuntimeWarning):
-    """A compiled plan was requested but could not be built; execution
-    fell back to the per-layer interpreter (also counted as
-    ``perf.plan.fallback``)."""
-
-
-class PlanCompileError(ExecutionError):
-    """The programmed state cannot be lowered into a compiled plan."""
-
-
-def plan_compile_enabled() -> bool:
-    """Whether plan compilation is enabled (``PRIME_PLAN_COMPILE``).
-
-    ``"0"`` disables; unset/``"1"`` enable.  Any other value logs a
-    warning and keeps the default rather than raising mid-inference,
-    mirroring the other ``PRIME_*`` knobs.
-    """
-    env = os.environ.get("PRIME_PLAN_COMPILE", "").strip()
-    if env in ("", "1"):
-        return True
-    if env == "0":
-        return False
-    logger.warning(
-        "PRIME_PLAN_COMPILE must be 0 or 1, got %r; keeping the "
-        "default (enabled)",
-        env,
-    )
-    telemetry.count("perf.env.invalid", knob="PRIME_PLAN_COMPILE")
-    return True
-
-
 def _conv_geometry(layer: Conv2D, act: np.ndarray) -> tuple[int, int]:
     """Output height and width of ``layer`` over image batch ``act``."""
     if act.ndim != 4:
@@ -148,8 +106,9 @@ def _gather_patches(pix: np.ndarray, k: int, out: np.ndarray) -> None:
     ``pix`` is channel-major, ``(c, ..., hp, wp)``; ``out`` is
     ``(rows, ..., oh, ow)``.  Patch row ``(di*k + dj)*c + ch`` of the
     vector at output pixel ``(i, j)`` reads pixel ``(ch, i+di, j+dj)``
-    — the interpreter's im2col column order — so one slice copy per
-    kernel offset fills ``c`` rows for every vector at once.
+    — the im2col row order the weight matrix is laid out in — so one
+    slice copy per kernel offset fills ``c`` rows for every vector at
+    once.
     """
     c = pix.shape[0]
     oh, ow = out.shape[-2:]
@@ -200,8 +159,8 @@ def freeze_calibration(layer, programmed, act: np.ndarray, pin: int) -> None:
     lies in some patch and padding adds only zeros.  The output shift
     is the kernel's calibration over the prefix's codes.  Later chunks
     and batches reuse both; out-of-range activations saturate, as a
-    fixed hardware reference would.  The interpreter and the compiled
-    plan both freeze through here, so they freeze alike.
+    fixed hardware reference would.  Every weight step freezes through
+    here on its first run, whichever path it then takes.
     """
     prefix = act[:CALIBRATION_SAMPLES]
     peak = max(float(np.max(np.abs(prefix), initial=0.0)), 1.0)
@@ -246,7 +205,7 @@ class _ForwardStep:
         return True
 
     def run(
-        self, act: np.ndarray, with_noise: bool, store: dict
+        self, act: np.ndarray, with_noise: bool, store: dict, fused: bool
     ) -> np.ndarray:
         return self.layer.forward(act)
 
@@ -265,8 +224,8 @@ class _WeightStep:
       regime);
     * ``delegate`` — :meth:`FusedLayerKernel.mvm_batch` over
       :func:`_input_codes`, which keeps the fused-noisy and per-engine
-      fallbacks (remapped tiles, on-lattice faulted arrays, read noise)
-      bit-identical to the interpreter.
+      paths (remapped tiles, on-lattice faulted arrays, read noise,
+      and every layer when the plan runs with ``fused=False``).
 
     Dense steps drive one vector per sample, conv steps one per output
     pixel; the two share the quantiser (:meth:`_split`) and the SA
@@ -294,7 +253,6 @@ class _WeightStep:
         self.offs = [0]
         for rows in self.rows_used:
             self.offs.append(self.offs[-1] + rows)
-        self.limit = float((1 << spec.po) - 1)
         w_cat = kernel.weight_stack()
         self.cdtype = w_cat.dtype
         self._w_ref = w_cat
@@ -393,31 +351,23 @@ class _WeightStep:
         # equals quantize_int's division.
         self.inv_in_res = 1.0 / in_fmt.resolution
         self.code_max = float(in_fmt.int_max)
-        # Digitisation constants (engine Eq. 8): [phase, half] part
-        # weights -> SA pre-shift and post-scale, zero for parts whose
-        # window lies entirely below the SA register.
-        pws = np.array(
-            [
-                [(spec.pin + spec.pw) // 2, spec.pin // 2],
-                [spec.pw // 2, 0],
-            ]
-        )
-        shifts = np.maximum(0, self.shift - pws)
-        active = shifts < spec.part_full_bits
-        pre = np.where(active, 2.0 ** -shifts.astype(np.float64), 0.0)
-        post = np.where(active, 2.0 ** (pws - self.shift + shifts), 0.0)
-        self.post_is_one = bool(active.all() and np.all(post == 1.0))
-        # Count planes are [phase, half] for dense steps and
-        # [half, phase] for conv steps (see _conv_inline).
+        # The SA window of each [phase, half] part plane.  Count
+        # planes are [phase, half] for dense steps and [half, phase]
+        # for conv steps (see _conv_inline).
+        pre, post = part_window(spec, self.shift)
         if self.is_conv:
             pre, post = pre.T, post.T
         self.pre_c = pre.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
-        self.post_c = post.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
+        self.post_c = (
+            None
+            if np.all(post == 1.0)
+            else post.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
+        )
         # Inline exactness: the noise-free fused regime, plus every
         # digitised value representable in the count dtype.
         elem_ok = (
             self.cdtype != np.float32
-            or self.limit * float(post.max()) < float(1 << 24)
+            or ((1 << spec.po) - 1) * float(post.max()) < float(1 << 24)
         )
         self.inline_ok = self.kernel.can_fuse(with_noise=False) and elem_ok
         self.packed_ok = (
@@ -551,17 +501,17 @@ class _WeightStep:
     # -- execution ------------------------------------------------------
 
     def run(
-        self, act: np.ndarray, with_noise: bool, store: dict
+        self, act: np.ndarray, with_noise: bool, store: dict, fused: bool
     ) -> np.ndarray:
         if telemetry.enabled():
             with telemetry.span(
                 "executor.layer", layer=type(self.layer).__name__
             ):
-                return self._run(act, with_noise, store)
-        return self._run(act, with_noise, store)
+                return self._run(act, with_noise, store, fused)
+        return self._run(act, with_noise, store, fused)
 
     def _run(
-        self, act: np.ndarray, with_noise: bool, store: dict
+        self, act: np.ndarray, with_noise: bool, store: dict, fused: bool
     ) -> np.ndarray:
         if self.is_conv:
             oh, ow = _conv_geometry(self.layer, act)
@@ -569,23 +519,31 @@ class _WeightStep:
             act = act.reshape(act.shape[0], -1)
         if self.in_fmt is None:
             self._lower(act)
-        inline = self.inline_ok and not (
-            with_noise and self.kernel._noisy(True)
+        inline = (
+            fused
+            and self.inline_ok
+            and not (with_noise and self.kernel._noisy(True))
         )
         if inline and self.is_conv:
             return self._conv_inline(act, oh, ow, store)
         if inline:
             return self._inline(act, store)
-        result = self._delegate(act, with_noise)
+        result = self._delegate(act, with_noise, fused)
         if self.is_conv:
             return result.reshape(act.shape[0], oh, ow, self.t)
         return result
 
-    def _delegate(self, act: np.ndarray, with_noise: bool) -> np.ndarray:
-        """The interpreter's math (kernel dispatch included)."""
+    def _delegate(
+        self, act: np.ndarray, with_noise: bool, fused: bool
+    ) -> np.ndarray:
+        """The kernel's own dispatch: fused when it can fuse, the
+        per-engine walk otherwise or when ``fused`` is off."""
         codes = _input_codes(self.layer, act, self.in_fmt)
         outputs = self.kernel.mvm_batch(
-            codes, with_noise=with_noise, output_shift=self.shift
+            codes,
+            with_noise=with_noise,
+            output_shift=self.shift,
+            fused=fused and self.kernel.can_fuse(with_noise),
         )
         return outputs * self.scale
 
@@ -737,19 +695,15 @@ class _WeightStep:
 
         ``parts`` views the count planes with the drive phase and the
         weight half as two length-2 axes, in the order ``pre_c`` and
-        ``post_c`` were baked for.  ``clip(trunc(c * pre), -limit,
-        limit) * post`` equals the engine's ``sign * min(floor(|c| /
-        2**shift), limit)`` (truncation toward zero) rescaled to the
-        output LSB, for integer and continuous counts alike, and the
+        ``post_c`` were baked for, and goes through the one SA transfer
+        function (:func:`~repro.crossbar.sense.digitise`).  The
         digitised values stay exact by the compile-time bounds, so
-        summing the planes into a float64 buffer reproduces the
-        interpreter's int64 totals bit for bit.
+        summing the planes into a float64 buffer reproduces the walk's
+        int64 totals bit for bit.
         """
-        parts *= self.pre_c
-        np.trunc(parts, out=parts)
-        np.clip(parts, -self.limit, self.limit, out=parts)
-        if not self.post_is_one:
-            parts *= self.post_c
+        digitise(
+            parts, self.pre_c, self.post_c, self.kernel.spec.po, out=parts
+        )
 
 
 class CompiledPlan:
@@ -757,8 +711,8 @@ class CompiledPlan:
 
     Built by :meth:`compile` from a programmed-layer chain, calibrated
     or not (the first execution freezes what is missing, step by step);
-    :meth:`execute` replaces the per-layer loop inside
-    ``run_functional``.  The plan holds *references* to the programmed
+    :meth:`execute` runs each chunk of ``run_functional``.  The plan
+    holds *references* to the programmed
     state (engines, kernels, formats) — :meth:`matches` detects
     reprogramming / recalibration / kernel invalidation, and the
     executor recompiles when it no longer holds.  The programmed layers
@@ -827,14 +781,14 @@ class CompiledPlan:
 
         The chain may be uncalibrated: each weight step freezes its
         layer's calibration on its first run (see :class:`_WeightStep`).
-        Raises :class:`PlanCompileError` when the programmed state does
-        not line up with the network's weight layers.
+        Raises :class:`~repro.errors.ExecutionError` when the programmed
+        state does not line up with the network's weight layers.
         """
         weight_layers = [
             l for l in network.layers if isinstance(l, (Dense, Conv2D))
         ]
         if len(weight_layers) != len(layers):
-            raise PlanCompileError(
+            raise ExecutionError(
                 f"network has {len(weight_layers)} weight layers but "
                 f"{len(layers)} programmed layers were supplied"
             )
@@ -866,13 +820,17 @@ class CompiledPlan:
             and all(step.valid() for step in self.steps)
         )
 
-    def execute(self, act: np.ndarray, with_noise: bool = False):
+    def execute(
+        self, act: np.ndarray, with_noise: bool = False, fused: bool = True
+    ):
         """One chunk's pass through the flat step list.
 
-        Re-entrant: each call leases a private :class:`PlanWorkspace`
-        for its scratch buffers (released in ``finally``, so the pool
-        returns to full even when a step raises) while the weight
-        stacks stay shared and read-only.  The final activation is
+        ``fused=False`` delegates every weight step to the per-engine
+        walk, the semantic reference.  Re-entrant: each call leases a
+        private :class:`PlanWorkspace` for its scratch buffers
+        (released in ``finally``, so the pool returns to full even when
+        a step raises) while the weight stacks stay shared and
+        read-only.  The final activation is
         copied out when the last step is a weight layer: its inline
         path returns a workspace buffer that the workspace's next
         execution would otherwise overwrite in place.  The first
@@ -883,7 +841,7 @@ class CompiledPlan:
         workspace = self._lease()
         try:
             for step, store in zip(self.steps, workspace.stores):
-                act = step.run(act, with_noise, store)
+                act = step.run(act, with_noise, store, fused)
             if isinstance(self.steps[-1], _WeightStep):
                 act = act.copy()
         finally:

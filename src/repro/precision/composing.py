@@ -146,6 +146,20 @@ class ComposingSpec:
         """Right shift from full precision to the Po-bit target (Eq. 3)."""
         return self.full_bits - self.po
 
+    @property
+    def part_exponents(self) -> dict[str, int]:
+        """Power-of-two weight ``w_X`` of each partial product in Eq. 8.
+
+        The one Eq. 8 table: the composed reference, the error bound
+        and every tier's sense-amp window read it.
+        """
+        return {
+            "HH": (self.pin + self.pw) // 2,
+            "HL": self.pw // 2,
+            "LH": self.pin // 2,
+            "LL": 0,
+        }
+
     def part_keep_bits(self) -> dict[str, int]:
         """SA precision (top bits kept) for each partial product."""
         return {
@@ -173,12 +187,7 @@ class ComposingSpec:
         which is 0 for every active part under the default widths —
         i.e. the adder simply accumulates the kept integers.
         """
-        weights = {
-            "HH": (self.pin + self.pw) // 2,
-            "HL": self.pw // 2,
-            "LH": self.pin // 2,
-            "LL": 0,
-        }
+        weights = self.part_exponents
         out: dict[str, int] = {}
         for name, keep in self.part_keep_bits().items():
             if keep <= 0:
@@ -254,12 +263,7 @@ def composing_error_bound(spec: ComposingSpec) -> int:
     contribution; the bound sums those losses in target-LSB units.
     """
     keep = spec.part_keep_bits()
-    weights = {
-        "HH": (spec.pin + spec.pw) // 2,
-        "HL": spec.pw // 2,
-        "LH": spec.pin // 2,
-        "LL": 0,
-    }
+    weights = spec.part_exponents
     bound = 0.0
     for name, k in keep.items():
         contribution_shift = weights[name] - spec.target_shift

@@ -62,6 +62,7 @@ from repro.core.executor import PrimeExecutor, ProgrammedLayer
 from repro.core.mapping import MappingPlan
 from repro.device.faults import env_fault_rates
 from repro.errors import ConfigurationError
+from repro.knobs import env_knob
 from repro.nn.network import Sequential
 from repro.params.prime import PrimeConfig
 from repro.perf.kernels import fused_enabled, scoped_noise_stream
@@ -97,6 +98,13 @@ logger = logging.getLogger("repro.serve")
 _POOL_TIMEOUT_DEFAULT_S = 300.0
 
 
+def _positive_seconds(raw: str) -> float:
+    value = float(raw)
+    if value <= 0.0 or not np.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def pool_timeout_s() -> float:
     """Pool worker probe/initialise timeout (``PRIME_POOL_TIMEOUT_S``).
 
@@ -105,23 +113,16 @@ def pool_timeout_s() -> float:
     reprogram).  Bad values log a warning and keep the default rather
     than raising at deploy time, mirroring the other ``PRIME_*`` knobs.
     """
-    env = os.environ.get("PRIME_POOL_TIMEOUT_S", "").strip()
-    if not env:
-        return _POOL_TIMEOUT_DEFAULT_S
-    try:
-        value = float(env)
-    except ValueError:
-        value = 0.0
-    if value <= 0.0 or not np.isfinite(value):
-        logger.warning(
-            "PRIME_POOL_TIMEOUT_S must be a positive number, got %r; "
-            "keeping the default (%gs)",
-            env,
-            _POOL_TIMEOUT_DEFAULT_S,
-        )
-        telemetry.count("perf.env.invalid", knob="PRIME_POOL_TIMEOUT_S")
-        return _POOL_TIMEOUT_DEFAULT_S
-    return value
+    return env_knob(
+        "PRIME_POOL_TIMEOUT_S",
+        _positive_seconds,
+        _POOL_TIMEOUT_DEFAULT_S,
+        logger,
+        "a positive number",
+        f"keeping the default ({_POOL_TIMEOUT_DEFAULT_S:g}s)",
+    )
+
+
 #: Shared-memory slots per replica slab — the inflight micro-batch
 #: depth one replica's slab can hold before dispatch falls back to
 #: pickling (the runtime keeps at most a handful of batches inflight
@@ -141,6 +142,12 @@ _SLAB_SLOTS = 4
 _INLINE_MAX_SAMPLES = 2
 
 
+def _switch(raw: str) -> bool:
+    if raw not in ("0", "1"):
+        raise ValueError(raw)
+    return raw == "1"
+
+
 def shm_enabled() -> bool:
     """Whether shared-memory dispatch is enabled (``PRIME_SHM``).
 
@@ -148,18 +155,23 @@ def shm_enabled() -> bool:
     warning and keeps the default rather than raising at deploy time,
     mirroring the other ``PRIME_*`` knobs.
     """
-    env = os.environ.get("PRIME_SHM", "").strip()
-    if env in ("", "1"):
-        return True
-    if env == "0":
-        return False
-    logger.warning(
-        "PRIME_SHM must be 0 or 1, got %r; keeping the default "
-        "(enabled)",
-        env,
+    return env_knob(
+        "PRIME_SHM",
+        _switch,
+        True,
+        logger,
+        "0 or 1",
+        "keeping the default (enabled)",
     )
-    telemetry.count("perf.env.invalid", knob="PRIME_SHM")
-    return True
+
+
+def _dispatch_choice(raw: str) -> str | None:
+    mode = raw.lower()
+    if mode == "auto":
+        return None
+    if mode not in ("serial", "thread", "process"):
+        raise ValueError(raw)
+    return mode
 
 
 def dispatch_mode() -> str | None:
@@ -172,18 +184,14 @@ def dispatch_mode() -> str | None:
     log a warning and keep the default rather than raising at deploy
     time, mirroring the other ``PRIME_*`` knobs.
     """
-    env = os.environ.get("PRIME_DISPATCH", "").strip().lower()
-    if not env or env == "auto":
-        return None
-    if env in ("serial", "thread", "process"):
-        return env
-    logger.warning(
-        "PRIME_DISPATCH must be serial, thread, process, or auto, got "
-        "%r; keeping the default (auto)",
-        env,
+    return env_knob(
+        "PRIME_DISPATCH",
+        _dispatch_choice,
+        None,
+        logger,
+        "serial, thread, process, or auto",
+        "keeping the default (auto)",
     )
-    telemetry.count("perf.env.invalid", knob="PRIME_DISPATCH")
-    return None
 
 
 #: Modelled programmed state per crossbar cell: the int16 MLC level

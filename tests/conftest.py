@@ -10,6 +10,34 @@ from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
 
 
+def _float_im2col(layer, act):
+    """A stride-1 conv's float patch matrix over image batch ``act``.
+
+    One row per output pixel, columns in ``(di * k + dj) * c + ch``
+    order (the layer's weight-row order), plus the ``(batch, oh, ow)``
+    geometry.
+    """
+    p, k = layer.pad, layer.kernel
+    act = np.pad(act, ((0, 0), (p, p), (p, p), (0, 0)))
+    b, h, w, c = act.shape
+    oh, ow = h - k + 1, w - k + 1
+    patches = np.empty((b, oh, ow, k * k * c))
+    for i in range(k):
+        for j in range(k):
+            patches[..., (i * k + j) * c : (i * k + j + 1) * c] = act[
+                :, i : i + oh, j : j + ow
+            ]
+    return patches.reshape(b * oh * ow, k * k * c), (b, oh, ow)
+
+
+@pytest.fixture(scope="session")
+def float_im2col():
+    """The float im2col of a stride-1 conv: the reference the plan's
+    integer code gather (which the command runner shares) is checked
+    against."""
+    return _float_im2col
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministically seeded generator per test."""

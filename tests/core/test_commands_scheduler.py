@@ -8,7 +8,9 @@ from repro.core.commands import BufferLayout, BufferRegion, CommandStreamRunner
 from repro.core.scheduler import BankScheduler, co_schedule
 from repro.errors import ExecutionError, MappingError
 from repro.eval.workloads import get_workload
+from repro.nn.layers import Conv2D, Dense
 from repro.nn.topology import parse_topology
+from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,74 @@ class TestCommandStreamRunner:
         )
         stored = np.frombuffer(raw.tobytes(), dtype=np.float32)
         assert np.allclose(stored, logits.astype(np.float32))
+
+
+def _reference_sample(session, x, float_im2col):
+    """One sample through ``session``'s programmed engines, as the
+    command stream defines it: float im2col vectors with the bias
+    input, a per-sample input format, ``calibrate_output_shift`` over
+    the sample's codes, and the per-engine tile walk; float32 at the
+    memory boundaries."""
+    pin = session.executor.config.crossbar.effective_input_bits
+    act = x.astype(np.float32).astype(np.float64)[None]
+    programmed = iter(session._programmed)
+    for layer in session.network.layers:
+        if not isinstance(layer, (Dense, Conv2D)):
+            act = layer.forward(act)
+            continue
+        entry = next(programmed)
+        if isinstance(layer, Conv2D):
+            vectors, spatial = float_im2col(layer, act)
+        else:
+            vectors, spatial = act.reshape(1, -1), (1,)
+        vecs = np.concatenate([vectors, np.ones((len(vectors), 1))], axis=1)
+        fmt = DynamicFixedPoint.for_data(vecs, bits=pin, signed=False)
+        codes = fmt.quantize_int(np.clip(vecs, 0.0, None))
+        shift = entry.kernel.calibrate_output_shift(codes)
+        out = 0
+        r0 = 0
+        for row in entry.tiles:
+            rows = row[0].rows_used
+            out = out + np.concatenate(
+                [
+                    engine.mvm_batch(
+                        codes[:, r0 : r0 + rows],
+                        with_noise=False,
+                        output_shift=shift,
+                    )
+                    for engine in row
+                ],
+                axis=1,
+            )
+            r0 += rows
+        scale = 2.0**shift * fmt.resolution * entry.w_fmt.resolution
+        act = (out * scale).reshape(*spatial, -1)
+    return act.reshape(-1).astype(np.float32).astype(np.float64)
+
+
+class TestCommandStreamReference:
+    """run_sample bit for bit against :func:`_reference_sample`."""
+
+    def test_mlp_sample(
+        self, programmed_session, tiny_digit_data, float_im2col
+    ):
+        # An input peak under 1/2: the bias input sets layer 0's format.
+        x = 0.4 * tiny_digit_data[2][5]
+        logits = CommandStreamRunner(programmed_session).run_sample(x)
+        np.testing.assert_array_equal(
+            logits, _reference_sample(programmed_session, x, float_im2col)
+        )
+
+    def test_cnn_sample(self, trained_tiny_cnn, float_im2col):
+        topology, net, x_test, _ = trained_tiny_cnn
+        session = PrimeSession(seed=23)
+        session.map_topology(topology)
+        session.program_weight(net)
+        session.config_datapath()
+        logits = CommandStreamRunner(session).run_sample(x_test[2])
+        np.testing.assert_array_equal(
+            logits, _reference_sample(session, x_test[2], float_im2col)
+        )
 
 
 class TestBankScheduler:

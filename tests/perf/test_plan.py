@@ -2,15 +2,14 @@
 
 The contract under test: with noise off, ``run_functional`` produces
 *bit-identical* outputs whether a layer chain executes through the
-compiled plan, the fused kernels with compilation disabled
-(``PRIME_PLAN_COMPILE=0``), or the per-engine tile walk
-(``PRIME_FUSED=0``); both paths charge the same hardware counters; the
-noisy path reproduces under a fixed seed; chunked streaming never
-changes the output; and the plan cache invalidates itself when the
-programmed state it was compiled from changes.
+compiled plan or, with ``PRIME_FUSED=0``, through the per-engine tile
+walk at every weight step; both paths charge the same hardware
+counters; the noisy path reproduces under a fixed seed; chunked
+streaming never changes the output; and the plan cache invalidates
+itself when the programmed state it was compiled from changes.
 """
 
-import warnings
+import collections
 
 import numpy as np
 import pytest
@@ -18,16 +17,13 @@ import pytest
 from repro import telemetry
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
+from repro.crossbar.engine import CrossbarMVMEngine
+from repro.errors import ExecutionError
 from repro.eval.workloads import get_workload
 from repro.nn.layers import Conv2D, Dense
 from repro.params.prime import DEFAULT_PRIME_CONFIG
 from repro.perf import plan as plan_mod
-from repro.perf.plan import (
-    CALIBRATION_SAMPLES,
-    CompiledPlan,
-    PlanFallbackWarning,
-    plan_compile_enabled,
-)
+from repro.perf.plan import CALIBRATION_SAMPLES, CompiledPlan
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 from repro.serve import ServeConfig, ServingRuntime
 
@@ -44,17 +40,16 @@ def executor():
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv("PRIME_PLAN_COMPILE", raising=False)
     monkeypatch.delenv("PRIME_FUSED", raising=False)
     monkeypatch.delenv("PRIME_FUNC_CHUNK_BYTES", raising=False)
 
 
 def _run_modes(executor, compiler, monkeypatch, topology, net, x):
-    """run_functional under all three execution paths, same inputs.
+    """run_functional compiled, then walked, same inputs.
 
     The first pass over a fresh programmed list compiles the plan and
-    freezes calibration; each later mode runs against that calibrated
-    list, and the compiled mode asserts the plan really engaged.
+    freezes calibration; the walk runs against that calibrated list,
+    and the compiled mode asserts the plan really engaged.
     """
     plan = compiler.compile(topology)
     programmed = executor.program_network(net, plan)
@@ -63,57 +58,59 @@ def _run_modes(executor, compiler, monkeypatch, topology, net, x):
         net, plan, x, programmed=programmed
     )
     assert programmed[0].compiled_plan is not None
-    monkeypatch.setenv("PRIME_PLAN_COMPILE", "0")
-    fused = executor.run_functional(net, plan, x, programmed=programmed)
     monkeypatch.setenv("PRIME_FUSED", "0")
     walked = executor.run_functional(net, plan, x, programmed=programmed)
     # The calibrating first pass saw the same inputs.
     np.testing.assert_array_equal(warmup, compiled)
-    return compiled, fused, walked
+    return compiled, walked
 
 
-class TestPlanKnob:
-    def test_default_enabled(self):
-        assert plan_compile_enabled()
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("PRIME_PLAN_COMPILE", "0")
-        assert not plan_compile_enabled()
-
-    def test_invalid_value_warns_and_keeps_default(self, monkeypatch):
-        monkeypatch.setenv("PRIME_PLAN_COMPILE", "banana")
-        session = telemetry.enable(fresh=True)
-        try:
-            assert plan_compile_enabled()
-            assert (
-                session.metrics.counter_value(
-                    "perf.env.invalid", knob="PRIME_PLAN_COMPILE"
-                )
-                == 1
-            )
-        finally:
-            telemetry.disable()
-
-    def test_fused_off_disables_plan_too(
+class TestWalkKnob:
+    def test_fused_off_walks_every_step(
         self, executor, compiler, monkeypatch, trained_tiny_mlp,
         tiny_digit_data,
     ):
-        """PRIME_FUSED=0 must force the per-engine walk — the plan is
-        the fused tier's successor and stands down with it."""
+        """PRIME_FUSED=0 sends every weight step of the compiled plan
+        down the per-engine walk: no inline path runs, each engine's
+        mvm_batch fires once per chunk, and the output equals the
+        default run."""
         topology, net = trained_tiny_mlp
         _, _, x_test, _ = tiny_digit_data
+        x = x_test[:80]
         plan = compiler.compile(topology)
         programmed = executor.program_network(net, plan)
+        default = executor.run_functional(
+            net, plan, x, programmed=programmed
+        )
+        fired = collections.Counter()
+        mvm_batch = CrossbarMVMEngine.mvm_batch
+
+        def spy(engine, *args, **kwargs):
+            fired[id(engine)] += 1
+            return mvm_batch(engine, *args, **kwargs)
+
+        def inline(*args, **kwargs):
+            raise AssertionError("inline path ran under PRIME_FUSED=0")
+
+        monkeypatch.setattr(CrossbarMVMEngine, "mvm_batch", spy)
+        monkeypatch.setattr(plan_mod._WeightStep, "_inline", inline)
+        monkeypatch.setattr(plan_mod._WeightStep, "_conv_inline", inline)
+        # Two chunks: the 64-sample calibration prefix, then 16.
+        monkeypatch.setattr(
+            executor, "_chunk_samples", lambda plan, batch, chunk_bytes: 40
+        )
         monkeypatch.setenv("PRIME_FUSED", "0")
-        for _ in range(2):  # second run would engage the plan
-            executor.run_functional(
-                net, plan, x_test[:4], programmed=programmed
-            )
-        assert programmed[0].compiled_plan is None
+        walked = executor.run_functional(
+            net, plan, x, programmed=programmed
+        )
+        engines = [e for p in programmed for row in p.tiles for e in row]
+        assert fired == {id(e): 2 for e in engines}
+        assert isinstance(programmed[0].compiled_plan, CompiledPlan)
+        np.testing.assert_array_equal(walked, default)
 
 
 class TestBitIdentity:
-    """compiled == fused == per-engine, exact (==, not allclose)."""
+    """compiled == per-engine walk, exact (==, not allclose)."""
 
     def test_trained_mlp(
         self, executor, compiler, monkeypatch, trained_tiny_mlp,
@@ -121,20 +118,18 @@ class TestBitIdentity:
     ):
         topology, net = trained_tiny_mlp
         _, _, x_test, _ = tiny_digit_data
-        compiled, fused, walked = _run_modes(
+        compiled, walked = _run_modes(
             executor, compiler, monkeypatch, topology, net, x_test[:80]
         )
-        np.testing.assert_array_equal(compiled, fused)
         np.testing.assert_array_equal(compiled, walked)
 
     def test_trained_cnn(
         self, executor, compiler, monkeypatch, trained_tiny_cnn
     ):
         topology, net, x_test, _ = trained_tiny_cnn
-        compiled, fused, walked = _run_modes(
+        compiled, walked = _run_modes(
             executor, compiler, monkeypatch, topology, net, x_test[:20]
         )
-        np.testing.assert_array_equal(compiled, fused)
         np.testing.assert_array_equal(compiled, walked)
 
     @pytest.mark.parametrize("workload", ["MLP-S", "CNN-1"])
@@ -148,10 +143,10 @@ class TestBitIdentity:
         x = np.random.default_rng(4).random(
             (12, *np.atleast_1d(topology.input_shape))
         )
-        compiled, fused, _ = _run_modes(
+        compiled, walked = _run_modes(
             executor, compiler, monkeypatch, topology, net, x
         )
-        np.testing.assert_array_equal(compiled, fused)
+        np.testing.assert_array_equal(compiled, walked)
 
     @pytest.mark.parametrize("batch", [1, 2, 3, 17])
     def test_packed_and_unpacked_batches_agree(
@@ -159,14 +154,14 @@ class TestBitIdentity:
         tiny_digit_data, batch,
     ):
         """Tiny batches take the packed-field kernel, wide ones the
-        trimmed-stack kernel; both must match the fused reference."""
+        trimmed-stack kernel; both must match the per-engine walk."""
         topology, net = trained_tiny_mlp
         _, _, x_test, _ = tiny_digit_data
-        compiled, fused, _ = _run_modes(
+        compiled, walked = _run_modes(
             executor, compiler, monkeypatch, topology, net,
             x_test[:batch],
         )
-        np.testing.assert_array_equal(compiled, fused)
+        np.testing.assert_array_equal(compiled, walked)
 
 
 class TestChunkedStreaming:
@@ -199,16 +194,13 @@ class TestSeededNoise:
         self, compiler, trained_tiny_mlp, tiny_digit_data
     ):
         """With noise on the plan delegates to the kernels' seeded
-        stream; two same-seed executors agree bit-for-bit, and the
-        compiled path matches compilation disabled."""
+        stream; two same-seed executors agree bit-for-bit."""
         topology, net = trained_tiny_mlp
         _, _, x_test, _ = tiny_digit_data
         plan = compiler.compile(topology)
         x = x_test[:16]
 
-        def run(seed, env=None):
-            import os
-
+        def run(seed):
             ex = PrimeExecutor(DEFAULT_PRIME_CONFIG)
             programmed = ex.program_network(
                 net, plan, rng=np.random.default_rng(seed)
@@ -216,27 +208,17 @@ class TestSeededNoise:
             # Calibration pass (noise off), so the measured run needs
             # no freezing; it never touches the read-noise stream.
             ex.run_functional(net, plan, x, programmed=programmed)
-            if env:
-                os.environ.update(env)
-            try:
-                out = ex.run_functional(
-                    net, plan, x, programmed=programmed,
-                    with_noise=True,
-                )
-            finally:
-                for k in env or {}:
-                    os.environ.pop(k, None)
-            if not env:
-                assert programmed[0].compiled_plan is not None
+            out = ex.run_functional(
+                net, plan, x, programmed=programmed, with_noise=True
+            )
+            assert programmed[0].compiled_plan is not None
             return out
 
         a = run(11)
         b = run(11)
         c = run(12)
-        d = run(11, env={"PRIME_PLAN_COMPILE": "0"})
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
-        np.testing.assert_array_equal(a, d)
 
 
 class TestTelemetryParity:
@@ -297,11 +279,10 @@ class TestTelemetryParity:
         compiled = self._counters(
             executor, compiler, trained_tiny_mlp, x, {}
         )
-        legacy = self._counters(
-            executor, compiler, trained_tiny_mlp, x,
-            {"PRIME_PLAN_COMPILE": "0"},
+        walked = self._counters(
+            executor, compiler, trained_tiny_mlp, x, {"PRIME_FUSED": "0"}
         )
-        assert compiled == legacy
+        assert compiled == walked
         assert compiled[0] > 0 and compiled[4] > 0
 
 
@@ -336,7 +317,7 @@ class TestPlanCache:
         self, executor, compiler, trained_tiny_mlp, tiny_digit_data
     ):
         """invalidate() (the resilience remap hook) must stale the
-        cached plan; the recompiled plan still matches the fused path."""
+        cached plan; the recompiled plan still matches the walk."""
         import os
 
         _, _, x_test, _ = tiny_digit_data
@@ -352,59 +333,29 @@ class TestPlanCache:
         )
         assert host.compiled_plan is not first
         np.testing.assert_array_equal(before, after)
-        os.environ["PRIME_PLAN_COMPILE"] = "0"
+        os.environ["PRIME_FUSED"] = "0"
         try:
-            legacy = executor.run_functional(
+            walked = executor.run_functional(
                 net, plan, x_test[:8], programmed=programmed
             )
         finally:
-            os.environ.pop("PRIME_PLAN_COMPILE", None)
-        np.testing.assert_array_equal(after, legacy)
+            os.environ.pop("PRIME_FUSED", None)
+        np.testing.assert_array_equal(after, walked)
 
-    def test_compile_failure_warns_once_and_falls_back(
-        self, executor, compiler, monkeypatch, trained_tiny_mlp,
-        tiny_digit_data,
+    def test_mismatched_programmed_list_raises(
+        self, executor, compiler, trained_tiny_mlp, tiny_digit_data
     ):
-        """A PlanCompileError downgrades to the interpreter with one
-        PlanFallbackWarning and a perf.plan.fallback counter — results
-        unchanged."""
+        """A programmed list that does not line up with the network's
+        weight layers cannot compile, and nothing else runs it."""
         _, _, x_test, _ = tiny_digit_data
         topology, net = trained_tiny_mlp
         plan = compiler.compile(topology)
         programmed = executor.program_network(net, plan)
-        reference = executor.run_functional(
-            net, plan, x_test[:8], programmed=programmed
-        )
-
-        def boom(cls, *a, **kw):
-            raise plan_mod.PlanCompileError("synthetic failure")
-
-        monkeypatch.setattr(
-            CompiledPlan, "compile", classmethod(boom)
-        )
-        for layer in programmed:
-            layer.compiled_plan = None
-            layer.plan_warned = False
-            layer.kernel.invalidate()
-        session = telemetry.enable(fresh=True)
-        try:
-            with pytest.warns(PlanFallbackWarning):
-                out = executor.run_functional(
-                    net, plan, x_test[:8], programmed=programmed
+        for wrong in (programmed[:-1], programmed + programmed[:1]):
+            with pytest.raises(ExecutionError, match="weight layers"):
+                executor.run_functional(
+                    net, plan, x_test[:8], programmed=wrong
                 )
-            # Second run: fallback already noted, no second warning.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", PlanFallbackWarning)
-                out2 = executor.run_functional(
-                    net, plan, x_test[:8], programmed=programmed
-                )
-            assert (
-                session.metrics.counter_total("perf.plan.fallback") >= 1
-            )
-        finally:
-            telemetry.disable()
-        np.testing.assert_array_equal(out, reference)
-        np.testing.assert_array_equal(out2, reference)
 
 
 FRESH_WORKLOADS = ["MLP-S", "MLP-M", "MLP-L", "CNN-1", "CNN-2"]
@@ -425,11 +376,12 @@ def _calibration(programmed):
     return [(p.in_fmt.exponent, p.output_shift) for p in programmed]
 
 
-def _im2col_calibration(executor, net, programmed, x, pin):
-    """Each layer's calibration as the interpreter froze it before the
-    shared helper: from the float im2col vectors (bias column
-    included) of the first CALIBRATION_SAMPLES samples.  Activations
-    propagate through ``programmed``'s own frozen calibration."""
+def _im2col_forward(net, programmed, x, pin, float_im2col):
+    """Each layer's calibration as frozen from the float im2col
+    vectors (bias column included) of the first CALIBRATION_SAMPLES
+    samples, independently of the plan's code gather, and those
+    samples' outputs.  Activations propagate through ``programmed``'s
+    own frozen calibration."""
     act = x[:CALIBRATION_SAMPLES]
     frozen = []
     layers = iter(programmed)
@@ -439,9 +391,9 @@ def _im2col_calibration(executor, net, programmed, x, pin):
             continue
         entry = next(layers)
         if isinstance(layer, Conv2D):
-            vectors, _ = executor._im2col_activations(layer, act)
+            vectors, spatial = float_im2col(layer, act)
         else:
-            vectors = act.reshape(len(act), -1)
+            vectors, spatial = act.reshape(len(act), -1), (len(act),)
         vecs = np.concatenate([vectors, np.ones((len(vectors), 1))], axis=1)
         fmt = DynamicFixedPoint.for_data(vecs, bits=pin, signed=False)
         codes = fmt.quantize_int(np.clip(vecs, 0.0, None))
@@ -449,54 +401,56 @@ def _im2col_calibration(executor, net, programmed, x, pin):
             codes, calibration_samples=len(codes)
         )
         frozen.append((fmt.exponent, shift))
-        act = executor._run_weight_layer(layer, entry, act, pin, False)
-    return frozen
+        codes = entry.in_fmt.quantize_int(np.clip(vecs, 0.0, None))
+        out = entry.kernel.mvm_batch(
+            codes, with_noise=False, output_shift=entry.output_shift
+        )
+        scale = (
+            2.0 ** entry.output_shift
+            * entry.in_fmt.resolution
+            * entry.w_fmt.resolution
+        )
+        act = (out * scale).reshape(*spatial, -1)
+    return frozen, act
 
 
 class TestFreshNetworkCompiles:
     """A freshly programmed network runs its first chunk compiled: the
     plan's weight steps freeze calibration as they first run, exactly
-    as the interpreter would have."""
+    as a float-im2col reference freezes it, and the walk agrees."""
 
     def test_first_chunk_compiles_and_freezes_like_the_interpreter(
-        self, executor, monkeypatch, fresh_workload
+        self, executor, monkeypatch, fresh_workload, float_im2col
     ):
         _, net, plan, x = fresh_workload
         # An input peak under 1/2: the bias input sets layer 0's format.
         x = 0.4 * x
-        interpreted_chunks = []
-        forward_chunk = PrimeExecutor._forward_chunk
-
-        def spy(self, *args, **kwargs):
-            interpreted_chunks.append(len(args[2]))
-            return forward_chunk(self, *args, **kwargs)
-
         programmed = executor.program_network(net, plan)
         session = telemetry.enable(fresh=True)
         try:
-            with monkeypatch.context() as patch:
-                patch.setattr(PrimeExecutor, "_forward_chunk", spy)
-                compiled = executor.run_functional(
-                    net, plan, x, programmed=programmed
-                )
+            compiled = executor.run_functional(
+                net, plan, x, programmed=programmed
+            )
             compiles = session.metrics.counter_total("perf.plan.compiles")
         finally:
             telemetry.disable()
-        assert interpreted_chunks == []
         assert compiles == 1
         assert isinstance(programmed[0].compiled_plan, CompiledPlan)
 
-        monkeypatch.setenv("PRIME_PLAN_COMPILE", "0")
-        legacy = executor.program_network(net, plan)
-        interpreted = executor.run_functional(
-            net, plan, x, programmed=legacy
-        )
-        assert _calibration(programmed) == _calibration(legacy)
-        np.testing.assert_array_equal(compiled, interpreted)
+        # A fresh copy walked over the calibration prefix and 16 more
+        # samples freezes alike and computes the same rows.
+        monkeypatch.setenv("PRIME_FUSED", "0")
+        walk = executor.program_network(net, plan)
+        n = CALIBRATION_SAMPLES + 16
+        walked = executor.run_functional(net, plan, x[:n], programmed=walk)
+        assert _calibration(programmed) == _calibration(walk)
+        np.testing.assert_array_equal(compiled[:n], walked)
         pin = DEFAULT_PRIME_CONFIG.crossbar.effective_input_bits
-        assert _calibration(programmed) == _im2col_calibration(
-            executor, net, programmed, x, pin
+        frozen, out = _im2col_forward(
+            net, programmed, x, pin, float_im2col
         )
+        assert _calibration(programmed) == frozen
+        np.testing.assert_array_equal(compiled[:CALIBRATION_SAMPLES], out)
 
     def test_reset_calibration_recalibrates_on_the_next_call(
         self, executor, fresh_workload

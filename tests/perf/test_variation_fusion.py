@@ -22,9 +22,11 @@ from repro import telemetry
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.nn.layers import Conv2D
 from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
 from repro.params.prime import DEFAULT_PRIME_CONFIG
+from repro.perf import plan as plan_mod
 from repro.perf.kernels import FusedLayerKernel
 from repro.serve.dispatcher import WorkerSpec, reprogram_state
 from repro.serve.health import apply_drift
@@ -44,7 +46,6 @@ def compiler():
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv("PRIME_PLAN_COMPILE", raising=False)
     monkeypatch.delenv("PRIME_FUSED", raising=False)
     monkeypatch.delenv("PRIME_FUNC_CHUNK_BYTES", raising=False)
     telemetry.disable()
@@ -256,23 +257,44 @@ def test_conv_geometries_compiled_equal_walk(
 
 @pytest.mark.parametrize("batch", [1, 65])
 def test_conv_geometries_delegated_with_noise(
-    executor, conv_geometry, monkeypatch, batch
+    executor, conv_geometry, monkeypatch, batch, float_im2col
 ):
     """With read noise on, the plan's steps delegate to the kernels
-    with codes from the slice-copy gather; same-seed copies equal the
-    interpreter's float im2col codes through the same noise draws."""
+    with codes from the slice-copy gather: each conv step's codes equal
+    a float-im2col quantisation of its input at the frozen format, and
+    same-seed copies reproduce through the same noise draws."""
     net, plan, x = conv_geometry
+    delegated = []
+    delegate = plan_mod._WeightStep._delegate
+    mvm_batch = FusedLayerKernel.mvm_batch
 
-    def noisy(compile_plan):
-        monkeypatch.setenv("PRIME_PLAN_COMPILE", "1" if compile_plan else "0")
+    def spy_delegate(step, act, *args):
+        delegated.append([step, act.copy(), None])
+        return delegate(step, act, *args)
+
+    def spy_mvm(kernel, codes, *args, **kwargs):
+        delegated[-1][2] = np.array(codes)
+        return mvm_batch(kernel, codes, *args, **kwargs)
+
+    monkeypatch.setattr(plan_mod._WeightStep, "_delegate", spy_delegate)
+    monkeypatch.setattr(FusedLayerKernel, "mvm_batch", spy_mvm)
+
+    def noisy():
         programmed = _program(executor, net, plan, 31)
         assert all(p.kernel._noisy(True) for p in programmed)
         return executor.run_functional(
             net, plan, x[:batch], programmed=programmed, with_noise=True
         )
 
-    compiled = noisy(True)
-    np.testing.assert_array_equal(compiled, noisy(False))
+    compiled = noisy()
+    convs = [d for d in delegated if isinstance(d[0].layer, Conv2D)]
+    assert len(convs) == 2
+    for step, act, codes in convs:
+        vectors, _ = float_im2col(step.layer, act)
+        vecs = np.concatenate([vectors, np.ones((len(vectors), 1))], axis=1)
+        expected = step.in_fmt.quantize_int(np.clip(vecs, 0.0, None))
+        np.testing.assert_array_equal(codes, expected)
+    np.testing.assert_array_equal(compiled, noisy())
     quiet = executor.run_functional(
         net, plan, x[:batch], programmed=_program(executor, net, plan, 31)
     )
