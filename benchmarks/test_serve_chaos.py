@@ -5,15 +5,17 @@ same 400-request traffic:
 
 * ``fault-free`` — the baseline goodput;
 * ``kill``       — a seeded :class:`FaultPlan` kills one of the two
-  replica workers mid-run (a real ``os._exit`` in the pool worker);
-* ``drift``      — seeded conductance drift silently degrades one
-  replica until the periodic health probe schedules background
-  reprogramming.
+  replica threads mid-run (an injected
+  :class:`~repro.serve.health.WorkerCrash`);
+* ``drift``      — seeded conductance drift silently degrades the
+  shared programmed copy until the periodic health probe schedules
+  background reprogramming.
 
-Acceptance gates (the ISSUE's chaos criteria):
+Acceptance gates:
 
-* the cluster recovers — the dead replica is respawned (>= 1 restart
-  with measured cost) and the run completes without deadlock;
+* the runtime recovers — the dead replica is restarted by cooperative
+  cancellation (>= 1 restart with measured cost) and the run completes
+  without deadlock;
 * goodput under the kill stays >= 0.8x fault-free;
 * zero admitted requests are silently lost: every request either
   completes or is shed with a recorded reason;
@@ -116,7 +118,7 @@ def _scenario(name: str) -> dict:
         TOPOLOGY,
         config=_config(),
         serve_config=ServeConfig(
-            mode="process",
+            mode="thread",
             max_batch=MAX_BATCH,
             pace_batch_s=PACE_S,
             tenant=name,
@@ -127,7 +129,7 @@ def _scenario(name: str) -> dict:
         fault_plan=FaultPlan.of(*PLANS[name]),
     )
     with runtime:
-        assert runtime.mode == "process" and runtime.replicas == 2
+        assert runtime.mode == "thread" and runtime.replicas == 2
         requests = [runtime.submit(x) for x in traffic]
         start = time.perf_counter()
         runtime.pump(flush=True)
@@ -200,7 +202,7 @@ def test_chaos_kill_recovers_with_goodput_floor():
     """The headline gate: kill one of two replicas mid-run."""
     base = _scenario("fault-free")
     kill = _scenario("kill")
-    # Recovery: the dead replica was respawned (measured cost), the
+    # Recovery: the dead replica was restarted (measured cost), the
     # run drained without deadlock, nothing was lost silently.
     assert len(kill["restarts"]) == 1
     assert kill["restarts"][0]["reason"] == "crash"

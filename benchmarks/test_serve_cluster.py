@@ -2,7 +2,7 @@
 
 Tracks the pipelined-dispatch tentpole across PRs: two MLP-L
 deployments on disjoint bank grants, driven by a saturating open-loop
-arrival process in process mode, must reach >= 1.5x the aggregate
+arrival process in thread mode, must reach >= 1.5x the aggregate
 goodput of the same grants served through the synchronous per-model
 pump, with per-tenant results bit-identical to
 ``ServingRuntime.reference`` in both modes and replica idle fractions
@@ -80,7 +80,7 @@ def _tenants(rate_rps: float = SATURATING_RPS) -> list[TenantSpec]:
                 seed=seed,
                 replicas=1,
                 serve_config=ServeConfig(
-                    mode="process",
+                    mode="thread",
                     max_batch=MAX_BATCH,
                     max_wait_s=MAX_WAIT_S,
                     pace_batch_s=PACE_S,
@@ -176,9 +176,9 @@ def test_cluster_autoscaler_spans_and_reprogram_cost():
     """Autoscaler grow shows up as spans with measured reprogram cost.
 
     A saturating burst against a single replica (policy capacity
-    pinned at the paced rate) forces one grow; in process mode that
-    spawns and programs a fresh MLP-L replica, so the span's measured
-    reprogram cost is real work, not bookkeeping.
+    pinned at the paced rate) forces one grow; in thread mode that
+    starts a replica thread over the programmed copy and prewarms its
+    workspaces, and the span carries that measured cost.
     """
     telemetry.enable()
     try:

@@ -1,27 +1,20 @@
 """Thread-dispatch serving gates (MLP-L, small micro-batches).
 
-Not a paper figure — this tracks the in-process shared-state replica
-tentpole: ``ThreadDispatcher`` runs N replica threads against **one**
-programmed copy, so deploying and scaling cost one programming pass
-plus microsecond scratch-buffer leases, while process replicas each
-pay fork + ``program_state``.  The gates measure where that economy
-lives:
+Not a paper figure — this tracks the shared-state replica design:
+``ThreadDispatcher`` runs N replica threads against **one** programmed
+copy, so deploying costs one programming pass and scaling up costs
+only scratch-buffer leases.  The gates:
 
-* **Goodput** — cold-start-to-drain requests/s at micro-batch <= 4
-  (deploy + serve 256 requests on 2 replicas).  Thread mode must
-  sustain >= 1.5x process mode: both drain at the same steady rate
-  (the GIL serialises the fused kernels, and the slab path makes
-  process IPC cheap), so the ratio is carried by programming once
-  instead of once per replica — exactly the tentpole's claim.
-* **Scale-up latency** — measured ``scale_to`` cost 1 -> 2 replicas.
-  Thread grow allocates scratch buffers; process grow forks and
-  reprograms.  Gate: >= 50x lower (measured ~10^4x).
+* **Cold-start goodput** — requests/s from deploy to drain at
+  micro-batch <= 4 (deploy + serve 256 requests on 2 replicas), with
+  both replicas holding one programmed copy between them.
+* **Scale-up runs no programming pass** — growing 1 -> 2 replicas
+  leaves ``serve.programs`` and ``resident_bytes`` unchanged: the new
+  replica serves the copy that is already programmed.  Counted, not
+  timed, so the gate holds on any host.
 * **Bit-identity oracle** — thread-mode serving equals
   ``ServingRuntime.reference`` in both noise-off (per-sample, any
   batching) and seeded noise-on (per micro-batch index) regimes.
-* **Concurrent spawn** (satellite) — process-pool deploy submits every
-  replica's fork + program before awaiting any, so a 2-replica deploy
-  is bounded by the slowest single replica, not the sum.
 
 Wall times land in ``BENCH_summary.json`` for ``compare_bench.py``.
 """
@@ -32,6 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.eval.workloads import get_workload
 from repro.serve import ServeConfig, ServingRuntime, spec_resident_bytes
 
@@ -41,12 +35,8 @@ pytestmark = pytest.mark.serve
 REQUESTS = 256
 #: Replica count for the goodput comparison.
 REPLICAS = 2
-#: The tentpole's small-batch regime: micro-batches of 1-4 samples.
+#: The small-batch regime: micro-batches of 1-4 samples.
 MAX_BATCH = 4
-#: Thread-over-process cold-start goodput floor.
-GOODPUT_FLOOR = 1.5
-#: Process-grow over thread-grow scale-up latency floor.
-SCALEUP_FLOOR = 50.0
 
 
 @pytest.fixture(scope="module")
@@ -58,21 +48,16 @@ def workload():
     return topology, net, samples
 
 
-def _cold_to_drain(workload, mode: str) -> SimpleNamespace:
-    """Deploy ``mode`` with ``REPLICAS`` replicas and drain every
-    request at micro-batch <= ``MAX_BATCH``; wall includes deploy.
-
-    Cold-start goodput is the number the tentpole's one-programmed-copy
-    economy moves: steady-state drain rates are mode-independent here
-    (GIL-serialised kernels, slab IPC), but thread mode programs once
-    where process mode programs once per replica.
-    """
+def _cold_to_drain(workload) -> SimpleNamespace:
+    """Deploy ``REPLICAS`` thread replicas and drain every request at
+    micro-batch <= ``MAX_BATCH``; wall includes deploy, so the one
+    programming pass per deployment is part of the number."""
     topology, net, samples = workload
     start = time.perf_counter()
     runtime = ServingRuntime(
         net,
         topology,
-        serve_config=ServeConfig(mode=mode, max_batch=MAX_BATCH),
+        serve_config=ServeConfig(mode="thread", max_batch=MAX_BATCH),
         calibration=samples[:64],
         max_replicas=REPLICAS,
     )
@@ -85,7 +70,7 @@ def _cold_to_drain(workload, mode: str) -> SimpleNamespace:
     finally:
         runtime.close()
     return SimpleNamespace(
-        mode=mode,
+        mode="thread",
         requests=REQUESTS,
         replicas=REPLICAS,
         max_batch=MAX_BATCH,
@@ -97,87 +82,47 @@ def _cold_to_drain(workload, mode: str) -> SimpleNamespace:
 
 
 def test_serve_thread_cold_goodput_mlp_l(once, workload):
-    result = once(_cold_to_drain, workload, "thread")
+    result = once(_cold_to_drain, workload)
     assert result.goodput_rps > 0
-    # Satellite: N thread replicas share one programmed copy.
+    # N thread replicas share one programmed copy.
     assert result.resident_copies == 1.0
 
 
-def test_serve_process_cold_goodput_mlp_l(once, workload):
-    result = once(_cold_to_drain, workload, "process")
-    assert result.goodput_rps > 0
-    # Process replicas each hold a full programmed copy.
-    assert result.resident_copies == REPLICAS
-
-
-def test_thread_goodput_gate(workload):
-    """The tentpole gate: thread >= 1.5x process cold-start goodput at
-    small micro-batches.  Best-of-2 per mode shaves scheduler noise;
-    runs interleave so drift hits both modes alike."""
-    thread_rps, process_rps = 0.0, 0.0
-    for _ in range(2):
-        thread_rps = max(
-            thread_rps, _cold_to_drain(workload, "thread").goodput_rps
-        )
-        process_rps = max(
-            process_rps, _cold_to_drain(workload, "process").goodput_rps
-        )
-    ratio = thread_rps / process_rps
-    print()
-    print(
-        f"cold-start goodput (mb<={MAX_BATCH}, {REPLICAS} replicas): "
-        f"thread {thread_rps:,.0f} req/s vs process "
-        f"{process_rps:,.0f} req/s -> {ratio:.2f}x"
-    )
-    assert ratio >= GOODPUT_FLOOR, (
-        f"thread-mode goodput only {ratio:.2f}x process "
-        f"({thread_rps:,.0f} vs {process_rps:,.0f} req/s); "
-        f"floor {GOODPUT_FLOOR}x"
-    )
-
-
-def _grow_cost(workload, mode: str) -> float:
-    """Measured ``scale_to`` cost (seconds) growing 1 -> 2 replicas."""
+def test_thread_scaleup_gate(workload):
+    """Growing 1 -> 2 replicas runs no programming pass: the new
+    replica thread serves the copy that is already programmed, so
+    ``serve.programs`` and the resident programmed state stay as they
+    were, and the grown deployment still answers exactly."""
     topology, net, samples = workload
-    runtime = ServingRuntime(
-        net,
-        topology,
-        serve_config=ServeConfig(mode=mode, max_batch=MAX_BATCH),
-        calibration=samples[:64],
-        max_replicas=1,
-    )
+    session = telemetry.enable(fresh=True)
     try:
-        runtime.serve(samples[:32])  # warm: calibration + plan compile
-        return runtime.scale_to(2)
+        with ServingRuntime(
+            net,
+            topology,
+            serve_config=ServeConfig(mode="thread", max_batch=MAX_BATCH),
+            calibration=samples[:64],
+            max_replicas=1,
+        ) as runtime:
+            runtime.serve(samples[:32])  # warm: calibration + plan
+            programs = session.metrics.counter_total("serve.programs")
+            resident = runtime.dispatcher.resident_bytes()
+            assert programs == 1
+            cost_s = runtime.scale_to(2)
+            assert runtime.replicas == 2
+            assert (
+                session.metrics.counter_total("serve.programs")
+                == programs
+            )
+            assert runtime.dispatcher.resident_bytes() == resident
+            assert resident == spec_resident_bytes(runtime.spec)
+            served = runtime.serve(samples[:32])
+            np.testing.assert_array_equal(
+                served, runtime.reference(samples[:32])
+            )
     finally:
-        runtime.close()
-
-
-def test_thread_scaleup_gate(once, workload):
-    """The tentpole gate: thread grow is a scratch-buffer lease, not a
-    fork + reprogram — >= 50x lower latency than process grow."""
-
-    def measure() -> SimpleNamespace:
-        thread_s = _grow_cost(workload, "thread")
-        process_s = _grow_cost(workload, "process")
-        return SimpleNamespace(
-            thread_grow_ms=thread_s * 1e3,
-            process_grow_ms=process_s * 1e3,
-            ratio=process_s / thread_s,
-        )
-
-    result = once(measure)
+        telemetry.disable()
     print()
-    print(
-        f"scale-up 1->2: thread {result.thread_grow_ms:.3f} ms vs "
-        f"process {result.process_grow_ms:.1f} ms -> "
-        f"{result.ratio:,.0f}x"
-    )
-    assert result.ratio >= SCALEUP_FLOOR, (
-        f"thread grow only {result.ratio:.1f}x faster than process "
-        f"({result.thread_grow_ms:.3f} ms vs "
-        f"{result.process_grow_ms:.1f} ms); floor {SCALEUP_FLOOR}x"
-    )
+    print(f"scale-up 1->2: {cost_s * 1e3:.3f} ms, no programming pass")
 
 
 def test_thread_bit_identity_oracle(workload):
@@ -218,90 +163,3 @@ def test_thread_bit_identity_oracle(workload):
                 served[rows],
                 runtime.reference(subset[rows], batch_index=index),
             )
-
-
-def test_concurrent_spawn_deploy(once, workload):
-    """Satellite: process-pool deploy submits every replica's fork +
-    program before awaiting any.
-
-    Structure gate (any host): the submit phase — a ``defer_spawn``
-    construction — returns in a fraction of one replica's full deploy
-    time; ``finish_spawn`` then carries the programming wait for both
-    replicas at once.  Overlap gate (multi-core hosts only): the
-    2-replica deploy wall is bounded by the slowest single replica,
-    not the sum — on a single core two CPU-bound programming passes
-    necessarily serialise, so only the structure gate applies there.
-    """
-    import os
-
-    from repro.serve import ProcessDispatcher
-
-    topology, net, samples = workload
-
-    def deploy(replicas: int) -> float:
-        start = time.perf_counter()
-        runtime = ServingRuntime(
-            net,
-            topology,
-            serve_config=ServeConfig(mode="process"),
-            calibration=samples[:64],
-            max_replicas=replicas,
-        )
-        runtime.close()
-        return time.perf_counter() - start
-
-    def measure() -> SimpleNamespace:
-        single_s = min(deploy(1) for _ in range(2))
-        double_s = min(deploy(2) for _ in range(2))
-        # Submit phase in isolation, on the same WorkerSpec a real
-        # deployment programs.
-        runtime = ServingRuntime(
-            net,
-            topology,
-            serve_config=ServeConfig(mode="serial"),
-            calibration=samples[:64],
-            max_replicas=1,
-        )
-        try:
-            submit_s = float("inf")
-            for _ in range(2):
-                start = time.perf_counter()
-                dispatcher = ProcessDispatcher(
-                    runtime.spec, replicas=2, defer_spawn=True
-                )
-                submit_s = min(
-                    submit_s, time.perf_counter() - start
-                )
-                dispatcher.finish_spawn()
-                dispatcher.close()
-        finally:
-            runtime.close()
-        return SimpleNamespace(
-            single_replica_s=single_s,
-            two_replica_s=double_s,
-            submit_phase_s=submit_s,
-            overlap=double_s / single_s,
-            cpus=os.cpu_count() or 1,
-        )
-
-    result = once(measure)
-    print()
-    print(
-        f"process deploy ({result.cpus} cpus): 1 replica "
-        f"{result.single_replica_s:.2f} s, 2 replicas "
-        f"{result.two_replica_s:.2f} s ({result.overlap:.2f}x single), "
-        f"submit phase {result.submit_phase_s * 1e3:.1f} ms"
-    )
-    # One replica's programming alone is most of a single deploy, so a
-    # submit phase that awaited even one replica would exceed this.
-    assert result.submit_phase_s <= 0.5 * result.single_replica_s, (
-        f"deferred submit phase took {result.submit_phase_s:.2f} s vs "
-        f"{result.single_replica_s:.2f} s for one full deploy — spawn "
-        "is awaiting replicas during submission"
-    )
-    if result.cpus >= 2:
-        assert result.overlap <= 1.7, (
-            f"2-replica process deploy took {result.overlap:.2f}x a "
-            "single replica on a multi-core host — fork + program is "
-            "not overlapping"
-        )

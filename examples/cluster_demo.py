@@ -6,8 +6,8 @@ arrival process.  The demo first shows the tentpole — pipelined
 multi-model dispatch keeps every tenant's replicas busy, while the
 synchronous per-model pump strands half the device time — then pushes
 one tenant past capacity to show queue-depth admission control and the
-reactive autoscaler growing the grant (a one-time reprogram whose cost
-is measured and traced).
+reactive autoscaler growing the grant (a new replica thread over the
+programmed copy, whose cost is measured and traced).
 
 Replica execution is paced (``pace_batch_s``): each micro-batch holds
 its replica for an emulated device service time, the way a PRIME bank
@@ -45,7 +45,7 @@ PACE_S = 0.04
 CAPACITY_RPS = MAX_BATCH / PACE_S
 
 SERVE_CONFIG = ServeConfig(
-    mode="process",
+    mode="thread",
     max_batch=MAX_BATCH,
     max_wait_s=0.05,
     pace_batch_s=PACE_S,

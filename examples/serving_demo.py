@@ -2,10 +2,10 @@
 
 The paper's datacenter scenario, made operational: deploy MLP-L onto
 replica bank groups, serve a closed-loop request stream through the
-dynamic micro-batcher and the replica worker pool, and compare against
+dynamic micro-batcher and the replica threads, and compare against
 sequential per-request execution on the same programmed state.  Also
 demonstrates the bit-identity oracle, the end-to-end request tracing
-(merged coordinator + per-replica Chrome trace, per-stage latency
+(coordinator + per-replica Chrome trace tracks, per-stage latency
 breakdown), and SLO monitoring.
 
 Run:  python examples/serving_demo.py
@@ -53,10 +53,10 @@ def main() -> None:
     sequential_rate = REQUESTS / (time.perf_counter() - start)
     print(f"sequential per-request: {sequential_rate:,.0f} req/s")
 
-    # -- serving runtime: micro-batching over replica workers ----------
+    # -- serving runtime: micro-batching over replica threads ----------
     # Cap the micro-batch below the request count so the measured run
     # spans several batches — traffic round-robins both replicas and
-    # the merged trace shows every worker track.
+    # the trace shows every replica track.
     with ServingRuntime(
         net,
         topology,
@@ -72,8 +72,7 @@ def main() -> None:
         generator = LoadGenerator(runtime, samples)
         generator.warmup()
         # Fresh telemetry session so the histograms and the merged
-        # trace cover only the measured run, not the warmup (which
-        # pays pool programming).
+        # trace cover only the measured run, not the warmup.
         telemetry.enable()
         report = generator.run(REQUESTS)
         print(report.summary())

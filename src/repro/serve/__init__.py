@@ -12,12 +12,11 @@ compile/program/run pipeline into a resident service:
   wide matmuls.
 * :mod:`repro.serve.dispatcher` — replica-parallel dispatch: each
   :class:`~repro.core.scheduler.BankScheduler` replica bank group maps
-  to a persistent worker (process pool, replica threads over one
-  shared programmed copy, serial in-process fallback) that programs
-  the network **exactly once** and serves every batch from the cached
-  programmed state with frozen calibration.  ``PRIME_DISPATCH``
-  steers ``mode="auto"`` deployments; see the README's dispatch-mode
-  matrix.
+  to a replica thread serving ONE programmed copy (serial mode serves
+  it inline); the network is programmed **exactly once** and every
+  batch runs from the cached programmed state with frozen
+  calibration.  ``mode="auto"`` picks threads for two or more
+  replicas; see the README's dispatch-mode matrix.
 * :mod:`repro.serve.runtime` — :class:`ServingRuntime` glues grant,
   batcher, and dispatcher together and carries the bit-identity
   guarantee against a direct ``run_functional`` call.
@@ -42,11 +41,10 @@ compile/program/run pipeline into a resident service:
 
 Every request carries a trace context (deterministic trace id, tenant
 label, arrival time) and its lifecycle is recorded as
-``serve.request`` spans with batcher/queue/replica children; replica
-workers ship their telemetry deltas back in each result envelope
-(:mod:`repro.telemetry.shipping`) and the coordinator merges them
-deterministically — see :func:`repro.telemetry.serving_report` for the
-per-stage latency breakdown and SLO attainment view.
+``serve.request`` spans with batcher/queue/replica children; each
+replica's forward records straight into the live session on its own
+``replica:N`` trace track — see :func:`repro.telemetry.serving_report`
+for the per-stage latency breakdown and SLO attainment view.
 
 See README "Serving" for the knobs and the guarantee, and
 ``benchmarks/test_serve_throughput.py`` for the steady-state speedup
@@ -72,14 +70,11 @@ from repro.serve.cluster import (
     TenantSpec,
 )
 from repro.serve.dispatcher import (
-    ProcessDispatcher,
     SerialDispatcher,
     ThreadDispatcher,
     WorkerSpec,
     batch_noise_seed,
-    dispatch_mode,
     make_dispatcher,
-    pool_timeout_s,
     program_state,
     run_programmed,
     run_programmed_shared,
@@ -118,7 +113,6 @@ __all__ = [
     "TenantSpec",
     "TrafficShape",
     "MicroBatcher",
-    "ProcessDispatcher",
     "SerialDispatcher",
     "ServeConfig",
     "ServeRequest",
@@ -127,9 +121,7 @@ __all__ = [
     "WorkerCrash",
     "WorkerSpec",
     "batch_noise_seed",
-    "dispatch_mode",
     "make_dispatcher",
-    "pool_timeout_s",
     "program_state",
     "run_programmed",
     "run_programmed_shared",

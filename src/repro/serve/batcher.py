@@ -99,14 +99,10 @@ class MicroBatcher:
       per-chunk working-set budget;
     * *latency* — past a few hundred samples the crossbar matmul is
       fully saturated and wider batches only add queueing delay;
-    * *dispatch* — ``max_batch`` sizes the per-replica shared-memory
-      slabs (``max_batch × widest-layer × 8 bytes`` per slot), so the
-      cap also bounds the coordinator's pinned memory.  The transfer
-      micro-bench (``benchmarks/test_serve_throughput.py``) shows the
-      slab path cheaper than pickled dispatch across batch sizes
-      (clearest in the mid range, where pickling pays buffer
-      allocation churn that mapped slab pages avoid), so wider batches
-      amortise per-dispatch overhead without a transport penalty.
+    * *dispatch* — a replica thread receives the stacked batch by
+      reference, so a wider batch costs no transport, only the one
+      ``np.stack`` copy, and amortises the per-dispatch overhead (a
+      thread handoff and a future) over more samples.
     """
 
     def __init__(

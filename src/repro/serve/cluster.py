@@ -16,8 +16,8 @@ of them** — so while the slowest replica finishes, every other replica
 of every tenant idles and no new batch forms.  The pipelined loop
 instead interleaves non-blocking :meth:`ServingRuntime.poll` calls
 across tenants: each poll tops up dispatches to the dispatcher's
-shared-memory slot depth and harvests only the *finished* prefix of
-the in-flight queue.  Batch formation for tenant A overlaps execution
+inflight depth and harvests only the *finished* prefix of the
+in-flight queue.  Batch formation for tenant A overlaps execution
 for tenant B (and for A's own other replicas), keeping every granted
 bank busy.  ``pipelined=False`` degrades the same loop to the
 synchronous pump — the benchmark baseline.  One exception to the
@@ -300,14 +300,6 @@ class ServingCluster:
         self.scheduler = BankScheduler(config)
         self._states: list[_TenantState] = []
         try:
-            # Two-phase deploy: constructing every runtime with
-            # ``defer_spawn`` starts all tenants' process-pool workers
-            # forking and programming concurrently; only then does
-            # ``finish_deploy`` await each in turn.  Cluster startup
-            # wall time is therefore bounded by the slowest single
-            # replica's program cost, not the tenant x replica sum.
-            # (Thread/serial tenants have no spawn to defer — their
-            # finish_deploy is a no-op.)
             for spec in tenants:
                 runtime = ServingRuntime(
                     spec.network,
@@ -320,7 +312,6 @@ class ServingCluster:
                     clock=clock,
                     health=spec.health,
                     fault_plan=spec.fault_plan,
-                    defer_spawn=True,
                 )
                 autoscaler = (
                     Autoscaler(runtime, spec.autoscaler, clock=self.clock)
@@ -330,8 +321,6 @@ class ServingCluster:
                 self._states.append(
                     _TenantState(spec, runtime, autoscaler)
                 )
-            for state in self._states:
-                state.runtime.finish_deploy()
         except BaseException:
             self.close()
             raise

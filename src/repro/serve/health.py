@@ -1,8 +1,8 @@
 """Replica health, crash recovery, and the deterministic chaos harness.
 
 PRIME's serving story (§VI) assumes every bank group keeps computing;
-a datacenter deployment cannot.  Worker processes die, hang, or slow
-down, and ReRAM conductances *drift* — the slow decay toward the HRS
+a datacenter deployment cannot.  Replicas die, hang, or slow down,
+and ReRAM conductances *drift* — the slow decay toward the HRS
 state that FPSA-style reconfigurable remapping (arXiv 1901.09904) and
 data-driven device modeling (arXiv 2211.15925) both treat as a
 first-class failure mode.  This module is the policy layer the serving
@@ -16,7 +16,7 @@ runtime threads those failures through:
   detection, quarantine/revive/retire state, and the routable set the
   dispatcher round-robins over.
 * :class:`FaultPlan` / :class:`FaultEvent` — the seeded chaos harness:
-  worker kills, hangs (sleep injection), slow replicas, and conductance
+  replica kills, hangs (sleep injection), slow replicas, and conductance
   drift scheduled at fixed micro-batch indices, so chaos tests are a
   deterministic function of the traffic and the plan (each event fires
   exactly once).
@@ -60,23 +60,20 @@ FAULT_KINDS = ("kill", "hang", "slow", "drift")
 
 
 class WorkerCrash(Exception):
-    """A replica worker died mid-batch.
+    """A replica died mid-batch.
 
-    Raised by :class:`~repro.serve.dispatcher.SerialDispatcher` when a
-    :class:`FaultPlan` injects a ``kill``/``hang`` in serial mode (a
-    process worker dies for real instead, surfacing as
-    ``BrokenProcessPool``).  The runtime treats both identically:
-    quarantine the replica, restart it, re-dispatch the batch.
-
-    Thread mode (:class:`~repro.serve.dispatcher.ThreadDispatcher`)
-    maps the same semantics onto workers that *cannot* be SIGKILLed:
-    an injected ``kill`` raises this directly, and a hung replica
-    thread parks on its cancellation event so ``restart_replica`` —
-    set the event, retire the pool, start a fresh thread — wakes it
-    into this exception instead of orphaning it.  Quarantine, retire,
-    restart budgets, and the degrade-to-serial last resort all apply
-    unchanged; only the mechanism is cooperative cancellation rather
-    than process death.
+    Replicas are threads (or, in serial mode, the coordinator itself),
+    which *cannot* be SIGKILLed, so a crash is this exception.  In
+    thread mode (:class:`~repro.serve.dispatcher.ThreadDispatcher`) an
+    injected ``kill`` raises it on the replica thread, and a hung
+    replica thread parks on its cancellation event so
+    ``restart_replica`` — set the event, retire the pool, start a fresh
+    thread — wakes it into this exception instead of orphaning it.
+    :class:`~repro.serve.dispatcher.SerialDispatcher` raises it for an
+    injected ``kill`` or ``hang``.  The runtime's answer is the same in
+    both modes: quarantine the replica, restart it, re-dispatch the
+    batch; restart budgets and the degrade-to-serial last resort apply
+    on top.
     """
 
 
@@ -88,7 +85,7 @@ class HealthPolicy:
     few retries, probes off.  Fault-free serving under the default
     policy is bit-identical (results *and* telemetry) to serving
     without the layer — every mechanism here only acts when a batch
-    times out, a pool breaks, or a probe trips.
+    times out, a replica crashes, or a probe trips.
     """
 
     #: Per-batch deadline in wall seconds; a batch unresolved past it
@@ -302,12 +299,12 @@ class FaultEvent:
     it), so under deterministic traffic an event always lands on the
     same micro-batch — and, with round-robin routing, the same replica.
 
-    * ``kill``  — the worker dies before computing the batch
-      (``os._exit`` in process mode, :class:`WorkerCrash` in serial).
-    * ``hang``  — the worker sleeps ``duration_s`` before computing,
-      tripping the coordinator's per-batch deadline (serial mode, which
-      cannot hang without blocking the coordinator, models it as a
-      crash).
+    * ``kill``  — the replica dies before computing the batch: it
+      raises :class:`WorkerCrash`.
+    * ``hang``  — the replica thread sleeps ``duration_s`` before
+      computing, tripping the coordinator's per-batch deadline; its
+      restart's cancellation event wakes it (serial mode, which cannot
+      hang without blocking the coordinator, models it as a crash).
     * ``slow``  — ``duration_s`` is folded into the batch's reported
       execution time *after* it computes: the batch succeeds bit-exact
       but registers as a latency outlier (no real sleep, so chaos runs
@@ -341,7 +338,7 @@ class FaultEvent:
 
     @property
     def payload(self) -> tuple:
-        """The picklable descriptor shipped to the worker."""
+        """The fault descriptor handed to the dispatcher with its batch."""
         if self.kind == "kill":
             return ("kill",)
         if self.kind in ("hang", "slow"):
@@ -396,8 +393,9 @@ class RestartEvent:
     replica: int
     #: ``crash`` | ``timeout`` | ``outlier`` | ``probe``
     reason: str
-    #: Measured wall seconds: worker kill + pool respawn + the one-time
-    #: ``program_state`` in the fresh worker's initializer.
+    #: Measured wall seconds: cooperative cancel plus a fresh replica
+    #: thread and its workspaces (thread mode), or a re-programmed
+    #: state (serial mode).
     cost_s: float
 
 
@@ -409,7 +407,7 @@ class ReprogramEvent:
     replica: int
     #: Probe distance that tripped the threshold.
     drift: float
-    #: Measured reprogramming wall seconds (worker-side).
+    #: Measured reprogramming wall seconds.
     cost_s: float
 
 

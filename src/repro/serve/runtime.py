@@ -6,11 +6,12 @@ of the existing stack:
 
 1. ``deploy`` — a :class:`~repro.core.scheduler.BankScheduler` grant
    claims replica bank groups for the compiled plan;
-2. ``program once`` — every replica worker programs the network a
-   single time and freezes calibration on a shared calibration batch;
+2. ``program once`` — the deployment programs the network a single
+   time and freezes calibration on a shared calibration batch; every
+   replica thread serves that one copy;
 3. ``serve`` — queued single-sample requests coalesce into
    micro-batches sized against the executor's streaming chunk model
-   and round-robin across the replica workers; the pipelined
+   and round-robin across the replicas; the pipelined
    :meth:`~ServingRuntime.poll` ships the queue head at once to any
    idle replica instead (work-conserving release).
 
@@ -27,9 +28,8 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,15 +47,12 @@ from repro.serve.batcher import (
     ServeRequest,
 )
 from repro.serve.dispatcher import (
-    POOL_SPAWN_FAILURES,
     SerialDispatcher,
     WorkerSpec,
     batch_noise_seed,
     make_dispatcher,
-    pool_timeout_s,
     program_state,
     run_programmed,
-    serial_fallback,
 )
 from repro.serve.health import (
     FaultPlan,
@@ -84,14 +81,12 @@ class _Inflight:
 
     future: object
     batch: list = field(repr=False)
-    t_dispatch: float = 0.0
     payload: np.ndarray = field(default=None, repr=False)
     noise_seed: int | None = None
-    ship: bool = False
     replica: int = 0
     #: Replica restart epoch at dispatch time — a failure only triggers
-    #: a restart when the epoch still matches (the pool it ran on is
-    #: the pool that broke); later failures from the same broken pool
+    #: a restart when the epoch still matches (the replica it ran on is
+    #: the one that failed); later failures from the same incarnation
     #: just re-dispatch.
     epoch: int = 0
     attempts: int = 0
@@ -99,9 +94,9 @@ class _Inflight:
     #: deadline counts from here.
     t_wall: float = 0.0
     #: Dispatcher generation at the last (re)dispatch.  A batch whose
-    #: dispatcher has since been replaced (degrade to serial) fails
-    #: with its closed pool; that failure belongs to the old replicas,
-    #: never to the replacement's.
+    #: dispatcher has since been replaced (degrade to serial) is
+    #: cancelled with its closed pool; that failure belongs to the old
+    #: replicas, never to the replacement's.
     generation: int = 0
 
 
@@ -120,9 +115,10 @@ class ServeConfig:
     #: whenever some replica has no batch executing; the synchronous
     #: ``pump`` applies the batcher's plain age rule.
     max_wait_s: float = DEFAULT_MAX_WAIT_S
-    #: Dispatch mode: ``auto`` | ``thread`` | ``process`` | ``serial``
-    #: (``auto`` honours the ``PRIME_DISPATCH`` env override; see the
-    #: dispatch-mode matrix in the README's Serving section).
+    #: Dispatch mode: ``auto`` | ``thread`` | ``serial``.  ``auto``
+    #: runs replica threads for two or more replicas and serial for
+    #: one (see the dispatch-mode matrix in the README's Serving
+    #: section).
     mode: str = "auto"
     #: Seed for programming and per-batch noise streams.
     seed: int = 0
@@ -155,7 +151,6 @@ class ServingRuntime:
         clock=None,
         health: HealthPolicy | None = None,
         fault_plan: FaultPlan | None = None,
-        defer_spawn: bool = False,
     ) -> None:
         self.config = config
         self.serve_config = serve_config or ServeConfig()
@@ -199,29 +194,16 @@ class ServingRuntime:
                 with_noise=self.serve_config.with_noise,
                 resilience=resilience,
                 calibration=calibration,
-                ship_telemetry=telemetry.enabled(),
                 pace_batch_s=self.serve_config.pace_batch_s,
                 probe_reference=(
                     self.health.probe_interval_batches is not None
                     and calibration is not None
                 ),
             )
-            # Shared-memory slabs are sized for a full micro-batch of
-            # the widest mapped layer, so any batch the batcher can
-            # release (and any layer's result) fits a slot.
-            widest = max(
-                (
-                    max(m.traffic.input_elems, m.traffic.output_elems)
-                    for m in self.plan.layers
-                ),
-                default=1,
-            )
             self.dispatcher = make_dispatcher(
                 self.spec,
                 replicas=self.deployment.replicas,
                 mode=self.serve_config.mode,
-                slab_shape=(max_batch, widest, widest),
-                defer_spawn=defer_spawn,
             )
             self._record_resident_bytes()
         #: Micro-batches dispatched so far (also the per-batch noise
@@ -252,14 +234,10 @@ class ServingRuntime:
         self.shed_failed = 0
         #: Outstanding (replica, future, epoch) drift probes.
         self._pending_probes: list[tuple] = []
-        self._degraded = False
-        #: Summed worker-measured execution wall time (ns) of every
+        #: Summed replica-measured execution wall time (ns) of every
         #: collected batch — the numerator of replica-utilisation /
         #: idle-fraction accounting in the cluster reports.
         self.busy_ns = 0
-        #: Worker pid → stable replica track index, in first-seen
-        #: order, for labelling merged worker telemetry.
-        self._worker_tracks: dict[int, int] = {}
         self._closed = False
 
     # -- properties -----------------------------------------------------
@@ -278,7 +256,7 @@ class ServingRuntime:
 
     @property
     def mode(self) -> str:
-        """Dispatch mode actually in effect (after any fallback)."""
+        """Dispatch mode in effect (``serial`` after a degrade)."""
         return self.dispatcher.mode
 
     def _record_resident_bytes(self) -> None:
@@ -286,9 +264,9 @@ class ServingRuntime:
 
         ``serve.replica.resident_bytes`` is the RAM the dispatcher's
         programmed copies occupy — thread mode reports ~one copy no
-        matter the replica count, serial/process report one per
-        replica — sampled at deploy, after every scale event, and after
-        a degrade, so the shared-copy memory win shows up in
+        matter the replica count, serial mode one per programmed state
+        — sampled at deploy, after every scale event, and after a
+        degrade, so the shared-copy memory win shows up in
         ``serving_report``.
         """
         if not telemetry.enabled():
@@ -301,24 +279,6 @@ class ServingRuntime:
             resident(),
             tenant=self.tenant,
         )
-
-    def finish_deploy(self) -> None:
-        """Await a deferred-spawn deploy, applying the fallback policy.
-
-        No-op for dispatchers without a pending spawn.  A pool that
-        failed to come up degrades to serial exactly as a synchronous
-        ``mode="auto"`` deploy would (warning + fallback counter),
-        while an explicit ``mode="process"`` propagates the failure.
-        """
-        finish = getattr(self.dispatcher, "finish_spawn", None)
-        if finish is None:
-            return
-        try:
-            finish()
-        except POOL_SPAWN_FAILURES as exc:
-            if self.serve_config.mode == "process":
-                raise
-            self._replace_dispatcher(serial_fallback(self.spec, 1, exc))
 
     # -- serving --------------------------------------------------------
 
@@ -356,7 +316,7 @@ class ServingRuntime:
         """Move work without waiting: the pipelined pump.
 
         Dispatches micro-batches only while the dispatcher has
-        uncontended capacity (its shared-memory slot depth), then
+        uncontended capacity (its inflight depth), then
         resolves the *finished* prefix of the in-flight queue — never
         blocking on a batch still executing.  Interleaving ``poll``
         across several runtimes keeps every deployment's replicas
@@ -464,8 +424,8 @@ class ServingRuntime:
         # Route over the healthy set only.  With every replica healthy
         # this is exactly the historical round-robin (index modulo the
         # replica count), so fault-free routing — and therefore noise
-        # seeding, slab pinning, telemetry — is unchanged.  ``poll``
-        # passes the idle replica it released the batch for.
+        # seeding and telemetry — is unchanged.  ``poll`` passes the
+        # idle replica it released the batch for.
         healthy = self.monitor.routable()
         if not healthy:
             self._degrade_to_serial()
@@ -485,7 +445,6 @@ class ServingRuntime:
         probe_every = self.health.probe_interval_batches
         if probe_every and self.batches_dispatched % probe_every == 0:
             self._schedule_probes()
-        ship = self.spec.ship_telemetry and telemetry.enabled()
         if telemetry.enabled():
             telemetry.count(
                 "serve.dispatch.batches",
@@ -507,54 +466,28 @@ class ServingRuntime:
             request.t_dispatched = t_dispatch
         limit = self.dispatcher.inflight_limit
         if block and limit is not None:
-            # Backpressure: past the dispatcher's inflight depth (the
-            # shared-memory slot count) further dispatches would only
-            # downgrade to pickled payloads, so resolve the oldest
-            # batch first — its replica has almost certainly finished
-            # it by the time the queue is this deep.  (``poll`` never
-            # gets here: it stops dispatching at the limit instead.)
+            # Backpressure: past the dispatcher's inflight depth,
+            # resolve the oldest batch first — its replica has almost
+            # certainly finished it by the time the queue is this deep.
+            # (``poll`` never gets here: it stops dispatching at the
+            # limit instead.)
             while len(self._inflight) >= limit:
                 self._drained += self._resolve(self._inflight.pop(0))
-        future = self._safe_dispatch(
-            stacked, noise_seed, ship=ship, replica=replica, fault=fault
+        future = self.dispatcher.dispatch(
+            stacked, noise_seed, replica=replica, fault=fault
         )
         self._inflight.append(
             _Inflight(
                 future=future,
                 batch=batch,
-                t_dispatch=t_dispatch,
                 payload=stacked,
                 noise_seed=noise_seed,
-                ship=ship,
                 replica=replica,
                 epoch=self._epoch_of(replica),
                 t_wall=time.monotonic(),
                 generation=self._generation,
             )
         )
-
-    def _safe_dispatch(self, payload, noise_seed, ship, replica, fault=None):
-        """Dispatch, converting a synchronous pool failure to a future.
-
-        A pool whose worker already died rejects ``submit`` with
-        ``BrokenProcessPool`` *at dispatch time* — before the
-        coordinator has collected any failed batch from it.  Surfacing
-        the error through the returned future routes it into
-        :meth:`_resolve`'s normal crash-recovery path instead of
-        blowing up the dispatch loop.
-        """
-        try:
-            return self.dispatcher.dispatch(
-                payload,
-                noise_seed,
-                ship=ship,
-                replica=replica,
-                fault=fault,
-            )
-        except BrokenProcessPool as exc:
-            future: Future = Future()
-            future.set_exception(exc)
-            return future
 
     def _collect(self) -> int:
         completed = self._drained
@@ -572,7 +505,7 @@ class ServingRuntime:
         """Collect one micro-batch, recovering from faults.
 
         Waits out the entry's remaining deadline; on a timeout, a
-        broken pool, or a cancelled future the failed replica is
+        crashed replica, or a cancelled future the failed replica is
         quarantined and restarted (at most once per restart epoch) and
         the *same* payload re-dispatched with the *same* noise seed to
         a healthy replica — bounded retries with exponential backoff.
@@ -594,7 +527,7 @@ class ServingRuntime:
                 break
             except (TimeoutError, _FuturesTimeout):
                 reason = "timeout"
-            except (BrokenProcessPool, WorkerCrash):
+            except WorkerCrash:
                 reason = "crash"
             except CancelledError:
                 reason = "cancelled"
@@ -608,8 +541,6 @@ class ServingRuntime:
             )
         self.busy_ns += envelope.execute_ns
         now = self.batcher.clock()
-        if telemetry.enabled():
-            self._merge_worker_telemetry(envelope, entry.t_dispatch)
         completed = 0
         for request, row in zip(entry.batch, envelope.value):
             request.result = row
@@ -628,27 +559,22 @@ class ServingRuntime:
         """Handle one failed attempt; True when a retry was dispatched.
 
         A batch stranded on a dispatcher that has since been replaced
-        (its pool closed by the degrade to serial) is re-dispatched
+        (its pools closed by the degrade to serial) is re-dispatched
         without a health verdict, a restart or a spent retry: the
         failure was the old dispatcher's, and charging it to the
         replacement's fresh replica would retire that replica too.
         """
         policy = self.health
-        # Abandon the dead future's slab slot first: the restart below
-        # reclaims (and re-generations) the replica's slots, so a late
-        # release from this future must never fire.
-        if hasattr(entry.future, "abandon"):
-            entry.future.abandon()
         current = entry.generation == self._generation
         if current:
             if entry.replica < len(self.monitor.replicas):
                 self.monitor.record_failure(entry.replica, reason)
             if self._epoch_of(entry.replica) == entry.epoch:
                 # First failure against this replica incarnation: it
-                # is genuinely bad (crashed pool, hung worker) —
-                # restart it.  Later failures with a stale epoch came
-                # from the already-replaced pool and only need their
-                # batch re-dispatched.
+                # is genuinely bad (crashed or hung thread) — restart
+                # it.  Later failures with a stale epoch came from the
+                # already-replaced pool and only need their batch
+                # re-dispatched.
                 self._restart_replica(entry.replica, reason)
             if entry.attempts >= policy.max_retries:
                 return False
@@ -678,11 +604,8 @@ class ServingRuntime:
         )
         # Same payload, same noise seed: the retried result is
         # bit-identical to what the first dispatch would have returned.
-        entry.future = self._safe_dispatch(
-            entry.payload,
-            entry.noise_seed,
-            ship=entry.ship,
-            replica=replica,
+        entry.future = self.dispatcher.dispatch(
+            entry.payload, entry.noise_seed, replica=replica
         )
         entry.replica = replica
         entry.epoch = self._epoch_of(replica)
@@ -719,10 +642,10 @@ class ServingRuntime:
     # -- replica lifecycle ----------------------------------------------
 
     def _restart_replica(self, replica: int, reason: str) -> bool:
-        """Quarantine and respawn one replica; True on success.
+        """Quarantine and restart one replica; True on success.
 
-        Budget-exhausted or failed respawns retire the replica; when
-        nothing routable is left, process mode degrades to serial
+        Budget-exhausted or failed restarts retire the replica; when
+        nothing routable is left, thread mode degrades to serial
         dispatch (:meth:`_degrade_to_serial`).
         """
         self.monitor.quarantine(replica)
@@ -741,7 +664,7 @@ class ServingRuntime:
                 cost = self.dispatcher.restart_replica(replica)
         except Exception as exc:
             logger.warning(
-                "replica %d respawn failed (%s: %s); retiring it",
+                "replica %d restart failed (%s: %s); retiring it",
                 replica,
                 type(exc).__name__,
                 exc,
@@ -782,23 +705,22 @@ class ServingRuntime:
     def _degrade_to_serial(self) -> None:
         """Last-resort fallback: every replica is unhealthy.
 
-        Closes the parallel dispatcher — slabs and pools in process
-        mode, cooperatively-cancelled replica threads in thread mode
-        (threads cannot be SIGKILLed; closing sets every replica's
-        cancellation event, so even a hung thread wakes and retires
-        without taking a request with it) — and serves from a fresh
-        in-process serial state: degraded throughput, but the
-        deployment keeps answering and no admitted request is silently
-        lost.  Serial mode has nothing further to degrade to, so an
-        all-retired serial monitor stays empty and the caller sheds or
-        raises.
+        Closes the thread dispatcher (threads cannot be SIGKILLed;
+        closing sets every replica's cancellation event, so even a hung
+        thread wakes and retires without taking a request with it) and
+        serves from a fresh in-process serial state: degraded
+        throughput, but the deployment keeps answering and no admitted
+        request is silently lost.  Serial mode has nothing further to
+        degrade to, so an all-retired serial monitor stays empty and
+        the caller sheds or raises.
+
+        The serial replica gets its own health record and a new
+        dispatcher generation, so batches and drift probes still out on
+        the closed thread pools are never charged to it (see
+        :meth:`_recover`).
         """
-        if self._degraded or self.dispatcher.mode not in (
-            "process",
-            "thread",
-        ):
+        if self.dispatcher.mode != "thread":
             return
-        self._degraded = True
         logger.warning(
             "all %d replica(s) unhealthy; degrading to serial "
             "in-process dispatch",
@@ -810,21 +732,8 @@ class ServingRuntime:
                 reason="unhealthy",
                 tenant=self.tenant,
             )
-        self._replace_dispatcher(SerialDispatcher(self.spec, 1))
-
-    def _replace_dispatcher(self, dispatcher) -> None:
-        """Close the current dispatcher and serve from ``dispatcher``,
-        one fresh replica with its own health record.
-
-        Bumps the dispatcher generation, so batches and drift probes
-        still out on the old dispatcher are never charged to the new
-        replica (see :meth:`_recover`).
-        """
-        try:
-            self.dispatcher.close()
-        except Exception:  # pragma: no cover - already broken
-            pass
-        self.dispatcher = dispatcher
+        self.dispatcher.close()
+        self.dispatcher = SerialDispatcher(self.spec, 1)
         self._generation += 1
         self.monitor = ReplicaHealthMonitor(1, self.health)
         self._replica_epoch = [0]
@@ -849,8 +758,9 @@ class ServingRuntime:
 
     def _check_probes(self, block: bool) -> None:
         """Harvest finished drift probes; schedule reprogramming past
-        the threshold.  A probe that errors means the worker cannot
-        answer a trivial control call — treat it like a crash."""
+        the threshold.  A probe that errors or outlives the batch
+        deadline means the replica cannot answer a trivial control call
+        — treat it like a crash."""
         if not self._pending_probes:
             return
         still: list[tuple] = []
@@ -861,7 +771,7 @@ class ServingRuntime:
                 still.append((replica, future, epoch))
                 continue
             try:
-                drift = future.result(pool_timeout_s())
+                drift = future.result(self.health.batch_timeout_s)
             except Exception:
                 self._restart_replica(replica, "probe")
                 continue
@@ -886,8 +796,8 @@ class ServingRuntime:
             ):
                 cost = self.dispatcher.reprogram_replica(replica)
         except Exception:
-            # The worker could not even reprogram — same recovery as a
-            # failed probe: restart it (which reprograms from scratch).
+            # The replica could not even reprogram — same recovery as
+            # a failed probe: restart it.
             self._restart_replica(replica, "probe")
             return
         self.reprograms.append(
@@ -908,33 +818,6 @@ class ServingRuntime:
                 tenant=self.tenant,
             )
 
-    def _merge_worker_telemetry(self, envelope, t_dispatch: float) -> None:
-        """Fold a shipped worker delta into the coordinator session.
-
-        Workers get stable ``replica:N`` tracks in first-seen pid
-        order; their spans are re-anchored to the coordinator's
-        dispatch timestamp so the merged Chrome trace shows worker
-        activity where the coordinator handed the batch off.
-        """
-        if envelope.telemetry is None and envelope.init_telemetry is None:
-            return
-        session = telemetry.session()
-        if session is None:
-            return
-        index = self._worker_tracks.setdefault(
-            envelope.worker, len(self._worker_tracks)
-        )
-        track = f"replica:{index}"
-        anchor = session.tracer.to_session_ns(t_dispatch)
-        if envelope.init_telemetry is not None:
-            telemetry.merge_delta(
-                session, envelope.init_telemetry, track=track
-            )
-        if envelope.telemetry is not None:
-            telemetry.merge_delta(
-                session, envelope.telemetry, track=track, anchor_ns=anchor
-            )
-
     def _record_request(
         self, request: ServeRequest, execute_ns: int
     ) -> None:
@@ -942,10 +825,10 @@ class ServingRuntime:
 
         The three stages partition the measured latency exactly —
         ``batcher`` (enqueue → batch formed) and ``replica`` (the
-        worker-measured execution wall time) are taken directly, and
-        ``queue`` is the remainder (dispatch overhead, worker queueing,
-        future resolution) — so per-stage means always sum to the
-        end-to-end mean.
+        replica-measured execution wall time) are taken directly, and
+        ``queue`` is the remainder (dispatch overhead, replica
+        queueing, future resolution) — so per-stage means always sum to
+        the end-to-end mean.
         """
         tenant = self.tenant
         latency_ms = request.latency_s * 1e3
@@ -1002,13 +885,13 @@ class ServingRuntime:
         """Grow or shrink this deployment's replica grant, live.
 
         Grow claims more bank groups from the shared scheduler
-        (:meth:`BankScheduler.grow`) and spawns freshly-programmed
-        workers for them — the one-time ``program_state`` cost of the
-        new replicas is measured and returned (wall seconds), recorded
-        as the ``serve.scale`` span and the
+        (:meth:`BankScheduler.grow`) and adds replicas for them — new
+        threads over the shared copy in thread mode, freshly programmed
+        states in serial mode.  The measured wall seconds are returned
+        and recorded as the ``serve.scale`` span and the
         ``serve.scale.reprogram_ms`` histogram, so scale-up is never
         free in the reports.  Shrink drains every in-flight batch
-        first, retires the newest workers, and returns their banks.
+        first, retires the newest replicas, and returns their banks.
         Returns 0.0 when ``replicas`` already matches.
         """
         if self._closed:
@@ -1031,15 +914,15 @@ class ServingRuntime:
                 try:
                     cost = self.dispatcher.grow(replicas - current)
                 except BaseException:
-                    # Workers failed to come up: hand the banks back so
-                    # grant and worker count cannot diverge.
+                    # Replicas failed to come up: hand the banks back so
+                    # grant and replica count cannot diverge.
                     self.scheduler.shrink(
                         self.name, replicas - current
                     )
                     raise
             else:
-                # A retiring replica may still hold in-flight batches
-                # (and slab slots): resolve everything first.
+                # A retiring replica may still hold in-flight batches:
+                # resolve everything first.
                 self._drained += self._collect()
                 cost = self.dispatcher.shrink(current - replicas)
                 self.scheduler.shrink(self.name, current - replicas)
@@ -1078,8 +961,8 @@ class ServingRuntime:
         """Direct ``run_functional`` on ``x`` under this deployment's
         seeds — the bit-identity oracle.
 
-        Programs a fresh copy from the same :class:`WorkerSpec` every
-        worker used (identical conductances, identical frozen
+        Programs a fresh copy from the same :class:`WorkerSpec` the
+        deployment used (identical conductances, identical frozen
         calibration) and evaluates ``x`` as one batch, with the noise
         stream a micro-batch at ``batch_index`` would have used.  A
         serving run whose batcher coalesced the same samples into one
@@ -1103,11 +986,10 @@ class ServingRuntime:
     # -- lifecycle ------------------------------------------------------
 
     def close(self, release_banks: bool = True) -> None:
-        """Shut down workers and (optionally) release the bank grant.
+        """Shut down replicas and (optionally) release the bank grant.
 
-        Idempotent and exception-safe: a second close is a no-op, and a
-        dispatcher whose pools a crash already broke still cannot keep
-        the bank grant — the release runs even when the worker teardown
+        Idempotent and exception-safe: a second close is a no-op, and
+        the bank grant is released even when the dispatcher's teardown
         raises.
         """
         if self._closed:

@@ -29,9 +29,10 @@ def chrome_trace_events(session) -> list[dict]:
     """Render ``session`` as a Chrome trace_event list (sorted by ts).
 
     Wall spans with no track are the coordinator and stay on
-    :data:`WALL_PID`; spans carrying a track (worker telemetry merged
-    from shipped deltas, e.g. ``replica:1``) get one pid per track so
-    every worker process renders as its own track group.
+    :data:`WALL_PID`; spans carrying a track (a serving replica's
+    forward, ``replica:N``, or a study worker's shipped delta,
+    ``worker:N``) get one pid per track so each replica or worker
+    renders as its own track group.
     """
     tracer = session.tracer
     model_tracks = sorted({e.track for e in tracer.model_events})

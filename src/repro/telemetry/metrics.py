@@ -147,8 +147,8 @@ class Histogram:
         every observation retained) the merge replays it through
         :meth:`observe`, so a stream recorded worker-side and merged
         batch-by-batch in dispatch order is *bit-identical* to the same
-        stream observed live — the associativity the serial-vs-process
-        determinism tests assert.  Decimated deltas fall back to exact
+        stream observed live — the associativity a fanned-out study's
+        merge relies on.  Decimated deltas fall back to exact
         count/sum/min/max aggregation with spliced samples (approximate
         percentiles, like any decimated stream).
         """

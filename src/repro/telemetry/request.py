@@ -197,8 +197,8 @@ class TenantBreakdown:
     # -- memory view --
     #: Programmed-state RAM the tenant's dispatcher holds
     #: (``serve.replica.resident_bytes`` gauge): thread dispatch keeps
-    #: ~one weight copy regardless of replica count, serial/process
-    #: hold one per replica.
+    #: ~one weight copy regardless of replica count, serial dispatch
+    #: one per programmed state.
     resident_bytes: int = 0
 
     @property

@@ -11,21 +11,22 @@ gap with a shipping envelope:
   :class:`TelemetryDelta` (:func:`capture_delta`) riding back inside a
   :class:`ResultEnvelope` next to the actual result,
 * the coordinator folds each delta into its own live session with
-  :func:`merge_delta`, tagging the worker's spans with a per-replica
+  :func:`merge_delta`, tagging the worker's spans with a per-worker
   track so the Chrome exporter renders coordinator and workers as
   separate processes.
 
 Determinism contract: a delta is a pure function of the work executed
 (span names/attrs, counter increments, histogram observations — only
-timestamps are wall-clock), and :func:`merge_delta` applied in dispatch
+timestamps are wall-clock), and :func:`merge_delta` applied in task
 order performs the same arithmetic regardless of which process produced
-each delta.  Serial and process dispatch of the same batches therefore
-merge to bit-identical counter totals and histogram counts/sums — the
-property ``tests/serve/test_tracing.py`` asserts.
+each delta.  A fanned-out study therefore merges to the same counter
+totals and histogram counts/sums as its serial run.
 
-Both the serving dispatchers (:mod:`repro.serve.dispatcher`) and the
-study fan-out (:func:`repro.perf.parallel.parallel_map`) ship through
-this one envelope.
+The study fan-out (:func:`repro.perf.parallel.parallel_map`) ships
+through this envelope.  Serving replicas are threads in the
+coordinator's process and record straight into the live session; the
+dispatchers only use :class:`ResultEnvelope` to carry a batch's result
+and execution time.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ class ResultEnvelope:
     """A worker's result plus the telemetry it recorded producing it."""
 
     value: object
-    #: PID of the producing process (coordinator merges first-seen
-    #: workers onto stable ``replica:N`` / ``worker:N`` tracks).
+    #: The producer: a pool worker's PID (``parallel_map`` merges
+    #: first-seen workers onto stable ``worker:N`` tracks), or the
+    #: index of the serving replica that ran the batch.
     worker: int = 0
     #: Wall nanoseconds spent executing the payload — always measured,
     #: even with shipping off, so per-stage latency accounting stays
@@ -91,9 +93,6 @@ class ResultEnvelope:
     execute_ns: int = 0
     #: Telemetry recorded while executing this payload.
     telemetry: TelemetryDelta | None = None
-    #: One-time telemetry (worker initialisation / programming),
-    #: attached to the first shipped result from each worker.
-    init_telemetry: TelemetryDelta | None = None
 
 
 def capture_delta(session) -> TelemetryDelta:

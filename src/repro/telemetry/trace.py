@@ -18,6 +18,7 @@ separate pids so Perfetto renders them as separate processes.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -35,9 +36,10 @@ class SpanRecord:
     end_ns: int | None = None
     attrs: dict = field(default_factory=dict)
     #: Execution track the span belongs to.  ``None`` is the local
-    #: (coordinator) wall track; spans merged from a shipped worker
-    #: delta carry the worker's track label (e.g. ``replica:1``) so the
-    #: Chrome exporter renders each worker as its own process.
+    #: (coordinator) wall track; a serving replica's forward records on
+    #: ``replica:N`` (:meth:`Tracer.on_track`) and spans merged from a
+    #: shipped worker delta carry the worker's label (``worker:N``), so
+    #: the Chrome exporter renders each as its own process.
     track: str | None = None
 
     @property
@@ -111,9 +113,10 @@ class Tracer:
         self.lock = threading.RLock()
         self.spans: list[SpanRecord] = []
         self.model_events: list[ModelEvent] = []
-        # The open-span stack is thread-local: thread replicas record
-        # their own span nests into the shared span list without a
-        # worker's ``end_span`` unwinding the coordinator's open spans.
+        # The open-span stack and the track label are thread-local:
+        # thread replicas record their own span nests into the shared
+        # span list without a replica's ``end_span`` unwinding the
+        # coordinator's open spans.
         self._tls = threading.local()
         #: Per-track cursor (ns) so callers can append model events
         #: sequentially without tracking their own time base.
@@ -125,6 +128,17 @@ class Tracer:
         if stack is None:
             stack = self._tls.stack = []
         return stack
+
+    @contextlib.contextmanager
+    def on_track(self, track: str | None):
+        """Put every span this thread opens inside the block on
+        ``track`` (restoring the previous track on exit)."""
+        previous = getattr(self._tls, "track", None)
+        self._tls.track = track
+        try:
+            yield
+        finally:
+            self._tls.track = previous
 
     def to_session_ns(self, t_s: float) -> int:
         """Convert a ``time.perf_counter()`` reading (seconds) to this
@@ -143,6 +157,7 @@ class Tracer:
                 parent_index=parent.index if parent else None,
                 start_ns=time.perf_counter_ns() - self.origin_ns,
                 attrs=dict(attrs),
+                track=getattr(self._tls, "track", None),
             )
             self.spans.append(record)
             self._stack.append(record)

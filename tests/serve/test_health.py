@@ -1,8 +1,8 @@
 """Fault tolerance: health policy, monitor, chaos plan, recovery.
 
-Serial-mode coverage of the fault-tolerance layer — deterministic,
-fast, no real processes.  Process-mode chaos (real worker kills,
-hangs, slab accounting) lives in ``test_chaos.py``.
+Serial-mode coverage of the fault-tolerance layer — deterministic and
+fast.  Thread-mode chaos (replica kills, hangs, drift, degrade to
+serial) lives in ``test_chaos.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.params.reram import PT_TIO2_DEVICE
 from repro.resilience import ResiliencePolicy
 from repro.serve import ServeConfig, ServingRuntime
 from repro.serve.dispatcher import (
-    pool_timeout_s,
     program_state,
     reprogram_state,
     run_programmed,
@@ -445,7 +444,7 @@ class TestDriftRecovery:
             assert hist.maximum > health.drift_threshold
             # Once reprogrammed, later probes read ~zero drift.
             probe = runtime.dispatcher.probe_replica(0)
-            assert probe.result(pool_timeout_s()) == pytest.approx(0.0)
+            assert probe.result(60.0) == pytest.approx(0.0)
         # serve() outputs: batches before the drift (and after the
         # reprogram) match the oracle; the drifted middle batches are
         # the graceful-degradation window.  The first batch computed
@@ -494,29 +493,3 @@ class TestDegradeToSerial:
             runtime._inflight.clear()
             runtime.batcher._queue.clear()
             runtime.close()
-
-
-class TestPoolTimeoutKnob:
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("PRIME_POOL_TIMEOUT_S", raising=False)
-        assert pool_timeout_s() == 300.0
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PRIME_POOL_TIMEOUT_S", "12.5")
-        assert pool_timeout_s() == 12.5
-
-    @pytest.mark.parametrize("bad", ["banana", "-3", "0", "inf", "nan"])
-    def test_bad_values_warn_and_default(
-        self, monkeypatch, bad, caplog
-    ):
-        telemetry.enable()
-        monkeypatch.setenv("PRIME_POOL_TIMEOUT_S", bad)
-        with caplog.at_level("WARNING", logger="repro.serve"):
-            assert pool_timeout_s() == 300.0
-        assert "PRIME_POOL_TIMEOUT_S" in caplog.text
-        assert (
-            telemetry.counter_value(
-                "perf.env.invalid", knob="PRIME_POOL_TIMEOUT_S"
-            )
-            == 1
-        )

@@ -17,16 +17,15 @@ from repro.params.crossbar import CrossbarParams
 from repro.params.memory import MemoryOrganization
 from repro.params.prime import PrimeConfig
 from repro.params.reram import PT_TIO2_DEVICE
-from repro.perf.parallel import ParallelFallbackWarning
 from repro.resilience import ResiliencePolicy
 from repro.serve import (
     SerialDispatcher,
     ServeConfig,
     ServingRuntime,
+    ThreadDispatcher,
     make_dispatcher,
     program_state,
 )
-from repro.serve import dispatcher as dispatcher_mod
 
 pytestmark = pytest.mark.serve
 
@@ -246,9 +245,10 @@ class TestLifecycle:
 
 
 class TestDispatchModes:
-    def test_bad_mode_rejected(self, network, samples):
-        with pytest.raises(ConfigurationError):
-            _runtime(network, samples, serve=dict(mode="threads"))
+    @pytest.mark.parametrize("mode", ["threads", "process"])
+    def test_bad_mode_rejected(self, network, samples, mode):
+        with pytest.raises(ConfigurationError, match=r"auto\|thread\|serial"):
+            _runtime(network, samples, serve=dict(mode=mode))
 
     def test_auto_mode_parity_with_serial(self, network, samples):
         with _runtime(network, samples) as serial_runtime:
@@ -256,46 +256,11 @@ class TestDispatchModes:
         with _runtime(
             network, samples, serve=dict(mode="auto")
         ) as auto_runtime:
-            assert auto_runtime.mode in ("process", "serial")
+            assert auto_runtime.replicas == 2
+            assert auto_runtime.mode == "thread"
+            assert isinstance(auto_runtime.dispatcher, ThreadDispatcher)
             auto_out = auto_runtime.serve(samples)
         np.testing.assert_array_equal(auto_out, serial_out)
-
-    def test_auto_falls_back_with_warning_and_counter(
-        self, network, samples, monkeypatch
-    ):
-        telemetry.enable()
-
-        def explode(spec, replicas, **kw):
-            raise OSError("no fork for you")
-
-        monkeypatch.setattr(
-            dispatcher_mod, "ProcessDispatcher", explode
-        )
-        with pytest.warns(ParallelFallbackWarning):
-            with _runtime(
-                network, samples, serve=dict(mode="auto")
-            ) as runtime:
-                assert runtime.mode == "serial"
-                served = runtime.serve(samples[:4])
-        assert (
-            telemetry.counter_value(
-                "serve.dispatch.fallback", reason="OSError"
-            )
-            == 1
-        )
-        assert served.shape[0] == 4
-
-    def test_process_mode_propagates_pool_failure(
-        self, network, samples, monkeypatch
-    ):
-        def explode(spec, replicas, **kw):
-            raise OSError("no fork for you")
-
-        monkeypatch.setattr(
-            dispatcher_mod, "ProcessDispatcher", explode
-        )
-        with pytest.raises(OSError):
-            _runtime(network, samples, serve=dict(mode="process"))
 
     def test_make_dispatcher_serial_for_single_replica(
         self, network, samples

@@ -6,9 +6,9 @@ to the serial oracle — across racing threads, interleaved batch widths,
 and both noise regimes (noise-on routes each task's draws through a
 private stream seeded exactly like the reseed path).  Scale-up
 allocates only scratch workspaces, the lease pool returns to full
-after exceptions, resident memory reports ~one weight copy however
-many threads serve it, and the ``PRIME_DISPATCH`` knob follows the
-warn-and-default pattern.
+after exceptions, and resident memory reports ~one weight copy however
+many threads serve it.  Remapped tiles serialise every batch under the
+write lock and still answer exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import gc
 import threading
-import time
 import weakref
 
 import numpy as np
@@ -33,12 +32,11 @@ from repro.serve import ServeConfig, ServingRuntime
 from repro.serve.dispatcher import (
     ThreadDispatcher,
     batch_noise_seed,
-    dispatch_mode,
     program_state,
     run_programmed,
     spec_resident_bytes,
 )
-from repro.serve.health import FaultEvent, FaultPlan, HealthPolicy
+from repro.serve.health import FaultEvent, FaultPlan
 from repro.telemetry.request import serving_report
 
 pytestmark = pytest.mark.serve
@@ -93,47 +91,6 @@ def _runtime(network, samples, **kw):
     )
     defaults.update(kw)
     return ServingRuntime(network, TOPOLOGY, **defaults)
-
-
-class TestDispatchKnob:
-    def test_default_auto(self):
-        assert dispatch_mode() is None
-
-    def test_valid_values(self, monkeypatch):
-        for value in ("serial", "thread", "process"):
-            monkeypatch.setenv("PRIME_DISPATCH", value)
-            assert dispatch_mode() == value
-        monkeypatch.setenv("PRIME_DISPATCH", "auto")
-        assert dispatch_mode() is None
-
-    def test_invalid_value_warns_and_keeps_default(self, monkeypatch):
-        monkeypatch.setenv("PRIME_DISPATCH", "fibers")
-        session = telemetry.enable(fresh=True)
-        assert dispatch_mode() is None
-        assert (
-            session.metrics.counter_value(
-                "perf.env.invalid", knob="PRIME_DISPATCH"
-            )
-            == 1
-        )
-
-    def test_env_steers_auto_deployments(
-        self, network, samples, monkeypatch
-    ):
-        monkeypatch.setenv("PRIME_DISPATCH", "thread")
-        with _runtime(
-            network, samples, serve=dict(mode="auto")
-        ) as runtime:
-            assert runtime.mode == "thread"
-
-    def test_explicit_mode_beats_env(
-        self, network, samples, monkeypatch
-    ):
-        monkeypatch.setenv("PRIME_DISPATCH", "thread")
-        with _runtime(
-            network, samples, serve=dict(mode="serial")
-        ) as runtime:
-            assert runtime.mode == "serial"
 
 
 class TestThreadBitIdentity:
@@ -262,6 +219,50 @@ class TestThreadBitIdentity:
             )
 
 
+class TestRemappedTiles:
+    def test_remapped_tiles_serialise_and_match_reference(
+        self, network, samples
+    ):
+        """Faulty arrays force tile remaps during programming.  Remapped
+        tiles take the per-engine walk, which is not re-entrant, so two
+        replica threads serialise every batch under the write lock
+        (counted once, at deploy) and still answer exactly."""
+        policy = ResiliencePolicy(
+            verify_writes=True,
+            spare_columns=0,
+            spare_pairs_per_bank=3,
+            column_error_limit=100.0,
+            mask_error_limit=100.0,
+        )
+        config = PrimeConfig(
+            crossbar=CrossbarParams(
+                rows=32,
+                cols=32,
+                sense_amps=8,
+                device=NOISE_FREE,
+                fault_rate_hrs=0.05,
+                fault_rate_lrs=0.05,
+            ),
+            organization=SMALL_ORG,
+            resilience=policy,
+        )
+        telemetry.enable(fresh=True)
+        with _runtime(
+            network, samples, config=config, serve=dict(seed=3)
+        ) as runtime:
+            assert runtime.replicas == 2
+            executor, _ = program_state(runtime.spec)
+            summary = executor.last_degradation
+            assert summary is not None and summary.remapped_tiles >= 1
+            assert not runtime.dispatcher._parallel
+            served = runtime.serve(samples)
+            reference = runtime.reference(samples)
+        assert (
+            telemetry.counter_total("serve.dispatch.thread_serialized") == 1
+        )
+        np.testing.assert_array_equal(served, reference)
+
+
 class TestWorkspaceLeases:
     def test_leases_return_after_exceptions(self, network, samples):
         """A batch that explodes mid-plan must hand its workspace
@@ -304,19 +305,6 @@ class TestResidentBytes:
             runtime.scale_to(4)
             # Four replica threads, still one programmed copy.
             assert runtime.dispatcher.resident_bytes() == one_copy
-
-    def test_process_mode_holds_one_copy_per_replica(
-        self, network, samples
-    ):
-        with _runtime(
-            network, samples, serve=dict(mode="process")
-        ) as runtime:
-            if runtime.mode != "process":
-                pytest.skip("no process pool support here")
-            assert (
-                runtime.dispatcher.resident_bytes()
-                == 2 * spec_resident_bytes(runtime.spec)
-            )
 
     def test_gauge_reaches_serving_report(self, network, samples):
         session = telemetry.enable(fresh=True)
@@ -484,117 +472,3 @@ class TestDeployFootprint:
             assert ref() is None
         finally:
             gc.enable()
-
-
-@pytest.mark.chaos
-class TestThreadChaos:
-    def test_injected_kill_recovers_bit_identical(
-        self, network, samples
-    ):
-        plan = FaultPlan.of(FaultEvent(batch_index=1, kind="kill"))
-        with _runtime(
-            network,
-            samples,
-            fault_plan=plan,
-            health=HealthPolicy(backoff_base_s=0.0),
-        ) as runtime:
-            served = runtime.serve(samples)
-            reference = runtime.reference(samples)
-            assert plan.remaining == 0
-            assert len(runtime.restarts) == 1
-            assert runtime.restarts[0].reason == "crash"
-            # Thread restart = cooperative cancel + fresh pool +
-            # scratch buffers: no fork, no reprogramming.
-            assert runtime.restarts[0].cost_s < 1.0
-        np.testing.assert_array_equal(served, reference)
-
-    def test_hung_thread_cancelled_cooperatively(
-        self, network, samples
-    ):
-        """A replica thread sleeping 60s trips the 1s deadline; its
-        cancellation event wakes it immediately on restart — the run
-        (and teardown) must finish far inside the hang duration."""
-        plan = FaultPlan.of(
-            FaultEvent(batch_index=0, kind="hang", duration_s=60.0)
-        )
-        health = HealthPolicy(batch_timeout_s=1.0, backoff_base_s=0.0)
-        start = time.monotonic()
-        with _runtime(
-            network, samples, fault_plan=plan, health=health
-        ) as runtime:
-            served = runtime.serve(samples)
-            reference = runtime.reference(samples)
-            assert len(runtime.restarts) == 1
-            assert runtime.restarts[0].reason == "timeout"
-        assert time.monotonic() - start < 30.0
-        np.testing.assert_array_equal(served, reference)
-
-    def test_degrade_to_serial_zero_request_loss(
-        self, network, samples
-    ):
-        """Every replica thread retired (restart budget zero): the
-        runtime degrades to serial and still answers every admitted
-        request bit-identically — nothing shed, nothing lost."""
-        plan = FaultPlan.of(
-            FaultEvent(batch_index=0, kind="kill"),
-            FaultEvent(batch_index=1, kind="kill"),
-        )
-        health = HealthPolicy(
-            max_restarts_per_replica=0, backoff_base_s=0.0
-        )
-        telemetry.enable(fresh=True)
-        with _runtime(
-            network, samples, fault_plan=plan, health=health
-        ) as runtime:
-            requests = [runtime.submit(x) for x in samples]
-            runtime.pump(flush=True)
-            assert runtime.mode == "serial"
-            assert runtime.shed_failed == 0
-            assert all(r.done and r.error is None for r in requests)
-            served = np.stack([r.result for r in requests])
-            reference = runtime.reference(samples)
-        assert (
-            telemetry.counter_value(
-                "serve.dispatch.fallback",
-                reason="unhealthy",
-                tenant=runtime.tenant,
-            )
-            == 1
-        )
-        np.testing.assert_array_equal(served, reference)
-
-    @pytest.mark.parametrize("probe_every", [None, 2])
-    def test_degrade_reroutes_batches_stranded_on_the_closed_pools(
-        self, network, samples, probe_every
-    ):
-        """Batches (and drift probes) still queued on the replica
-        threads when the runtime degrades to serial are cancelled with
-        their pools.  The batches are re-dispatched to the serial
-        replica and the probes dropped, neither charged to it: charged,
-        they retired it (restart budget zero) and failed a batch."""
-        plan = FaultPlan.of(
-            FaultEvent(batch_index=0, kind="hang", duration_s=30.0),
-            FaultEvent(batch_index=1, kind="kill"),
-        )
-        health = HealthPolicy(
-            max_restarts_per_replica=0,
-            backoff_base_s=0.0,
-            batch_timeout_s=0.5,
-            probe_interval_batches=probe_every,
-        )
-        with _runtime(
-            network,
-            samples,
-            fault_plan=plan,
-            health=health,
-            serve=dict(max_batch=4),
-        ) as runtime:
-            requests = [runtime.submit(x) for x in samples]
-            runtime.pump(flush=True)
-            assert runtime.mode == "serial"
-            assert runtime.monitor.routable() == [0]
-            assert runtime.shed_failed == 0
-            assert all(r.done and r.error is None for r in requests)
-            served = np.stack([r.result for r in requests])
-            reference = runtime.reference(samples)
-        np.testing.assert_array_equal(served, reference)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 import time
 
 import numpy as np
@@ -86,6 +87,38 @@ def test_span_stack_survives_exceptions():
         pass
     after = telemetry.session().tracer.spans[-1]
     assert after.depth == 0 and after.parent_index is None
+
+
+def test_track_label_is_thread_local_and_restored():
+    tracer = telemetry.enable().tracer
+    seen = {}
+
+    def other_thread():
+        with telemetry.span("elsewhere"):
+            pass
+        seen["track"] = tracer.spans[-1].track
+
+    with tracer.on_track("replica:1"):
+        with telemetry.span("inside"):
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join()
+        with tracer.on_track("replica:0"):
+            with telemetry.span("nested"):
+                pass
+        with telemetry.span("restored"):
+            pass
+    with telemetry.span("outside"):
+        pass
+    tracks = {s.name: s.track for s in tracer.spans}
+    assert tracks == {
+        "inside": "replica:1",
+        "elsewhere": None,
+        "nested": "replica:0",
+        "restored": "replica:1",
+        "outside": None,
+    }
+    assert seen["track"] is None
 
 
 def test_metrics_registry_counters_gauges_histograms():
