@@ -62,6 +62,7 @@ from repro.crossbar.sense import digitise, part_window
 from repro.errors import ExecutionError
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
+from repro.perf import blas
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 __all__ = [
@@ -732,6 +733,8 @@ class CompiledPlan:
         self._ws_lock = threading.Lock()
         self._ws_free: list[PlanWorkspace] = []
         self._ws_allocated = 0
+        # exact(with_noise), memoised per noise regime.
+        self._exact: dict[bool, bool] = {}
 
     # -- workspace leasing ---------------------------------------------
 
@@ -820,6 +823,28 @@ class CompiledPlan:
             and all(step.valid() for step in self.steps)
         )
 
+    def exact(self, with_noise: bool) -> bool:
+        """Whether a forward in this noise regime is exact.
+
+        Exact means every weight layer's arrays are ideal and the call
+        samples no read noise: every count is then an integer inside
+        the float dtype's exact range, on every path, so no result bit
+        depends on how BLAS splits its sums.  Only exact forwards
+        narrow the BLAS thread budget (:mod:`repro.perf.blas`).
+        Reprogramming or drift replaces the plan, so the flag is
+        computed once per plan and regime.
+        """
+        with_noise = bool(with_noise)
+        flag = self._exact.get(with_noise)
+        if flag is None:
+            flag = all(
+                step.kernel.is_ideal and not step.kernel._noisy(with_noise)
+                for step in self.steps
+                if isinstance(step, _WeightStep)
+            )
+            self._exact[with_noise] = flag
+        return flag
+
     def execute(
         self, act: np.ndarray, with_noise: bool = False, fused: bool = True
     ):
@@ -836,12 +861,17 @@ class CompiledPlan:
         execution would otherwise overwrite in place.  The first
         execution over an uncalibrated chain freezes its calibration,
         a state mutation: it must not race another execution (thread
-        serving runs it under the state's write lock).
+        serving runs it under the state's write lock).  The step loop
+        holds a place in the process's BLAS thread budget
+        (:func:`repro.perf.blas.forward`), so concurrent exact
+        forwards share the BLAS threads instead of oversubscribing
+        them.
         """
         workspace = self._lease()
         try:
-            for step, store in zip(self.steps, workspace.stores):
-                act = step.run(act, with_noise, store, fused)
+            with blas.forward(self.exact(with_noise)):
+                for step, store in zip(self.steps, workspace.stores):
+                    act = step.run(act, with_noise, store, fused)
             if isinstance(self.steps[-1], _WeightStep):
                 act = act.copy()
         finally:

@@ -547,6 +547,8 @@ class ThreadDispatcher:
     them), so per-replica single-thread pools evaluate concurrently
     while
 
+    * concurrent exact forwards split OpenBLAS's threads between them
+      instead of oversubscribing the cores (:mod:`repro.perf.blas`);
     * batch payloads and results move as plain ndarray references;
     * scale-up allocates only per-thread scratch workspaces
       (:meth:`~repro.perf.plan.CompiledPlan.prewarm` — microseconds,

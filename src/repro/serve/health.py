@@ -12,9 +12,9 @@ runtime threads those failures through:
   retries with exponential backoff, latency-outlier quarantine,
   restart budgets, and the drift-probe cadence/threshold.
 * :class:`ReplicaHealthMonitor` — per-replica liveness bookkeeping:
-  consecutive-failure counts, an EMA latency baseline for outlier
-  detection, quarantine/revive/retire state, and the routable set the
-  dispatcher round-robins over.
+  consecutive-failure counts, EMA latency baselines per batch-width
+  bucket for outlier detection, quarantine/revive/retire state, and
+  the routable set the dispatcher round-robins over.
 * :class:`FaultPlan` / :class:`FaultEvent` — the seeded chaos harness:
   replica kills, hangs (sleep injection), slow replicas, and conductance
   drift scheduled at fixed micro-batch indices, so chaos tests are a
@@ -103,7 +103,9 @@ class HealthPolicy:
     #: and restarted.
     suspect_limit: int = 3
     #: A batch whose worker-measured execution time exceeds this factor
-    #: times the replica's EMA baseline counts as a latency outlier.
+    #: times the replica's EMA baseline *for batches of similar width*
+    #: (the same power-of-two bucket, ``samples.bit_length()``) counts
+    #: as a latency outlier; a bucket's first batch seeds its baseline.
     latency_outlier_factor: float = 10.0
     #: Restart budget per replica; past it the replica is retired for
     #: the runtime's lifetime (and the runtime degrades to serial
@@ -172,9 +174,11 @@ class ReplicaHealth:
     suspect_count: int = 0
     #: Restarts consumed from the per-replica budget.
     restarts: int = 0
-    #: EMA of worker-measured execution seconds (the outlier baseline);
-    #: 0.0 until the first batch completes.
-    ema_exec_s: float = 0.0
+    #: EMA of worker-measured execution seconds per batch-width bucket
+    #: (``samples.bit_length()``: 1, 2-3, 4-7, ... samples), the
+    #: outlier baselines; a bucket is absent until its first batch
+    #: completes.
+    ema_exec_s: dict[int, float] = field(default_factory=dict)
     #: Most recent drift-probe distance.
     last_drift: float = 0.0
 
@@ -216,27 +220,34 @@ class ReplicaHealthMonitor:
 
     # -- outcomes -------------------------------------------------------
 
-    def record_success(self, replica: int, exec_s: float) -> bool:
-        """Record a completed batch; True when the replica just crossed
-        the consecutive-outlier limit and should be restarted.
+    def record_success(
+        self, replica: int, exec_s: float, samples: int
+    ) -> bool:
+        """Record a completed ``samples``-wide batch; True when the
+        replica just crossed the consecutive-outlier limit and should be
+        restarted.
 
-        The EMA baseline only absorbs non-outlier observations, so one
-        slow batch cannot drag the baseline up and mask the next.
+        A batch is judged only against the replica's recent batches of
+        similar width: execution time grows with width, so a burst's
+        256-wide batches would otherwise count as outliers against a
+        baseline of 1-sample batches.  The first batch of a width
+        bucket seeds its baseline and is never an outlier.  A baseline
+        only absorbs non-outlier observations, so one slow batch cannot
+        drag it up and mask the next.
         """
         r = self.replicas[replica]
         p = self.policy
-        outlier = (
-            r.ema_exec_s > 0.0
-            and exec_s > p.latency_outlier_factor * r.ema_exec_s
-        )
-        if outlier:
+        bucket = samples.bit_length()
+        ema = r.ema_exec_s.get(bucket)
+        if ema is None:
+            r.suspect_count = 0
+            r.ema_exec_s[bucket] = exec_s
+            return False
+        if exec_s > p.latency_outlier_factor * ema:
             r.suspect_count += 1
             return r.suspect_count >= p.suspect_limit
         r.suspect_count = 0
-        if r.ema_exec_s == 0.0:
-            r.ema_exec_s = exec_s
-        else:
-            r.ema_exec_s += self.EMA_ALPHA * (exec_s - r.ema_exec_s)
+        r.ema_exec_s[bucket] = ema + self.EMA_ALPHA * (exec_s - ema)
         return False
 
     def record_failure(self, replica: int, reason: str) -> None:
@@ -264,7 +275,7 @@ class ReplicaHealthMonitor:
         r.retired = False
         r.suspect_count = 0
         r.restarts += 1
-        r.ema_exec_s = 0.0
+        r.ema_exec_s = {}
         r.last_drift = 0.0
 
     def retire(self, replica: int) -> None:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
 from repro.nn.datasets import synthetic_mnist
 from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
+from repro.perf import blas
 
 
 def _float_im2col(layer, act):
@@ -99,3 +104,59 @@ def trained_tiny_cnn():
         val_labels=y_test,
     )
     return topology, net, x_test, y_test
+
+
+class SpyBudget(blas.BlasBudget):
+    """A :class:`~repro.perf.blas.BlasBudget` over the real OpenBLAS
+    (a no-op budget where there is none) that records each forward's
+    exactness and every thread count it sets.  The first ``meet``
+    forwards wait for each other inside the budget, so they are in
+    flight together whatever the timing."""
+
+    def __init__(self, threads, meet: int = 0) -> None:
+        self.sets: list[int] = []
+        self.exact: list[bool] = []
+        self._getter = None
+        if threads is not None:
+            setter, getter = threads
+
+            def spy(n: int) -> None:
+                self.sets.append(n)
+                setter(n)
+
+            threads = (spy, getter)
+            self._getter = getter
+        super().__init__(threads)
+        self._tickets = itertools.count()
+        self._meet = threading.Barrier(meet) if meet else None
+
+    @contextlib.contextmanager
+    def forward(self, exact: bool):
+        self.exact.append(exact)
+        with super().forward(exact):
+            if self._meet and next(self._tickets) < self._meet.parties:
+                self._meet.wait(timeout=120.0)
+            yield
+
+    def threads(self) -> int:
+        """The thread count OpenBLAS holds now."""
+        return self.base if self._getter is None else int(self._getter())
+
+
+@pytest.fixture
+def blas_spy(monkeypatch):
+    """Install a :class:`SpyBudget` as the process's BLAS budget:
+    ``blas_spy(meet=0)`` returns it.  On teardown OpenBLAS must be back
+    at ``base``."""
+    threads = blas.openblas_threads()
+    installed = []
+
+    def install(meet: int = 0) -> SpyBudget:
+        spy = SpyBudget(threads, meet)
+        monkeypatch.setattr(blas, "_budget", spy)
+        installed.append(spy)
+        return spy
+
+    yield install
+    for spy in installed:
+        assert spy.threads() == spy.base

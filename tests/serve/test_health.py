@@ -136,22 +136,55 @@ class TestReplicaHealthMonitor:
         )
         monitor = ReplicaHealthMonitor(1, policy)
         # First observation seeds the EMA; it can never be an outlier.
-        assert monitor.record_success(0, 100.0) is False
+        assert monitor.record_success(0, 100.0, 4) is False
         # One outlier is a suspect, not yet a restart trigger.
-        assert monitor.record_success(0, 5000.0) is False
+        assert monitor.record_success(0, 5000.0, 4) is False
         assert monitor.replicas[0].suspect_count == 1
         # The second consecutive outlier crosses suspect_limit.
-        assert monitor.record_success(0, 5000.0) is True
+        assert monitor.record_success(0, 5000.0, 4) is True
         # A clean batch resets the streak.
-        monitor.record_success(0, 100.0)
+        monitor.record_success(0, 100.0, 4)
         assert monitor.replicas[0].suspect_count == 0
 
     def test_outliers_do_not_poison_the_ema(self):
         monitor = ReplicaHealthMonitor(1, HealthPolicy())
-        monitor.record_success(0, 1.0)
-        baseline = monitor.replicas[0].ema_exec_s
-        monitor.record_success(0, 1000.0)  # outlier
+        monitor.record_success(0, 1.0, 4)
+        baseline = dict(monitor.replicas[0].ema_exec_s)
+        monitor.record_success(0, 1000.0, 4)  # outlier
         assert monitor.replicas[0].ema_exec_s == baseline
+
+    def test_wide_batches_judged_against_their_own_width(self):
+        """A burst's wide batches are slow against 1-sample traffic
+        but not against each other: the first of a width bucket seeds
+        that bucket's baseline, so none is an outlier."""
+        monitor = ReplicaHealthMonitor(1, HealthPolicy())
+        for _ in range(20):
+            assert monitor.record_success(0, 0.003, 1) is False
+        for _ in range(5):
+            assert monitor.record_success(0, 0.150, 256) is False
+            assert monitor.replicas[0].suspect_count == 0
+        assert set(monitor.replicas[0].ema_exec_s) == {1, 9}
+
+    def test_slow_streak_of_one_width_still_restarts(self):
+        monitor = ReplicaHealthMonitor(1, HealthPolicy(suspect_limit=3))
+        for _ in range(20):
+            monitor.record_success(0, 0.003, 1)
+        for _ in range(5):
+            monitor.record_success(0, 0.150, 256)
+        assert monitor.record_success(0, 1.6, 256) is False
+        assert monitor.record_success(0, 1.6, 256) is False
+        assert monitor.record_success(0, 1.6, 256) is True
+
+    def test_revive_forgets_every_baseline(self):
+        monitor = ReplicaHealthMonitor(1, HealthPolicy())
+        monitor.record_success(0, 0.003, 1)
+        monitor.record_success(0, 0.150, 256)
+        monitor.quarantine(0)
+        monitor.revive(0)
+        assert monitor.replicas[0].ema_exec_s == {}
+        # After a restart a slow first batch only seeds the bucket.
+        assert monitor.record_success(0, 30.0, 1) is False
+        assert monitor.replicas[0].suspect_count == 0
 
     def test_restart_budget_then_retire(self):
         policy = HealthPolicy(max_restarts_per_replica=2)

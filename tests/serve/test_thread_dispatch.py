@@ -118,10 +118,14 @@ class TestThreadBitIdentity:
                         served[lo : lo + 5], reference
                     )
 
-    def test_variation_noise_off_runs_parallel(self, network, samples):
+    def test_variation_noise_off_runs_parallel(
+        self, network, samples, blas_spy
+    ):
         """Verified writes give the deployment an RNG, so its arrays
         carry programming variation; with noise off they fuse through
-        the differential stack and the replicas never serialise."""
+        the differential stack and the replicas never serialise.  Their
+        counts are continuous, so concurrent forwards never narrow the
+        BLAS thread budget: the first two meet inside it."""
         telemetry.enable(fresh=True)
         with _runtime(
             network,
@@ -134,11 +138,15 @@ class TestThreadBitIdentity:
             assert disp._parallel
             assert all(p.kernel.varied for p in disp._state[1])
             disp.grow(2)
+            spy = blas_spy(meet=2)
             served = runtime.serve(samples)
             reference = runtime.reference(samples)
         assert (
             telemetry.counter_total("serve.dispatch.thread_serialized") == 0
         )
+        assert spy.exact and not any(spy.exact)
+        assert spy.sets == []
+        assert telemetry.counter_total("perf.blas.narrowed") == 0
         np.testing.assert_array_equal(served, reference)
 
     def test_eight_thread_stress_interleaved_widths(
@@ -171,11 +179,13 @@ class TestThreadBitIdentity:
                 assert plan.workspaces_allocated >= 1
 
     def test_noise_on_reproducible_under_racing_threads(
-        self, network, samples
+        self, network, samples, blas_spy
     ):
         """Each per-batch-index noise seed reproduces bit-exactly no
         matter which of 8 racing threads serves it — dispatched twice
-        concurrently, both runs equal the serial reseed oracle."""
+        concurrently, both runs equal the serial reseed oracle.  Noisy
+        forwards never narrow the BLAS thread budget, even when two of
+        them are in flight together."""
         with _runtime(
             network,
             samples,
@@ -184,6 +194,7 @@ class TestThreadBitIdentity:
         ) as runtime:
             disp = runtime.dispatcher
             disp.grow(6)
+            spy = blas_spy(meet=2)
             spec = runtime.spec
             indices = list(range(12))
             seeds = [batch_noise_seed(7, i) for i in indices]
@@ -205,6 +216,8 @@ class TestThreadBitIdentity:
                 np.testing.assert_array_equal(
                     results[2 * pos + 1], expected
                 )
+        assert spy.exact and not any(spy.exact)
+        assert spy.sets == []
 
     def test_one_program_pass_however_many_threads(
         self, network, samples
