@@ -75,16 +75,20 @@ def digitise(
     toward zero — the SA keeps the top bits of a magnitude and the
     differential front end restores its sign — saturated at the
     ``bits``-bit register's full scale ``L = 2**bits - 1``, and aligned
-    by the precision-control adder (``post``; ``None`` skips an
-    all-ones alignment).  ``pre`` and
-    ``post`` broadcast against ``counts`` (see :func:`part_window`).
-    Exact for integer and continuous counts alike, since both factors
-    are powers of two.  Writes into ``out`` when given, which may be
-    ``counts`` itself, and returns the float result.
+    by the precision-control adder (``post``).  ``None`` skips an
+    all-ones factor: the compiled plan passes ``pre=None`` when its
+    counts already carry the window.  ``pre`` and ``post`` broadcast
+    against ``counts`` (see :func:`part_window`).  Exact for integer
+    and continuous counts alike, since both factors are powers of two.
+    Writes into ``out`` when given, which may be ``counts`` itself,
+    and returns the float result.
     """
     limit = float((1 << bits) - 1)
-    out = np.multiply(counts, pre, out=out)
-    np.trunc(out, out=out)
+    if pre is None:
+        out = np.trunc(counts, out=out)
+    else:
+        out = np.multiply(counts, pre, out=out)
+        np.trunc(out, out=out)
     np.clip(out, -limit, limit, out=out)
     if post is not None:
         out *= post

@@ -28,17 +28,36 @@ time, instead of interpreting the network layer by layer:
 * micro-batches (``<= PACKED_MAX_VECS`` vectors) evaluate through a
   *packed* weight stack that fuses the hi/lo weight halves into one
   float32 field pair — halving the streamed weight bytes in the
-  latency regime where the matmul is bandwidth-bound.
+  latency regime where the matmul is bandwidth-bound;
+* the SA window rides on the operands: Eq. 8 gives part ``[p, h]``
+  the weight ``2**(e_in[p] + e_w[h])`` (``e_in = (pin/2, 0)`` per drive
+  phase, ``e_w = (pw/2, 0)`` per weight half), so the trimmed and conv
+  stacks carry ``2**e_w`` on their high-half columns and the drive
+  phases ``2**(e_in - shift)``.  Count planes leave the matmul already
+  scaled by ``F = 2**(e_in + e_w - shift)``; the packed path, whose
+  fields leave no room for it, multiplies its small planes by ``F``
+  instead.  :func:`~repro.crossbar.sense.digitise` then applies only
+  the residual window ``pre / F`` and ``post``, both all ones (and
+  skipped) when ``pin/2 + pw/2 <= shift < part_full_bits`` — every
+  bench layer — and the digitised planes sum in the count dtype
+  whenever a compile-time bound keeps that sum exact.
 
 Exactness: with noise off on ideal arrays every intermediate is an
 integer inside the float dtype's contiguous-integer range (the same
-invariant :class:`FusedLayerKernel` relies on), so the compiled path
-is bit-identical to the per-engine walk.  The packed stack keeps two
-12-bit-separated integer fields whose dot products stay below
-``2**24`` per 16-row sub-block, so float32 matmul and ``rint`` field
-extraction are exact too.  On arrays programmed with variation the
-kernel's stack holds float64 differential cell weights instead; the
-same trimmed inline path runs them (never the packed one).  Every path
+invariant :class:`FusedLayerKernel` relies on) times a power of two
+from the fold, so the compiled path is bit-identical to the per-engine
+walk: each folded count is the unfolded count times ``2**k`` exactly,
+and float32 sgemm stays exact in any summation order and at any BLAS
+thread count.  The packed stack keeps two 12-bit-separated integer
+fields whose dot products stay below ``2**24`` per 16-row sub-block,
+so float32 matmul and ``rint`` field extraction are exact too.  On
+arrays programmed with variation the kernel's stack holds float64
+differential cell weights instead; the same trimmed inline path runs
+them (never the packed one).  Scaling both operands of their float64
+matmul by powers of two scales every product and partial sum exactly,
+so it returns the unfolded counts times ``2**k`` bit for bit (no
+factor is below ``2**-full_bits``, about ``2**-22`` at the default
+widths, far from float64's subnormal range).  Every path
 digitises through the one SA transfer function,
 :func:`~repro.crossbar.sense.digitise`.  Layers that cannot take the
 inline path (read noise on, resilience-remapped tiles, on-lattice
@@ -194,6 +213,12 @@ class PlanWorkspace:
         self.stores: list[dict] = [{} for _ in range(n_steps)]
 
 
+def _untraced(name: str, **attrs) -> telemetry.NullSpan:
+    """:func:`repro.telemetry.span`'s no-op stand-in, handed to a step's
+    inline phases while telemetry is off."""
+    return telemetry.NULL_SPAN
+
+
 class _ForwardStep:
     """A non-weight layer: plain ``layer.forward``."""
 
@@ -208,6 +233,11 @@ class _ForwardStep:
     def run(
         self, act: np.ndarray, with_noise: bool, store: dict, fused: bool
     ) -> np.ndarray:
+        if telemetry.enabled():
+            with telemetry.span(
+                "plan.activation", layer=type(self.layer).__name__
+            ):
+                return self.layer.forward(act)
         return self.layer.forward(act)
 
 
@@ -257,32 +287,41 @@ class _WeightStep:
         w_cat = kernel.weight_stack()
         self.cdtype = w_cat.dtype
         self._w_ref = w_cat
+        # Eq. 8's part exponent split into a drive-phase term and a
+        # weight-half term: part [p, h] weighs 2**(e_in[p] + e_w[h]).
+        exps = spec.part_exponents
+        self.e_in = np.array([exps["LH"], 0])
+        self.e_w = np.array([exps["HL"], 0])
+        # The weight-half factor of the fold, per stack column.
+        w_scale = np.repeat(2.0 ** self.e_w, self.t).astype(self.cdtype)
         # Calibration constants, baked by _lower on the first run.
         self.in_fmt = None
         if self.is_conv:
             # Conv counts come out as W^T @ drive, one (2t, rows)
             # matrix per row block, so the vector axis stays innermost.
-            self.w_rows = [
-                np.ascontiguousarray(w_cat[i, :rows].T)
-                for i, rows in enumerate(self.rows_used)
-            ]
+            self.w_rows = []
+            for i, rows in enumerate(self.rows_used):
+                w_rows = np.empty((2 * self.t, rows), dtype=self.cdtype)
+                np.multiply(w_cat[i, :rows].T, w_scale[:, None], out=w_rows)
+                self.w_rows.append(w_rows)
             return
         # Trimmed stacks: full-height blocks batch into one tensor,
-        # short tail blocks keep their own right-sized matrices.
-        self.full_idx = [
-            i for i, r in enumerate(self.rows_used) if r == self.rmax
-        ]
-        self.tail_idx = [
-            i for i, r in enumerate(self.rows_used) if r != self.rmax
-        ]
+        # short tail blocks keep their own right-sized matrices.  The
+        # executor tiles rows in order, so only the last block can be
+        # short and the full blocks form a prefix.
+        self.n_full = next(
+            (i for i, r in enumerate(self.rows_used) if r != self.rmax),
+            self.rb,
+        )
         self.w_full = (
-            np.ascontiguousarray(w_cat[self.full_idx])
-            if self.full_idx
+            np.multiply(w_cat[: self.n_full], w_scale)
+            if self.n_full
             else None
         )
         self.w_tails = [
-            np.ascontiguousarray(w_cat[i, : self.rows_used[i]])
-            for i in self.tail_idx
+            np.multiply(w_cat[i, :rows], w_scale)
+            for i, rows in enumerate(self.rows_used)
+            if i >= self.n_full
         ]
         # Packed micro-batch stack, built lazily on first use.
         in_max = (1 << (spec.pin - spec.pin // 2)) - 1
@@ -343,7 +382,8 @@ class _WeightStep:
         in_fmt = programmed.in_fmt
         spec = self.kernel.spec
         self.shift = int(programmed.output_shift)
-        self.scale = (
+        # A float64 scalar, so float32 sums scale in float64.
+        self.scale = np.float64(
             (2.0 ** programmed.output_shift)
             * in_fmt.resolution
             * programmed.w_fmt.resolution
@@ -352,25 +392,52 @@ class _WeightStep:
         # equals quantize_int's division.
         self.inv_in_res = 1.0 / in_fmt.resolution
         self.code_max = float(in_fmt.int_max)
-        # The SA window of each [phase, half] part plane.  Count
-        # planes are [phase, half] for dense steps and [half, phase]
-        # for conv steps (see _conv_inline).
+        # The fold: drive phase p carries 2**(e_in[p] - shift) and
+        # weight half h carries 2**e_w[h] (see __init__), so the count
+        # plane of part [p, h] leaves the matmul scaled by fold[p, h].
+        # The SA window (part_window) stays the definition; what is
+        # left of its pre-scale is the residual pre / fold, all ones
+        # while pin/2 + pw/2 <= shift < part_full_bits.
         pre, post = part_window(spec, self.shift)
+        self.drive_scale = (2.0 ** (self.e_in - self.shift)).astype(
+            self.cdtype
+        )
+        fold = np.outer(self.drive_scale, 2.0 ** self.e_w)
         if self.is_conv:
-            pre, post = pre.T, post.T
-        self.pre_c = pre.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
-        self.post_c = (
+            # Per phase of the split pixel planes (c, phase, ...).
+            self.hl_scale = self.drive_scale.reshape(2, 1, 1, 1)
+        else:
+            # The packed path restores its low field by 2**12 (see
+            # _packed_counts) in the same multiply that folds.
+            self.pack_fold = (
+                (fold * [1.0, self.pack_scale])
+                .reshape(1, 2, 1, 2, 1)
+                .astype(self.cdtype)
+            )
+        # Count planes are [phase, half] for dense steps and
+        # [half, phase] for conv steps (see _conv_inline).
+        residual = pre / fold
+        if self.is_conv:
+            residual, post = residual.T, post.T
+        self.res_c, self.post_c = (
             None
-            if np.all(post == 1.0)
-            else post.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
+            if np.all(window == 1.0)
+            else window.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
+            for window in (residual, post)
         )
         # Inline exactness: the noise-free fused regime, plus every
         # digitised value representable in the count dtype.
-        elem_ok = (
-            self.cdtype != np.float32
-            or ((1 << spec.po) - 1) * float(post.max()) < float(1 << 24)
-        )
+        limit = ((1 << spec.po) - 1) * float(post.max())
+        elem_ok = self.cdtype != np.float32 or limit < float(1 << 24)
         self.inline_ok = self.kernel.can_fuse(with_noise=False) and elem_ok
+        # The digitised planes sum in the count dtype when the sum of
+        # all 4 * row_blocks of them stays exact there: the sum-level
+        # twin of elem_ok.  Otherwise they sum in float64.
+        self.acc_dtype = (
+            self.cdtype
+            if 4 * self.rb * limit < float(1 << 24)
+            else np.float64
+        )
         self.packed_ok = (
             not self.is_conv
             and self.inline_ok
@@ -430,17 +497,19 @@ class _WeightStep:
         if buffers is None:
             # One extra column past the bias row: the all-zero sentinel
             # the packed gather map points tail padding at.  It stays
-            # zero forever (quantising zero yields zero halves).
+            # zero forever (quantising zero yields zero halves).  The
+            # code halves are small integers, exact in the count dtype,
+            # so the drive fills without a cast.
             width = self.total_rows + 1
             buffers = {
                 "vecs": np.empty((n, width)),
                 "q": np.empty((n, width)),
-                "hi": np.empty((n, width)),
-                "lo": np.empty((n, width)),
+                "hi": np.empty((n, width), dtype=self.cdtype),
+                "lo": np.empty((n, width), dtype=self.cdtype),
                 "counts": np.empty(
                     (self.rb, 2 * n, 2 * self.t), dtype=self.cdtype
                 ),
-                "acc": np.empty((n, 2 * self.t)),
+                "acc": np.empty((n, 2 * self.t), dtype=self.acc_dtype),
                 "out": np.empty((n, self.t)),
             }
             buffers["vecs"][:, -2] = 1.0
@@ -457,11 +526,11 @@ class _WeightStep:
             buffers["red_tmp"] = np.empty(2 * n * self.t, dtype=np.float32)
         if not packed and "drive_full" not in buffers:
             buffers["drive_full"] = np.empty(
-                (len(self.full_idx), 2 * n, self.rmax), dtype=self.cdtype
+                (self.n_full, 2 * n, self.rmax), dtype=self.cdtype
             )
             buffers["drive_tails"] = [
-                np.empty((2 * n, self.rows_used[i]), dtype=self.cdtype)
-                for i in self.tail_idx
+                np.empty((2 * n, rows), dtype=self.cdtype)
+                for rows in self.rows_used[self.n_full :]
             ]
         return buffers
 
@@ -470,7 +539,8 @@ class _WeightStep:
 
         The padded pixel planes keep their zero border forever (only
         the interior is written), and the drive's bias row holds the
-        constant code halves of input 1.
+        constant code halves of input 1, scaled by their drive-phase
+        factors like every other row.
         """
         buffers = self._stored(store, shape)
         if buffers is None:
@@ -483,8 +553,8 @@ class _WeightStep:
             )
             one = float(self.in_fmt.quantize_int(1.0))
             hi = np.floor(one * self.inv_lo_div)
-            drive[-1, 0] = hi
-            drive[-1, 1] = one - hi * self.lo_div
+            drive[-1, 0] = hi * self.drive_scale[0]
+            drive[-1, 1] = (one - hi * self.lo_div) * self.drive_scale[1]
             buffers = {
                 "pix": np.zeros(planes),
                 "q": np.empty(planes),
@@ -493,7 +563,7 @@ class _WeightStep:
                 "counts": np.empty(
                     (self.rb, 2 * self.t, 2 * n), dtype=self.cdtype
                 ),
-                "acc": np.empty((self.t, n)),
+                "acc": np.empty((self.t, n), dtype=self.acc_dtype),
                 "out": np.empty((n, self.t)),
             }
             store[shape] = buffers
@@ -508,12 +578,20 @@ class _WeightStep:
             with telemetry.span(
                 "executor.layer", layer=type(self.layer).__name__
             ):
-                return self._run(act, with_noise, store, fused)
-        return self._run(act, with_noise, store, fused)
+                return self._run(act, with_noise, store, fused, telemetry.span)
+        return self._run(act, with_noise, store, fused, _untraced)
 
     def _run(
-        self, act: np.ndarray, with_noise: bool, store: dict, fused: bool
+        self,
+        act: np.ndarray,
+        with_noise: bool,
+        store: dict,
+        fused: bool,
+        span,
     ) -> np.ndarray:
+        """One step; ``span`` opens the inline phases' spans
+        (``plan.split``/``counts``/``digitise``/``sum``), a no-op
+        unless :meth:`run` found telemetry enabled."""
         if self.is_conv:
             oh, ow = _conv_geometry(self.layer, act)
         elif act.ndim != 2:
@@ -526,9 +604,9 @@ class _WeightStep:
             and not (with_noise and self.kernel._noisy(True))
         )
         if inline and self.is_conv:
-            return self._conv_inline(act, oh, ow, store)
+            return self._conv_inline(act, oh, ow, store, span)
         if inline:
-            return self._inline(act, store)
+            return self._inline(act, store, span)
         result = self._delegate(act, with_noise, fused)
         if self.is_conv:
             return result.reshape(act.shape[0], oh, ow, self.t)
@@ -565,95 +643,107 @@ class _WeightStep:
         np.multiply(hi, -self.lo_div, out=lo)
         lo += q
 
-    def _inline(self, vectors: np.ndarray, store: dict) -> np.ndarray:
+    def _inline(self, vectors: np.ndarray, store: dict, span) -> np.ndarray:
         n = vectors.shape[0]
         packed = self.packed_ok and n <= PACKED_MAX_VECS
         buffers = self._buffer_set(n, packed, store=store)
-        vecs = buffers["vecs"]
-        vecs[:, : self.total_rows - 1] = vectors
         hi, lo = buffers["hi"], buffers["lo"]
-        self._split(vecs, buffers["q"], hi, lo)
+        with span("plan.split"):
+            vecs = buffers["vecs"]
+            vecs[:, : self.total_rows - 1] = vectors
+            self._split(vecs, buffers["q"], hi, lo)
         counts = buffers["counts"]
-        if packed:
-            self._packed_counts(hi, lo, counts, buffers, n)
-        else:
-            self._trimmed_counts(hi, lo, counts, buffers, n)
+        with span("plan.counts", vectors=n):
+            if packed:
+                self._packed_counts(hi, lo, counts, buffers, n)
+            else:
+                self._trimmed_counts(hi, lo, counts, buffers, n)
         self.kernel.charge(n, self.shift)
-        # [block, phase, vector, half, col] planes.
-        self._sense(counts.reshape(self.rb, 2, n, 2, self.t))
-        acc = buffers["acc"]
-        np.add.reduce(
-            counts.reshape(self.rb * 2, n, 2 * self.t), axis=0, out=acc
-        )
-        out = buffers["out"]
-        t = self.t
-        np.add(acc[:, :t], acc[:, t:], out=out)
-        out *= self.scale
+        with span("plan.digitise"):
+            # [block, phase, vector, half, col] planes.
+            self._sense(counts.reshape(self.rb, 2, n, 2, self.t))
+        with span("plan.sum"):
+            # Over (block, phase), then the halves, in acc_dtype.
+            acc = buffers["acc"]
+            t = self.t
+            np.add.reduce(
+                counts.reshape(self.rb * 2, n, 2 * t), axis=0, out=acc
+            )
+            np.add(acc[:, :t], acc[:, t:], out=acc[:, :t])
+            out = buffers["out"]
+            np.multiply(acc[:, :t], self.scale, out=out)
         return out
 
     def _conv_inline(
-        self, act: np.ndarray, oh: int, ow: int, store: dict
+        self, act: np.ndarray, oh: int, ow: int, store: dict, span
     ) -> np.ndarray:
         """Conv counts without a float64 patch matrix.
 
-        Each padded input pixel is quantised and split once; the drive
-        ``(rows, phase, vector)`` then fills by one slice copy per
-        kernel offset, and ``W^T @ drive`` per row block yields count
-        planes ``[block, half, col, phase, vector]`` whose long vector
-        axis is innermost for the digitisation and the reduction.
+        Each padded input pixel is quantised, split and scaled by its
+        drive-phase factor once; the drive ``(rows, phase, vector)``
+        then fills by one slice copy per kernel offset, and ``W^T @
+        drive`` per row block yields count planes ``[block, half, col,
+        phase, vector]`` whose long vector axis is innermost for the
+        digitisation and the reduction.
         """
         b, h, w, _ = act.shape
         n = b * oh * ow
         buffers = self._conv_buffers(act.shape, oh, ow, store)
         pix, hl, drive = buffers["pix"], buffers["hl"], buffers["drive"]
-        p = self.layer.pad
-        pix[:, :, p : p + h, p : p + w] = act.transpose(3, 0, 1, 2)
-        self._split(pix, buffers["q"], hl[:, 0], hl[:, 1])
-        _gather_patches(hl, self.layer.kernel, drive)
+        with span("plan.split"):
+            p = self.layer.pad
+            pix[:, :, p : p + h, p : p + w] = act.transpose(3, 0, 1, 2)
+            self._split(pix, buffers["q"], hl[:, 0], hl[:, 1])
+            hl *= self.hl_scale
         counts = buffers["counts"]
-        flat = drive.reshape(self.total_rows, 2 * n)
-        for i, w_rows in enumerate(self.w_rows):
-            np.matmul(
-                w_rows,
-                flat[self.offs[i] : self.offs[i + 1]],
-                out=counts[i],
-            )
+        with span("plan.counts", vectors=n):
+            _gather_patches(hl, self.layer.kernel, drive)
+            flat = drive.reshape(self.total_rows, 2 * n)
+            for i, w_rows in enumerate(self.w_rows):
+                np.matmul(
+                    w_rows,
+                    flat[self.offs[i] : self.offs[i + 1]],
+                    out=counts[i],
+                )
         self.kernel.charge(n, self.shift)
         parts = counts.reshape(self.rb, 2, self.t, 2, n)
-        self._sense(parts)
-        acc = buffers["acc"]
-        np.add.reduce(parts, axis=(0, 1, 3), out=acc)
-        out = buffers["out"]
-        np.multiply(acc.T, self.scale, out=out)
+        with span("plan.digitise"):
+            self._sense(parts)
+        with span("plan.sum"):
+            acc = buffers["acc"]
+            np.add.reduce(parts, axis=(0, 1, 3), out=acc)
+            out = buffers["out"]
+            np.multiply(acc.T, self.scale, out=out)
         return out.reshape(b, oh, ow, self.t)
 
     def _trimmed_counts(self, hi, lo, counts, buffers, n: int) -> None:
-        """Count planes via the trimmed full/tail weight stacks."""
+        """Count planes via the trimmed full/tail weight stacks, each
+        drive phase scaled by its fold factor as it is copied in."""
+        a_hi, a_lo = self.drive_scale
         drive = buffers["drive_full"]
-        for j, i in enumerate(self.full_idx):
-            off = self.offs[i]
-            drive[j, :n] = hi[:, off : off + self.rmax]
-            drive[j, n:] = lo[:, off : off + self.rmax]
-        if self.full_idx:
-            np.matmul(drive, self.w_full, out=counts[: len(self.full_idx)])
-        for j, i in enumerate(self.tail_idx):
-            off = self.offs[i]
-            rows = self.rows_used[i]
-            tail = buffers["drive_tails"][j]
-            tail[:n] = hi[:, off : off + rows]
-            tail[n:] = lo[:, off : off + rows]
-            np.matmul(
-                tail,
-                self.w_tails[j],
-                out=counts[len(self.full_idx) + j],
-            )
+        for j in range(self.n_full):
+            off = self.offs[j]
+            np.multiply(hi[:, off : off + self.rmax], a_hi, out=drive[j, :n])
+            np.multiply(lo[:, off : off + self.rmax], a_lo, out=drive[j, n:])
+        if self.n_full:
+            np.matmul(drive, self.w_full, out=counts[: self.n_full])
+        tails = zip(
+            range(self.n_full, self.rb), buffers["drive_tails"], self.w_tails
+        )
+        for i, tail, w_tail in tails:
+            off, rows = self.offs[i], self.rows_used[i]
+            np.multiply(hi[:, off : off + rows], a_hi, out=tail[:n])
+            np.multiply(lo[:, off : off + rows], a_lo, out=tail[n:])
+            np.matmul(tail, w_tail, out=counts[i])
 
     def _packed_counts(self, hi, lo, counts, buffers, n: int) -> None:
         """Count planes via the packed micro-batch stack.
 
         The row-block order of ``counts`` matches the layer layout;
         only the field extraction differs from the trimmed path, and
-        every step is exact (see :meth:`_packed_stack`).
+        every step is exact (see :meth:`_packed_stack`).  The packed
+        stack carries no fold factor, so the planes take theirs in one
+        final multiply.
         """
         w_pack = self._packed_stack()
         sub = PACKED_SUB_ROWS
@@ -674,8 +764,9 @@ class _WeightStep:
         # hi field A, a <- a - v = B / P, exact: B spans 11 bits
         # against P = 2**12, and partial sums of at most 16 sub-block
         # terms stay inside float32's exact dyadic range), then a
-        # ones-vector GEMV sums the sub-blocks.  The P restore folds
-        # into the reduced array, which is 16x smaller.
+        # ones-vector GEMV sums the sub-blocks.  The P restore and the
+        # fold share one multiply of the reduced array, which is 16x
+        # smaller.
         for i in range(self.rb):
             s0, s1 = self.sub_offs[i], self.sub_offs[i + 1]
             sc = s1 - s0
@@ -689,21 +780,25 @@ class _WeightStep:
             counts[i, :, :t] = tmp.reshape(2 * n, t)
             np.dot(self.pack_ones[:sc], a_s.reshape(sc, -1), out=tmp)
             counts[i, :, t:] = tmp.reshape(2 * n, t)
-        counts[:, :, t:] *= self.pack_scale
+        planes = counts.reshape(self.rb, 2, n, 2, t)
+        planes *= self.pack_fold
 
     def _sense(self, parts: np.ndarray) -> None:
         """In-place SA digitisation of the four partial-product planes.
 
-        ``parts`` views the count planes with the drive phase and the
-        weight half as two length-2 axes, in the order ``pre_c`` and
-        ``post_c`` were baked for, and goes through the one SA transfer
-        function (:func:`~repro.crossbar.sense.digitise`).  The
-        digitised values stay exact by the compile-time bounds, so
-        summing the planes into a float64 buffer reproduces the walk's
-        int64 totals bit for bit.
+        ``parts`` views the folded count planes (each already scaled by
+        its part's fold factor, see :meth:`_lower`) with the drive
+        phase and the weight half as two length-2 axes, in the order
+        ``res_c`` and ``post_c`` were baked for, and goes through the
+        one SA transfer function
+        (:func:`~repro.crossbar.sense.digitise`) at the residual
+        window: ``trunc(c * F * pre / F) = trunc(c * pre)`` exactly,
+        since every factor is a power of two.  The digitised values
+        stay exact by the compile-time bounds, so summing the planes in
+        ``acc_dtype`` reproduces the walk's int64 totals bit for bit.
         """
         digitise(
-            parts, self.pre_c, self.post_c, self.kernel.spec.po, out=parts
+            parts, self.res_c, self.post_c, self.kernel.spec.po, out=parts
         )
 
 

@@ -79,23 +79,24 @@ SPECS = [
     "spec", SPECS, ids=lambda s: f"pin{s.pin}-pw{s.pw}-po{s.po}"
 )
 def test_every_part_matches_the_definition(spec, dtype):
+    """Every part at every shift; a unit pre-scale is also passed as
+    ``pre=None`` (skip the multiply), held to the same definition."""
     counts = _counts(spec, dtype)
     exps = _exponents(spec)
     for shift in range(spec.full_bits + 1):
         pre, post = part_window(spec, shift)
         for i, row in enumerate(PART_GRID):
             for j, part in enumerate(row):
-                got = digitise(
-                    counts,
-                    dtype(pre[i, j]),
-                    dtype(post[i, j]),
-                    spec.po,
-                )
-                assert got.dtype == dtype
                 want = [
                     _literal(c, exps[part], shift, spec) for c in counts
                 ]
-                assert [int(v) for v in got] == want, (part, shift)
+                scales = [dtype(pre[i, j])]
+                if pre[i, j] == 1.0:
+                    scales.append(None)
+                for scale in scales:
+                    got = digitise(counts, scale, dtype(post[i, j]), spec.po)
+                    assert got.dtype == dtype
+                    assert [int(v) for v in got] == want, (part, shift, scale)
                 below = max(0, shift - exps[part]) >= spec.part_full_bits
                 assert (pre[i, j] == 0.0) == below
 

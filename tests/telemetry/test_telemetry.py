@@ -285,9 +285,31 @@ def test_functional_run_spans_and_counters(trained_tiny_mlp):
     plan = compiler.compile(topology)
     x, _ = synthetic_mnist(4, flat=True, seed=9)
     executor.run_functional(net, plan, x, rng=np.random.default_rng(0))
-    names = [r.name for r in telemetry.session().tracer.spans]
+    spans = telemetry.session().tracer.spans
+    names = [r.name for r in spans]
     assert "executor.run_functional" in names
     assert "executor.program_network" in names
     assert names.count("executor.layer") == 2  # two Dense layers
+    # Each inline weight step splits into its plan phases; the ReLU
+    # between the two is one activation span beside them.
+    phases = [
+        ("plan.split", {}),
+        ("plan.counts", {"vectors": 4}),
+        ("plan.digitise", {}),
+        ("plan.sum", {}),
+    ]
+    assert [
+        (
+            r.name,
+            spans[r.parent_index].name,
+            [(c.name, c.attrs) for c in spans if c.parent_index == r.index],
+        )
+        for r in spans
+        if r.name in ("executor.layer", "plan.activation")
+    ] == [
+        ("executor.layer", "executor.run_functional", phases),
+        ("plan.activation", "executor.run_functional", []),
+        ("executor.layer", "executor.run_functional", phases),
+    ]
     assert telemetry.counter_value("executor.functional_runs") == 1
     assert telemetry.counter_value("mvm.invocations") > 0
