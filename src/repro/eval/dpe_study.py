@@ -12,14 +12,12 @@ variation, and read noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import WorkloadError
-from repro.perf.parallel import parallel_map
 from repro.crossbar.array import ArrayMode
 from repro.crossbar.pair import DifferentialPair
 from repro.params.crossbar import CrossbarParams
@@ -122,7 +120,6 @@ def dpe_study(
     rows: int = 256,
     trials: int = 16,
     seed: int = 0,
-    workers: int | None = None,
 ) -> DpeStudyResult:
     """Sweep cell precision and record the effective output bits.
 
@@ -132,19 +129,13 @@ def dpe_study(
     bit region.
 
     Each precision point is a pure function of ``(weight_bits, rows,
-    trials, seed)``, so the sweep fans out over ``workers`` processes
-    (default: ``PRIME_WORKERS``) with results bit-identical to the
-    serial loop.
+    trials, seed)``, so a point does not depend on the others swept.
     """
-    result = DpeStudyResult(rows=rows, trials=trials)
     with telemetry.span(
         "eval.dpe_study", points=len(weight_bit_range), trials=trials
     ):
-        values = parallel_map(
-            partial(measure_enob, rows=rows, trials=trials, seed=seed),
-            tuple(weight_bit_range),
-            workers=workers,
-        )
-    for wb, enob in zip(weight_bit_range, values):
-        result.enob[wb] = enob
-    return result
+        enob = {
+            wb: measure_enob(wb, rows=rows, trials=trials, seed=seed)
+            for wb in weight_bit_range
+        }
+    return DpeStudyResult(rows=rows, trials=trials, enob=enob)

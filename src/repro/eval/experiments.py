@@ -17,7 +17,6 @@ Figure 12 area overhead
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from repro.errors import WorkloadError
 from repro.eval.workloads import MLBENCH_ORDER, get_workload
 from repro.params.area import AreaModel, DEFAULT_AREA_MODEL
 from repro.params.prime import PrimeConfig, DEFAULT_PRIME_CONFIG
-from repro.perf.parallel import parallel_map
 
 
 def geometric_mean(values: list[float]) -> float:
@@ -81,11 +79,11 @@ class SystemComparison:
 
 def _workload_reports(
     name: str, batch: int, config: PrimeConfig
-) -> tuple[str, dict[str, ExecutionReport]]:
-    """All systems' reports for one workload (a picklable pool task)."""
+) -> dict[str, ExecutionReport]:
+    """All systems' reports for one workload."""
     topology = get_workload(name).topology()
     plan = PrimeCompiler(config).compile(topology)
-    return name, {
+    return {
         "CPU": CpuModel().estimate(topology, batch),
         "pNPU-co": NpuCoProcessorModel().estimate(topology, batch),
         "pNPU-pim-x1": NpuPimModel(instances=1).estimate(topology, batch),
@@ -100,27 +98,20 @@ def run_all_systems(
     batch: int = 4096,
     config: PrimeConfig = DEFAULT_PRIME_CONFIG,
     workloads: tuple[str, ...] = MLBENCH_ORDER,
-    workers: int | None = None,
 ) -> SystemComparison:
     """Evaluate every workload on every system (Figs. 8-11 substrate).
 
     ``batch`` is large by default: the paper assumes each configured NN
     "will be executed tens of thousands of times", so steady-state
     throughput (with bank-level parallelism) is the figure of merit.
-
-    Workloads are independent analytical estimates, so they fan out
-    over ``workers`` processes (default: ``PRIME_WORKERS``); the
-    reports are deterministic either way.
     """
-    comparison = SystemComparison(batch=batch)
-    comparison.reports.update(
-        parallel_map(
-            partial(_workload_reports, batch=batch, config=config),
-            tuple(workloads),
-            workers=workers,
-        )
+    return SystemComparison(
+        batch=batch,
+        reports={
+            name: _workload_reports(name, batch, config)
+            for name in workloads
+        },
     )
-    return comparison
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +132,9 @@ class Figure8Result:
 def figure8(
     batch: int = 4096,
     config: PrimeConfig = DEFAULT_PRIME_CONFIG,
-    workers: int | None = None,
 ) -> Figure8Result:
     """Speedups over the CPU-only baseline (Fig. 8)."""
-    comparison = run_all_systems(batch=batch, config=config, workers=workers)
+    comparison = run_all_systems(batch=batch, config=config)
     systems = ("pNPU-co", "pNPU-pim-x1", "pNPU-pim-x64", "PRIME")
     speedups = {
         system: comparison.speedups_over_cpu(system) for system in systems
@@ -229,14 +219,13 @@ class Figure10Result:
 def figure10(
     batch: int = 4096,
     config: PrimeConfig = DEFAULT_PRIME_CONFIG,
-    workers: int | None = None,
 ) -> Figure10Result:
     """Energy savings over the CPU-only baseline (Fig. 10).
 
     pNPU-pim-x1 is omitted exactly as in the paper: its energy equals
     pNPU-pim-x64's (same work, same technology).
     """
-    comparison = run_all_systems(batch=batch, config=config, workers=workers)
+    comparison = run_all_systems(batch=batch, config=config)
     systems = ("pNPU-co", "pNPU-pim-x64", "PRIME")
     savings = {
         system: comparison.energy_savings_over_cpu(system)
@@ -274,10 +263,9 @@ class Figure11Result:
 def figure11(
     batch: int = 4096,
     config: PrimeConfig = DEFAULT_PRIME_CONFIG,
-    workers: int | None = None,
 ) -> Figure11Result:
     """Energy breakdown into computation / buffer / memory (Fig. 11)."""
-    comparison = run_all_systems(batch=batch, config=config, workers=workers)
+    comparison = run_all_systems(batch=batch, config=config)
     breakdown: dict[str, dict[str, dict[str, float]]] = {}
     for name in MLBENCH_ORDER:
         reports = comparison.reports[name]

@@ -15,17 +15,14 @@ weights across the precision grid.
 Performance shape: the quantised forward pass is *purely functional*
 (explicit weight/bias arguments via ``Layer.forward_with``; nothing is
 mutated and restored), weights are quantised once per ``weight_bits``
-value and shared across the whole input-bits sweep, the trained
+value and shared across the whole input-bits sweep, and the trained
 reference network is served from the :mod:`repro.perf.cache` artifact
-cache, and the grid fans out one task per weight-bits row through
-:func:`repro.perf.parallel.parallel_map` — with results bit-identical
-to the serial path.
+cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -35,7 +32,6 @@ from repro.eval.workloads import get_workload
 from repro.nn.datasets import synthetic_mnist
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
-from repro.perf.parallel import parallel_map
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 
@@ -140,8 +136,7 @@ def quantized_forward(
     :func:`quantize_network_weights`, when sweeping many input
     precisions at one weight precision) and applied via
     ``Layer.forward_with`` without ever touching the layer's own
-    arrays, so a single network object is safe to share across threads
-    and worker processes.
+    arrays, so a single network object is safe to share across threads.
     """
     if input_bits < 1 or weight_bits < 2:
         raise WorkloadError(
@@ -177,26 +172,14 @@ def quantized_accuracy(
     return float(np.mean(np.argmax(logits, axis=-1) == y))
 
 
-#: Per-process state for grid workers: the shared reference network and
-#: evaluation split, shipped once per worker instead of once per task.
-_GRID_STATE: dict = {}
-
-
-def _init_grid_worker(
-    net: Sequential, x_test: np.ndarray, y_test: np.ndarray
-) -> None:
-    """Worker initializer: unpickle the trained net once per process."""
-    _GRID_STATE["net"] = net
-    _GRID_STATE["x"] = x_test
-    _GRID_STATE["y"] = y_test
-
-
 def _precision_row(
-    weight_bits: int, input_bit_range: tuple[int, ...]
+    net: Sequential,
+    x: np.ndarray,
+    y: np.ndarray,
+    weight_bits: int,
+    input_bit_range: tuple[int, ...],
 ) -> dict[tuple[int, int], float]:
     """One grid row: every input precision at one weight precision."""
-    net = _GRID_STATE["net"]
-    x, y = _GRID_STATE["x"], _GRID_STATE["y"]
     quantized = quantize_network_weights(net, weight_bits)
     return {
         (ib, weight_bits): quantized_accuracy(
@@ -215,7 +198,6 @@ def precision_study(
     epochs: int = 10,
     seed: int = 7,
     reference: tuple[Sequential, np.ndarray, np.ndarray] | None = None,
-    workers: int | None = None,
     use_cache: bool = True,
 ) -> PrecisionStudyResult:
     """Regenerate the Figure 6 grid.
@@ -223,9 +205,8 @@ def precision_study(
     ``reference`` supplies a pre-trained ``(net, x_test, y_test)``
     triple (e.g. a shared benchmark fixture); otherwise the reference
     network comes from the artifact cache (``use_cache=True``) or a
-    fresh training run.  ``workers`` fans the weight-bits rows out
-    across processes (default: ``PRIME_WORKERS``); parallel grids are
-    bit-identical to serial ones.
+    fresh training run.  The grid runs one row per weight precision,
+    each quantising the weights once for its whole input-bits sweep.
     """
     if reference is not None:
         net, x_test, y_test = reference
@@ -249,13 +230,8 @@ def precision_study(
         workload=workload,
         points=len(input_bit_range) * len(weight_bit_range),
     ):
-        rows = parallel_map(
-            partial(_precision_row, input_bit_range=tuple(input_bit_range)),
-            tuple(weight_bit_range),
-            workers=workers,
-            initializer=_init_grid_worker,
-            initargs=(net, x_test, y_test),
-        )
-    for row in rows:
-        result.grid.update(row)
+        for wb in weight_bit_range:
+            result.grid.update(
+                _precision_row(net, x_test, y_test, wb, input_bit_range)
+            )
     return result

@@ -14,13 +14,12 @@ Protocol notes:
   ``read_noise_sigma = 0``) so the sweep isolates the stuck-at effect;
   at rate 0 the two curves are therefore bit-identical — the verify
   pass is a no-op on clean arrays.
-* Off/on points at the same fault rate share one derived seed, so both
-  see the *same* fault maps: the comparison is paired, not sampled.
+* Off/on points at the same fault rate share one seed, derived from
+  the rate alone by :func:`repro.perf.parallel.task_seed`, so both see
+  the *same* fault maps (the comparison is paired, not sampled) and no
+  point depends on the other rates swept or on their order.
 * The trained reference network comes from the
-  :mod:`repro.perf.cache` artifact cache and the sweep fans out one
-  task per (rate, mode) point through
-  :func:`repro.perf.parallel.parallel_map` — bit-identical to the
-  serial path.
+  :mod:`repro.perf.cache` artifact cache.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.nn.topology import NetworkTopology
 from repro.params.crossbar import CrossbarParams
 from repro.params.prime import PrimeConfig
 from repro.params.reram import ReRAMDeviceParams, PT_TIO2_DEVICE
-from repro.perf.parallel import parallel_map, task_seed
+from repro.perf.parallel import task_seed
 from repro.resilience import DEFAULT_RESILIENCE, ResiliencePolicy
 
 
@@ -113,47 +112,31 @@ NOISE_FREE_DEVICE = dataclasses.replace(
 )
 
 
-#: Per-process worker state, shipped once per worker.
-_YIELD_STATE: dict = {}
-
-
-def _init_yield_worker(
+def _yield_point(
     net: Sequential,
-    x_test: np.ndarray,
-    y_test: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
     topology: NetworkTopology,
     policy: ResiliencePolicy,
     device: ReRAMDeviceParams,
-    samples: int,
-) -> None:
-    _YIELD_STATE.update(
-        net=net,
-        x=x_test,
-        y=y_test,
-        topology=topology,
-        policy=policy,
-        device=device,
-        samples=samples,
-    )
-
-
-def _yield_point(task: tuple[float, bool, int]) -> YieldPoint:
-    """Evaluate one (fault rate, resilience mode) point."""
-    rate, resilient, seed = task
-    state = _YIELD_STATE
+    rate: float,
+    resilient: bool,
+    seed: int,
+) -> YieldPoint:
+    """Evaluate one (fault rate, resilience mode) point on ``x``."""
     xbar = CrossbarParams(
-        device=state["device"],
+        device=device,
         fault_rate_hrs=rate / 2.0,
         fault_rate_lrs=rate / 2.0,
     )
-    policy = state["policy"] if resilient else DEFAULT_RESILIENCE
-    config = PrimeConfig(crossbar=xbar, resilience=policy)
-    plan = PrimeCompiler(config).compile(state["topology"])
+    config = PrimeConfig(
+        crossbar=xbar,
+        resilience=policy if resilient else DEFAULT_RESILIENCE,
+    )
+    plan = PrimeCompiler(config).compile(topology)
     executor = PrimeExecutor(config)
-    x = state["x"][: state["samples"]]
-    y = state["y"][: state["samples"]]
     logits = executor.run_functional(
-        state["net"], plan, x, rng=np.random.default_rng(seed)
+        net, plan, x, rng=np.random.default_rng(seed)
     )
     accuracy = float(np.mean(np.argmax(logits, axis=-1) == y))
     summary = executor.last_degradation
@@ -177,7 +160,6 @@ def yield_study(
     device: ReRAMDeviceParams | None = None,
     reference: tuple[Sequential, np.ndarray, np.ndarray] | None = None,
     topology: NetworkTopology | None = None,
-    workers: int | None = None,
     use_cache: bool = True,
 ) -> YieldStudyResult:
     """Sweep stuck-at fault rates with resilience off vs on.
@@ -215,28 +197,25 @@ def yield_study(
             seed=seed,
         )
     samples = min(samples, len(y_test))
+    x, y = x_test[:samples], y_test[:samples]
     result = YieldStudyResult(
         workload=workload,
-        float_accuracy=net.accuracy(x_test[:samples], y_test[:samples]),
+        float_accuracy=net.accuracy(x, y),
         samples=samples,
     )
-    # Off/on at one rate share a seed so they face identical fault maps.
-    tasks = [
-        (float(rate), resilient, task_seed(seed, "yield", float(rate)))
-        for rate in fault_rates
-        for resilient in (False, True)
-    ]
     with telemetry.span(
-        "eval.yield_study", workload=workload, points=len(tasks)
+        "eval.yield_study", workload=workload, points=2 * len(fault_rates)
     ):
-        points = parallel_map(
-            _yield_point,
-            tasks,
-            workers=workers,
-            initializer=_init_yield_worker,
-            initargs=(
-                net, x_test, y_test, topology, policy, device, samples,
-            ),
-        )
-    result.points.extend(points)
+        for rate in fault_rates:
+            rate = float(rate)
+            # Off/on at one rate share a seed so they face identical
+            # fault maps.
+            point_seed = task_seed(seed, "yield", rate)
+            for resilient in (False, True):
+                result.points.append(
+                    _yield_point(
+                        net, x, y, topology, policy, device,
+                        rate, resilient, point_seed,
+                    )
+                )
     return result

@@ -1,8 +1,6 @@
-"""Performance layer: artifact cache + parallel experiment runner.
+"""Performance layer: artifact cache, fused kernels and task seeds.
 
-The evaluation pipeline's dominant costs are (a) retraining the same
-reference networks on every invocation and (b) walking embarrassingly
-parallel sweeps one point at a time.  This package removes both:
+None of it changes a number the evaluation pipeline produces:
 
 * :mod:`repro.perf.cache` — a content-addressed on-disk artifact cache
   for trained reference networks, their evaluation datasets, and
@@ -11,22 +9,18 @@ parallel sweeps one point at a time.  This package removes both:
   a fingerprint of the producing source modules), so stale entries are
   impossible by construction.  Controlled by ``PRIME_CACHE_DIR`` /
   ``PRIME_CACHE=0`` / :func:`~repro.perf.cache.disable`.
-* :mod:`repro.perf.parallel` — a deterministic process-pool runner
-  (``PRIME_WORKERS``) used to fan out the Figure 6 precision grid, the
-  DPE ENOB sweep, and the all-systems comparison.  Tasks are pure
-  functions of their arguments (per-task seeds included), so parallel
-  results are bit-identical to the serial path.
-
 * :mod:`repro.perf.kernels` — fused layer-level crossbar kernels: one
   batched evaluation per mapped layer instead of a Python walk over
   the ``row_blocks × col_blocks`` tile grid, bit-identical to the
   per-engine path with noise off and seed-reproducible with noise on.
   Controlled by ``PRIME_FUSED``.
+* :mod:`repro.perf.parallel` — :func:`~repro.perf.parallel.task_seed`,
+  the per-task seed the yield study and the serving dispatchers draw
+  their random streams from, so a result never depends on task order.
 
-Both layers emit ``perf.*`` telemetry counters when
-:mod:`repro.telemetry` is enabled, and both degrade gracefully: with
-caching disabled everything recomputes, and with no usable process
-pool everything runs serially.
+The cache and the kernels emit ``perf.*`` telemetry counters when
+:mod:`repro.telemetry` is enabled; with caching disabled everything
+recomputes.
 """
 
 from repro.perf.cache import (
@@ -42,28 +36,20 @@ from repro.perf.cache import (
     stable_key,
 )
 from repro.perf.kernels import FusedLayerKernel, fused_enabled
-from repro.perf.parallel import (
-    chunk_size,
-    parallel_map,
-    task_seed,
-    worker_count,
-)
+from repro.perf.parallel import task_seed
 
 __all__ = [
     "ArtifactCache",
     "FusedLayerKernel",
     "active",
     "cache_root",
-    "chunk_size",
     "code_fingerprint",
     "disable",
     "enable",
     "fused_enabled",
     "mapping_plan",
-    "parallel_map",
     "reference_network",
     "reference_network_key",
     "stable_key",
     "task_seed",
-    "worker_count",
 ]

@@ -46,7 +46,6 @@ from repro.perf.kernels import fused_enabled, scoped_noise_stream
 from repro.perf.parallel import task_seed
 from repro.resilience.policy import ResiliencePolicy
 from repro.serve.health import WorkerCrash, apply_drift
-from repro.telemetry.shipping import ResultEnvelope
 
 __all__ = [
     "WorkerSpec",
@@ -341,6 +340,17 @@ def run_programmed_shared(
     return result
 
 
+@dataclass
+class ResultEnvelope:
+    """A replica's result for one micro-batch, and what it cost."""
+
+    value: object
+    #: Wall nanoseconds spent executing the batch, plus any injected
+    #: ``slow`` delay — always measured, so per-stage latency accounting
+    #: stays available whenever the coordinator has telemetry enabled.
+    execute_ns: int = 0
+
+
 def _replica_track(replica: int):
     """Label the spans this thread records with ``replica:N``.
 
@@ -357,9 +367,8 @@ class SerialDispatcher:
     """In-process dispatch: programmed copies served inline.
 
     ``dispatch`` runs the batch on the calling thread and returns an
-    already-resolved :class:`Future` holding a
-    :class:`~repro.telemetry.shipping.ResultEnvelope`, so the runtime
-    drives both dispatchers identically.
+    already-resolved :class:`Future` holding a :class:`ResultEnvelope`,
+    so the runtime drives both dispatchers identically.
 
     The initial replicas share a single lazily-programmed state (they
     are bit-identical by construction, and serial mode has no real
@@ -418,9 +427,7 @@ class SerialDispatcher:
                 self.spec, executor, programmed, batch, noise_seed
             )
         envelope = ResultEnvelope(
-            value=result,
-            worker=replica,
-            execute_ns=time.perf_counter_ns() - start,
+            value=result, execute_ns=time.perf_counter_ns() - start
         )
         if fault is not None:
             if fault[0] == "slow":
@@ -726,9 +733,7 @@ class ThreadDispatcher:
             elif fault[0] == "drift":
                 with self._lock.write():
                     apply_drift(programmed, fault[1], fault[2])
-        return ResultEnvelope(
-            value=result, worker=replica, execute_ns=execute_ns
-        )
+        return ResultEnvelope(value=result, execute_ns=execute_ns)
 
     def _runs_inline(self, batch: np.ndarray, fault: tuple | None) -> bool:
         """Whether ``batch`` runs on the dispatching thread.

@@ -81,13 +81,6 @@ __all__ = [
     "write_snapshot",
     "summary",
     "log_summary",
-    # cross-process shipping (repro.telemetry.shipping)
-    "TelemetryDelta",
-    "ResultEnvelope",
-    "capture_delta",
-    "merge_delta",
-    "run_scoped",
-    "ship_call",
     # request tracing + SLO monitoring (repro.telemetry.request)
     "TraceContext",
     "make_trace_id",
@@ -144,10 +137,9 @@ def swap_session(
 ) -> TelemetrySession | None:
     """Install ``new`` as the active session; return the previous one.
 
-    The primitive behind :func:`repro.telemetry.shipping.run_scoped`:
-    workers swap in a scratch session around a payload so everything it
-    records can be captured and shipped back to the coordinator, then
-    swap the previous session (usually ``None``) back in.
+    Swapping in ``None`` pauses recording without discarding the
+    session, and swapping the returned session back in resumes it —
+    how a caller keeps work it does not want measured out of a trace.
     """
     global _SESSION
     previous = _SESSION
@@ -172,14 +164,13 @@ def model_event(
     name: str,
     dur_s: float,
     track: str = "model",
-    ts_s: float | None = None,
     **attrs: object,
 ) -> None:
     """Record an analytical-model interval (see :class:`Tracer`)."""
     s = _SESSION
     if s is None:
         return
-    s.tracer.model_event(name, dur_s, track=track, ts_s=ts_s, **attrs)
+    s.tracer.model_event(name, dur_s, track=track, **attrs)
 
 
 def count(name: str, value: float = 1.0, **labels: object) -> None:
@@ -273,16 +264,8 @@ def log_summary(logger: logging.Logger | None = None) -> str:
     return _export.log_summary(_require(), logger=logger)
 
 
-# Re-exports; imported late so both submodules can refer back to the
+# Re-exports; imported late so the submodule can refer back to the
 # package-level session helpers at call time without a cycle.
-from repro.telemetry.shipping import (  # noqa: E402
-    ResultEnvelope,
-    TelemetryDelta,
-    capture_delta,
-    merge_delta,
-    run_scoped,
-    ship_call,
-)
 from repro.telemetry.request import (  # noqa: E402
     SLOMonitor,
     SLOObjective,

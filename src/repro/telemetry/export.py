@@ -30,8 +30,7 @@ def chrome_trace_events(session) -> list[dict]:
 
     Wall spans with no track are the coordinator and stay on
     :data:`WALL_PID`; spans carrying a track (a serving replica's
-    forward, ``replica:N``, or a study worker's shipped delta,
-    ``worker:N``) get one pid per track so each replica or worker
+    forward, ``replica:N``) get one pid per track so each replica
     renders as its own track group.
     """
     tracer = session.tracer

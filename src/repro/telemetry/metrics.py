@@ -132,50 +132,15 @@ class Histogram:
         met = sum(1 for v in self.samples if v <= threshold)
         return met / len(self.samples)
 
-    def merge(
-        self,
-        count: int,
-        total: float,
-        minimum: float,
-        maximum: float,
-        samples: list[float],
-        stride: int = 1,
-    ) -> None:
-        """Fold another histogram's state (a shipped delta) into this one.
-
-        When the incoming delta is undecimated (``stride == 1`` and
-        every observation retained) the merge replays it through
-        :meth:`observe`, so a stream recorded worker-side and merged
-        batch-by-batch in dispatch order is *bit-identical* to the same
-        stream observed live — the associativity a fanned-out study's
-        merge relies on.  Decimated deltas fall back to exact
-        count/sum/min/max aggregation with spliced samples (approximate
-        percentiles, like any decimated stream).
-        """
-        if stride == 1 and count == len(samples):
-            for value in samples:
-                self.observe(value)
-            return
-        self.count += int(count)
-        self.total += float(total)
-        if count:
-            self.minimum = min(self.minimum, minimum)
-            self.maximum = max(self.maximum, maximum)
-        self.samples.extend(samples)
-        self.sample_stride = max(self.sample_stride, int(stride))
-        while len(self.samples) >= SAMPLE_CAP:
-            self.samples = self.samples[::2]
-            self.sample_stride *= 2
-
 
 class MetricsRegistry:
     """Get-or-create store of every metric recorded this session.
 
     A single reentrant :attr:`lock` guards registry mutation.  The
     package-level recording helpers (``telemetry.count`` / ``gauge`` /
-    ``observe``) and the shipping merge hold it around the whole
-    get-and-update, so concurrent live recording and merge-on-result
-    cannot corrupt a metric or lose an increment.
+    ``observe``) hold it around the whole get-and-update, so the
+    coordinator and the replica threads recording at once cannot
+    corrupt a metric or lose an increment.
     """
 
     def __init__(self) -> None:

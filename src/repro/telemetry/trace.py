@@ -37,9 +37,8 @@ class SpanRecord:
     attrs: dict = field(default_factory=dict)
     #: Execution track the span belongs to.  ``None`` is the local
     #: (coordinator) wall track; a serving replica's forward records on
-    #: ``replica:N`` (:meth:`Tracer.on_track`) and spans merged from a
-    #: shipped worker delta carry the worker's label (``worker:N``), so
-    #: the Chrome exporter renders each as its own process.
+    #: ``replica:N`` (:meth:`Tracer.on_track`), so the Chrome exporter
+    #: renders each replica as its own process.
     track: str | None = None
 
     @property
@@ -103,9 +102,9 @@ NULL_SPAN = NullSpan()
 class Tracer:
     """Collects wall spans (with nesting) and model events in order.
 
-    All mutating entry points hold :attr:`lock` (reentrant), so live
-    recording and delta merges arriving from worker result envelopes
-    cannot corrupt the span list or the open-span stack.
+    All mutating entry points hold :attr:`lock` (reentrant), so the
+    coordinator and the replica threads recording at once cannot
+    corrupt the span list or the open-span stack.
     """
 
     def __init__(self) -> None:
@@ -179,16 +178,14 @@ class Tracer:
         start_ns: int,
         end_ns: int,
         attrs: dict | None = None,
-        track: str | None = None,
         parent_index: int | None = None,
         depth: int = 0,
     ) -> SpanRecord:
         """Append an already-completed span with explicit coordinates.
 
         This is the retroactive entry point: request lifecycle spans
-        are emitted at collection time from recorded timestamps, and
-        shipped worker spans are re-anchored here during delta merge.
-        It never touches the open-span stack.
+        are emitted at collection time from recorded timestamps, on the
+        coordinator's track.  It never touches the open-span stack.
         """
         with self.lock:
             record = SpanRecord(
@@ -199,7 +196,6 @@ class Tracer:
                 start_ns=int(start_ns),
                 end_ns=int(end_ns),
                 attrs=dict(attrs or {}),
-                track=track,
             )
             self.spans.append(record)
             return record
@@ -216,21 +212,16 @@ class Tracer:
         name: str,
         dur_s: float,
         track: str = "model",
-        ts_s: float | None = None,
         **attrs: object,
     ) -> ModelEvent:
         """Append an interval of ``dur_s`` model-seconds to ``track``.
 
-        Without an explicit ``ts_s`` the event starts where the track's
-        previous event ended, building a gap-free timeline whose total
-        extent equals the summed durations.
+        The event starts where the track's previous event ended,
+        building a gap-free timeline whose total extent equals the
+        summed durations.
         """
         with self.lock:
-            ts_ns = (
-                self._model_cursors.get(track, 0.0)
-                if ts_s is None
-                else ts_s * 1e9
-            )
+            ts_ns = self._model_cursors.get(track, 0.0)
             event = ModelEvent(
                 name=name,
                 track=track,
@@ -239,9 +230,7 @@ class Tracer:
                 attrs=dict(attrs),
             )
             self.model_events.append(event)
-            self._model_cursors[track] = max(
-                self._model_cursors.get(track, 0.0), ts_ns + event.dur_ns
-            )
+            self._model_cursors[track] = ts_ns + event.dur_ns
             return event
 
     def model_track_extent_ns(self, track: str) -> float:

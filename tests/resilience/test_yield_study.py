@@ -2,8 +2,9 @@
 
 The sweep here is the acceptance smoke: a trained MLP-S at 0% and 1%
 stuck-at faults, resilience off vs on, on the noise-free device.  One
-sweep is shared by every assertion (module-scoped fixture) because the
-reference training dominates the cost.
+trained reference and one sweep are shared by every assertion
+(module-scoped fixtures) because the reference training dominates the
+cost.
 """
 
 from __future__ import annotations
@@ -30,10 +31,14 @@ RATES = (0.0, 0.01)
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    reference = train_reference_network(
+def reference():
+    return train_reference_network(
         "MLP-S", n_train=5000, n_test=300, epochs=20, seed=7
     )
+
+
+@pytest.fixture(scope="module")
+def sweep(reference):
     telemetry.enable()
     try:
         result = yield_study(
@@ -96,6 +101,23 @@ class TestYieldStudy:
         assert "resilience.program.retry" in names
         assert "resilience.program.giveup" in names
         assert "resilience.degraded_tiles" in names
+
+    def test_points_independent_of_rate_order(self, sweep, reference):
+        """Each rate's fault maps come from its own task seed, so the
+        same rates swept in reverse give the same points."""
+        result, _ = sweep
+        reverse = yield_study(
+            workload="MLP-S",
+            fault_rates=RATES[::-1],
+            samples=96,
+            reference=reference,
+            seed=7,
+        )
+
+        def keyed(study):
+            return {(p.fault_rate, p.resilient): p for p in study.points}
+
+        assert keyed(reverse) == keyed(result)
 
     def test_missing_point_raises(self, sweep):
         result, _ = sweep

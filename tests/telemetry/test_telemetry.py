@@ -20,6 +20,7 @@ from repro.crossbar.engine import CrossbarMVMEngine
 from repro.nn.datasets import synthetic_mnist
 from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
+from repro.telemetry.metrics import SAMPLE_CAP, Histogram
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +120,81 @@ def test_track_label_is_thread_local_and_restored():
         "outside": None,
     }
     assert seen["track"] is None
+
+
+class TestSwapSession:
+    def test_swap_returns_previous_and_installs_new(self):
+        live = telemetry.enable()
+        scratch = telemetry.TelemetrySession()
+        assert telemetry.swap_session(scratch) is live
+        assert telemetry.session() is scratch
+        assert telemetry.swap_session(live) is scratch
+        assert telemetry.session() is live
+
+    def test_swap_to_none_disables(self):
+        telemetry.enable()
+        telemetry.swap_session(None)
+        assert not telemetry.enabled()
+
+
+class TestThreadSafety:
+    """Registry and tracer mutation is safe under concurrency."""
+
+    THREADS = 8
+    ITERS = 300
+
+    def test_concurrent_recording_loses_nothing(self):
+        session = telemetry.enable()
+        barrier = threading.Barrier(self.THREADS)
+        errors = []
+
+        def record(tid):
+            try:
+                barrier.wait()
+                for i in range(self.ITERS):
+                    telemetry.count("smoke.n", 1.0, thread=tid)
+                    telemetry.count("smoke.shared", 1.0)
+                    telemetry.observe("smoke.ms", 1.0)
+                    telemetry.gauge("smoke.depth", i)
+                    with telemetry.span("smoke.span", thread=tid):
+                        pass
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=record, args=(t,))
+            for t in range(self.THREADS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors
+        m = session.metrics
+        total = self.THREADS * self.ITERS
+        assert m.counter_total("smoke.n") == total
+        assert m.counter_value("smoke.shared") == total
+        assert m.histogram("smoke.ms").count == total
+        spans = [
+            s for s in session.tracer.spans if s.name == "smoke.span"
+        ]
+        assert len(spans) == total
+        assert all(s.end_ns is not None for s in spans)
+
+
+def test_histogram_decimates_past_sample_cap():
+    """Past SAMPLE_CAP retained samples the reservoir halves, while
+    count, sum, min and max stay exact."""
+    hist = Histogram("h")
+    n = SAMPLE_CAP + 10
+    for i in range(n):
+        hist.observe(float(i))
+    assert hist.sample_stride > 1
+    assert len(hist.samples) < SAMPLE_CAP
+    assert hist.count == n
+    assert hist.total == float(sum(range(n)))
+    assert (hist.minimum, hist.maximum) == (0.0, float(n - 1))
 
 
 def test_metrics_registry_counters_gauges_histograms():
