@@ -23,6 +23,7 @@ from repro.device.irdrop import worst_case_attenuation
 from repro.eval.reporting import render_table
 from repro.params.crossbar import CrossbarParams
 from repro.params.reram import PT_TIO2_DEVICE
+from repro.perf.plan import ProgrammedLayer
 
 
 def train_reference():
@@ -66,7 +67,7 @@ def faulty_accuracy(topology, net, x, y, fault_rate, seed=0):
             engine.pair = DifferentialPair(params, fault_maps=faults)
             engine.program(tile)
             tiles[rb][cb] = engine
-        programmed.append((tiles, w_fmt))
+        programmed.append(ProgrammedLayer(tiles, w_fmt))
     out = executor.run_functional(net, plan, x, programmed=programmed)
     return float(np.mean(np.argmax(out, axis=1) == y))
 

@@ -15,10 +15,8 @@ import numpy as np
 
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
-from repro.eval.precision_study import (
-    precision_study,
-    train_reference_network,
-)
+from repro.eval.precision_study import precision_study
+from repro.eval.reference import train_reference_network
 from repro.eval.reporting import render_table
 
 INPUT_BITS = (1, 2, 3, 4, 6, 8)

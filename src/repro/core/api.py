@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import ExecutionError, MappingError
 from repro.core.compiler import PrimeCompiler
-from repro.core.executor import PrimeExecutor, ProgrammedLayer
+from repro.core.executor import PrimeExecutor
 from repro.core.mapping import MappingPlan
 from repro.memory.controller import (
     DatapathCommand,
@@ -38,6 +38,7 @@ from repro.memory.main_memory import MainMemory
 from repro.nn.network import Sequential
 from repro.nn.topology import NetworkTopology
 from repro.baselines.common import ExecutionReport
+from repro.perf.plan import ProgrammedLayer
 
 
 class PrimeSession:
@@ -142,7 +143,7 @@ class PrimeSession:
         commands: list[DatapathCommand] = []
         mats_per_sub = len(self.bank.ff_subarrays[0].mats)
         weight_layers = self.plan.weight_layers
-        for li, (tiles, _) in enumerate(self._programmed):
+        for li, layer in enumerate(self._programmed):
             mapping = weight_layers[li]
             last_layer = li == len(self._programmed) - 1
             sigmoid_bypass = (
@@ -151,7 +152,7 @@ class PrimeSession:
                     or last_layer)
                 else 0
             )
-            for row in tiles:
+            for row in layer.tiles:
                 for engine in row:
                     mat_adr = self._mat_address(engine, mats_per_sub)
                     commands.append(

@@ -28,8 +28,8 @@ from repro.knobs import env_knob
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
 from repro.params.prime import PrimeConfig, DEFAULT_PRIME_CONFIG
-from repro.perf.kernels import FusedLayerKernel, fused_enabled
-from repro.perf.plan import CALIBRATION_SAMPLES, CompiledPlan
+from repro.perf.kernels import fused_enabled
+from repro.perf.plan import CALIBRATION_SAMPLES, CompiledPlan, ProgrammedLayer
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import DegradationSummary, LayerDegradation
@@ -61,58 +61,6 @@ def env_chunk_bytes() -> int:
         "an integer",
         f"using the default ({DEFAULT_CHUNK_BYTES})",
     )
-
-
-class ProgrammedLayer:
-    """One mapped weight layer's programmed state.
-
-    Bundles the engine tile grid with its weight format, the fused
-    layer kernel built over the grid, and the calibration frozen on
-    first use (input dynamic-fixed-point format + SA output shift), so
-    reusing a programmed plan across calls stops re-running
-    calibration.  Unpacks as the legacy ``(tiles, w_fmt)`` tuple.
-    """
-
-    def __init__(
-        self,
-        tiles: list[list[CrossbarMVMEngine]],
-        w_fmt: DynamicFixedPoint,
-    ) -> None:
-        self.tiles = tiles
-        self.w_fmt = w_fmt
-        self.in_fmt: DynamicFixedPoint | None = None
-        self.output_shift: int | None = None
-        self._kernel: FusedLayerKernel | None = None
-        #: Tiles the executor re-programmed onto spare pairs because
-        #: their first engine came up degraded (resilience only).
-        self.remapped_tiles = 0
-        #: CompiledPlan cached on the chain's first layer (the
-        #: executor's memo slot; validated via ``CompiledPlan.matches``
-        #: before reuse, recompiled when stale).
-        self.compiled_plan = None
-
-    @classmethod
-    def coerce(cls, entry) -> "ProgrammedLayer":
-        """Accept either a ProgrammedLayer or a ``(tiles, w_fmt)``."""
-        if isinstance(entry, cls):
-            return entry
-        tiles, w_fmt = entry
-        return cls(tiles, w_fmt)
-
-    def __iter__(self):
-        return iter((self.tiles, self.w_fmt))
-
-    @property
-    def kernel(self) -> FusedLayerKernel:
-        """Fused layer kernel over the tile grid (built lazily)."""
-        if self._kernel is None:
-            self._kernel = FusedLayerKernel(self.tiles)
-        return self._kernel
-
-    def reset_calibration(self) -> None:
-        """Forget the frozen input format and output shift."""
-        self.in_fmt = None
-        self.output_shift = None
 
 
 @dataclass
@@ -462,7 +410,7 @@ class PrimeExecutor:
         with_noise: bool = False,
         input_bits: int | None = None,
         weight_bits: int | None = None,
-        programmed: list | None = None,
+        programmed: list[ProgrammedLayer] | None = None,
         chunk_bytes: int | None = None,
     ) -> np.ndarray:
         """Run ``network`` through real crossbar engines.
@@ -505,13 +453,12 @@ class PrimeExecutor:
                 programmed = self.program_network(
                     network, plan, rng=rng, pw=pw
                 )
-            layers = [ProgrammedLayer.coerce(p) for p in programmed]
-            self._surface_degradation(plan, layers)
+            self._surface_degradation(plan, programmed)
             fused = fused_enabled()
             chunk = self._chunk_samples(plan, batch, chunk_bytes)
             if chunk >= batch:
                 out = self._forward(
-                    network, layers, x, pin, with_noise, fused
+                    network, programmed, x, pin, with_noise, fused
                 )
             else:
                 # The first chunk must contain the calibration prefix,
@@ -525,7 +472,7 @@ class PrimeExecutor:
                     pieces.append(
                         self._forward(
                             network,
-                            layers,
+                            programmed,
                             x[start : start + size],
                             pin,
                             with_noise,
@@ -714,10 +661,9 @@ class PrimeExecutor:
     ) -> list[ProgrammedLayer]:
         """Program every layer into fresh standalone engines.
 
-        Each entry is a :class:`ProgrammedLayer` (unpacks as the legacy
-        ``(tiles, w_fmt)`` tuple); reusing the list across
-        :meth:`run_functional` calls also reuses the fused kernels and
-        the frozen per-layer calibration.
+        Each entry is a :class:`~repro.perf.plan.ProgrammedLayer`;
+        reusing the list across :meth:`run_functional` calls also
+        reuses the fused kernels and the frozen per-layer calibration.
 
         ``resilience`` overrides ``config.resilience``.  With
         ``verify_writes`` on, every tile programs through the
@@ -804,14 +750,11 @@ class PrimeExecutor:
         return best
 
     def summarize_degradation(
-        self, plan: MappingPlan, programmed: list
+        self, plan: MappingPlan, programmed: list[ProgrammedLayer]
     ) -> DegradationSummary:
         """Aggregate per-engine resilience state into a per-run view."""
         layers = []
-        for mapping, entry in zip(
-            plan.weight_layers,
-            [ProgrammedLayer.coerce(p) for p in programmed],
-        ):
+        for mapping, entry in zip(plan.weight_layers, programmed):
             engines = [e for row in entry.tiles for e in row]
             reports = [
                 e.program_report

@@ -28,8 +28,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import WorkloadError
-from repro.eval.workloads import get_workload
-from repro.nn.datasets import synthetic_mnist
+from repro.eval.reference import train_reference_network
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
@@ -56,36 +55,6 @@ class PrecisionStudyResult:
             ):
                 return (k, k)
         raise WorkloadError("no saturating precision found in the grid")
-
-
-def train_reference_network(
-    workload: str = "CNN-1",
-    n_train: int = 5000,
-    n_test: int = 800,
-    epochs: int = 10,
-    seed: int = 7,
-) -> tuple[Sequential, np.ndarray, np.ndarray]:
-    """Train the float reference network on the synthetic digit set."""
-    wl = get_workload(workload)
-    if not wl.functional:
-        raise WorkloadError(f"{workload} is analytical-only")
-    topology = wl.topology()
-    flat = len(wl.input_shape) == 1
-    x, y = synthetic_mnist(n_train + n_test, flat=flat, seed=seed)
-    x_train, y_train = x[:n_train], y[:n_train]
-    x_test, y_test = x[n_train:], y[n_train:]
-    net = topology.build(rng=np.random.default_rng(seed))
-    net.train_sgd(
-        x_train,
-        y_train,
-        epochs=epochs,
-        batch_size=32,
-        learning_rate=0.05 if topology.has_conv else 0.3,
-        rng=np.random.default_rng(seed + 1),
-        val_x=x_test,
-        val_labels=y_test,
-    )
-    return net, x_test, y_test
 
 
 def quantize_network_weights(

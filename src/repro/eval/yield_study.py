@@ -33,7 +33,7 @@ from repro import telemetry
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.errors import WorkloadError
-from repro.eval.precision_study import train_reference_network
+from repro.eval.reference import train_reference_network
 from repro.eval.workloads import get_workload
 from repro.nn.network import Sequential
 from repro.nn.topology import NetworkTopology

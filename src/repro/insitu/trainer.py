@@ -12,7 +12,7 @@ from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.network import Sequential
 from repro.params.crossbar import CrossbarParams, DEFAULT_CROSSBAR
-from repro.perf.kernels import FusedLayerKernel
+from repro.perf.plan import ProgrammedLayer, run_layer
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 
@@ -54,14 +54,14 @@ class _InSituLayer:
         self.activation = activation
         self.params = params
         self.engine = CrossbarMVMEngine(params, rng=rng)
-        self.w_fmt: DynamicFixedPoint | None = None
+        #: The engine as a one-tile programmed layer: its weight format,
+        #: the per-batch input format and the per-cell-state SA window.
+        self.programmed = ProgrammedLayer([[self.engine]], None)
         self.levels: np.ndarray | None = None
         # caches for the digital backward pass
         self._x: np.ndarray | None = None
         self._pre: np.ndarray | None = None
         self.total_writes = 0
-        self._kernel: FusedLayerKernel | None = None
-        self._cal_shift: int | None = None
         self.program(full=True)
 
     # -- weight <-> cell synchronisation ---------------------------------
@@ -88,43 +88,37 @@ class _InSituLayer:
             changed = int(np.count_nonzero(levels != self.levels))
         if changed:
             self.engine.program(levels)
-            # The cell state moved: the cached SA window and the fused
-            # kernel's stacked weights are both stale.
-            self._cal_shift = None
-            if self._kernel is not None:
-                self._kernel.invalidate()
+            # The cell state moved: the SA window and the kernel's
+            # weight stack are both stale.
+            self.programmed.output_shift = None
+            self.programmed.kernel.invalidate()
         self.levels = levels
-        self.w_fmt = fmt
+        self.programmed.w_fmt = fmt
         self.total_writes += changed
         return changed
-
-    @property
-    def kernel(self) -> FusedLayerKernel:
-        """Fused kernel over this layer's single-engine grid."""
-        if self._kernel is None:
-            self._kernel = FusedLayerKernel([[self.engine]])
-        return self._kernel
 
     # -- mixed-signal forward / digital backward ---------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        pin = self.params.effective_input_bits
+        programmed = self.programmed
         augmented = np.concatenate(
             [x, np.ones((x.shape[0], 1))], axis=1
         )
-        in_fmt = DynamicFixedPoint.for_data(
-            augmented, bits=pin, signed=False
+        programmed.in_fmt = DynamicFixedPoint.for_data(
+            augmented, bits=self.params.effective_input_bits, signed=False
         )
-        codes = in_fmt.quantize_int(np.clip(augmented, 0.0, None))
-        if self._cal_shift is None:
+        if programmed.output_shift is None:
             # Calibrate once per cell state: the SA window only moves
             # when program() actually rewrites levels.
-            self._cal_shift = self.kernel.calibrate_output_shift(
-                codes, calibration_samples=min(64, codes.shape[0])
+            codes = programmed.in_fmt.quantize_int(
+                np.clip(augmented[:64], 0.0, None)
             )
-        shift = self._cal_shift
-        raw = self.kernel.mvm_batch(codes, output_shift=shift)
-        pre = raw * (2.0 ** shift) * in_fmt.resolution * self.w_fmt.resolution
+            programmed.output_shift = (
+                programmed.kernel.calibrate_output_shift(
+                    codes, calibration_samples=len(codes)
+                )
+            )
+        pre = run_layer(programmed, x, with_noise=True)
         self._x = x
         self._pre = pre
         return self.activation.forward(pre) if self.activation else pre

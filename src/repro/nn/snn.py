@@ -12,13 +12,15 @@ using the standard rate-coded ANN→SNN conversion (Diehl et al.):
   single-level wordline drives — no input composing needed, which is
   exactly why ReRAM SNN hardware is attractive.
 
-The crossbar backend reuses :class:`~repro.crossbar.CrossbarMVMEngine`
-with 0/1 input codes, making PRIME's FF mats the synaptic arrays.
+The crossbar backend programs :class:`~repro.crossbar.CrossbarMVMEngine`
+tiles and runs each layer's 0/1 input codes through the inference
+datapath (:func:`repro.perf.plan.run_layer`), making PRIME's FF mats
+the synaptic arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from repro.crossbar.engine import CrossbarMVMEngine
 from repro.nn.layers import Dense, Flatten, ReLU
 from repro.nn.network import Sequential
 from repro.params.crossbar import CrossbarParams, DEFAULT_CROSSBAR
-from repro.perf.kernels import FusedLayerKernel
+from repro.perf.plan import ProgrammedLayer, run_layer
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 
@@ -90,18 +92,18 @@ class SpikingLayer:
     weight: np.ndarray
     bias: np.ndarray
     lif: LIFLayer
-    #: Crossbar tiles [row_block][col_block] once programmed.
-    tiles: list = field(default_factory=list)
-    w_fmt: DynamicFixedPoint | None = None
-    #: Fused kernel over the tile grid, built at program time.
-    kernel: FusedLayerKernel | None = None
-    #: Layer-wide SA output window, calibrated on the first timestep.
-    output_shift: int | None = None
+    #: The programmed tiles and formats and the layer-wide SA window.
+    crossbar: ProgrammedLayer | None = None
+
+    @property
+    def tiles(self) -> list:
+        """Crossbar tiles [row_block][col_block] once programmed."""
+        return [] if self.crossbar is None else self.crossbar.tiles
 
     @property
     def programmed(self) -> bool:
         """True once the layer lives on crossbar engines."""
-        return bool(self.tiles)
+        return self.crossbar is not None
 
 
 @dataclass
@@ -214,10 +216,11 @@ class SpikingNetwork:
                     engine.program(tile)
                     row_tiles.append(engine)
                 tiles.append(row_tiles)
-            layer.tiles = tiles
-            layer.w_fmt = fmt
-            layer.kernel = FusedLayerKernel(tiles)
-            layer.output_shift = None
+            layer.crossbar = ProgrammedLayer(tiles, fmt)
+            # Spikes drive the rows as 0/1 codes: a unit resolution.
+            layer.crossbar.in_fmt = DynamicFixedPoint(
+                params.effective_input_bits, 0, signed=False
+            )
 
     # -- inference ---------------------------------------------------------
 
@@ -288,20 +291,16 @@ class SpikingNetwork:
     ) -> np.ndarray:
         if backend == "digital":
             return spikes @ layer.weight + layer.bias
-        codes = np.concatenate(
-            [spikes, np.ones((spikes.shape[0], 1))], axis=1
-        ).astype(np.int64)
-        kernel = layer.kernel
-        if layer.output_shift is None:
+        crossbar = layer.crossbar
+        if crossbar.output_shift is None:
             # One layer-wide SA window, frozen on the first timestep's
             # spikes; later timesteps reuse it (saturating at the SA
             # ceiling like any fixed hardware reference).
-            layer.output_shift = kernel.calibrate_output_shift(
-                codes, calibration_samples=min(32, codes.shape[0])
+            head = spikes[:32]
+            codes = np.concatenate(
+                [head, np.ones((len(head), 1))], axis=1
+            ).astype(np.int64)
+            crossbar.output_shift = crossbar.kernel.calibrate_output_shift(
+                codes, calibration_samples=len(codes)
             )
-        raw = kernel.mvm_batch(
-            codes, with_noise=with_noise, output_shift=layer.output_shift
-        )
-        return (
-            raw * (2.0 ** layer.output_shift) * layer.w_fmt.resolution
-        )
+        return run_layer(crossbar, spikes, with_noise)

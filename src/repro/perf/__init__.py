@@ -1,4 +1,4 @@
-"""Performance layer: artifact cache, fused kernels and task seeds.
+"""Performance layer: artifact cache, compiled plan, fused kernels, seeds.
 
 None of it changes a number the evaluation pipeline produces:
 
@@ -9,11 +9,13 @@ None of it changes a number the evaluation pipeline produces:
   a fingerprint of the producing source modules), so stale entries are
   impossible by construction.  Controlled by ``PRIME_CACHE_DIR`` /
   ``PRIME_CACHE=0`` / :func:`~repro.perf.cache.disable`.
-* :mod:`repro.perf.kernels` — fused layer-level crossbar kernels: one
-  batched evaluation per mapped layer instead of a Python walk over
-  the ``row_blocks × col_blocks`` tile grid, bit-identical to the
-  per-engine path with noise off and seed-reproducible with noise on.
-  Controlled by ``PRIME_FUSED``.
+* :mod:`repro.perf.plan` — the compiled plan, the one fast path for
+  programmed crossbars (whole networks, or one layer at a time for the
+  in-situ trainer and the SNN backend): a few batched matmuls per
+  layer, bit-identical to the per-engine walk with noise off.
+* :mod:`repro.perf.kernels` — the layer kernel the plan reads: stacked
+  weights, the seed-reproducible fused read-noise path, and the walk,
+  which ``PRIME_FUSED=0`` selects for every layer.
 * :mod:`repro.perf.parallel` — :func:`~repro.perf.parallel.task_seed`,
   the per-task seed the yield study and the serving dispatchers draw
   their random streams from, so a result never depends on task order.

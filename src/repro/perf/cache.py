@@ -48,7 +48,7 @@ logger = logging.getLogger("repro.perf")
 
 #: Source modules whose content determines a trained reference network.
 _TRAIN_MODULES = (
-    "repro.eval.precision_study",
+    "repro.eval.reference",
     "repro.eval.workloads",
     "repro.nn.datasets",
     "repro.nn.initializers",
@@ -236,13 +236,13 @@ def reference_network(
     """Trained reference network + held-out set, served from the cache.
 
     Drop-in replacement for
-    :func:`repro.eval.precision_study.train_reference_network`: a miss
+    :func:`repro.eval.reference.train_reference_network`: a miss
     (or a disabled cache) trains exactly as before and persists the
     weights (via ``Sequential.save_npz``) and the evaluation split; a
     hit rebuilds the topology and reloads both in well under a second.
     """
     # Imported lazily: this module is a dependency of the eval stack.
-    from repro.eval.precision_study import train_reference_network
+    from repro.eval.reference import train_reference_network
     from repro.eval.workloads import get_workload
 
     cache = cache if cache is not None else ArtifactCache()

@@ -3,47 +3,36 @@
 The per-engine functional path walks a mapped layer's tile grid in
 Python: one :meth:`CrossbarMVMEngine.mvm_batch` call per tile, each
 padding its inputs to the full physical array and round-tripping
-through the conductance domain.  :class:`FusedLayerKernel` evaluates
-the same layer as a handful of batched NumPy ops instead:
+through the conductance domain.  :class:`FusedLayerKernel` stacks what
+a fused evaluation of the whole grid needs, once, at program time:
 
-* the tile grid's programmed weights (or conductances) are stacked
-  into block tensors once, at program time;
-* the whole batch, both drive phases, and all tiles evaluate with
-  batched matmuls in the count domain;
-* the four partial-product planes (HH/HL/LH/LL) are digitised in one
-  vectorised pass through the SA transfer function every tier shares
+* the count-domain weight stack the compiled plan
+  (:mod:`repro.perf.plan`) runs every noise-free layer on.  On ideal
+  arrays it holds the integer weight halves from
+  ``programmed_weights``: the noiseless counts are integers, exact in
+  float, so the plan is bit-identical to the walk, which itself
+  answers through :meth:`CrossbarArray.exact_mvm_counts` there.  On
+  arrays programmed with variation it holds each cell's differential
+  weight ``(G+ - G-) / g_step`` in float64: the counts are continuous
+  and the SA truncates them to the walk's integers, which differ only
+  by float rounding, far from any truncation boundary.  Arrays whose
+  non-ideal state stays on the integer lattice (stuck-at faults on a
+  noise-free device) keep the walk, whose truncations there hinge on
+  that rounding;
+* the pair conductances for read noise: :meth:`mvm_batch` draws the
+  noise for all tiles from one vectorised RNG call, seeded from the
+  engines' shared generator, so results reproduce under a fixed
+  seed, and digitises the four partial-product planes (HH/HL/LH/LL) in
+  one pass through the SA transfer function every tier shares
   (:func:`repro.crossbar.sense.digitise`).
 
-Two fused modes exist.  With noise *off* the kernel computes the part
-counts as one matmul against a cached count-domain stack:
-
-* on ideal arrays the stack holds the integer weight halves from
-  ``programmed_weights`` — the noiseless count domain is deterministic
-  (integer-valued, exactly representable in float), so this path is
-  bit-identical to the per-engine path, which itself answers through
-  :meth:`CrossbarArray.exact_mvm_counts` in that regime;
-* on arrays programmed with variation the stack holds each cell's
-  differential weight ``(G+ - G-) / g_step`` in float64.  Counts are
-  then continuous, so the sense amp's truncation sees the same integer
-  as the walk's conductance round trip: the two differ only by float
-  rounding, far from any truncation boundary.  Arrays whose non-ideal
-  state stays on the integer lattice (stuck-at faults on a noise-free
-  device) keep the walk, whose truncations there hinge on that
-  rounding.
-
-With noise *on* the kernel stacks the pair conductances and draws the
-read noise for all tiles from one vectorised RNG call, seeded from the
-engines' shared generator, so results stay reproducible under a fixed
-seed.
-
-Telemetry semantics are preserved: ``mvm.invocations``, model-time and
-energy counters, per-engine invocation counts, and sense-amp
-conversion counts all reflect the hardware firings the fused math
-replaces, not the host matmuls that compute them.  Setting
-``PRIME_FUSED=0`` routes every call through the per-engine walk, the
-semantic reference, for differential testing; the compiled plan
-(:mod:`repro.perf.plan`) runs its inline steps over the stacks cached
-here and delegates the rest to :meth:`FusedLayerKernel.mvm_batch`.
+Every other :meth:`~FusedLayerKernel.mvm_batch` call walks the
+engines, the semantic reference; ``PRIME_FUSED=0`` routes every call
+there.  Telemetry semantics are preserved: ``mvm.invocations``,
+model-time and energy counters, per-engine invocation counts, and
+sense-amp conversion counts all reflect the hardware firings the fused
+math replaces, not the host matmuls that compute them
+(:meth:`~FusedLayerKernel.charge`).
 """
 
 from __future__ import annotations
@@ -211,12 +200,13 @@ class FusedLayerKernel:
     def can_fuse(self, with_noise: bool) -> bool:
         """Whether a fused evaluation preserves the engine semantics.
 
-        Noise-free calls fuse through the count-domain stack, which
-        requires either ideal arrays (exact integer counts) or arrays
-        programmed with variation (continuous counts, see the module
-        docstring).  Noisy calls fuse through the stacked analog path,
-        which needs all engines to share one RNG so a single derived
-        seed covers every tile.  Engines whose outputs pass through
+        Noise-free calls fuse in the compiled plan's inline step, at
+        every SA width, which requires either ideal arrays (exact
+        integer counts) or arrays programmed with variation (continuous
+        counts, see the module docstring).  Noisy calls fuse through
+        the stacked analog path, which needs all engines to share one
+        RNG so a single derived seed covers every tile.  Engines whose
+        outputs pass through
         resilience post-processing (column sparing / masking) never
         fuse.  Anything else — notably on-lattice faulted arrays of a
         noise-free device — falls back to the per-engine loop, which
@@ -235,28 +225,7 @@ class FusedLayerKernel:
         self._g_pos = None
         self._g_neg = None
 
-    def weight_stack(self) -> np.ndarray:
-        """The cached count-domain stack (see :meth:`_weight_stack`).
-        Public entry point for the plan compiler, which slices its
-        trimmed/packed stacks out of the same array and uses its
-        identity to detect reprogramming."""
-        return self._weight_stack()
-
-    def charge(self, batch: int, output_shift: int) -> None:
-        """Charge hardware firing counters for ``batch`` vectors
-        evaluated outside :meth:`mvm_batch` (see :meth:`_charge`).
-        Public entry point for the plan compiler's inline path, keeping
-        engine counters and ``mvm.*`` telemetry path-invariant."""
-        self._charge(batch, output_shift)
-
     # -- noise stream -------------------------------------------------
-
-    @property
-    def shared_rng(self) -> np.random.Generator | None:
-        """The generator every engine samples read noise from, when
-        all engines share one (the :meth:`can_fuse` requirement for
-        noisy fused calls); ``None`` otherwise."""
-        return self._rng if self._rng_shared else None
 
     def reseed_noise(self, seed: int) -> None:
         """Reset the engines' shared noise stream to ``seed``.
@@ -269,12 +238,7 @@ class FusedLayerKernel:
         worker the batch lands on.  Fused and per-engine paths both
         consume this stream, so reseeding keeps them comparable too.
         """
-        if self._rng is None or not self._rng_shared:
-            raise CrossbarError(
-                "engines do not share one RNG; per-batch noise "
-                "reseeding is undefined"
-            )
-        fresh = np.random.Generator(type(self._rng.bit_generator)(seed))
+        fresh = self.noise_stream(seed)
         self._rng.bit_generator.state = fresh.bit_generator.state
 
     def noise_stream(self, seed: int) -> np.random.Generator:
@@ -309,10 +273,12 @@ class FusedLayerKernel:
 
         Returns the ``(batch, total_cols)`` signed integer outputs the
         per-engine tile walk would produce: each tile digitised at
-        ``output_shift`` and row blocks summed.  ``fused=None`` uses
-        the fused path when ``PRIME_FUSED`` allows it and
-        :meth:`can_fuse` holds; ``fused=False`` forces the per-engine
-        fallback (for differential testing).
+        ``output_shift`` and row blocks summed.  A call that samples
+        read noise takes the fused analog path when ``fused`` allows
+        it (``None``: when ``PRIME_FUSED`` does and :meth:`can_fuse`
+        holds); every other call walks the engines.  Noise-free layers
+        run fused in the compiled plan's inline step, not here
+        (:func:`repro.perf.plan.run_layer` runs a single layer).
         """
         codes = np.asarray(codes)
         if codes.ndim != 2 or codes.shape[1] != self.total_rows:
@@ -329,17 +295,10 @@ class FusedLayerKernel:
         )
         if fused is None:
             fused = fused_enabled() and self.can_fuse(with_noise)
-        if not fused:
+        if not (fused and self._noisy(with_noise)):
             return self._per_engine(codes, with_noise, shift)
-        n = codes.shape[0]
-        self._charge(n, shift)
-        if self._noisy(with_noise):
-            parts = self._analog_planes(codes)
-        else:
-            parts = self._stack_counts(codes).reshape(
-                self.row_blocks, 2, n, 2, self.total_cols
-            )
-        return self._accumulate(parts, shift)
+        self.charge(codes.shape[0], shift)
+        return self._accumulate(self._analog_planes(codes), shift)
 
     def calibrate_output_shift(
         self, codes: np.ndarray, calibration_samples: int = 64
@@ -395,10 +354,8 @@ class FusedLayerKernel:
 
     # -- fused part-count planes --------------------------------------
 
-    def _stacked_inputs(
-        self, codes: np.ndarray, pad_rows: int, dtype=np.float64
-    ) -> np.ndarray:
-        """(row_blocks, 2*batch, pad_rows) drive-phase stack.
+    def _stacked_inputs(self, codes: np.ndarray) -> np.ndarray:
+        """(row_blocks, 2*batch, phys_rows) drive-phase stack.
 
         Rows [:batch] carry the high input halves, rows [batch:] the
         low halves — the same hi-then-lo packing the engine uses — so
@@ -406,7 +363,7 @@ class FusedLayerKernel:
         """
         n = codes.shape[0]
         hi, lo = split_unsigned(codes.astype(np.int64), self.spec.pin)
-        drive = np.zeros((self.row_blocks, 2 * n, pad_rows), dtype=dtype)
+        drive = np.zeros((self.row_blocks, 2 * n, self.params.rows))
         off = 0
         for rb, rows in enumerate(self.rows_used):
             drive[rb, :n, :rows] = hi[:, off : off + rows]
@@ -415,18 +372,22 @@ class FusedLayerKernel:
         return drive
 
     def _count_dtype(self):
-        """Narrowest float dtype that holds every part count exactly.
+        """Narrowest float dtype that holds every integer count exactly.
 
         A part count is a sum of ``rows`` products of an input half and
-        a weight-half magnitude — an integer.  When its bound stays
+        a weight-half magnitude — an integer.  A digitised part is at
+        most the SA's full scale ``2**po - 1`` times its post-scale,
+        which peaks at ``2**HH`` (shift 0).  When both bounds stay
         below float32's 2**24 contiguous-integer range, sgemm computes
-        the exact same integers at twice the dgemm rate.
+        the exact same integers at twice the dgemm rate, and the plan
+        digitises them in place exactly at every shift.
         """
         spec = self.spec
         in_max = (1 << (spec.pin - spec.pin // 2)) - 1
         w_max = (1 << (spec.pw - spec.pw // 2)) - 1
         bound = max(self.rows_used) * in_max * w_max
-        return np.float32 if bound < (1 << 24) else np.float64
+        sensed = ((1 << spec.po) - 1) << spec.part_exponents["HH"]
+        return np.float32 if max(bound, sensed) < (1 << 24) else np.float64
 
     def _engine_halves(
         self, engine, varied: bool
@@ -454,14 +415,17 @@ class FusedLayerKernel:
         rows, cols = engine.rows_used, engine.cols_used
         return diff[:rows, 0 : 2 * cols : 2], diff[:rows, 1 : 2 * cols : 2]
 
-    def _weight_stack(self) -> np.ndarray:
+    def weight_stack(self) -> np.ndarray:
         """(row_blocks, max_rows, 2*total_cols) count-domain stack.
 
         Columns [:total_cols] hold the high weight halves, columns
         [total_cols:] the low halves (see :meth:`_engine_halves`), so
         one matmul per drive phase yields both part planes.  Variation
         stacks are continuous and take float64; integer stacks the
-        narrowest exact dtype (see :meth:`_count_dtype`).
+        narrowest exact dtype (see :meth:`_count_dtype`).  Cached until
+        :meth:`invalidate`; the compiled plan slices its trimmed and
+        packed stacks out of it and uses its identity to detect
+        reprogramming.
         """
         if self._w_cat is None:
             varied = self.varied
@@ -481,22 +445,6 @@ class FusedLayerKernel:
                     c0 += cols
             self._w_cat = w_cat
         return self._w_cat
-
-    def _stack_counts(self, codes: np.ndarray) -> np.ndarray:
-        """Noise-free part counts: one matmul against the stack.
-
-        Returns the raw ``(row_blocks, 2*batch, 2*total_cols)`` count
-        tensor: rows split hi/lo drive phase, columns split hi/lo
-        weight half.  On ideal arrays every entry is an integer inside
-        the chosen float dtype's contiguous-integer range (see
-        :meth:`_count_dtype`), so the matmul is exact and the result
-        matches the per-engine path (which answers through
-        ``exact_mvm_counts`` in this regime) bit for bit.  Variation
-        stacks give the walk's continuous counts up to float rounding.
-        """
-        w_cat = self._weight_stack()
-        drive = self._stacked_inputs(codes, w_cat.shape[1], w_cat.dtype)
-        return drive @ w_cat
 
     def _conductance_stacks(self) -> tuple[np.ndarray, np.ndarray]:
         """(row_blocks, phys_rows, col_blocks*phys_cols) pos/neg G."""
@@ -547,7 +495,7 @@ class FusedLayerKernel:
         v_step = dev.v_read / (params.input_levels - 1)
         g_step = (dev.g_on - dev.g_off) / (dev.mlc_levels - 1)
         n = codes.shape[0]
-        drive = self._stacked_inputs(codes, params.rows)
+        drive = self._stacked_inputs(codes)
         sigma = dev.read_noise_sigma
         rng = getattr(_NOISE_TLS, "rng", None)
         if rng is None:
@@ -568,13 +516,11 @@ class FusedLayerKernel:
     def _accumulate(
         self, parts: np.ndarray, output_shift: int
     ) -> np.ndarray:
-        """Digitise ``(row_blocks, 2, batch, 2, total_cols)`` part
-        planes in one broadcast pass and sum them, then the row blocks
-        — identical to digitising per tile and summing the tile rows.
-        The drive phase and the weight half are the two length-2 axes:
-        :meth:`_analog_planes` gathers them, and :meth:`_stack_counts`
-        exposes them by reshaping its ``(row_blocks, 2*batch,
-        2*total_cols)`` counts.
+        """Digitise the ``(row_blocks, 2, batch, 2, total_cols)`` float64
+        planes of :meth:`_analog_planes` in one broadcast pass and sum
+        them, then the row blocks — identical to digitising per tile
+        and summing the tile rows.  The drive phase and the weight half
+        are the two length-2 axes.
 
         The planes digitise in place through the SA transfer function
         (:func:`~repro.crossbar.sense.digitise`) at the layer's
@@ -583,29 +529,21 @@ class FusedLayerKernel:
         parts entirely below the SA window get a zero post-scale and
         vanish, matching the engine's skip.
         """
-        spec = self.spec
-        pre, post = part_window(spec, output_shift)
-        # The digitised per-element total must also stay inside the
-        # float dtype's contiguous-integer range for the sums below to
-        # be exact; upcast in the rare geometry where it would not.
-        if (
-            parts.dtype == np.float32
-            and ((1 << spec.po) - 1) * float(post.sum()) >= float(1 << 24)
-        ):
-            parts = parts.astype(np.float64)
+        pre, post = part_window(self.spec, output_shift)
         grid = (1, 2, 1, 2, 1)
         digitise(
             parts,
-            pre.reshape(grid).astype(parts.dtype),
-            post.reshape(grid).astype(parts.dtype),
-            spec.po,
+            pre.reshape(grid),
+            post.reshape(grid),
+            self.spec.po,
             out=parts,
         )
         total = parts.sum(axis=(1, 3))
         return total.astype(np.int64).sum(axis=0)
 
-    def _charge(self, batch: int, output_shift: int) -> None:
-        """Charge the hardware firings the fused math replaced.
+    def charge(self, batch: int, output_shift: int) -> None:
+        """Charge the hardware firings fused math replaced: ``batch``
+        vectors at ``output_shift``, here or in the plan's inline step.
 
         Matches the per-engine path exactly: every engine fires once
         per input vector, and its SA converts one value per active

@@ -1,9 +1,12 @@
-"""Plan-compiled megakernel: how ``run_functional`` runs a network.
+"""Plan-compiled megakernel: how programmed crossbars run a forward.
 
 :meth:`PrimeExecutor.run_functional` executes every chunk through a
 :class:`CompiledPlan`, which lowers a programmed
 :class:`ProgrammedLayer` chain into a flat step list once, at deploy
-time, instead of interpreting the network layer by layer:
+time, instead of interpreting the network layer by layer.  The in-situ
+trainer and the SNN backend run their dense layers one at a time
+through the same weight step (:func:`run_layer`), so every noise-free
+count in the package comes from the one path below:
 
 * the chain may be uncalibrated: each weight step freezes its layer's
   input format and SA output shift the first time it runs, in layer
@@ -40,11 +43,12 @@ time, instead of interpreting the network layer by layer:
   the residual window ``pre / F`` and ``post``, both all ones (and
   skipped) when ``pin/2 + pw/2 <= shift < part_full_bits`` — every
   bench layer — and the digitised planes sum in the count dtype
-  whenever a compile-time bound keeps that sum exact.
+  whenever a compile-time bound keeps that sum exact at every shift.
 
 Exactness: with noise off on ideal arrays every intermediate is an
-integer inside the float dtype's contiguous-integer range (the same
-invariant :class:`FusedLayerKernel` relies on) times a power of two
+integer inside the float dtype's contiguous-integer range (the kernel
+picks float32 only when the counts and every digitised value at every
+shift fit it, ``FusedLayerKernel._count_dtype``) times a power of two
 from the fold, so the compiled path is bit-identical to the per-engine
 walk: each folded count is the unfolded count times ``2**k`` exactly,
 and float32 sgemm stays exact in any summation order and at any BLAS
@@ -59,14 +63,16 @@ so it returns the unfolded counts times ``2**k`` bit for bit (no
 factor is below ``2**-full_bits``, about ``2**-22`` at the default
 widths, far from float64's subnormal range).  Every path
 digitises through the one SA transfer function,
-:func:`~repro.crossbar.sense.digitise`.  Layers that cannot take the
-inline path (read noise on, resilience-remapped tiles, on-lattice
-faulted arrays) delegate to ``FusedLayerKernel.mvm_batch``, which
-applies its own fused-noisy or per-engine path — semantics, seeded
-noise reproducibility, and telemetry counters are preserved in every
-case.  With ``fused=False`` (``PRIME_FUSED=0``) every weight step
-delegates and the kernel walks the engines: the semantic reference
-the other paths are tested against.
+:func:`~repro.crossbar.sense.digitise`.  Every layer
+:meth:`FusedLayerKernel.can_fuse` admits noise-free runs inline, at
+every SA width.  Layers that cannot (read noise on,
+resilience-remapped tiles, on-lattice faulted arrays) delegate to
+``FusedLayerKernel.mvm_batch``, which runs its fused noisy analog path
+or walks the engines — semantics, seeded noise reproducibility, and
+telemetry counters are preserved in every case.  With ``fused=False``
+(``PRIME_FUSED=0``) every weight step delegates and the kernel walks
+the engines: the semantic reference the other paths are tested
+against.
 """
 
 from __future__ import annotations
@@ -77,16 +83,20 @@ import weakref
 import numpy as np
 
 from repro import telemetry
+from repro.crossbar.engine import CrossbarMVMEngine
 from repro.crossbar.sense import digitise, part_window
 from repro.errors import ExecutionError
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
 from repro.perf import blas
+from repro.perf.kernels import FusedLayerKernel, fused_enabled
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 __all__ = [
     "CALIBRATION_SAMPLES",
+    "ProgrammedLayer",
     "freeze_calibration",
+    "run_layer",
     "PlanWorkspace",
     "CompiledPlan",
 ]
@@ -108,6 +118,44 @@ PACKED_FIELD_BITS = 12
 PACKED_MAX_VECS = 2
 #: Buffer sets cached per weight step (one per distinct batch width).
 _MAX_BUFFER_SETS = 8
+
+
+class ProgrammedLayer:
+    """One mapped weight layer's programmed state: the engine tile
+    grid, its weight format, the fused kernel over the grid, and the
+    calibration frozen on first use (input format + SA output shift),
+    so reusing a programmed plan skips recalibration.
+    """
+
+    def __init__(
+        self,
+        tiles: list[list[CrossbarMVMEngine]],
+        w_fmt: DynamicFixedPoint,
+    ) -> None:
+        self.tiles = tiles
+        self.w_fmt = w_fmt
+        self.in_fmt: DynamicFixedPoint | None = None
+        self.output_shift: int | None = None
+        self._kernel: FusedLayerKernel | None = None
+        #: Tiles the executor re-programmed onto spare pairs because
+        #: their first engine came up degraded (resilience only).
+        self.remapped_tiles = 0
+        #: The memoised CompiledPlan: a network's on its first layer
+        #: (recompiled when ``CompiledPlan.matches`` fails), or this
+        #: layer's own one-step plan (:func:`run_layer`).
+        self.compiled_plan = None
+
+    @property
+    def kernel(self) -> FusedLayerKernel:
+        """Fused layer kernel over the tile grid (built lazily)."""
+        if self._kernel is None:
+            self._kernel = FusedLayerKernel(self.tiles)
+        return self._kernel
+
+    def reset_calibration(self) -> None:
+        """Forget the frozen input format and output shift."""
+        self.in_fmt = None
+        self.output_shift = None
 
 
 def _conv_geometry(layer: Conv2D, act: np.ndarray) -> tuple[int, int]:
@@ -250,9 +298,9 @@ class _WeightStep:
     yet, and the step bakes them into scalar constants.  Two execution
     paths then share the quantisation front end:
 
-    * ``inline`` — the noise-free count-domain math, fully in place
-      (requires :meth:`FusedLayerKernel.can_fuse` for the noise-free
-      regime);
+    * ``inline`` — the noise-free count-domain math, fully in place,
+      for every layer :meth:`FusedLayerKernel.can_fuse` admits in the
+      noise-free regime;
     * ``delegate`` — :meth:`FusedLayerKernel.mvm_batch` over
       :func:`_input_codes`, which keeps the fused-noisy and per-engine
       paths (remapped tiles, on-lattice faulted arrays, read noise,
@@ -260,7 +308,8 @@ class _WeightStep:
 
     Dense steps drive one vector per sample, conv steps one per output
     pixel; the two share the quantiser (:meth:`_split`) and the SA
-    digitiser (:meth:`_sense`) and differ only in layout.
+    digitiser (:meth:`_sense`) and differ only in layout.  ``layer``
+    is ``None`` for a dense layer run on its own (:func:`run_layer`).
     """
 
     def __init__(self, layer, programmed, pin: int) -> None:
@@ -287,6 +336,14 @@ class _WeightStep:
         w_cat = kernel.weight_stack()
         self.cdtype = w_cat.dtype
         self._w_ref = w_cat
+        # The digitised planes sum in the count dtype when the sum of
+        # all 4 * row_blocks of them stays exact there at every shift
+        # (a digitised part peaks at (2**po - 1) * 2**HH, at shift 0);
+        # otherwise they sum in float64.
+        sensed = ((1 << spec.po) - 1) << spec.part_exponents["HH"]
+        self.acc_dtype = (
+            self.cdtype if 4 * self.rb * sensed < (1 << 24) else np.float64
+        )
         # Eq. 8's part exponent split into a drive-phase term and a
         # weight-half term: part [p, h] weighs 2**(e_in[p] + e_w[h]).
         exps = spec.part_exponents
@@ -357,7 +414,10 @@ class _WeightStep:
     # -- compile-time pieces -------------------------------------------
 
     def valid(self) -> bool:
-        """Whether the programmed state still matches this lowering.
+        """Whether the programmed state still matches this lowering:
+        the kernel still holds the weight stack this step was built
+        over, and the layer's input format, output shift and weight
+        format equal, by value, the ones baked in.
 
         A step not lowered yet adopts (or freezes) whatever calibration
         its layer holds when it first runs.
@@ -366,9 +426,10 @@ class _WeightStep:
         if programmed is None or self.kernel._w_cat is not self._w_ref:
             return False
         return self.in_fmt is None or (
-            programmed.in_fmt is self.in_fmt
-            and programmed.output_shift == self.shift
-        )
+            programmed.in_fmt,
+            programmed.output_shift,
+            programmed.w_fmt,
+        ) == (self.in_fmt, self.shift, self.w_fmt)
 
     def _lower(self, act: np.ndarray) -> None:
         """Bake the layer's calibration into this step's constants,
@@ -382,6 +443,7 @@ class _WeightStep:
         in_fmt = programmed.in_fmt
         spec = self.kernel.spec
         self.shift = int(programmed.output_shift)
+        self.w_fmt = programmed.w_fmt
         # A float64 scalar, so float32 sums scale in float64.
         self.scale = np.float64(
             (2.0 ** programmed.output_shift)
@@ -425,19 +487,10 @@ class _WeightStep:
             else window.reshape(1, 2, 1, 2, 1).astype(self.cdtype)
             for window in (residual, post)
         )
-        # Inline exactness: the noise-free fused regime, plus every
-        # digitised value representable in the count dtype.
-        limit = ((1 << spec.po) - 1) * float(post.max())
-        elem_ok = self.cdtype != np.float32 or limit < float(1 << 24)
-        self.inline_ok = self.kernel.can_fuse(with_noise=False) and elem_ok
-        # The digitised planes sum in the count dtype when the sum of
-        # all 4 * row_blocks of them stays exact there: the sum-level
-        # twin of elem_ok.  Otherwise they sum in float64.
-        self.acc_dtype = (
-            self.cdtype
-            if 4 * self.rb * limit < float(1 << 24)
-            else np.float64
-        )
+        # The count dtype holds every digitised value exactly at every
+        # shift (FusedLayerKernel._count_dtype), so the noise-free fused
+        # regime is the whole inline condition.
+        self.inline_ok = self.kernel.can_fuse(with_noise=False)
         self.packed_ok = (
             not self.is_conv
             and self.inline_ok
@@ -576,7 +629,7 @@ class _WeightStep:
     ) -> np.ndarray:
         if telemetry.enabled():
             with telemetry.span(
-                "executor.layer", layer=type(self.layer).__name__
+                "executor.layer", layer="Conv2D" if self.is_conv else "Dense"
             ):
                 return self._run(act, with_noise, store, fused, telemetry.span)
         return self._run(act, with_noise, store, fused, _untraced)
@@ -972,3 +1025,26 @@ class CompiledPlan:
         finally:
             self._release(workspace)
         return act
+
+
+def run_layer(
+    programmed: ProgrammedLayer, x: np.ndarray, with_noise: bool = False
+) -> np.ndarray:
+    """One dense layer's forward on ``(batch, inputs)`` activations,
+    its bias row driven at 1, at the caller's ``programmed.in_fmt`` and
+    ``programmed.output_shift`` (the in-situ trainer's and the SNN
+    backend's entry).  Runs a one-step :class:`CompiledPlan` memoised
+    in ``programmed.compiled_plan``: rebuilt when
+    :meth:`FusedLayerKernel.invalidate` drops the weight stack,
+    re-lowered when the calibration changes by value.  Reads
+    ``PRIME_FUSED`` once per call; ``0`` walks the engines.
+    """
+    plan = programmed.compiled_plan
+    if plan is None or plan.steps[0]._w_ref is not programmed.kernel._w_cat:
+        pin = programmed.kernel.spec.pin
+        step = _WeightStep(None, programmed, pin)
+        plan = CompiledPlan(None, [programmed], pin, [step])
+        programmed.compiled_plan = plan
+    elif not plan.steps[0].valid():
+        plan.steps[0]._lower(x)
+    return plan.execute(x, with_noise, fused_enabled())

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
-from repro.core.executor import PrimeExecutor, ProgrammedLayer
+from repro.core.executor import PrimeExecutor
 from repro.core.mapping import MappingPlan
 from repro.device.faults import env_fault_rates
 from repro.errors import ConfigurationError
@@ -44,6 +44,7 @@ from repro.nn.network import Sequential
 from repro.params.prime import PrimeConfig
 from repro.perf.kernels import fused_enabled, scoped_noise_stream
 from repro.perf.parallel import task_seed
+from repro.perf.plan import ProgrammedLayer
 from repro.resilience.policy import ResiliencePolicy
 from repro.serve.health import WorkerCrash, apply_drift
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import os
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from repro.nn.datasets import synthetic_mnist
 from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
 from repro.perf import blas
+from repro.perf.kernels import FusedLayerKernel
+from repro.perf.plan import ProgrammedLayer, run_layer
 
 
 def _float_im2col(layer, act):
@@ -41,6 +45,60 @@ def float_im2col():
     integer code gather (which the command runner shares) is checked
     against."""
     return _float_im2col
+
+
+def _firings(engines) -> list[tuple[int, int]]:
+    """Each engine's MVM invocation and sense-amp conversion counts."""
+    return [(e.mvm_invocations, e.sense.conversions) for e in engines]
+
+
+@contextlib.contextmanager
+def _inline_only():
+    """Fail any ``FusedLayerKernel.mvm_batch`` call: inside, every
+    weight step must run inline instead of delegating."""
+    delegated = AssertionError("a weight step delegated")
+    with mock.patch.object(
+        FusedLayerKernel, "mvm_batch", side_effect=delegated
+    ):
+        yield
+
+
+@pytest.fixture(scope="session")
+def inline_only():
+    """:func:`_inline_only`, for tests that drive whole runs."""
+    return _inline_only
+
+
+@pytest.fixture(scope="session")
+def layer_runs():
+    """``layer_runs(programmed, x, with_noise=False)``: one
+    :func:`~repro.perf.plan.run_layer` call inline and one under
+    ``PRIME_FUSED=0``, as ``((out, firings), (walked,
+    walk_firings))``; firings are each engine's invocation and
+    conversion increments.  The walk runs a fresh twin of
+    ``programmed`` over the same tiles and calibration, so it never
+    reuses the constants ``programmed``'s memoised plan baked."""
+
+    def counted(programmed, x, with_noise, walk):
+        engines = [e for row in programmed.tiles for e in row]
+        before = _firings(engines)
+        fused = "0" if walk else "1"
+        with mock.patch.dict(os.environ, {"PRIME_FUSED": fused}):
+            out = run_layer(programmed, x, with_noise)
+        after = _firings(engines)
+        return out, [
+            (a[0] - b[0], a[1] - b[1]) for a, b in zip(after, before)
+        ]
+
+    def runs(programmed, x, with_noise=False):
+        with _inline_only():
+            inline = counted(programmed, x, with_noise, False)
+        twin = ProgrammedLayer(programmed.tiles, programmed.w_fmt)
+        twin.in_fmt = programmed.in_fmt
+        twin.output_shift = programmed.output_shift
+        return inline, counted(twin, x, with_noise, True)
+
+    return runs
 
 
 @pytest.fixture

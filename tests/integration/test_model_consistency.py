@@ -32,8 +32,8 @@ class TestInvocationAccounting:
         )
         functional = sum(
             engine.mvm_invocations
-            for tiles, _ in programmed
-            for row in tiles
+            for layer in programmed
+            for row in layer.tiles
             for engine in row
         )
         analytic = batch * sum(
@@ -54,8 +54,8 @@ class TestInvocationAccounting:
         )
         functional = sum(
             engine.mvm_invocations
-            for tiles, _ in programmed
-            for row in tiles
+            for layer in programmed
+            for row in layer.tiles
             for engine in row
         )
         # per-layer: functional fires reuse × pairs; analytic divides
@@ -94,8 +94,8 @@ class TestInvocationAccounting:
         )
         total_conversions = sum(
             engine.sense.conversions
-            for tiles, _ in programmed
-            for row in tiles
+            for layer in programmed
+            for row in layer.tiles
             for engine in row
         )
         assert total_conversions > 0

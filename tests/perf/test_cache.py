@@ -62,6 +62,17 @@ class TestKeying:
         }
         assert len(dirs) == len(variants) + 1
 
+    def test_reference_key_fingerprints_the_trainer_not_the_studies(self):
+        """The trained weights come from the training module; an edit
+        to a study that only uses the net (the Fig. 6 sweep) must not
+        move every cached reference network."""
+        from repro.eval.reference import train_reference_network
+
+        modules = perf_cache._TRAIN_MODULES
+        assert train_reference_network.__module__ in modules
+        assert "repro.eval.precision_study" not in modules
+        assert "repro.eval.yield_study" not in modules
+
 
 class TestReferenceNetworkRoundTrip:
     def test_miss_trains_then_hit_reloads_identically(

@@ -9,7 +9,10 @@ must agree bit for bit and charge every engine the same firings and
 conversions; chunked streaming must not change the output; and noisy
 runs must reproduce under a fixed seed.  Fixed cases force each of the
 plan's SA regimes (see ``_WeightStep._lower``) on dense and conv steps,
-since random draws reach the rarer two only by chance.
+since random draws reach the rarer two only by chance, and an SA wide
+enough to need a float64 stack.  The in-situ trainer and the SNN
+backend run their layers through the same weight step
+(:func:`~repro.perf.plan.run_layer`) and are held to the same walk.
 """
 
 import dataclasses
@@ -24,6 +27,10 @@ from hypothesis import strategies as st
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.crossbar.sense import part_window
+from repro.insitu import InSituTrainer
+from repro.nn.layers import Dense, ReLU
+from repro.nn.network import Sequential
+from repro.nn.snn import SpikingNetwork
 from repro.nn.topology import parse_topology
 from repro.params.crossbar import DEFAULT_CROSSBAR
 from repro.params.prime import DEFAULT_PRIME_CONFIG
@@ -222,3 +229,153 @@ def test_fold_regimes_equal_walk(regime, po, kind, arrays, batch):
         assert (step._w_pack is not None) == packed
     np.testing.assert_array_equal(compiled, walked)
     assert fired == walk_fired
+
+
+@pytest.mark.parametrize("batch", [2, 65])
+@pytest.mark.parametrize("kind", sorted(FOLD_NETS))
+def test_wide_sense_amp_runs_inline(inline_only, kind, batch):
+    """At Po 18 a digitised part can exceed float32's exact integers,
+    so the kernel stacks float64; every weight step still runs inline
+    and equals the walk."""
+    topology, net, plan, executor = _setup(
+        *FOLD_NETS[kind], 18, PT_TIO2_DEVICE, 0.0, seed=7
+    )
+    x = np.random.default_rng(8).random((batch, *topology.input_shape))
+    programmed = executor.program_network(net, plan)
+    with inline_only():
+        compiled, fired = _run(executor, net, plan, x, programmed)
+    walked, walk_fired = _run(
+        executor, net, plan, x, executor.program_network(net, plan),
+        walk=True,
+    )
+    steps = [
+        s
+        for s in programmed[0].compiled_plan.steps
+        if isinstance(s, _WeightStep)
+    ]
+    assert all(s.inline_ok and s.cdtype == np.float64 for s in steps)
+    np.testing.assert_array_equal(compiled, walked)
+    assert fired == walk_fired
+
+
+# -- in-situ training and the SNN backend --------------------------------
+
+#: Array condition -> (crossbar, programmed with an rng).  The trainer
+#: forwards with read noise requested, so its variation arrays come
+#: from a device without read noise.
+LAYER_ARRAYS = {
+    "ideal": (DEFAULT_CROSSBAR, False),
+    "variation": (
+        dataclasses.replace(
+            DEFAULT_CROSSBAR,
+            device=dataclasses.replace(PT_TIO2_DEVICE, read_noise_sigma=0.0),
+        ),
+        True,
+    ),
+}
+#: Packed (1, 2 vectors) and trimmed (3, 65) inline paths.
+LAYER_BATCHES = [1, 2, 3, 65]
+
+
+def _engine_firings(engines):
+    return [(e.mvm_invocations, e.sense.conversions) for e in engines]
+
+
+def _trained(params, seed, batch, walk=False):
+    """A fresh in-situ trainer after one epoch at ``batch``: its
+    history, a final forward, and its engines' firings."""
+    data = np.random.default_rng(3)
+    x = data.random((130, 20))
+    y = data.integers(0, 4, 130)
+    weights = np.random.default_rng(6)
+    net = Sequential(
+        [
+            Dense(20, 12, rng=weights, init="he"),
+            ReLU(),
+            Dense(12, 4, rng=weights),
+        ]
+    )
+    rng = None if seed is None else np.random.default_rng(seed)
+    trainer = InSituTrainer(net, params=params, rng=rng)
+    with mock.patch.dict(os.environ, {"PRIME_FUSED": "0" if walk else "1"}):
+        result = trainer.train(
+            x, y, epochs=1, batch_size=batch, rng=np.random.default_rng(5)
+        )
+        out = trainer.forward(x[:batch])
+    history = (result.losses, result.accuracies, result.cell_writes)
+    engines = [layer.engine for layer in trainer.layers]
+    return history, out, _engine_firings(engines)
+
+
+@pytest.mark.parametrize("batch", LAYER_BATCHES)
+@pytest.mark.parametrize("arrays", sorted(LAYER_ARRAYS))
+def test_insitu_training_equals_walk(inline_only, arrays, batch):
+    params, varied = LAYER_ARRAYS[arrays]
+    seed = 4 if varied else None
+    with inline_only():
+        history, out, fired = _trained(params, seed, batch)
+    walk_history, walked, walk_fired = _trained(params, seed, batch, True)
+    assert history == walk_history
+    np.testing.assert_array_equal(out, walked)
+    assert fired == walk_fired
+
+
+def test_insitu_read_noise_reproduces():
+    """With read noise on every forward delegates to the kernel's noisy
+    path; a same-seed run repeats it exactly."""
+    first = _trained(DEFAULT_CROSSBAR, 4, 3)
+    again = _trained(DEFAULT_CROSSBAR, 4, 3)
+    assert first[0] == again[0] and first[2] == again[2]
+    np.testing.assert_array_equal(first[1], again[1])
+
+
+@pytest.fixture(scope="module")
+def snn():
+    """A converted 300-24-5 ReLU net: its first layer's 301 rows span a
+    full 256-row block and a tail."""
+    weights = np.random.default_rng(11)
+    net = Sequential(
+        [
+            Dense(300, 24, rng=weights, init="he"),
+            ReLU(),
+            Dense(24, 5, rng=weights),
+        ]
+    )
+    x = np.random.default_rng(12).random((65, 300))
+    return SpikingNetwork.from_ann(net, x), x
+
+
+def _spikes(snn, params, seed, x, with_noise=False, walk=False):
+    """Spike counts of a fresh crossbar programming, and its firings."""
+    model, _ = snn
+    rng = None if seed is None else np.random.default_rng(seed)
+    model.program_crossbars(params=params, rng=rng)
+    with mock.patch.dict(os.environ, {"PRIME_FUSED": "0" if walk else "1"}):
+        result = model.run(
+            x, timesteps=6, rng=np.random.default_rng(13),
+            backend="crossbar", with_noise=with_noise,
+        )
+    engines = [e for layer in model.layers for row in layer.tiles for e in row]
+    return result.spike_counts, _engine_firings(engines)
+
+
+@pytest.mark.parametrize("batch", LAYER_BATCHES)
+@pytest.mark.parametrize("arrays", sorted(LAYER_ARRAYS))
+def test_snn_equals_walk(inline_only, snn, arrays, batch):
+    params, varied = LAYER_ARRAYS[arrays]
+    seed = 8 if varied else None
+    x = snn[1][:batch]
+    with inline_only():
+        counts, fired = _spikes(snn, params, seed, x)
+    walked, walk_fired = _spikes(snn, params, seed, x, walk=True)
+    np.testing.assert_array_equal(counts, walked)
+    assert fired == walk_fired
+    assert counts.sum() > 0
+
+
+def test_snn_read_noise_reproduces(snn):
+    x = snn[1][:3]
+    first = _spikes(snn, DEFAULT_CROSSBAR, 8, x, with_noise=True)
+    again = _spikes(snn, DEFAULT_CROSSBAR, 8, x, with_noise=True)
+    np.testing.assert_array_equal(first[0], again[0])
+    assert first[1] == again[1]

@@ -1,8 +1,9 @@
 """Tests for the fused layer kernels and the streaming functional path.
 
 The contract under test: with noise off on ideal arrays and on arrays
-programmed with variation the fused path is *bit-identical* to the
-per-engine tile walk (``np.array_equal``, not allclose), on-lattice
+programmed with variation a layer run through the compiled plan's
+inline step (:func:`~repro.perf.plan.run_layer`) is *bit-identical* to
+the per-engine tile walk (``np.array_equal``, not allclose), on-lattice
 faulted arrays stay on the walk, telemetry charges the same hardware
 firings either way, the noisy fused path reproduces under a fixed
 seed, and streaming the batch through ``run_functional`` in chunks
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core.compiler import PrimeCompiler
-from repro.core.executor import PrimeExecutor, ProgrammedLayer
+from repro.core.executor import PrimeExecutor
 from repro.crossbar.engine import CrossbarMVMEngine
 from repro.errors import CrossbarError
 from repro.params.prime import DEFAULT_PRIME_CONFIG
 from repro.perf.kernels import FusedLayerKernel, fused_enabled
+from repro.perf.plan import ProgrammedLayer
+from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 
 @pytest.fixture
@@ -61,6 +64,25 @@ def make_codes(params, kernel, batch, rng):
     )
 
 
+def programmed_layer(params, tiles):
+    """``tiles`` as a programmed layer whose codes equal its inputs:
+    unit-resolution input and weight formats; the caller sets the SA
+    window (``output_shift``)."""
+    programmed = ProgrammedLayer(
+        tiles, DynamicFixedPoint(params.effective_weight_bits + 1, 0)
+    )
+    programmed.in_fmt = DynamicFixedPoint(
+        params.effective_input_bits, 0, signed=False
+    )
+    return programmed
+
+
+def layer_inputs(params, kernel, batch, rng):
+    """Random codes for every row but the bias row, which
+    :func:`~repro.perf.plan.run_layer` drives at 1."""
+    return make_codes(params, kernel, batch, rng)[:, :-1].astype(float)
+
+
 def int64_calibrate_shift(tiles, codes, po, calibration_samples=64):
     """Reference SA-window calibration in integer arithmetic: the
     largest per-tile-row partial result of the code prefix must fit
@@ -83,7 +105,7 @@ def int64_calibrate_shift(tiles, codes, po, calibration_samples=64):
 
 
 class TestFusedBitIdentity:
-    """Noise-off fused output == per-engine output, exactly."""
+    """Noise-off inline layer output == per-engine output, exactly."""
 
     @pytest.mark.parametrize(
         "grid_rows, grid_cols",
@@ -95,33 +117,35 @@ class TestFusedBitIdentity:
         ],
     )
     def test_matches_per_engine(
-        self, small_xbar, rng, grid_rows, grid_cols
+        self, small_xbar, rng, layer_runs, grid_rows, grid_cols
     ):
         tiles = make_grid(small_xbar, grid_rows, grid_cols, rng)
-        kernel = FusedLayerKernel(tiles)
-        codes = make_codes(small_xbar, kernel, 17, rng)
-        for shift in (0, 2, kernel.spec.target_shift, 12):
-            fused = kernel.mvm_batch(
-                codes, with_noise=False, output_shift=shift, fused=True
+        programmed = programmed_layer(small_xbar, tiles)
+        x = layer_inputs(small_xbar, programmed.kernel, 17, rng)
+        for shift in (0, 2, programmed.kernel.spec.target_shift, 12):
+            # Each new shift re-lowers the memoised one-step plan.
+            programmed.output_shift = shift
+            (inline, fired), (walked, walk_fired) = layer_runs(
+                programmed, x
             )
-            walked = kernel.mvm_batch(
-                codes, with_noise=False, output_shift=shift, fused=False
-            )
-            assert fused.dtype == walked.dtype == np.int64
-            assert np.array_equal(fused, walked)
+            assert np.array_equal(inline, walked)
+            assert fired == walk_fired
 
     def test_with_noise_flag_but_no_rng_still_exact(
-        self, small_xbar, rng
+        self, small_xbar, rng, layer_runs
     ):
         # Engines without an RNG never sample noise, so with_noise=True
-        # stays on the exact path and must match the walk bitwise.
+        # stays on the exact inline path and must match the walk.
         tiles = make_grid(small_xbar, [32, 5], [16], rng)
-        kernel = FusedLayerKernel(tiles)
-        codes = make_codes(small_xbar, kernel, 9, rng)
-        assert np.array_equal(
-            kernel.mvm_batch(codes, with_noise=True, fused=True),
-            kernel.mvm_batch(codes, with_noise=True, fused=False),
+        programmed = programmed_layer(small_xbar, tiles)
+        kernel = programmed.kernel
+        programmed.output_shift = kernel.spec.target_shift
+        x = layer_inputs(small_xbar, kernel, 9, rng)
+        (inline, fired), (walked, walk_fired) = layer_runs(
+            programmed, x, with_noise=True
         )
+        assert np.array_equal(inline, walked)
+        assert fired == walk_fired
 
     def test_calibration_matches_executor_static(self, small_xbar, rng):
         tiles = make_grid(small_xbar, [32, 13], [16, 6], rng)
@@ -131,9 +155,11 @@ class TestFusedBitIdentity:
             int64_calibrate_shift(tiles, codes, kernel.spec.po)
         )
 
-    def test_variation_grid_fuses_and_matches_walk(self, small_xbar, rng):
-        # Programming variation makes the counts continuous: the fused
-        # path reads them from the differential conductance stack and
+    def test_variation_grid_fuses_and_matches_walk(
+        self, small_xbar, rng, layer_runs
+    ):
+        # Programming variation makes the counts continuous: the inline
+        # step reads them from the differential conductance stack and
         # must digitise to exactly the walk's integers.
         assert small_xbar.device.programming_sigma > 0
         geometries = [
@@ -147,22 +173,19 @@ class TestFusedBitIdentity:
                 small_xbar, grid_rows, grid_cols, rng,
                 engine_rng=np.random.default_rng(seed),
             )
-            kernel = FusedLayerKernel(tiles)
+            programmed = programmed_layer(small_xbar, tiles)
+            kernel = programmed.kernel
             assert kernel.varied and not kernel.is_ideal
             assert kernel.can_fuse(with_noise=False)
             assert kernel.weight_stack().dtype == np.float64
-            codes = make_codes(small_xbar, kernel, 17, rng)
+            x = layer_inputs(small_xbar, kernel, 17, rng)
             for shift in (0, 2, kernel.spec.target_shift, 12):
-                fused = kernel.mvm_batch(
-                    codes, with_noise=False, output_shift=shift,
-                    fused=True,
+                programmed.output_shift = shift
+                (inline, fired), (walked, walk_fired) = layer_runs(
+                    programmed, x
                 )
-                walked = kernel.mvm_batch(
-                    codes, with_noise=False, output_shift=shift,
-                    fused=False,
-                )
-                assert fused.dtype == walked.dtype == np.int64
-                assert np.array_equal(fused, walked)
+                assert np.array_equal(inline, walked)
+                assert fired == walk_fired
 
     def test_on_lattice_faulted_grid_declines_to_fuse(self, rng):
         # Stuck cells on a noise-free device keep every conductance on
@@ -587,15 +610,6 @@ class TestStreamingChunks:
 
 
 class TestProgrammedLayerState:
-    def test_unpacks_as_legacy_tuple(self, small_xbar, rng):
-        tiles = make_grid(small_xbar, [16], [16], rng)
-        layer = ProgrammedLayer(tiles, "fmt")
-        got_tiles, got_fmt = layer
-        assert got_tiles is tiles and got_fmt == "fmt"
-        assert ProgrammedLayer.coerce(layer) is layer
-        coerced = ProgrammedLayer.coerce((tiles, "fmt"))
-        assert coerced.tiles is tiles
-
     def test_kernel_cached_and_calibration_resettable(
         self, small_xbar, rng
     ):
@@ -665,19 +679,19 @@ class TestInSituCalibrationCache:
         trainer = self._trainer(rng)
         x = rng.random((16, 12))
         trainer.forward(x)
-        layer = trainer.layers[0]
-        shift = layer._cal_shift
+        layer = trainer.layers[0].programmed
+        shift = layer.output_shift
         assert shift is not None
         trainer.forward(x)
-        assert layer._cal_shift == shift
+        assert layer.output_shift == shift
 
     def test_unchanged_reprogram_keeps_cache(self, rng):
         trainer = self._trainer(rng)
         trainer.forward(rng.random((16, 12)))
         layer = trainer.layers[0]
-        shift = layer._cal_shift
+        shift = layer.programmed.output_shift
         assert layer.program() == 0  # no level moved
-        assert layer._cal_shift == shift
+        assert layer.programmed.output_shift == shift
 
     def test_changed_reprogram_invalidates(self, rng):
         trainer = self._trainer(rng)
@@ -685,7 +699,7 @@ class TestInSituCalibrationCache:
         layer = trainer.layers[0]
         layer.dense.weight += 0.5  # move the shadow weights
         assert layer.program() > 0
-        assert layer._cal_shift is None
+        assert layer.programmed.output_shift is None
         # next forward recalibrates against the new cells
         trainer.forward(rng.random((16, 12)))
-        assert layer._cal_shift is not None
+        assert layer.programmed.output_shift is not None

@@ -342,6 +342,33 @@ class TestPlanCache:
             os.environ.pop("PRIME_FUSED", None)
         np.testing.assert_array_equal(after, walked)
 
+    def test_run_layer_relowers_and_rebuilds(self, rng, layer_runs):
+        """run_layer memoises one step per layer: a calibration that
+        changes by value re-lowers it in place, an equal one leaves it
+        be, and invalidate() rebuilds it; each result equals a fresh
+        walk of the same state."""
+        xbar = DEFAULT_PRIME_CONFIG.crossbar
+        engine = CrossbarMVMEngine(xbar)
+        engine.program(rng.integers(-255, 256, (40, 9)))
+        layer = plan_mod.ProgrammedLayer([[engine]], DynamicFixedPoint(9, -6))
+        x = rng.random((5, 39)) * 3.0
+
+        def calibrate(exponent, shift):
+            layer.in_fmt = DynamicFixedPoint(6, exponent, signed=False)
+            layer.output_shift = shift
+            (inline, _), (walked, _) = layer_runs(layer, x)
+            np.testing.assert_array_equal(inline, walked)
+            return layer.compiled_plan
+
+        first = calibrate(-4, 12)
+        step = first.steps[0]
+        assert calibrate(-4, 10) is first and step.shift == 10
+        lowered = step.in_fmt
+        assert calibrate(-4, 10) is first and step.in_fmt is lowered
+        assert calibrate(-3, 10) is first and step.in_fmt.exponent == -3
+        layer.kernel.invalidate()
+        assert calibrate(-3, 10) is not first
+
     def test_mismatched_programmed_list_raises(
         self, executor, compiler, trained_tiny_mlp, tiny_digit_data
     ):

@@ -3,11 +3,11 @@
 Programming variation moves every cell's conductance off the level
 lattice, so noise-free counts are continuous and the fused kernels read
 them from a differential conductance stack instead of the integer
-weights.  The contract under test: the fused kernel, the compiled plan
-and chunked streaming all equal the per-engine tile walk
-(``PRIME_FUSED=0``) bit for bit; every path charges the same hardware
-counters; and a stack cached before drift or reprogramming is never
-served after it.
+weights.  The contract under test: a single layer's inline step
+(:func:`~repro.perf.plan.run_layer`), the compiled plan and chunked
+streaming all equal the per-engine tile walk (``PRIME_FUSED=0``) bit
+for bit; every path charges the same hardware counters; and a stack
+cached before drift or reprogramming is never served after it.
 """
 
 import contextlib
@@ -28,6 +28,7 @@ from repro.params.crossbar import CrossbarParams
 from repro.params.prime import DEFAULT_PRIME_CONFIG
 from repro.perf import plan as plan_mod
 from repro.perf.kernels import FusedLayerKernel
+from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 from repro.serve.dispatcher import WorkerSpec, reprogram_state
 from repro.serve.health import apply_drift
 
@@ -126,27 +127,33 @@ def _varied_grid(rows, cols, weight_seed, variation_seed):
     weight_seed=st.integers(0, 2**32 - 1),
 )
 def test_fused_kernel_equals_walk(
-    grid, batch, shift, variation_seed, weight_seed
+    layer_runs, grid, batch, shift, variation_seed, weight_seed
 ):
     rows, cols = grid
     tiles = _varied_grid(rows, cols, weight_seed, variation_seed)
-    engines = _engines([tiles])
-    kernel = FusedLayerKernel(tiles)
-    assert kernel.varied and kernel.can_fuse(with_noise=False)
-    codes = np.random.default_rng(weight_seed + 1).integers(
-        0, 1 << PARAMS.effective_input_bits, (batch, kernel.total_rows)
+    programmed = plan_mod.ProgrammedLayer(
+        tiles, DynamicFixedPoint(PARAMS.effective_weight_bits + 1, 0)
     )
-
-    def run(fused):
-        return kernel.mvm_batch(
-            codes, with_noise=False, output_shift=shift, fused=fused
-        )
-
-    fused, fused_counts = _counted(lambda: run(True), engines)
-    walked, walked_counts = _counted(lambda: run(False), engines)
-    np.testing.assert_array_equal(fused, walked)
-    assert fused_counts == walked_counts
-    assert fused_counts[0] == batch * len(rows) * len(cols)
+    # Unit resolution: the inputs are the codes; run_layer drives the
+    # bias row at 1.
+    programmed.in_fmt = DynamicFixedPoint(
+        PARAMS.effective_input_bits, 0, signed=False
+    )
+    programmed.output_shift = shift
+    kernel = programmed.kernel
+    assert kernel.varied and kernel.can_fuse(with_noise=False)
+    x = np.random.default_rng(weight_seed + 1).integers(
+        0, 1 << PARAMS.effective_input_bits, (batch, kernel.total_rows - 1)
+    ).astype(float)
+    session = telemetry.enable(fresh=True)
+    try:
+        (inline, fired), (walked, walk_fired) = layer_runs(programmed, x)
+        firings = session.metrics.counter_total("mvm.invocations")
+    finally:
+        telemetry.disable()
+    np.testing.assert_array_equal(inline, walked)
+    assert fired == walk_fired
+    assert firings == 2 * batch * len(rows) * len(cols)
 
 
 # -- network level -----------------------------------------------------
