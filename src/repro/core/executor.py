@@ -30,7 +30,10 @@ from repro.nn.network import Sequential
 from repro.params.prime import PrimeConfig, DEFAULT_PRIME_CONFIG
 from repro.perf.kernels import fused_enabled
 from repro.perf.plan import CALIBRATION_SAMPLES, CompiledPlan, ProgrammedLayer
-from repro.precision.dynamic_fixed_point import DynamicFixedPoint
+from repro.precision.dynamic_fixed_point import (
+    DynamicFixedPoint,
+    quantize_with_bias,
+)
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import DegradationSummary, LayerDegradation
 from repro.units import ns
@@ -601,7 +604,9 @@ class PrimeExecutor:
 
         The bias is appended as one extra weight row driven with input
         "1" (§III-E); the dynamic-fixed-point exponent is chosen per
-        layer over the augmented matrix.
+        layer over the augmented matrix
+        (:func:`~repro.precision.dynamic_fixed_point.quantize_with_bias`,
+        whose integers come in the narrowest dtype that holds them).
         """
         pw = pw or self.config.crossbar.effective_weight_bits
         weight_layers = [
@@ -615,9 +620,9 @@ class PrimeExecutor:
             )
         out = []
         for layer, mapping in zip(weight_layers, plan_layers):
-            augmented = np.vstack([layer.weight, layer.bias.reshape(1, -1)])
-            w_fmt = DynamicFixedPoint.for_data(augmented, bits=pw + 1)
-            w_int = w_fmt.quantize_int(augmented)
+            w_int, w_fmt = quantize_with_bias(
+                layer.weight, layer.bias, bits=pw + 1
+            )
             rows, cols = w_int.shape
             if rows != mapping.rows or cols != mapping.cols:
                 raise ExecutionError(

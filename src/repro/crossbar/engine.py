@@ -84,6 +84,13 @@ class CrossbarMVMEngine:
 
     # -- programming ------------------------------------------------------
 
+    @property
+    def level_dtype(self) -> np.dtype:
+        """The narrowest integer dtype that holds ``±2**pw`` (int16 at
+        the default 8-bit weights): the engine's weight and level
+        matrices, which the pair and the cells take without widening."""
+        return np.min_scalar_type(-(1 << self.spec.pw))
+
     def _signed_level_matrix(
         self, w: np.ndarray, slot0: int
     ) -> np.ndarray:
@@ -91,17 +98,24 @@ class CrossbarMVMEngine:
         occupying slots ``slot0 .. slot0 + w.shape[1]`` (hi/lo halves in
         adjacent even/odd bitlines); other cells stay at level 0.
 
-        Held in the narrowest integer dtype that holds ``±2**pw`` (int16
-        at the default 8-bit weights), which the pair and the cells take
-        without widening."""
+        The split runs once, in :attr:`level_dtype`, on weights
+        :meth:`program` has range-checked: each magnitude splits into
+        its high and low ``pw/2``-bit halves (``split_unsigned``), and
+        both halves take the weight's sign.
+        """
         rows, cols = w.shape
-        dtype = np.min_scalar_type(-(1 << self.spec.pw))
+        dtype = self.level_dtype
         w = w.astype(dtype, copy=False)
+        half = self.spec.pw // 2
+        magnitude = np.abs(w)
         sign = np.sign(w)
-        hi, lo = split_unsigned(np.abs(w), self.spec.pw)
+        hi = magnitude >> half
+        hi *= sign
+        lo = magnitude & ((1 << half) - 1)
+        lo *= sign
         levels = np.zeros((self.params.rows, self.params.cols), dtype=dtype)
-        levels[:rows, 2 * slot0 : 2 * (slot0 + cols) : 2] = sign * hi
-        levels[:rows, 2 * slot0 + 1 : 2 * (slot0 + cols) : 2] = sign * lo
+        levels[:rows, 2 * slot0 : 2 * (slot0 + cols) : 2] = hi
+        levels[:rows, 2 * slot0 + 1 : 2 * (slot0 + cols) : 2] = lo
         return levels
 
     def program(
@@ -139,7 +153,12 @@ class CrossbarMVMEngine:
             raise CrossbarError(
                 f"weight magnitudes must be < 2**{self.spec.pw}"
             )
-        levels = self._signed_level_matrix(w, 0)
+        #: Ideal programmed weights in :attr:`level_dtype`, kept for
+        #: SA-reference calibration and the compiled plan's count
+        #: stacks (dead columns, if any, are zeroed to match the masked
+        #: outputs).
+        self.programmed_weights = w.astype(self.level_dtype)
+        levels = self._signed_level_matrix(self.programmed_weights, 0)
         self.pair.set_mode(ArrayMode.COMPUTE)
         self.driver.set_compute_mode(True)
         self.rows_used = rows
@@ -149,10 +168,6 @@ class CrossbarMVMEngine:
         self._dead = None
         self.spared_columns = 0
         self.program_report = None
-        #: Ideal programmed weights, kept for SA-reference calibration
-        #: (dead columns, if any, are zeroed to match the masked
-        #: outputs).
-        self.programmed_weights = w.astype(np.int64)
         if resilience is None or not resilience.verify_writes:
             self.pair.program_signed_levels(levels)
         else:

@@ -46,6 +46,24 @@ class DifferentialPair:
         self.positive.set_mode(mode)
         self.negative.set_mode(mode)
 
+    def _pos_neg(
+        self, signed_levels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Range-check a signed level matrix and split it into the
+        positive array's levels and the negative array's magnitudes.
+
+        ``pos = L * (L > 0)`` and ``neg = pos - L`` equal
+        ``clip(L, 0)`` and ``clip(-L, 0)`` exactly on integers, in the
+        levels' own dtype and without clip's per-call overhead.
+        """
+        limit = self.params.device.mlc_levels
+        if np.any(np.abs(signed_levels) >= limit):
+            raise CrossbarError(
+                f"signed levels must have magnitude < {limit}"
+            )
+        pos = signed_levels * (signed_levels > 0)
+        return pos, pos - signed_levels
+
     def program_signed_levels(
         self,
         signed_levels: np.ndarray,
@@ -66,13 +84,7 @@ class DifferentialPair:
         combined outcome is returned as a :class:`PairProgramReport`.
         """
         signed_levels = np.asarray(signed_levels)
-        limit = self.params.device.mlc_levels
-        if np.any(np.abs(signed_levels) >= limit):
-            raise CrossbarError(
-                f"signed levels must have magnitude < {limit}"
-            )
-        pos = np.clip(signed_levels, 0, None)
-        neg = np.clip(-signed_levels, 0, None)
+        pos, neg = self._pos_neg(signed_levels)
         if verify is None:
             self.positive.program_weight_levels(pos)
             self.negative.program_weight_levels(neg)
@@ -101,13 +113,7 @@ class DifferentialPair:
     ) -> PairProgramReport:
         """Verified programming of a cell subset (spare-column passes)."""
         signed_levels = np.asarray(signed_levels)
-        limit = self.params.device.mlc_levels
-        if np.any(np.abs(signed_levels) >= limit):
-            raise CrossbarError(
-                f"signed levels must have magnitude < {limit}"
-            )
-        pos = np.clip(signed_levels, 0, None)
-        neg = np.clip(-signed_levels, 0, None)
+        pos, neg = self._pos_neg(signed_levels)
         report_pos = self.positive.program_masked_weight_levels(
             mask, pos, verify=verify
         )

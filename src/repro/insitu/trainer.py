@@ -13,7 +13,10 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.nn.network import Sequential
 from repro.params.crossbar import CrossbarParams, DEFAULT_CROSSBAR
 from repro.perf.plan import ProgrammedLayer, run_layer
-from repro.precision.dynamic_fixed_point import DynamicFixedPoint
+from repro.precision.dynamic_fixed_point import (
+    DynamicFixedPoint,
+    quantize_with_bias,
+)
 
 
 @dataclass
@@ -66,14 +69,6 @@ class _InSituLayer:
 
     # -- weight <-> cell synchronisation ---------------------------------
 
-    def _quantize(self) -> tuple[np.ndarray, DynamicFixedPoint]:
-        augmented = np.vstack(
-            [self.dense.weight, self.dense.bias.reshape(1, -1)]
-        )
-        pw = self.params.effective_weight_bits
-        fmt = DynamicFixedPoint.for_data(augmented, bits=pw + 1)
-        return fmt.quantize_int(augmented), fmt
-
     def program(self, full: bool = False) -> int:
         """Push shadow weights into the cells; returns cells written.
 
@@ -81,15 +76,19 @@ class _InSituLayer:
         skips stable cells) unless ``full`` forces a whole-array
         program.
         """
-        levels, fmt = self._quantize()
+        levels, fmt = quantize_with_bias(
+            self.dense.weight,
+            self.dense.bias,
+            bits=self.params.effective_weight_bits + 1,
+        )
         if full or self.levels is None:
             changed = int(levels.size)
         else:
             changed = int(np.count_nonzero(levels != self.levels))
         if changed:
             self.engine.program(levels)
-            # The cell state moved: the SA window and the kernel's
-            # weight stack are both stale.
+            # The cell state moved: the SA window and the memoised
+            # step's count stacks are both stale.
             self.programmed.output_shift = None
             self.programmed.kernel.invalidate()
         self.levels = levels

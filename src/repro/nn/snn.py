@@ -30,7 +30,10 @@ from repro.nn.layers import Dense, Flatten, ReLU
 from repro.nn.network import Sequential
 from repro.params.crossbar import CrossbarParams, DEFAULT_CROSSBAR
 from repro.perf.plan import ProgrammedLayer, run_layer
-from repro.precision.dynamic_fixed_point import DynamicFixedPoint
+from repro.precision.dynamic_fixed_point import (
+    DynamicFixedPoint,
+    quantize_with_bias,
+)
 
 
 @dataclass
@@ -197,12 +200,11 @@ class SpikingNetwork:
         the PRIME compiler does.
         """
         for layer in self.layers:
-            augmented = np.vstack(
-                [layer.weight, layer.bias.reshape(1, -1)]
+            w_int, fmt = quantize_with_bias(
+                layer.weight,
+                layer.bias,
+                bits=params.effective_weight_bits + 1,
             )
-            pw = params.effective_weight_bits
-            fmt = DynamicFixedPoint.for_data(augmented, bits=pw + 1)
-            w_int = fmt.quantize_int(augmented)
             rows, cols = w_int.shape
             tiles = []
             for r0 in range(0, rows, params.rows):

@@ -3,22 +3,29 @@
 The per-engine functional path walks a mapped layer's tile grid in
 Python: one :meth:`CrossbarMVMEngine.mvm_batch` call per tile, each
 padding its inputs to the full physical array and round-tripping
-through the conductance domain.  :class:`FusedLayerKernel` stacks what
-a fused evaluation of the whole grid needs, once, at program time:
+through the conductance domain.  :class:`FusedLayerKernel` is the
+layer-level view of that grid which the faster paths share:
 
-* the count-domain weight stack the compiled plan
-  (:mod:`repro.perf.plan`) runs every noise-free layer on.  On ideal
-  arrays it holds the integer weight halves from
-  ``programmed_weights``: the noiseless counts are integers, exact in
-  float, so the plan is bit-identical to the walk, which itself
-  answers through :meth:`CrossbarArray.exact_mvm_counts` there.  On
-  arrays programmed with variation it holds each cell's differential
-  weight ``(G+ - G-) / g_step`` in float64: the counts are continuous
-  and the SA truncates them to the walk's integers, which differ only
-  by float rounding, far from any truncation boundary.  Arrays whose
-  non-ideal state stays on the integer lattice (stuck-at faults on a
-  noise-free device) keep the walk, whose truncations there hinge on
-  that rounding;
+* the fuse decision (:meth:`~FusedLayerKernel.can_fuse`) and the state
+  token (:attr:`~FusedLayerKernel.token`) that
+  :meth:`~FusedLayerKernel.invalidate` renews after reprogramming or
+  drift.  The kernel holds no count-domain weight stack: the compiled
+  plan's weight step (:mod:`repro.perf.plan`) builds its own, once per
+  row block, in the layout its matmuls read, and drops it when the
+  token moves.  On ideal arrays that stack holds the integer weight
+  halves from ``programmed_weights``: the noiseless counts are
+  integers, exact in float, so the plan is bit-identical to the walk,
+  which itself answers through :meth:`CrossbarArray.exact_mvm_counts`
+  there.  On arrays programmed with variation it holds each cell's
+  differential weight ``(G+ - G-) / g_step`` in float64: the counts
+  are continuous and the SA truncates them to the walk's integers,
+  which differ only by float rounding, far from any truncation
+  boundary.  Arrays whose non-ideal state stays on the integer lattice
+  (stuck-at faults on a noise-free device) keep the walk, whose
+  truncations there hinge on that rounding;
+* the SA-window calibration
+  (:meth:`~FusedLayerKernel.calibrate_output_shift`), one exact host
+  matmul per tile row of ``programmed_weights``;
 * the pair conductances for read noise: :meth:`mvm_batch` draws the
   noise for all tiles from one vectorised RNG call, seeded from the
   engines' shared generator, so results reproduce under a fixed
@@ -151,7 +158,10 @@ class FusedLayerKernel:
             for row in self.tiles
             for e in row
         )
-        self._w_cat: np.ndarray | None = None
+        #: Identity token of the engines' programmed state, renewed by
+        #: :meth:`invalidate`: a stack built under one token is stale
+        #: under the next.
+        self.token = object()
         self._g_pos: np.ndarray | None = None
         self._g_neg: np.ndarray | None = None
         self._half_idx: np.ndarray | None = None
@@ -219,9 +229,10 @@ class FusedLayerKernel:
         return self.is_ideal or self.varied
 
     def invalidate(self) -> None:
-        """Drop cached weight/conductance stacks after reprogramming,
-        drift, or any other in-place change to the engines' cells."""
-        self._w_cat = None
+        """Renew :attr:`token` and drop the cached conductance stacks
+        after reprogramming, drift, or any other in-place change to the
+        engines' cells."""
+        self.token = object()
         self._g_pos = None
         self._g_neg = None
 
@@ -309,27 +320,38 @@ class FusedLayerKernel:
         per-tile-row partial result still fits in the Po-bit output
         register — the standard calibration step of dot-product
         engines, enabled by PRIME's reconfigurable SA.  Costs one host
-        matmul per tile row; no engines fire.
+        matmul per tile row, over the row's ``programmed_weights``
+        assembled once; no engines fire.
 
-        The matmul runs in float64 BLAS (NumPy has no integer BLAS) and
-        is exact: every product and partial sum is an integer of
-        magnitude at most ``rows * (2**pin - 1) * (2**pw - 1)`` — under
-        2**22 at the default geometry, far below float64's 2**53
-        contiguous-integer range for any crossbar.
+        NumPy has no integer BLAS, so the matmul runs in float and is
+        exact: every product and partial sum is an integer of magnitude
+        at most ``rows * (2**pin - 1) * (2**pw - 1)``.  Below float32's
+        ``2**24`` contiguous-integer range (``256 * 63 * 255``, under
+        ``2**22``, at the default geometry) it runs in float32, in any
+        summation order; otherwise in float64.  Dead columns count as
+        zero, since sparing zeroes them in ``programmed_weights``.
         """
-        sample = np.asarray(codes)[:calibration_samples].astype(np.float64)
-        bound = 1
+        spec = self.spec
+        bound = (
+            max(self.rows_used)
+            * ((1 << spec.pin) - 1)
+            * ((1 << spec.pw) - 1)
+        )
+        dtype = np.float32 if bound < (1 << 24) else np.float64
+        sample = np.asarray(codes)[:calibration_samples].astype(dtype)
+        peak = 1
         off = 0
         for rb, row in enumerate(self.tiles):
             block = sample[:, off : off + self.rows_used[rb]]
             row_weights = np.concatenate(
                 [engine.programmed_weights for engine in row],
                 axis=1,
-                dtype=np.float64,
+                dtype=dtype,
             )
-            bound = max(bound, int(np.max(np.abs(block @ row_weights))))
+            partial = block @ row_weights
+            peak = max(peak, int(partial.max()), -int(partial.min()))
             off += self.rows_used[rb]
-        return max(0, bound.bit_length() - self.spec.po)
+        return max(0, peak.bit_length() - spec.po)
 
     # -- fallback -----------------------------------------------------
 
@@ -370,81 +392,6 @@ class FusedLayerKernel:
             drive[rb, n:, :rows] = lo[:, off : off + rows]
             off += rows
         return drive
-
-    def _count_dtype(self):
-        """Narrowest float dtype that holds every integer count exactly.
-
-        A part count is a sum of ``rows`` products of an input half and
-        a weight-half magnitude — an integer.  A digitised part is at
-        most the SA's full scale ``2**po - 1`` times its post-scale,
-        which peaks at ``2**HH`` (shift 0).  When both bounds stay
-        below float32's 2**24 contiguous-integer range, sgemm computes
-        the exact same integers at twice the dgemm rate, and the plan
-        digitises them in place exactly at every shift.
-        """
-        spec = self.spec
-        in_max = (1 << (spec.pin - spec.pin // 2)) - 1
-        w_max = (1 << (spec.pw - spec.pw // 2)) - 1
-        bound = max(self.rows_used) * in_max * w_max
-        sensed = ((1 << spec.po) - 1) << spec.part_exponents["HH"]
-        return np.float32 if max(bound, sensed) < (1 << 24) else np.float64
-
-    def _engine_halves(
-        self, engine, varied: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One engine's (hi, lo) count-domain weights at its used cells.
-
-        Ideal engines contribute their signed integer weight halves.
-        Engines programmed with variation contribute each cell pair's
-        differential weight ``(G+ - G-) / g_step`` read at the even
-        (hi) and odd (lo) bitlines — the per-cell factor the walk's
-        ``pos - neg`` count difference applies to every input level.
-        """
-        if not varied:
-            w = engine.programmed_weights
-            sign = np.sign(w)
-            hi, lo = split_unsigned(np.abs(w), self.spec.pw)
-            return sign * hi, sign * lo
-        dev = engine.params.device
-        g_step = (dev.g_on - dev.g_off) / (dev.mlc_levels - 1)
-        pair = engine.pair
-        diff = (
-            pair.positive.cells.conductances()
-            - pair.negative.cells.conductances()
-        ) / g_step
-        rows, cols = engine.rows_used, engine.cols_used
-        return diff[:rows, 0 : 2 * cols : 2], diff[:rows, 1 : 2 * cols : 2]
-
-    def weight_stack(self) -> np.ndarray:
-        """(row_blocks, max_rows, 2*total_cols) count-domain stack.
-
-        Columns [:total_cols] hold the high weight halves, columns
-        [total_cols:] the low halves (see :meth:`_engine_halves`), so
-        one matmul per drive phase yields both part planes.  Variation
-        stacks are continuous and take float64; integer stacks the
-        narrowest exact dtype (see :meth:`_count_dtype`).  Cached until
-        :meth:`invalidate`; the compiled plan slices its trimmed and
-        packed stacks out of it and uses its identity to detect
-        reprogramming.
-        """
-        if self._w_cat is None:
-            varied = self.varied
-            rmax = max(self.rows_used)
-            t = self.total_cols
-            w_cat = np.zeros(
-                (self.row_blocks, rmax, 2 * t),
-                dtype=np.float64 if varied else self._count_dtype(),
-            )
-            for rb, row in enumerate(self.tiles):
-                c0 = 0
-                for engine in row:
-                    hi, lo = self._engine_halves(engine, varied)
-                    rows, cols = hi.shape
-                    w_cat[rb, :rows, c0 : c0 + cols] = hi
-                    w_cat[rb, :rows, t + c0 : t + c0 + cols] = lo
-                    c0 += cols
-            self._w_cat = w_cat
-        return self._w_cat
 
     def _conductance_stacks(self) -> tuple[np.ndarray, np.ndarray]:
         """(row_blocks, phys_rows, col_blocks*phys_cols) pos/neg G."""

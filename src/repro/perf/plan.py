@@ -13,9 +13,16 @@ count in the package comes from the one path below:
   order, from the first chunk's ``CALIBRATION_SAMPLES`` prefix
   (:func:`freeze_calibration`), and only then bakes them into
   constants — so a fresh network runs its very first chunk compiled;
-* weight/conductance stacks are trimmed and cached per layer (full
-  256-row blocks evaluate as one batched matmul; short tail blocks get
-  their own right-sized matmul instead of padding to the block size);
+* each weight step owns its layer's count stacks and builds them once,
+  on its first inline run, in the layout its matmuls read (full 256-row
+  blocks as one batched tensor, short tail blocks as right-sized
+  matrices, conv blocks transposed; see :meth:`_WeightStep._build_stacks`):
+  ideal row blocks assemble their engines' ``programmed_weights`` once
+  and split them in place, varied ones read the cells' differential
+  conductances.  A step that only delegates builds none, and
+  :meth:`FusedLayerKernel.invalidate` (reprogramming, drift) renews the
+  kernel's token, which retires the step and its stacks.  The kernel
+  keeps only the read-noise path's conductance stacks;
 * the frozen calibration formats are baked into scalar constants
   (``1/resolution``, saturation bounds, and each partial product's SA
   window from :func:`~repro.crossbar.sense.part_window`), so no format
@@ -28,10 +35,11 @@ count in the package comes from the one path below:
   (:func:`_gather_patches`) — no float64 patch matrix — and compute
   ``W^T @ drive`` so the long vector axis stays innermost through the
   count planes and the digitisation;
-* micro-batches (``<= PACKED_MAX_VECS`` vectors) evaluate through a
-  *packed* weight stack that fuses the hi/lo weight halves into one
-  float32 field pair — halving the streamed weight bytes in the
-  latency regime where the matmul is bandwidth-bound;
+* micro-batches (``<= PACKED_MAX_VECS`` vectors) of wide dense layers
+  (``>= PACKED_MIN_COLS`` columns) evaluate through a *packed* weight
+  stack that fuses the hi/lo weight halves into one float32 field
+  pair — halving the streamed weight bytes in the latency regime
+  where the matmul is bandwidth-bound;
 * the SA window rides on the operands: Eq. 8 gives part ``[p, h]``
   the weight ``2**(e_in[p] + e_w[h])`` (``e_in = (pin/2, 0)`` per drive
   phase, ``e_w = (pw/2, 0)`` per weight half), so the trimmed and conv
@@ -46,16 +54,16 @@ count in the package comes from the one path below:
   whenever a compile-time bound keeps that sum exact at every shift.
 
 Exactness: with noise off on ideal arrays every intermediate is an
-integer inside the float dtype's contiguous-integer range (the kernel
+integer inside the float dtype's contiguous-integer range (the step
 picks float32 only when the counts and every digitised value at every
-shift fit it, ``FusedLayerKernel._count_dtype``) times a power of two
+shift fit it, :func:`_count_dtype`) times a power of two
 from the fold, so the compiled path is bit-identical to the per-engine
 walk: each folded count is the unfolded count times ``2**k`` exactly,
 and float32 sgemm stays exact in any summation order and at any BLAS
 thread count.  The packed stack keeps two 12-bit-separated integer
 fields whose dot products stay below ``2**24`` per 16-row sub-block,
 so float32 matmul and ``rint`` field extraction are exact too.  On
-arrays programmed with variation the kernel's stack holds float64
+arrays programmed with variation the step's stack holds float64
 differential cell weights instead; the same trimmed inline path runs
 them (never the packed one).  Scaling both operands of their float64
 matmul by powers of two scales every product and partial sum exactly,
@@ -116,8 +124,33 @@ PACKED_FIELD_BITS = 12
 #: stacks win; at one or two vectors the packed stack halves the
 #: streamed weight bytes (measured crossover on MLP-L: batch 2-4).
 PACKED_MAX_VECS = 2
+#: Fewest columns a dense step routes through the packed stack.  Its
+#: per-row-block field extraction costs more than it saves on streamed
+#: bytes on narrow layers: at one vector on a 2-CPU host the trimmed
+#: stacks count the SNN's 785x64 and MLP-L's 501x10 layers 2-3x faster
+#: and 785x256 1.5x faster, while from about 448 columns of 256-row
+#: blocks (785x448, MLP-L's 1001x500 and wider) the packed stack wins.
+PACKED_MIN_COLS = 448
 #: Buffer sets cached per weight step (one per distinct batch width).
 _MAX_BUFFER_SETS = 8
+
+
+def _count_dtype(spec, rows: int):
+    """Narrowest float dtype that holds every integer count exactly.
+
+    A part count is a sum of ``rows`` products of an input half and a
+    weight-half magnitude — an integer.  A digitised part is at most
+    the SA's full scale ``2**po - 1`` times its post-scale, which peaks
+    at ``2**HH`` (shift 0).  When both bounds stay below float32's
+    2**24 contiguous-integer range, sgemm computes the exact same
+    integers at twice the dgemm rate, and the plan digitises them in
+    place exactly at every shift.
+    """
+    in_max = (1 << (spec.pin - spec.pin // 2)) - 1
+    w_max = (1 << (spec.pw - spec.pw // 2)) - 1
+    bound = rows * in_max * w_max
+    sensed = ((1 << spec.po) - 1) << spec.part_exponents["HH"]
+    return np.float32 if max(bound, sensed) < (1 << 24) else np.float64
 
 
 class ProgrammedLayer:
@@ -306,6 +339,10 @@ class _WeightStep:
       paths (remapped tiles, on-lattice faulted arrays, read noise,
       and every layer when the plan runs with ``fused=False``).
 
+    Only the inline path reads the step's count stacks, so the first
+    inline run builds them (:meth:`_build_stacks`) and a step that only
+    delegates never does.
+
     Dense steps drive one vector per sample, conv steps one per output
     pixel; the two share the quantiser (:meth:`_split`) and the SA
     digitiser (:meth:`_sense`) and differ only in layout.  ``layer``
@@ -321,6 +358,7 @@ class _WeightStep:
         # engine alive until a gc pass.
         self._programmed = weakref.ref(programmed)
         self.kernel = kernel
+        self.token = kernel.token
         self.pin = pin
         self.is_conv = isinstance(layer, Conv2D)
         self.lo_div = float(1 << (spec.pin // 2))
@@ -333,9 +371,12 @@ class _WeightStep:
         self.offs = [0]
         for rows in self.rows_used:
             self.offs.append(self.offs[-1] + rows)
-        w_cat = kernel.weight_stack()
-        self.cdtype = w_cat.dtype
-        self._w_ref = w_cat
+        # Variation stacks are continuous and take float64; integer
+        # stacks the narrowest exact dtype.
+        self.varied = kernel.varied
+        self.cdtype = (
+            np.float64 if self.varied else _count_dtype(spec, self.rmax)
+        )
         # The digitised planes sum in the count dtype when the sum of
         # all 4 * row_blocks of them stays exact there at every shift
         # (a digitised part peaks at (2**po - 1) * 2**HH, at shift 0);
@@ -349,37 +390,22 @@ class _WeightStep:
         exps = spec.part_exponents
         self.e_in = np.array([exps["LH"], 0])
         self.e_w = np.array([exps["HL"], 0])
-        # The weight-half factor of the fold, per stack column.
-        w_scale = np.repeat(2.0 ** self.e_w, self.t).astype(self.cdtype)
         # Calibration constants, baked by _lower on the first run.
         self.in_fmt = None
-        if self.is_conv:
-            # Conv counts come out as W^T @ drive, one (2t, rows)
-            # matrix per row block, so the vector axis stays innermost.
-            self.w_rows = []
-            for i, rows in enumerate(self.rows_used):
-                w_rows = np.empty((2 * self.t, rows), dtype=self.cdtype)
-                np.multiply(w_cat[i, :rows].T, w_scale[:, None], out=w_rows)
-                self.w_rows.append(w_rows)
-            return
-        # Trimmed stacks: full-height blocks batch into one tensor,
-        # short tail blocks keep their own right-sized matrices.  The
+        # Count stacks, built by _build_stacks on the first inline run:
+        # conv steps hold one (2t, rows) matrix per row block in w_rows;
+        # dense steps batch their full-height blocks into w_full and
+        # keep short tail blocks as right-sized w_tails matrices.  The
         # executor tiles rows in order, so only the last block can be
         # short and the full blocks form a prefix.
+        self.stacked = False
+        self.w_rows = self.w_full = self.w_tails = None
+        if self.is_conv:
+            return
         self.n_full = next(
             (i for i, r in enumerate(self.rows_used) if r != self.rmax),
             self.rb,
         )
-        self.w_full = (
-            np.multiply(w_cat[: self.n_full], w_scale)
-            if self.n_full
-            else None
-        )
-        self.w_tails = [
-            np.multiply(w_cat[i, :rows], w_scale)
-            for i, rows in enumerate(self.rows_used)
-            if i >= self.n_full
-        ]
         # Packed micro-batch stack, built lazily on first use.
         in_max = (1 << (spec.pin - spec.pin // 2)) - 1
         w_max = (1 << (spec.pw - spec.pw // 2)) - 1
@@ -405,9 +431,10 @@ class _WeightStep:
             pos += self.sub_counts[i] * PACKED_SUB_ROWS
         self.pack_gather = gather
         self.pack_ones = np.ones(max(self.sub_counts), dtype=np.float32)
-        # Shared lazy cache: read-only once built, and a concurrent
-        # duplicate build is idempotent (deterministic values), so it
-        # stays on the step; mutable scratch lives in the leased
+        # Shared lazy caches (these and the stacks above): read-only
+        # once built, and a concurrent duplicate build is idempotent
+        # (deterministic values, published whole), so they stay on the
+        # step; mutable scratch lives in the leased
         # :class:`PlanWorkspace` stores instead.
         self._w_pack: np.ndarray | None = None
 
@@ -415,15 +442,16 @@ class _WeightStep:
 
     def valid(self) -> bool:
         """Whether the programmed state still matches this lowering:
-        the kernel still holds the weight stack this step was built
-        over, and the layer's input format, output shift and weight
-        format equal, by value, the ones baked in.
+        the kernel still carries the state token this step was built
+        under (:meth:`FusedLayerKernel.invalidate` renews it), and the
+        layer's input format, output shift and weight format equal, by
+        value, the ones baked in.
 
         A step not lowered yet adopts (or freezes) whatever calibration
         its layer holds when it first runs.
         """
         programmed = self._programmed()
-        if programmed is None or self.kernel._w_cat is not self._w_ref:
+        if programmed is None or self.kernel.token is not self.token:
             return False
         return self.in_fmt is None or (
             programmed.in_fmt,
@@ -488,45 +516,135 @@ class _WeightStep:
             for window in (residual, post)
         )
         # The count dtype holds every digitised value exactly at every
-        # shift (FusedLayerKernel._count_dtype), so the noise-free fused
-        # regime is the whole inline condition.
+        # shift (_count_dtype), so the noise-free fused regime is the
+        # whole inline condition.
         self.inline_ok = self.kernel.can_fuse(with_noise=False)
         self.packed_ok = (
             not self.is_conv
             and self.inline_ok
+            and self.t >= PACKED_MIN_COLS
             and self.cdtype == np.float32
             and self.sub_bound < (1 << (PACKED_FIELD_BITS - 1))
             and self.sub_bound * (self.pack_scale + 1.0) < float(1 << 24)
         )
         self.in_fmt = in_fmt
 
+    def _build_stacks(self) -> None:
+        """Build the step's count stacks, once, in the scaled layout
+        its matmuls read (see ``__init__``).
+
+        Row block ``i`` fills a ``(rows, 2t)`` view: columns ``[:t]``
+        hold the high weight halves times the fold's ``2**(pw/2)``,
+        columns ``[t:]`` the low halves, so one matmul per drive phase
+        yields both part planes.  Ideal blocks assemble the tile row's
+        ``programmed_weights`` once, vectorised over the block, and
+        split them in place: ``hi_s = trunc(w / 2**(pw/2)) *
+        2**(pw/2)`` and ``lo = w - hi_s``, exact integers equal to the
+        engine's ``sign * split_unsigned(|w|)`` halves after the fold.
+        Blocks programmed with variation hold each cell pair's
+        differential weight ``(G+ - G-) / g_step`` read at the even
+        (hi) and odd (lo) bitlines — the per-cell factor the walk's
+        ``pos - neg`` count difference applies to every input level.
+        No unscaled copy is kept; the attributes are published only
+        once every block is filled.
+        """
+        t = self.t
+        if self.is_conv:
+            w_rows = [
+                np.empty((2 * t, rows), dtype=self.cdtype)
+                for rows in self.rows_used
+            ]
+            blocks = [w.T for w in w_rows]
+        else:
+            w_full = np.empty(
+                (self.n_full, self.rmax, 2 * t), dtype=self.cdtype
+            )
+            w_tails = [
+                np.empty((rows, 2 * t), dtype=self.cdtype)
+                for rows in self.rows_used[self.n_full :]
+            ]
+            blocks = [*w_full, *w_tails]
+        for row, block in zip(self.kernel.tiles, blocks):
+            if self.varied:
+                self._fill_varied(row, block)
+            else:
+                self._fill_ideal(row, block)
+        if self.is_conv:
+            self.w_rows = w_rows
+        else:
+            self.w_full, self.w_tails = w_full, w_tails
+        self.stacked = True
+
+    def _fill_ideal(self, row, block: np.ndarray) -> None:
+        """One ideal row block's scaled integer halves (see
+        :meth:`_build_stacks`), range-checked like the engines'."""
+        t = self.t
+        spec = self.kernel.spec
+        hi, lo = block[:, :t], block[:, t:]
+        np.concatenate([e.programmed_weights for e in row], axis=1, out=lo)
+        limit = float(1 << spec.pw)
+        if lo.max(initial=0.0) >= limit or lo.min(initial=0.0) <= -limit:
+            raise ExecutionError(
+                f"programmed weights outside signed {spec.pw}-bit range"
+            )
+        half = float(2.0 ** self.e_w[0])
+        np.multiply(lo, 1.0 / half, out=hi)
+        np.trunc(hi, out=hi)
+        hi *= half
+        lo -= hi
+
+    def _fill_varied(self, row, block: np.ndarray) -> None:
+        """One varied row block's scaled differential cell weights,
+        written per engine straight into ``block`` (see
+        :meth:`_build_stacks`)."""
+        t = self.t
+        half = 2.0 ** self.e_w[0]
+        c0 = 0
+        for engine in row:
+            dev = engine.params.device
+            g_step = (dev.g_on - dev.g_off) / (dev.mlc_levels - 1)
+            pair = engine.pair
+            diff = (
+                pair.positive.cells.conductances()
+                - pair.negative.cells.conductances()
+            ) / g_step
+            rows, cols = engine.rows_used, engine.cols_used
+            np.multiply(
+                diff[:rows, 0 : 2 * cols : 2],
+                half,
+                out=block[:, c0 : c0 + cols],
+            )
+            block[:, t + c0 : t + c0 + cols] = diff[:rows, 1 : 2 * cols : 2]
+            c0 += cols
+
+    def _blocks(self) -> list[np.ndarray]:
+        """The dense stack's ``(rows, 2t)`` row blocks, in order."""
+        return [*self.w_full, *self.w_tails]
+
     def _packed_stack(self) -> np.ndarray:
         """(sub_blocks, PACKED_SUB_ROWS, cols) packed weight fields.
 
         Each 256-row block splits into 16-row sub-blocks whose hi/lo
         signed weight halves pack as ``hi * 2**12 + lo`` in one float32
-        value.  A sub-block dot product against 3-bit input halves is
-        bounded by ``16 * 7 * 15 = 1680 < 2**11``, so the packed
-        product ``A * 2**12 + B`` stays below ``2**24`` (exact float32
-        matmul) and ``rint(v / 2**12)`` recovers the hi field exactly
-        (``|B| / 2**12 < 0.5``).
+        value, built from the scaled blocks as ``hi_s * 2**(12 - pw/2)
+        + lo`` (exact: a power-of-two scale of an integer).  A
+        sub-block dot product against 3-bit input halves is bounded by
+        ``16 * 7 * 15 = 1680 < 2**11``, so the packed product ``A *
+        2**12 + B`` stays below ``2**24`` (exact float32 matmul) and
+        ``rint(v / 2**12)`` recovers the hi field exactly (``|B| /
+        2**12 < 0.5``).
         """
         if self._w_pack is None:
             sub = PACKED_SUB_ROWS
-            w_cat = self._w_ref
-            w_pack = np.zeros((self.S, sub, self.t), dtype=np.float32)
-            s0 = 0
-            for i in range(self.rb):
-                rows = self.rows_used[i]
-                sc = self.sub_counts[i]
-                padded = np.zeros((sc * sub, 2 * self.t), dtype=np.float32)
-                padded[:rows] = w_cat[i, :rows]
-                blocks = padded.reshape(sc, sub, 2 * self.t)
-                w_pack[s0 : s0 + sc] = (
-                    blocks[:, :, : self.t] * self.pack_scale
-                    + blocks[:, :, self.t :]
-                )
-                s0 += sc
+            t = self.t
+            up = 2.0 ** (PACKED_FIELD_BITS - self.e_w[0])
+            w_pack = np.zeros((self.S, sub, t), dtype=np.float32)
+            flat = w_pack.reshape(self.S * sub, t)
+            for i, block in enumerate(self._blocks()):
+                r0 = self.sub_offs[i] * sub
+                fields = flat[r0 : r0 + self.rows_used[i]]
+                np.multiply(block[:, :t], up, out=fields)
+                fields += block[:, t:]
             self._w_pack = w_pack
         return self._w_pack
 
@@ -697,6 +815,8 @@ class _WeightStep:
         lo += q
 
     def _inline(self, vectors: np.ndarray, store: dict, span) -> np.ndarray:
+        if not self.stacked:
+            self._build_stacks()
         n = vectors.shape[0]
         packed = self.packed_ok and n <= PACKED_MAX_VECS
         buffers = self._buffer_set(n, packed, store=store)
@@ -739,6 +859,8 @@ class _WeightStep:
         phase, vector]`` whose long vector axis is innermost for the
         digitisation and the reduction.
         """
+        if not self.stacked:
+            self._build_stacks()
         b, h, w, _ = act.shape
         n = b * oh * ow
         buffers = self._conv_buffers(act.shape, oh, ow, store)
@@ -958,10 +1080,11 @@ class CompiledPlan:
     def matches(self, network: Sequential, layers: list, pin: int) -> bool:
         """Whether this plan still describes ``(network, layers)``.
 
-        Identity of the network, the programmed layers, the frozen
-        calibration objects, and the kernels' cached weight stacks —
-        any reprogramming or recalibration (``reset_calibration``)
-        breaks one of these and triggers a recompile.
+        Identity of the network, the programmed layers and the
+        kernels' state tokens, and the frozen calibrations by value —
+        any reprogramming (``invalidate``) or recalibration
+        (``reset_calibration``) breaks one of these and triggers a
+        recompile.
         """
         return (
             self.network is network
@@ -1035,12 +1158,12 @@ def run_layer(
     ``programmed.output_shift`` (the in-situ trainer's and the SNN
     backend's entry).  Runs a one-step :class:`CompiledPlan` memoised
     in ``programmed.compiled_plan``: rebuilt when
-    :meth:`FusedLayerKernel.invalidate` drops the weight stack,
+    :meth:`FusedLayerKernel.invalidate` renews the kernel's token,
     re-lowered when the calibration changes by value.  Reads
     ``PRIME_FUSED`` once per call; ``0`` walks the engines.
     """
     plan = programmed.compiled_plan
-    if plan is None or plan.steps[0]._w_ref is not programmed.kernel._w_cat:
+    if plan is None or plan.steps[0].token is not programmed.kernel.token:
         pin = programmed.kernel.spec.pin
         step = _WeightStep(None, programmed, pin)
         plan = CompiledPlan(None, [programmed], pin, [step])

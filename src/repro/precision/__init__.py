@@ -12,6 +12,7 @@
 from repro.precision.dynamic_fixed_point import (
     DynamicFixedPoint,
     quantize_tensor,
+    quantize_with_bias,
 )
 from repro.precision.composing import (
     ComposingSpec,
@@ -25,6 +26,7 @@ from repro.precision.composing import (
 __all__ = [
     "DynamicFixedPoint",
     "quantize_tensor",
+    "quantize_with_bias",
     "ComposingSpec",
     "split_unsigned",
     "compose_unsigned",

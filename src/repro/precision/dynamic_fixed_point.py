@@ -119,6 +119,10 @@ class DynamicFixedPoint:
         return float(np.sqrt(np.mean(err * err))) if err.size else 0.0
 
 
+#: Float64 elements :func:`quantize_with_bias` quantises per slab.
+_QUANTIZE_SLAB = 1 << 16
+
+
 def quantize_tensor(
     data: np.ndarray, bits: int, signed: bool = True
 ) -> tuple[np.ndarray, DynamicFixedPoint]:
@@ -129,3 +133,43 @@ def quantize_tensor(
     """
     fmt = DynamicFixedPoint.for_data(data, bits=bits, signed=signed)
     return fmt.quantize(data), fmt
+
+
+def quantize_with_bias(
+    weight: np.ndarray, bias: np.ndarray, bits: int
+) -> tuple[np.ndarray, DynamicFixedPoint]:
+    """Quantize a layer's weights with its bias as one extra row.
+
+    Returns the signed integers of ``[weight; bias]`` and the format
+    :meth:`DynamicFixedPoint.for_data` picks for that augmented matrix
+    — exactly the integers ``fmt.quantize_int`` gives, held in the
+    narrowest integer dtype that fits the format.  No augmented copy is
+    made: the peak ``max(max(x), -min(x))`` is ``max(|x|)`` exactly,
+    and the rows quantise a cache-sized slab at a time, in place on one
+    float64 scratch, where multiplying by the power-of-two inverse
+    resolution rounds exactly as dividing by the resolution does.
+    """
+    rows, cols = weight.shape
+    peak = max(
+        weight.max(initial=0.0),
+        -weight.min(initial=0.0),
+        bias.max(initial=0.0),
+        -bias.min(initial=0.0),
+    )
+    fmt = DynamicFixedPoint.for_data(np.array([peak]), bits=bits)
+    out = np.empty((rows + 1, cols), dtype=np.min_scalar_type(fmt.int_min))
+    scratch = np.empty((max(1, _QUANTIZE_SLAB // cols), cols))
+    inv = 1.0 / fmt.resolution
+
+    def quantize(src: np.ndarray, dst: np.ndarray) -> None:
+        buf = scratch[: len(src)]
+        np.multiply(src, inv, out=buf)
+        np.rint(buf, out=buf)
+        np.clip(buf, fmt.int_min, fmt.int_max, out=buf)
+        dst[...] = buf
+
+    for r0 in range(0, rows, len(scratch)):
+        r1 = min(r0 + len(scratch), rows)
+        quantize(weight[r0:r1], out[r0:r1])
+    quantize(np.reshape(bias, (1, cols)), out[rows:])
+    return out, fmt

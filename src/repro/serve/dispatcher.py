@@ -252,9 +252,10 @@ def reprogram_state(
     never the programmed *levels*, so rewriting each
     :class:`~repro.device.cell.CellArray` from its own levels (through
     the spec's program-and-verify policy when one is active) restores
-    the deploy-time state — exactly, in the noise-free regime.  The
-    fused-kernel caches are invalidated afterwards so the recovered
-    conductances reach subsequent evaluations.
+    the deploy-time state — exactly, in the noise-free regime.  Each
+    fused kernel is invalidated afterwards (retiring the stacks built
+    over the old cells) so the recovered conductances reach subsequent
+    evaluations.
     """
     policy = (
         spec.resilience

@@ -432,10 +432,11 @@ def apply_drift(programmed, magnitude: float, seed: int) -> None:
 
     Walks every engine of every :class:`ProgrammedLayer`, decays both
     differential halves' conductances toward HRS via
-    :meth:`CellArray.apply_drift`, and invalidates the fused-kernel
-    caches so the drifted conductances reach subsequent evaluations
-    (the fused/compiled fast paths otherwise serve from weight stacks
-    frozen at program time).  Deterministic in ``(magnitude, seed)``.
+    :meth:`CellArray.apply_drift`, and invalidates each fused kernel,
+    which retires the compiled plan's count stacks and the kernel's
+    conductance stacks, so the drifted conductances reach subsequent
+    evaluations (the fast paths otherwise serve from stacks frozen at
+    program time).  Deterministic in ``(magnitude, seed)``.
     """
     if magnitude <= 0:
         raise ConfigurationError("drift magnitude must be > 0")

@@ -13,6 +13,8 @@ from repro.core.executor import (
 from repro.errors import ExecutionError
 from repro.eval.workloads import get_workload
 from repro.nn.topology import parse_topology
+from repro.params.prime import DEFAULT_PRIME_CONFIG
+from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 
 @pytest.fixture
@@ -181,6 +183,51 @@ class TestFunctionalPath:
         (w_int, _), mapping = quantized[0], plan.weight_layers[0]
         assert w_int.shape == (mapping.rows, mapping.cols)
         assert w_int.shape[0] == net.layers[0].weight.shape[0] + 1
+
+    @pytest.mark.parametrize(
+        "case", ["random", "all-zero", "full-scale", "denormal-peak"]
+    )
+    def test_quantize_layer_matrices_is_quantize_int(
+        self, executor, compiler, case
+    ):
+        """The in-place quantiser gives exactly the format ``for_data``
+        picks for the bias-augmented matrix and the integers its
+        ``quantize_int`` gives, in int16: on random weights, all zeros,
+        a peak at exactly full scale with half-LSB ties, and a denormal
+        peak (the exponent clamp)."""
+        topology = parse_topology("differential", "300-40-7")
+        net = topology.build(rng=np.random.default_rng(0))
+        plan = compiler.compile(topology)
+        rng = np.random.default_rng(1)
+        for layer in net.layers:
+            if not hasattr(layer, "weight"):
+                continue
+            shape = (layer.weight.shape[0] + 1, layer.weight.shape[1])
+            if case == "random":
+                values = rng.standard_normal(shape) * 0.1
+            elif case == "all-zero":
+                values = np.zeros(shape)
+            elif case == "full-scale":
+                # On the 2**-5 grid, with half-LSB ties, peaking at
+                # exactly +-int_max LSBs.
+                values = rng.integers(-510, 511, shape) / 2.0 * 2.0**-5
+                values.flat[0] = 255 * 2.0**-5
+                values.flat[-1] = -255 * 2.0**-5
+            else:
+                values = rng.standard_normal(shape) * 1e-310
+            layer.weight[...] = values[:-1]
+            layer.bias[...] = values[-1]
+        pw = DEFAULT_PRIME_CONFIG.crossbar.effective_weight_bits
+        quantized = executor.quantize_layer_matrices(net, plan)
+        weights = [l for l in net.layers if hasattr(l, "weight")]
+        for layer, (w_int, w_fmt) in zip(weights, quantized):
+            augmented = np.vstack([layer.weight, layer.bias.reshape(1, -1)])
+            fmt = DynamicFixedPoint.for_data(augmented, bits=pw + 1)
+            assert w_fmt == fmt
+            np.testing.assert_array_equal(w_int, fmt.quantize_int(augmented))
+            assert w_int.dtype == np.int16
+        if case == "full-scale":
+            assert quantized[0][1].exponent == -5
 
     def test_iter_tiles_covers_matrix(self, executor, compiler):
         plan = compiler.compile(get_workload("MLP-S").topology())

@@ -9,8 +9,10 @@ must agree bit for bit and charge every engine the same firings and
 conversions; chunked streaming must not change the output; and noisy
 runs must reproduce under a fixed seed.  Fixed cases force each of the
 plan's SA regimes (see ``_WeightStep._lower``) on dense and conv steps,
-since random draws reach the rarer two only by chance, and an SA wide
-enough to need a float64 stack.  The in-situ trainer and the SNN
+since random draws reach the rarer two only by chance, an SA wide
+enough to need a float64 stack, and one- and two-vector steps on each
+side of the packed stack's column threshold; steps that only delegate
+must build no stack.  The in-situ trainer and the SNN
 backend run their layers through the same weight step
 (:func:`~repro.perf.plan.run_layer`) and are held to the same walk.
 """
@@ -35,7 +37,7 @@ from repro.nn.topology import parse_topology
 from repro.params.crossbar import DEFAULT_CROSSBAR
 from repro.params.prime import DEFAULT_PRIME_CONFIG
 from repro.params.reram import PT_TIO2_DEVICE
-from repro.perf.plan import PACKED_MAX_VECS, _WeightStep
+from repro.perf.plan import PACKED_MAX_VECS, PACKED_MIN_COLS, _WeightStep
 
 #: A device without programming variation or read noise: stuck-at
 #: faults then leave every cell on the level lattice, the regime only
@@ -166,9 +168,10 @@ def test_compiled_equals_walk(network, po, arrays, batch, seed):
 
 
 #: One ~256-row weight layer of each kind, first in its network: a
-#: dense layer over two row blocks (full + tail) and a conv layer.
+#: dense layer over two row blocks (full + tail), wide enough for the
+#: packed micro-batch stack, and a conv layer.
 FOLD_NETS = {
-    "dense": ("300-10", None, "valid"),
+    "dense": (f"300-{PACKED_MIN_COLS}", None, "valid"),
     "conv": ("conv3x3-pool-10", (6, 6, 28), "same"),
 }
 #: Each SA regime of a lowered step, and the SA width that puts the
@@ -227,6 +230,29 @@ def test_fold_regimes_equal_walk(regime, po, kind, arrays, batch):
     if kind == "dense":
         packed = arrays == "ideal" and batch <= PACKED_MAX_VECS
         assert (step._w_pack is not None) == packed
+    np.testing.assert_array_equal(compiled, walked)
+    assert fired == walk_fired
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("cols", [10, 64, PACKED_MIN_COLS])
+def test_micro_batch_path_by_width(inline_only, cols, batch):
+    """One- and two-vector steps take the packed stack only on layers
+    of at least PACKED_MIN_COLS columns, the trimmed stacks below it;
+    both equal the walk."""
+    topology, net, plan, executor = _setup(
+        f"300-{cols}", None, "valid", 6, PT_TIO2_DEVICE, 0.0, seed=7
+    )
+    x = np.random.default_rng(8).random((batch, *topology.input_shape))
+    programmed = executor.program_network(net, plan)
+    with inline_only():
+        compiled, fired = _run(executor, net, plan, x, programmed)
+    walked, walk_fired = _run(
+        executor, net, plan, x, executor.program_network(net, plan),
+        walk=True,
+    )
+    step = programmed[0].compiled_plan.steps[0]
+    assert (step._w_pack is not None) == (cols >= PACKED_MIN_COLS)
     np.testing.assert_array_equal(compiled, walked)
     assert fired == walk_fired
 
@@ -327,6 +353,37 @@ def test_insitu_read_noise_reproduces():
     again = _trained(DEFAULT_CROSSBAR, 4, 3)
     assert first[0] == again[0] and first[2] == again[2]
     np.testing.assert_array_equal(first[1], again[1])
+
+
+def test_delegating_steps_build_no_stack():
+    """A weight step builds its count stacks on its first inline run
+    only: read-noise run_layer calls (every in-situ forward on noisy
+    arrays) and a PRIME_FUSED=0 forward delegate and build none."""
+    data = np.random.default_rng(3)
+    net = Sequential([Dense(20, 12, rng=data), ReLU(), Dense(12, 4, rng=data)])
+    trainer = InSituTrainer(
+        net, params=DEFAULT_CROSSBAR, rng=np.random.default_rng(4)
+    )
+    trainer.forward(data.random((5, 20)))
+    for layer in trainer.layers:
+        step = layer.programmed.compiled_plan.steps[0]
+        assert step.in_fmt is not None and not step.stacked
+    topology, net, plan, executor = _setup(
+        f"300-{PACKED_MIN_COLS}-10", None, "valid", 6, PT_TIO2_DEVICE, 0.0, 7
+    )
+    programmed = executor.program_network(net, plan)
+    x = np.random.default_rng(8).random((2, *topology.input_shape))
+    _run(executor, net, plan, x, programmed, walk=True)
+    steps = [
+        s
+        for s in programmed[0].compiled_plan.steps
+        if isinstance(s, _WeightStep)
+    ]
+    assert all(s.in_fmt is not None for s in steps)
+    assert not any(s.stacked or s._w_pack is not None for s in steps)
+    _run(executor, net, plan, x, programmed)
+    assert all(s.stacked for s in steps)
+    assert steps[0]._w_pack is not None
 
 
 @pytest.fixture(scope="module")

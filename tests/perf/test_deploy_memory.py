@@ -1,0 +1,57 @@
+"""Deploy cost as retained bytes, not wall time.
+
+An ideal MLP-L deployment holds its cells' int16 levels, one int16
+copy of each engine's programmed weights, and the compiled plan's
+scaled count stacks plus the calibration batch's workspace.  A second
+(unscaled) stack, int64 weight copies or float conductances would each
+add tens of MiB, so a ceiling on what ``program_state`` leaves
+allocated guards the deploy's cost deterministically, on any host.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+
+from repro.core.compiler import PrimeCompiler
+from repro.eval.workloads import get_workload
+from repro.params.prime import DEFAULT_PRIME_CONFIG
+from repro.serve.dispatcher import WorkerSpec, program_state
+
+#: Most bytes an ideal MLP-L deployment may hold once programmed and
+#: calibrated (about 98 MiB with numpy 2.4).
+RETAINED_LIMIT = 100 * 2**20
+
+
+def test_ideal_mlp_l_deploy_retains_at_most_100_mib():
+    topology = get_workload("MLP-L").topology()
+    net = topology.build(rng=np.random.default_rng(0))
+    plan = PrimeCompiler(DEFAULT_PRIME_CONFIG).compile(topology)
+    calibration = np.random.default_rng(1).random(
+        (64, *topology.input_shape)
+    )
+    spec = WorkerSpec(
+        network=net,
+        plan=plan,
+        config=DEFAULT_PRIME_CONFIG,
+        seed=0,
+        calibration=calibration,
+    )
+    tracemalloc.start()
+    try:
+        state = program_state(spec)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    _, programmed = state
+    assert all(p.in_fmt is not None for p in programmed)
+    breakdown = "\n".join(
+        str(stat) for stat in snapshot.statistics("lineno")[:15]
+    )
+    assert retained <= RETAINED_LIMIT, (
+        f"an ideal MLP-L deploy holds {retained / 2**20:.1f} MiB "
+        f"(limit {RETAINED_LIMIT / 2**20:.0f} MiB); largest holders:\n"
+        f"{breakdown}"
+    )

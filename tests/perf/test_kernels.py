@@ -86,7 +86,7 @@ def layer_inputs(params, kernel, batch, rng):
 def int64_calibrate_shift(tiles, codes, po, calibration_samples=64):
     """Reference SA-window calibration in integer arithmetic: the
     largest per-tile-row partial result of the code prefix must fit
-    the Po-bit output register.  The kernel's float64 BLAS routine must
+    the Po-bit output register.  The kernel's float BLAS routine must
     reproduce it exactly."""
     sample = np.asarray(codes, dtype=np.int64)[:calibration_samples]
     bound = 1
@@ -177,7 +177,6 @@ class TestFusedBitIdentity:
             kernel = programmed.kernel
             assert kernel.varied and not kernel.is_ideal
             assert kernel.can_fuse(with_noise=False)
-            assert kernel.weight_stack().dtype == np.float64
             x = layer_inputs(small_xbar, kernel, 17, rng)
             for shift in (0, 2, kernel.spec.target_shift, 12):
                 programmed.output_shift = shift
@@ -186,6 +185,10 @@ class TestFusedBitIdentity:
                 )
                 assert np.array_equal(inline, walked)
                 assert fired == walk_fired
+            # The inline runs read the step's own float64 stack.
+            step = programmed.compiled_plan.steps[0]
+            assert step.stacked
+            assert all(b.dtype == np.float64 for b in step._blocks())
 
     def test_on_lattice_faulted_grid_declines_to_fuse(self, rng):
         # Stuck cells on a noise-free device keep every conductance on
@@ -237,7 +240,7 @@ CONV_GEOMETRY = [(5 * 5 + 1, 24 * 24), (7 * 7 + 1, 22 * 22)]
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_float_calibration_equals_int64_at_the_bound(data):
-    """The float64 BLAS calibration equals the integer reference where
+    """The float BLAS calibration equals the integer reference where
     partial sums peak: codes at ``2**pin - 1``, weights at
     ``±(2**pw - 1)``, full 256-row blocks, tail blocks, and a conv
     layer's calibration prefix (64 samples x their im2col vectors)."""
@@ -298,6 +301,162 @@ def test_calibration_bound_at_full_scale():
     assert kernel.calibrate_output_shift(codes) == expected
     assert int64_calibrate_shift([[engine]], codes, kernel.spec.po) == (
         expected
+    )
+
+
+#: (input bits, cell bits, SA output bits): the default crossbar, and
+#: narrower and wider drivers, cells and sense amps.
+CALIBRATION_PRECISIONS = [
+    (3, 4, 6), (2, 3, 4), (4, 4, 8), (3, 2, 10), (1, 1, 3),
+]
+
+
+def _precision_params(input_bits, cell_bits, po):
+    """A 256-row crossbar at the given driver, cell and SA widths."""
+    import dataclasses
+
+    from repro.params.crossbar import CrossbarParams
+    from repro.params.reram import PT_TIO2_DEVICE
+
+    return CrossbarParams(
+        input_bits=input_bits,
+        cell_bits=cell_bits,
+        output_bits=po,
+        device=dataclasses.replace(PT_TIO2_DEVICE, mlc_bits=cell_bits),
+    )
+
+
+def _extreme_grid(params, grid_rows, grid_cols, rng, engine_rng=None):
+    """Random weights, half of them pinned at ``±(2**pw - 1)``."""
+    w_max = (1 << params.effective_weight_bits) - 1
+    tiles = []
+    for rows in grid_rows:
+        row = []
+        for cols in grid_cols:
+            w = rng.integers(-w_max, w_max + 1, (rows, cols))
+            pinned = rng.random((rows, cols)) < 0.5
+            w[pinned] = (rng.choice([-1, 1], (rows, cols)) * w_max)[pinned]
+            engine = CrossbarMVMEngine(params, rng=engine_rng)
+            engine.program(w)
+            row.append(engine)
+        tiles.append(row)
+    return tiles
+
+
+def _extreme_codes(params, kernel, batch, rng):
+    code_max = (1 << params.effective_input_bits) - 1
+    codes = rng.integers(0, code_max + 1, (batch, kernel.total_rows))
+    codes[rng.random(codes.shape) < 0.5] = code_max
+    return codes
+
+
+@pytest.mark.parametrize("input_bits, cell_bits, po", CALIBRATION_PRECISIONS)
+def test_calibration_equals_int64_across_precisions(
+    input_bits, cell_bits, po
+):
+    """The calibration matmul (float32 under its 2**24 bound, as at
+    every setting here) equals the integer reference over full and tail
+    row blocks at each driver, cell and SA width."""
+    params = _precision_params(input_bits, cell_bits, po)
+    rng = np.random.default_rng(input_bits * 100 + cell_bits * 10 + po)
+    tiles = _extreme_grid(params, [256, 256, 40], [5, 3], rng)
+    kernel = FusedLayerKernel(tiles)
+    codes = _extreme_codes(params, kernel, 70, rng)
+    assert kernel.calibrate_output_shift(codes) == int64_calibrate_shift(
+        tiles, codes, kernel.spec.po
+    )
+
+
+def test_calibration_past_the_float32_bound_runs_float64():
+    """At 8-bit inputs and 10-bit weights a 256-row partial sum can
+    pass 2**24, so the calibration runs in float64.  One column sums to
+    2**25 - 1, which float32 would round up to 2**25, one bit longer."""
+    params = _precision_params(4, 5, 6)
+    spec = CrossbarMVMEngine(params).spec
+    code_max = (1 << spec.pin) - 1
+    w_max = (1 << spec.pw) - 1
+    assert params.rows * code_max * w_max >= 1 << 24
+    target = (1 << 25) - 1
+    full, rest = divmod(target, code_max * w_max)
+    w = np.zeros((params.rows, 1), dtype=np.int64)
+    w[:full, 0] = w_max
+    w[full, 0], last = divmod(rest, code_max)
+    w[full + 1, 0] = last
+    codes = np.zeros((3, params.rows), dtype=np.int64)
+    codes[0, : full + 1] = code_max
+    codes[0, full + 1] = 1
+    codes[1:] = np.random.default_rng(5).integers(0, 3, (2, params.rows))
+    assert int((codes[0] @ w)[0]) == target
+    assert float(np.float32(target)) == 1 << 25
+    engine = CrossbarMVMEngine(params)
+    engine.program(w)
+    kernel = FusedLayerKernel([[engine]])
+    expected = max(0, target.bit_length() - spec.po)
+    assert kernel.calibrate_output_shift(codes) == expected
+    assert int64_calibrate_shift([[engine]], codes, spec.po) == expected
+
+
+def test_calibration_reads_dead_columns_as_zero():
+    """Sparing zeroes a masked column in ``programmed_weights``; the
+    calibration reads it there, like the integer reference."""
+    import dataclasses
+
+    from repro.crossbar.pair import DifferentialPair
+    from repro.device.faults import FaultMap
+    from repro.params.crossbar import CrossbarParams
+    from repro.params.reram import PT_TIO2_DEVICE
+    from repro.resilience import ResiliencePolicy
+
+    params = CrossbarParams(
+        rows=32,
+        cols=32,
+        sense_amps=8,
+        device=dataclasses.replace(
+            PT_TIO2_DEVICE, programming_sigma=0.0, read_noise_sigma=0.0
+        ),
+    )
+    policy = ResiliencePolicy(
+        verify_writes=True, spare_columns=0, mask_error_limit=1000.0
+    )
+    rng = np.random.default_rng(31)
+    row = []
+    for bad in (3, None):
+        w = rng.integers(-255, 256, (20, 6))
+        engine = CrossbarMVMEngine(params)
+        if bad is not None:
+            # Full-scale weights in the dead column, opposite to its
+            # stuck-at-LRS positive cells: calibrating on them would
+            # widen the window.
+            w[:, bad] = -255
+            pos = FaultMap.none(params.rows, params.cols)
+            neg = FaultMap.none(params.rows, params.cols)
+            pos.stuck_lrs[:20, 2 * bad] = True
+            neg.stuck_hrs[:20, 2 * bad] = True
+            engine.pair = DifferentialPair(params, fault_maps=(pos, neg))
+        engine.program(w, resilience=policy)
+        row.append(engine)
+    assert row[0].masked_columns == 1
+    assert np.all(row[0].programmed_weights[:, 3] == 0)
+    kernel = FusedLayerKernel([row])
+    codes = make_codes(params, kernel, 12, rng)
+    assert kernel.calibrate_output_shift(codes) == int64_calibrate_shift(
+        [row], codes, kernel.spec.po
+    )
+
+
+def test_variation_grid_calibrates_on_ideal_weights(small_xbar, rng):
+    """Arrays programmed with variation calibrate on the ideal integer
+    weights they were programmed with, not on their cells."""
+    assert small_xbar.device.programming_sigma > 0
+    tiles = _extreme_grid(
+        small_xbar, [32, 9], [16, 7], rng,
+        engine_rng=np.random.default_rng(17),
+    )
+    kernel = FusedLayerKernel(tiles)
+    assert kernel.varied
+    codes = _extreme_codes(small_xbar, kernel, 20, rng)
+    assert kernel.calibrate_output_shift(codes) == int64_calibrate_shift(
+        tiles, codes, kernel.spec.po
     )
 
 
