@@ -25,7 +25,11 @@ _RESULTS: dict[str, dict] = {}
 
 
 def _scalar_fields(obj, limit: int = 24) -> dict:
-    """Public int/float/str/bool attributes of a result object."""
+    """Public int/float/str attributes of a result object, or
+    ``{"value": obj}`` for a bare number (whose public attributes are
+    its ``real`` and ``imag`` parts)."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return {"value": obj}
     out: dict[str, object] = {}
     for name in dir(obj):
         if name.startswith("_") or len(out) >= limit:

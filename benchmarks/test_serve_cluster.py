@@ -177,8 +177,8 @@ def test_cluster_autoscaler_spans_and_reprogram_cost():
 
     A saturating burst against a single replica (policy capacity
     pinned at the paced rate) forces one grow; in thread mode that
-    starts a replica thread over the programmed copy and prewarms its
-    workspaces, and the span carries that measured cost.
+    starts a replica thread over the programmed copy, and the span
+    carries that measured cost.
     """
     telemetry.enable()
     try:

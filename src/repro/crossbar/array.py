@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from repro.errors import CrossbarError
-from repro.device import CellArray, FaultMap, env_fault_rates
+from repro.device import CellArray, FaultMap
 from repro.params.crossbar import CrossbarParams, DEFAULT_CROSSBAR
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import ProgramReport
@@ -50,20 +50,15 @@ class CrossbarArray:
             track_endurance=track_endurance,
         )
         self.mode = ArrayMode.MEMORY
-        self._stored_bits = np.zeros(
-            (params.rows, params.cols), dtype=np.uint8
-        )
 
     @staticmethod
     def _configured_fault_map(
         params: CrossbarParams, rng: np.random.Generator | None
     ) -> FaultMap | None:
-        """Sample a fault map from the configured (or env) stuck-at
-        rates, so call sites get fault injection end-to-end without
+        """Sample a fault map from the configured stuck-at rates, so
+        call sites get fault injection end-to-end without
         hand-constructing maps."""
         rate_hrs, rate_lrs = params.fault_rate_hrs, params.fault_rate_lrs
-        if rate_hrs <= 0.0 and rate_lrs <= 0.0:
-            rate_hrs, rate_lrs = env_fault_rates()
         if rate_hrs <= 0.0 and rate_lrs <= 0.0:
             return None
         if rng is None:
@@ -101,7 +96,6 @@ class CrossbarArray:
             )
         if not np.all((bits == 0) | (bits == 1)):
             raise CrossbarError("bits must be 0/1")
-        self._stored_bits[row] = bits.astype(np.uint8)
         levels = bits.astype(np.int64) * (self.params.device.mlc_levels - 1)
         self.cells.program_region(row, 0, levels.reshape(1, -1))
 

@@ -20,6 +20,8 @@ computes exactly — within the truncation/noise bound.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro import telemetry
@@ -31,12 +33,13 @@ from repro.resilience.report import PairProgramReport
 from repro.crossbar.array import ArrayMode
 from repro.crossbar.drivers import WordlineDriver
 from repro.crossbar.pair import DifferentialPair
-from repro.crossbar.sense import (
-    PrecisionAccumulator,
-    ReconfigurableSenseAmp,
-    digitise,
-    part_window,
-)
+from repro.crossbar.sense import ReconfigurableSenseAmp, digitise, part_window
+
+#: Guards every engine's firing counters, ``mvm_invocations`` and
+#: ``sense.conversions``: replica threads walk and charge one shared
+#: programmed copy at once, and ``+=`` on an attribute is not atomic.
+#: :meth:`repro.perf.kernels.FusedLayerKernel.charge` takes it too.
+COUNTER_LOCK = threading.Lock()
 
 
 class CrossbarMVMEngine:
@@ -65,7 +68,6 @@ class CrossbarMVMEngine:
             params, rng=rng, track_endurance=track_endurance
         )
         self.sense = ReconfigurableSenseAmp(params)
-        self.accumulator = PrecisionAccumulator(width=32)
         self.rows_used = 0
         self.cols_used = 0
         self._programmed = False
@@ -303,7 +305,10 @@ class CrossbarMVMEngine:
     # -- execution --------------------------------------------------------
 
     def _record_mvms(self, n: int) -> None:
-        """Charge ``n`` composed MVM firings to the telemetry layer."""
+        """Count ``n`` composed MVM firings on this engine and charge
+        them to the telemetry layer."""
+        with COUNTER_LOCK:
+            self.mvm_invocations += n
         if not telemetry.enabled():
             return
         telemetry.count("mvm.invocations", n)
@@ -344,9 +349,9 @@ class CrossbarMVMEngine:
         digital = digitise(
             parts, pre.reshape(grid), post.reshape(grid), self.spec.po
         )
-        self.sense.conversions += (
-            int(np.count_nonzero(pre)) * parts.size // 4
-        )
+        conversions = int(np.count_nonzero(pre)) * parts.size // 4
+        with COUNTER_LOCK:
+            self.sense.conversions += conversions
         return digital.sum(axis=(0, -1)).astype(np.int64)
 
     def mvm(
@@ -375,7 +380,6 @@ class CrossbarMVMEngine:
         shift = (
             self.spec.target_shift if output_shift is None else output_shift
         )
-        self.mvm_invocations += 1
         self._record_mvms(1)
         in_hi, in_lo = split_unsigned(inputs.astype(np.int64), self.spec.pin)
         counts_hi = self._drive_phase(in_hi, with_noise)
@@ -411,7 +415,6 @@ class CrossbarMVMEngine:
         shift = (
             self.spec.target_shift if output_shift is None else output_shift
         )
-        self.mvm_invocations += inputs.shape[0]
         self._record_mvms(inputs.shape[0])
         in_hi, in_lo = split_unsigned(inputs.astype(np.int64), self.spec.pin)
         padded = np.zeros((2 * inputs.shape[0], self.params.rows))

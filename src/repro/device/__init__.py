@@ -8,12 +8,7 @@
 """
 
 from repro.device.cell import CellArray
-from repro.device.faults import (
-    FAULT_RATES_ENV,
-    FaultMap,
-    StuckAtFault,
-    env_fault_rates,
-)
+from repro.device.faults import FaultMap, StuckAtFault
 from repro.device.endurance import EnduranceTracker
 
 __all__ = [
@@ -21,6 +16,4 @@ __all__ = [
     "FaultMap",
     "StuckAtFault",
     "EnduranceTracker",
-    "FAULT_RATES_ENV",
-    "env_fault_rates",
 ]

@@ -25,10 +25,18 @@ before, so every RNG draw and every seeded conductance is unchanged.
 Ideal serving never reads the matrix — the fused and compiled tiers
 run on the integer weights — so a deployed ideal network holds 2 B per
 cell on the host.
+
+Read-noise streams.  A read-noise draw comes from the array's own
+generator unless the reading thread has scoped a stream of its own
+(:func:`scoped_noise_stream`); the fused kernel's analog planes take
+their draws from the same place (:func:`read_noise_rng`).  Serving
+scopes every noisy micro-batch, so replica threads reading one shared
+programmed copy never touch its generator.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -45,6 +53,40 @@ from repro.device.irdrop import apply_ir_drop
 #: Serialises first reads of derived conductances, so concurrent
 #: readers of one array build and share a single matrix.
 _DERIVE_LOCK = threading.Lock()
+
+#: Per-thread read-noise stream (see :func:`scoped_noise_stream`).
+_NOISE_TLS = threading.local()
+
+
+@contextlib.contextmanager
+def scoped_noise_stream(rng: np.random.Generator):
+    """Draw this thread's read noise from ``rng``.
+
+    Inside the context, every read-noise draw this thread makes — the
+    cells' :meth:`CellArray.conductances` on the per-engine walk and
+    the fused kernel's analog planes alike — comes from ``rng``
+    instead of the arrays' generator, which stays untouched.  When
+    every array of a network shares one generator, a forward under
+    ``scoped_noise_stream(Generator(type(bit_generator)(seed)))``
+    draws exactly what that generator would after being reset to
+    ``seed``, without writing any shared state.  The override is
+    thread-local: other threads, and this one once the context exits,
+    draw from the arrays' generators.  Arrays built without a
+    generator sample no noise inside the context either.
+    """
+    prev = getattr(_NOISE_TLS, "rng", None)
+    _NOISE_TLS.rng = rng
+    try:
+        yield
+    finally:
+        _NOISE_TLS.rng = prev
+
+
+def read_noise_rng(default: np.random.Generator) -> np.random.Generator:
+    """The generator this thread's read-noise draws come from: the
+    scoped stream (:func:`scoped_noise_stream`), else ``default``."""
+    rng = getattr(_NOISE_TLS, "rng", None)
+    return default if rng is None else rng
 
 
 class CellArray:
@@ -299,7 +341,8 @@ class CellArray:
         """Effective conductance matrix in siemens.
 
         ``with_read_noise`` adds an independent Gaussian perturbation
-        per call, modelling sense-time thermal noise.
+        per call, modelling sense-time thermal noise, drawn from
+        :func:`read_noise_rng`.
         """
         g = self._stored_conductance()
         if self.wire_resistance > 0.0:
@@ -307,7 +350,8 @@ class CellArray:
         if with_read_noise and self.rng is not None:
             sigma = self.device.read_noise_sigma
             if sigma > 0.0:
-                g = g * (1.0 + sigma * self.rng.standard_normal(g.shape))
+                noise = read_noise_rng(self.rng).standard_normal(g.shape)
+                g = g * (1.0 + sigma * noise)
         return np.clip(g, 0.0, None)
 
     def readback_levels(self) -> np.ndarray:

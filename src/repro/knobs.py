@@ -24,7 +24,6 @@ def env_knob(
     logger: logging.Logger,
     expect: str,
     fallback: str,
-    warned: set[str] | None = None,
 ) -> T:
     """The value of environment knob ``name``, or ``default``.
 
@@ -32,9 +31,7 @@ def env_knob(
     the stripped value to the knob's value and raises ``ValueError``
     for anything it does not accept; a rejected value logs ``"<name>
     must be <expect>, got <value>; <fallback>"`` on ``logger``, counts
-    ``perf.env.invalid{knob=name}`` and yields ``default``.  With a
-    ``warned`` set, each distinct bad value warns only once (it still
-    counts every time), for knobs re-read on a hot path.
+    ``perf.env.invalid{knob=name}`` and yields ``default``.
     """
     raw = os.environ.get(name, "").strip()
     if not raw:
@@ -43,11 +40,6 @@ def env_knob(
         return parse(raw)
     except ValueError:
         pass
-    if warned is None or raw not in warned:
-        if warned is not None:
-            warned.add(raw)
-        logger.warning(
-            "%s must be %s, got %r; %s", name, expect, raw, fallback
-        )
+    logger.warning("%s must be %s, got %r; %s", name, expect, raw, fallback)
     telemetry.count("perf.env.invalid", knob=name)
     return default

@@ -74,8 +74,7 @@ class CrossbarParams:
     #: Stuck-at fault rates sampled into a fresh ``FaultMap.random``
     #: per crossbar array (from the array's seeded rng) when no
     #: explicit map is supplied.  Zero (the default) disables
-    #: injection; the ``PRIME_FAULT_RATES`` env knob fills in when both
-    #: rates are zero.
+    #: injection.
     fault_rate_hrs: float = 0.0
     fault_rate_lrs: float = 0.0
 

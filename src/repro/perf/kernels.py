@@ -27,11 +27,13 @@ layer-level view of that grid which the faster paths share:
   (:meth:`~FusedLayerKernel.calibrate_output_shift`), one exact host
   matmul per tile row of ``programmed_weights``;
 * the pair conductances for read noise: :meth:`mvm_batch` draws the
-  noise for all tiles from one vectorised RNG call, seeded from the
-  engines' shared generator, so results reproduce under a fixed
-  seed, and digitises the four partial-product planes (HH/HL/LH/LL) in
-  one pass through the SA transfer function every tier shares
-  (:func:`repro.crossbar.sense.digitise`).
+  noise for all tiles from one vectorised Philox call, seeded from the
+  stream the cells' own read-noise draws come from
+  (:func:`repro.device.cell.read_noise_rng`: the engines' shared
+  generator, or the calling thread's scoped stream), so results
+  reproduce under a fixed seed, and digitises the four partial-product
+  planes (HH/HL/LH/LL) in one pass through the SA transfer function
+  every tier shares (:func:`repro.crossbar.sense.digitise`).
 
 Every other :meth:`~FusedLayerKernel.mvm_batch` call walks the
 engines, the semantic reference; ``PRIME_FUSED=0`` routes every call
@@ -40,56 +42,33 @@ model-time and energy counters, per-engine invocation counts, and
 sense-amp conversion counts all reflect the hardware firings the fused
 math replaces, not the host matmuls that compute them
 (:meth:`~FusedLayerKernel.charge`).
+
+Thread safety: every path is re-entrant over one programmed copy.  The
+math only reads the engines' state, lazily built stacks are published
+whole (a racing duplicate build is identical), read noise comes from
+the caller's scoped stream, and the engines' counters change only
+under :data:`repro.crossbar.engine.COUNTER_LOCK`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
-import threading
 
 import numpy as np
 
 from repro import telemetry
+from repro.crossbar.engine import COUNTER_LOCK
 from repro.crossbar.sense import digitise, part_window
+from repro.device.cell import read_noise_rng
 from repro.errors import CrossbarError
 from repro.precision.composing import split_unsigned
 
-__all__ = ["fused_enabled", "scoped_noise_stream", "FusedLayerKernel"]
+__all__ = ["fused_enabled", "FusedLayerKernel"]
 
 
 def fused_enabled() -> bool:
     """Whether the fused layer fast path is enabled (``PRIME_FUSED``)."""
     return os.environ.get("PRIME_FUSED", "1") != "0"
-
-
-#: Per-thread noise-stream override (see :func:`scoped_noise_stream`).
-_NOISE_TLS = threading.local()
-
-
-@contextlib.contextmanager
-def scoped_noise_stream(rng: np.random.Generator):
-    """Route this thread's fused noise draws through a private stream.
-
-    :meth:`FusedLayerKernel.reseed_noise` rewinds the *shared* engine
-    generator in place — correct for one evaluation at a time, but a
-    data race when thread replicas evaluate the same programmed state
-    concurrently.  Inside this context the fused noisy path seeds its
-    Philox draws from ``rng`` instead of the shared generator, without
-    mutating any shared state.  Because every kernel in a network draws
-    sequentially from one shared generator, running a whole forward
-    pass under ``scoped_noise_stream(kernel.noise_stream(seed))``
-    reproduces ``reseed_noise(seed)`` + forward bit for bit.
-
-    The override is thread-local: other threads (and this thread once
-    the context exits) keep using the engines' shared stream.
-    """
-    prev = getattr(_NOISE_TLS, "rng", None)
-    _NOISE_TLS.rng = rng
-    try:
-        yield
-    finally:
-        _NOISE_TLS.rng = prev
 
 
 class FusedLayerKernel:
@@ -162,12 +141,8 @@ class FusedLayerKernel:
         #: :meth:`invalidate`: a stack built under one token is stale
         #: under the next.
         self.token = object()
-        self._g_pos: np.ndarray | None = None
-        self._g_neg: np.ndarray | None = None
+        self._g_stacks: tuple[np.ndarray, np.ndarray] | None = None
         self._half_idx: np.ndarray | None = None
-        # Serialises engine-counter charging: the read-only math is
-        # re-entrant, but ``engine.mvm_invocations += batch`` is not.
-        self._charge_lock = threading.Lock()
 
     # -- fuse decision ------------------------------------------------
 
@@ -233,41 +208,21 @@ class FusedLayerKernel:
         after reprogramming, drift, or any other in-place change to the
         engines' cells."""
         self.token = object()
-        self._g_pos = None
-        self._g_neg = None
+        self._g_stacks = None
 
     # -- noise stream -------------------------------------------------
 
-    def reseed_noise(self, seed: int) -> None:
-        """Reset the engines' shared noise stream to ``seed``.
-
-        Rewinds the *same* generator object the engines (and the fused
-        path) draw from, so subsequent noisy evaluations are a pure
-        function of ``seed`` and the inputs — the serving runtime uses
-        this to key each micro-batch's noise off a deterministic
-        per-batch seed, making results independent of which replica
-        worker the batch lands on.  Fused and per-engine paths both
-        consume this stream, so reseeding keeps them comparable too.
-        """
-        fresh = self.noise_stream(seed)
-        self._rng.bit_generator.state = fresh.bit_generator.state
-
     def noise_stream(self, seed: int) -> np.random.Generator:
-        """A private generator whose draws match ``reseed_noise(seed)``.
-
-        :meth:`reseed_noise` resets the shared generator to exactly the
-        state a fresh ``Generator(bit_generator(seed))`` starts in, so
-        consuming this private stream in evaluation order reproduces
-        the shared stream bit for bit — without mutating it.  Thread
-        replicas wrap each task in
-        :func:`scoped_noise_stream` around this generator to keep
-        noise-on results per-batch deterministic and routing-independent
-        while racing over one shared programmed copy.
+        """A fresh generator of the engines' shared kind, seeded with
+        ``seed``: the stream a noisy micro-batch draws from under
+        :func:`~repro.device.cell.scoped_noise_stream`, so its results
+        are a pure function of ``seed`` and the inputs, whichever
+        thread serves it, and the shared generator never moves.
         """
         if self._rng is None or not self._rng_shared:
             raise CrossbarError(
-                "engines do not share one RNG; per-batch noise "
-                "reseeding is undefined"
+                "engines do not share one RNG; a per-batch noise "
+                "stream is undefined"
             )
         return np.random.Generator(type(self._rng.bit_generator)(seed))
 
@@ -395,7 +350,8 @@ class FusedLayerKernel:
 
     def _conductance_stacks(self) -> tuple[np.ndarray, np.ndarray]:
         """(row_blocks, phys_rows, col_blocks*phys_cols) pos/neg G."""
-        if self._g_pos is None:
+        stacks = self._g_stacks
+        if stacks is None:
             rows, cols = self.params.rows, self.params.cols
             shape = (self.row_blocks, rows, self.col_blocks * cols)
             g_pos = np.zeros(shape)
@@ -409,8 +365,8 @@ class FusedLayerKernel:
                     g_neg[rb, :, c0 : c0 + cols] = (
                         engine.pair.negative.cells.conductances()
                     )
-            self._g_pos, self._g_neg = g_pos, g_neg
-        return self._g_pos, self._g_neg
+            stacks = self._g_stacks = (g_pos, g_neg)
+        return stacks
 
     def _column_gather(self) -> np.ndarray:
         """``(2, total_cols)`` physical-column indices of the hi (row
@@ -431,10 +387,11 @@ class FusedLayerKernel:
         Returns ``(row_blocks, 2, batch, 2, total_cols)`` planes, drive
         phase and weight half as the two length-2 axes.  The read
         noise for every tile comes from one vectorised draw of a Philox
-        stream keyed by a seed pulled once from the engines' shared
-        generator: each tile's noise is a fixed slice of that stream,
-        so a seeded run reproduces exactly while consuming one value of
-        the shared stream per fused call.
+        stream keyed by a seed pulled once from
+        :func:`~repro.device.cell.read_noise_rng`: each tile's noise is
+        a fixed slice of that stream, so a seeded run reproduces
+        exactly while consuming one value of the read-noise stream per
+        fused call.
         """
         params = self.params
         dev = params.device
@@ -444,9 +401,7 @@ class FusedLayerKernel:
         n = codes.shape[0]
         drive = self._stacked_inputs(codes)
         sigma = dev.read_noise_sigma
-        rng = getattr(_NOISE_TLS, "rng", None)
-        if rng is None:
-            rng = self._rng
+        rng = read_noise_rng(self._rng)
         seed = int(rng.integers(np.iinfo(np.int64).max))
         noise = np.random.Generator(np.random.Philox(seed)).standard_normal(
             (2,) + g_pos.shape
@@ -498,7 +453,7 @@ class FusedLayerKernel:
         """
         pre, _ = part_window(self.spec, output_shift)
         active = int(np.count_nonzero(pre))
-        with self._charge_lock:
+        with COUNTER_LOCK:
             for row in self.tiles:
                 for engine in row:
                     engine.mvm_invocations += batch

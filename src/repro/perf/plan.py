@@ -29,7 +29,7 @@ count in the package comes from the one path below:
   objects are touched on the hot path;
 * quantisation, the hi/lo drive split, digitisation, and the output
   scale all run in place on preallocated buffers that persist across
-  chunks and batches of the same width;
+  chunks and batches of the same width, one set per executing thread;
 * conv layers quantise and split each padded input pixel once, then
   build the integer-code drive with one slice copy per kernel offset
   (:func:`_gather_patches`) — no float64 patch matrix — and compute
@@ -105,7 +105,6 @@ __all__ = [
     "ProgrammedLayer",
     "freeze_calibration",
     "run_layer",
-    "PlanWorkspace",
     "CompiledPlan",
 ]
 
@@ -275,25 +274,6 @@ def freeze_calibration(layer, programmed, act: np.ndarray, pin: int) -> None:
     programmed.in_fmt = in_fmt
 
 
-class PlanWorkspace:
-    """One lease's worth of scratch stores, one dict per plan step.
-
-    Every mutable hot-path buffer a :class:`CompiledPlan` touches lives
-    here (keyed per step by batch width), so two executions holding
-    *different* workspaces never write the same array — the shared plan
-    keeps only read-only weight/conductance stacks and compile-time
-    constants.  Leased/released by :meth:`CompiledPlan.execute`; the
-    pool hands a thread its previous workspace back (LIFO), so steady
-    per-thread traffic reuses warm buffers exactly like the old
-    per-plan cache did.
-    """
-
-    __slots__ = ("stores",)
-
-    def __init__(self, n_steps: int) -> None:
-        self.stores: list[dict] = [{} for _ in range(n_steps)]
-
-
 def _untraced(name: str, **attrs) -> telemetry.NullSpan:
     """:func:`repro.telemetry.span`'s no-op stand-in, handed to a step's
     inline phases while telemetry is off."""
@@ -434,8 +414,8 @@ class _WeightStep:
         # Shared lazy caches (these and the stacks above): read-only
         # once built, and a concurrent duplicate build is idempotent
         # (deterministic values, published whole), so they stay on the
-        # step; mutable scratch lives in the leased
-        # :class:`PlanWorkspace` stores instead.
+        # step; mutable scratch lives in the executing thread's stores
+        # (:meth:`CompiledPlan.execute`).
         self._w_pack: np.ndarray | None = None
 
     # -- compile-time pieces -------------------------------------------
@@ -660,9 +640,9 @@ class _WeightStep:
     def _buffer_set(self, n: int, packed: bool, store: dict) -> dict:
         """Preallocated dense working set for ``n`` input vectors.
 
-        ``store`` is this step's slot in the executing lease's
-        :class:`PlanWorkspace` — never shared between concurrent
-        executions, so everything below may be written in place.
+        ``store`` is this step's slot in the executing thread's scratch
+        stores — never shared between concurrent executions, so
+        everything below may be written in place.
         """
         buffers = self._stored(store, n)
         if buffers is None:
@@ -997,54 +977,23 @@ class CompiledPlan:
         self._layers = [weakref.ref(layer) for layer in layers]
         self.pin = pin
         self.steps = steps
-        # Workspace lease pool: each concurrent execute() holds its own
-        # scratch stores, making the plan re-entrant over the shared
-        # read-only weight stacks (thread replicas, PR 10).
-        self._ws_lock = threading.Lock()
-        self._ws_free: list[PlanWorkspace] = []
-        self._ws_allocated = 0
+        # Scratch stores (one dict per step) of each executing thread:
+        # concurrent executions write only their own buffers, while
+        # the weight stacks stay shared and read-only.
+        self._scratch = threading.local()
         # exact(with_noise), memoised per noise regime.
         self._exact: dict[bool, bool] = {}
 
-    # -- workspace leasing ---------------------------------------------
+    def free_scratch(self) -> None:
+        """Drop the calling thread's scratch buffers.
 
-    def _lease(self) -> PlanWorkspace:
-        with self._ws_lock:
-            if self._ws_free:
-                return self._ws_free.pop()
-            self._ws_allocated += 1
-        return PlanWorkspace(len(self.steps))
-
-    def _release(self, workspace: PlanWorkspace) -> None:
-        with self._ws_lock:
-            self._ws_free.append(workspace)
-
-    @property
-    def workspaces_allocated(self) -> int:
-        """Workspaces ever created (peak concurrency watermark)."""
-        with self._ws_lock:
-            return self._ws_allocated
-
-    @property
-    def leases_outstanding(self) -> int:
-        """Workspaces currently held by an in-flight execution."""
-        with self._ws_lock:
-            return self._ws_allocated - len(self._ws_free)
-
-    def prewarm(self, count: int) -> None:
-        """Ensure at least ``count`` workspaces exist in the pool.
-
-        Scale-up cost for a thread replica is exactly this: allocate
-        scratch stores (microseconds), never re-program weights.
+        Deploy-time calibration runs the calibration batch on the
+        deploying thread, at a width serving rarely uses again; the
+        deployment frees those buffer sets here instead of holding them
+        for its whole life.  The next execution on this thread
+        allocates afresh.
         """
-        with self._ws_lock:
-            missing = count - self._ws_allocated
-            if missing <= 0:
-                return
-            self._ws_allocated += missing
-            self._ws_free.extend(
-                PlanWorkspace(len(self.steps)) for _ in range(missing)
-            )
+        self._scratch.stores = None
 
     @classmethod
     def compile(
@@ -1122,14 +1071,13 @@ class CompiledPlan:
         """One chunk's pass through the flat step list.
 
         ``fused=False`` delegates every weight step to the per-engine
-        walk, the semantic reference.  Re-entrant: each call leases a
-        private :class:`PlanWorkspace` for its scratch buffers
-        (released in ``finally``, so the pool returns to full even when
-        a step raises) while the weight stacks stay shared and
-        read-only.  The final activation is
-        copied out when the last step is a weight layer: its inline
-        path returns a workspace buffer that the workspace's next
-        execution would otherwise overwrite in place.  The first
+        walk, the semantic reference.  Re-entrant across threads: each
+        thread writes only its own scratch stores, kept in a
+        ``threading.local`` and reused by its later executions, while
+        the weight stacks stay shared and read-only.  The final
+        activation is copied out when the last step is a weight layer:
+        its inline path returns a scratch buffer that this thread's
+        next execution would otherwise overwrite in place.  The first
         execution over an uncalibrated chain freezes its calibration,
         a state mutation: it must not race another execution (thread
         serving runs it under the state's write lock).  The step loop
@@ -1138,15 +1086,14 @@ class CompiledPlan:
         forwards share the BLAS threads instead of oversubscribing
         them.
         """
-        workspace = self._lease()
-        try:
-            with blas.forward(self.exact(with_noise)):
-                for step, store in zip(self.steps, workspace.stores):
-                    act = step.run(act, with_noise, store, fused)
-            if isinstance(self.steps[-1], _WeightStep):
-                act = act.copy()
-        finally:
-            self._release(workspace)
+        stores = getattr(self._scratch, "stores", None)
+        if stores is None:
+            stores = self._scratch.stores = [{} for _ in self.steps]
+        with blas.forward(self.exact(with_noise)):
+            for step, store in zip(self.steps, stores):
+                act = step.run(act, with_noise, store, fused)
+        if isinstance(self.steps[-1], _WeightStep):
+            act = act.copy()
         return act
 
 

@@ -77,7 +77,6 @@ from repro.serve.dispatcher import (
     make_dispatcher,
     program_state,
     run_programmed,
-    run_programmed_shared,
     spec_resident_bytes,
 )
 from repro.serve.health import (
@@ -124,6 +123,5 @@ __all__ = [
     "make_dispatcher",
     "program_state",
     "run_programmed",
-    "run_programmed_shared",
     "spec_resident_bytes",
 ]

@@ -6,8 +6,8 @@ of *stationary* programmed weights, and the dispatcher turns the grant
 into execution capacity the same way:
 
 * **thread mode** — :class:`ThreadDispatcher`: ``R`` replica threads
-  serve ONE :func:`program_state` copy.  Its compiled execution is
-  read-only NumPy over frozen weight stacks (BLAS releases the GIL),
+  serve ONE :func:`program_state` copy.  Every forward over it, on
+  every path, only reads the programmed state (BLAS releases the GIL),
   so the threads evaluate concurrently; batches and results move as
   plain ndarray references.
 * **serial mode** — :class:`SerialDispatcher`: one lazily programmed
@@ -20,9 +20,11 @@ straight into the live session, each replica's forward on its own
 
 Every replica programs from one :class:`WorkerSpec` (same seed), so
 results never depend on which replica a batch lands on.  With noise
-enabled, every micro-batch draws from a per-batch seed keyed by batch
-index via :func:`repro.perf.parallel.task_seed` — noisy serving is
-reproducible and routing-independent too.
+enabled, every micro-batch draws its read noise from a private stream
+seeded by batch index via :func:`repro.perf.parallel.task_seed`
+(:func:`~repro.device.cell.scoped_noise_stream`) — noisy serving is
+reproducible and routing-independent too, and never moves the
+programmed copy's own generator.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ import numpy as np
 from repro import telemetry
 from repro.core.executor import PrimeExecutor
 from repro.core.mapping import MappingPlan
-from repro.device.faults import env_fault_rates
+from repro.device.cell import scoped_noise_stream
 from repro.errors import ConfigurationError
 from repro.nn.network import Sequential
 from repro.params.prime import PrimeConfig
-from repro.perf.kernels import fused_enabled, scoped_noise_stream
 from repro.perf.parallel import task_seed
 from repro.perf.plan import ProgrammedLayer
 from repro.resilience.policy import ResiliencePolicy
@@ -53,7 +54,6 @@ __all__ = [
     "batch_noise_seed",
     "program_state",
     "run_programmed",
-    "run_programmed_shared",
     "reprogram_state",
     "spec_resident_bytes",
     "SerialDispatcher",
@@ -155,13 +155,10 @@ class WorkerSpec:
             else self.config.resilience
         )
         xbar = self.config.crossbar
-        fault_rates = (xbar.fault_rate_hrs, xbar.fault_rate_lrs)
-        if fault_rates == (0.0, 0.0):
-            fault_rates = env_fault_rates()
         return (
             self.with_noise
             or policy.verify_writes
-            or fault_rates != (0.0, 0.0)
+            or (xbar.fault_rate_hrs, xbar.fault_rate_lrs) != (0.0, 0.0)
         )
 
 
@@ -180,7 +177,8 @@ def program_state(
     SA output windows freeze here — every later micro-batch reuses
     them, so results do not depend on how traffic happened to be
     batched.  The calibration pass never samples read noise, keeping
-    the post-programming RNG state independent of it.
+    the post-programming RNG state independent of it, and leaves no
+    scratch buffers behind on the calling thread.
     """
     executor = PrimeExecutor(spec.config)
     rng = (
@@ -190,16 +188,28 @@ def program_state(
         spec.network, spec.plan, rng=rng, resilience=spec.resilience
     )
     if spec.calibration is not None:
-        executor.run_functional(
-            spec.network,
-            spec.plan,
-            spec.calibration,
-            programmed=programmed,
-            with_noise=False,
-        )
+        _calibration_outputs(spec, executor, programmed)
+        programmed[0].compiled_plan.free_scratch()
     if telemetry.enabled():
         telemetry.count("serve.programs")
     return executor, programmed
+
+
+def _calibration_outputs(
+    spec: WorkerSpec,
+    executor: PrimeExecutor,
+    programmed: list[ProgrammedLayer],
+) -> np.ndarray:
+    """The calibration batch's noise-free outputs.  Noise-free
+    evaluation samples nothing, so it never perturbs the programmed
+    RNG state."""
+    return executor.run_functional(
+        spec.network,
+        spec.plan,
+        spec.calibration,
+        programmed=programmed,
+        with_noise=False,
+    )
 
 
 def capture_reference(
@@ -209,17 +219,17 @@ def capture_reference(
 ) -> np.ndarray | None:
     """The calibration batch's noise-free outputs (the drift-probe
     reference), or ``None`` when the spec carries no calibration or
-    probing is off.  Noise-free evaluation samples nothing, so the
-    capture never perturbs the programmed RNG state."""
+    probing is off.  Taken at deploy and again after every
+    reprogramming, since reprogramming with variation draws new
+    conductances.  Like deploy-time calibration, it frees the calling
+    thread's scratch afterwards
+    (:meth:`~repro.perf.plan.CompiledPlan.free_scratch`): a thread
+    that serves at all serves other widths."""
     if not spec.probe_reference or spec.calibration is None:
         return None
-    return executor.run_functional(
-        spec.network,
-        spec.plan,
-        spec.calibration,
-        programmed=programmed,
-        with_noise=False,
-    )
+    reference = _calibration_outputs(spec, executor, programmed)
+    programmed[0].compiled_plan.free_scratch()
+    return reference
 
 
 def drift_distance(
@@ -232,13 +242,7 @@ def drift_distance(
     program-time reference — the health probe's drift metric."""
     if reference is None or spec.calibration is None:
         return 0.0
-    out = executor.run_functional(
-        spec.network,
-        spec.plan,
-        spec.calibration,
-        programmed=programmed,
-        with_noise=False,
-    )
+    out = _calibration_outputs(spec, executor, programmed)
     denom = float(np.linalg.norm(reference)) or 1.0
     return float(np.linalg.norm(out - reference)) / denom
 
@@ -252,10 +256,11 @@ def reprogram_state(
     never the programmed *levels*, so rewriting each
     :class:`~repro.device.cell.CellArray` from its own levels (through
     the spec's program-and-verify policy when one is active) restores
-    the deploy-time state — exactly, in the noise-free regime.  Each
-    fused kernel is invalidated afterwards (retiring the stacks built
-    over the old cells) so the recovered conductances reach subsequent
-    evaluations.
+    the deploy-time state — exactly, in the noise-free regime; with
+    programming variation each cell draws a fresh perturbation from
+    the copy's generator.  Each fused kernel is invalidated afterwards
+    (retiring the stacks built over the old cells) so the recovered
+    conductances reach subsequent evaluations.
     """
     policy = (
         spec.resilience
@@ -283,43 +288,15 @@ def run_programmed(
     batch: np.ndarray,
     noise_seed: int | None = None,
 ) -> np.ndarray:
-    """Serve one micro-batch from already-programmed state."""
-    start = time.perf_counter() if spec.pace_batch_s else 0.0
-    if spec.with_noise and noise_seed is not None:
-        programmed[0].kernel.reseed_noise(noise_seed)
-    result = executor.run_functional(
-        spec.network,
-        spec.plan,
-        batch,
-        programmed=programmed,
-        with_noise=spec.with_noise,
-    )
-    if spec.pace_batch_s:
-        # Hold the batch until the emulated device service time has
-        # elapsed; see WorkerSpec.pace_batch_s.
-        remaining = spec.pace_batch_s - (time.perf_counter() - start)
-        if remaining > 0.0:
-            time.sleep(remaining)
-    return result
+    """Serve one micro-batch from already-programmed state.
 
-
-def run_programmed_shared(
-    spec: WorkerSpec,
-    executor: PrimeExecutor,
-    programmed: list[ProgrammedLayer],
-    batch: np.ndarray,
-    noise_seed: int | None = None,
-) -> np.ndarray:
-    """Serve one micro-batch from *shared* programmed state, mutation-free.
-
-    The thread-replica twin of :func:`run_programmed`: instead of
-    rewinding the engines' shared noise generator in place (a data race
-    when several threads serve off one programmed copy), the noisy path
-    routes this thread's draws through a private stream seeded
-    identically (:meth:`~repro.perf.kernels.FusedLayerKernel.noise_stream`
-    under :func:`~repro.perf.kernels.scoped_noise_stream`) — results
-    are bit-identical to the reseed path, batch by batch, and nothing
-    shared is written.
+    Writes nothing a concurrent call over the same copy reads, so
+    replica threads share one copy.  A noisy batch with a
+    ``noise_seed`` draws all its read noise from a fresh stream seeded
+    with it (:meth:`~repro.perf.kernels.FusedLayerKernel.noise_stream`
+    under :func:`~repro.device.cell.scoped_noise_stream`): its result
+    is a pure function of the seed and the batch, whichever thread
+    serves it, and the copy's own generator never moves.
     """
     start = time.perf_counter() if spec.pace_batch_s else 0.0
     if spec.with_noise and noise_seed is not None:
@@ -336,6 +313,8 @@ def run_programmed_shared(
             with_noise=spec.with_noise,
         )
     if spec.pace_batch_s:
+        # Hold the batch until the emulated device service time has
+        # elapsed; see WorkerSpec.pace_batch_s.
         remaining = spec.pace_batch_s - (time.perf_counter() - start)
         if remaining > 0.0:
             time.sleep(remaining)
@@ -461,10 +440,18 @@ class SerialDispatcher:
 
     def reprogram_replica(self, replica: int) -> float:
         """Re-program a drifted replica's arrays from their stored
-        levels; returns the measured wall seconds."""
-        _, programmed, _ = self._ensure(replica % max(self.replicas, 1))
+        levels and re-capture its probe reference from them; returns
+        the measured wall seconds."""
+        self._ensure()
+        idx = min(replica % max(self.replicas, 1), len(self._states) - 1)
+        executor, programmed, _ = self._states[idx]
         start = time.perf_counter()
         reprogram_state(self.spec, programmed)
+        self._states[idx] = (
+            executor,
+            programmed,
+            capture_reference(self.spec, executor, programmed),
+        )
         return time.perf_counter() - start
 
     def grow(self, replicas: int = 1) -> float:
@@ -502,10 +489,10 @@ class SerialDispatcher:
 class _StateLock:
     """Reader-writer lock over one shared programmed state.
 
-    Micro-batches are pure reads of the frozen weight/conductance
-    stacks and take the read side concurrently; state mutations (drift
-    injection, background reprogramming, first-batch calibration, and
-    the serialised fallback execution path) take the exclusive write
+    Calibrated micro-batches and drift probes only read the programmed
+    state, on every execution path, and take the read side
+    concurrently; state mutations (drift injection, background
+    reprogramming, first-batch calibration) take the exclusive write
     side.  Writers are preferred — a pending writer blocks new readers
     — so reprogramming cannot starve behind a steady batch stream.
     """
@@ -551,17 +538,20 @@ class ThreadDispatcher:
 
     PRIME's replicas share *stationary* programmed weights, and thread
     replicas do too: they run against a single :func:`program_state`
-    copy.  Fused/compiled execution is pure read-only NumPy matmuls
-    over frozen conductance stacks (and NumPy releases the GIL inside
-    them), so per-replica single-thread pools evaluate concurrently
-    while
+    copy.  Every calibrated micro-batch runs under the state's read
+    lock, whatever the deployment — ideal, varied, faulted, remapped,
+    noisy, or walked with ``PRIME_FUSED=0``: a forward only reads the
+    programmed state (:func:`run_programmed`; NumPy releases the GIL
+    inside the matmuls), so per-replica single-thread pools evaluate
+    concurrently while
 
     * concurrent exact forwards split OpenBLAS's threads between them
       instead of oversubscribing the cores (:mod:`repro.perf.blas`);
     * batch payloads and results move as plain ndarray references;
-    * scale-up allocates only per-thread scratch workspaces
-      (:meth:`~repro.perf.plan.CompiledPlan.prewarm` — microseconds,
-      no programming pass);
+    * scale-up starts a thread and nothing else: each thread's scratch
+      buffers are allocated by its first forward
+      (:meth:`~repro.perf.plan.CompiledPlan.execute`), and nothing is
+      re-programmed;
     * N replicas cost one weight-copy of RAM instead of N
       (:meth:`resident_bytes`).
 
@@ -571,19 +561,15 @@ class ThreadDispatcher:
     come back as an already-completed future: at batch 1 a replica
     thread only adds a GIL handoff with the coordinator's poll loop
     to a forward the coordinator could run itself.  Batches that
-    carry a fault, paced batches, the first batch of an uncalibrated
-    copy and every serialised batch keep the replica threads.  In a
+    carry a fault, paced batches and the first batch of an
+    uncalibrated copy keep the replica threads.  In a
     :class:`~repro.serve.cluster.ServingCluster` an inline batch holds
     the cluster loop for one forward pass.
 
-    Noise-on batches draw from private per-task streams
-    (:func:`run_programmed_shared`), so results stay
-    routing-independent and bit-identical to
-    ``ServingRuntime.reference`` in both regimes.  Workloads whose
-    kernels cannot take the re-entrant fused path (remapped tiles,
-    on-lattice faulted arrays with noise off, per-engine noise
-    fallbacks) serialise every batch under the state write lock —
-    correct, just without parallel speedup.
+    Noise-on batches draw from private per-batch streams, so results
+    stay routing-independent and bit-identical to
+    ``ServingRuntime.reference`` in both regimes, and to
+    :class:`SerialDispatcher`.
 
     Fault model: threads cannot be SIGKILLed.  An injected ``kill``
     surfaces as :class:`WorkerCrash`; a ``hang`` really sleeps but
@@ -593,7 +579,8 @@ class ThreadDispatcher:
     quarantine/retire/degrade-to-serial machinery does the rest.
     ``drift`` mutates the *shared* copy (all replicas see it — one
     copy is the point), and :meth:`reprogram_replica` heals all
-    replicas at once for the same reason.
+    replicas at once for the same reason.  First-batch calibration,
+    drift and reprogramming take the write lock.
     """
 
     mode = "thread"
@@ -612,33 +599,11 @@ class ThreadDispatcher:
         )
         self._lock = _StateLock()
         self._calibrated = spec.calibration is not None
-        self._parallel = self._probe_parallel(programmed)
-        if not self._parallel and telemetry.enabled():
-            telemetry.count("serve.dispatch.thread_serialized")
         self._pools: list[ThreadPoolExecutor] = []
         self._cancels: list[threading.Event] = []
         self._rr = 0
         for _ in range(replicas):
             self._add_replica()
-        self._prewarm_workspaces()
-
-    def _probe_parallel(self, programmed) -> bool:
-        """Whether concurrent execution over the shared copy is safe.
-
-        Exactly the regimes whose hot paths are re-entrant: the fused
-        noise-free path (ideal arrays or arrays programmed with
-        variation) and the fused noisy path (under per-task private
-        noise streams).  Anything that would fall to the per-engine
-        tile walk — remapped tiles, on-lattice faulted arrays of a
-        noise-free device, split RNGs, ``PRIME_FUSED=0`` — serialises
-        under the write lock instead.
-        """
-        if not fused_enabled():
-            return False
-        kernels = [entry.kernel for entry in programmed]
-        return all(
-            k.can_fuse(with_noise=self.spec.with_noise) for k in kernels
-        )
 
     def _add_replica(self) -> None:
         # The pool first: a replica whose thread pool cannot be made
@@ -649,21 +614,6 @@ class ThreadDispatcher:
         )
         self._cancels.append(threading.Event())
         self._pools.append(pool)
-
-    def _prewarm_workspaces(self) -> None:
-        """Pre-lease one plan workspace per replica thread.
-
-        The entire scale-up cost of a thread replica: when the shared
-        copy already carries a compiled plan (a calibration batch at
-        program time compiles it), the new thread's scratch buffers
-        are allocated here instead of on its first batch.
-        """
-        state = self._state
-        if state is None:
-            return
-        plan = getattr(state[1][0], "compiled_plan", None)
-        if plan is not None:
-            plan.prewarm(len(self._pools))
 
     @property
     def replicas(self) -> int:
@@ -708,26 +658,14 @@ class ThreadDispatcher:
                 if cancel.wait(fault[1]):
                     raise WorkerCrash("hung task cancelled cooperatively")
         start = time.perf_counter_ns()
-        with _replica_track(replica):
-            if self._parallel and self._calibrated:
-                with self._lock.read():
-                    result = run_programmed_shared(
-                        spec, executor, programmed, batch, noise_seed
-                    )
-            else:
-                # Exclusive: either the first batch still has
-                # calibration to freeze (a state mutation), or this
-                # workload's kernels cannot take the re-entrant path.
-                with self._lock.write():
-                    if self._parallel:
-                        result = run_programmed_shared(
-                            spec, executor, programmed, batch, noise_seed
-                        )
-                    else:
-                        result = run_programmed(
-                            spec, executor, programmed, batch, noise_seed
-                        )
-                    self._calibrated = True
+        # Exclusive only while the first batch still has calibration
+        # to freeze, a state mutation.
+        lock = self._lock.read() if self._calibrated else self._lock.write()
+        with _replica_track(replica), lock:
+            result = run_programmed(
+                spec, executor, programmed, batch, noise_seed
+            )
+            self._calibrated = True
         execute_ns = time.perf_counter_ns() - start
         if fault is not None:
             if fault[0] == "slow":
@@ -743,14 +681,13 @@ class ThreadDispatcher:
         Only a tiny batch on the concurrent read path: a fault must
         occupy a replica thread (a hang would stall the coordinator),
         so must pacing (it models a busy device, not a busy host), and
-        a first uncalibrated or serialised batch needs the write lock.
+        a first uncalibrated batch needs the write lock.
         """
         return (
             len(batch) <= _INLINE_MAX_SAMPLES
             and fault is None
             and not self.spec.pace_batch_s
             and self._calibrated
-            and self._parallel
         )
 
     def dispatch(
@@ -796,10 +733,9 @@ class ThreadDispatcher:
 
         Sets the replica's cancellation event (waking a hung task),
         retires its pool without waiting, and installs a fresh
-        single-thread pool with warm workspaces.  The shared
-        programmed state needs no re-programming — the thread was the
-        problem, not the copy — so the measured cost is buffer
-        allocation, microseconds.
+        single-thread pool.  The shared programmed state needs no
+        re-programming — the thread was the problem, not the copy — so
+        the measured cost is microseconds.
         """
         replica %= len(self._pools)
         start = time.perf_counter()
@@ -810,16 +746,15 @@ class ThreadDispatcher:
             max_workers=1,
             thread_name_prefix=f"serve-replica-{replica}",
         )
-        self._prewarm_workspaces()
         return time.perf_counter() - start
 
     def _probe_task(self) -> float:
-        state = self._state
-        if state is None:
-            raise WorkerCrash("dispatcher closed")
-        executor, programmed, cal_ref = state
-        lock = self._lock.read() if self._parallel else self._lock.write()
-        with lock:
+        with self._lock.read():
+            # Read inside the lock: a reprogram replaces the reference.
+            state = self._state
+            if state is None:
+                raise WorkerCrash("dispatcher closed")
+            executor, programmed, cal_ref = state
             return drift_distance(self.spec, executor, programmed, cal_ref)
 
     def probe_replica(self, replica: int) -> Future:
@@ -829,7 +764,8 @@ class ThreadDispatcher:
         )
 
     def reprogram_replica(self, replica: int) -> float:
-        """Re-program the shared copy from its stored levels.
+        """Re-program the shared copy from its stored levels and
+        re-capture its probe reference from them.
 
         Taken under the exclusive write lock (in-flight batches finish
         first, queued ones wait), and because every replica serves the
@@ -839,24 +775,29 @@ class ThreadDispatcher:
         state = self._state
         if state is None:
             raise WorkerCrash("dispatcher closed")
+        executor, programmed, _ = state
         start = time.perf_counter()
         with self._lock.write():
-            reprogram_state(self.spec, state[1])
+            reprogram_state(self.spec, programmed)
+            self._state = (
+                executor,
+                programmed,
+                capture_reference(self.spec, executor, programmed),
+            )
         return time.perf_counter() - start
 
     def grow(self, replicas: int = 1) -> float:
         """Add replica threads; returns the measured wall seconds.
 
-        No programming, no fork: a new single-thread pool plus
-        prewarmed scratch workspaces — the microsecond-scale scale-up
-        the autoscaler's measured-cost EMA then reflects.
+        No programming, no fork: a new single-thread pool per replica —
+        the microsecond-scale scale-up the autoscaler's measured-cost
+        EMA then reflects.
         """
         if replicas < 1:
             raise ConfigurationError("grow needs replicas >= 1")
         start = time.perf_counter()
         for _ in range(replicas):
             self._add_replica()
-        self._prewarm_workspaces()
         return time.perf_counter() - start
 
     def shrink(self, replicas: int = 1) -> float:

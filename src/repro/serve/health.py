@@ -405,8 +405,7 @@ class RestartEvent:
     #: ``crash`` | ``timeout`` | ``outlier`` | ``probe``
     reason: str
     #: Measured wall seconds: cooperative cancel plus a fresh replica
-    #: thread and its workspaces (thread mode), or a re-programmed
-    #: state (serial mode).
+    #: thread (thread mode), or a re-programmed state (serial mode).
     cost_s: float
 
 

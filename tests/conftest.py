@@ -196,6 +196,11 @@ class SpyBudget(blas.BlasBudget):
                 self._meet.wait(timeout=120.0)
             yield
 
+    @property
+    def broken(self) -> bool:
+        """Whether a meeting forward gave up waiting for the others."""
+        return self._meet is not None and self._meet.broken
+
     def threads(self) -> int:
         """The thread count OpenBLAS holds now."""
         return self.base if self._getter is None else int(self._getter())

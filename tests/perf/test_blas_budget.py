@@ -301,7 +301,6 @@ class TestBudgetCounts:
             assert fake.threads == 4
             assert (budget._active, budget._inexact) == (1, 0)
         assert (budget._active, budget._inexact) == (0, 0)
-        assert exact_plan.leases_outstanding == 0
 
     @pytest.mark.parametrize("threads", ["base1", "missing"])
     def test_no_setter_calls_without_threads_to_split(

@@ -6,9 +6,14 @@ inline step (:func:`~repro.perf.plan.run_layer`) is *bit-identical* to
 the per-engine tile walk (``np.array_equal``, not allclose), on-lattice
 faulted arrays stay on the walk, telemetry charges the same hardware
 firings either way, the noisy fused path reproduces under a fixed
-seed, and streaming the batch through ``run_functional`` in chunks
-never changes the output.
+seed, a scoped noise stream leaves the engines' generator alone on
+every path, racing walks lose no counter increment, and streaming the
+batch through ``run_functional`` in chunks never changes the output.
 """
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ from repro import telemetry
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.crossbar.sense import ReconfigurableSenseAmp
+from repro.device.cell import scoped_noise_stream
 from repro.errors import CrossbarError
 from repro.params.prime import DEFAULT_PRIME_CONFIG
 from repro.perf.kernels import FusedLayerKernel, fused_enabled
@@ -630,12 +637,120 @@ class TestNoisyFusedReproducibility:
         assert not np.array_equal(out1, out2)
 
     def test_noisy_call_advances_shared_stream(self, small_xbar, rng):
-        # Two successive noisy calls must not repeat the same noise.
+        """Each unscoped noisy call draws from the engines' shared
+        generator, so it moves, and two successive calls sample
+        different read noise: their analog planes differ.  (Their
+        digitised outputs need not: the SA can absorb small noise.)"""
         kernel = self._build(small_xbar, 7)
         codes = make_codes(small_xbar, kernel, 6, rng)
-        out1 = kernel.mvm_batch(codes, with_noise=True, fused=True)
-        out2 = kernel.mvm_batch(codes, with_noise=True, fused=True)
-        assert not np.array_equal(out1, out2)
+        planes = []
+        analog = kernel._analog_planes
+
+        def spy(codes):
+            out = analog(codes)
+            planes.append(out.copy())  # digitised in place afterwards
+            return out
+
+        kernel._analog_planes = spy
+        shared = kernel._rng.bit_generator
+        for _ in range(2):
+            before = shared.state
+            kernel.mvm_batch(codes, with_noise=True, fused=True)
+            assert shared.state != before
+        assert len(planes) == 2
+        assert not np.array_equal(planes[0], planes[1])
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "walk"])
+    def test_scoped_call_leaves_shared_stream(self, small_xbar, rng, fused):
+        """Inside :func:`scoped_noise_stream` every read-noise draw, the
+        fused planes' and the walked cells' alike, comes from the scoped
+        stream: the shared generator stays put, and the call equals one
+        made after resetting the shared generator to the stream's
+        seed."""
+        kernel = self._build(small_xbar, 7)
+        codes = make_codes(small_xbar, kernel, 6, rng)
+        shared = kernel._rng.bit_generator
+        before = shared.state
+        with scoped_noise_stream(kernel.noise_stream(3)):
+            scoped = kernel.mvm_batch(codes, with_noise=True, fused=fused)
+        assert shared.state == before
+        shared.state = kernel.noise_stream(3).bit_generator.state
+        reset = kernel.mvm_batch(codes, with_noise=True, fused=fused)
+        np.testing.assert_array_equal(scoped, reset)
+
+
+class _YieldingCounter:
+    """A counter attribute whose every read yields the GIL, so an
+    unguarded ``+=`` on it loses increments to racing threads almost
+    surely, while a guarded one still counts exactly."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.slot]
+        time.sleep(0)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
+class _YieldingEngine(CrossbarMVMEngine):
+    mvm_invocations = _YieldingCounter()
+
+
+class _YieldingSense(ReconfigurableSenseAmp):
+    conversions = _YieldingCounter()
+
+
+class TestConcurrentWalks:
+    def test_racing_walks_lose_no_counter_increment(self, small_xbar):
+        """Replica threads walk one shared copy at once; every engine's
+        ``mvm_invocations`` and ``sense.conversions`` count each walk."""
+
+        def grid():
+            weights = np.random.default_rng(5)
+            return make_grid(small_xbar, [24, 8], [16, 5], weights)
+
+        kernel = FusedLayerKernel(grid())
+        engines = [e for row in kernel.tiles for e in row]
+        for engine in engines:
+            engine.__class__ = _YieldingEngine
+            engine.mvm_invocations = 0
+            engine.sense.__class__ = _YieldingSense
+            engine.sense.conversions = 0
+        codes = make_codes(small_xbar, kernel, 3, np.random.default_rng(6))
+        once = FusedLayerKernel(grid())
+        once.mvm_batch(codes, with_noise=False, fused=False)
+        workers, rounds = 4, 50
+
+        def walk():
+            for _ in range(rounds):
+                kernel.mvm_batch(codes, with_noise=False, fused=False)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        singles = [e for row in once.tiles for e in row]
+        for engine, single in zip(engines, singles):
+            assert single.mvm_invocations > 0
+            assert engine.mvm_invocations == (
+                workers * rounds * single.mvm_invocations
+            )
+            assert engine.sense.conversions == (
+                workers * rounds * single.sense.conversions
+            )
 
 
 class TestExecutorEquivalence:

@@ -542,6 +542,8 @@ class TestFreshNetworkCompiles:
             dispatcher = runtime.dispatcher
             compiled = dispatcher._state[1][0].compiled_plan
             assert isinstance(compiled, CompiledPlan)
-            assert compiled.workspaces_allocated == dispatcher.replicas == 2
+            assert dispatcher.replicas == 2
+            # The calibration forward's buffers were freed at deploy.
+            assert getattr(compiled._scratch, "stores", None) is None
             served = runtime.serve(x[:3])
             np.testing.assert_array_equal(served, runtime.reference(x[:3]))

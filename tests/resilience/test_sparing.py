@@ -12,7 +12,7 @@ from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.crossbar.engine import CrossbarMVMEngine
 from repro.crossbar.pair import DifferentialPair
-from repro.device.faults import FAULT_RATES_ENV, FaultMap, env_fault_rates
+from repro.device.faults import FaultMap
 from repro.errors import (
     ConfigurationError,
     CrossbarError,
@@ -201,41 +201,6 @@ class TestFaultRateKnobs:
             _small_params(fault_rate_hrs=-0.1)
         with pytest.raises(ConfigurationError):
             _small_params(fault_rate_hrs=0.7, fault_rate_lrs=0.7)
-
-    def test_env_knob_parses_and_applies(self, monkeypatch):
-        monkeypatch.setenv(FAULT_RATES_ENV, "0.02")
-        assert env_fault_rates() == (0.01, 0.01)
-        monkeypatch.setenv(FAULT_RATES_ENV, "0.004, 0.006")
-        assert env_fault_rates() == (0.004, 0.006)
-        engine = CrossbarMVMEngine(
-            _small_params(), rng=np.random.default_rng(1)
-        )
-        assert engine.pair.positive.cells.fault_map is not None
-
-    def test_env_knob_garbage_warns_and_injects_nothing(
-        self, monkeypatch, caplog
-    ):
-        """The knob is read deep inside array construction; a typo must
-        degrade to fault-free arrays (warning + counter), not raise."""
-        from repro.device import faults
-
-        telemetry.enable()
-        monkeypatch.setattr(faults, "_WARNED_VALUES", set())
-        for raw in ("nope", "0.1,0.2,0.3", "-0.5", "0.8,0.8"):
-            monkeypatch.setenv(FAULT_RATES_ENV, raw)
-            with caplog.at_level("WARNING", logger="repro.device"):
-                assert env_fault_rates() == (0.0, 0.0)
-                # Repeated reads of the same bad value count every time
-                # but warn only once.
-                assert env_fault_rates() == (0.0, 0.0)
-        assert telemetry.counter_value(
-            "perf.env.invalid", knob=FAULT_RATES_ENV
-        ) == 8
-        warned = [
-            r.message for r in caplog.records
-            if FAULT_RATES_ENV in r.message
-        ]
-        assert len(warned) == 4
 
 
 class TestPlanSparing:

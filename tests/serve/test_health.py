@@ -484,6 +484,70 @@ class TestDriftRecovery:
         # pre-drift must be exact.
         np.testing.assert_array_equal(served[:5], reference[:5])
 
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_varied_copy_stops_reprogramming(
+        self, network, samples, mode
+    ):
+        """Reprogramming a copy programmed with variation draws new
+        conductances, so the probe reference is re-captured from the
+        fresh copy: one drift event costs one recovery round, not a
+        reprogram in every later probe round."""
+        plan = FaultPlan.of(
+            FaultEvent(batch_index=0, kind="drift", magnitude=0.5, seed=3)
+        )
+        health = HealthPolicy(probe_interval_batches=2, **FAST)
+        with _runtime(
+            network,
+            samples,
+            config=_small_config(PT_TIO2_DEVICE),
+            serve=dict(mode=mode, with_noise=True),
+            health=health,
+            fault_plan=plan,
+        ) as runtime:
+            runtime.serve(samples)
+            recovered = len(runtime.reprograms)
+            assert recovered >= 1
+            for _ in range(5):
+                runtime.serve(samples)
+            assert len(runtime.reprograms) == recovered
+
+    def test_noisy_serial_copy_reprograms_like_thread_copy(
+        self, network, samples
+    ):
+        """Serving draws read noise from per-batch scoped streams in
+        both modes, never from the copy's own generator, so after a
+        drift-triggered reprogram a noisy serial copy holds exactly the
+        conductances a noisy thread copy does."""
+        cells = {}
+        for mode in ("serial", "thread"):
+            plan = FaultPlan.of(
+                FaultEvent(
+                    batch_index=0, kind="drift", magnitude=0.5, seed=3
+                )
+            )
+            with _runtime(
+                network,
+                samples,
+                config=_small_config(PT_TIO2_DEVICE),
+                serve=dict(mode=mode, with_noise=True),
+                health=HealthPolicy(probe_interval_batches=2, **FAST),
+                fault_plan=plan,
+                max_replicas=1,
+            ) as runtime:
+                runtime.serve(samples)
+                assert len(runtime.reprograms) == 1
+                disp = runtime.dispatcher
+                state = disp._state if mode == "thread" else disp._states[0]
+                cells[mode] = [
+                    array.cells.conductances()
+                    for layer in state[1]
+                    for row in layer.tiles
+                    for engine in row
+                    for array in (engine.pair.positive, engine.pair.negative)
+                ]
+        for serial, thread in zip(cells["serial"], cells["thread"]):
+            np.testing.assert_array_equal(serial, thread)
+
     def test_probes_off_without_calibration_or_interval(
         self, network, samples
     ):

@@ -3,12 +3,13 @@
 The contract under test: ``ThreadDispatcher`` runs N replica threads
 against a *single* ``program_state`` per tenant and stays bit-identical
 to the serial oracle — across racing threads, interleaved batch widths,
-and both noise regimes (noise-on routes each task's draws through a
-private stream seeded exactly like the reseed path).  Scale-up
-allocates only scratch workspaces, the lease pool returns to full
-after exceptions, and resident memory reports ~one weight copy however
-many threads serve it.  Remapped tiles serialise every batch under the
-write lock and still answer exactly.
+and both noise regimes (noise-on draws each batch's read noise from a
+private stream seeded by its batch index).  Every calibrated batch runs
+under the read lock, so two forwards over remapped tiles, which walk
+the engines, run at once and still answer exactly.  Each thread keeps
+its own scratch buffers, deploy leaves none on the deploying thread,
+scale-up programs nothing, and resident memory reports ~one weight copy
+however many threads serve it.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ class TestThreadBitIdentity:
                 serve=dict(mode="thread", with_noise=with_noise),
             ) as runtime:
                 assert runtime.mode == "thread"
-                assert runtime.dispatcher._parallel
                 served = runtime.serve(samples)
                 for i, lo in enumerate(range(0, len(samples), 5)):
                     reference = runtime.reference(
@@ -123,9 +123,9 @@ class TestThreadBitIdentity:
     ):
         """Verified writes give the deployment an RNG, so its arrays
         carry programming variation; with noise off they fuse through
-        the differential stack and the replicas never serialise.  Their
-        counts are continuous, so concurrent forwards never narrow the
-        BLAS thread budget: the first two meet inside it."""
+        the differential stack.  Their counts are continuous, so
+        concurrent forwards never narrow the BLAS thread budget: the
+        first two meet inside it."""
         telemetry.enable(fresh=True)
         with _runtime(
             network,
@@ -135,15 +135,12 @@ class TestThreadBitIdentity:
         ) as runtime:
             assert runtime.spec.use_rng and not runtime.spec.with_noise
             disp = runtime.dispatcher
-            assert disp._parallel
             assert all(p.kernel.varied for p in disp._state[1])
             disp.grow(2)
             spy = blas_spy(meet=2)
             served = runtime.serve(samples)
             reference = runtime.reference(samples)
-        assert (
-            telemetry.counter_total("serve.dispatch.thread_serialized") == 0
-        )
+        assert not spy.broken
         assert spy.exact and not any(spy.exact)
         assert spy.sets == []
         assert telemetry.counter_total("perf.blas.narrowed") == 0
@@ -153,8 +150,8 @@ class TestThreadBitIdentity:
         self, network, samples
     ):
         """8 racing threads, batch widths interleaved 1..5: every
-        result bit-identical to a fresh serial state, and the shared
-        plan's workspace leases all return."""
+        result bit-identical to a fresh serial state, so no thread
+        wrote another's scratch buffers."""
         with _runtime(network, samples) as runtime:
             disp = runtime.dispatcher
             assert isinstance(disp, ThreadDispatcher)
@@ -173,10 +170,6 @@ class TestThreadBitIdentity:
                     spec, executor, programmed, batch
                 )
                 np.testing.assert_array_equal(result, expected)
-            plan = disp._state[1][0].compiled_plan
-            if plan is not None:
-                assert plan.leases_outstanding == 0
-                assert plan.workspaces_allocated >= 1
 
     def test_noise_on_reproducible_under_racing_threads(
         self, network, samples, blas_spy
@@ -233,13 +226,13 @@ class TestThreadBitIdentity:
 
 
 class TestRemappedTiles:
-    def test_remapped_tiles_serialise_and_match_reference(
-        self, network, samples
+    def test_remapped_tiles_run_concurrently_and_match(
+        self, network, samples, blas_spy
     ):
         """Faulty arrays force tile remaps during programming.  Remapped
-        tiles take the per-engine walk, which is not re-entrant, so two
-        replica threads serialise every batch under the write lock
-        (counted once, at deploy) and still answer exactly."""
+        tiles take the per-engine walk, which only reads the shared
+        copy too, so two replica threads' forwards meet inside the read
+        lock, and both answer exactly."""
         policy = ResiliencePolicy(
             verify_writes=True,
             spare_columns=0,
@@ -259,7 +252,6 @@ class TestRemappedTiles:
             organization=SMALL_ORG,
             resilience=policy,
         )
-        telemetry.enable(fresh=True)
         with _runtime(
             network, samples, config=config, serve=dict(seed=3)
         ) as runtime:
@@ -267,47 +259,67 @@ class TestRemappedTiles:
             executor, _ = program_state(runtime.spec)
             summary = executor.last_degradation
             assert summary is not None and summary.remapped_tiles >= 1
-            assert not runtime.dispatcher._parallel
+            programmed = runtime.dispatcher._state[1]
+            assert any(p.kernel._remapped for p in programmed)
+            spy = blas_spy(meet=2)
             served = runtime.serve(samples)
             reference = runtime.reference(samples)
-        assert (
-            telemetry.counter_total("serve.dispatch.thread_serialized") == 1
-        )
+            assert runtime.restarts == []
+        assert not spy.broken
         np.testing.assert_array_equal(served, reference)
 
 
-class TestWorkspaceLeases:
-    def test_leases_return_after_exceptions(self, network, samples):
-        """A batch that explodes mid-plan must hand its workspace
-        back — the pool's lease accounting returns to full."""
+class TestThreadScratch:
+    def test_each_thread_keeps_its_own_scratch(self, network, samples):
+        """Deploy frees the deploying thread's calibration buffers; a
+        served batch allocates scratch on the thread that runs it, and
+        no two threads share a buffer set."""
+        with _runtime(network, samples) as runtime:
+            disp = runtime.dispatcher
+            plan = disp._state[1][0].compiled_plan
+            assert getattr(plan._scratch, "stores", None) is None
+            runtime.serve(samples)  # four 5-sample batches, two threads
+
+            def stores():
+                return getattr(plan._scratch, "stores", None)
+
+            held = [pool.submit(stores).result() for pool in disp._pools]
+            assert stores() is None
+            assert all(held) and held[0] is not held[1]
+            runtime.serve(samples[:2])  # inline, on this thread
+            assert stores() is not None
+            assert all(stores() is not h for h in held)
+
+    def test_failed_executions_leave_the_plan_serving(
+        self, network, samples
+    ):
+        """A batch that explodes mid-plan leaves this thread's scratch
+        usable: later batches still answer exactly."""
         with _runtime(network, samples) as runtime:
             runtime.serve(samples)  # compiles the shared plan
             plan = runtime.dispatcher._state[1][0].compiled_plan
-            if plan is None:
-                pytest.skip("plan compilation disabled here")
-            allocated = plan.workspaces_allocated
-            assert plan.leases_outstanding == 0
             for _ in range(3):
                 with pytest.raises(Exception):
                     plan.execute(np.ones((2, 3)))  # wrong input width
-            assert plan.leases_outstanding == 0
-            # Failed leases were released for reuse, not abandoned.
-            assert plan.workspaces_allocated <= allocated + 1
             served = runtime.serve(samples)
+            inline = runtime.serve(samples[:2])
             reference = runtime.reference(samples)
         np.testing.assert_array_equal(served, reference)
+        np.testing.assert_array_equal(inline, reference[:2])
 
-    def test_grow_prewarns_workspaces(self, network, samples):
-        """Scale-up cost is scratch allocation: after grow, the plan
-        holds at least one free workspace per replica thread."""
+    def test_grow_programs_nothing(self, network, samples):
+        """Scale-up starts threads: no programming pass, and each new
+        thread allocates its scratch on its first batch."""
+        telemetry.enable(fresh=True)
         with _runtime(network, samples) as runtime:
             runtime.serve(samples)
-            plan = runtime.dispatcher._state[1][0].compiled_plan
-            if plan is None:
-                pytest.skip("plan compilation disabled here")
             cost = runtime.scale_to(4)
             assert cost < 1.0  # no fork, no reprogramming
-            assert plan.workspaces_allocated >= 4
+            served = runtime.serve(samples)
+            reference = runtime.reference(samples)
+        # One deploy and one reference copy.
+        assert telemetry.counter_total("serve.programs") == 2
+        np.testing.assert_array_equal(served, reference)
 
 
 class TestResidentBytes:
@@ -418,9 +430,10 @@ class TestInlineTinyBatches:
             runtime.serve(x[1:])
             assert [i == main for i in idents[1:]] == [True, True]
             np.testing.assert_array_equal(first, runtime.reference(x[:1]))
-        # A state that cannot run concurrently (the per-engine walk).
+        # The per-engine walk (``PRIME_FUSED=0``) runs under the read
+        # lock like every other path, so its tiny batches run inline.
         monkeypatch.setenv("PRIME_FUSED", "0")
-        check([False] * 3, serve=dict(max_batch=1))
+        check([True] * 3, serve=dict(max_batch=1))
 
 
 def _cell_arrays(programmed):
