@@ -13,10 +13,11 @@ compile/program/run pipeline into a resident service:
 * :mod:`repro.serve.dispatcher` — replica-parallel dispatch: each
   :class:`~repro.core.scheduler.BankScheduler` replica bank group maps
   to a replica thread serving ONE programmed copy (serial mode serves
-  it inline); the network is programmed **exactly once** and every
-  batch runs from the cached programmed state with frozen
-  calibration.  ``mode="auto"`` picks threads for two or more
-  replicas; see the README's dispatch-mode matrix.
+  it inline); the network is programmed **exactly once** per
+  deployment — grow, restart and the degrade to serial program
+  nothing — and every batch runs from the cached programmed state
+  with frozen calibration.  ``mode="auto"`` picks threads for two or
+  more replicas; see the README's dispatch-mode matrix.
 * :mod:`repro.serve.runtime` — :class:`ServingRuntime` glues grant,
   batcher, and dispatcher together and carries the bit-identity
   guarantee against a direct ``run_functional`` call.
@@ -28,7 +29,7 @@ compile/program/run pipeline into a resident service:
   the seed) for saturation studies the closed loop cannot express.
 * :mod:`repro.serve.autoscaler` — reactive replica autoscaling:
   windowed arrival rate against per-replica capacity, grow/shrink
-  through ``ServingRuntime.scale_to`` with measured reprogram cost.
+  through ``ServingRuntime.scale_to`` with measured cost.
 * :mod:`repro.serve.cluster` — :class:`ServingCluster`: several
   tenants over one shared bank pool, pipelined non-blocking polling
   across deployments, per-tenant admission control (queue-depth and
@@ -36,7 +37,7 @@ compile/program/run pipeline into a resident service:
 * :mod:`repro.serve.health` — fault tolerance: per-batch deadlines
   with deterministic bounded retry, replica health monitoring with
   quarantine/restart (:class:`ReplicaHealthMonitor`), drift-triggered
-  background reprogramming, and the seeded chaos harness
+  background reprogramming of the copy, and the seeded chaos harness
   (:class:`FaultPlan`) the fault-injection suite drives.
 
 Every request carries a trace context (deterministic trace id, tenant
@@ -70,7 +71,6 @@ from repro.serve.cluster import (
     TenantSpec,
 )
 from repro.serve.dispatcher import (
-    SerialDispatcher,
     ThreadDispatcher,
     WorkerSpec,
     batch_noise_seed,
@@ -112,7 +112,6 @@ __all__ = [
     "TenantSpec",
     "TrafficShape",
     "MicroBatcher",
-    "SerialDispatcher",
     "ServeConfig",
     "ServeRequest",
     "ServingRuntime",

@@ -6,10 +6,10 @@ on its offered load, which moves.  :class:`Autoscaler` closes that
 loop reactively: it watches a sliding window of admitted arrival
 rate, compares it against the deployment's per-replica service
 capacity, and grows or shrinks the grant through
-``ServingRuntime.scale_to`` — which reuses the one-time
-``program_state`` path, so every scale-up pays (and the telemetry
-records) the real crossbar-reprogramming cost the paper charges for
-writing weights into ReRAM arrays.
+``ServingRuntime.scale_to``.  Every replica serves the deployment's
+one programmed copy, so a scale action programs no crossbar: it
+starts or retires replica threads, and the telemetry records its
+measured cost.
 
 Policy shape is deliberately simple (the classic queue-theoretic
 reactive controller):
@@ -22,7 +22,7 @@ reactive controller):
   leave the *smaller* grant below ``shrink_margin`` of its capacity
   (hysteresis — the grow and shrink thresholds never overlap, so the
   controller cannot oscillate on steady traffic);
-* a ``cooldown_s`` gate between actions bounds reprogramming churn.
+* a ``cooldown_s`` gate between actions bounds scaling churn.
 """
 
 from __future__ import annotations
@@ -46,13 +46,6 @@ class AutoscalerPolicy:
     window_s: float = 0.25
     #: Minimum gap between two scaling actions.
     cooldown_s: float = 0.5
-    #: Minimum gap before a *grow* specifically; ``None`` inherits
-    #: ``cooldown_s``.  Thread-dispatch tenants set this near zero:
-    #: their scale-up allocates only scratch buffers on the shared
-    #: programmed copy (microseconds, no crossbar reprogramming), so
-    #: there is no churn cost to gate and growth can track load
-    #: instantly.  Shrinks always keep the full ``cooldown_s``.
-    grow_cooldown_s: float | None = None
     #: Grow when rate > target_utilization * capacity.
     target_utilization: float = 0.8
     #: Shrink only when rate < shrink_margin * capacity of the
@@ -72,8 +65,6 @@ class AutoscalerPolicy:
             )
         if self.window_s <= 0 or self.cooldown_s < 0:
             raise ConfigurationError("invalid window/cooldown")
-        if self.grow_cooldown_s is not None and self.grow_cooldown_s < 0:
-            raise ConfigurationError("grow_cooldown_s must be >= 0")
         if not 0 < self.target_utilization <= 1:
             raise ConfigurationError(
                 "target_utilization must be in (0, 1]"
@@ -92,8 +83,8 @@ class ScaleEvent:
     tenant: str
     from_replicas: int
     to_replicas: int
-    #: Measured wall-clock cost of reprogramming the new replicas
-    #: (0.0 for shrinks).
+    #: Measured wall-clock cost of bringing up the new replicas (no
+    #: mode programs the copy again; 0.0 for shrinks).
     reprogram_s: float
     rate_rps: float
 
@@ -136,14 +127,13 @@ class Autoscaler:
     def note_restart(
         self, cost_s: float, now: float | None = None
     ) -> None:
-        """Record one replica restart and its measured reprogram cost.
+        """Record one replica restart and its measured cost.
 
         Fed by the cluster loop from ``ServingRuntime.restarts``.  A
         fleet that is actively crash-recovering should not also shrink:
-        a shrink freed banks would likely be re-grown (another full
-        ``program_state``) moments later, so :meth:`step` holds
-        shrinks for ``cooldown_s`` plus the restart-cost EMA after the
-        last restart.
+        the freed banks would likely be re-grown moments later, so
+        :meth:`step` holds shrinks for ``cooldown_s`` plus the
+        restart-cost EMA after the last restart.
         """
         now = self.clock() if now is None else now
         if self._reprogram_ema_s == 0.0:
@@ -207,15 +197,7 @@ class Autoscaler:
         Returns the executed :class:`ScaleEvent`, or ``None``.
         """
         now = self.clock() if now is None else now
-        since_action = now - self._last_action_s
-        if since_action < min(
-            self.policy.cooldown_s,
-            (
-                self.policy.cooldown_s
-                if self.policy.grow_cooldown_s is None
-                else self.policy.grow_cooldown_s
-            ),
-        ):
+        if now - self._last_action_s < self.policy.cooldown_s:
             return None
         current = self.runtime.replicas
         rate_rps = self.rate(now)
@@ -224,20 +206,12 @@ class Autoscaler:
             want = min(want, max(max_replicas, current))
         if want == current:
             return None
-        # Direction-specific cooldown: grows may use the (shorter)
-        # ``grow_cooldown_s`` — near-free on thread dispatch — while
-        # shrinks always honour the full ``cooldown_s``.
-        cooldown = self.policy.cooldown_s
-        if want > current and self.policy.grow_cooldown_s is not None:
-            cooldown = self.policy.grow_cooldown_s
-        if since_action < cooldown:
-            return None
         if want < current and now - self._last_restart_s < (
             self.policy.cooldown_s + self._reprogram_ema_s
         ):
-            # Restart hysteresis: the fleet just paid a crash-recovery
-            # reprogram; hold shrinks for a restart-cost-sized horizon
-            # so freed banks are not re-programmed moments later.
+            # Restart hysteresis: the fleet is crash-recovering; hold
+            # shrinks for a restart-cost-sized horizon so freed banks
+            # are not re-granted moments later.
             return None
         cost = self.runtime.scale_to(want)
         self._last_action_s = now

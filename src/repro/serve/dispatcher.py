@@ -3,25 +3,28 @@
 A :class:`~repro.core.scheduler.BankScheduler` grant gives a
 deployment ``R`` replica bank groups.  PRIME's replicas serve one set
 of *stationary* programmed weights, and the dispatcher turns the grant
-into execution capacity the same way:
+into execution capacity the same way: one :class:`ThreadDispatcher`
+programs ONE :func:`program_state` copy at deploy and serves it for
+the deployment's life, in one of two modes.
 
-* **thread mode** — :class:`ThreadDispatcher`: ``R`` replica threads
-  serve ONE :func:`program_state` copy.  Every forward over it, on
-  every path, only reads the programmed state (BLAS releases the GIL),
-  so the threads evaluate concurrently; batches and results move as
-  plain ndarray references.
-* **serial mode** — :class:`SerialDispatcher`: one lazily programmed
-  copy served inline on the coordinator.  Same numbers, no overlap.
+* **thread mode** — ``R`` replica threads serve the copy.  Every
+  forward over it, on every path, only reads the programmed state
+  (BLAS releases the GIL), so the threads evaluate concurrently;
+  batches and results move as plain ndarray references.
+* **serial mode** — no replica threads: every batch runs inline on
+  the coordinator.  Same numbers, no overlap.
 
 ``mode="auto"`` picks threads for two or more replicas and serial for
-one (:func:`make_dispatcher`).  Both dispatchers record telemetry
-straight into the live session, each replica's forward on its own
-``replica:N`` trace track.
+one (:func:`make_dispatcher`).  Grow, restart and the degrade to
+serial program nothing.  Every forward records telemetry straight
+into the live session, each replica's on its own ``replica:N`` trace
+track.
 
-Every replica programs from one :class:`WorkerSpec` (same seed), so
-results never depend on which replica a batch lands on.  With noise
-enabled, every micro-batch draws its read noise from a private stream
-seeded by batch index via :func:`repro.perf.parallel.task_seed`
+The copy (and the ``reference`` oracle) programs from one
+:class:`WorkerSpec`, so results never depend on which replica a batch
+lands on.  With noise enabled, every micro-batch draws its read noise
+from a private stream seeded by batch index via
+:func:`repro.perf.parallel.task_seed`
 (:func:`~repro.device.cell.scoped_noise_stream`) — noisy serving is
 reproducible and routing-independent too, and never moves the
 programmed copy's own generator.
@@ -56,7 +59,6 @@ __all__ = [
     "run_programmed",
     "reprogram_state",
     "spec_resident_bytes",
-    "SerialDispatcher",
     "ThreadDispatcher",
     "make_dispatcher",
 ]
@@ -99,9 +101,8 @@ def spec_resident_bytes(spec: WorkerSpec) -> int:
     reports this modelled state, not measured host RAM: an ideal
     network (noise-free, no variation or faults) holds 2 B per cell on
     the host, because its conductances are derived only when read.
-    What the gauge shows is how the dispatch modes multiply it: thread
-    mode shares one copy across all replica threads, serial mode holds
-    one for its initial replicas plus one per grown replica.
+    Every dispatch mode holds exactly one copy, however many replicas
+    serve it.
     """
     xbar = spec.config.crossbar
     per_pair = 2 * xbar.rows * xbar.cols * _CELL_STATE_BYTES
@@ -110,10 +111,10 @@ def spec_resident_bytes(spec: WorkerSpec) -> int:
 
 @dataclass
 class WorkerSpec:
-    """Everything a dispatcher needs to program and serve a replica.
+    """Everything a dispatcher needs to program and serve its copy.
 
-    Every replica (and the ``ServingRuntime.reference`` oracle)
-    programs from one spec, so they all hold bit-identical state.
+    The copy and the ``ServingRuntime.reference`` oracle program from
+    one spec, so they hold bit-identical state.
     """
 
     network: Sequential
@@ -335,8 +336,8 @@ class ResultEnvelope:
 def _replica_track(replica: int):
     """Label the spans this thread records with ``replica:N``.
 
-    Wraps a replica's forward in both dispatchers (inline batches
-    included), so the Chrome trace keeps one track per replica.
+    Wraps every forward (inline batches included), so the Chrome trace
+    keeps one track per replica.
     """
     session = telemetry.session()
     if session is None:
@@ -344,146 +345,17 @@ def _replica_track(replica: int):
     return session.tracer.on_track(f"replica:{replica}")
 
 
-class SerialDispatcher:
-    """In-process dispatch: programmed copies served inline.
-
-    ``dispatch`` runs the batch on the calling thread and returns an
-    already-resolved :class:`Future` holding a :class:`ResultEnvelope`,
-    so the runtime drives both dispatchers identically.
-
-    The initial replicas share a single lazily-programmed state (they
-    are bit-identical by construction, and serial mode has no real
-    parallelism to exploit); :meth:`grow` programs a fresh state per
-    added replica so the autoscaler's scale-up cost stays explicit and
-    measured even in serial mode.
-    """
-
-    mode = "serial"
-
-    #: Serial dispatch resolves each future inline, so there is never
-    #: more than one batch in flight and no limit to enforce.
-    inflight_limit: int | None = None
-
-    def __init__(self, spec: WorkerSpec, replicas: int = 1) -> None:
-        self.spec = spec
-        self.replicas = replicas
-        #: Programmed states (executor, programmed, cal_ref), indexed
-        #: by replica; replicas beyond the list share the first
-        #: (initial-deploy) state.
-        self._states: list[tuple] = []
-
-    def _program(self) -> tuple:
-        executor, programmed = program_state(self.spec)
-        return (
-            executor,
-            programmed,
-            capture_reference(self.spec, executor, programmed),
-        )
-
-    def _ensure(self, replica: int = 0):
-        if not self._states:
-            self._states.append(self._program())
-        return self._states[min(replica, len(self._states) - 1)]
-
-    def dispatch(
-        self,
-        batch: np.ndarray,
-        noise_seed: int | None = None,
-        replica: int | None = None,
-        fault: tuple | None = None,
-    ) -> Future:
-        replica = 0 if replica is None else replica % max(self.replicas, 1)
-        executor, programmed, _ = self._ensure(replica)
-        future: Future = Future()
-        if fault is not None and fault[0] in ("kill", "hang"):
-            # Serial mode cannot lose or stall a replica — it *is* the
-            # coordinator — so both present as a crash.
-            future.set_exception(
-                WorkerCrash(f"injected {fault[0]} fault")
-            )
-            return future
-        start = time.perf_counter_ns()
-        with _replica_track(replica):
-            result = run_programmed(
-                self.spec, executor, programmed, batch, noise_seed
-            )
-        envelope = ResultEnvelope(
-            value=result, execute_ns=time.perf_counter_ns() - start
-        )
-        if fault is not None:
-            if fault[0] == "slow":
-                envelope.execute_ns += int(fault[1] * 1e9)
-            elif fault[0] == "drift":
-                apply_drift(programmed, fault[1], fault[2])
-        future.set_result(envelope)
-        return future
-
-    def restart_replica(self, replica: int) -> float:
-        """Re-program a replica's state in place after an injected
-        crash; returns the measured programming wall seconds."""
-        self._ensure()
-        idx = min(replica % max(self.replicas, 1), len(self._states) - 1)
-        start = time.perf_counter()
-        self._states[idx] = self._program()
-        return time.perf_counter() - start
-
-    def probe_replica(self, replica: int) -> Future:
-        """Resolved future holding the replica's drift distance."""
-        executor, programmed, cal_ref = self._ensure(
-            replica % max(self.replicas, 1)
-        )
-        future: Future = Future()
-        future.set_result(
-            drift_distance(self.spec, executor, programmed, cal_ref)
-        )
-        return future
-
-    def reprogram_replica(self, replica: int) -> float:
-        """Re-program a drifted replica's arrays from their stored
-        levels and re-capture its probe reference from them; returns
-        the measured wall seconds."""
-        self._ensure()
-        idx = min(replica % max(self.replicas, 1), len(self._states) - 1)
-        executor, programmed, _ = self._states[idx]
-        start = time.perf_counter()
-        reprogram_state(self.spec, programmed)
-        self._states[idx] = (
-            executor,
-            programmed,
-            capture_reference(self.spec, executor, programmed),
-        )
-        return time.perf_counter() - start
-
-    def grow(self, replicas: int = 1) -> float:
-        """Add replicas, programming one fresh state each; returns the
-        measured one-time programming wall seconds."""
-        self._ensure()
-        start = time.perf_counter()
-        for _ in range(replicas):
-            self._states.append(self._program())
-        self.replicas += replicas
-        return time.perf_counter() - start
-
-    def shrink(self, replicas: int = 1) -> float:
-        """Drop replicas (and their grown states); returns 0.0 — serial
-        teardown is free."""
-        if replicas >= self.replicas:
-            raise ConfigurationError(
-                "cannot shrink below one replica"
-            )
-        for _ in range(replicas):
-            if len(self._states) > 1:
-                self._states.pop()
-        self.replicas -= replicas
-        return 0.0
-
-    def resident_bytes(self) -> int:
-        """Programmed-state RAM this dispatcher holds: one copy for the
-        shared initial replicas plus one per grown state."""
-        return spec_resident_bytes(self.spec) * max(1, len(self._states))
-
-    def close(self) -> None:
-        self._states = []
+def _resolved(fn, *args) -> Future:
+    """Run ``fn`` on the calling thread and return an already-completed
+    future holding its result, or its exception: delivered where a
+    replica thread's would be, since the runtime reads every future in
+    ``_resolve``."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 class _StateLock:
@@ -534,26 +406,26 @@ class _StateLock:
 
 
 class ThreadDispatcher:
-    """N replica threads serving ONE shared programmed copy per tenant.
+    """ONE programmed copy per deployment, served by N replicas.
 
-    PRIME's replicas share *stationary* programmed weights, and thread
-    replicas do too: they run against a single :func:`program_state`
-    copy.  Every calibrated micro-batch runs under the state's read
-    lock, whatever the deployment — ideal, varied, faulted, remapped,
-    noisy, or walked with ``PRIME_FUSED=0``: a forward only reads the
-    programmed state (:func:`run_programmed`; NumPy releases the GIL
-    inside the matmuls), so per-replica single-thread pools evaluate
-    concurrently while
+    PRIME's replicas share *stationary* programmed weights, and so do
+    these: the dispatcher programs a single :func:`program_state` copy
+    at deploy and serves it for the deployment's life.  Every
+    calibrated micro-batch runs under the state's read lock, whatever
+    the deployment — ideal, varied, faulted, remapped, noisy, or walked
+    with ``PRIME_FUSED=0``: a forward only reads the programmed state
+    (:func:`run_programmed`; NumPy releases the GIL inside the
+    matmuls).  First-batch calibration, drift and reprogramming take
+    the write lock.
+
+    In ``thread`` mode each replica is a single-thread pool, and the
+    replicas evaluate concurrently while
 
     * concurrent exact forwards split OpenBLAS's threads between them
       instead of oversubscribing the cores (:mod:`repro.perf.blas`);
     * batch payloads and results move as plain ndarray references;
-    * scale-up starts a thread and nothing else: each thread's scratch
-      buffers are allocated by its first forward
-      (:meth:`~repro.perf.plan.CompiledPlan.execute`), and nothing is
-      re-programmed;
-    * N replicas cost one weight-copy of RAM instead of N
-      (:meth:`resident_bytes`).
+    * each thread's scratch buffers are allocated by its first forward
+      (:meth:`~repro.perf.plan.CompiledPlan.execute`).
 
     Tiny micro-batches (at most :data:`_INLINE_MAX_SAMPLES` samples)
     run inline on the dispatching thread, through the same task (read
@@ -566,29 +438,37 @@ class ThreadDispatcher:
     :class:`~repro.serve.cluster.ServingCluster` an inline batch holds
     the cluster loop for one forward pass.
 
-    Noise-on batches draw from private per-batch streams, so results
+    In ``serial`` mode there are no replica threads: every batch (and
+    every drift probe) takes that inline path.  :meth:`serialize` is
+    the runtime's degrade-to-serial fallback: it retires every replica
+    thread and keeps the copy and the replica count.
+
+    Either way grow adds a replica and restart replaces one without
+    re-programming anything (:meth:`resident_bytes` is one copy), and
+    noise-on batches draw from private per-batch streams, so results
     stay routing-independent and bit-identical to
-    ``ServingRuntime.reference`` in both regimes, and to
-    :class:`SerialDispatcher`.
+    ``ServingRuntime.reference`` in both modes.
 
     Fault model: threads cannot be SIGKILLed.  An injected ``kill``
-    surfaces as :class:`WorkerCrash`; a ``hang`` really sleeps but
-    wakes early when its replica's cancellation event fires —
-    :meth:`restart_replica` is cooperative cancellation plus a fresh
-    pool (cost: microseconds), and the runtime's existing
+    surfaces as :class:`WorkerCrash`; on a replica thread a ``hang``
+    really sleeps but wakes early when its replica's cancellation
+    event fires — :meth:`restart_replica` is cooperative cancellation
+    plus a fresh pool (cost: microseconds), and the runtime's existing
     quarantine/retire/degrade-to-serial machinery does the rest.
-    ``drift`` mutates the *shared* copy (all replicas see it — one
-    copy is the point), and :meth:`reprogram_replica` heals all
-    replicas at once for the same reason.  First-batch calibration,
-    drift and reprogramming take the write lock.
+    Inline on the coordinator a hang presents as a crash at once.
+    ``drift`` mutates the one copy (every replica sees it), and
+    :meth:`reprogram` heals every replica at once for the same reason.
     """
 
-    mode = "thread"
-
-    def __init__(self, spec: WorkerSpec, replicas: int = 1) -> None:
+    def __init__(
+        self, spec: WorkerSpec, replicas: int = 1, mode: str = "thread"
+    ) -> None:
         if replicas < 1:
             raise ConfigurationError("replicas must be >= 1")
         self.spec = spec
+        #: ``thread`` or ``serial``; :meth:`serialize` switches a
+        #: thread dispatcher to serial.
+        self.mode = mode
         # One programmed copy, made on the coordinator thread; its
         # programming and calibration record into the live session.
         executor, programmed = program_state(spec)
@@ -599,35 +479,44 @@ class ThreadDispatcher:
         )
         self._lock = _StateLock()
         self._calibrated = spec.calibration is not None
+        #: One single-thread pool per replica in thread mode; none in
+        #: serial mode.
         self._pools: list[ThreadPoolExecutor] = []
+        #: One cancellation event per replica, in both modes.
         self._cancels: list[threading.Event] = []
         self._rr = 0
         for _ in range(replicas):
             self._add_replica()
 
+    def _new_pool(self, replica: int) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"serve-replica-{replica}"
+        )
+
     def _add_replica(self) -> None:
         # The pool first: a replica whose thread pool cannot be made
         # leaves no cancellation event behind.
-        pool = ThreadPoolExecutor(
-            max_workers=1,
-            thread_name_prefix=f"serve-replica-{len(self._pools)}",
-        )
+        if self.mode == "thread":
+            self._pools.append(self._new_pool(len(self._pools)))
         self._cancels.append(threading.Event())
-        self._pools.append(pool)
 
     @property
     def replicas(self) -> int:
-        return len(self._pools)
+        return len(self._cancels)
 
     @property
     def inflight_limit(self) -> int | None:
         """Batches the runtime may leave uncollected: a few per
-        replica (:data:`_INFLIGHT_PER_REPLICA`) keeps every thread
-        busy without unbounded queue growth."""
-        return _INFLIGHT_PER_REPLICA * max(1, len(self._pools))
+        replica thread (:data:`_INFLIGHT_PER_REPLICA`) keeps every
+        thread busy without unbounded queue growth.  ``None`` without
+        replica threads: inline dispatch resolves every future before
+        it returns."""
+        if not self._pools:
+            return None
+        return _INFLIGHT_PER_REPLICA * len(self._pools)
 
     def resident_bytes(self) -> int:
-        """One programmed copy, however many replica threads serve it."""
+        """One programmed copy, however many replicas serve it."""
         return spec_resident_bytes(self.spec)
 
     def _task(
@@ -655,7 +544,9 @@ class ThreadDispatcher:
                 # A real stall — but cooperative: the replica's
                 # cancellation event (set by restart_replica) wakes it
                 # early, so a hung thread never outlives its recovery.
-                if cancel.wait(fault[1]):
+                # The coordinator cannot stall without stalling
+                # serving, so an inline hang is a crash at once.
+                if self.mode == "serial" or cancel.wait(fault[1]):
                     raise WorkerCrash("hung task cancelled cooperatively")
         start = time.perf_counter_ns()
         # Exclusive only while the first batch still has calibration
@@ -678,12 +569,13 @@ class ThreadDispatcher:
     def _runs_inline(self, batch: np.ndarray, fault: tuple | None) -> bool:
         """Whether ``batch`` runs on the dispatching thread.
 
-        Only a tiny batch on the concurrent read path: a fault must
-        occupy a replica thread (a hang would stall the coordinator),
-        so must pacing (it models a busy device, not a busy host), and
-        a first uncalibrated batch needs the write lock.
+        Every batch in serial mode.  In thread mode only a tiny batch
+        on the concurrent read path: a fault must occupy a replica
+        thread (a hang would stall the coordinator), so must pacing (it
+        models a busy device, not a busy host), and a first
+        uncalibrated batch needs the write lock.
         """
-        return (
+        return self.mode == "serial" or (
             len(batch) <= _INLINE_MAX_SAMPLES
             and fault is None
             and not self.spec.pace_batch_s
@@ -699,53 +591,31 @@ class ThreadDispatcher:
     ) -> Future:
         if replica is None:
             replica = self._rr
-            self._rr = (self._rr + 1) % len(self._pools)
+            self._rr = (self._rr + 1) % self.replicas
         else:
-            replica %= len(self._pools)
+            replica %= self.replicas
+        args = (batch, noise_seed, fault, self._cancels[replica], replica)
         if self._runs_inline(batch, fault):
-            future: Future = Future()
-            try:
-                future.set_result(
-                    self._task(
-                        batch,
-                        noise_seed,
-                        None,
-                        self._cancels[replica],
-                        replica,
-                    )
-                )
-            except Exception as exc:
-                # Delivered where a replica thread's failure would be:
-                # the runtime reads every future in ``_resolve``.
-                future.set_exception(exc)
-            return future
-        return self._pools[replica].submit(
-            self._task,
-            batch,
-            noise_seed,
-            fault,
-            self._cancels[replica],
-            replica,
-        )
+            return _resolved(self._task, *args)
+        return self._pools[replica].submit(self._task, *args)
 
     def restart_replica(self, replica: int) -> float:
-        """Cooperatively cancel and replace one replica thread.
+        """Cooperatively cancel and replace one replica.
 
-        Sets the replica's cancellation event (waking a hung task),
-        retires its pool without waiting, and installs a fresh
-        single-thread pool.  The shared programmed state needs no
-        re-programming — the thread was the problem, not the copy — so
-        the measured cost is microseconds.
+        Sets the replica's cancellation event (waking a hung task) and
+        installs a fresh one; in thread mode it also retires the
+        replica's pool without waiting and starts a fresh single-thread
+        pool.  The programmed copy needs no re-programming — the
+        replica was the problem, not the copy — so the measured cost is
+        microseconds.
         """
-        replica %= len(self._pools)
+        replica %= self.replicas
         start = time.perf_counter()
         self._cancels[replica].set()
-        self._pools[replica].shutdown(wait=False, cancel_futures=True)
         self._cancels[replica] = threading.Event()
-        self._pools[replica] = ThreadPoolExecutor(
-            max_workers=1,
-            thread_name_prefix=f"serve-replica-{replica}",
-        )
+        if self._pools:
+            self._pools[replica].shutdown(wait=False, cancel_futures=True)
+            self._pools[replica] = self._new_pool(replica)
         return time.perf_counter() - start
 
     def _probe_task(self) -> float:
@@ -758,18 +628,21 @@ class ThreadDispatcher:
             return drift_distance(self.spec, executor, programmed, cal_ref)
 
     def probe_replica(self, replica: int) -> Future:
-        """Submit the drift health probe to one replica's thread."""
+        """The copy's drift distance, measured on one replica: queued
+        on its thread, or inline in serial mode."""
+        if not self._pools:
+            return _resolved(self._probe_task)
         return self._pools[replica % len(self._pools)].submit(
             self._probe_task
         )
 
-    def reprogram_replica(self, replica: int) -> float:
-        """Re-program the shared copy from its stored levels and
-        re-capture its probe reference from them.
+    def reprogram(self) -> float:
+        """Re-program the copy from its stored levels and re-capture
+        its probe reference from them.
 
         Taken under the exclusive write lock (in-flight batches finish
         first, queued ones wait), and because every replica serves the
-        same copy, one reprogramming heals them all.  Returns the
+        one copy, one reprogramming heals them all.  Returns the
         measured wall seconds.
         """
         state = self._state
@@ -787,11 +660,12 @@ class ThreadDispatcher:
         return time.perf_counter() - start
 
     def grow(self, replicas: int = 1) -> float:
-        """Add replica threads; returns the measured wall seconds.
+        """Add replicas; returns the measured wall seconds.
 
-        No programming, no fork: a new single-thread pool per replica —
-        the microsecond-scale scale-up the autoscaler's measured-cost
-        EMA then reflects.
+        No programming: a new single-thread pool per replica in thread
+        mode, a cancellation event in serial mode — the
+        microsecond-scale scale-up the autoscaler's measured-cost EMA
+        then reflects.
         """
         if replicas < 1:
             raise ConfigurationError("grow needs replicas >= 1")
@@ -801,22 +675,37 @@ class ThreadDispatcher:
         return time.perf_counter() - start
 
     def shrink(self, replicas: int = 1) -> float:
-        """Retire the newest replica threads (drained by the caller)."""
-        if replicas >= len(self._pools):
+        """Retire the newest replicas (drained by the caller)."""
+        if replicas >= self.replicas:
             raise ConfigurationError("cannot shrink below one replica")
         for _ in range(replicas):
             self._cancels.pop().set()
-            self._pools.pop().shutdown(wait=False, cancel_futures=True)
-        self._rr %= len(self._pools)
+            if self._pools:
+                self._pools.pop().shutdown(wait=False, cancel_futures=True)
+        self._rr %= self.replicas
         return 0.0
 
-    def close(self) -> None:
-        """Cancel every replica thread and drop the shared copy."""
+    def _retire_threads(self) -> None:
         for cancel in self._cancels:
             cancel.set()
         for pool in self._pools:
             pool.shutdown(wait=False, cancel_futures=True)
         self._pools = []
+
+    def serialize(self) -> None:
+        """Switch to serial mode over the copy already held.
+
+        Cancels every replica thread (a hung one wakes and retires
+        without taking a request with it) and serves every later batch
+        inline; the replica count and the programmed copy stay.
+        """
+        self._retire_threads()
+        self._cancels = [threading.Event() for _ in self._cancels]
+        self.mode = "serial"
+
+    def close(self) -> None:
+        """Cancel every replica thread and drop the copy."""
+        self._retire_threads()
         self._cancels = []
         self._state = None
 
@@ -824,8 +713,8 @@ class ThreadDispatcher:
 def make_dispatcher(spec: WorkerSpec, replicas: int, mode: str = "auto"):
     """Build the replica dispatcher for a deployment.
 
-    ``mode="thread"`` runs replica threads over one shared programmed
-    copy; ``mode="serial"`` serves inline on the coordinator;
+    ``mode="thread"`` runs replica threads over the one programmed
+    copy; ``mode="serial"`` serves it inline on the coordinator;
     ``mode="auto"`` picks threads for two or more replicas and serial
     for one.
     """
@@ -833,6 +722,6 @@ def make_dispatcher(spec: WorkerSpec, replicas: int, mode: str = "auto"):
         raise ConfigurationError(
             f"serve mode must be auto|thread|serial, got {mode!r}"
         )
-    if mode == "serial" or (mode == "auto" and replicas <= 1):
-        return SerialDispatcher(spec, replicas)
-    return ThreadDispatcher(spec, replicas)
+    if mode == "auto":
+        mode = "thread" if replicas > 1 else "serial"
+    return ThreadDispatcher(spec, replicas, mode)

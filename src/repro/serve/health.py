@@ -29,8 +29,8 @@ runtime threads those failures through:
 Determinism contract: a retried micro-batch re-dispatches the *same*
 payload with the *same* per-batch noise seed
 (:func:`repro.serve.dispatcher.batch_noise_seed`), and every replica
-programs from one :class:`~repro.serve.dispatcher.WorkerSpec` — so the
-retried result is bit-identical to what the first attempt would have
+serves the one copy programmed from a
+:class:`~repro.serve.dispatcher.WorkerSpec` — so the retried result is bit-identical to what the first attempt would have
 returned, and the ``ServingRuntime.reference()`` oracle stays green
 through crashes.
 """
@@ -63,17 +63,16 @@ class WorkerCrash(Exception):
     """A replica died mid-batch.
 
     Replicas are threads (or, in serial mode, the coordinator itself),
-    which *cannot* be SIGKILLed, so a crash is this exception.  In
-    thread mode (:class:`~repro.serve.dispatcher.ThreadDispatcher`) an
-    injected ``kill`` raises it on the replica thread, and a hung
-    replica thread parks on its cancellation event so
-    ``restart_replica`` — set the event, retire the pool, start a fresh
-    thread — wakes it into this exception instead of orphaning it.
-    :class:`~repro.serve.dispatcher.SerialDispatcher` raises it for an
-    injected ``kill`` or ``hang``.  The runtime's answer is the same in
-    both modes: quarantine the replica, restart it, re-dispatch the
-    batch; restart budgets and the degrade-to-serial last resort apply
-    on top.
+    which *cannot* be SIGKILLed, so a crash is this exception.  The
+    :class:`~repro.serve.dispatcher.ThreadDispatcher` raises it for an
+    injected ``kill``; a hung replica thread parks on its cancellation
+    event so ``restart_replica`` — set the event, retire the pool,
+    start a fresh thread — wakes it into this exception instead of
+    orphaning it, and a batch served inline on the coordinator (serial
+    mode) raises it for a ``hang`` at once.  The runtime's answer is
+    the same in both modes: quarantine the replica, restart it,
+    re-dispatch the batch; restart budgets and the degrade-to-serial
+    last resort apply on top.
     """
 
 
@@ -179,8 +178,6 @@ class ReplicaHealth:
     #: outlier baselines; a bucket is absent until its first batch
     #: completes.
     ema_exec_s: dict[int, float] = field(default_factory=dict)
-    #: Most recent drift-probe distance.
-    last_drift: float = 0.0
 
 
 class ReplicaHealthMonitor:
@@ -276,7 +273,6 @@ class ReplicaHealthMonitor:
         r.suspect_count = 0
         r.restarts += 1
         r.ema_exec_s = {}
-        r.last_drift = 0.0
 
     def retire(self, replica: int) -> None:
         """Permanently remove ``replica`` from rotation."""
@@ -314,16 +310,16 @@ class FaultEvent:
       raises :class:`WorkerCrash`.
     * ``hang``  — the replica thread sleeps ``duration_s`` before
       computing, tripping the coordinator's per-batch deadline; its
-      restart's cancellation event wakes it (serial mode, which cannot
-      hang without blocking the coordinator, models it as a crash).
+      restart's cancellation event wakes it (serial mode, whose
+      batches run on the coordinator, models it as a crash).
     * ``slow``  — ``duration_s`` is folded into the batch's reported
       execution time *after* it computes: the batch succeeds bit-exact
       but registers as a latency outlier (no real sleep, so chaos runs
       stay fast and the outlier trigger is deterministic).
     * ``drift`` — seeded conductance drift of ``magnitude`` is applied
-      to the replica's programmed arrays after the batch computes, so
-      every later batch on that replica is silently degraded until the
-      health probe catches it and schedules reprogramming.
+      to the programmed copy's arrays after the batch computes, so
+      every later batch, on every replica, is silently degraded until
+      the health probe catches it and schedules reprogramming.
     """
 
     batch_index: int
@@ -405,7 +401,8 @@ class RestartEvent:
     #: ``crash`` | ``timeout`` | ``outlier`` | ``probe``
     reason: str
     #: Measured wall seconds: cooperative cancel plus a fresh replica
-    #: thread (thread mode), or a re-programmed state (serial mode).
+    #: thread (thread mode) or cancellation event (serial mode); no
+    #: mode re-programs the copy.
     cost_s: float
 
 

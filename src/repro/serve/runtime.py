@@ -47,7 +47,6 @@ from repro.serve.batcher import (
     ServeRequest,
 )
 from repro.serve.dispatcher import (
-    SerialDispatcher,
     WorkerSpec,
     batch_noise_seed,
     make_dispatcher,
@@ -93,10 +92,10 @@ class _Inflight:
     #: ``time.monotonic()`` at the last (re)dispatch; the per-batch
     #: deadline counts from here.
     t_wall: float = 0.0
-    #: Dispatcher generation at the last (re)dispatch.  A batch whose
-    #: dispatcher has since been replaced (degrade to serial) is
-    #: cancelled with its closed pool; that failure belongs to the old
-    #: replicas, never to the replacement's.
+    #: Dispatcher generation at the last (re)dispatch.  A batch still
+    #: queued on a replica thread when the dispatcher degrades to
+    #: serial is cancelled with its closed pool; that failure belongs
+    #: to the retired threads, never to the serial replicas.
     generation: int = 0
 
 
@@ -205,7 +204,14 @@ class ServingRuntime:
                 replicas=self.deployment.replicas,
                 mode=self.serve_config.mode,
             )
-            self._record_resident_bytes()
+            if telemetry.enabled():
+                # One programmed copy for the deployment's life, in
+                # every mode and at every replica count.
+                telemetry.gauge(
+                    "serve.replica.resident_bytes",
+                    self.dispatcher.resident_bytes(),
+                    tenant=self.tenant,
+                )
         #: Micro-batches dispatched so far (also the per-batch noise
         #: stream index and the chaos harness's fault-event index) —
         #: retries never advance it, so retried batches keep their
@@ -222,7 +228,7 @@ class ServingRuntime:
         )
         #: Per-replica restart epochs (see :class:`_Inflight`).
         self._replica_epoch = [0] * max(self.deployment.replicas, 1)
-        #: Bumped whenever the dispatcher is replaced (see
+        #: Bumped when the dispatcher degrades to serial (see
         #: :class:`_Inflight`).
         self._generation = 0
         #: Executed replica restarts, in order.
@@ -232,8 +238,8 @@ class ServingRuntime:
         #: Requests shed because their batch exhausted its retries
         #: (``on_exhausted="shed"`` accounting).
         self.shed_failed = 0
-        #: Outstanding (replica, future, epoch) drift probes.
-        self._pending_probes: list[tuple] = []
+        #: The outstanding (replica, future, epoch) drift probe, if any.
+        self._probe: tuple | None = None
         #: Summed replica-measured execution wall time (ns) of every
         #: collected batch — the numerator of replica-utilisation /
         #: idle-fraction accounting in the cluster reports.
@@ -258,27 +264,6 @@ class ServingRuntime:
     def mode(self) -> str:
         """Dispatch mode in effect (``serial`` after a degrade)."""
         return self.dispatcher.mode
-
-    def _record_resident_bytes(self) -> None:
-        """Refresh the per-tenant programmed-state footprint gauge.
-
-        ``serve.replica.resident_bytes`` is the RAM the dispatcher's
-        programmed copies occupy — thread mode reports ~one copy no
-        matter the replica count, serial mode one per programmed state
-        — sampled at deploy, after every scale event, and after a
-        degrade, so the shared-copy memory win shows up in
-        ``serving_report``.
-        """
-        if not telemetry.enabled():
-            return
-        resident = getattr(self.dispatcher, "resident_bytes", None)
-        if resident is None:
-            return
-        telemetry.gauge(
-            "serve.replica.resident_bytes",
-            resident(),
-            tenant=self.tenant,
-        )
 
     # -- serving --------------------------------------------------------
 
@@ -558,11 +543,11 @@ class ServingRuntime:
     def _recover(self, entry: _Inflight, reason: str) -> bool:
         """Handle one failed attempt; True when a retry was dispatched.
 
-        A batch stranded on a dispatcher that has since been replaced
-        (its pools closed by the degrade to serial) is re-dispatched
-        without a health verdict, a restart or a spent retry: the
-        failure was the old dispatcher's, and charging it to the
-        replacement's fresh replica would retire that replica too.
+        A batch stranded on a replica thread that the degrade to serial
+        has since closed is re-dispatched without a health verdict, a
+        restart or a spent retry: the failure was the retired thread's,
+        and charging it to the serial replica would retire that replica
+        too.
         """
         policy = self.health
         current = entry.generation == self._generation
@@ -705,18 +690,21 @@ class ServingRuntime:
     def _degrade_to_serial(self) -> None:
         """Last-resort fallback: every replica is unhealthy.
 
-        Closes the thread dispatcher (threads cannot be SIGKILLed;
-        closing sets every replica's cancellation event, so even a hung
-        thread wakes and retires without taking a request with it) and
-        serves from a fresh in-process serial state: degraded
-        throughput, but the deployment keeps answering and no admitted
-        request is silently lost.  Serial mode has nothing further to
-        degrade to, so an all-retired serial monitor stays empty and
-        the caller sheds or raises.
+        Switches the thread dispatcher to serial mode in place
+        (:meth:`~repro.serve.dispatcher.ThreadDispatcher.serialize`:
+        threads cannot be SIGKILLed, so every replica's cancellation
+        event is set and even a hung thread wakes and retires without
+        taking a request with it).  Every later batch runs inline on
+        the coordinator over the copy already programmed: degraded
+        throughput, but the deployment keeps answering, keeps its
+        grant's replica count, and no admitted request is silently
+        lost.  Serial mode has nothing further to degrade to, so an
+        all-retired serial monitor stays empty and the caller sheds or
+        raises.
 
-        The serial replica gets its own health record and a new
+        The serial replicas get fresh health records and a new
         dispatcher generation, so batches and drift probes still out on
-        the closed thread pools are never charged to it (see
+        the closed thread pools are never charged to them (see
         :meth:`_recover`).
         """
         if self.dispatcher.mode != "thread":
@@ -732,69 +720,67 @@ class ServingRuntime:
                 reason="unhealthy",
                 tenant=self.tenant,
             )
-        self.dispatcher.close()
-        self.dispatcher = SerialDispatcher(self.spec, 1)
+        self.dispatcher.serialize()
         self._generation += 1
-        self.monitor = ReplicaHealthMonitor(1, self.health)
-        self._replica_epoch = [0]
-        self._pending_probes = []
-        self._record_resident_bytes()
+        self.monitor = ReplicaHealthMonitor(len(self.monitor), self.health)
+        self._probe = None
 
     # -- drift probes ---------------------------------------------------
 
     def _schedule_probes(self) -> None:
-        """Submit the calibration health probe to every routable
-        replica (results are harvested by pump/poll)."""
-        if not self.spec.probe_reference:
+        """Submit the calibration health probe to one routable replica,
+        unless a probe is still out (pump/poll harvest it).  Every
+        replica serves the one programmed copy, so one probe reads the
+        drift of all of them."""
+        if not self.spec.probe_reference or self._probe is not None:
             return
-        pending = {(r, e) for r, _, e in self._pending_probes}
-        for replica in self.monitor.routable():
-            epoch = self._epoch_of(replica)
-            if (replica, epoch) in pending:
-                continue
-            self._pending_probes.append(
-                (replica, self.dispatcher.probe_replica(replica), epoch)
-            )
+        healthy = self.monitor.routable()
+        if not healthy:
+            return
+        replica = healthy[self.batches_dispatched % len(healthy)]
+        self._probe = (
+            replica,
+            self.dispatcher.probe_replica(replica),
+            self._epoch_of(replica),
+        )
 
     def _check_probes(self, block: bool) -> None:
-        """Harvest finished drift probes; schedule reprogramming past
-        the threshold.  A probe that errors or outlives the batch
+        """Harvest the drift probe once finished; reprogram the copy
+        past the threshold.  A probe that errors or outlives the batch
         deadline means the replica cannot answer a trivial control call
         — treat it like a crash."""
-        if not self._pending_probes:
+        if self._probe is None:
             return
-        still: list[tuple] = []
-        for replica, future, epoch in self._pending_probes:
-            if self._epoch_of(replica) != epoch:
-                continue  # replica restarted since; probe is moot
-            if not block and not future.done():
-                still.append((replica, future, epoch))
-                continue
-            try:
-                drift = future.result(self.health.batch_timeout_s)
-            except Exception:
-                self._restart_replica(replica, "probe")
-                continue
-            if replica < len(self.monitor.replicas):
-                self.monitor.replicas[replica].last_drift = drift
-            if telemetry.enabled():
-                telemetry.observe(
-                    "serve.replica.drift", drift, tenant=self.tenant
-                )
-            if drift > self.health.drift_threshold:
-                self._reprogram_replica(replica, drift)
-        self._pending_probes = still
+        replica, future, epoch = self._probe
+        if self._epoch_of(replica) != epoch:
+            self._probe = None  # replica restarted since; probe is moot
+            return
+        if not block and not future.done():
+            return
+        self._probe = None
+        try:
+            drift = future.result(self.health.batch_timeout_s)
+        except Exception:
+            self._restart_replica(replica, "probe")
+            return
+        if telemetry.enabled():
+            telemetry.observe(
+                "serve.replica.drift", drift, tenant=self.tenant
+            )
+        if drift > self.health.drift_threshold:
+            self._reprogram(replica, drift)
 
-    def _reprogram_replica(self, replica: int, drift: float) -> None:
-        """Background drift recovery: rewrite the replica's arrays from
-        their stored levels (program-and-verify when the policy asks)."""
+    def _reprogram(self, replica: int, drift: float) -> None:
+        """Background drift recovery: rewrite the copy's arrays from
+        their stored levels (program-and-verify when the policy asks).
+        ``replica`` is the one whose probe tripped."""
         try:
             with telemetry.span(
                 "serve.replica.reprogram",
                 tenant=self.tenant,
                 replica=replica,
             ):
-                cost = self.dispatcher.reprogram_replica(replica)
+                cost = self.dispatcher.reprogram()
         except Exception:
             # The replica could not even reprogram — same recovery as
             # a failed probe: restart it.
@@ -885,14 +871,14 @@ class ServingRuntime:
         """Grow or shrink this deployment's replica grant, live.
 
         Grow claims more bank groups from the shared scheduler
-        (:meth:`BankScheduler.grow`) and adds replicas for them — new
-        threads over the shared copy in thread mode, freshly programmed
-        states in serial mode.  The measured wall seconds are returned
-        and recorded as the ``serve.scale`` span and the
-        ``serve.scale.reprogram_ms`` histogram, so scale-up is never
-        free in the reports.  Shrink drains every in-flight batch
-        first, retires the newest replicas, and returns their banks.
-        Returns 0.0 when ``replicas`` already matches.
+        (:meth:`BankScheduler.grow`) and adds replicas for them over
+        the one programmed copy — new threads in thread mode, nothing
+        but a replica count in serial mode; no mode programs anything.
+        The measured wall seconds are returned and recorded as the
+        ``serve.scale`` span and the ``serve.scale.reprogram_ms``
+        histogram.  Shrink drains every in-flight batch first, retires
+        the newest replicas, and returns their banks.  Returns 0.0 when
+        ``replicas`` already matches.
         """
         if self._closed:
             raise ExecutionError("serving runtime is closed")
@@ -945,7 +931,6 @@ class ServingRuntime:
                     tenant=self.tenant,
                     direction=direction,
                 )
-            self._record_resident_bytes()
         return cost
 
     # -- cross-checks ---------------------------------------------------
@@ -999,7 +984,7 @@ class ServingRuntime:
                 "cannot close with queued or in-flight requests; "
                 "pump(flush=True) first"
             )
-        self._pending_probes = []
+        self._probe = None
         self._closed = True
         try:
             self.dispatcher.close()

@@ -196,9 +196,8 @@ class TenantBreakdown:
     reprograms: int = 0
     # -- memory view --
     #: Programmed-state RAM the tenant's dispatcher holds
-    #: (``serve.replica.resident_bytes`` gauge): thread dispatch keeps
-    #: ~one weight copy regardless of replica count, serial dispatch
-    #: one per programmed state.
+    #: (``serve.replica.resident_bytes`` gauge): one weight copy in
+    #: every dispatch mode, regardless of replica count.
     resident_bytes: int = 0
 
     @property

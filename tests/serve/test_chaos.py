@@ -200,9 +200,9 @@ class TestDriftRecovery:
     ):
         """Drift injected into the shared copy: the periodic probe sees
         it, background reprogramming restores it, a fresh probe on
-        every replica reads zero, and later replies are exact.  Both
-        replica threads probe the one shared copy, so a single drift
-        event may be reprogrammed more than once."""
+        every replica reads zero, and later replies are exact.  One
+        probe reads the copy for both replica threads, so the drift
+        event costs exactly one reprogram."""
         plan = FaultPlan.of(
             FaultEvent(
                 batch_index=0, kind="drift", magnitude=0.5, seed=3
@@ -216,10 +216,10 @@ class TestDriftRecovery:
         ) as runtime:
             assert runtime.spec.probe_reference
             runtime.serve(samples)
-            assert len(runtime.reprograms) >= 1
-            for event in runtime.reprograms:
-                assert event.drift > health.drift_threshold
-                assert event.cost_s > 0.0
+            assert len(runtime.reprograms) == 1
+            event = runtime.reprograms[0]
+            assert event.drift > health.drift_threshold
+            assert event.cost_s > 0.0
             for replica in (0, 1):
                 probe = runtime.dispatcher.probe_replica(replica)
                 assert probe.result(60.0) == pytest.approx(
@@ -227,6 +227,7 @@ class TestDriftRecovery:
                 )
             tail = runtime.serve(samples)
             reference = runtime.reference(samples)
+            assert len(runtime.reprograms) == 1
         np.testing.assert_array_equal(tail, reference)
 
 
@@ -235,8 +236,9 @@ class TestDegradeToSerial:
         self, network, samples
     ):
         """Every replica thread retired (restart budget zero): the
-        runtime degrades to serial and still answers every admitted
-        request bit-identically — nothing shed, nothing lost."""
+        runtime degrades to serial over the copy it already holds and
+        still answers every admitted request bit-identically — nothing
+        shed, nothing lost, nothing programmed again."""
         plan = FaultPlan.of(
             FaultEvent(batch_index=0, kind="kill"),
             FaultEvent(batch_index=1, kind="kill"),
@@ -251,6 +253,7 @@ class TestDegradeToSerial:
             assert runtime.mode == "serial"
             assert runtime.shed_failed == 0
             assert all(r.done and r.error is None for r in requests)
+            assert telemetry.counter_total("serve.programs") == 1
             served = np.stack([r.result for r in requests])
             reference = runtime.reference(samples)
         assert (
@@ -270,8 +273,9 @@ class TestDegradeToSerial:
         """Batches (and drift probes) still queued on the replica
         threads when the runtime degrades to serial are cancelled with
         their pools.  The batches are re-dispatched to the serial
-        replica and the probes dropped, neither charged to it: charged,
-        they retired it (restart budget zero) and failed a batch."""
+        replicas and the probes dropped, neither charged to them:
+        charged, they retired them (restart budget zero) and failed a
+        batch."""
         plan = FaultPlan.of(
             FaultEvent(batch_index=0, kind="hang", duration_s=30.0),
             FaultEvent(batch_index=1, kind="kill"),
@@ -292,12 +296,44 @@ class TestDegradeToSerial:
             requests = [runtime.submit(x) for x in samples]
             runtime.pump(flush=True)
             assert runtime.mode == "serial"
-            assert runtime.monitor.routable() == [0]
+            # The degrade keeps the grant: both replicas serve inline.
+            assert runtime.monitor.routable() == [0, 1]
             assert runtime.shed_failed == 0
             assert all(r.done and r.error is None for r in requests)
             served = np.stack([r.result for r in requests])
             reference = runtime.reference(samples)
         np.testing.assert_array_equal(served, reference)
+
+
+    def test_degraded_deployment_resizes(self, network, samples):
+        """After the degrade, the runtime, the dispatcher and the health
+        monitor agree on the grant's replica count, so the autoscaler
+        can still shrink and grow the deployment."""
+        plan = FaultPlan.of(
+            FaultEvent(batch_index=0, kind="kill"),
+            FaultEvent(batch_index=1, kind="kill"),
+        )
+        health = HealthPolicy(max_restarts_per_replica=0, **FAST)
+        with _runtime(
+            network, samples, fault_plan=plan, health=health
+        ) as runtime:
+            served = runtime.serve(samples)
+            assert runtime.mode == "serial"
+            d = runtime.dispatcher
+            assert runtime.replicas == d.replicas == len(runtime.monitor)
+            assert runtime.replicas == 2
+            runtime.scale_to(1)
+            assert runtime.replicas == d.replicas == len(runtime.monitor)
+            assert runtime.replicas == 1
+            narrow = runtime.serve(samples)
+            runtime.scale_to(3)
+            assert runtime.replicas == d.replicas == len(runtime.monitor)
+            assert runtime.replicas == 3
+            assert runtime.monitor.routable() == [0, 1, 2]
+            wide = runtime.serve(samples)
+            reference = runtime.reference(samples)
+        for replies in (served, narrow, wide):
+            np.testing.assert_array_equal(replies, reference)
 
 
 class TestGrowFailureRecovery:

@@ -1,8 +1,9 @@
 """Fault tolerance: health policy, monitor, chaos plan, recovery.
 
 Serial-mode coverage of the fault-tolerance layer — deterministic and
-fast.  Thread-mode chaos (replica kills, hangs, drift, degrade to
-serial) lives in ``test_chaos.py``.
+fast.  Its recovery classes also run in the ``chaos`` suite;
+thread-mode chaos (replica kills, hangs, drift, degrade to serial)
+lives in ``test_chaos.py``.
 """
 
 from __future__ import annotations
@@ -255,6 +256,7 @@ class TestFaultPlan:
         ).payload == ("drift", 0.5, 9)
 
 
+@pytest.mark.chaos
 class TestCrashRecovery:
     """Serial-mode kill/hang → retry; results stay bit-identical."""
 
@@ -431,6 +433,7 @@ class TestLatencyOutliers:
         np.testing.assert_array_equal(served, reference)
 
 
+@pytest.mark.chaos
 class TestDriftRecovery:
     def test_apply_drift_changes_outputs_reprogram_restores(
         self, network, samples
@@ -490,8 +493,9 @@ class TestDriftRecovery:
     ):
         """Reprogramming a copy programmed with variation draws new
         conductances, so the probe reference is re-captured from the
-        fresh copy: one drift event costs one recovery round, not a
-        reprogram in every later probe round."""
+        fresh copy: one drift event costs one reprogram of the one
+        copy — not one per replica, nor one in every later probe
+        round."""
         plan = FaultPlan.of(
             FaultEvent(batch_index=0, kind="drift", magnitude=0.5, seed=3)
         )
@@ -506,7 +510,7 @@ class TestDriftRecovery:
         ) as runtime:
             runtime.serve(samples)
             recovered = len(runtime.reprograms)
-            assert recovered >= 1
+            assert recovered == 1
             for _ in range(5):
                 runtime.serve(samples)
             assert len(runtime.reprograms) == recovered
@@ -536,11 +540,9 @@ class TestDriftRecovery:
             ) as runtime:
                 runtime.serve(samples)
                 assert len(runtime.reprograms) == 1
-                disp = runtime.dispatcher
-                state = disp._state if mode == "thread" else disp._states[0]
                 cells[mode] = [
                     array.cells.conductances()
-                    for layer in state[1]
+                    for layer in runtime.dispatcher._state[1]
                     for row in layer.tiles
                     for engine in row
                     for array in (engine.pair.positive, engine.pair.negative)
@@ -564,6 +566,7 @@ class TestDriftRecovery:
             assert not runtime.spec.probe_reference
 
 
+@pytest.mark.chaos
 class TestDegradeToSerial:
     def test_all_retired_serial_monitor_raises(self, network, samples):
         """Serial mode has nothing to degrade to: retiring its only

@@ -19,7 +19,6 @@ from repro.params.prime import PrimeConfig
 from repro.params.reram import PT_TIO2_DEVICE
 from repro.resilience import ResiliencePolicy
 from repro.serve import (
-    SerialDispatcher,
     ServeConfig,
     ServingRuntime,
     ThreadDispatcher,
@@ -270,7 +269,9 @@ class TestDispatchModes:
         dispatcher = make_dispatcher(
             runtime.spec, replicas=1, mode="auto"
         )
-        assert isinstance(dispatcher, SerialDispatcher)
+        assert dispatcher.mode == "serial"
+        assert dispatcher.inflight_limit is None
+        dispatcher.close()
 
 
 class _FakeClock:

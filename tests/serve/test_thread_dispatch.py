@@ -323,13 +323,20 @@ class TestThreadScratch:
 
 
 class TestResidentBytes:
-    def test_thread_mode_holds_one_copy(self, network, samples):
-        with _runtime(network, samples) as runtime:
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_every_mode_holds_one_copy(self, network, samples, mode):
+        telemetry.enable(fresh=True)
+        with _runtime(
+            network, samples, serve=dict(mode=mode)
+        ) as runtime:
+            assert runtime.mode == mode
             one_copy = spec_resident_bytes(runtime.spec)
             assert runtime.dispatcher.resident_bytes() == one_copy
             runtime.scale_to(4)
-            # Four replica threads, still one programmed copy.
+            runtime.serve(samples)
+            # Four replicas, still one programmed copy.
             assert runtime.dispatcher.resident_bytes() == one_copy
+            assert telemetry.counter_total("serve.programs") == 1
 
     def test_gauge_reaches_serving_report(self, network, samples):
         session = telemetry.enable(fresh=True)

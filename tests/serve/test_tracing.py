@@ -161,10 +161,8 @@ class TestSerialThreadDeterminism:
     def test_execution_counters_identical_two_replicas(
         self, network, samples
     ):
-        """With two replicas, thread mode programs its one shared copy
-        at deploy and serial mode on the first batch — so warm both
-        runtimes, then compare a fresh measured window: pure
-        execution, bit-identical."""
+        """With two replicas, warm both runtimes, then compare a fresh
+        measured window: pure execution, bit-identical across modes."""
         sessions = {}
         for mode in ("serial", "thread"):
             telemetry.enable()
