@@ -197,13 +197,14 @@ class DifferentialPair:
         analog subtraction, so the result directly estimates
         ``sum_i a_i * signed_level_i`` per column.
 
-        When both halves are ideal and the read is effectively
-        noise-free, the pair answers through
-        :meth:`CrossbarArray.exact_mvm_counts` so the result lands
-        exactly on the integer lattice instead of an epsilon away from
-        it after the conductance round-trip.  This keeps the engine's
-        truncating sense-amp arithmetic deterministic and lets the
-        fused layer kernels be bit-identical to the per-engine path.
+        When both halves are on the level lattice (ideal, or carrying
+        only stuck-at faults) and the read is effectively noise-free,
+        the pair answers through :meth:`CrossbarArray.exact_mvm_counts`
+        so the result lands exactly on the integer lattice instead of
+        an epsilon away from it after the conductance round-trip.  The
+        engine's truncating sense amp then sees the exact counts, not
+        float rounding, and on ideal arrays the compiled plan's integer
+        stacks are bit-identical to the per-engine path.
         """
         if self._effectively_noise_free(with_noise):
             return self.positive.exact_mvm_counts(
@@ -219,8 +220,11 @@ class DifferentialPair:
 
     def _effectively_noise_free(self, with_noise: bool) -> bool:
         """Whether an MVM with this noise flag is deterministic on an
-        ideal pair (exact fast path applies)."""
-        if not (self.positive.is_ideal and self.negative.is_ideal):
+        on-lattice pair (exact count path applies)."""
+        if not (
+            self.positive.cells.on_lattice
+            and self.negative.cells.on_lattice
+        ):
             return False
         if not with_noise:
             return True

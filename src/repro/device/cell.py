@@ -26,6 +26,17 @@ Ideal serving never reads the matrix — the fused and compiled tiers
 run on the integer weights — so a deployed ideal network holds 2 B per
 cell on the host.
 
+Level lattice.  An array's stored conductances sit on the level
+lattice ``g_off + g_step * level`` until a programming-variation draw
+or drift moves them, and a wire resistance moves what every read sees.
+Stuck-at faults keep an array on the lattice: a stuck cell sits exactly
+at ``g_off`` or ``g_on``, the lattice's bottom and top levels.  The
+noise-free MVM of an on-lattice array (:attr:`CellArray.on_lattice`)
+is therefore an integer in the count domain,
+``inputs @ effective_levels`` above the HRS baseline, which the
+crossbar layer computes exactly instead of through the conductance
+round trip (whose float rounding would decide later truncations).
+
 Read-noise streams.  A read-noise draw comes from the array's own
 generator unless the reading thread has scoped a stream of its own
 (:func:`scoped_noise_stream`); the fused kernel's analog planes take
@@ -139,10 +150,14 @@ class CellArray:
         )
         self._levels = np.zeros((rows, cols), dtype=np.int16)
         # Conductances start at the exact level-0 mapping, derived on
-        # first read; programming may later perturb them (variation /
-        # faults) and store them eagerly.
+        # first read; programming may later perturb them (variation)
+        # and store them eagerly.  Stuck cells are stuck from the start.
         self._conductance: np.ndarray | None = None
-        self._pristine = fault_map is None
+        if fault_map is not None:
+            self._conductance = fault_map.apply(
+                self._stored_conductance(), device
+            )
+        self._lattice = True
 
     # -- programming -------------------------------------------------
 
@@ -181,8 +196,8 @@ class CellArray:
                 f"levels outside [0, {self.device.mlc_levels})"
             )
         self._levels = levels.astype(np.int16)
-        self._pristine = not self._perturbs() and self.fault_map is None
-        if self._pristine:
+        self._lattice = not self._perturbs()
+        if self._lattice and self.fault_map is None:
             self._conductance = None
         else:
             ideal = self._ideal_conductance(self._levels)
@@ -219,11 +234,7 @@ class CellArray:
         self._levels[row0 : row0 + r, col0 : col0 + c] = levels
         ideal = self._ideal_conductance(levels)
         g[row0 : row0 + r, col0 : col0 + c] = self._perturb(ideal)
-        self._pristine = (
-            self._pristine
-            and not self._perturbs()
-            and self.fault_map is None
-        )
+        self._lattice = self._lattice and not self._perturbs()
         if self.fault_map is not None:
             self._conductance = self.fault_map.apply(
                 self._conductance, self.device
@@ -283,11 +294,7 @@ class CellArray:
         self._levels[mask] = selected.astype(np.int16)
         ideal = self._ideal_conductance(self._levels)
         self._write_cells(mask, ideal, self.device.programming_sigma)
-        self._pristine = (
-            self._pristine
-            and not self._perturbs()
-            and self.fault_map is None
-        )
+        self._lattice = self._lattice and not self._perturbs()
         if self.endurance is not None:
             self.endurance.record_writes(mask)
         if verify is None:
@@ -315,7 +322,7 @@ class CellArray:
             1.0 + 0.25 * rng.standard_normal(g.shape)
         )
         self._conductance = g_off + (g - g_off) * np.exp(-rate)
-        self._pristine = False
+        self._lattice = False
         if self.fault_map is not None:
             self._conductance = self.fault_map.apply(
                 self._conductance, self.device
@@ -329,13 +336,35 @@ class CellArray:
         return self._levels.copy()
 
     @property
+    def effective_levels(self) -> np.ndarray:
+        """The levels the cells hold (copy): the programmed levels,
+        with stuck-at-HRS cells at 0 and stuck-at-LRS cells at
+        ``mlc_levels - 1``, where the fault map pins their
+        conductance."""
+        levels = self._levels.copy()
+        if self.fault_map is not None:
+            levels[self.fault_map.stuck_hrs] = 0
+            levels[self.fault_map.stuck_lrs] = self.device.mlc_levels - 1
+        return levels
+
+    @property
+    def on_lattice(self) -> bool:
+        """True when every conductance a read sees sits on the level
+        lattice — no programming variation, drift, or IR drop; stuck-at
+        faults allowed — so the noise-free MVM is the integer
+        ``inputs @ effective_levels`` in the count domain (see the
+        module docstring)."""
+        return self._lattice and self.wire_resistance == 0.0
+
+    @property
     def is_ideal(self) -> bool:
         """True when the stored conductances equal the exact linear
-        mapping of the programmed levels — no programming variation,
-        faults, or IR drop.  The noise-free MVM of an ideal array is a
-        deterministic integer in the count domain, which the crossbar
-        layer exploits for its exact fast path."""
-        return self._pristine and self.wire_resistance == 0.0
+        mapping of the programmed levels — on the lattice and without
+        faults — so :attr:`levels` are the levels every cell holds.
+        The compiled plan's integer stacks, which read the programmed
+        weights, need this; the exact count path needs only
+        :attr:`on_lattice`."""
+        return self.on_lattice and self.fault_map is None
 
     def conductances(self, with_read_noise: bool = False) -> np.ndarray:
         """Effective conductance matrix in siemens.

@@ -21,8 +21,13 @@ layer-level view of that grid which the faster paths share:
   are continuous and the SA truncates them to the walk's integers,
   which differ only by float rounding, far from any truncation
   boundary.  Arrays whose non-ideal state stays on the integer lattice
-  (stuck-at faults on a noise-free device) keep the walk, whose
-  truncations there hinge on that rounding;
+  (stuck-at faults on a noise-free device) keep the walk, which counts
+  their stuck cells as exact levels
+  (:attr:`~repro.device.cell.CellArray.effective_levels`).  The plan
+  has no lattice stack for them: its integer stacks read
+  ``programmed_weights``, which carry no faults, and its float stack
+  would leave their integer counts an epsilon off, where a
+  truncation can flip;
 * the SA-window calibration
   (:meth:`~FusedLayerKernel.calibrate_output_shift`), one exact host
   matmul per tile row of ``programmed_weights``;
@@ -194,8 +199,9 @@ class FusedLayerKernel:
         outputs pass through
         resilience post-processing (column sparing / masking) never
         fuse.  Anything else — notably on-lattice faulted arrays of a
-        noise-free device — falls back to the per-engine loop, which
-        handles arbitrary conductance state.
+        noise-free device, for which the plan has no lattice stack —
+        falls back to the per-engine loop, which handles arbitrary
+        conductance state and counts on-lattice arrays exactly.
         """
         if self._remapped:
             return False

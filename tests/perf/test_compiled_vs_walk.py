@@ -41,7 +41,7 @@ from repro.perf.plan import PACKED_MAX_VECS, PACKED_MIN_COLS, _WeightStep
 
 #: A device without programming variation or read noise: stuck-at
 #: faults then leave every cell on the level lattice, the regime only
-#: the walk evaluates.
+#: the walk evaluates (exactly, at the stuck cells' levels).
 QUIET_DEVICE = dataclasses.replace(
     PT_TIO2_DEVICE, programming_sigma=0.0, read_noise_sigma=0.0
 )

@@ -199,8 +199,8 @@ class TestFusedBitIdentity:
 
     def test_on_lattice_faulted_grid_declines_to_fuse(self, rng):
         # Stuck cells on a noise-free device keep every conductance on
-        # the level lattice, where the walk's floors hinge on float
-        # rounding: such grids stay on the walk.
+        # the level lattice, where the walk counts exactly and the plan
+        # has no stack of the stuck levels: such grids stay on the walk.
         import dataclasses
 
         from repro.crossbar.pair import DifferentialPair
