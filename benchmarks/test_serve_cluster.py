@@ -172,8 +172,8 @@ def test_cluster_pipelined_speedup():
     assert max(_RUNS[True][1].values()) <= 0.25
 
 
-def test_cluster_autoscaler_spans_and_reprogram_cost():
-    """Autoscaler grow shows up as spans with measured reprogram cost.
+def test_cluster_autoscaler_spans_and_bringup_cost():
+    """Autoscaler grow shows up as spans with measured bring-up cost.
 
     A saturating burst against a single replica (policy capacity
     pinned at the paced rate) forces one grow; in thread mode that
@@ -198,7 +198,7 @@ def test_cluster_autoscaler_spans_and_reprogram_cost():
             e for e in scaled.scale_events if e.direction == "grow"
         )
         assert grow.to_replicas == 2
-        assert grow.reprogram_s > 0.0
+        assert grow.bringup_s > 0.0
         assert scaled.replicas_final == 2
         session = telemetry.session()
         spans = [
@@ -208,18 +208,18 @@ def test_cluster_autoscaler_spans_and_reprogram_cost():
         ]
         assert spans and spans[0].attrs["direction"] == "grow"
         hist = session.metrics.histogram(
-            "serve.scale.reprogram_ms",
+            "serve.scale.bringup_ms",
             tenant=scaled.tenant,
             direction="grow",
         )
         assert hist.count >= 1
         assert hist.maximum == pytest.approx(
-            grow.reprogram_s * 1e3, rel=1e-6
+            grow.bringup_s * 1e3, rel=1e-6
         )
         print()
         print(
             f"grow {grow.from_replicas}->{grow.to_replicas} cost "
-            f"{grow.reprogram_s * 1e3:,.0f} ms at "
+            f"{grow.bringup_s * 1e3:,.0f} ms at "
             f"{grow.rate_rps:,.0f} rps observed"
         )
     finally:

@@ -125,7 +125,7 @@ def main() -> None:
         print(
             f"autoscaler {event.direction} {event.from_replicas}->"
             f"{event.to_replicas} at {event.rate_rps:,.0f} rps "
-            f"observed, cost {event.reprogram_s * 1e3:,.0f} ms"
+            f"observed, cost {event.bringup_s * 1e3:,.0f} ms"
         )
 
     serving = telemetry.serving_report()

@@ -26,8 +26,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.memory.controller import DataFlowCommand
 from repro.nn.layers import Conv2D, Dense
-from repro.perf.plan import _conv_geometry, _input_codes
-from repro.precision.dynamic_fixed_point import DynamicFixedPoint
+from repro.perf.plan import _conv_geometry, _input_codes, freeze_calibration
 
 
 @dataclass(frozen=True)
@@ -149,16 +148,15 @@ class CommandStreamRunner:
     # -- internals ------------------------------------------------------
 
     def _fire_weight_layer(self, layer, entry, act, buf_cursor):
-        """One weight layer: per-sample calibration, codes through the
-        buffer to the FF latches, and the per-engine tile walk."""
-        pin = self.session.executor.config.crossbar.effective_input_bits
-        # The format covers every input vector: the sample's peak (every
-        # pixel of a stride-1 conv input lies in some patch) or the
-        # bias input 1.
-        peak = max(float(np.max(np.abs(act))), 1.0)
-        in_fmt = DynamicFixedPoint.for_data(
-            np.array([peak]), bits=pin, signed=False
-        )
+        """One weight layer: the layer's frozen calibration (frozen
+        from this sample by :func:`~repro.perf.plan.freeze_calibration`
+        when the layer has none yet, as ``run_functional`` freezes it
+        from its first chunk), codes through the buffer to the FF
+        latches, and the per-engine tile walk."""
+        if entry.in_fmt is None:
+            pin = self.session.executor.config.crossbar.effective_input_bits
+            freeze_calibration(layer, entry, act, pin)
+        in_fmt, output_shift = entry.in_fmt, entry.output_shift
         codes = _input_codes(layer, act, in_fmt)
 
         # store the (≤6-bit) codes in the buffer, then load them to
@@ -174,9 +172,7 @@ class CommandStreamRunner:
         )
         buf_cursor = region.offset + region.size
 
-        kernel = entry.kernel
-        output_shift = kernel.calibrate_output_shift(codes)
-        outputs = kernel.mvm_batch(
+        outputs = entry.kernel.mvm_batch(
             codes, with_noise=False, output_shift=output_shift, fused=False
         )
         scale = (

@@ -111,14 +111,6 @@ class CrossbarArray:
 
     # -- compute mode -------------------------------------------------------
 
-    @property
-    def is_ideal(self) -> bool:
-        """True when the cell conductances are the exact linear mapping
-        of the programmed levels (no variation, faults, or IR drop), so
-        a noise-free MVM is a deterministic integer in the count
-        domain."""
-        return self.cells.is_ideal
-
     def _checked_compute_inputs(
         self, input_levels: np.ndarray, op: str
     ) -> np.ndarray:

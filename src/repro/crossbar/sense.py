@@ -13,9 +13,10 @@ The SA has one transfer function, :func:`digitise`, and
 window in it (Eq. 3-9).  Every functional tier digitises through these
 two: the per-engine walk
 (:class:`~repro.crossbar.engine.CrossbarMVMEngine`), the fused layer
-kernel, the compiled plan, and :meth:`ReconfigurableSenseAmp.convert`.
-:func:`repro.precision.composing.composed_dot` stays the paper's
-literal integer model, which tests compare these against.
+kernel, the compiled plan, :meth:`ReconfigurableSenseAmp.convert`, and
+the paper's literal integer model,
+:func:`repro.precision.composing.composed_dot`, at the fixed Eq. 3
+window.
 """
 
 from __future__ import annotations
@@ -146,40 +147,3 @@ class ReconfigurableSenseAmp:
     def conversion_energy(self, columns: int) -> float:
         """Energy to convert ``columns`` bitlines once."""
         return columns * self.params.e_sa_conversion
-
-
-class PrecisionAccumulator:
-    """The precision-control register + adder next to the SA.
-
-    Accumulates aligned partial conversions:  ``add(value, shift)``
-    adds ``value << shift`` (or ``value >> -shift``) to the register.
-    """
-
-    def __init__(self, width: int) -> None:
-        if width < 1:
-            raise CrossbarError("accumulator width must be >= 1")
-        self.width = width
-        self._register: np.ndarray | None = None
-
-    def reset(self, columns: int) -> None:
-        """Clear the register for a new output vector."""
-        self._register = np.zeros(columns, dtype=np.int64)
-
-    def add(self, values: np.ndarray, shift: int) -> None:
-        """Accumulate one aligned partial conversion."""
-        if self._register is None:
-            raise CrossbarError("accumulator used before reset")
-        values = np.asarray(values, dtype=np.int64)
-        if values.shape != self._register.shape:
-            raise CrossbarError("partial width mismatch")
-        if shift >= 0:
-            self._register += values << shift
-        else:
-            self._register += values >> (-shift)
-
-    @property
-    def value(self) -> np.ndarray:
-        """Current register contents (copy)."""
-        if self._register is None:
-            raise CrossbarError("accumulator used before reset")
-        return self._register.copy()

@@ -361,8 +361,8 @@ class CellArray:
         """True when the stored conductances equal the exact linear
         mapping of the programmed levels — on the lattice and without
         faults — so :attr:`levels` are the levels every cell holds.
-        The compiled plan's integer stacks, which read the programmed
-        weights, need this; the exact count path needs only
+        The compiled plan splits an engine's programmed weights only
+        when both its arrays are ideal; the exact count path needs only
         :attr:`on_lattice`."""
         return self.on_lattice and self.fault_map is None
 

@@ -6,7 +6,7 @@
 * :mod:`repro.precision.composing` — the input-and-synapse composing
   scheme of Section III-D that builds 6-bit inputs from two 3-bit
   signals and 8-bit weights from two 4-bit cells, accumulating the
-  HH/HL/LH partial products with Po-bit truncation.
+  HH/HL/LH partial products through the sense amp's windows.
 """
 
 from repro.precision.dynamic_fixed_point import (
@@ -20,7 +20,6 @@ from repro.precision.composing import (
     compose_unsigned,
     composed_dot,
     reference_dot,
-    truncate_to_top_bits,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "compose_unsigned",
     "composed_dot",
     "reference_dot",
-    "truncate_to_top_bits",
 ]

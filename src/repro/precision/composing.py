@@ -21,7 +21,10 @@ reconfigurable SA keeps only the top bits of each part:
 
 With the default Pin=6, Pw=8, Po=6 the LL part keeps a negative number
 of bits and is skipped entirely, so a composed MVM needs three analog
-phases (HH, HL, LH).
+phases (HH, HL, LH).  :func:`repro.crossbar.sense.part_window` at
+``target_shift`` is that table, and :func:`composed_dot` senses each
+part through the SA's one transfer function,
+:func:`repro.crossbar.sense.digitise`.
 """
 
 from __future__ import annotations
@@ -39,25 +42,6 @@ def _ceil_log2(n: int) -> int:
     if n <= 1:
         return 0
     return int(math.ceil(math.log2(n)))
-
-
-def truncate_to_top_bits(
-    values: np.ndarray, full_bits: int, keep_bits: int
-) -> np.ndarray:
-    """Keep the ``keep_bits`` most significant of ``full_bits``-wide ints.
-
-    Models the reconfigurable SA sensing an analog quantity whose full
-    scale is ``2**full_bits`` with only ``keep_bits`` of precision.
-    ``keep_bits <= 0`` yields all zeros (the part is skipped).
-    """
-    if full_bits < 1:
-        raise PrecisionError("full_bits must be >= 1")
-    values = np.asarray(values)
-    if keep_bits <= 0:
-        return np.zeros_like(values)
-    keep_bits = min(keep_bits, full_bits)
-    shift = full_bits - keep_bits
-    return values >> shift
 
 
 def split_unsigned(values: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,47 +144,6 @@ class ComposingSpec:
             "LL": 0,
         }
 
-    def part_keep_bits(self) -> dict[str, int]:
-        """SA precision (top bits kept) for each partial product."""
-        return {
-            "HH": self.po,
-            "HL": self.po - self.pin // 2,
-            "LH": self.po - self.pw // 2,
-            "LL": self.po - (self.pin + self.pw) // 2,
-        }
-
-    def active_phases(self) -> list[str]:
-        """Partial products that contribute at least one output bit."""
-        return [name for name, k in self.part_keep_bits().items() if k > 0]
-
-    def part_alignment_shift(self) -> dict[str, int]:
-        """Left shift aligning each truncated part into the target sum.
-
-        Derivation: part X carries weight 2**w_X in Eq. 8 (w_HH =
-        (Pin+Pw)/2, w_HL = Pw/2, w_LH = Pin/2, w_LL = 0).  After the SA
-        keeps the top k_X bits of a ``part_full_bits``-wide value, the
-        kept integer equals ``R_X >> (part_full_bits - k_X)``, so its
-        contribution to ``R_target = R_full >> target_shift`` is
-
-            R_X_kept << (w_X - target_shift + part_full_bits - k_X)
-
-        which is 0 for every active part under the default widths —
-        i.e. the adder simply accumulates the kept integers.
-        """
-        weights = self.part_exponents
-        out: dict[str, int] = {}
-        for name, keep in self.part_keep_bits().items():
-            if keep <= 0:
-                continue
-            keep = min(keep, self.part_full_bits)
-            out[name] = (
-                weights[name]
-                - self.target_shift
-                + self.part_full_bits
-                - keep
-            )
-        return out
-
 
 def reference_dot(
     inputs: np.ndarray, weights: np.ndarray, spec: ComposingSpec
@@ -222,58 +165,51 @@ def composed_dot(
 ) -> np.ndarray:
     """Hardware-faithful composed dot product (Eq. 4-9).
 
-    Splits inputs and weights into halves, evaluates each active
-    partial product at the SA's truncated precision, aligns, and
-    accumulates — exactly the sequence PRIME's precision-control
-    register/adder performs.  Returns (cols,) integers.
+    Splits inputs and weights into halves, senses each partial product
+    through the SA transfer function
+    (:func:`~repro.crossbar.sense.digitise`) at its window for the
+    paper's Po-bit target (:func:`~repro.crossbar.sense.part_window` at
+    ``spec.target_shift``, which keeps the top bits the module
+    docstring lists and skips the rest), and accumulates the aligned
+    results — the sequence PRIME's precision-control register/adder
+    performs.  Returns (cols,) integers.
     """
+    # The sense amp imports this module for ComposingSpec.
+    from repro.crossbar.sense import digitise, part_window
+
     inputs = np.asarray(inputs, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.int64)
     _check_ranges(inputs, weights, spec)
-    in_hi, in_lo = split_unsigned(inputs, spec.pin)
-    w_hi, w_lo = split_unsigned(weights, spec.pw)
-    parts = {
-        "HH": (in_hi, w_hi),
-        "HL": (in_lo, w_hi),
-        "LH": (in_hi, w_lo),
-        "LL": (in_lo, w_lo),
-    }
-    keep = spec.part_keep_bits()
-    align = spec.part_alignment_shift()
-    total = np.zeros(weights.shape[1], dtype=np.int64)
-    for name in spec.active_phases():
-        vec, mat = parts[name]
-        part_full = vec @ mat
-        kept = truncate_to_top_bits(
-            part_full, spec.part_full_bits, keep[name]
-        )
-        shift = align[name]
-        if shift >= 0:
-            total = total + (kept << shift)
-        else:
-            total = total + (kept >> (-shift))
-    return total
+    in_halves = split_unsigned(inputs, spec.pin)
+    w_halves = split_unsigned(weights, spec.pw)
+    # [input half, weight half, column], as part_window's grid.
+    parts = np.array([[a @ w for w in w_halves] for a in in_halves])
+    pre, post = part_window(spec, spec.target_shift)
+    digital = digitise(
+        parts.astype(np.float64), pre[..., None], post[..., None], spec.po
+    )
+    return digital.sum(axis=(0, 1)).astype(np.int64)
 
 
 def composing_error_bound(spec: ComposingSpec) -> int:
     """Worst-case absolute error of the composed vs reference result.
 
-    Each active part truncates away ``part_full_bits - keep`` low bits
-    before alignment, and the skipped parts drop their entire
+    Each sensed part loses the ``2**s - 1`` counts its window ``pre =
+    2**-s`` truncates away (:func:`~repro.crossbar.sense.part_window`
+    at ``spec.target_shift``), and each skipped part its entire
     contribution; the bound sums those losses in target-LSB units.
     """
-    keep = spec.part_keep_bits()
-    weights = spec.part_exponents
+    from repro.crossbar.sense import PART_GRID, part_window
+
+    pre, _ = part_window(spec, spec.target_shift)
     bound = 0.0
-    for name, k in keep.items():
-        contribution_shift = weights[name] - spec.target_shift
-        if k > 0:
-            lost_bits = spec.part_full_bits - min(k, spec.part_full_bits)
-            bound += (2.0 ** lost_bits - 1) * 2.0 ** contribution_shift
-        else:
-            bound += (2.0 ** spec.part_full_bits - 1) * (
-                2.0 ** contribution_shift
-            )
+    for i, row in enumerate(PART_GRID):
+        for j, name in enumerate(row):
+            weight = 2.0 ** (spec.part_exponents[name] - spec.target_shift)
+            if pre[i, j]:
+                bound += (1.0 / pre[i, j] - 1.0) * weight
+            else:
+                bound += (2.0 ** spec.part_full_bits - 1) * weight
     return int(math.ceil(bound)) + 1
 
 

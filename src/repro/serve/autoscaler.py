@@ -85,7 +85,7 @@ class ScaleEvent:
     to_replicas: int
     #: Measured wall-clock cost of bringing up the new replicas (no
     #: mode programs the copy again; 0.0 for shrinks).
-    reprogram_s: float
+    bringup_s: float
     rate_rps: float
 
     @property
@@ -102,9 +102,6 @@ class Autoscaler:
     shared scheduler); this class only decides the *desired* count.
     """
 
-    #: EMA smoothing for the observed replica-restart cost.
-    RESTART_EMA_ALPHA = 0.5
-
     def __init__(
         self,
         runtime,
@@ -117,32 +114,20 @@ class Autoscaler:
         self._arrivals: deque[float] = deque()
         self._last_action_s = -float("inf")
         self._last_restart_s = -float("inf")
-        #: EMA of measured replica restart cost (wall seconds); the
-        #: shrink-hysteresis horizon below.
-        self._reprogram_ema_s = 0.0
         self.events: list[ScaleEvent] = []
 
     # -- fault-tolerance feedback ---------------------------------------
 
-    def note_restart(
-        self, cost_s: float, now: float | None = None
-    ) -> None:
-        """Record one replica restart and its measured cost.
+    def note_restart(self, now: float | None = None) -> None:
+        """Record one replica restart.
 
         Fed by the cluster loop from ``ServingRuntime.restarts``.  A
         fleet that is actively crash-recovering should not also shrink:
         the freed banks would likely be re-grown moments later, so
-        :meth:`step` holds shrinks for ``cooldown_s`` plus the
-        restart-cost EMA after the last restart.
+        :meth:`step` holds shrinks for ``cooldown_s`` after the last
+        restart.
         """
-        now = self.clock() if now is None else now
-        if self._reprogram_ema_s == 0.0:
-            self._reprogram_ema_s = cost_s
-        else:
-            self._reprogram_ema_s += self.RESTART_EMA_ALPHA * (
-                cost_s - self._reprogram_ema_s
-            )
-        self._last_restart_s = now
+        self._last_restart_s = self.clock() if now is None else now
 
     # -- observation ----------------------------------------------------
 
@@ -206,12 +191,13 @@ class Autoscaler:
             want = min(want, max(max_replicas, current))
         if want == current:
             return None
-        if want < current and now - self._last_restart_s < (
-            self.policy.cooldown_s + self._reprogram_ema_s
+        if (
+            want < current
+            and now - self._last_restart_s < self.policy.cooldown_s
         ):
             # Restart hysteresis: the fleet is crash-recovering; hold
-            # shrinks for a restart-cost-sized horizon so freed banks
-            # are not re-granted moments later.
+            # shrinks for a cooldown so freed banks are not re-granted
+            # moments later.
             return None
         cost = self.runtime.scale_to(want)
         self._last_action_s = now
@@ -220,7 +206,7 @@ class Autoscaler:
             tenant=self.runtime.name,
             from_replicas=current,
             to_replicas=want,
-            reprogram_s=cost,
+            bringup_s=cost,
             rate_rps=rate_rps,
         )
         self.events.append(event)

@@ -663,15 +663,23 @@ class ThreadDispatcher:
         """Add replicas; returns the measured wall seconds.
 
         No programming: a new single-thread pool per replica in thread
-        mode, a cancellation event in serial mode — the
-        microsecond-scale scale-up the autoscaler's measured-cost EMA
-        then reflects.
+        mode, a cancellation event in serial mode — a
+        microsecond-scale scale-up.  A grow that fails part way retires
+        the replicas it added before it re-raises, so the count stays
+        the caller's.
         """
         if replicas < 1:
             raise ConfigurationError("grow needs replicas >= 1")
         start = time.perf_counter()
-        for _ in range(replicas):
-            self._add_replica()
+        added = 0
+        try:
+            for _ in range(replicas):
+                self._add_replica()
+                added += 1
+        except BaseException:
+            if added:
+                self.shrink(added)
+            raise
         return time.perf_counter() - start
 
     def shrink(self, replicas: int = 1) -> float:

@@ -875,7 +875,7 @@ class ServingRuntime:
         the one programmed copy — new threads in thread mode, nothing
         but a replica count in serial mode; no mode programs anything.
         The measured wall seconds are returned and recorded as the
-        ``serve.scale`` span and the ``serve.scale.reprogram_ms``
+        ``serve.scale`` span and the ``serve.scale.bringup_ms``
         histogram.  Shrink drains every in-flight batch first, retires
         the newest replicas, and returns their banks.  Returns 0.0 when
         ``replicas`` already matches.
@@ -926,7 +926,7 @@ class ServingRuntime:
                     direction=direction,
                 )
                 telemetry.observe(
-                    "serve.scale.reprogram_ms",
+                    "serve.scale.bringup_ms",
                     cost * 1e3,
                     tenant=self.tenant,
                     direction=direction,

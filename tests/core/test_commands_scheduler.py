@@ -13,14 +13,19 @@ from repro.nn.topology import parse_topology
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 
-@pytest.fixture(scope="module")
-def programmed_session(trained_tiny_mlp):
-    topology, net = trained_tiny_mlp
-    session = PrimeSession(seed=11)
+def _session(topology, net, seed):
+    """A mapped, programmed and configured session; ``seed=None``
+    programs ideal arrays, a seed arrays with variation."""
+    session = PrimeSession(seed=seed)
     session.map_topology(topology)
     session.program_weight(net)
     session.config_datapath()
     return session
+
+
+@pytest.fixture(scope="module")
+def programmed_session(trained_tiny_mlp):
+    return _session(*trained_tiny_mlp, seed=11)
 
 
 class TestBufferLayout:
@@ -43,17 +48,21 @@ class TestCommandStreamRunner:
         with pytest.raises(ExecutionError):
             CommandStreamRunner(session)
 
-    def test_matches_fast_path(
-        self, programmed_session, tiny_digit_data
-    ):
-        _, _, x_test, _ = tiny_digit_data
-        runner = CommandStreamRunner(programmed_session)
-        agree = 0
-        for i in range(8):
-            logits = runner.run_sample(x_test[i])
-            fast = programmed_session.run(x_test[i : i + 1])[0]
-            agree += int(np.argmax(logits) == np.argmax(fast))
-        assert agree >= 7
+    def test_matches_fast_path(self, trained_tiny_mlp, tiny_digit_data):
+        # run_functional freezes every layer's calibration on these 64
+        # samples; the stream reads it and walks the same engines, so
+        # its float32 logits are the fast path's, byte for byte, on
+        # ideal arrays (seed None) and arrays with variation.
+        x = tiny_digit_data[2][:64].astype(np.float32).astype(np.float64)
+        for seed in (None, 11):
+            session = _session(*trained_tiny_mlp, seed=seed)
+            ideal = [p.kernel.on_lattice for p in session._programmed]
+            assert all(ideal) == (seed is None) and any(ideal) == all(ideal)
+            fast = session.run(x).astype(np.float32).astype(np.float64)
+            runner = CommandStreamRunner(session)
+            for sample, expected in zip(x, fast):
+                logits = runner.run_sample(sample)
+                assert logits.tobytes() == expected.tobytes()
 
     def test_emits_table_i_flow_commands(
         self, programmed_session, tiny_digit_data
@@ -86,9 +95,11 @@ class TestCommandStreamRunner:
 def _reference_sample(session, x, float_im2col):
     """One sample through ``session``'s programmed engines, as the
     command stream defines it: float im2col vectors with the bias
-    input, a per-sample input format, ``calibrate_output_shift`` over
-    the sample's codes, and the per-engine tile walk; float32 at the
-    memory boundaries."""
+    input, each layer's frozen input format and output shift — for a
+    layer not calibrated yet, the ones this sample freezes: the format
+    of its vectors' peak and ``calibrate_output_shift`` over its codes
+    — and the per-engine tile walk; float32 at the memory boundaries.
+    Freezes nothing itself."""
     pin = session.executor.config.crossbar.effective_input_bits
     act = x.astype(np.float32).astype(np.float64)[None]
     programmed = iter(session._programmed)
@@ -102,9 +113,13 @@ def _reference_sample(session, x, float_im2col):
         else:
             vectors, spatial = act.reshape(1, -1), (1,)
         vecs = np.concatenate([vectors, np.ones((len(vectors), 1))], axis=1)
-        fmt = DynamicFixedPoint.for_data(vecs, bits=pin, signed=False)
-        codes = fmt.quantize_int(np.clip(vecs, 0.0, None))
-        shift = entry.kernel.calibrate_output_shift(codes)
+        if entry.in_fmt is None:
+            fmt = DynamicFixedPoint.for_data(vecs, bits=pin, signed=False)
+            codes = fmt.quantize_int(np.clip(vecs, 0.0, None))
+            shift = entry.kernel.calibrate_output_shift(codes)
+        else:
+            fmt, shift = entry.in_fmt, entry.output_shift
+            codes = fmt.quantize_int(np.clip(vecs, 0.0, None))
         out = 0
         r0 = 0
         for row in entry.tiles:
@@ -127,28 +142,36 @@ def _reference_sample(session, x, float_im2col):
 
 
 class TestCommandStreamReference:
-    """run_sample bit for bit against :func:`_reference_sample`."""
+    """run_sample bit for bit against :func:`_reference_sample`: the
+    first sample on a fresh session freezes every layer's calibration,
+    and later samples read it."""
 
-    def test_mlp_sample(
-        self, programmed_session, tiny_digit_data, float_im2col
-    ):
-        # An input peak under 1/2: the bias input sets layer 0's format.
-        x = 0.4 * tiny_digit_data[2][5]
-        logits = CommandStreamRunner(programmed_session).run_sample(x)
+    @staticmethod
+    def _check(session, first, later, float_im2col):
+        runner = CommandStreamRunner(session)
+        expected = _reference_sample(session, first, float_im2col)
+        assert all(p.in_fmt is None for p in session._programmed)
+        np.testing.assert_array_equal(runner.run_sample(first), expected)
+        frozen = [(p.in_fmt, p.output_shift) for p in session._programmed]
+        assert all(fmt is not None for fmt, _ in frozen)
         np.testing.assert_array_equal(
-            logits, _reference_sample(programmed_session, x, float_im2col)
+            runner.run_sample(later),
+            _reference_sample(session, later, float_im2col),
         )
+        assert frozen == [
+            (p.in_fmt, p.output_shift) for p in session._programmed
+        ]
+
+    def test_mlp_sample(self, trained_tiny_mlp, tiny_digit_data, float_im2col):
+        # An input peak under 1/2: the bias input sets layer 0's format.
+        x_test = tiny_digit_data[2]
+        session = _session(*trained_tiny_mlp, seed=11)
+        self._check(session, 0.4 * x_test[5], x_test[6], float_im2col)
 
     def test_cnn_sample(self, trained_tiny_cnn, float_im2col):
         topology, net, x_test, _ = trained_tiny_cnn
-        session = PrimeSession(seed=23)
-        session.map_topology(topology)
-        session.program_weight(net)
-        session.config_datapath()
-        logits = CommandStreamRunner(session).run_sample(x_test[2])
-        np.testing.assert_array_equal(
-            logits, _reference_sample(session, x_test[2], float_im2col)
-        )
+        session = _session(topology, net, seed=23)
+        self._check(session, x_test[2], x_test[3], float_im2col)
 
 
 class TestBankScheduler:

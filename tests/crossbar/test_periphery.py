@@ -13,10 +13,7 @@ from repro.crossbar.functional_units import (
     mean_pool_weights,
 )
 from repro.crossbar.pair import DifferentialPair
-from repro.crossbar.sense import (
-    PrecisionAccumulator,
-    ReconfigurableSenseAmp,
-)
+from repro.crossbar.sense import ReconfigurableSenseAmp
 from repro.errors import CrossbarError
 from repro.params.crossbar import CrossbarParams
 
@@ -126,34 +123,6 @@ class TestSenseAmp:
         sa = ReconfigurableSenseAmp(params)
         assert sa.conversion_latency(16) == pytest.approx(2 * params.t_sa)
         assert sa.conversion_latency(1) == pytest.approx(params.t_sa)
-
-
-class TestPrecisionAccumulator:
-    def test_accumulate_with_shifts(self):
-        acc = PrecisionAccumulator(width=16)
-        acc.reset(2)
-        acc.add(np.array([1, 2]), shift=4)
-        acc.add(np.array([3, 1]), shift=0)
-        assert acc.value.tolist() == [19, 33]
-
-    def test_negative_shift(self):
-        acc = PrecisionAccumulator(width=16)
-        acc.reset(1)
-        acc.add(np.array([16]), shift=-2)
-        assert acc.value[0] == 4
-
-    def test_use_before_reset(self):
-        acc = PrecisionAccumulator(width=8)
-        with pytest.raises(CrossbarError):
-            acc.add(np.array([1]), 0)
-        with pytest.raises(CrossbarError):
-            _ = acc.value
-
-    def test_width_mismatch(self):
-        acc = PrecisionAccumulator(width=8)
-        acc.reset(2)
-        with pytest.raises(CrossbarError):
-            acc.add(np.array([1, 2, 3]), 0)
 
 
 class TestDifferentialPair:

@@ -77,7 +77,7 @@ def test_faulted_pair_counts_are_exact_integers(rng):
     engine = _faulted_engine(rng)
     pair = engine.pair
     assert pair.positive.cells.fault_map.fault_count > 0
-    assert not engine.is_ideal
+    assert engine.on_lattice and not engine.holds_programmed
     x = rng.integers(
         0, engine.params.input_levels, (BATCH, engine.params.rows)
     )

@@ -18,15 +18,25 @@ def cnn_session(trained_tiny_cnn):
 
 
 class TestCnnCommandStream:
-    def test_conv_sample_matches_fast_path(self, cnn_session):
-        session, x_test, _ = cnn_session
-        runner = CommandStreamRunner(session)
-        agree = 0
-        for i in range(6):
-            logits = runner.run_sample(x_test[i])
-            fast = session.run(x_test[i : i + 1])[0]
-            agree += int(np.argmax(logits) == np.argmax(fast))
-        assert agree >= 5
+    def test_conv_sample_matches_fast_path(self, trained_tiny_cnn):
+        # run_functional freezes every layer's calibration on these 64
+        # samples; the stream reads it and walks the same engines, so
+        # its float32 logits are the fast path's, byte for byte, on
+        # ideal arrays (seed None) and arrays with variation.
+        topology, net, x_test, _ = trained_tiny_cnn
+        x = x_test[:64].astype(np.float32).astype(np.float64)
+        for seed in (None, 21):
+            session = PrimeSession(seed=seed)
+            session.map_topology(topology)
+            session.program_weight(net)
+            session.config_datapath()
+            ideal = [p.kernel.on_lattice for p in session._programmed]
+            assert all(ideal) == (seed is None) and any(ideal) == all(ideal)
+            fast = session.run(x).astype(np.float32).astype(np.float64)
+            runner = CommandStreamRunner(session)
+            for sample, expected in zip(x, fast):
+                logits = runner.run_sample(sample)
+                assert logits.tobytes() == expected.tobytes()
 
     def test_conv_load_moves_im2col_codes(self, cnn_session):
         session, x_test, _ = cnn_session

@@ -19,6 +19,7 @@ backend run their layers through the same weight step
 
 import dataclasses
 import os
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -38,19 +39,45 @@ from repro.params.crossbar import DEFAULT_CROSSBAR
 from repro.params.prime import DEFAULT_PRIME_CONFIG
 from repro.params.reram import PT_TIO2_DEVICE
 from repro.perf.plan import PACKED_MAX_VECS, PACKED_MIN_COLS, _WeightStep
+from repro.resilience import ResiliencePolicy
+from repro.serve.health import apply_drift
 
 #: A device without programming variation or read noise: stuck-at
-#: faults then leave every cell on the level lattice, the regime only
-#: the walk evaluates (exactly, at the stuck cells' levels).
+#: faults then leave every cell on the level lattice, where the plan
+#: stacks the stuck cells' levels as exact integers.
 QUIET_DEVICE = dataclasses.replace(
     PT_TIO2_DEVICE, programming_sigma=0.0, read_noise_sigma=0.0
 )
-#: Array condition -> (device, programmed with an rng, stuck-at rate).
+#: Verified writes that spare and then mask columns at a 2% stuck-at
+#: rate: a column's residual error sums over its rows, so the tight
+#: limits reach the small layers too.
+SPARING = ResiliencePolicy(
+    verify_writes=True,
+    spare_columns=2,
+    column_error_limit=64.0,
+    mask_error_limit=400.0,
+)
+
+
+class Arrays(NamedTuple):
+    """One array condition: the device, whether programming draws from
+    an rng (variation, fault maps), the stuck-at rate, the resilience
+    policy, and the drift applied after programming."""
+
+    device: object
+    varied: bool
+    rate: float = 0.0
+    resilience: ResiliencePolicy | None = None
+    drift: float = 0.0
+
+
 ARRAYS = {
-    "ideal": (PT_TIO2_DEVICE, False, 0.0),
-    "variation": (PT_TIO2_DEVICE, True, 0.0),
-    "stuck-at": (QUIET_DEVICE, True, 0.02),
-    "stuck-at+variation": (PT_TIO2_DEVICE, True, 0.02),
+    "ideal": Arrays(PT_TIO2_DEVICE, False),
+    "variation": Arrays(PT_TIO2_DEVICE, True),
+    "stuck-at": Arrays(QUIET_DEVICE, True, 0.02),
+    "stuck-at+resilience": Arrays(QUIET_DEVICE, True, 0.02, SPARING),
+    "stuck-at+variation": Arrays(PT_TIO2_DEVICE, True, 0.02),
+    "drift": Arrays(PT_TIO2_DEVICE, False, drift=0.3),
 }
 #: Around the 64-sample calibration prefix, and past two of it.
 BATCHES = [1, 2, 3, 63, 64, 65, 130]
@@ -111,16 +138,20 @@ def _run(executor, net, plan, x, programmed, walk=False, **kwargs):
     return out, deltas
 
 
-def _setup(text, input_shape, padding, po, device, rate, seed):
+def _setup(text, input_shape, padding, po, arrays, seed):
     """``(topology, net, plan, executor)`` for one case."""
     xbar = dataclasses.replace(
         DEFAULT_CROSSBAR,
         output_bits=po,
-        device=device,
-        fault_rate_hrs=rate / 2,
-        fault_rate_lrs=rate / 2,
+        device=arrays.device,
+        fault_rate_hrs=arrays.rate / 2,
+        fault_rate_lrs=arrays.rate / 2,
     )
-    config = dataclasses.replace(DEFAULT_PRIME_CONFIG, crossbar=xbar)
+    config = dataclasses.replace(
+        DEFAULT_PRIME_CONFIG,
+        crossbar=xbar,
+        resilience=arrays.resilience or ResiliencePolicy(),
+    )
     topology = parse_topology(
         "differential", text, input_shape=input_shape, conv_padding=padding
     )
@@ -129,7 +160,24 @@ def _setup(text, input_shape, padding, po, device, rate, seed):
     return topology, net, plan, PrimeExecutor(config)
 
 
-@settings(max_examples=60, deadline=None)
+def _program(executor, net, plan, arrays, seed):
+    """A fresh programmed copy under ``arrays``, drawn from ``seed``."""
+    rng = np.random.default_rng(seed) if arrays.varied else None
+    programmed = executor.program_network(net, plan, rng=rng)
+    if arrays.drift:
+        apply_drift(programmed, arrays.drift, seed)
+    return programmed
+
+
+def _weight_steps(programmed):
+    return [
+        s
+        for s in programmed[0].compiled_plan.steps
+        if isinstance(s, _WeightStep)
+    ]
+
+
+@settings(max_examples=90, deadline=None)
 @given(
     network=networks(),
     po=st.integers(2, 12),
@@ -138,28 +186,28 @@ def _setup(text, input_shape, padding, po, device, rate, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_compiled_equals_walk(network, po, arrays, batch, seed):
-    device, varied, rate = ARRAYS[arrays]
-    topology, net, plan, executor = _setup(
-        *network, po, device, rate, seed
-    )
+    arrays = ARRAYS[arrays]
+    topology, net, plan, executor = _setup(*network, po, arrays, seed)
     x = np.random.default_rng(seed + 1).random(
         (batch, *topology.input_shape)
     )
 
     def fresh():
-        rng = np.random.default_rng(seed + 2) if varied else None
-        return executor.program_network(net, plan, rng=rng)
+        return _program(executor, net, plan, arrays, seed + 2)
 
     # Each run starts from a fresh same-seed copy, so each freezes its
     # own calibration from this batch's prefix on its own path.
-    compiled, fired = _run(executor, net, plan, x, fresh())
+    programmed = fresh()
+    compiled, fired = _run(executor, net, plan, x, programmed)
+    # Every weight step ran inline.
+    assert all(s.stacked for s in _weight_steps(programmed))
     walked, walk_fired = _run(executor, net, plan, x, fresh(), walk=True)
     np.testing.assert_array_equal(compiled, walked)
     assert fired == walk_fired
     assert [inv for inv, _ in fired] == [batch * v for v in _vectors(plan)]
     chunked, _ = _run(executor, net, plan, x, fresh(), chunk_bytes=1)
     np.testing.assert_array_equal(compiled, chunked)
-    if varied and device.read_noise_sigma > 0.0:
+    if arrays.varied and arrays.device.read_noise_sigma > 0.0:
         noisy = [
             _run(executor, net, plan, x, fresh(), with_noise=True)[0]
             for _ in range(2)
@@ -203,9 +251,8 @@ def _regime(step):
 def test_fold_regimes_equal_walk(regime, po, kind, arrays, batch):
     """Each residual-window regime, on the packed (batch 2, ideal dense)
     and trimmed paths, matches the walk bit for bit."""
-    device, varied, rate = ARRAYS[arrays]
     topology, net, plan, executor = _setup(
-        *FOLD_NETS[kind], po, device, rate, seed=7
+        *FOLD_NETS[kind], po, ARRAYS[arrays], seed=7
     )
     if regime == "below-register":
         # Non-negative weights add coherently, which pushes the layer's
@@ -215,21 +262,53 @@ def test_fold_regimes_equal_walk(regime, po, kind, arrays, batch):
     x = np.random.default_rng(8).random((batch, *topology.input_shape))
 
     def fresh():
-        rng = np.random.default_rng(9) if varied else None
-        return executor.program_network(net, plan, rng=rng)
+        return _program(executor, net, plan, ARRAYS[arrays], 9)
 
     programmed = fresh()
     compiled, fired = _run(executor, net, plan, x, programmed)
     walked, walk_fired = _run(executor, net, plan, x, fresh(), walk=True)
-    step = next(
-        s
-        for s in programmed[0].compiled_plan.steps
-        if isinstance(s, _WeightStep)
-    )
-    assert step.inline_ok and _regime(step) == regime
+    step = _weight_steps(programmed)[0]
+    assert step.stacked and _regime(step) == regime
     if kind == "dense":
         packed = arrays == "ideal" and batch <= PACKED_MAX_VECS
         assert (step._w_pack is not None) == packed
+    np.testing.assert_array_equal(compiled, walked)
+    assert fired == walk_fired
+
+
+@pytest.mark.parametrize("batch", [2, 65])
+@pytest.mark.parametrize("kind", sorted(FOLD_NETS))
+@pytest.mark.parametrize("arrays", ["stuck-at", "stuck-at+resilience", "drift"])
+def test_cell_state_equals_walk(inline_only, arrays, kind, batch):
+    """The plan stacks what the cells hold: stuck levels as exact
+    integers (float32 stacks, the packed path at batch 2), spared
+    columns at their spare slots with masked ones zeroed (the conv
+    net's few columns fit in its spares; the dense net masks too), and
+    drifted conductances in float64.  Every step runs inline and equals
+    the walk, each engine's counters included."""
+    condition = ARRAYS[arrays]
+    topology, net, plan, executor = _setup(
+        *FOLD_NETS[kind], 6, condition, seed=7
+    )
+    x = np.random.default_rng(8).random((batch, *topology.input_shape))
+    programmed = _program(executor, net, plan, condition, 9)
+    engines = [e for p in programmed for row in p.tiles for e in row]
+    assert not any(e.holds_programmed for e in engines)
+    if condition.resilience is not None:
+        assert any(e.spared_columns for e in engines)
+        assert any(e.masked_columns for e in engines) == (kind == "dense")
+    with inline_only():
+        compiled, fired = _run(executor, net, plan, x, programmed)
+    walked, walk_fired = _run(
+        executor, net, plan, x,
+        _program(executor, net, plan, condition, 9), walk=True,
+    )
+    cdtype = np.float64 if condition.drift else np.float32
+    steps = _weight_steps(programmed)
+    assert all(s.cdtype == cdtype for s in steps)
+    if kind == "dense":
+        packed = cdtype == np.float32 and batch <= PACKED_MAX_VECS
+        assert (steps[0]._w_pack is not None) == packed
     np.testing.assert_array_equal(compiled, walked)
     assert fired == walk_fired
 
@@ -241,7 +320,7 @@ def test_micro_batch_path_by_width(inline_only, cols, batch):
     of at least PACKED_MIN_COLS columns, the trimmed stacks below it;
     both equal the walk."""
     topology, net, plan, executor = _setup(
-        f"300-{cols}", None, "valid", 6, PT_TIO2_DEVICE, 0.0, seed=7
+        f"300-{cols}", None, "valid", 6, ARRAYS["ideal"], seed=7
     )
     x = np.random.default_rng(8).random((batch, *topology.input_shape))
     programmed = executor.program_network(net, plan)
@@ -264,7 +343,7 @@ def test_wide_sense_amp_runs_inline(inline_only, kind, batch):
     so the kernel stacks float64; every weight step still runs inline
     and equals the walk."""
     topology, net, plan, executor = _setup(
-        *FOLD_NETS[kind], 18, PT_TIO2_DEVICE, 0.0, seed=7
+        *FOLD_NETS[kind], 18, ARRAYS["ideal"], seed=7
     )
     x = np.random.default_rng(8).random((batch, *topology.input_shape))
     programmed = executor.program_network(net, plan)
@@ -274,12 +353,8 @@ def test_wide_sense_amp_runs_inline(inline_only, kind, batch):
         executor, net, plan, x, executor.program_network(net, plan),
         walk=True,
     )
-    steps = [
-        s
-        for s in programmed[0].compiled_plan.steps
-        if isinstance(s, _WeightStep)
-    ]
-    assert all(s.inline_ok and s.cdtype == np.float64 for s in steps)
+    steps = _weight_steps(programmed)
+    assert all(s.stacked and s.cdtype == np.float64 for s in steps)
     np.testing.assert_array_equal(compiled, walked)
     assert fired == walk_fired
 
@@ -369,16 +444,12 @@ def test_delegating_steps_build_no_stack():
         step = layer.programmed.compiled_plan.steps[0]
         assert step.in_fmt is not None and not step.stacked
     topology, net, plan, executor = _setup(
-        f"300-{PACKED_MIN_COLS}-10", None, "valid", 6, PT_TIO2_DEVICE, 0.0, 7
+        f"300-{PACKED_MIN_COLS}-10", None, "valid", 6, ARRAYS["ideal"], 7
     )
     programmed = executor.program_network(net, plan)
     x = np.random.default_rng(8).random((2, *topology.input_shape))
     _run(executor, net, plan, x, programmed, walk=True)
-    steps = [
-        s
-        for s in programmed[0].compiled_plan.steps
-        if isinstance(s, _WeightStep)
-    ]
+    steps = _weight_steps(programmed)
     assert all(s.in_fmt is not None for s in steps)
     assert not any(s.stacked or s._w_pack is not None for s in steps)
     _run(executor, net, plan, x, programmed)

@@ -141,7 +141,7 @@ def test_fused_kernel_equals_walk(
     )
     programmed.output_shift = shift
     kernel = programmed.kernel
-    assert kernel.varied and kernel.can_fuse(with_noise=False)
+    assert not kernel.on_lattice and kernel.can_fuse(with_noise=False)
     x = np.random.default_rng(weight_seed + 1).integers(
         0, 1 << PARAMS.effective_input_bits, (batch, kernel.total_rows - 1)
     ).astype(float)
@@ -164,10 +164,7 @@ def _program(executor, net, plan, seed):
     programs ideal arrays."""
     rng = None if seed is None else np.random.default_rng(seed)
     programmed = executor.program_network(net, plan, rng=rng)
-    if seed is None:
-        assert all(p.kernel.is_ideal for p in programmed)
-    else:
-        assert all(p.kernel.varied for p in programmed)
+    assert all(p.kernel.on_lattice == (seed is None) for p in programmed)
     return programmed
 
 
@@ -183,9 +180,9 @@ def _compiled_and_walked(executor, net, plan, x, seed):
 
     first, first_counts = _counted(run, engines)
     compiled, compiled_counts = _counted(run, engines)
-    # Every weight layer runs the plan's inline path, none delegates.
+    # Every weight layer ran the plan's inline path, none delegated.
     steps = programmed[0].compiled_plan.steps
-    assert all(getattr(step, "inline_ok", True) for step in steps)
+    assert all(getattr(step, "stacked", True) for step in steps)
     with _walk():
         walked, walked_counts = _counted(run, engines)
     np.testing.assert_array_equal(first, compiled)

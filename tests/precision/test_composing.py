@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crossbar.sense import PART_GRID, digitise, part_window
 from repro.errors import PrecisionError
 from repro.precision.composing import (
     ComposingSpec,
@@ -13,8 +14,28 @@ from repro.precision.composing import (
     composing_error_bound,
     reference_dot,
     split_unsigned,
-    truncate_to_top_bits,
 )
+
+
+def _windows(spec):
+    """Each part's SA window at the paper's Po-bit target, by name:
+    ``(pre, post)``."""
+    pre, post = part_window(spec, spec.target_shift)
+    return {
+        name: (pre[i, j], post[i, j])
+        for i, row in enumerate(PART_GRID)
+        for j, name in enumerate(row)
+    }
+
+
+def _kept_bits(spec):
+    """Top bits each sensed part keeps of its ``part_full_bits``-wide
+    count: a window ``pre = 2**-s`` drops ``s`` of them."""
+    return {
+        name: spec.part_full_bits + int(np.log2(pre))
+        for name, (pre, _) in _windows(spec).items()
+        if pre
+    }
 
 
 class TestSplitCompose:
@@ -53,22 +74,31 @@ class TestSplitCompose:
 
 
 class TestTruncation:
+    """The SA keeps the top ``k`` of ``n`` bits of a part's count: the
+    transfer function :func:`digitise` at the window ``pre = 2**(k -
+    n)``, the conversion :func:`composed_dot` makes per part."""
+
     def test_keep_all(self):
         v = np.array([0b1011])
-        assert truncate_to_top_bits(v, 4, 4)[0] == 0b1011
+        assert digitise(v, 2.0**0, None, 4)[0] == 0b1011
 
     def test_keep_top_two(self):
         v = np.array([0b1011])
-        assert truncate_to_top_bits(v, 4, 2)[0] == 0b10
+        assert digitise(v, 2.0**-2, None, 2)[0] == 0b10
 
     def test_nonpositive_keep_zeroes(self):
+        # A window wholly below the register (pre = post = 0) keeps
+        # nothing, as part_window gives the LL part at the defaults.
         v = np.array([15])
-        assert truncate_to_top_bits(v, 4, 0)[0] == 0
-        assert truncate_to_top_bits(v, 4, -3)[0] == 0
+        assert digitise(v, 0.0, 0.0, 6)[0] == 0
+        pre, post = _windows(ComposingSpec(pn=8))["LL"]
+        assert digitise(v, pre, post, 6)[0] == 0
 
     def test_keep_clamped_to_width(self):
+        # A register wider than the count: the window stays at pre = 1
+        # and keeps the count whole.
         v = np.array([7])
-        assert truncate_to_top_bits(v, 3, 10)[0] == 7
+        assert digitise(v, 2.0**0, None, 10)[0] == 7
 
 
 class TestSpec:
@@ -78,13 +108,13 @@ class TestSpec:
 
     def test_part_keep_bits_match_paper(self):
         # §III-D: HH keeps all Po bits, HL keeps Po - Pin/2 = 3,
-        # LH keeps Po - Pw/2 = 2, LL keeps Po - (Pin+Pw)/2 = -1.
-        keep = ComposingSpec(pn=8).part_keep_bits()
-        assert keep == {"HH": 6, "HL": 3, "LH": 2, "LL": -1}
+        # LH keeps Po - Pw/2 = 2, LL keeps Po - (Pin+Pw)/2 = -1: none.
+        assert _kept_bits(ComposingSpec(pn=8)) == {"HH": 6, "HL": 3, "LH": 2}
 
     def test_ll_part_skipped(self):
-        assert "LL" not in ComposingSpec(pn=8).active_phases()
-        assert set(ComposingSpec(pn=8).active_phases()) == {
+        windows = _windows(ComposingSpec(pn=8))
+        assert windows["LL"] == (0.0, 0.0)
+        assert {name for name, (pre, _) in windows.items() if pre} == {
             "HH",
             "HL",
             "LH",
@@ -185,27 +215,35 @@ class TestComposedDot:
 class TestAlignment:
     def test_default_alignment_shifts(self):
         # With Pin=6, Pw=8, Po=6, PN=8 every active part aligns with a
-        # zero shift — the adder simply accumulates the kept integers
-        # (see the derivation in the module docstring).
-        spec = ComposingSpec(pn=8)
-        align = spec.part_alignment_shift()
-        assert align == {"HH": 0, "HL": 0, "LH": 0}
+        # zero shift — the adder simply accumulates the kept integers.
+        windows = _windows(ComposingSpec(pn=8))
+        assert {name: post for name, (pre, post) in windows.items() if pre} == {
+            "HH": 1.0,
+            "HL": 1.0,
+            "LH": 1.0,
+        }
 
     def test_alignment_consistency(self):
-        # For any spec, an active part's truncated contribution scaled
-        # back must equal its Eq. 8 weight.
-        for pn in (4, 6, 8, 10):
-            spec = ComposingSpec(pn=pn)
-            keep = spec.part_keep_bits()
-            align = spec.part_alignment_shift()
-            weights = {"HH": 7, "HL": 4, "LH": 3}
-            for name, shift in align.items():
-                k = min(keep[name], spec.part_full_bits)
-                # digital << shift == (R >> (full-k)) << shift should
-                # represent R * 2^w >> target_shift
-                assert shift == (
-                    weights[name]
-                    - spec.target_shift
-                    + spec.part_full_bits
-                    - k
-                )
+        # For any spec, a part keeps Po - ((Pin+Pw)/2 - w) top bits (at
+        # most its full width; none when that is not positive), and its
+        # kept integer, aligned by post, carries its Eq. 8 weight 2**w
+        # in the target sum: post = 2**(w - target_shift +
+        # part_full_bits - k).
+        weights = {"HH": 7, "HL": 4, "LH": 3, "LL": 0}
+        for pn in (0, 2, 4, 6, 8, 10):
+            for po in (2, 6, 9, 16):
+                spec = ComposingSpec(po=po, pn=pn)
+                kept = _kept_bits(spec)
+                for name, (pre, post) in _windows(spec).items():
+                    paper = po - (7 - weights[name])
+                    if paper <= 0:
+                        assert (pre, post) == (0.0, 0.0)
+                        continue
+                    k = min(paper, spec.part_full_bits)
+                    assert kept[name] == k
+                    assert post == 2.0 ** (
+                        weights[name]
+                        - spec.target_shift
+                        + spec.part_full_bits
+                        - k
+                    )

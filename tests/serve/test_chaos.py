@@ -373,6 +373,40 @@ class TestGrowFailureRecovery:
             reference = runtime.reference(samples)
         np.testing.assert_array_equal(served, reference)
 
+    def test_partial_grow_keeps_one_replica_count(
+        self, network, samples, monkeypatch
+    ):
+        """A grow that starts one of its two new replica threads and
+        then fails retires the one it started: the runtime, the
+        dispatcher and the health monitor keep one replica count, and a
+        later grow succeeds cleanly."""
+        original = ThreadDispatcher._new_pool
+        calls = []
+
+        def second_fails(self, replica):
+            calls.append(replica)
+            if len(calls) == 2:
+                raise RuntimeError("can't start new thread")
+            return original(self, replica)
+
+        with _runtime(network, samples, max_replicas=1) as runtime:
+            d = runtime.dispatcher
+            monkeypatch.setattr(ThreadDispatcher, "_new_pool", second_fails)
+            with pytest.raises(RuntimeError):
+                runtime.scale_to(3)
+            assert len(calls) == 2
+            counts = (runtime.replicas, d.replicas, len(runtime.monitor))
+            assert counts == (1, 1, 1)
+            assert len(d._pools) == len(d._cancels) == 1
+            monkeypatch.setattr(ThreadDispatcher, "_new_pool", original)
+            runtime.scale_to(2)
+            counts = (runtime.replicas, d.replicas, len(runtime.monitor))
+            assert counts == (2, 2, 2)
+            assert runtime.monitor.routable() == [0, 1]
+            served = runtime.serve(samples)
+            reference = runtime.reference(samples)
+        np.testing.assert_array_equal(served, reference)
+
 
 class TestCloseSafety:
     def test_dispatcher_double_close(self, network, samples):

@@ -273,7 +273,7 @@ class TestAutoscaling:
         grow = next(
             e for e in tenant.scale_events if e.direction == "grow"
         )
-        assert grow.reprogram_s > 0.0
+        assert grow.bringup_s > 0.0
         assert tenant.completed == tenant.admitted
 
     def test_scale_events_visible_in_telemetry(self):
@@ -307,7 +307,7 @@ class TestAutoscaling:
             == len(spans)
         )
         hist = session.metrics.histogram(
-            "serve.scale.reprogram_ms",
+            "serve.scale.bringup_ms",
             tenant="span-a",
             direction="grow",
         )

@@ -135,7 +135,7 @@ class TestThreadBitIdentity:
         ) as runtime:
             assert runtime.spec.use_rng and not runtime.spec.with_noise
             disp = runtime.dispatcher
-            assert all(p.kernel.varied for p in disp._state[1])
+            assert not any(p.kernel.on_lattice for p in disp._state[1])
             disp.grow(2)
             spy = blas_spy(meet=2)
             served = runtime.serve(samples)
@@ -230,9 +230,9 @@ class TestRemappedTiles:
         self, network, samples, blas_spy
     ):
         """Faulty arrays force tile remaps during programming.  Remapped
-        tiles take the per-engine walk, which only reads the shared
-        copy too, so two replica threads' forwards meet inside the read
-        lock, and both answer exactly."""
+        tiles run on the compiled plan like any other, which only reads
+        the shared copy, so two replica threads' forwards meet inside
+        the read lock, and both answer exactly."""
         policy = ResiliencePolicy(
             verify_writes=True,
             spare_columns=0,
@@ -260,7 +260,9 @@ class TestRemappedTiles:
             summary = executor.last_degradation
             assert summary is not None and summary.remapped_tiles >= 1
             programmed = runtime.dispatcher._state[1]
-            assert any(p.kernel._remapped for p in programmed)
+            assert any(
+                e.remapped for p in programmed for row in p.tiles for e in row
+            )
             spy = blas_spy(meet=2)
             served = runtime.serve(samples)
             reference = runtime.reference(samples)
