@@ -188,6 +188,29 @@ class DifferentialPair:
             residual=residual,
         )
 
+    @property
+    def on_lattice(self) -> bool:
+        """True when both halves' cells sit on the level lattice
+        (:attr:`~repro.device.cell.CellArray.on_lattice`: ideal, or
+        carrying only stuck-at faults)."""
+        return (
+            self.positive.cells.on_lattice
+            and self.negative.cells.on_lattice
+        )
+
+    def count_weights(self) -> np.ndarray:
+        """Each cell pair's signed weight in count units, as a
+        noise-free read sees it: the integer ``effective_levels``
+        difference on the level lattice (:attr:`on_lattice`), each
+        pair's ``(G+ - G-) / g_step`` off it (variation, drift, wire
+        resistance).  The HRS baseline cancels per cell pair."""
+        positive, negative = self.positive.cells, self.negative.cells
+        if self.on_lattice:
+            return positive.effective_levels - negative.effective_levels
+        dev = self.params.device
+        g_step = (dev.g_on - dev.g_off) / (dev.mlc_levels - 1)
+        return (positive.conductances() - negative.conductances()) / g_step
+
     def analog_mvm_counts(
         self, input_levels: np.ndarray, with_noise: bool = True
     ) -> np.ndarray:
@@ -197,19 +220,27 @@ class DifferentialPair:
         analog subtraction, so the result directly estimates
         ``sum_i a_i * signed_level_i`` per column.
 
-        When both halves are on the level lattice (ideal, or carrying
-        only stuck-at faults) and the read is effectively noise-free,
-        the pair answers through :meth:`CrossbarArray.exact_mvm_counts`
-        so the result lands exactly on the integer lattice instead of
-        an epsilon away from it after the conductance round-trip.  The
-        engine's truncating sense amp then sees the exact counts, not
-        float rounding, and on ideal arrays the compiled plan's integer
-        stacks are bit-identical to the per-engine path.
+        A noise-free read subtracts per cell pair before any input
+        meets the weights, so it sums the same products as the compiled
+        plan's count stacks (:meth:`CrossbarMVMEngine.cell_weights`).
+        On the level lattice the pair answers through
+        :meth:`CrossbarArray.exact_mvm_counts`, so the counts land
+        exactly on the integer lattice; off it, ``input_levels @
+        count_weights()``.  Subtracting two baseline-carrying currents
+        instead leaves an exactly integer count (a cell pair off the
+        lattice can still hold an integer, as the unattenuated cell
+        under wire resistance does) an epsilon away from it, enough to
+        flip the engine's truncating sense amp.
         """
         if self._effectively_noise_free(with_noise):
-            return self.positive.exact_mvm_counts(
-                input_levels
-            ) - self.negative.exact_mvm_counts(input_levels)
+            if self.on_lattice:
+                return self.positive.exact_mvm_counts(
+                    input_levels
+                ) - self.negative.exact_mvm_counts(input_levels)
+            op = "analog_mvm_counts"
+            self.negative._require(ArrayMode.COMPUTE, op)
+            inputs = self.positive._checked_compute_inputs(input_levels, op)
+            return inputs.astype(np.float64) @ self.count_weights()
         pos = self.positive.analog_mvm_counts(
             input_levels, with_noise=with_noise
         )
@@ -219,13 +250,7 @@ class DifferentialPair:
         return pos - neg
 
     def _effectively_noise_free(self, with_noise: bool) -> bool:
-        """Whether an MVM with this noise flag is deterministic on an
-        on-lattice pair (exact count path applies)."""
-        if not (
-            self.positive.cells.on_lattice
-            and self.negative.cells.on_lattice
-        ):
-            return False
+        """Whether an MVM with this noise flag is deterministic."""
         if not with_noise:
             return True
         cells = self.positive.cells
