@@ -173,7 +173,7 @@ class CommandStreamRunner:
         buf_cursor = region.offset + region.size
 
         outputs = entry.kernel.mvm_batch(
-            codes, with_noise=False, output_shift=output_shift, fused=False
+            codes, with_noise=False, output_shift=output_shift
         )
         scale = (
             (2.0 ** output_shift) * in_fmt.resolution * entry.w_fmt.resolution

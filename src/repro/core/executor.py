@@ -14,7 +14,6 @@ Two complementary execution paths share one mapping plan:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from repro.errors import ExecutionError
 from repro.baselines.common import ExecutionReport, record_report
 from repro.core.mapping import LayerMapping, MappingPlan, NetworkScale
 from repro.crossbar.engine import CrossbarMVMEngine
-from repro.knobs import env_knob
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
 from repro.params.prime import PrimeConfig, DEFAULT_PRIME_CONFIG
@@ -43,27 +41,9 @@ T_MERGE_PER_BLOCK = 2.0 * ns
 #: Groups evaluated per analog round during 4:1 max pooling
 #: (min(256 rows / 4 candidates, 256 bitlines / 6 difference columns)).
 POOL_GROUPS_PER_ROUND = 42
-#: Default streaming budget for functional activations (overridable
-#: via ``PRIME_FUNC_CHUNK_BYTES``).
+#: Streaming budget for functional activations, unless a call passes
+#: its own ``chunk_bytes``.
 DEFAULT_CHUNK_BYTES = 256 * 1024 * 1024
-
-logger = logging.getLogger("repro.core")
-
-
-def env_chunk_bytes() -> int:
-    """Resolve ``PRIME_FUNC_CHUNK_BYTES`` (default 256 MiB).
-
-    An unparsable value logs a warning and falls back to the default
-    rather than raising mid-inference.
-    """
-    return env_knob(
-        "PRIME_FUNC_CHUNK_BYTES",
-        int,
-        DEFAULT_CHUNK_BYTES,
-        logger,
-        "an integer",
-        f"using the default ({DEFAULT_CHUNK_BYTES})",
-    )
 
 
 @dataclass
@@ -433,7 +413,7 @@ class PrimeExecutor:
         of that plan down the per-engine tile walk, the semantic
         reference.  The batch streams in chunks sized so the widest
         layer's activations stay under ``chunk_bytes`` (default
-        ``PRIME_FUNC_CHUNK_BYTES`` or 256 MiB) — conv patches never
+        :data:`DEFAULT_CHUNK_BYTES`, 256 MiB) — conv patches never
         materialise the whole batch.  Per-layer calibration (input
         format and SA output window) is frozen from the first
         ``CALIBRATION_SAMPLES`` samples by
@@ -579,7 +559,7 @@ class PrimeExecutor:
         ``chunk_bytes <= 0`` disables streaming.
         """
         if chunk_bytes is None:
-            chunk_bytes = env_chunk_bytes()
+            chunk_bytes = DEFAULT_CHUNK_BYTES
         if chunk_bytes <= 0:
             return batch
         per_sample = max(

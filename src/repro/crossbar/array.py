@@ -203,31 +203,6 @@ class CrossbarArray:
         )
         return currents / (v_step * g_step)
 
-    def exact_mvm_counts(self, input_levels: np.ndarray) -> np.ndarray:
-        """Baseline-free count-domain MVM of an *on-lattice* array.
-
-        For an on-lattice array (:attr:`CellArray.on_lattice`) the
-        noise-free analog MVM minus its baseline equals ``input_levels
-        @ effective_levels`` exactly, stuck cells counted at the level
-        where they are stuck: every term is an integer and all partial
-        sums stay far below 2**53, so the float64 matmul is exact.  The
-        analog path computes the same value through the conductance
-        mapping and back, which leaves the result an epsilon away from
-        the integer lattice — enough to flip a later ``floor``.  This
-        method is the deterministic reference the differential pair
-        uses when noise is off.
-        """
-        if not self.cells.on_lattice:
-            raise CrossbarError(
-                "exact_mvm_counts requires an on-lattice array (no "
-                "variation, drift, or wire resistance)"
-            )
-        input_levels = self._checked_compute_inputs(
-            input_levels, "exact_mvm_counts"
-        )
-        levels = self.cells.effective_levels.astype(np.float64)
-        return input_levels.astype(np.float64) @ levels
-
     def baseline_counts(self, input_levels: np.ndarray) -> np.ndarray:
         """Count-domain baseline from the HRS offset conductance.
 

@@ -42,6 +42,22 @@ from repro.crossbar.sense import ReconfigurableSenseAmp, digitise, part_window
 COUNTER_LOCK = threading.Lock()
 
 
+def record_firings(params: CrossbarParams, firings: int) -> None:
+    """Charge ``firings`` composed MVM firings to the telemetry layer:
+    ``mvm.invocations``, ``mvm.model_time_ns`` (``t_full_mvm`` each)
+    and ``mvm.energy_nj`` (``e_full_mvm`` for each of the pair's two
+    arrays).  The walk's engines and the compiled plan's
+    :meth:`~repro.perf.kernels.FusedLayerKernel.charge` both charge
+    through here."""
+    if not telemetry.enabled():
+        return
+    telemetry.count("mvm.invocations", firings)
+    telemetry.count("mvm.model_time_ns", firings * params.t_full_mvm * 1e9)
+    telemetry.count(
+        "mvm.energy_nj", firings * 2.0 * params.e_full_mvm * 1e9
+    )
+
+
 class CrossbarMVMEngine:
     """A mat pair plus periphery, programmed with one signed submatrix."""
 
@@ -291,21 +307,25 @@ class CrossbarMVMEngine:
             and self.pair.negative.cells.is_ideal
         )
 
-    def cell_weights(self) -> tuple[np.ndarray, np.ndarray]:
+    def cell_weights(
+        self, with_noise: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The ``(rows_used, cols_used)`` hi and lo count weights of
-        each logical column as its cells hold them.
+        each logical column as one read sees its cells.
 
-        A noise-free drive phase counts ``inputs @ hi`` on the column's
+        A drive phase counts ``inputs @ hi`` on the column's
         high-weight (even) bitline and ``inputs @ lo`` on its low (odd)
-        one.  On the lattice (:attr:`on_lattice`) they are the integer
-        ``effective_levels`` difference of the two arrays, stuck cells
-        at their stuck levels; off it (variation, drift, wire
-        resistance) each cell pair's ``(G+ - G-) / g_step``.  Columns
-        are read at the physical slot column sparing picked, and dead
-        columns are zero, in the order :meth:`_finalize_outputs` gives
-        the walk's outputs.
+        one, each from the pair's
+        :meth:`~repro.crossbar.pair.DifferentialPair.count_weights`:
+        integers on the lattice (:attr:`on_lattice`) for a read without
+        read noise, stuck cells at their stuck levels; otherwise each
+        cell pair's ``(G+ - G-) / g_step``, with this read's noise
+        drawn when ``with_noise`` samples any.  Columns are read at
+        the physical slot column sparing picked, and dead columns are
+        zero, in the order :meth:`_finalize_outputs` gives the walk's
+        outputs.
         """
-        rows = self.pair.count_weights()[: self.rows_used]
+        rows = self.pair.count_weights(with_noise)[: self.rows_used]
         if self._gather is None:
             cols = 2 * self.cols_used
             hi, lo = rows[:, 0:cols:2], rows[:, 1:cols:2]
@@ -315,12 +335,6 @@ class CrossbarMVMEngine:
             hi[:, self._dead] = 0
             lo[:, self._dead] = 0
         return hi, lo
-
-    @property
-    def remapped(self) -> bool:
-        """True when outputs need post-processing (spared or masked
-        columns), which the fused read-noise path cannot apply."""
-        return self._gather is not None or self._dead is not None
 
     @property
     def degraded(self) -> bool:
@@ -348,15 +362,7 @@ class CrossbarMVMEngine:
         them to the telemetry layer."""
         with COUNTER_LOCK:
             self.mvm_invocations += n
-        if not telemetry.enabled():
-            return
-        telemetry.count("mvm.invocations", n)
-        telemetry.count(
-            "mvm.model_time_ns", n * self.params.t_full_mvm * 1e9
-        )
-        telemetry.count(
-            "mvm.energy_nj", n * 2.0 * self.params.e_full_mvm * 1e9
-        )
+        record_firings(self.params, n)
 
     def _accumulate_parts(
         self,

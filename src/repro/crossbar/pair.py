@@ -6,6 +6,18 @@ magnitudes — sharing the same input port.  The modified column
 multiplexer subtracts the negative array's bitline current from the
 positive array's before the sigmoid unit and the SA, which also cancels
 the common HRS-baseline current exactly.
+
+One formula reads the pair: a read counts ``inputs @
+count_weights(with_noise)``, each cell pair's signed weight in count
+units.  Without read noise on the level lattice that weight is the
+integer ``effective_levels`` difference, so the count is exact;
+otherwise it is ``(G+ - G-) / g_step`` from the two arrays'
+conductances, each array drawing its read noise for the read, the
+positive one first.  It equals the difference of the two arrays'
+baseline-carrying analog currents
+(:meth:`~repro.crossbar.array.CrossbarArray.analog_mvm_counts`) up to
+float rounding, and the compiled plan stacks the same weights
+(:meth:`~repro.crossbar.engine.CrossbarMVMEngine.cell_weights`).
 """
 
 from __future__ import annotations
@@ -198,66 +210,66 @@ class DifferentialPair:
             and self.negative.cells.on_lattice
         )
 
-    def count_weights(self) -> np.ndarray:
-        """Each cell pair's signed weight in count units, as a
-        noise-free read sees it: the integer ``effective_levels``
-        difference on the level lattice (:attr:`on_lattice`), each
-        pair's ``(G+ - G-) / g_step`` off it (variation, drift, wire
-        resistance).  The HRS baseline cancels per cell pair."""
+    def samples_read_noise(self, with_noise: bool) -> bool:
+        """Whether a read with this noise flag draws read noise: the
+        device has some, and a half's cells have a generator to draw
+        it from."""
+        return (
+            with_noise
+            and self.params.device.read_noise_sigma > 0.0
+            and (
+                self.positive.cells.rng is not None
+                or self.negative.cells.rng is not None
+            )
+        )
+
+    def count_weights(self, with_noise: bool = False) -> np.ndarray:
+        """Each cell pair's signed weight in count units, as one read
+        sees it.
+
+        A read that samples no read noise on the level lattice
+        (:attr:`on_lattice`) sees the integer ``effective_levels``
+        difference.  Any other read sees ``(G+ - G-) / g_step`` from
+        the cells' conductances (variation, drift and wire resistance
+        included), each half drawing its read noise for this read when
+        it samples any (:meth:`samples_read_noise`), the positive half
+        first.  The HRS baseline cancels per cell pair.
+        """
         positive, negative = self.positive.cells, self.negative.cells
-        if self.on_lattice:
+        noisy = self.samples_read_noise(with_noise)
+        if not noisy and self.on_lattice:
             return positive.effective_levels - negative.effective_levels
         dev = self.params.device
         g_step = (dev.g_on - dev.g_off) / (dev.mlc_levels - 1)
-        return (positive.conductances() - negative.conductances()) / g_step
+        # Left to right: the positive half draws first.  Both operands
+        # are temporaries, so NumPy computes the difference and the
+        # quotient in the first one's buffer.
+        return (
+            positive.conductances(with_read_noise=noisy)
+            - negative.conductances(with_read_noise=noisy)
+        ) / g_step
 
     def analog_mvm_counts(
         self, input_levels: np.ndarray, with_noise: bool = True
     ) -> np.ndarray:
         """Signed count-domain MVM: positive minus negative currents.
 
-        The HRS baseline is identical in both halves and cancels in the
-        analog subtraction, so the result directly estimates
-        ``sum_i a_i * signed_level_i`` per column.
-
-        A noise-free read subtracts per cell pair before any input
-        meets the weights, so it sums the same products as the compiled
-        plan's count stacks (:meth:`CrossbarMVMEngine.cell_weights`).
-        On the level lattice the pair answers through
-        :meth:`CrossbarArray.exact_mvm_counts`, so the counts land
-        exactly on the integer lattice; off it, ``input_levels @
-        count_weights()``.  Subtracting two baseline-carrying currents
-        instead leaves an exactly integer count (a cell pair off the
-        lattice can still hold an integer, as the unattenuated cell
-        under wire resistance does) an epsilon away from it, enough to
-        flip the engine's truncating sense amp.
+        The column multiplexer subtracts the negative array's bitline
+        current from the positive one's, which cancels the HRS
+        baseline; by linearity that is the inputs times each cell
+        pair's weight difference, so the read is ``input_levels @
+        count_weights(with_noise)``: one read-noise draw per half per
+        call, and on the level lattice without read noise an exact
+        integer per column.  Subtracting two baseline-carrying currents
+        instead would leave an integer count an epsilon away from the
+        lattice, enough to flip the engine's truncating sense amp.  The
+        compiled plan's count stacks hold the same weights
+        (:meth:`CrossbarMVMEngine.cell_weights`).
         """
-        if self._effectively_noise_free(with_noise):
-            if self.on_lattice:
-                return self.positive.exact_mvm_counts(
-                    input_levels
-                ) - self.negative.exact_mvm_counts(input_levels)
-            op = "analog_mvm_counts"
-            self.negative._require(ArrayMode.COMPUTE, op)
-            inputs = self.positive._checked_compute_inputs(input_levels, op)
-            return inputs.astype(np.float64) @ self.count_weights()
-        pos = self.positive.analog_mvm_counts(
-            input_levels, with_noise=with_noise
-        )
-        neg = self.negative.analog_mvm_counts(
-            input_levels, with_noise=with_noise
-        )
-        return pos - neg
-
-    def _effectively_noise_free(self, with_noise: bool) -> bool:
-        """Whether an MVM with this noise flag is deterministic."""
-        if not with_noise:
-            return True
-        cells = self.positive.cells
-        return (
-            cells.rng is None
-            or self.params.device.read_noise_sigma <= 0.0
-        )
+        op = "analog_mvm_counts"
+        self.negative._require(ArrayMode.COMPUTE, op)
+        inputs = self.positive._checked_compute_inputs(input_levels, op)
+        return inputs.astype(np.float64) @ self.count_weights(with_noise)
 
     def subtraction_energy(self, columns: int | None = None) -> float:
         """Energy of the analog subtraction units for one conversion."""

@@ -30,18 +30,21 @@ Level lattice.  An array's stored conductances sit on the level
 lattice ``g_off + g_step * level`` until a programming-variation draw
 or drift moves them, and a wire resistance moves what every read sees.
 Stuck-at faults keep an array on the lattice: a stuck cell sits exactly
-at ``g_off`` or ``g_on``, the lattice's bottom and top levels.  The
-noise-free MVM of an on-lattice array (:attr:`CellArray.on_lattice`)
-is therefore an integer in the count domain,
+at ``g_off`` or ``g_on``, the lattice's bottom and top levels.  A read
+of an on-lattice array (:attr:`CellArray.on_lattice`) that samples no
+read noise is therefore an integer in the count domain,
 ``inputs @ effective_levels`` above the HRS baseline, which the
-crossbar layer computes exactly instead of through the conductance
-round trip (whose float rounding would decide later truncations).
+differential pair computes exactly from the levels instead of through
+the conductance round trip (whose float rounding would decide later
+truncations).  Every other read goes through :meth:`conductances`.
 
 Read-noise streams.  A read-noise draw comes from the array's own
 generator unless the reading thread has scoped a stream of its own
-(:func:`scoped_noise_stream`); the fused kernel's analog planes take
-their draws from the same place (:func:`read_noise_rng`).  Serving
-scopes every noisy micro-batch, so replica threads reading one shared
+(:func:`scoped_noise_stream`, resolved by :func:`read_noise_rng`).
+Each noisy :meth:`conductances` call draws one value per cell, and the
+per-engine walk and the compiled plan's noisy stacks read every array
+once per call, in the same order, so both draw alike.  Serving scopes
+every noisy micro-batch, so replica threads reading one shared
 programmed copy never touch its generator.
 """
 
@@ -74,8 +77,8 @@ def scoped_noise_stream(rng: np.random.Generator):
     """Draw this thread's read noise from ``rng``.
 
     Inside the context, every read-noise draw this thread makes — the
-    cells' :meth:`CellArray.conductances` on the per-engine walk and
-    the fused kernel's analog planes alike — comes from ``rng``
+    cells' :meth:`CellArray.conductances`, on the per-engine walk and
+    in the compiled plan's noisy stacks alike — comes from ``rng``
     instead of the arrays' generator, which stays untouched.  When
     every array of a network shares one generator, a forward under
     ``scoped_noise_stream(Generator(type(bit_generator)(seed)))``
@@ -379,8 +382,12 @@ class CellArray:
         if with_read_noise and self.rng is not None:
             sigma = self.device.read_noise_sigma
             if sigma > 0.0:
-                noise = read_noise_rng(self.rng).standard_normal(g.shape)
-                g = g * (1.0 + sigma * noise)
+                # g * (1 + sigma * noise), in the draw's own buffer.
+                noisy = read_noise_rng(self.rng).standard_normal(g.shape)
+                noisy *= sigma
+                noisy += 1.0
+                noisy *= g
+                return np.clip(noisy, 0.0, None, out=noisy)
         return np.clip(g, 0.0, None)
 
     def readback_levels(self) -> np.ndarray:

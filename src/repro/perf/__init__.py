@@ -12,10 +12,11 @@ None of it changes a number the evaluation pipeline produces:
 * :mod:`repro.perf.plan` — the compiled plan, the one fast path for
   programmed crossbars (whole networks, or one layer at a time for the
   in-situ trainer and the SNN backend): a few batched matmuls per
-  layer, bit-identical to the per-engine walk with noise off.
-* :mod:`repro.perf.kernels` — the layer kernel the plan reads: stacked
-  weights, the seed-reproducible fused read-noise path, and the walk,
-  which ``PRIME_FUSED=0`` selects for every layer.
+  layer, bit-identical to the per-engine walk, with read noise too
+  under equal draws.
+* :mod:`repro.perf.kernels` — the layer kernel the plan reads: the
+  tile grid's state token, calibration and firing accounting, and the
+  walk, which ``PRIME_FUSED=0`` selects for every layer.
 * :mod:`repro.perf.parallel` — :func:`~repro.perf.parallel.task_seed`,
   the per-task seed the yield study and the serving dispatchers draw
   their random streams from, so a result never depends on task order.

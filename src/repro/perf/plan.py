@@ -5,26 +5,33 @@
 :class:`ProgrammedLayer` chain into a flat step list once, at deploy
 time, instead of interpreting the network layer by layer.  The in-situ
 trainer and the SNN backend run their dense layers one at a time
-through the same weight step (:func:`run_layer`), so every noise-free
-count in the package comes from the one path below:
+through the same weight step (:func:`run_layer`), so every count in
+the package, with or without read noise, comes from the one path
+below:
 
 * the chain may be uncalibrated: each weight step freezes its layer's
   input format and SA output shift the first time it runs, in layer
   order, from the first chunk's ``CALIBRATION_SAMPLES`` prefix
   (:func:`freeze_calibration`), and only then bakes them into
   constants — so a fresh network runs its very first chunk compiled;
-* each weight step owns its layer's count stacks and builds them once,
-  on its first inline run, in the layout its matmuls read (full 256-row
-  blocks as one batched tensor, short tail blocks as right-sized
-  matrices, conv blocks transposed; see :meth:`_WeightStep._build_stacks`)
-  from what each engine's cells hold: engines whose cells hold exactly
-  their ``programmed_weights`` share one vectorised split per row
-  block, every other engine writes its own columns
-  (:meth:`CrossbarMVMEngine.cell_weights`).  A step that only
-  delegates builds none, and
+* each weight step owns its layer's noise-free count stacks and builds
+  them once, on its first noise-free inline run, in the layout its
+  matmuls read (full 256-row blocks as one batched tensor, short tail
+  blocks as right-sized matrices, conv blocks transposed; see
+  :meth:`_WeightStep._build_stacks`) from what each engine's cells
+  hold: engines whose cells hold exactly their ``programmed_weights``
+  share one vectorised split per row block, every other engine writes
+  its own columns (:meth:`CrossbarMVMEngine.cell_weights`).  A step
+  that only delegates builds none, and
   :meth:`FusedLayerKernel.invalidate` (reprogramming, drift) renews the
-  kernel's token, which retires the step and its stacks.  The kernel
-  keeps only the read-noise path's conductance stacks;
+  kernel's token, which retires the step and its stacks;
+* a call that samples read noise runs the same inline path over a
+  stack of its own: every engine's cells read with noise, engine by
+  engine in tile order, so each array draws its noise per call, from
+  :func:`~repro.device.cell.read_noise_rng`, in the order the walk
+  draws it (:meth:`_WeightStep._stacks`).  That stack lives in the
+  calling thread's scratch store and is rewritten by its next noisy
+  call, never cached on the step or shared between threads;
 * the frozen calibration formats are baked into scalar constants
   (``1/resolution``, saturation bounds, and each partial product's SA
   window from :func:`~repro.crossbar.sense.part_window`), so no format
@@ -59,7 +66,8 @@ Exactness: with noise off on arrays on the level lattice (ideal, or
 stuck-at faults on a noise-free device) every intermediate is an
 integer inside the float dtype's contiguous-integer range (the step
 picks float32 only when the counts and every digitised value at every
-shift fit it, :func:`_count_dtype`) times a power of two
+shift fit it, :func:`_count_dtype`, and no call can draw read noise
+into its stack) times a power of two
 from the fold, so the compiled path is bit-identical to the per-engine
 walk: each folded count is the unfolded count times ``2**k`` exactly,
 and float32 sgemm stays exact in any summation order and at any BLAS
@@ -67,23 +75,23 @@ thread count.  The packed stack keeps two 12-bit-separated integer
 fields whose dot products stay below ``2**24`` per 16-row sub-block,
 so float32 matmul and ``rint`` field extraction are exact too.  When
 any engine is off the lattice (programming variation, drift, wire
-resistance) the step's stack is float64, and those engines' columns
-hold differential cell weights; the same trimmed inline path runs
-them (never the packed one), and the on-lattice engines' columns keep
-their exact integers.  Scaling both operands of the float64
-matmul by powers of two scales every product and partial sum exactly,
-so it returns the unfolded counts times ``2**k`` bit for bit (no
-factor is below ``2**-full_bits``, about ``2**-22`` at the default
-widths, far from float64's subnormal range).  Every path
-digitises through the one SA transfer function,
-:func:`~repro.crossbar.sense.digitise`.  Every noise-free weight step
-runs inline, at every SA width.  A call that samples read noise
-delegates to ``FusedLayerKernel.mvm_batch``, which runs its fused noisy
-analog path or walks the engines (:meth:`FusedLayerKernel.can_fuse`) —
-semantics, seeded noise reproducibility, and telemetry counters are
-preserved in every case.  With ``fused=False`` (``PRIME_FUSED=0``)
-every weight step delegates and the kernel walks the engines: the
-semantic reference the other paths are tested against.
+resistance), or a call can draw read noise, the step's stacks are
+float64, and those columns hold differential cell weights ``(G+ -
+G-) / g_step``, the weights the walk's read multiplies
+(:meth:`DifferentialPair.count_weights`); the same trimmed inline path
+runs them (never the packed one), and the quiet on-lattice engines'
+columns keep their exact integers.  Scaling both operands of the
+float64 matmul by powers of two scales every product and partial sum
+exactly, so it returns the unfolded counts times ``2**k`` bit for bit
+(no factor is below ``2**-full_bits``, about ``2**-22`` at the default
+widths, far from float64's subnormal range).  Every path digitises
+through the one SA transfer function,
+:func:`~repro.crossbar.sense.digitise`.  Every weight step runs inline,
+at every SA width, with or without read noise; seeded noise
+reproduces, and telemetry counters match the walk's.  With
+``fused=False`` (``PRIME_FUSED=0``) every weight step delegates to
+:meth:`FusedLayerKernel.mvm_batch`, which walks the engines: the
+semantic reference the plan is tested against.
 """
 
 from __future__ import annotations
@@ -314,16 +322,16 @@ class _WeightStep:
     yet, and the step bakes them into scalar constants.  Two execution
     paths then share the quantisation front end:
 
-    * ``inline`` — the noise-free count-domain math, fully in place,
-      for every call that samples no read noise;
+    * ``inline`` — the count-domain math, fully in place, for every
+      call of a fused plan, over the step's cached noise-free stacks or
+      a noisy call's own draw (:meth:`_stacks`);
     * ``delegate`` — :meth:`FusedLayerKernel.mvm_batch` over
-      :func:`_input_codes`, which keeps the fused-noisy and per-engine
-      paths (read noise, and every call when the plan runs with
-      ``fused=False``).
+      :func:`_input_codes`, the per-engine walk, for every call when
+      the plan runs with ``fused=False``.
 
-    Only the inline path reads the step's count stacks, so the first
-    inline run builds them (:meth:`_build_stacks`) and a step that only
-    delegates never does.
+    Only the inline path reads count stacks, so the first noise-free
+    inline run builds the cached ones (:meth:`_build_stacks`) and a
+    step that only delegates, or only draws noise, never does.
 
     Dense steps drive one vector per sample, conv steps one per output
     pixel; the two share the quantiser (:meth:`_split`) and the SA
@@ -353,10 +361,14 @@ class _WeightStep:
         self.offs = [0]
         for rows in self.rows_used:
             self.offs.append(self.offs[-1] + rows)
-        # Integer (on-lattice) stacks take the narrowest exact dtype;
-        # a stack with any continuous column takes float64.
+        # Integer (on-lattice) stacks take the narrowest exact dtype; a
+        # stack with any continuous column, or one a call can draw read
+        # noise into, takes float64.
+        self.draws_noise = kernel._noisy(True)
         self.cdtype = (
-            _count_dtype(spec, self.rmax) if kernel.on_lattice else np.float64
+            _count_dtype(spec, self.rmax)
+            if kernel.on_lattice and not self.draws_noise
+            else np.float64
         )
         # The digitised planes sum in the count dtype when the sum of
         # all 4 * row_blocks of them stays exact there at every shift
@@ -373,12 +385,12 @@ class _WeightStep:
         self.e_w = np.array([exps["HL"], 0])
         # Calibration constants, baked by _lower on the first run.
         self.in_fmt = None
-        # Count stacks, built by _build_stacks on the first inline run:
-        # conv steps hold one (2t, rows) matrix per row block in w_rows;
-        # dense steps batch their full-height blocks into w_full and
-        # keep short tail blocks as right-sized w_tails matrices.  The
-        # executor tiles rows in order, so only the last block can be
-        # short and the full blocks form a prefix.
+        # Noise-free count stacks, built by _build_stacks on the first
+        # noise-free inline run: conv steps hold one (2t, rows) matrix
+        # per row block in w_rows; dense steps batch their full-height
+        # blocks into w_full and keep short tail blocks as right-sized
+        # w_tails matrices.  The executor tiles rows in order, so only
+        # the last block can be short and the full blocks form a prefix.
         self.stacked = False
         self.w_rows = self.w_full = self.w_tails = None
         if self.is_conv:
@@ -505,60 +517,82 @@ class _WeightStep:
         )
         self.in_fmt = in_fmt
 
-    def _build_stacks(self) -> None:
-        """Build the step's count stacks, once, in the scaled layout
-        its matmuls read (see ``__init__``).
+    def _stacks(self, noisy: bool, store: dict):
+        """The count stacks this call multiplies, ``w_rows`` for a conv
+        step and ``(w_full, w_tails)`` for a dense one.
+
+        A noise-free call reads the step's own stacks, built on the
+        first such call and kept.  A call that samples read noise
+        (``noisy``) reads its own draw: every engine's cells read with
+        noise, into stacks kept in the calling thread's scratch
+        ``store`` and rewritten by each noisy call, so no two calls or
+        threads ever share one.
+        """
+        if noisy:
+            store["noisy"] = self._build_stacks(True, store.get("noisy"))
+            return store["noisy"]
+        if not self.stacked:
+            stacks = self._build_stacks(False)
+            if self.is_conv:
+                self.w_rows = stacks
+            else:
+                self.w_full, self.w_tails = stacks
+            self.stacked = True
+        return self.w_rows if self.is_conv else (self.w_full, self.w_tails)
+
+    def _build_stacks(self, noisy: bool, stacks=None):
+        """Fill count stacks in the scaled layout the matmuls read (see
+        ``__init__``), into ``stacks`` when given, else new ones.
 
         Row block ``i`` fills a ``(rows, 2t)`` view: columns ``[:t]``
         hold the high weight halves times the fold's ``2**(pw/2)``,
         columns ``[t:]`` the low halves, so one matmul per drive phase
         yields both part planes (:meth:`_fill`).  No unscaled copy is
-        kept; the attributes are published only once every block is
-        filled.
+        kept.
         """
         t = self.t
-        if self.is_conv:
-            w_rows = [
+        if stacks is None and self.is_conv:
+            stacks = [
                 np.empty((2 * t, rows), dtype=self.cdtype)
                 for rows in self.rows_used
             ]
-            blocks = [w.T for w in w_rows]
-        else:
-            w_full = np.empty(
-                (self.n_full, self.rmax, 2 * t), dtype=self.cdtype
+        elif stacks is None:
+            stacks = (
+                np.empty((self.n_full, self.rmax, 2 * t), dtype=self.cdtype),
+                [
+                    np.empty((rows, 2 * t), dtype=self.cdtype)
+                    for rows in self.rows_used[self.n_full :]
+                ],
             )
-            w_tails = [
-                np.empty((rows, 2 * t), dtype=self.cdtype)
-                for rows in self.rows_used[self.n_full :]
-            ]
-            blocks = [*w_full, *w_tails]
-        for row, block in zip(self.kernel.tiles, blocks):
-            self._fill(row, block)
         if self.is_conv:
-            self.w_rows = w_rows
+            blocks = [w.T for w in stacks]
         else:
-            self.w_full, self.w_tails = w_full, w_tails
-        self.stacked = True
+            blocks = [*stacks[0], *stacks[1]]
+        for row, block in zip(self.kernel.tiles, blocks):
+            self._fill(row, block, noisy)
+        return stacks
 
-    def _fill(self, row, block: np.ndarray) -> None:
+    def _fill(self, row, block: np.ndarray, noisy: bool) -> None:
         """One row block's scaled weight halves (see :meth:`_build_stacks`).
 
-        When any engine's cells hold exactly its ``programmed_weights``
+        On a noise-free call, when any engine's cells hold exactly its
+        ``programmed_weights``
         (:attr:`CrossbarMVMEngine.holds_programmed`), the tile row's
         weights are assembled once, vectorised over the block, and
         split in place: ``hi_s = trunc(w / 2**(pw/2)) * 2**(pw/2)`` and
         ``lo = w - hi_s``, exact integers equal to the engine's ``sign
         * split_unsigned(|w|)`` halves after the fold.  Every other
-        engine then writes its own columns from
-        :meth:`CrossbarMVMEngine.cell_weights`: integers on the
-        lattice, each cell pair's ``(G+ - G-) / g_step`` off it — the
-        weights the walk's noise-free read multiplies
-        (:meth:`DifferentialPair.count_weights`).
+        engine, and every engine on a ``noisy`` call, then writes its
+        own columns from :meth:`CrossbarMVMEngine.cell_weights`, engine
+        by engine in tile order: integers on the lattice without read
+        noise, each cell pair's ``(G+ - G-) / g_step`` otherwise, with
+        a ``noisy`` call drawing each array's read noise in the order
+        the walk draws it (:meth:`DifferentialPair.count_weights`).
         """
         t = self.t
         half = float(2.0 ** self.e_w[0])
         hi, lo = block[:, :t], block[:, t:]
-        clean = [engine.holds_programmed for engine in row]
+        clean = [not noisy and engine.holds_programmed for engine in row]
         if any(clean):
             np.concatenate(
                 [engine.programmed_weights for engine in row], axis=1, out=lo
@@ -571,7 +605,7 @@ class _WeightStep:
         for engine, done in zip(row, clean):
             c1 = c0 + engine.cols_used
             if not done:
-                w_hi, w_lo = engine.cell_weights()
+                w_hi, w_lo = engine.cell_weights(noisy)
                 np.multiply(w_hi, half, out=hi[:, c0:c1])
                 lo[:, c0:c1] = w_lo
             c0 = c1
@@ -728,27 +762,23 @@ class _WeightStep:
             act = act.reshape(act.shape[0], -1)
         if self.in_fmt is None:
             self._lower(act)
-        inline = fused and not self.kernel._noisy(with_noise)
-        if inline and self.is_conv:
-            return self._conv_inline(act, oh, ow, store, span)
-        if inline:
-            return self._inline(act, store, span)
-        result = self._delegate(act, with_noise, fused)
+        if not fused:
+            result = self._delegate(act, with_noise)
+            if self.is_conv:
+                return result.reshape(act.shape[0], oh, ow, self.t)
+            return result
+        stacks = self._stacks(with_noise and self.draws_noise, store)
         if self.is_conv:
-            return result.reshape(act.shape[0], oh, ow, self.t)
-        return result
+            return self._conv_inline(act, oh, ow, store, span, stacks)
+        return self._inline(act, store, span, stacks)
 
-    def _delegate(
-        self, act: np.ndarray, with_noise: bool, fused: bool
-    ) -> np.ndarray:
-        """The kernel's own dispatch: fused when it can fuse, the
-        per-engine walk otherwise or when ``fused`` is off."""
+    def _delegate(self, act: np.ndarray, with_noise: bool) -> np.ndarray:
+        """The per-engine walk (``fused=False``), the semantic
+        reference: :meth:`FusedLayerKernel.mvm_batch` over
+        :func:`_input_codes`."""
         codes = _input_codes(self.layer, act, self.in_fmt)
         outputs = self.kernel.mvm_batch(
-            codes,
-            with_noise=with_noise,
-            output_shift=self.shift,
-            fused=fused and self.kernel.can_fuse(with_noise),
+            codes, with_noise=with_noise, output_shift=self.shift
         )
         return outputs * self.scale
 
@@ -769,9 +799,12 @@ class _WeightStep:
         np.multiply(hi, -self.lo_div, out=lo)
         lo += q
 
-    def _inline(self, vectors: np.ndarray, store: dict, span) -> np.ndarray:
-        if not self.stacked:
-            self._build_stacks()
+    def _inline(
+        self, vectors: np.ndarray, store: dict, span, stacks
+    ) -> np.ndarray:
+        """Dense counts over ``stacks`` (:meth:`_stacks`); micro-batches
+        of wide layers read the packed stack instead, which only
+        noise-free float32 steps build."""
         n = vectors.shape[0]
         packed = self.packed_ok and n <= PACKED_MAX_VECS
         buffers = self._buffer_set(n, packed, store=store)
@@ -785,7 +818,7 @@ class _WeightStep:
             if packed:
                 self._packed_counts(hi, lo, counts, buffers, n)
             else:
-                self._trimmed_counts(hi, lo, counts, buffers, n)
+                self._trimmed_counts(hi, lo, counts, buffers, n, *stacks)
         self.kernel.charge(n, self.shift)
         with span("plan.digitise"):
             # [block, phase, vector, half, col] planes.
@@ -803,19 +836,18 @@ class _WeightStep:
         return out
 
     def _conv_inline(
-        self, act: np.ndarray, oh: int, ow: int, store: dict, span
+        self, act: np.ndarray, oh: int, ow: int, store: dict, span, w_rows
     ) -> np.ndarray:
         """Conv counts without a float64 patch matrix.
 
         Each padded input pixel is quantised, split and scaled by its
         drive-phase factor once; the drive ``(rows, phase, vector)``
         then fills by one slice copy per kernel offset, and ``W^T @
-        drive`` per row block yields count planes ``[block, half, col,
-        phase, vector]`` whose long vector axis is innermost for the
-        digitisation and the reduction.
+        drive`` per row block of ``w_rows`` (:meth:`_stacks`) yields
+        count planes ``[block, half, col, phase, vector]`` whose long
+        vector axis is innermost for the digitisation and the
+        reduction.
         """
-        if not self.stacked:
-            self._build_stacks()
         b, h, w, _ = act.shape
         n = b * oh * ow
         buffers = self._conv_buffers(act.shape, oh, ow, store)
@@ -829,9 +861,9 @@ class _WeightStep:
         with span("plan.counts", vectors=n):
             _gather_patches(hl, self.layer.kernel, drive)
             flat = drive.reshape(self.total_rows, 2 * n)
-            for i, w_rows in enumerate(self.w_rows):
+            for i, w_block in enumerate(w_rows):
                 np.matmul(
-                    w_rows,
+                    w_block,
                     flat[self.offs[i] : self.offs[i + 1]],
                     out=counts[i],
                 )
@@ -846,7 +878,9 @@ class _WeightStep:
             np.multiply(acc.T, self.scale, out=out)
         return out.reshape(b, oh, ow, self.t)
 
-    def _trimmed_counts(self, hi, lo, counts, buffers, n: int) -> None:
+    def _trimmed_counts(
+        self, hi, lo, counts, buffers, n: int, w_full, w_tails
+    ) -> None:
         """Count planes via the trimmed full/tail weight stacks, each
         drive phase scaled by its fold factor as it is copied in."""
         a_hi, a_lo = self.drive_scale
@@ -856,9 +890,9 @@ class _WeightStep:
             np.multiply(hi[:, off : off + self.rmax], a_hi, out=drive[j, :n])
             np.multiply(lo[:, off : off + self.rmax], a_lo, out=drive[j, n:])
         if self.n_full:
-            np.matmul(drive, self.w_full, out=counts[: self.n_full])
+            np.matmul(drive, w_full, out=counts[: self.n_full])
         tails = zip(
-            range(self.n_full, self.rb), buffers["drive_tails"], self.w_tails
+            range(self.n_full, self.rb), buffers["drive_tails"], w_tails
         )
         for i, tail, w_tail in tails:
             off, rows = self.offs[i], self.rows_used[i]
@@ -953,8 +987,9 @@ class CompiledPlan:
         self.pin = pin
         self.steps = steps
         # Scratch stores (one dict per step) of each executing thread:
-        # concurrent executions write only their own buffers, while
-        # the weight stacks stay shared and read-only.
+        # concurrent executions write only their own buffers and noisy
+        # stacks, while the noise-free weight stacks stay shared and
+        # read-only.
         self._scratch = threading.local()
         # exact(with_noise), memoised per noise regime.
         self._exact: dict[bool, bool] = {}
@@ -1049,9 +1084,10 @@ class CompiledPlan:
 
         ``fused=False`` delegates every weight step to the per-engine
         walk, the semantic reference.  Re-entrant across threads: each
-        thread writes only its own scratch stores, kept in a
-        ``threading.local`` and reused by its later executions, while
-        the weight stacks stay shared and read-only.  The final
+        thread writes only its own scratch stores (a noisy call's
+        stacks included), kept in a ``threading.local`` and reused by
+        its later executions, while the noise-free weight stacks stay
+        shared and read-only.  The final
         activation is copied out when the last step is a weight layer:
         its inline path returns a scratch buffer that this thread's
         next execution would otherwise overwrite in place.  The first

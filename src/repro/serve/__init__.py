@@ -7,8 +7,8 @@ compile/program/run pipeline into a resident service:
 
 * :mod:`repro.serve.batcher` — dynamic micro-batching: single-sample
   requests coalesce into batches sized against the executor's
-  streaming chunk model (``PRIME_FUNC_CHUNK_BYTES``), with a
-  ``max_wait_s`` latency knob, so the fused layer kernels always see
+  streaming chunk model (its 256 MiB ``DEFAULT_CHUNK_BYTES`` budget),
+  with a ``max_wait_s`` latency knob, so the compiled plan always sees
   wide matmuls.
 * :mod:`repro.serve.dispatcher` — replica-parallel dispatch: each
   :class:`~repro.core.scheduler.BankScheduler` replica bank group maps

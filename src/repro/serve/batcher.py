@@ -90,13 +90,14 @@ class MicroBatcher:
     """Coalesces queued single-sample requests into micro-batches.
 
     **Choosing ``max_batch``.**  The runtime derives its default from
-    the executor's streaming chunk model (``PRIME_FUNC_CHUNK_BYTES``),
-    capped at ``ServeConfig.max_batch_cap`` (256).  Three forces meet
-    there:
+    the executor's streaming chunk model
+    (:meth:`~repro.core.executor.PrimeExecutor.max_chunk_samples` at
+    its ``DEFAULT_CHUNK_BYTES`` budget), capped at
+    ``ServeConfig.max_batch_cap`` (256).  Three forces meet there:
 
     * *kernel width* — one micro-batch should evaluate in a single
-      fused (or plan-compiled) pass, so it must fit the executor's
-      per-chunk working-set budget;
+      plan-compiled pass, so it must fit the executor's per-chunk
+      working-set budget;
     * *latency* — past a few hundred samples the crossbar matmul is
       fully saturated and wider batches only add queueing delay;
     * *dispatch* — a replica thread receives the stacked batch by

@@ -104,7 +104,8 @@ class ServeConfig:
     """Knobs of one serving deployment."""
 
     #: Micro-batch size; ``None`` derives it from the executor's chunk
-    #: model (``PRIME_FUNC_CHUNK_BYTES``) capped at ``max_batch_cap``.
+    #: model (``max_chunk_samples`` at its ``DEFAULT_CHUNK_BYTES``
+    #: budget) capped at ``max_batch_cap``.
     max_batch: int | None = None
     #: Upper bound on the derived micro-batch size — beyond a point a
     #: wider matmul stops paying and only adds queueing latency.

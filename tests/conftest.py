@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.device.cell import scoped_noise_stream
 from repro.nn.datasets import synthetic_mnist
 from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
@@ -77,14 +78,18 @@ def layer_runs():
     walk_firings))``; firings are each engine's invocation and
     conversion increments.  The walk runs a fresh twin of
     ``programmed`` over the same tiles and calibration, so it never
-    reuses the constants ``programmed``'s memoised plan baked."""
+    reuses the constants ``programmed``'s memoised plan baked.  Each
+    call draws its read noise from its own stream of one seed
+    (:func:`~repro.device.cell.scoped_noise_stream`), so a noisy inline
+    call and its walk read the cells under equal draws."""
 
     def counted(programmed, x, with_noise, walk):
         engines = [e for row in programmed.tiles for e in row]
         before = _firings(engines)
         fused = "0" if walk else "1"
         with mock.patch.dict(os.environ, {"PRIME_FUSED": fused}):
-            out = run_layer(programmed, x, with_noise)
+            with scoped_noise_stream(np.random.default_rng(0)):
+                out = run_layer(programmed, x, with_noise)
         after = _firings(engines)
         return out, [
             (a[0] - b[0], a[1] - b[1]) for a, b in zip(after, before)

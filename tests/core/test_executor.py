@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.compiler import PrimeCompiler
-from repro import telemetry
-from repro.core.executor import (
-    DEFAULT_CHUNK_BYTES,
-    PrimeExecutor,
-    env_chunk_bytes,
-)
+from repro.core.executor import PrimeExecutor
 from repro.errors import ExecutionError
 from repro.eval.workloads import get_workload
 from repro.nn.topology import parse_topology
@@ -242,31 +237,6 @@ class TestFunctionalPath:
 
 
 class TestChunkModel:
-    def test_env_chunk_bytes_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("PRIME_FUNC_CHUNK_BYTES", raising=False)
-        assert env_chunk_bytes() == DEFAULT_CHUNK_BYTES
-        monkeypatch.setenv("PRIME_FUNC_CHUNK_BYTES", "40000")
-        assert env_chunk_bytes() == 40000
-
-    def test_env_chunk_bytes_garbage_warns_and_falls_back(
-        self, monkeypatch, caplog
-    ):
-        telemetry.enable()
-        try:
-            for raw in ("lots", "256MiB", "1e8"):
-                monkeypatch.setenv("PRIME_FUNC_CHUNK_BYTES", raw)
-                with caplog.at_level("WARNING", logger="repro.core"):
-                    assert env_chunk_bytes() == DEFAULT_CHUNK_BYTES
-            assert telemetry.counter_value(
-                "perf.env.invalid", knob="PRIME_FUNC_CHUNK_BYTES"
-            ) == 3
-            assert any(
-                "PRIME_FUNC_CHUNK_BYTES" in r.message
-                for r in caplog.records
-            )
-        finally:
-            telemetry.disable()
-
     def test_max_chunk_samples_tracks_chunk_bytes(
         self, executor, compiler
     ):

@@ -6,9 +6,11 @@ top levels, so a faulted array's noise-free counts are integers: the
 inputs times the *effective* levels (programmed levels, stuck cells at
 0 or ``mlc_levels - 1``).  The per-engine walk must produce exactly
 those integers, and the sense amps must truncate exactly them, not an
-epsilon-off float from the conductance round trip.  Arrays whose
-conductances leave the lattice (variation, drift, wire resistance) and
-noisy reads stay on the analog path.
+epsilon-off float from the conductance round trip.  Every read counts
+``inputs @ count_weights(with_noise)``: arrays whose conductances leave
+the lattice (variation, drift, wire resistance) and noisy reads count
+each cell pair's ``(G+ - G-) / g_step`` under the read's own draw, the
+difference of the two arrays' analog currents up to float rounding.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from repro.crossbar.array import CrossbarArray
 from repro.crossbar.engine import CrossbarMVMEngine
 from repro.crossbar.pair import DifferentialPair
 from repro.crossbar.sense import digitise, part_window
+from repro.device.cell import scoped_noise_stream
 from repro.device.faults import FaultMap
-from repro.errors import CrossbarError
 from repro.params.crossbar import CrossbarParams
 from repro.params.reram import PT_TIO2_DEVICE
 from repro.precision.composing import split_unsigned
@@ -39,14 +41,19 @@ BATCH = 64
 COLS = 64
 
 
+#: The quiet device with read noise: its arrays stay on the lattice.
+NOISY_DEVICE = dataclasses.replace(QUIET_DEVICE, read_noise_sigma=0.02)
+
+
 def _faulted_engine(
-    rng: np.random.Generator, device=QUIET_DEVICE
+    rng: np.random.Generator, device=QUIET_DEVICE, rate=RATE
 ) -> CrossbarMVMEngine:
     """A full-height engine whose two halves carry explicit stuck-at
-    fault maps, programmed open-loop with random 8-bit weights."""
+    fault maps (none at ``rate`` 0), programmed open-loop with random
+    8-bit weights."""
     params = CrossbarParams(device=device)
     maps = tuple(
-        FaultMap.random(params.rows, params.cols, RATE, RATE, rng)
+        FaultMap.random(params.rows, params.cols, rate, rate, rng)
         for _ in range(2)
     )
     engine = CrossbarMVMEngine(params)
@@ -111,27 +118,37 @@ def test_faulted_engine_digitises_exact_counts(rng, shift):
     assert np.array_equal(out, expected)
 
 
-def _varied(rng):
-    return _faulted_engine(rng, device=PT_TIO2_DEVICE)
+def _ideal(rng, device=QUIET_DEVICE):
+    return _faulted_engine(rng, device=device, rate=0.0)
 
 
-def _drifted(rng):
-    engine = _faulted_engine(rng)
+def _stuck(rng, device=QUIET_DEVICE):
+    return _faulted_engine(rng, device=device)
+
+
+def _varied(rng, device=QUIET_DEVICE):
+    device = dataclasses.replace(
+        device, programming_sigma=PT_TIO2_DEVICE.programming_sigma
+    )
+    return _faulted_engine(rng, device=device)
+
+
+def _drifted(rng, device=QUIET_DEVICE):
+    engine = _faulted_engine(rng, device=device)
     for array in (engine.pair.positive, engine.pair.negative):
         array.cells.apply_drift(0.05, rng)
     return engine
 
 
-def _wired(rng):
-    engine = _faulted_engine(rng)
+def _wired(rng, device=QUIET_DEVICE):
+    engine = _faulted_engine(rng, device=device)
     for array in (engine.pair.positive, engine.pair.negative):
         array.cells.wire_resistance = 2.0
     return engine
 
 
 def _read_noise(rng):
-    device = dataclasses.replace(QUIET_DEVICE, read_noise_sigma=0.02)
-    return _faulted_engine(rng, device=device)
+    return _faulted_engine(rng, device=NOISY_DEVICE)
 
 
 @pytest.mark.parametrize(
@@ -145,30 +162,87 @@ def _read_noise(rng):
     ids=["variation", "drift", "wire-resistance", "read-noise"],
 )
 def test_off_lattice_reads_take_the_analog_path(
-    rng, monkeypatch, build, with_noise, on_lattice
+    rng, build, with_noise, on_lattice
 ):
+    """An off-lattice or noisy read takes the analog path: it counts
+    ``inputs @ count_weights(with_noise)``, each cell pair's ``(G+ -
+    G-) / g_step`` under the read's own draw, on the pair and through
+    the engine's sense amps, bit for bit, and its counts leave the
+    integer lattice.  An on-lattice pair read without read noise counts
+    the exact integers of its effective levels."""
     engine = build(rng)
     pair = engine.pair
     assert pair.positive.cells.on_lattice is on_lattice
     assert pair.negative.cells.on_lattice is on_lattice
-    if not on_lattice:
-        with pytest.raises(CrossbarError):
-            pair.positive.exact_mvm_counts(np.zeros(256, dtype=np.int64))
-    exact_calls = []
-    exact = CrossbarArray.exact_mvm_counts
-
-    def spy(self, input_levels):
-        exact_calls.append(self)
-        return exact(self, input_levels)
-
-    monkeypatch.setattr(CrossbarArray, "exact_mvm_counts", spy)
-    x = _codes(engine, rng)
-    engine.mvm_batch(x, with_noise=with_noise)
-    assert exact_calls == []
+    x = rng.integers(
+        0, engine.params.input_levels, (BATCH, engine.params.rows)
+    )
+    with scoped_noise_stream(np.random.default_rng(5)):
+        counts = pair.analog_mvm_counts(x, with_noise=with_noise)
+    with scoped_noise_stream(np.random.default_rng(5)):
+        weights = pair.count_weights(with_noise)
+    assert weights.dtype == np.float64
+    assert np.array_equal(counts, x @ weights)
+    assert not np.array_equal(counts, np.trunc(counts))
+    # The engine senses the same counts: both drive phases in one read.
+    codes = _codes(engine, rng)
+    halves = split_unsigned(codes, engine.spec.pin)
+    padded = np.zeros((2, BATCH, engine.params.rows))
+    padded[:, :, : engine.rows_used] = halves
+    with scoped_noise_stream(np.random.default_rng(6)):
+        out = engine.mvm_batch(codes, with_noise=with_noise)
+    with scoped_noise_stream(np.random.default_rng(6)):
+        parts = (padded @ pair.count_weights(with_noise))[..., : 2 * COLS]
+    parts = parts.reshape(parts.shape[:-1] + (COLS, 2))
+    pre, post = part_window(engine.spec, engine.spec.target_shift)
+    grid = (2, 1, 1, 2)
+    expected = digitise(
+        parts, pre.reshape(grid), post.reshape(grid), engine.spec.po
+    ).sum(axis=(0, -1))
+    assert np.array_equal(out, expected)
     if on_lattice:
         # With the read noise off, the same pair counts exactly.
-        engine.mvm_batch(x, with_noise=False)
-        assert exact_calls == [pair.positive, pair.negative]
+        quiet = pair.analog_mvm_counts(x, with_noise=False)
+        assert np.array_equal(quiet, x @ _signed_effective(pair))
+        assert not np.array_equal(quiet, counts)
+
+
+#: Pair states for the current-domain consistency check.
+PAIR_STATES = {
+    "ideal": _ideal,
+    "stuck-at": _stuck,
+    "variation": _varied,
+    "drift": _drifted,
+    "wire-resistance": _wired,
+}
+
+
+@pytest.mark.parametrize("with_noise", [False, True], ids=["quiet", "noisy"])
+@pytest.mark.parametrize("state", sorted(PAIR_STATES))
+def test_pair_read_is_the_difference_of_array_currents(
+    rng, state, with_noise
+):
+    """The pair's read equals the positive array's analog counts minus
+    the negative array's (each with the HRS baseline included), up to
+    float rounding, with noise off and, from equal generator states,
+    on: the two formulas read one device state."""
+    device = NOISY_DEVICE if with_noise else QUIET_DEVICE
+    pair = PAIR_STATES[state](rng, device=device).pair
+    x = rng.integers(0, pair.params.input_levels, (BATCH, pair.params.rows))
+    with scoped_noise_stream(np.random.default_rng(7)):
+        counts = pair.analog_mvm_counts(x, with_noise=with_noise)
+    with scoped_noise_stream(np.random.default_rng(7)):
+        pos = pair.positive.analog_mvm_counts(x, with_noise=with_noise)
+        neg = pair.negative.analog_mvm_counts(x, with_noise=with_noise)
+    # Each current carries the HRS baseline; the difference cancels it
+    # up to rounding on the baseline's scale.
+    np.testing.assert_allclose(
+        counts, pos - neg, rtol=0.0, atol=1e-9 * np.abs(pos).max()
+    )
+    assert np.abs(counts).max() > 1.0
+    with scoped_noise_stream(np.random.default_rng(8)):
+        other = pair.analog_mvm_counts(x, with_noise=with_noise)
+    assert np.array_equal(other, counts) is not with_noise
 
 
 def test_lattice_state_tracks_writes(rng):

@@ -6,14 +6,16 @@ engines.  Over random small networks (dense-only, and conv-pool-dense),
 layer widths on both sides of the 256-row block, SA output widths,
 array conditions and batch sizes around the calibration prefix, the two
 must agree bit for bit and charge every engine the same firings and
-conversions; chunked streaming must not change the output; and noisy
-runs must reproduce under a fixed seed.  Fixed cases force each of the
+conversions, with read noise too from same-seed copies, whose draws the
+plan makes in the walk's order; chunked streaming must not change the
+output; and noisy runs must reproduce under a fixed seed.  Fixed cases
+force each of the
 plan's SA regimes (see ``_WeightStep._lower``) on dense and conv steps,
 since random draws reach the rarer two only by chance, an SA wide
 enough to need a float64 stack, and one- and two-vector steps on each
-side of the packed stack's column threshold; steps that only delegate
-must build no stack.  The in-situ trainer and the SNN
-backend run their layers through the same weight step
+side of the packed stack's column threshold; noisy and delegating
+steps must cache no stack.  The in-situ trainer and the SNN backend
+run their layers through the same weight step
 (:func:`~repro.perf.plan.run_layer`) and are held to the same walk.
 """
 
@@ -77,6 +79,9 @@ ARRAYS = {
     "stuck-at": Arrays(QUIET_DEVICE, True, 0.02),
     "stuck-at+resilience": Arrays(QUIET_DEVICE, True, 0.02, SPARING),
     "stuck-at+variation": Arrays(PT_TIO2_DEVICE, True, 0.02),
+    "stuck-at+variation+resilience": Arrays(
+        PT_TIO2_DEVICE, True, 0.02, SPARING
+    ),
     "drift": Arrays(PT_TIO2_DEVICE, False, drift=0.3),
 }
 #: Around the 64-sample calibration prefix, and past two of it.
@@ -177,7 +182,7 @@ def _weight_steps(programmed):
     ]
 
 
-@settings(max_examples=90, deadline=None)
+@settings(max_examples=105, deadline=None)
 @given(
     network=networks(),
     po=st.integers(2, 12),
@@ -185,7 +190,7 @@ def _weight_steps(programmed):
     batch=st.sampled_from(BATCHES),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_compiled_equals_walk(network, po, arrays, batch, seed):
+def test_compiled_equals_walk(inline_only, network, po, arrays, batch, seed):
     arrays = ARRAYS[arrays]
     topology, net, plan, executor = _setup(*network, po, arrays, seed)
     x = np.random.default_rng(seed + 1).random(
@@ -207,12 +212,20 @@ def test_compiled_equals_walk(network, po, arrays, batch, seed):
     assert [inv for inv, _ in fired] == [batch * v for v in _vectors(plan)]
     chunked, _ = _run(executor, net, plan, x, fresh(), chunk_bytes=1)
     np.testing.assert_array_equal(compiled, chunked)
-    if arrays.varied and arrays.device.read_noise_sigma > 0.0:
-        noisy = [
-            _run(executor, net, plan, x, fresh(), with_noise=True)[0]
-            for _ in range(2)
-        ]
-        np.testing.assert_array_equal(noisy[0], noisy[1])
+    if programmed[0].kernel._noisy(True):
+        # Arrays that draw read noise: same-seed copies draw alike on
+        # the plan, every step inline, and on the walk.
+        with inline_only():
+            noisy, noisy_fired = _run(
+                executor, net, plan, x, fresh(), with_noise=True
+            )
+        walked, walk_fired = _run(
+            executor, net, plan, x, fresh(), walk=True, with_noise=True
+        )
+        np.testing.assert_array_equal(noisy, walked)
+        assert noisy_fired == walk_fired == fired
+        again, _ = _run(executor, net, plan, x, fresh(), with_noise=True)
+        np.testing.assert_array_equal(noisy, again)
 
 
 #: One ~256-row weight layer of each kind, first in its network: a
@@ -421,25 +434,32 @@ def test_insitu_training_equals_walk(inline_only, arrays, batch):
     assert fired == walk_fired
 
 
-def test_insitu_read_noise_reproduces():
-    """With read noise on every forward delegates to the kernel's noisy
-    path; a same-seed run repeats it exactly."""
-    first = _trained(DEFAULT_CROSSBAR, 4, 3)
-    again = _trained(DEFAULT_CROSSBAR, 4, 3)
+def test_insitu_read_noise_reproduces(inline_only):
+    """With read noise on every forward runs inline over its own draw;
+    a same-seed run repeats it exactly, and the walk of a same-seed
+    trainer draws and trains alike."""
+    with inline_only():
+        first = _trained(DEFAULT_CROSSBAR, 4, 3)
+        again = _trained(DEFAULT_CROSSBAR, 4, 3)
     assert first[0] == again[0] and first[2] == again[2]
     np.testing.assert_array_equal(first[1], again[1])
+    walked = _trained(DEFAULT_CROSSBAR, 4, 3, walk=True)
+    assert first[0] == walked[0] and first[2] == walked[2]
+    np.testing.assert_array_equal(first[1], walked[1])
 
 
-def test_delegating_steps_build_no_stack():
-    """A weight step builds its count stacks on its first inline run
-    only: read-noise run_layer calls (every in-situ forward on noisy
-    arrays) and a PRIME_FUSED=0 forward delegate and build none."""
+def test_delegating_steps_build_no_stack(inline_only):
+    """A weight step caches its count stacks on its first noise-free
+    inline run only: read-noise run_layer calls (every in-situ forward
+    on noisy arrays) run inline over a per-call stack and cache none,
+    and a PRIME_FUSED=0 forward delegates and builds none."""
     data = np.random.default_rng(3)
     net = Sequential([Dense(20, 12, rng=data), ReLU(), Dense(12, 4, rng=data)])
     trainer = InSituTrainer(
         net, params=DEFAULT_CROSSBAR, rng=np.random.default_rng(4)
     )
-    trainer.forward(data.random((5, 20)))
+    with inline_only():
+        trainer.forward(data.random((5, 20)))
     for layer in trainer.layers:
         step = layer.programmed.compiled_plan.steps[0]
         assert step.in_fmt is not None and not step.stacked
@@ -501,9 +521,15 @@ def test_snn_equals_walk(inline_only, snn, arrays, batch):
     assert counts.sum() > 0
 
 
-def test_snn_read_noise_reproduces(snn):
+def test_snn_read_noise_reproduces(inline_only, snn):
+    """Noisy timesteps run inline, reproduce under a seed, and equal
+    the walk of a same-seed programming."""
     x = snn[1][:3]
-    first = _spikes(snn, DEFAULT_CROSSBAR, 8, x, with_noise=True)
-    again = _spikes(snn, DEFAULT_CROSSBAR, 8, x, with_noise=True)
+    with inline_only():
+        first = _spikes(snn, DEFAULT_CROSSBAR, 8, x, with_noise=True)
+        again = _spikes(snn, DEFAULT_CROSSBAR, 8, x, with_noise=True)
     np.testing.assert_array_equal(first[0], again[0])
     assert first[1] == again[1]
+    walked = _spikes(snn, DEFAULT_CROSSBAR, 8, x, with_noise=True, walk=True)
+    np.testing.assert_array_equal(first[0], walked[0])
+    assert first[1] == walked[1]

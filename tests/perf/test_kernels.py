@@ -1,21 +1,23 @@
 """Tests for the fused layer kernels and the streaming functional path.
 
-The contract under test: with noise off a layer run through the
-compiled plan's inline step (:func:`~repro.perf.plan.run_layer`) is
-*bit-identical* to the per-engine tile walk (``np.array_equal``, not
-allclose) on ideal arrays, on arrays programmed with variation, on
-stuck-at faulted arrays and on resilience-remapped tiles, telemetry
-and every engine's counters charge the same hardware firings either
-way, noisy remapped grids decline the fused noisy path, the noisy
-fused path reproduces under a fixed
-seed, a scoped noise stream leaves the engines' generator alone on
-every path, racing walks lose no counter increment, and streaming the
-batch through ``run_functional`` in chunks never changes the output.
+The contract under test: a layer run through the compiled plan's
+inline step (:func:`~repro.perf.plan.run_layer`) is *bit-identical* to
+the per-engine tile walk (``np.array_equal``, not allclose) on ideal
+arrays, on arrays programmed with variation, on stuck-at faulted arrays
+and on resilience-remapped tiles, with noise off and, under equal
+draws, with read noise on; telemetry and every engine's counters charge
+the same hardware firings either way; a noisy call reproduces under a
+fixed seed and moves the engines' shared generator exactly as far as
+the walk does, while a scoped noise stream leaves it alone on both
+paths; racing walks lose no counter increment; and streaming the batch
+through ``run_functional`` in chunks never changes the output.
 """
 
+import os
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from repro.device.cell import scoped_noise_stream
 from repro.errors import CrossbarError
 from repro.params.prime import DEFAULT_PRIME_CONFIG
 from repro.perf.kernels import FusedLayerKernel, fused_enabled
-from repro.perf.plan import ProgrammedLayer
+from repro.perf.plan import ProgrammedLayer, run_layer
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 
@@ -149,7 +151,8 @@ def int64_calibrate_shift(tiles, codes, po, calibration_samples=64):
 
 
 class TestFusedBitIdentity:
-    """Noise-off inline layer output == per-engine output, exactly."""
+    """Inline layer output == per-engine output, exactly: with noise
+    off, and with read noise under equal draws."""
 
     @pytest.mark.parametrize(
         "grid_rows, grid_cols",
@@ -219,16 +222,16 @@ class TestFusedBitIdentity:
             )
             programmed = programmed_layer(small_xbar, tiles)
             kernel = programmed.kernel
-            assert not kernel.on_lattice
-            assert kernel.can_fuse(with_noise=False)
+            assert not kernel.on_lattice and kernel._noisy(True)
             x = layer_inputs(small_xbar, kernel, 17, rng)
             for shift in (0, 2, kernel.spec.target_shift, 12):
                 programmed.output_shift = shift
-                (inline, fired), (walked, walk_fired) = layer_runs(
-                    programmed, x
-                )
-                assert np.array_equal(inline, walked)
-                assert fired == walk_fired
+                for with_noise in (False, True):
+                    (inline, fired), (walked, walk_fired) = layer_runs(
+                        programmed, x, with_noise
+                    )
+                    assert np.array_equal(inline, walked)
+                    assert fired == walk_fired
             # The inline runs read the step's own float64 stack.
             step = programmed.compiled_plan.steps[0]
             assert step.stacked
@@ -247,7 +250,8 @@ class TestFusedBitIdentity:
             for rows in (20, 9)
         ]
         for engine in (e for row in tiles for e in row):
-            assert not engine.remapped and not engine.holds_programmed
+            assert engine.slots_used == engine.cols_used
+            assert not engine.degraded and not engine.holds_programmed
             # What the cells hold differs from the programmed weights.
             hi, lo = engine.cell_weights()
             assert not np.array_equal(
@@ -255,7 +259,7 @@ class TestFusedBitIdentity:
             )
         programmed = programmed_layer(params, tiles)
         kernel = programmed.kernel
-        assert kernel.on_lattice and kernel.can_fuse(with_noise=False)
+        assert kernel.on_lattice and not kernel._noisy(True)
         x = layer_inputs(params, kernel, 9, rng)
         for shift in (0, 2, kernel.spec.target_shift, 12):
             programmed.output_shift = shift
@@ -350,6 +354,63 @@ class TestFusedBitIdentity:
                 block[:, lattice], np.trunc(block[:, lattice])
             )
             assert not np.array_equal(block, np.trunc(block))
+
+    @pytest.mark.parametrize(
+        "state", ["ideal", "stuck-at", "drift", "wire-resistance"]
+    )
+    def test_noisy_cell_states_fuse_and_match_walk(
+        self, rng, layer_runs, state
+    ):
+        # Read noise on a device without programming variation, over
+        # each cell state: a noisy inline call reads every engine's
+        # cells under its own draw and equals the walk's read under
+        # equal draws, each engine's counters included.
+        import dataclasses
+
+        from repro.crossbar.pair import DifferentialPair
+        from repro.device.faults import FaultMap
+        from repro.params.crossbar import CrossbarParams
+        from repro.params.reram import PT_TIO2_DEVICE
+
+        params = CrossbarParams(
+            rows=32,
+            cols=32,
+            sense_amps=8,
+            device=dataclasses.replace(
+                PT_TIO2_DEVICE, programming_sigma=0.0
+            ),
+        )
+        noise = np.random.default_rng(41)
+        tiles = make_grid(params, [32, 11], [16, 9], rng, engine_rng=noise)
+        for engine in (e for row in tiles for e in row):
+            if state == "stuck-at":
+                pos = FaultMap.none(params.rows, params.cols)
+                neg = FaultMap.none(params.rows, params.cols)
+                pos.stuck_lrs[:20:3, 2] = True
+                neg.stuck_hrs[2:9, 5] = True
+                engine.pair = DifferentialPair(
+                    params, rng=noise, fault_maps=(pos, neg)
+                )
+                engine.program(engine.programmed_weights)
+            for array in (engine.pair.positive, engine.pair.negative):
+                if state == "drift":
+                    array.cells.apply_drift(0.3, noise)
+                elif state == "wire-resistance":
+                    array.cells.wire_resistance = 2.0
+        programmed = programmed_layer(params, tiles)
+        kernel = programmed.kernel
+        assert kernel._noisy(True)
+        assert kernel.on_lattice == (state in ("ideal", "stuck-at"))
+        x = layer_inputs(params, kernel, 13, rng)
+        for shift in (0, 2, kernel.spec.target_shift, 12):
+            programmed.output_shift = shift
+            (inline, fired), (walked, walk_fired) = layer_runs(
+                programmed, x, with_noise=True
+            )
+            assert np.array_equal(inline, walked)
+            assert fired == walk_fired
+        # The noisy calls cached no stack.
+        assert not programmed.compiled_plan.steps[0].stacked
 
 
 #: Conv layers' im2col geometry at the default 28x28 input: (rows incl.
@@ -582,11 +643,10 @@ def test_variation_grid_calibrates_on_ideal_weights(small_xbar, rng):
 
 
 class TestFaultyPlanFallback:
-    """Engines with spared/masked columns fuse noise-free: the plan
-    reads each logical column at its spare slot and zeroes the dead
-    ones, as the walk's gather/zero-mask post-processing does.  The
-    fused noisy path reads unspared slots, so noisy remapped grids
-    decline it and walk."""
+    """Engines with spared/masked columns run inline, with and without
+    read noise: the plan reads each logical column at its spare slot
+    and zeroes the dead ones, as the walk's gather/zero-mask
+    post-processing does."""
 
     pytestmark = pytest.mark.resilience
 
@@ -629,7 +689,7 @@ class TestFaultyPlanFallback:
                 params, rng=rng, fault_maps=(pos, neg)
             )
             broken.program(w_bad, resilience=policy)
-            assert broken.remapped
+            assert broken.spared_columns == 1
             healthy = CrossbarMVMEngine(params)
             healthy.pair = DifferentialPair(
                 params,
@@ -649,7 +709,7 @@ class TestFaultyPlanFallback:
         assert broken.spared_columns and broken.slots_used > broken.cols_used
         programmed = programmed_layer(params, tiles)
         kernel = programmed.kernel
-        assert kernel.can_fuse(with_noise=False)
+        assert not kernel._noisy(True)
         x = layer_inputs(params, kernel, 11, rng)
         for shift in (0, 2, kernel.spec.target_shift, 12):
             programmed.output_shift = shift
@@ -660,27 +720,40 @@ class TestFaultyPlanFallback:
             # Conversions count the spare slots the SA senses.
             assert fired == walk_fired
 
-    def test_noisy_remapped_grid_declines_to_fuse(self, rng):
+    def test_noisy_remapped_grid_fuses_and_matches_walk(
+        self, rng, layer_runs
+    ):
+        """A noisy call reads every engine's cells under its own draw,
+        the broken engine's spare slot included, and equals the walk's
+        read under equal draws."""
         params, (tiles,) = self._grids(rng=np.random.default_rng(5))
-        kernel = FusedLayerKernel(tiles)
-        assert kernel.can_fuse(with_noise=False)
-        assert not kernel.can_fuse(with_noise=True)
-        codes = make_codes(params, kernel, 6, rng)
-        with scoped_noise_stream(np.random.default_rng(8)):
-            auto = kernel.mvm_batch(codes, with_noise=True)
-        with scoped_noise_stream(np.random.default_rng(8)):
-            walked = kernel.mvm_batch(codes, with_noise=True, fused=False)
-        assert np.array_equal(auto, walked)
+        programmed = programmed_layer(params, tiles)
+        kernel = programmed.kernel
+        assert kernel._noisy(True) and kernel.on_lattice
+        x = layer_inputs(params, kernel, 6, rng)
+        for shift in (0, 2, kernel.spec.target_shift, 12):
+            programmed.output_shift = shift
+            (inline, fired), (walked, walk_fired) = layer_runs(
+                programmed, x, with_noise=True
+            )
+            assert np.array_equal(inline, walked)
+            assert fired == walk_fired
+            (quiet, _), _ = layer_runs(programmed, x)
+            if shift == 0:
+                # The finest SA window resolves the read noise.
+                assert not np.array_equal(inline, quiet)
+        # The noisy calls built no cached stack; the quiet ones did, in
+        # float64, as every step that can draw read noise.
+        step = programmed.compiled_plan.steps[0]
+        assert step.stacked and step.cdtype == np.float64
 
     def test_fallback_matches_fresh_per_engine_run(self, rng):
         params, (tiles, twin) = self._grids(count=2)
         kernel = FusedLayerKernel(tiles)
         codes = make_codes(params, kernel, 11, rng)
         auto = kernel.mvm_batch(codes, with_noise=False)
-        forced_walk = kernel.mvm_batch(
-            codes, with_noise=False, fused=False
-        )
-        assert np.array_equal(auto, forced_walk)
+        again = kernel.mvm_batch(codes, with_noise=False)
+        assert np.array_equal(auto, again)
         # A never-fused twin grid, walked engine by engine, agrees.
         fresh = np.concatenate(
             [
@@ -711,9 +784,7 @@ class TestFaultyPlanFallback:
         auto = run(tiles)
         walked_session = telemetry.enable(fresh=True)
         try:
-            FusedLayerKernel(twin).mvm_batch(
-                codes, with_noise=False, fused=False
-            )
+            FusedLayerKernel(twin).mvm_batch(codes, with_noise=False)
             walked = (
                 walked_session.metrics.counter_total("mvm.invocations"),
                 walked_session.metrics.counter_total("mvm.model_time_ns"),
@@ -758,70 +829,80 @@ class TestKernelValidation:
 
 
 class TestNoisyFusedReproducibility:
+    """Noisy :func:`~repro.perf.plan.run_layer` calls, inline and
+    walked, draw each array's read noise per call from
+    :func:`~repro.device.cell.read_noise_rng`."""
+
     def _build(self, params, seed):
         rng = np.random.default_rng(seed)
         weights = np.random.default_rng(99)  # same weights every build
         tiles = make_grid(params, [24, 8], [16], weights, engine_rng=rng)
-        return FusedLayerKernel(tiles)
+        programmed = programmed_layer(params, tiles)
+        programmed.output_shift = 0  # fine enough to resolve the noise
+        return programmed
+
+    def _run(self, programmed, x, walk=False):
+        with mock.patch.dict(
+            os.environ, {"PRIME_FUSED": "0" if walk else "1"}
+        ):
+            if walk:
+                return run_layer(programmed, x, with_noise=True)
+            with mock.patch.object(
+                FusedLayerKernel, "mvm_batch", side_effect=AssertionError
+            ):
+                return run_layer(programmed, x, with_noise=True)
 
     def test_same_seed_reproduces(self, small_xbar, rng):
         assert small_xbar.device.read_noise_sigma > 0
-        k1 = self._build(small_xbar, 7)
-        k2 = self._build(small_xbar, 7)
-        codes = make_codes(small_xbar, k1, 6, rng)
-        assert k1.can_fuse(with_noise=True)
-        out1 = k1.mvm_batch(codes, with_noise=True, fused=True)
-        out2 = k2.mvm_batch(codes, with_noise=True, fused=True)
-        assert np.array_equal(out1, out2)
+        x = layer_inputs(small_xbar, self._build(small_xbar, 7).kernel, 6, rng)
+        for walk in (False, True):
+            out1 = self._run(self._build(small_xbar, 7), x, walk)
+            out2 = self._run(self._build(small_xbar, 7), x, walk)
+            assert np.array_equal(out1, out2)
 
     def test_different_seed_differs(self, small_xbar, rng):
-        k1 = self._build(small_xbar, 7)
-        k2 = self._build(small_xbar, 8)
-        codes = make_codes(small_xbar, k1, 6, rng)
-        out1 = k1.mvm_batch(codes, with_noise=True, fused=True)
-        out2 = k2.mvm_batch(codes, with_noise=True, fused=True)
-        assert not np.array_equal(out1, out2)
+        x = layer_inputs(small_xbar, self._build(small_xbar, 7).kernel, 6, rng)
+        for walk in (False, True):
+            out1 = self._run(self._build(small_xbar, 7), x, walk)
+            out2 = self._run(self._build(small_xbar, 8), x, walk)
+            assert not np.array_equal(out1, out2)
 
     def test_noisy_call_advances_shared_stream(self, small_xbar, rng):
         """Each unscoped noisy call draws from the engines' shared
-        generator, so it moves, and two successive calls sample
-        different read noise: their analog planes differ.  (Their
-        digitised outputs need not: the SA can absorb small noise.)"""
-        kernel = self._build(small_xbar, 7)
-        codes = make_codes(small_xbar, kernel, 6, rng)
-        planes = []
-        analog = kernel._analog_planes
-
-        def spy(codes):
-            out = analog(codes)
-            planes.append(out.copy())  # digitised in place afterwards
-            return out
-
-        kernel._analog_planes = spy
-        shared = kernel._rng.bit_generator
+        generator, as far on the plan as on the walk, so successive
+        calls sample different read noise; call by call, plan and walk
+        of same-seed copies agree."""
+        plan, walk = self._build(small_xbar, 7), self._build(small_xbar, 7)
+        x = layer_inputs(small_xbar, plan.kernel, 6, rng)
+        plan_stream = plan.kernel._rng.bit_generator
+        walk_stream = walk.kernel._rng.bit_generator
+        outs = []
         for _ in range(2):
-            before = shared.state
-            kernel.mvm_batch(codes, with_noise=True, fused=True)
-            assert shared.state != before
-        assert len(planes) == 2
-        assert not np.array_equal(planes[0], planes[1])
+            before = plan_stream.state
+            out = self._run(plan, x)
+            assert plan_stream.state != before
+            np.testing.assert_array_equal(out, self._run(walk, x, True))
+            assert plan_stream.state == walk_stream.state
+            outs.append(out)
+        assert not np.array_equal(outs[0], outs[1])
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "walk"])
-    def test_scoped_call_leaves_shared_stream(self, small_xbar, rng, fused):
+    @pytest.mark.parametrize("walk", [False, True], ids=["fused", "walk"])
+    def test_scoped_call_leaves_shared_stream(self, small_xbar, rng, walk):
         """Inside :func:`scoped_noise_stream` every read-noise draw, the
-        fused planes' and the walked cells' alike, comes from the scoped
+        plan's stack and the walked cells alike, comes from the scoped
         stream: the shared generator stays put, and the call equals one
         made after resetting the shared generator to the stream's
         seed."""
-        kernel = self._build(small_xbar, 7)
-        codes = make_codes(small_xbar, kernel, 6, rng)
+        programmed = self._build(small_xbar, 7)
+        kernel = programmed.kernel
+        x = layer_inputs(small_xbar, kernel, 6, rng)
         shared = kernel._rng.bit_generator
         before = shared.state
         with scoped_noise_stream(kernel.noise_stream(3)):
-            scoped = kernel.mvm_batch(codes, with_noise=True, fused=fused)
+            scoped = self._run(programmed, x, walk)
         assert shared.state == before
         shared.state = kernel.noise_stream(3).bit_generator.state
-        reset = kernel.mvm_batch(codes, with_noise=True, fused=fused)
+        reset = self._run(programmed, x, walk)
         np.testing.assert_array_equal(scoped, reset)
 
 
@@ -870,12 +951,12 @@ class TestConcurrentWalks:
             engine.sense.conversions = 0
         codes = make_codes(small_xbar, kernel, 3, np.random.default_rng(6))
         once = FusedLayerKernel(grid())
-        once.mvm_batch(codes, with_noise=False, fused=False)
+        once.mvm_batch(codes, with_noise=False)
         workers, rounds = 4, 50
 
         def walk():
             for _ in range(rounds):
-                kernel.mvm_batch(codes, with_noise=False, fused=False)
+                kernel.mvm_batch(codes, with_noise=False)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1008,16 +1089,19 @@ class TestStreamingChunks:
         assert np.array_equal(whole, chunked)
 
     def test_env_var_controls_chunking(
-        self, executor, compiler, monkeypatch, trained_tiny_mlp,
-        tiny_digit_data,
+        self, executor, compiler, trained_tiny_mlp, tiny_digit_data
     ):
+        """A call's ``chunk_bytes`` overrides the default budget, which
+        holds the whole batch in one chunk."""
         topology, net = trained_tiny_mlp
         _, _, x_test, _ = tiny_digit_data
         plan = compiler.compile(topology)
+        assert executor._chunk_samples(plan, 70, None) == 70
         whole = executor.run_functional(net, plan, x_test[:70])
-        monkeypatch.setenv("PRIME_FUNC_CHUNK_BYTES", "40000")
-        assert executor._chunk_samples(plan, 70, None) < 70
-        chunked = executor.run_functional(net, plan, x_test[:70])
+        assert executor._chunk_samples(plan, 70, 40000) < 70
+        chunked = executor.run_functional(
+            net, plan, x_test[:70], chunk_bytes=40000
+        )
         assert np.array_equal(whole, chunked)
 
     def test_nonpositive_budget_disables_streaming(

@@ -41,7 +41,6 @@ def executor():
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("PRIME_FUSED", raising=False)
-    monkeypatch.delenv("PRIME_FUNC_CHUNK_BYTES", raising=False)
 
 
 def _run_modes(executor, compiler, monkeypatch, topology, net, x):

@@ -1,13 +1,14 @@
 """Differential tests for crossbars programmed with variation.
 
 Programming variation moves every cell's conductance off the level
-lattice, so noise-free counts are continuous and the fused kernels read
-them from a differential conductance stack instead of the integer
-weights.  The contract under test: a single layer's inline step
+lattice, so counts are continuous and the compiled plan reads them from
+a differential conductance stack instead of the integer weights.  The
+contract under test: a single layer's inline step
 (:func:`~repro.perf.plan.run_layer`), the compiled plan and chunked
 streaming all equal the per-engine tile walk (``PRIME_FUSED=0``) bit
-for bit; every path charges the same hardware counters; and a stack
-cached before drift or reprogramming is never served after it.
+for bit, with read noise too under equal draws; every path charges the
+same hardware counters; and a stack cached before drift or
+reprogramming is never served after it.
 """
 
 import contextlib
@@ -48,7 +49,6 @@ def compiler():
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("PRIME_FUSED", raising=False)
-    monkeypatch.delenv("PRIME_FUNC_CHUNK_BYTES", raising=False)
     telemetry.disable()
     yield
     telemetry.disable()
@@ -141,19 +141,22 @@ def test_fused_kernel_equals_walk(
     )
     programmed.output_shift = shift
     kernel = programmed.kernel
-    assert not kernel.on_lattice and kernel.can_fuse(with_noise=False)
+    assert not kernel.on_lattice and kernel._noisy(True)
     x = np.random.default_rng(weight_seed + 1).integers(
         0, 1 << PARAMS.effective_input_bits, (batch, kernel.total_rows - 1)
     ).astype(float)
-    session = telemetry.enable(fresh=True)
-    try:
-        (inline, fired), (walked, walk_fired) = layer_runs(programmed, x)
-        firings = session.metrics.counter_total("mvm.invocations")
-    finally:
-        telemetry.disable()
-    np.testing.assert_array_equal(inline, walked)
-    assert fired == walk_fired
-    assert firings == 2 * batch * len(rows) * len(cols)
+    for with_noise in (False, True):
+        session = telemetry.enable(fresh=True)
+        try:
+            (inline, fired), (walked, walk_fired) = layer_runs(
+                programmed, x, with_noise
+            )
+            firings = session.metrics.counter_total("mvm.invocations")
+        finally:
+            telemetry.disable()
+        np.testing.assert_array_equal(inline, walked)
+        assert fired == walk_fired
+        assert firings == 2 * batch * len(rows) * len(cols)
 
 
 # -- network level -----------------------------------------------------
@@ -261,13 +264,32 @@ def test_conv_geometries_compiled_equal_walk(
 
 @pytest.mark.parametrize("batch", [1, 65])
 def test_conv_geometries_delegated_with_noise(
-    executor, conv_geometry, monkeypatch, batch, float_im2col
+    executor, conv_geometry, monkeypatch, inline_only, batch, float_im2col
 ):
-    """With read noise on, the plan's steps delegate to the kernels
+    """With read noise on, every weight step of the compiled plan runs
+    inline over its call's own draw and equals the walk of a same-seed
+    copy, each engine's counters included; only the walk delegates,
     with codes from the slice-copy gather: each conv step's codes equal
-    a float-im2col quantisation of its input at the frozen format, and
-    same-seed copies reproduce through the same noise draws."""
+    a float-im2col quantisation of its input at the frozen format.
+    Same-seed copies reproduce, and the noise moves the output."""
     net, plan, x = conv_geometry
+
+    def noisy(walk=False):
+        programmed = _program(executor, net, plan, 31)
+        assert all(p.kernel._noisy(True) for p in programmed)
+        engines = _engines(p.tiles for p in programmed)
+
+        def run():
+            return executor.run_functional(
+                net, plan, x[:batch], programmed=programmed, with_noise=True
+            )
+
+        if walk:
+            with _walk():
+                return _counted(run, engines)
+        with inline_only():
+            return _counted(run, engines)
+
     delegated = []
     delegate = plan_mod._WeightStep._delegate
     mvm_batch = FusedLayerKernel.mvm_batch
@@ -280,17 +302,13 @@ def test_conv_geometries_delegated_with_noise(
         delegated[-1][2] = np.array(codes)
         return mvm_batch(kernel, codes, *args, **kwargs)
 
+    compiled, fired = noisy()
+    np.testing.assert_array_equal(compiled, noisy()[0])
     monkeypatch.setattr(plan_mod._WeightStep, "_delegate", spy_delegate)
     monkeypatch.setattr(FusedLayerKernel, "mvm_batch", spy_mvm)
-
-    def noisy():
-        programmed = _program(executor, net, plan, 31)
-        assert all(p.kernel._noisy(True) for p in programmed)
-        return executor.run_functional(
-            net, plan, x[:batch], programmed=programmed, with_noise=True
-        )
-
-    compiled = noisy()
+    walked, walk_fired = noisy(walk=True)
+    np.testing.assert_array_equal(compiled, walked)
+    assert fired == walk_fired and fired[0] > 0
     convs = [d for d in delegated if isinstance(d[0].layer, Conv2D)]
     assert len(convs) == 2
     for step, act, codes in convs:
@@ -298,7 +316,6 @@ def test_conv_geometries_delegated_with_noise(
         vecs = np.concatenate([vectors, np.ones((len(vectors), 1))], axis=1)
         expected = step.in_fmt.quantize_int(np.clip(vecs, 0.0, None))
         np.testing.assert_array_equal(codes, expected)
-    np.testing.assert_array_equal(compiled, noisy())
     quiet = executor.run_functional(
         net, plan, x[:batch], programmed=_program(executor, net, plan, 31)
     )
@@ -360,5 +377,8 @@ def test_drift_and_reprogram_never_serve_a_stale_stack(
     np.testing.assert_array_equal(drifted, walk())
     reprogram_state(spec, programmed)
     healed = run()
-    assert all(p.kernel.can_fuse(with_noise=False) for p in programmed)
+    healed_plan = programmed[0].compiled_plan
+    assert healed_plan is not recompiled
+    # The healed run read fresh stacks, inline.
+    assert all(getattr(step, "stacked", True) for step in healed_plan.steps)
     np.testing.assert_array_equal(healed, walk())

@@ -105,7 +105,7 @@ class TestColumnSparing:
         engine = _broken_column_engine(params, bad_col=3, rows_used=16)
         report = engine.program(w, resilience=policy)
         assert engine.spared_columns == 1
-        assert engine.remapped
+        assert engine.slots_used == 7  # six logical columns + one spare
         assert not engine.degraded
         assert engine.masked_columns == 0
         assert not report.clean
@@ -154,7 +154,8 @@ class TestColumnSparing:
         )
         assert report.clean
         assert engine.spared_columns == 0
-        assert not engine.remapped
+        assert engine.slots_used == engine.cols_used == 6
+        assert not engine.degraded
 
 
 class TestVerifyBitIdentity:
