@@ -16,6 +16,7 @@ import numpy as np
 from repro import parse_topology, synthetic_mnist
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
+from repro.crossbar import ProgrammedLayer
 from repro.crossbar.engine import CrossbarMVMEngine
 from repro.crossbar.pair import DifferentialPair
 from repro.device.faults import FaultMap
@@ -23,7 +24,6 @@ from repro.device.irdrop import worst_case_attenuation
 from repro.eval.reporting import render_table
 from repro.params.crossbar import CrossbarParams
 from repro.params.reram import PT_TIO2_DEVICE
-from repro.perf.plan import ProgrammedLayer
 
 
 def train_reference():

@@ -38,7 +38,7 @@ from repro.memory.main_memory import MainMemory
 from repro.nn.network import Sequential
 from repro.nn.topology import NetworkTopology
 from repro.baselines.common import ExecutionReport
-from repro.perf.plan import ProgrammedLayer
+from repro.crossbar.layer import ProgrammedLayer
 
 
 class PrimeSession:

@@ -172,7 +172,7 @@ class CommandStreamRunner:
         )
         buf_cursor = region.offset + region.size
 
-        outputs = entry.kernel.mvm_batch(
+        outputs = entry.mvm_batch(
             codes, with_noise=False, output_shift=output_shift
         )
         scale = (

@@ -26,8 +26,8 @@ from repro.crossbar.engine import CrossbarMVMEngine
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
 from repro.params.prime import PrimeConfig, DEFAULT_PRIME_CONFIG
-from repro.perf.kernels import fused_enabled
-from repro.perf.plan import CALIBRATION_SAMPLES, CompiledPlan, ProgrammedLayer
+from repro.crossbar.layer import ProgrammedLayer
+from repro.perf.plan import CALIBRATION_SAMPLES, CompiledPlan, fused_enabled
 from repro.precision.dynamic_fixed_point import (
     DynamicFixedPoint,
     quantize_with_bias,
@@ -523,7 +523,7 @@ class PrimeExecutor:
 
         The plan memoises on the chain's first ProgrammedLayer and is
         validated against the live programmed state on every chunk —
-        recalibration, reprogramming, or kernel invalidation all break
+        recalibration, reprogramming, or layer invalidation all break
         :meth:`CompiledPlan.matches` and force a recompile.  An
         uncalibrated chain compiles too: its steps freeze calibration
         on their first run.
@@ -541,9 +541,9 @@ class PrimeExecutor:
         """Largest batch ``run_functional`` evaluates in one chunk.
 
         The serving layer sizes its micro-batches against this — a
-        micro-batch at or under the chunk budget reaches the fused
-        kernels as one wide matmul instead of being re-split inside
-        the executor.
+        micro-batch at or under the chunk budget reaches the compiled
+        plan as one wide matmul instead of being re-split inside the
+        executor.
         """
         return self._chunk_samples(plan, 1 << 62, chunk_bytes)
 
@@ -646,9 +646,10 @@ class PrimeExecutor:
     ) -> list[ProgrammedLayer]:
         """Program every layer into fresh standalone engines.
 
-        Each entry is a :class:`~repro.perf.plan.ProgrammedLayer`;
-        reusing the list across :meth:`run_functional` calls also
-        reuses the fused kernels and the frozen per-layer calibration.
+        Each entry is a :class:`~repro.crossbar.layer.ProgrammedLayer`,
+        built once its tiles are programmed; reusing the list across
+        :meth:`run_functional` calls also reuses the compiled plan and
+        the frozen per-layer calibration.
 
         ``resilience`` overrides ``config.resilience``.  With
         ``verify_writes`` on, every tile programs through the
@@ -675,17 +676,18 @@ class PrimeExecutor:
                     [None] * mapping.col_blocks
                     for _ in range(mapping.row_blocks)
                 ]
-                layer = ProgrammedLayer(tiles, w_fmt)
+                remapped = 0
                 for rb, cb, tile in self.iter_tiles(mapping, w_int):
                     engine = CrossbarMVMEngine(xbar, rng=rng)
                     engine.program(tile, resilience=verify)
                     if verify is not None and engine.degraded:
-                        engine = self._remap_tile(
+                        engine, remaps = self._remap_tile(
                             engine, tile, mapping, rng, verify,
-                            spare_budget, layer,
+                            spare_budget,
                         )
+                        remapped += remaps
                     tiles[rb][cb] = engine
-                programmed.append(layer)
+                programmed.append(ProgrammedLayer(tiles, w_fmt, remapped))
             if verify is not None:
                 self.last_degradation = self.summarize_degradation(
                     plan, programmed
@@ -708,23 +710,25 @@ class PrimeExecutor:
         rng: np.random.Generator | None,
         policy: ResiliencePolicy,
         spare_budget: dict[int, int],
-        layer: ProgrammedLayer,
-    ) -> CrossbarMVMEngine:
+    ) -> tuple[CrossbarMVMEngine, int]:
         """Re-program a degraded tile onto spare pairs of its bank.
 
         Each attempt consumes one of the bank's reserved spare pairs
         (a fresh physical pair, hence a fresh fault draw); the engine
         with the fewest masked columns wins.  With the budget
-        exhausted the best engine so far stays, zero-masked.
+        exhausted the best engine so far stays, zero-masked.  Returns
+        that engine and the number of attempts (the layer's
+        ``remapped_tiles`` share).
         """
         bank = mapping.bank
         budget = spare_budget.setdefault(
             bank, policy.spare_pairs_per_bank
         )
         best = engine
+        remaps = 0
         while best.degraded and budget > 0:
             budget -= 1
-            layer.remapped_tiles += 1
+            remaps += 1
             if telemetry.enabled():
                 telemetry.count("resilience.tile_remaps", bank=bank)
             candidate = CrossbarMVMEngine(self.config.crossbar, rng=rng)
@@ -732,7 +736,7 @@ class PrimeExecutor:
             if candidate.masked_columns < best.masked_columns:
                 best = candidate
         spare_budget[bank] = budget
-        return best
+        return best, remaps
 
     def summarize_degradation(
         self, plan: MappingPlan, programmed: list[ProgrammedLayer]

@@ -18,6 +18,10 @@ The modules mirror the blocks of Figure 4:
 * :mod:`repro.crossbar.engine` — the composed matrix-vector-multiply
   engine that sequences drivers, arrays, subtraction, SA, and the
   precision adder into one signed digital MVM.
+* :mod:`repro.crossbar.layer` — one mapped weight layer as PRIME
+  programs and fires it: the grid of programmed engines, its weight
+  format and frozen calibration, its state token, the per-engine walk
+  and the firing accounting the compiled plan reads.
 """
 
 from repro.crossbar.array import CrossbarArray
@@ -30,6 +34,7 @@ from repro.crossbar.functional_units import (
     MaxPool4Unit,
 )
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.crossbar.layer import ProgrammedLayer
 
 __all__ = [
     "CrossbarArray",
@@ -40,4 +45,5 @@ __all__ = [
     "ReLUUnit",
     "MaxPool4Unit",
     "CrossbarMVMEngine",
+    "ProgrammedLayer",
 ]

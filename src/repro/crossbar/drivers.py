@@ -68,8 +68,3 @@ class WordlineDriver:
             raise CrossbarError("driver inputs must be normalised to [0, 1]")
         top = self.params.input_levels - 1
         return np.clip(np.rint(values * top), 0, top).astype(np.int64)
-
-    def drive_energy(self, active_rows: int | None = None) -> float:
-        """Energy of one drive event (joules)."""
-        rows = self.params.rows if active_rows is None else active_rows
-        return rows * self.params.e_driver_per_row

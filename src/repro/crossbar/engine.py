@@ -38,7 +38,7 @@ from repro.crossbar.sense import ReconfigurableSenseAmp, digitise, part_window
 #: Guards every engine's firing counters, ``mvm_invocations`` and
 #: ``sense.conversions``: replica threads walk and charge one shared
 #: programmed copy at once, and ``+=`` on an attribute is not atomic.
-#: :meth:`repro.perf.kernels.FusedLayerKernel.charge` takes it too.
+#: :meth:`repro.crossbar.layer.ProgrammedLayer.charge` takes it too.
 COUNTER_LOCK = threading.Lock()
 
 
@@ -46,9 +46,9 @@ def record_firings(params: CrossbarParams, firings: int) -> None:
     """Charge ``firings`` composed MVM firings to the telemetry layer:
     ``mvm.invocations``, ``mvm.model_time_ns`` (``t_full_mvm`` each)
     and ``mvm.energy_nj`` (``e_full_mvm`` for each of the pair's two
-    arrays).  The walk's engines and the compiled plan's
-    :meth:`~repro.perf.kernels.FusedLayerKernel.charge` both charge
-    through here."""
+    arrays).  The walk's engines and
+    :meth:`~repro.crossbar.layer.ProgrammedLayer.charge`, which the
+    compiled plan's inline steps call, both charge through here."""
     if not telemetry.enabled():
         return
     telemetry.count("mvm.invocations", firings)
@@ -481,15 +481,3 @@ class CrossbarMVMEngine:
         return self.pair.analog_mvm_counts(
             self.driver.latch, with_noise=with_noise
         )
-
-    # -- cost model ---------------------------------------------------------
-
-    @property
-    def mvm_latency(self) -> float:
-        """Latency of one composed MVM (seconds)."""
-        return self.params.t_full_mvm
-
-    @property
-    def mvm_energy(self) -> float:
-        """Energy of one composed MVM (joules); ×2 for the pair."""
-        return 2.0 * self.params.e_full_mvm

@@ -270,8 +270,3 @@ class DifferentialPair:
         self.negative._require(ArrayMode.COMPUTE, op)
         inputs = self.positive._checked_compute_inputs(input_levels, op)
         return inputs.astype(np.float64) @ self.count_weights(with_noise)
-
-    def subtraction_energy(self, columns: int | None = None) -> float:
-        """Energy of the analog subtraction units for one conversion."""
-        cols = self.params.logical_cols if columns is None else columns
-        return cols * self.params.e_sub_sigmoid

@@ -12,8 +12,8 @@ The SA has one transfer function, :func:`digitise`, and
 :func:`part_window` gives each partial product of a composed MVM its
 window in it (Eq. 3-9).  Every functional tier digitises through these
 two: the per-engine walk
-(:class:`~repro.crossbar.engine.CrossbarMVMEngine`), the fused layer
-kernel, the compiled plan, :meth:`ReconfigurableSenseAmp.convert`, and
+(:class:`~repro.crossbar.engine.CrossbarMVMEngine`), the compiled
+plan, :meth:`ReconfigurableSenseAmp.convert`, and
 the paper's literal integer model,
 :func:`repro.precision.composing.composed_dot`, at the fixed Eq. 3
 window.
@@ -138,12 +138,3 @@ class ReconfigurableSenseAmp:
         digital = digitise(counts, 2.0 ** (keep - full_scale_bits), None, keep)
         self.conversions += counts.size
         return digital.astype(np.int64)
-
-    def conversion_latency(self, columns: int) -> float:
-        """Time to convert ``columns`` bitlines with the SA bank."""
-        batches = -(-columns // self.params.sense_amps)  # ceil division
-        return batches * self.params.t_sa
-
-    def conversion_energy(self, columns: int) -> float:
-        """Energy to convert ``columns`` bitlines once."""
-        return columns * self.params.e_sa_conversion

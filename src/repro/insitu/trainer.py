@@ -8,11 +8,12 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.crossbar.layer import ProgrammedLayer
 from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.network import Sequential
 from repro.params.crossbar import CrossbarParams, DEFAULT_CROSSBAR
-from repro.perf.plan import ProgrammedLayer, run_layer
+from repro.perf.plan import run_layer
 from repro.precision.dynamic_fixed_point import (
     DynamicFixedPoint,
     quantize_with_bias,
@@ -57,9 +58,10 @@ class _InSituLayer:
         self.activation = activation
         self.params = params
         self.engine = CrossbarMVMEngine(params, rng=rng)
-        #: The engine as a one-tile programmed layer: its weight format,
-        #: the per-batch input format and the per-cell-state SA window.
-        self.programmed = ProgrammedLayer([[self.engine]], None)
+        #: The engine as a one-tile programmed layer, rebuilt by every
+        #: :meth:`program` that moves a level: its weight format, the
+        #: per-batch input format and the per-cell-state SA window.
+        self.programmed: ProgrammedLayer | None = None
         self.levels: np.ndarray | None = None
         # caches for the digital backward pass
         self._x: np.ndarray | None = None
@@ -87,10 +89,9 @@ class _InSituLayer:
             changed = int(np.count_nonzero(levels != self.levels))
         if changed:
             self.engine.program(levels)
-            # The cell state moved: the SA window and the memoised
-            # step's count stacks are both stale.
-            self.programmed.output_shift = None
-            self.programmed.kernel.invalidate()
+            # The cell state moved: a fresh layer over the engine drops
+            # the stale SA window and the memoised step's count stacks.
+            self.programmed = ProgrammedLayer([[self.engine]], fmt)
         self.levels = levels
         self.programmed.w_fmt = fmt
         self.total_writes += changed
@@ -113,7 +114,7 @@ class _InSituLayer:
                 np.clip(augmented[:64], 0.0, None)
             )
             programmed.output_shift = (
-                programmed.kernel.calibrate_output_shift(
+                programmed.calibrate_output_shift(
                     codes, calibration_samples=len(codes)
                 )
             )

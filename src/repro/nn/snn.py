@@ -26,10 +26,11 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.crossbar.layer import ProgrammedLayer
 from repro.nn.layers import Dense, Flatten, ReLU
 from repro.nn.network import Sequential
 from repro.params.crossbar import CrossbarParams, DEFAULT_CROSSBAR
-from repro.perf.plan import ProgrammedLayer, run_layer
+from repro.perf.plan import run_layer
 from repro.precision.dynamic_fixed_point import (
     DynamicFixedPoint,
     quantize_with_bias,
@@ -302,7 +303,7 @@ class SpikingNetwork:
             codes = np.concatenate(
                 [head, np.ones((len(head), 1))], axis=1
             ).astype(np.int64)
-            crossbar.output_shift = crossbar.kernel.calibrate_output_shift(
+            crossbar.output_shift = crossbar.calibrate_output_shift(
                 codes, calibration_samples=len(codes)
             )
         return run_layer(crossbar, spikes, with_noise)

@@ -1,13 +1,12 @@
 """Content-addressed on-disk artifact cache for the evaluation pipeline.
 
-The expensive products of the eval stack — trained reference networks,
-their held-out evaluation sets, and compiled mapping plans — are pure
-functions of a small set of inputs.  This module persists them under a
+The expensive products of the eval stack — trained reference networks
+and their held-out evaluation sets — are pure functions of a small set
+of inputs.  This module persists them under a
 key that hashes *all* of those inputs:
 
 * the workload name and its topology signature,
-* every training/compilation parameter (sample counts, epochs, seed,
-  configuration repr),
+* every training parameter (sample counts, epochs, seed),
 * a fingerprint of the source modules that produce the artifact, so
   code changes invalidate entries automatically.
 
@@ -32,7 +31,6 @@ import hashlib
 import json
 import logging
 import os
-import pickle
 import shutil
 import tempfile
 from functools import lru_cache
@@ -56,15 +54,6 @@ _TRAIN_MODULES = (
     "repro.nn.losses",
     "repro.nn.network",
     "repro.nn.topology",
-)
-
-#: Source modules whose content determines a compiled mapping plan.
-_PLAN_MODULES = (
-    "repro.core.compiler",
-    "repro.core.mapping",
-    "repro.eval.workloads",
-    "repro.params.crossbar",
-    "repro.params.prime",
 )
 
 _ACTIVE = os.environ.get("PRIME_CACHE", "").strip().lower() not in (
@@ -290,53 +279,3 @@ def reference_network(
     cache.store("reference_network", key, _write)
     return net, x_test, y_test
 
-
-def mapping_plan(
-    workload: str,
-    config=None,
-    cache: ArtifactCache | None = None,
-):
-    """Compiled :class:`~repro.core.mapping.MappingPlan`, cached.
-
-    The key covers the workload's topology signature, the full
-    ``PrimeConfig`` repr (value-based: dataclasses all the way down),
-    and the compiler source fingerprint.
-    """
-    from repro.core.compiler import PrimeCompiler
-    from repro.eval.workloads import get_workload
-    from repro.params.prime import DEFAULT_PRIME_CONFIG
-
-    config = config if config is not None else DEFAULT_PRIME_CONFIG
-    cache = cache if cache is not None else ArtifactCache()
-    wl = get_workload(workload)
-    key = {
-        "kind": "mapping_plan",
-        "workload": workload,
-        "topology": wl.topology_text,
-        "input_shape": list(wl.input_shape),
-        "config": repr(config),
-        "code": code_fingerprint(*_PLAN_MODULES),
-    }
-    entry = cache.lookup("mapping_plan", key)
-    if entry is not None:
-        try:
-            with (entry / "plan.pkl").open("rb") as f:
-                return pickle.load(f)
-        except Exception as exc:
-            logger.warning(
-                "evicting unreadable cache entry %s: %s", entry, exc
-            )
-            telemetry.count(
-                "perf.cache.corrupt",
-                kind="mapping_plan",
-                error=type(exc).__name__,
-            )
-            cache.evict("mapping_plan", key)
-    plan = PrimeCompiler(config).compile(wl.topology())
-
-    def _write(target: Path) -> None:
-        with (target / "plan.pkl").open("wb") as f:
-            pickle.dump(plan, f)
-
-    cache.store("mapping_plan", key, _write)
-    return plan

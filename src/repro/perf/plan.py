@@ -2,8 +2,11 @@
 
 :meth:`PrimeExecutor.run_functional` executes every chunk through a
 :class:`CompiledPlan`, which lowers a programmed
-:class:`ProgrammedLayer` chain into a flat step list once, at deploy
-time, instead of interpreting the network layer by layer.  The in-situ
+:class:`~repro.crossbar.layer.ProgrammedLayer` chain into a flat step
+list once, at deploy time, instead of interpreting the network layer
+by layer.  The plan reads each layer's tile grid, token, calibration
+and firing accounting from the layer itself and keeps only what it
+builds from them.  The in-situ
 trainer and the SNN backend run their dense layers one at a time
 through the same weight step (:func:`run_layer`), so every count in
 the package, with or without read noise, comes from the one path
@@ -23,15 +26,16 @@ below:
   share one vectorised split per row block, every other engine writes
   its own columns (:meth:`CrossbarMVMEngine.cell_weights`).  A step
   that only delegates builds none, and
-  :meth:`FusedLayerKernel.invalidate` (reprogramming, drift) renews the
-  kernel's token, which retires the step and its stacks;
+  :meth:`ProgrammedLayer.invalidate` (reprogramming, drift) renews the
+  layer's token, which retires the step and its stacks;
 * a call that samples read noise runs the same inline path over a
   stack of its own: every engine's cells read with noise, engine by
   engine in tile order, so each array draws its noise per call, from
   :func:`~repro.device.cell.read_noise_rng`, in the order the walk
-  draws it (:meth:`_WeightStep._stacks`).  That stack lives in the
-  calling thread's scratch store and is rewritten by its next noisy
-  call, never cached on the step or shared between threads;
+  draws it (:meth:`_WeightStep._stacks`, inside the ``plan.counts``
+  span).  That stack lives in the calling thread's scratch store and
+  is rewritten by its next noisy call, never cached on the step or
+  shared between threads;
 * the frozen calibration formats are baked into scalar constants
   (``1/resolution``, saturation bounds, and each partial product's SA
   window from :func:`~repro.crossbar.sense.part_window`), so no format
@@ -89,31 +93,31 @@ through the one SA transfer function,
 :func:`~repro.crossbar.sense.digitise`.  Every weight step runs inline,
 at every SA width, with or without read noise; seeded noise
 reproduces, and telemetry counters match the walk's.  With
-``fused=False`` (``PRIME_FUSED=0``) every weight step delegates to
-:meth:`FusedLayerKernel.mvm_batch`, which walks the engines: the
-semantic reference the plan is tested against.
+``fused=False`` (``PRIME_FUSED=0``, :func:`fused_enabled`) every
+weight step delegates to :meth:`ProgrammedLayer.mvm_batch`, which
+walks the engines: the semantic reference the plan is tested against.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import weakref
 
 import numpy as np
 
 from repro import telemetry
-from repro.crossbar.engine import CrossbarMVMEngine
+from repro.crossbar.layer import ProgrammedLayer
 from repro.crossbar.sense import digitise, part_window
 from repro.errors import ExecutionError
 from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Sequential
 from repro.perf import blas
-from repro.perf.kernels import FusedLayerKernel, fused_enabled
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 __all__ = [
     "CALIBRATION_SAMPLES",
-    "ProgrammedLayer",
+    "fused_enabled",
     "freeze_calibration",
     "run_layer",
     "CompiledPlan",
@@ -145,6 +149,12 @@ PACKED_MIN_COLS = 448
 _MAX_BUFFER_SETS = 8
 
 
+def fused_enabled() -> bool:
+    """Whether weight steps run inline (``PRIME_FUSED``, default on);
+    ``PRIME_FUSED=0`` walks the engines."""
+    return os.environ.get("PRIME_FUSED", "1") != "0"
+
+
 def _count_dtype(spec, rows: int):
     """Narrowest float dtype that holds every integer count exactly.
 
@@ -161,44 +171,6 @@ def _count_dtype(spec, rows: int):
     bound = rows * in_max * w_max
     sensed = ((1 << spec.po) - 1) << spec.part_exponents["HH"]
     return np.float32 if max(bound, sensed) < (1 << 24) else np.float64
-
-
-class ProgrammedLayer:
-    """One mapped weight layer's programmed state: the engine tile
-    grid, its weight format, the fused kernel over the grid, and the
-    calibration frozen on first use (input format + SA output shift),
-    so reusing a programmed plan skips recalibration.
-    """
-
-    def __init__(
-        self,
-        tiles: list[list[CrossbarMVMEngine]],
-        w_fmt: DynamicFixedPoint,
-    ) -> None:
-        self.tiles = tiles
-        self.w_fmt = w_fmt
-        self.in_fmt: DynamicFixedPoint | None = None
-        self.output_shift: int | None = None
-        self._kernel: FusedLayerKernel | None = None
-        #: Tiles the executor re-programmed onto spare pairs because
-        #: their first engine came up degraded (resilience only).
-        self.remapped_tiles = 0
-        #: The memoised CompiledPlan: a network's on its first layer
-        #: (recompiled when ``CompiledPlan.matches`` fails), or this
-        #: layer's own one-step plan (:func:`run_layer`).
-        self.compiled_plan = None
-
-    @property
-    def kernel(self) -> FusedLayerKernel:
-        """Fused layer kernel over the tile grid (built lazily)."""
-        if self._kernel is None:
-            self._kernel = FusedLayerKernel(self.tiles)
-        return self._kernel
-
-    def reset_calibration(self) -> None:
-        """Forget the frozen input format and output shift."""
-        self.in_fmt = None
-        self.output_shift = None
 
 
 def _conv_geometry(layer: Conv2D, act: np.ndarray) -> tuple[int, int]:
@@ -268,7 +240,7 @@ def freeze_calibration(layer, programmed, act: np.ndarray, pin: int) -> None:
     ``|value|`` among the prefix's input vectors: the prefix's own peak
     or the bias input 1, since every pixel of a stride-1 conv input
     lies in some patch and padding adds only zeros.  The output shift
-    is the kernel's calibration over the prefix's codes.  Later chunks
+    is the layer's calibration over the prefix's codes.  Later chunks
     and batches reuse both; out-of-range activations saturate, as a
     fixed hardware reference would.  Every weight step freezes through
     here on its first run, whichever path it then takes.
@@ -279,7 +251,7 @@ def freeze_calibration(layer, programmed, act: np.ndarray, pin: int) -> None:
         np.array([peak]), bits=pin, signed=False
     )
     codes = _input_codes(layer, prefix, in_fmt)
-    programmed.output_shift = programmed.kernel.calibrate_output_shift(
+    programmed.output_shift = programmed.calibrate_output_shift(
         codes, calibration_samples=len(codes)
     )
     programmed.in_fmt = in_fmt
@@ -325,7 +297,7 @@ class _WeightStep:
     * ``inline`` — the count-domain math, fully in place, for every
       call of a fused plan, over the step's cached noise-free stacks or
       a noisy call's own draw (:meth:`_stacks`);
-    * ``delegate`` — :meth:`FusedLayerKernel.mvm_batch` over
+    * ``delegate`` — :meth:`ProgrammedLayer.mvm_batch` over
       :func:`_input_codes`, the per-engine walk, for every call when
       the plan runs with ``fused=False``.
 
@@ -339,35 +311,37 @@ class _WeightStep:
     is ``None`` for a dense layer run on its own (:func:`run_layer`).
     """
 
-    def __init__(self, layer, programmed, pin: int) -> None:
-        kernel = programmed.kernel
-        spec = kernel.spec
+    def __init__(self, layer, programmed: ProgrammedLayer, pin: int) -> None:
+        spec = programmed.spec
         self.layer = layer
         # Weak: the programmed layer memoises the plan, so a strong
         # back-reference would make a reference cycle that keeps every
-        # engine alive until a gc pass.
+        # engine alive until a gc pass.  The token, the calibration,
+        # the charge and the walk are read through it; the grid and the
+        # spec are held here.
         self._programmed = weakref.ref(programmed)
-        self.kernel = kernel
-        self.token = kernel.token
+        self.tiles = programmed.tiles
+        self.spec = spec
+        self.token = programmed.token
         self.pin = pin
         self.is_conv = isinstance(layer, Conv2D)
         self.lo_div = float(1 << (spec.pin // 2))
         self.inv_lo_div = 1.0 / self.lo_div
-        self.t = kernel.total_cols
-        self.rb = kernel.row_blocks
-        self.rows_used = list(kernel.rows_used)
+        self.t = programmed.total_cols
+        self.rb = programmed.row_blocks
+        self.rows_used = list(programmed.rows_used)
         self.rmax = max(self.rows_used)
-        self.total_rows = kernel.total_rows
+        self.total_rows = programmed.total_rows
         self.offs = [0]
         for rows in self.rows_used:
             self.offs.append(self.offs[-1] + rows)
         # Integer (on-lattice) stacks take the narrowest exact dtype; a
         # stack with any continuous column, or one a call can draw read
         # noise into, takes float64.
-        self.draws_noise = kernel._noisy(True)
+        self.draws_noise = programmed.samples_read_noise(True)
         self.cdtype = (
             _count_dtype(spec, self.rmax)
-            if kernel.on_lattice and not self.draws_noise
+            if programmed.on_lattice and not self.draws_noise
             else np.float64
         )
         # The digitised planes sum in the count dtype when the sum of
@@ -435,8 +409,8 @@ class _WeightStep:
 
     def valid(self) -> bool:
         """Whether the programmed state still matches this lowering:
-        the kernel still carries the state token this step was built
-        under (:meth:`FusedLayerKernel.invalidate` renews it), and the
+        the layer still carries the state token this step was built
+        under (:meth:`ProgrammedLayer.invalidate` renews it), and the
         layer's input format, output shift and weight format equal, by
         value, the ones baked in.
 
@@ -444,7 +418,7 @@ class _WeightStep:
         its layer holds when it first runs.
         """
         programmed = self._programmed()
-        if programmed is None or self.kernel.token is not self.token:
+        if programmed is None or programmed.token is not self.token:
             return False
         return self.in_fmt is None or (
             programmed.in_fmt,
@@ -462,7 +436,7 @@ class _WeightStep:
         if programmed.in_fmt is None:
             freeze_calibration(self.layer, programmed, act, self.pin)
         in_fmt = programmed.in_fmt
-        spec = self.kernel.spec
+        spec = self.spec
         self.shift = int(programmed.output_shift)
         self.w_fmt = programmed.w_fmt
         # A float64 scalar, so float32 sums scale in float64.
@@ -568,7 +542,7 @@ class _WeightStep:
             blocks = [w.T for w in stacks]
         else:
             blocks = [*stacks[0], *stacks[1]]
-        for row, block in zip(self.kernel.tiles, blocks):
+        for row, block in zip(self.tiles, blocks):
             self._fill(row, block, noisy)
         return stacks
 
@@ -767,17 +741,17 @@ class _WeightStep:
             if self.is_conv:
                 return result.reshape(act.shape[0], oh, ow, self.t)
             return result
-        stacks = self._stacks(with_noise and self.draws_noise, store)
+        noisy = with_noise and self.draws_noise
         if self.is_conv:
-            return self._conv_inline(act, oh, ow, store, span, stacks)
-        return self._inline(act, store, span, stacks)
+            return self._conv_inline(act, oh, ow, store, span, noisy)
+        return self._inline(act, store, span, noisy)
 
     def _delegate(self, act: np.ndarray, with_noise: bool) -> np.ndarray:
         """The per-engine walk (``fused=False``), the semantic
-        reference: :meth:`FusedLayerKernel.mvm_batch` over
+        reference: :meth:`ProgrammedLayer.mvm_batch` over
         :func:`_input_codes`."""
         codes = _input_codes(self.layer, act, self.in_fmt)
-        outputs = self.kernel.mvm_batch(
+        outputs = self._programmed().mvm_batch(
             codes, with_noise=with_noise, output_shift=self.shift
         )
         return outputs * self.scale
@@ -800,11 +774,12 @@ class _WeightStep:
         lo += q
 
     def _inline(
-        self, vectors: np.ndarray, store: dict, span, stacks
+        self, vectors: np.ndarray, store: dict, span, noisy: bool
     ) -> np.ndarray:
-        """Dense counts over ``stacks`` (:meth:`_stacks`); micro-batches
-        of wide layers read the packed stack instead, which only
-        noise-free float32 steps build."""
+        """Dense counts over the call's stacks (:meth:`_stacks`, read
+        inside ``plan.counts``: a noisy call's draw is part of forming
+        its counts); micro-batches of wide layers read the packed stack
+        instead, which only noise-free float32 steps build."""
         n = vectors.shape[0]
         packed = self.packed_ok and n <= PACKED_MAX_VECS
         buffers = self._buffer_set(n, packed, store=store)
@@ -815,11 +790,12 @@ class _WeightStep:
             self._split(vecs, buffers["q"], hi, lo)
         counts = buffers["counts"]
         with span("plan.counts", vectors=n):
+            stacks = self._stacks(noisy, store)
             if packed:
                 self._packed_counts(hi, lo, counts, buffers, n)
             else:
                 self._trimmed_counts(hi, lo, counts, buffers, n, *stacks)
-        self.kernel.charge(n, self.shift)
+        self._programmed().charge(n, self.shift)
         with span("plan.digitise"):
             # [block, phase, vector, half, col] planes.
             self._sense(counts.reshape(self.rb, 2, n, 2, self.t))
@@ -836,14 +812,15 @@ class _WeightStep:
         return out
 
     def _conv_inline(
-        self, act: np.ndarray, oh: int, ow: int, store: dict, span, w_rows
+        self, act: np.ndarray, oh: int, ow: int, store: dict, span, noisy
     ) -> np.ndarray:
         """Conv counts without a float64 patch matrix.
 
         Each padded input pixel is quantised, split and scaled by its
         drive-phase factor once; the drive ``(rows, phase, vector)``
         then fills by one slice copy per kernel offset, and ``W^T @
-        drive`` per row block of ``w_rows`` (:meth:`_stacks`) yields
+        drive`` per row block of the call's stacks (:meth:`_stacks`,
+        read inside ``plan.counts`` like the dense step's) yields
         count planes ``[block, half, col, phase, vector]`` whose long
         vector axis is innermost for the digitisation and the
         reduction.
@@ -859,6 +836,7 @@ class _WeightStep:
             hl *= self.hl_scale
         counts = buffers["counts"]
         with span("plan.counts", vectors=n):
+            w_rows = self._stacks(noisy, store)
             _gather_patches(hl, self.layer.kernel, drive)
             flat = drive.reshape(self.total_rows, 2 * n)
             for i, w_block in enumerate(w_rows):
@@ -867,7 +845,7 @@ class _WeightStep:
                     flat[self.offs[i] : self.offs[i + 1]],
                     out=counts[i],
                 )
-        self.kernel.charge(n, self.shift)
+        self._programmed().charge(n, self.shift)
         parts = counts.reshape(self.rb, 2, self.t, 2, n)
         with span("plan.digitise"):
             self._sense(parts)
@@ -962,7 +940,7 @@ class _WeightStep:
         ``acc_dtype`` reproduces the walk's int64 totals bit for bit.
         """
         digitise(
-            parts, self.res_c, self.post_c, self.kernel.spec.po, out=parts
+            parts, self.res_c, self.post_c, self.spec.po, out=parts
         )
 
 
@@ -973,8 +951,8 @@ class CompiledPlan:
     or not (the first execution freezes what is missing, step by step);
     :meth:`execute` runs each chunk of ``run_functional``.  The plan
     holds *references* to the programmed
-    state (engines, kernels, formats) — :meth:`matches` detects
-    reprogramming / recalibration / kernel invalidation, and the
+    state (engines, formats) — :meth:`matches` detects
+    reprogramming / recalibration / layer invalidation, and the
     executor recompiles when it no longer holds.  The programmed layers
     themselves are held weakly: the first of them memoises the plan,
     and a closed deployment must free its engines by reference
@@ -1039,8 +1017,8 @@ class CompiledPlan:
     def matches(self, network: Sequential, layers: list, pin: int) -> bool:
         """Whether this plan still describes ``(network, layers)``.
 
-        Identity of the network, the programmed layers and the
-        kernels' state tokens, and the frozen calibrations by value —
+        Identity of the network, the programmed layers and their
+        state tokens, and the frozen calibrations by value —
         any reprogramming (``invalidate``) or recalibration
         (``reset_calibration``) breaks one of these and triggers a
         recompile.
@@ -1057,7 +1035,7 @@ class CompiledPlan:
         """Whether a forward in this noise regime is exact.
 
         Exact means every weight layer's arrays are on the level
-        lattice (:attr:`FusedLayerKernel.on_lattice`) and the call
+        lattice (:attr:`ProgrammedLayer.on_lattice`) and the call
         samples no read noise: every count is then an integer inside
         the float dtype's exact range, on every path, so no result bit
         depends on how BLAS splits its sums.  Only exact forwards
@@ -1069,10 +1047,12 @@ class CompiledPlan:
         flag = self._exact.get(with_noise)
         if flag is None:
             flag = all(
-                step.kernel.on_lattice
-                and not step.kernel._noisy(with_noise)
-                for step in self.steps
-                if isinstance(step, _WeightStep)
+                layer.on_lattice and not layer.samples_read_noise(with_noise)
+                for layer in (
+                    step._programmed()
+                    for step in self.steps
+                    if isinstance(step, _WeightStep)
+                )
             )
             self._exact[with_noise] = flag
         return flag
@@ -1118,13 +1098,13 @@ def run_layer(
     ``programmed.output_shift`` (the in-situ trainer's and the SNN
     backend's entry).  Runs a one-step :class:`CompiledPlan` memoised
     in ``programmed.compiled_plan``: rebuilt when
-    :meth:`FusedLayerKernel.invalidate` renews the kernel's token,
+    :meth:`ProgrammedLayer.invalidate` renews the layer's token,
     re-lowered when the calibration changes by value.  Reads
     ``PRIME_FUSED`` once per call; ``0`` walks the engines.
     """
     plan = programmed.compiled_plan
-    if plan is None or plan.steps[0].token is not programmed.kernel.token:
-        pin = programmed.kernel.spec.pin
+    if plan is None or plan.steps[0].token is not programmed.token:
+        pin = programmed.spec.pin
         step = _WeightStep(None, programmed, pin)
         plan = CompiledPlan(None, [programmed], pin, [step])
         programmed.compiled_plan = plan

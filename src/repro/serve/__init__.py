@@ -60,6 +60,7 @@ from repro.serve.autoscaler import (
 )
 from repro.serve.batcher import (
     DEFAULT_MAX_WAIT_S,
+    MAX_BATCH_CAP,
     MicroBatcher,
     ServeRequest,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "HealthPolicy",
     "LoadGenerator",
     "LoadReport",
+    "MAX_BATCH_CAP",
     "ReplicaHealthMonitor",
     "ReprogramEvent",
     "RestartEvent",

@@ -29,12 +29,21 @@ from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.telemetry.request import TraceContext, make_trace_id
 
-__all__ = ["ServeRequest", "MicroBatcher", "DEFAULT_MAX_WAIT_S"]
+__all__ = [
+    "ServeRequest",
+    "MicroBatcher",
+    "DEFAULT_MAX_WAIT_S",
+    "MAX_BATCH_CAP",
+]
 
 #: Default maximum queueing delay before a partial batch ships.  The
 #: runtime's pipelined ``poll`` ships earlier, at once, whenever a
 #: replica is idle; the delay applies while every replica is busy.
 DEFAULT_MAX_WAIT_S = 0.002
+#: Upper bound on the micro-batch size the runtime derives from the
+#: executor's chunk model: beyond a point a wider matmul stops paying
+#: and only adds queueing latency.
+MAX_BATCH_CAP = 256
 
 
 @dataclass
@@ -93,7 +102,7 @@ class MicroBatcher:
     the executor's streaming chunk model
     (:meth:`~repro.core.executor.PrimeExecutor.max_chunk_samples` at
     its ``DEFAULT_CHUNK_BYTES`` budget), capped at
-    ``ServeConfig.max_batch_cap`` (256).  Three forces meet there:
+    :data:`MAX_BATCH_CAP` (256).  Three forces meet there:
 
     * *kernel width* — one micro-batch should evaluate in a single
       plan-compiled pass, so it must fit the executor's per-chunk

@@ -65,6 +65,10 @@ __all__ = [
     "ServingCluster",
 ]
 
+#: Seconds the cluster loop sleeps after an iteration that moved no
+#: work, so an idle loop yields the GIL to the replica threads.
+POLL_INTERVAL_S = 5e-5
+
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
@@ -285,7 +289,6 @@ class ServingCluster:
         pipelined: bool = True,
         clock=None,
         sleep=None,
-        poll_interval_s: float = 5e-5,
     ) -> None:
         if not tenants:
             raise ConfigurationError("cluster needs at least one tenant")
@@ -296,7 +299,6 @@ class ServingCluster:
         self.pipelined = pipelined
         self.clock = clock or time.perf_counter
         self.sleep = sleep or time.sleep
-        self.poll_interval_s = poll_interval_s
         self.scheduler = BankScheduler(config)
         self._states: list[_TenantState] = []
         try:
@@ -424,7 +426,7 @@ class ServingCluster:
                     )
                 last = tick
                 if not progress:
-                    self.sleep(self.poll_interval_s)
+                    self.sleep(POLL_INTERVAL_S)
             end = self.clock()
         return self._report(end - start)
 

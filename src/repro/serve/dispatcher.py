@@ -24,10 +24,14 @@ The copy (and the ``reference`` oracle) programs from one
 :class:`WorkerSpec`, so results never depend on which replica a batch
 lands on.  With noise enabled, every micro-batch draws its read noise
 from a private stream seeded by batch index via
-:func:`repro.perf.parallel.task_seed`
-(:func:`~repro.device.cell.scoped_noise_stream`) — noisy serving is
+:func:`repro.perf.parallel.task_seed` (the first programmed layer's
+:meth:`~repro.crossbar.layer.ProgrammedLayer.noise_stream`, under
+:func:`~repro.device.cell.scoped_noise_stream`) — noisy serving is
 reproducible and routing-independent too, and never moves the
-programmed copy's own generator.
+programmed copy's own generator.  Reprogramming and drift renew each
+layer's state token
+(:meth:`~repro.crossbar.layer.ProgrammedLayer.invalidate`), which
+retires the compiled plan's stacks.
 """
 
 from __future__ import annotations
@@ -43,12 +47,12 @@ import numpy as np
 from repro import telemetry
 from repro.core.executor import PrimeExecutor
 from repro.core.mapping import MappingPlan
+from repro.crossbar.layer import ProgrammedLayer
 from repro.device.cell import scoped_noise_stream
 from repro.errors import ConfigurationError
 from repro.nn.network import Sequential
 from repro.params.prime import PrimeConfig
 from repro.perf.parallel import task_seed
-from repro.perf.plan import ProgrammedLayer
 from repro.resilience.policy import ResiliencePolicy
 from repro.serve.health import WorkerCrash, apply_drift
 
@@ -259,9 +263,10 @@ def reprogram_state(
     the spec's program-and-verify policy when one is active) restores
     the deploy-time state — exactly, in the noise-free regime; with
     programming variation each cell draws a fresh perturbation from
-    the copy's generator.  Each fused kernel is invalidated afterwards
-    (retiring the stacks built over the old cells) so the recovered
-    conductances reach subsequent evaluations.
+    the copy's generator.  Each layer is invalidated afterwards
+    (:meth:`~repro.crossbar.layer.ProgrammedLayer.invalidate`, retiring
+    the stacks built over the old cells) so the recovered conductances
+    reach subsequent evaluations.
     """
     policy = (
         spec.resilience
@@ -279,7 +284,7 @@ def reprogram_state(
                     array.cells.program_levels(
                         array.cells.levels, verify=verify
                     )
-        layer.kernel.invalidate()
+        layer.invalidate()
 
 
 def run_programmed(
@@ -294,14 +299,14 @@ def run_programmed(
     Writes nothing a concurrent call over the same copy reads, so
     replica threads share one copy.  A noisy batch with a
     ``noise_seed`` draws all its read noise from a fresh stream seeded
-    with it (:meth:`~repro.perf.kernels.FusedLayerKernel.noise_stream`
+    with it (:meth:`~repro.crossbar.layer.ProgrammedLayer.noise_stream`
     under :func:`~repro.device.cell.scoped_noise_stream`): its result
     is a pure function of the seed and the batch, whichever thread
     serves it, and the copy's own generator never moves.
     """
     start = time.perf_counter() if spec.pace_batch_s else 0.0
     if spec.with_noise and noise_seed is not None:
-        stream = programmed[0].kernel.noise_stream(noise_seed)
+        stream = programmed[0].noise_stream(noise_seed)
         ctx = scoped_noise_stream(stream)
     else:
         ctx = contextlib.nullcontext()

@@ -22,9 +22,9 @@ runtime threads those failures through:
   exactly once).
 * :func:`apply_drift` — the seeded conductance-drift injector over a
   programmed layer chain, reusing :meth:`CellArray.apply_drift
-  <repro.device.cell.CellArray.apply_drift>` and invalidating the
-  fused/compiled kernel caches so drifted conductances actually reach
-  the served outputs.
+  <repro.device.cell.CellArray.apply_drift>` and invalidating each
+  programmed layer, which retires the compiled plan's count stacks, so
+  drifted conductances actually reach the served outputs.
 
 Determinism contract: a retried micro-batch re-dispatches the *same*
 payload with the *same* per-batch noise seed
@@ -173,6 +173,9 @@ class ReplicaHealth:
     suspect_count: int = 0
     #: Restarts consumed from the per-replica budget.
     restarts: int = 0
+    #: Restart epoch, bumped by every quarantine: a failure restarts
+    #: the replica only when the batch ran on its current incarnation.
+    epoch: int = 0
     #: EMA of worker-measured execution seconds per batch-width bucket
     #: (``samples.bit_length()``: 1, 2-3, 4-7, ... samples), the
     #: outlier baselines; a bucket is absent until its first batch
@@ -255,8 +258,18 @@ class ReplicaHealthMonitor:
     # -- lifecycle ------------------------------------------------------
 
     def quarantine(self, replica: int) -> None:
-        """Take ``replica`` out of rotation (pending restart)."""
-        self.replicas[replica].healthy = False
+        """Take ``replica`` out of rotation (pending restart) and end
+        its incarnation."""
+        r = self.replicas[replica]
+        r.healthy = False
+        r.epoch += 1
+
+    def epoch(self, replica: int) -> int:
+        """``replica``'s restart epoch; 0 for a replica the monitor
+        no longer tracks."""
+        if replica < len(self.replicas):
+            return self.replicas[replica].epoch
+        return 0
 
     def can_restart(self, replica: int) -> bool:
         r = self.replicas[replica]
@@ -426,13 +439,14 @@ class ReprogramEvent:
 def apply_drift(programmed, magnitude: float, seed: int) -> None:
     """Apply seeded conductance drift to a programmed layer chain.
 
-    Walks every engine of every :class:`ProgrammedLayer`, decays both
+    Walks every engine of every
+    :class:`~repro.crossbar.layer.ProgrammedLayer`, decays both
     differential halves' conductances toward HRS via
-    :meth:`CellArray.apply_drift`, and invalidates each fused kernel,
-    which retires the compiled plan's count stacks and the kernel's
-    conductance stacks, so the drifted conductances reach subsequent
-    evaluations (the fast paths otherwise serve from stacks frozen at
-    program time).  Deterministic in ``(magnitude, seed)``.
+    :meth:`CellArray.apply_drift`, and invalidates each layer, which
+    retires the compiled plan's count stacks, so the drifted
+    conductances reach subsequent evaluations (the plan otherwise
+    serves from stacks built before the drift).  Deterministic in
+    ``(magnitude, seed)``.
     """
     if magnitude <= 0:
         raise ConfigurationError("drift magnitude must be > 0")
@@ -442,4 +456,4 @@ def apply_drift(programmed, magnitude: float, seed: int) -> None:
             for engine in row:
                 for array in (engine.pair.positive, engine.pair.negative):
                     array.cells.apply_drift(magnitude, rng)
-        layer.kernel.invalidate()
+        layer.invalidate()

@@ -43,6 +43,7 @@ from repro.params.prime import PrimeConfig, DEFAULT_PRIME_CONFIG
 from repro.resilience.policy import ResiliencePolicy
 from repro.serve.batcher import (
     DEFAULT_MAX_WAIT_S,
+    MAX_BATCH_CAP,
     MicroBatcher,
     ServeRequest,
 )
@@ -105,11 +106,8 @@ class ServeConfig:
 
     #: Micro-batch size; ``None`` derives it from the executor's chunk
     #: model (``max_chunk_samples`` at its ``DEFAULT_CHUNK_BYTES``
-    #: budget) capped at ``max_batch_cap``.
+    #: budget) capped at :data:`~repro.serve.batcher.MAX_BATCH_CAP`.
     max_batch: int | None = None
-    #: Upper bound on the derived micro-batch size — beyond a point a
-    #: wider matmul stops paying and only adds queueing latency.
-    max_batch_cap: int = 256
     #: Longest a partial batch waits for company while every replica
     #: is busy.  The pipelined ``poll`` ships the queue head at once
     #: whenever some replica has no batch executing; the synchronous
@@ -171,9 +169,7 @@ class ServingRuntime:
             max_batch = self.serve_config.max_batch
             if max_batch is None:
                 chunk = self.scheduler.executor.max_chunk_samples(self.plan)
-                max_batch = max(
-                    1, min(self.serve_config.max_batch_cap, chunk)
-                )
+                max_batch = max(1, min(MAX_BATCH_CAP, chunk))
             #: Tenant label on every trace context and ``serve.*``
             #: metric this runtime records.
             self.tenant = (
@@ -227,8 +223,6 @@ class ServingRuntime:
         self.monitor = ReplicaHealthMonitor(
             max(self.deployment.replicas, 1), self.health
         )
-        #: Per-replica restart epochs (see :class:`_Inflight`).
-        self._replica_epoch = [0] * max(self.deployment.replicas, 1)
         #: Bumped when the dispatcher degrades to serial (see
         #: :class:`_Inflight`).
         self._generation = 0
@@ -469,7 +463,7 @@ class ServingRuntime:
                 payload=stacked,
                 noise_seed=noise_seed,
                 replica=replica,
-                epoch=self._epoch_of(replica),
+                epoch=self.monitor.epoch(replica),
                 t_wall=time.monotonic(),
                 generation=self._generation,
             )
@@ -481,11 +475,6 @@ class ServingRuntime:
         while self._inflight:
             completed += self._resolve(self._inflight.pop(0))
         return completed
-
-    def _epoch_of(self, replica: int) -> int:
-        if replica < len(self._replica_epoch):
-            return self._replica_epoch[replica]
-        return 0
 
     def _resolve(self, entry: _Inflight) -> int:
         """Collect one micro-batch, recovering from faults.
@@ -534,7 +523,10 @@ class ServingRuntime:
             completed += 1
             if telemetry.enabled():
                 self._record_request(request, envelope.execute_ns)
-        if restart_outlier and self._epoch_of(entry.replica) == entry.epoch:
+        if (
+            restart_outlier
+            and self.monitor.epoch(entry.replica) == entry.epoch
+        ):
             # The batch itself succeeded, but the replica has now been
             # a latency outlier `suspect_limit` times in a row: restart
             # it proactively before it turns into a deadline miss.
@@ -555,7 +547,7 @@ class ServingRuntime:
         if current:
             if entry.replica < len(self.monitor.replicas):
                 self.monitor.record_failure(entry.replica, reason)
-            if self._epoch_of(entry.replica) == entry.epoch:
+            if self.monitor.epoch(entry.replica) == entry.epoch:
                 # First failure against this replica incarnation: it
                 # is genuinely bad (crashed or hung thread) — restart
                 # it.  Later failures with a stale epoch came from the
@@ -594,7 +586,7 @@ class ServingRuntime:
             entry.payload, entry.noise_seed, replica=replica
         )
         entry.replica = replica
-        entry.epoch = self._epoch_of(replica)
+        entry.epoch = self.monitor.epoch(replica)
         entry.generation = self._generation
         entry.t_wall = time.monotonic()
         return True
@@ -635,8 +627,6 @@ class ServingRuntime:
         dispatch (:meth:`_degrade_to_serial`).
         """
         self.monitor.quarantine(replica)
-        if replica < len(self._replica_epoch):
-            self._replica_epoch[replica] += 1
         if not self.monitor.can_restart(replica):
             self._retire_replica(replica)
             return False
@@ -742,7 +732,7 @@ class ServingRuntime:
         self._probe = (
             replica,
             self.dispatcher.probe_replica(replica),
-            self._epoch_of(replica),
+            self.monitor.epoch(replica),
         )
 
     def _check_probes(self, block: bool) -> None:
@@ -753,7 +743,7 @@ class ServingRuntime:
         if self._probe is None:
             return
         replica, future, epoch = self._probe
-        if self._epoch_of(replica) != epoch:
+        if self.monitor.epoch(replica) != epoch:
             self._probe = None  # replica restarted since; probe is moot
             return
         if not block and not future.done():
@@ -878,8 +868,9 @@ class ServingRuntime:
         The measured wall seconds are returned and recorded as the
         ``serve.scale`` span and the ``serve.scale.bringup_ms``
         histogram.  Shrink drains every in-flight batch first, retires
-        the newest replicas, and returns their banks.  Returns 0.0 when
-        ``replicas`` already matches.
+        the newest replicas, drops a drift probe still out on one of
+        them, and returns their banks.  Returns 0.0 when ``replicas``
+        already matches.
         """
         if self._closed:
             raise ExecutionError("serving runtime is closed")
@@ -913,13 +904,12 @@ class ServingRuntime:
                 self._drained += self._collect()
                 cost = self.dispatcher.shrink(current - replicas)
                 self.scheduler.shrink(self.name, current - replicas)
+                if self._probe is not None and self._probe[0] >= replicas:
+                    # Its replica is retired and its future cancelled:
+                    # no verdict to read (the degrade to serial drops
+                    # it too).
+                    self._probe = None
             self.monitor.resize(replicas)
-            if replicas > len(self._replica_epoch):
-                self._replica_epoch.extend(
-                    [0] * (replicas - len(self._replica_epoch))
-                )
-            else:
-                del self._replica_epoch[replicas:]
             if telemetry.enabled():
                 telemetry.count(
                     "serve.scale_events",

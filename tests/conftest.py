@@ -11,13 +11,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.crossbar.layer import ProgrammedLayer
 from repro.device.cell import scoped_noise_stream
 from repro.nn.datasets import synthetic_mnist
 from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
 from repro.perf import blas
-from repro.perf.kernels import FusedLayerKernel
-from repro.perf.plan import ProgrammedLayer, run_layer
+from repro.perf.plan import run_layer
 
 
 def _float_im2col(layer, act):
@@ -55,11 +55,11 @@ def _firings(engines) -> list[tuple[int, int]]:
 
 @contextlib.contextmanager
 def _inline_only():
-    """Fail any ``FusedLayerKernel.mvm_batch`` call: inside, every
+    """Fail any ``ProgrammedLayer.mvm_batch`` call: inside, every
     weight step must run inline instead of delegating."""
     delegated = AssertionError("a weight step delegated")
     with mock.patch.object(
-        FusedLayerKernel, "mvm_batch", side_effect=delegated
+        ProgrammedLayer, "mvm_batch", side_effect=delegated
     ):
         yield
 

@@ -56,7 +56,7 @@ class TestCommandStreamRunner:
         x = tiny_digit_data[2][:64].astype(np.float32).astype(np.float64)
         for seed in (None, 11):
             session = _session(*trained_tiny_mlp, seed=seed)
-            ideal = [p.kernel.on_lattice for p in session._programmed]
+            ideal = [p.on_lattice for p in session._programmed]
             assert all(ideal) == (seed is None) and any(ideal) == all(ideal)
             fast = session.run(x).astype(np.float32).astype(np.float64)
             runner = CommandStreamRunner(session)
@@ -116,7 +116,7 @@ def _reference_sample(session, x, float_im2col):
         if entry.in_fmt is None:
             fmt = DynamicFixedPoint.for_data(vecs, bits=pin, signed=False)
             codes = fmt.quantize_int(np.clip(vecs, 0.0, None))
-            shift = entry.kernel.calibrate_output_shift(codes)
+            shift = entry.calibrate_output_shift(codes)
         else:
             fmt, shift = entry.in_fmt, entry.output_shift
             codes = fmt.quantize_int(np.clip(vecs, 0.0, None))

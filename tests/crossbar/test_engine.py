@@ -152,15 +152,3 @@ class TestNoisyAccuracy:
         o1 = engine.mvm(a, with_noise=True, output_shift=shift)
         o2 = engine.mvm(a, with_noise=True, output_shift=shift)
         assert not np.array_equal(o1, o2)
-
-
-class TestCostModel:
-    def test_latency_matches_params(self, engine):
-        assert engine.mvm_latency == pytest.approx(
-            engine.params.t_full_mvm
-        )
-
-    def test_energy_counts_both_arrays(self, engine):
-        assert engine.mvm_energy == pytest.approx(
-            2.0 * engine.params.e_full_mvm
-        )

@@ -70,12 +70,6 @@ class TestWordlineDriver:
         driver.set_compute_mode(False)
         assert np.all(driver.latch == 0)
 
-    def test_drive_energy_scales_with_rows(self, params):
-        driver = WordlineDriver(params)
-        assert driver.drive_energy(8) == pytest.approx(
-            driver.drive_energy() / 2
-        )
-
 
 class TestSenseAmp:
     def test_default_full_precision(self, params):
@@ -119,11 +113,6 @@ class TestSenseAmp:
         sa.convert(np.zeros(10), full_scale_bits=6)
         assert sa.conversions == 10
 
-    def test_latency_batches_over_sa_bank(self, params):
-        sa = ReconfigurableSenseAmp(params)
-        assert sa.conversion_latency(16) == pytest.approx(2 * params.t_sa)
-        assert sa.conversion_latency(1) == pytest.approx(params.t_sa)
-
 
 class TestDifferentialPair:
     def test_signed_mvm_cancels_baseline(self, params, rng):
@@ -152,12 +141,6 @@ class TestDifferentialPair:
         pair.set_mode(ArrayMode.COMPUTE)
         with pytest.raises(CrossbarError):
             pair.program_signed_levels(np.full((16, 16), 16))
-
-    def test_subtraction_energy_scales(self, params):
-        pair = DifferentialPair(params)
-        assert pair.subtraction_energy(4) == pytest.approx(
-            4 * params.e_sub_sigmoid
-        )
 
 
 class TestSigmoidUnit:

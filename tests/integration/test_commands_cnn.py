@@ -30,7 +30,7 @@ class TestCnnCommandStream:
             session.map_topology(topology)
             session.program_weight(net)
             session.config_datapath()
-            ideal = [p.kernel.on_lattice for p in session._programmed]
+            ideal = [p.on_lattice for p in session._programmed]
             assert all(ideal) == (seed is None) and any(ideal) == all(ideal)
             fast = session.run(x).astype(np.float32).astype(np.float64)
             runner = CommandStreamRunner(session)

@@ -90,37 +90,40 @@ def _install(monkeypatch, threads) -> blas.BlasBudget:
 
 
 def _plan(device, rng=None):
-    """A calibrated compiled plan over ``device``'s arrays."""
+    """A calibrated compiled plan over ``device``'s arrays, and the
+    programmed chain it runs.  The plan reads its layers through weak
+    references, so each fixture holds the chain while its plan is in
+    use."""
     config = _config(device)
     net = TOPOLOGY.build(rng=np.random.default_rng(2))
     mapping = PrimeCompiler(config).compile(TOPOLOGY)
     executor = PrimeExecutor(config)
     programmed = executor.program_network(net, mapping, rng=rng)
     executor.run_functional(net, mapping, X, programmed=programmed)
-    return programmed[0].compiled_plan
+    return programmed[0].compiled_plan, programmed
 
 
 @pytest.fixture(scope="module")
 def exact_plan():
-    plan = _plan(NOISE_FREE)
+    plan, chain = _plan(NOISE_FREE)
     assert plan.exact(False) and plan.exact(True)
-    return plan
+    yield plan
 
 
 @pytest.fixture(scope="module")
 def varied_plan():
-    plan = _plan(PT_TIO2_DEVICE, np.random.default_rng(5))
+    plan, chain = _plan(PT_TIO2_DEVICE, np.random.default_rng(5))
     assert not plan.exact(False)
-    return plan
+    yield plan
 
 
 @pytest.fixture(scope="module")
 def noisy_plan():
     """Ideal arrays of a device with read noise: exact only with the
     noise off."""
-    plan = _plan(NOISY_READS, np.random.default_rng(5))
+    plan, chain = _plan(NOISY_READS, np.random.default_rng(5))
     assert plan.exact(False) and not plan.exact(True)
-    return plan
+    yield plan
 
 
 class _Meet:

@@ -8,7 +8,6 @@ from repro.perf import cache as perf_cache
 from repro.perf.cache import (
     ArtifactCache,
     code_fingerprint,
-    mapping_plan,
     reference_network,
     reference_network_key,
     stable_key,
@@ -159,36 +158,3 @@ class TestReferenceNetworkRoundTrip:
             perf_cache.enable()
         assert perf_cache.active()
 
-
-class TestMappingPlanRoundTrip:
-    def test_round_trip_is_equal(self, cache, metrics):
-        plan1 = mapping_plan("MLP-S", cache=cache)
-        plan2 = mapping_plan("MLP-S", cache=cache)
-        assert (
-            telemetry.counter_value("perf.cache.hit", kind="mapping_plan")
-            == 1
-        )
-        assert plan2 == plan1
-
-    def test_truncated_plan_recovers_and_counts(self, cache, metrics):
-        plan1 = mapping_plan("MLP-S", cache=cache)
-        entry_dir = next(cache.root.glob("mapping_plan/*/*"))
-        pkl = entry_dir / "plan.pkl"
-        pkl.write_bytes(pkl.read_bytes()[:16])
-        plan2 = mapping_plan("MLP-S", cache=cache)
-        assert plan2 == plan1
-        assert (
-            telemetry.counter_value(
-                "perf.cache.corrupt",
-                kind="mapping_plan",
-                error="UnpicklingError",
-            )
-            == 1
-        )
-
-    def test_workloads_do_not_collide(self, cache):
-        plan_s = mapping_plan("MLP-S", cache=cache)
-        plan_m = mapping_plan("MLP-M", cache=cache)
-        assert plan_s.workload == "MLP-S"
-        assert plan_m.workload == "MLP-M"
-        assert mapping_plan("MLP-S", cache=cache) == plan_s

@@ -212,7 +212,7 @@ def test_compiled_equals_walk(inline_only, network, po, arrays, batch, seed):
     assert [inv for inv, _ in fired] == [batch * v for v in _vectors(plan)]
     chunked, _ = _run(executor, net, plan, x, fresh(), chunk_bytes=1)
     np.testing.assert_array_equal(compiled, chunked)
-    if programmed[0].kernel._noisy(True):
+    if programmed[0].samples_read_noise(True):
         # Arrays that draw read noise: same-seed copies draw alike on
         # the plan, every step inline, and on the walk.
         with inline_only():
@@ -249,7 +249,7 @@ FOLD_REGIMES = [
 
 def _regime(step):
     """The SA regime a lowered weight step took."""
-    pre, _ = part_window(step.kernel.spec, step.shift)
+    pre, _ = part_window(step.spec, step.shift)
     if not pre.all():
         return "below-register"
     if step.res_c is None and step.post_c is None:
@@ -353,7 +353,7 @@ def test_micro_batch_path_by_width(inline_only, cols, batch):
 @pytest.mark.parametrize("kind", sorted(FOLD_NETS))
 def test_wide_sense_amp_runs_inline(inline_only, kind, batch):
     """At Po 18 a digitised part can exceed float32's exact integers,
-    so the kernel stacks float64; every weight step still runs inline
+    so the step stacks float64; every weight step still runs inline
     and equals the walk."""
     topology, net, plan, executor = _setup(
         *FOLD_NETS[kind], 18, ARRAYS["ideal"], seed=7

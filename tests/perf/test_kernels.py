@@ -1,4 +1,5 @@
-"""Tests for the fused layer kernels and the streaming functional path.
+"""Tests for the programmed layer's inline and walked runs and the
+streaming functional path.
 
 The contract under test: a layer run through the compiled plan's
 inline step (:func:`~repro.perf.plan.run_layer`) is *bit-identical* to
@@ -28,12 +29,12 @@ from repro import telemetry
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.crossbar.layer import ProgrammedLayer
 from repro.crossbar.sense import ReconfigurableSenseAmp
 from repro.device.cell import scoped_noise_stream
 from repro.errors import CrossbarError
 from repro.params.prime import DEFAULT_PRIME_CONFIG
-from repro.perf.kernels import FusedLayerKernel, fused_enabled
-from repro.perf.plan import ProgrammedLayer, run_layer
+from repro.perf.plan import fused_enabled, run_layer
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 
 
@@ -66,11 +67,11 @@ def make_grid(params, grid_rows, grid_cols, rng, engine_rng=None):
     return tiles
 
 
-def make_codes(params, kernel, batch, rng):
+def make_codes(params, layer, batch, rng):
     return rng.integers(
         0,
         1 << params.effective_input_bits,
-        (batch, kernel.total_rows),
+        (batch, layer.total_rows),
         dtype=np.int64,
     )
 
@@ -123,16 +124,16 @@ def faulted_engine(params, rows, cols, rng):
     return engine
 
 
-def layer_inputs(params, kernel, batch, rng):
+def layer_inputs(params, layer, batch, rng):
     """Random codes for every row but the bias row, which
     :func:`~repro.perf.plan.run_layer` drives at 1."""
-    return make_codes(params, kernel, batch, rng)[:, :-1].astype(float)
+    return make_codes(params, layer, batch, rng)[:, :-1].astype(float)
 
 
 def int64_calibrate_shift(tiles, codes, po, calibration_samples=64):
     """Reference SA-window calibration in integer arithmetic: the
     largest per-tile-row partial result of the code prefix must fit
-    the Po-bit output register.  The kernel's float BLAS routine must
+    the Po-bit output register.  The layer's float BLAS routine must
     reproduce it exactly."""
     sample = np.asarray(codes, dtype=np.int64)[:calibration_samples]
     bound = 1
@@ -168,8 +169,8 @@ class TestFusedBitIdentity:
     ):
         tiles = make_grid(small_xbar, grid_rows, grid_cols, rng)
         programmed = programmed_layer(small_xbar, tiles)
-        x = layer_inputs(small_xbar, programmed.kernel, 17, rng)
-        for shift in (0, 2, programmed.kernel.spec.target_shift, 12):
+        x = layer_inputs(small_xbar, programmed, 17, rng)
+        for shift in (0, 2, programmed.spec.target_shift, 12):
             # Each new shift re-lowers the memoised one-step plan.
             programmed.output_shift = shift
             (inline, fired), (walked, walk_fired) = layer_runs(
@@ -185,9 +186,8 @@ class TestFusedBitIdentity:
         # stays on the exact inline path and must match the walk.
         tiles = make_grid(small_xbar, [32, 5], [16], rng)
         programmed = programmed_layer(small_xbar, tiles)
-        kernel = programmed.kernel
-        programmed.output_shift = kernel.spec.target_shift
-        x = layer_inputs(small_xbar, kernel, 9, rng)
+        programmed.output_shift = programmed.spec.target_shift
+        x = layer_inputs(small_xbar, programmed, 9, rng)
         (inline, fired), (walked, walk_fired) = layer_runs(
             programmed, x, with_noise=True
         )
@@ -196,10 +196,10 @@ class TestFusedBitIdentity:
 
     def test_calibration_matches_executor_static(self, small_xbar, rng):
         tiles = make_grid(small_xbar, [32, 13], [16, 6], rng)
-        kernel = FusedLayerKernel(tiles)
-        codes = make_codes(small_xbar, kernel, 40, rng)
-        assert kernel.calibrate_output_shift(codes) == (
-            int64_calibrate_shift(tiles, codes, kernel.spec.po)
+        layer = ProgrammedLayer(tiles, None)
+        codes = make_codes(small_xbar, layer, 40, rng)
+        assert layer.calibrate_output_shift(codes) == (
+            int64_calibrate_shift(tiles, codes, layer.spec.po)
         )
 
     def test_variation_grid_fuses_and_matches_walk(
@@ -221,10 +221,10 @@ class TestFusedBitIdentity:
                 engine_rng=np.random.default_rng(seed),
             )
             programmed = programmed_layer(small_xbar, tiles)
-            kernel = programmed.kernel
-            assert not kernel.on_lattice and kernel._noisy(True)
-            x = layer_inputs(small_xbar, kernel, 17, rng)
-            for shift in (0, 2, kernel.spec.target_shift, 12):
+            assert not programmed.on_lattice
+            assert programmed.samples_read_noise(True)
+            x = layer_inputs(small_xbar, programmed, 17, rng)
+            for shift in (0, 2, programmed.spec.target_shift, 12):
                 programmed.output_shift = shift
                 for with_noise in (False, True):
                     (inline, fired), (walked, walk_fired) = layer_runs(
@@ -258,10 +258,10 @@ class TestFusedBitIdentity:
                 16 * hi + lo, engine.programmed_weights
             )
         programmed = programmed_layer(params, tiles)
-        kernel = programmed.kernel
-        assert kernel.on_lattice and not kernel._noisy(True)
-        x = layer_inputs(params, kernel, 9, rng)
-        for shift in (0, 2, kernel.spec.target_shift, 12):
+        assert programmed.on_lattice
+        assert not programmed.samples_read_noise(True)
+        x = layer_inputs(params, programmed, 9, rng)
+        for shift in (0, 2, programmed.spec.target_shift, 12):
             programmed.output_shift = shift
             (inline, fired), (walked, walk_fired) = layer_runs(
                 programmed, x
@@ -280,10 +280,9 @@ class TestFusedBitIdentity:
             for array in (engine.pair.positive, engine.pair.negative):
                 array.cells.wire_resistance = 2.0
         programmed = programmed_layer(small_xbar, tiles)
-        kernel = programmed.kernel
-        assert not kernel.on_lattice
-        x = layer_inputs(small_xbar, kernel, 17, rng)
-        for shift in (0, 2, kernel.spec.target_shift, 12):
+        assert not programmed.on_lattice
+        x = layer_inputs(small_xbar, programmed, 17, rng)
+        for shift in (0, 2, programmed.spec.target_shift, 12):
             programmed.output_shift = shift
             (inline, fired), (walked, walk_fired) = layer_runs(
                 programmed, x
@@ -336,9 +335,8 @@ class TestFusedBitIdentity:
         assert tiles[0][0].holds_programmed
         assert not tiles[1][0].holds_programmed
         programmed = programmed_layer(params, tiles)
-        kernel = programmed.kernel
-        x = layer_inputs(params, kernel, 17, rng)
-        for shift in (0, 2, kernel.spec.target_shift, 12):
+        x = layer_inputs(params, programmed, 17, rng)
+        for shift in (0, 2, programmed.spec.target_shift, 12):
             programmed.output_shift = shift
             (inline, fired), (walked, walk_fired) = layer_runs(
                 programmed, x
@@ -347,7 +345,7 @@ class TestFusedBitIdentity:
             assert fired == walk_fired
         step = programmed.compiled_plan.steps[0]
         assert step.cdtype == np.float64
-        t = kernel.total_cols
+        t = programmed.total_cols
         lattice = np.r_[0:16, t : t + 16]
         for block in step._blocks():
             assert np.array_equal(
@@ -398,11 +396,10 @@ class TestFusedBitIdentity:
                 elif state == "wire-resistance":
                     array.cells.wire_resistance = 2.0
         programmed = programmed_layer(params, tiles)
-        kernel = programmed.kernel
-        assert kernel._noisy(True)
-        assert kernel.on_lattice == (state in ("ideal", "stuck-at"))
-        x = layer_inputs(params, kernel, 13, rng)
-        for shift in (0, 2, kernel.spec.target_shift, 12):
+        assert programmed.samples_read_noise(True)
+        assert programmed.on_lattice == (state in ("ideal", "stuck-at"))
+        x = layer_inputs(params, programmed, 13, rng)
+        for shift in (0, 2, programmed.spec.target_shift, 12):
             programmed.output_shift = shift
             (inline, fired), (walked, walk_fired) = layer_runs(
                 programmed, x, with_noise=True
@@ -459,12 +456,12 @@ def test_float_calibration_equals_int64_at_the_bound(data):
             engine.program(w)
             row.append(engine)
         tiles.append(row)
-    kernel = FusedLayerKernel(tiles)
-    codes = rng.integers(0, code_max + 1, (batch, kernel.total_rows))
+    layer = ProgrammedLayer(tiles, None)
+    codes = rng.integers(0, code_max + 1, (batch, layer.total_rows))
     codes[rng.random(codes.shape) < extreme] = code_max
-    assert kernel.calibrate_output_shift(
+    assert layer.calibrate_output_shift(
         codes, calibration_samples=cal_rows
-    ) == int64_calibrate_shift(tiles, codes, kernel.spec.po, cal_rows)
+    ) == int64_calibrate_shift(tiles, codes, layer.spec.po, cal_rows)
 
 
 def test_calibration_bound_at_full_scale():
@@ -475,13 +472,13 @@ def test_calibration_bound_at_full_scale():
     w_max = (1 << params.effective_weight_bits) - 1
     engine = CrossbarMVMEngine(params)
     engine.program(np.full((params.rows, 3), -w_max))
-    kernel = FusedLayerKernel([[engine]])
+    layer = ProgrammedLayer([[engine]], None)
     codes = np.full((64, params.rows), code_max)
     bound = params.rows * code_max * w_max
     assert bound < 1 << 22
-    expected = max(0, bound.bit_length() - kernel.spec.po)
-    assert kernel.calibrate_output_shift(codes) == expected
-    assert int64_calibrate_shift([[engine]], codes, kernel.spec.po) == (
+    expected = max(0, bound.bit_length() - layer.spec.po)
+    assert layer.calibrate_output_shift(codes) == expected
+    assert int64_calibrate_shift([[engine]], codes, layer.spec.po) == (
         expected
     )
 
@@ -525,9 +522,9 @@ def _extreme_grid(params, grid_rows, grid_cols, rng, engine_rng=None):
     return tiles
 
 
-def _extreme_codes(params, kernel, batch, rng):
+def _extreme_codes(params, layer, batch, rng):
     code_max = (1 << params.effective_input_bits) - 1
-    codes = rng.integers(0, code_max + 1, (batch, kernel.total_rows))
+    codes = rng.integers(0, code_max + 1, (batch, layer.total_rows))
     codes[rng.random(codes.shape) < 0.5] = code_max
     return codes
 
@@ -542,10 +539,10 @@ def test_calibration_equals_int64_across_precisions(
     params = _precision_params(input_bits, cell_bits, po)
     rng = np.random.default_rng(input_bits * 100 + cell_bits * 10 + po)
     tiles = _extreme_grid(params, [256, 256, 40], [5, 3], rng)
-    kernel = FusedLayerKernel(tiles)
-    codes = _extreme_codes(params, kernel, 70, rng)
-    assert kernel.calibrate_output_shift(codes) == int64_calibrate_shift(
-        tiles, codes, kernel.spec.po
+    layer = ProgrammedLayer(tiles, None)
+    codes = _extreme_codes(params, layer, 70, rng)
+    assert layer.calibrate_output_shift(codes) == int64_calibrate_shift(
+        tiles, codes, layer.spec.po
     )
 
 
@@ -572,9 +569,9 @@ def test_calibration_past_the_float32_bound_runs_float64():
     assert float(np.float32(target)) == 1 << 25
     engine = CrossbarMVMEngine(params)
     engine.program(w)
-    kernel = FusedLayerKernel([[engine]])
+    layer = ProgrammedLayer([[engine]], None)
     expected = max(0, target.bit_length() - spec.po)
-    assert kernel.calibrate_output_shift(codes) == expected
+    assert layer.calibrate_output_shift(codes) == expected
     assert int64_calibrate_shift([[engine]], codes, spec.po) == expected
 
 
@@ -619,10 +616,10 @@ def test_calibration_reads_dead_columns_as_zero():
         row.append(engine)
     assert row[0].masked_columns == 1
     assert np.all(row[0].programmed_weights[:, 3] == 0)
-    kernel = FusedLayerKernel([row])
-    codes = make_codes(params, kernel, 12, rng)
-    assert kernel.calibrate_output_shift(codes) == int64_calibrate_shift(
-        [row], codes, kernel.spec.po
+    layer = ProgrammedLayer([row], None)
+    codes = make_codes(params, layer, 12, rng)
+    assert layer.calibrate_output_shift(codes) == int64_calibrate_shift(
+        [row], codes, layer.spec.po
     )
 
 
@@ -634,11 +631,11 @@ def test_variation_grid_calibrates_on_ideal_weights(small_xbar, rng):
         small_xbar, [32, 9], [16, 7], rng,
         engine_rng=np.random.default_rng(17),
     )
-    kernel = FusedLayerKernel(tiles)
-    assert not kernel.on_lattice
-    codes = _extreme_codes(small_xbar, kernel, 20, rng)
-    assert kernel.calibrate_output_shift(codes) == int64_calibrate_shift(
-        tiles, codes, kernel.spec.po
+    layer = ProgrammedLayer(tiles, None)
+    assert not layer.on_lattice
+    codes = _extreme_codes(small_xbar, layer, 20, rng)
+    assert layer.calibrate_output_shift(codes) == int64_calibrate_shift(
+        tiles, codes, layer.spec.po
     )
 
 
@@ -708,10 +705,9 @@ class TestFaultyPlanFallback:
         broken = tiles[0][0]
         assert broken.spared_columns and broken.slots_used > broken.cols_used
         programmed = programmed_layer(params, tiles)
-        kernel = programmed.kernel
-        assert not kernel._noisy(True)
-        x = layer_inputs(params, kernel, 11, rng)
-        for shift in (0, 2, kernel.spec.target_shift, 12):
+        assert not programmed.samples_read_noise(True)
+        x = layer_inputs(params, programmed, 11, rng)
+        for shift in (0, 2, programmed.spec.target_shift, 12):
             programmed.output_shift = shift
             (inline, fired), (walked, walk_fired) = layer_runs(
                 programmed, x
@@ -728,10 +724,10 @@ class TestFaultyPlanFallback:
         read under equal draws."""
         params, (tiles,) = self._grids(rng=np.random.default_rng(5))
         programmed = programmed_layer(params, tiles)
-        kernel = programmed.kernel
-        assert kernel._noisy(True) and kernel.on_lattice
-        x = layer_inputs(params, kernel, 6, rng)
-        for shift in (0, 2, kernel.spec.target_shift, 12):
+        assert programmed.samples_read_noise(True)
+        assert programmed.on_lattice
+        x = layer_inputs(params, programmed, 6, rng)
+        for shift in (0, 2, programmed.spec.target_shift, 12):
             programmed.output_shift = shift
             (inline, fired), (walked, walk_fired) = layer_runs(
                 programmed, x, with_noise=True
@@ -749,10 +745,10 @@ class TestFaultyPlanFallback:
 
     def test_fallback_matches_fresh_per_engine_run(self, rng):
         params, (tiles, twin) = self._grids(count=2)
-        kernel = FusedLayerKernel(tiles)
-        codes = make_codes(params, kernel, 11, rng)
-        auto = kernel.mvm_batch(codes, with_noise=False)
-        again = kernel.mvm_batch(codes, with_noise=False)
+        layer = ProgrammedLayer(tiles, None)
+        codes = make_codes(params, layer, 11, rng)
+        auto = layer.mvm_batch(codes, with_noise=False)
+        again = layer.mvm_batch(codes, with_noise=False)
         assert np.array_equal(auto, again)
         # A never-fused twin grid, walked engine by engine, agrees.
         fresh = np.concatenate(
@@ -766,13 +762,13 @@ class TestFaultyPlanFallback:
 
     def test_fallback_counters_match_walk(self, rng):
         params, (tiles, twin) = self._grids(count=2)
-        codes = make_codes(params, FusedLayerKernel(tiles), 7, rng)
+        codes = make_codes(params, ProgrammedLayer(tiles, None), 7, rng)
 
         def run(grid):
-            kernel = FusedLayerKernel(grid)
+            layer = ProgrammedLayer(grid, None)
             session = telemetry.enable(fresh=True)
             try:
-                kernel.mvm_batch(codes, with_noise=False)
+                layer.mvm_batch(codes, with_noise=False)
                 return (
                     session.metrics.counter_total("mvm.invocations"),
                     session.metrics.counter_total("mvm.model_time_ns"),
@@ -784,7 +780,7 @@ class TestFaultyPlanFallback:
         auto = run(tiles)
         walked_session = telemetry.enable(fresh=True)
         try:
-            FusedLayerKernel(twin).mvm_batch(codes, with_noise=False)
+            ProgrammedLayer(twin, None).mvm_batch(codes, with_noise=False)
             walked = (
                 walked_session.metrics.counter_total("mvm.invocations"),
                 walked_session.metrics.counter_total("mvm.model_time_ns"),
@@ -801,11 +797,11 @@ class TestKernelValidation:
         tiles = make_grid(small_xbar, [16, 16], [16, 16], rng)
         tiles[1] = tiles[1][:1]
         with pytest.raises(CrossbarError):
-            FusedLayerKernel(tiles)
+            ProgrammedLayer(tiles, None)
 
     def test_unprogrammed_engine_rejected(self, small_xbar):
         with pytest.raises(CrossbarError):
-            FusedLayerKernel([[CrossbarMVMEngine(small_xbar)]])
+            ProgrammedLayer([[CrossbarMVMEngine(small_xbar)]], None)
 
     def test_mismatched_rows_used_rejected(self, small_xbar, rng):
         tiles = make_grid(small_xbar, [16], [16], rng)
@@ -813,19 +809,23 @@ class TestKernelValidation:
         extra.program(rng.integers(-3, 4, (9, 16)))
         tiles[0].append(extra)
         with pytest.raises(CrossbarError):
-            FusedLayerKernel(tiles)
+            ProgrammedLayer(tiles, None)
 
     def test_bad_code_shape_rejected(self, small_xbar, rng):
-        kernel = FusedLayerKernel(make_grid(small_xbar, [16], [16], rng))
+        layer = ProgrammedLayer(
+            make_grid(small_xbar, [16], [16], rng), None
+        )
         with pytest.raises(CrossbarError):
-            kernel.mvm_batch(np.zeros((4, 15), dtype=np.int64))
+            layer.mvm_batch(np.zeros((4, 15), dtype=np.int64))
 
     def test_out_of_range_codes_rejected(self, small_xbar, rng):
-        kernel = FusedLayerKernel(make_grid(small_xbar, [16], [16], rng))
+        layer = ProgrammedLayer(
+            make_grid(small_xbar, [16], [16], rng), None
+        )
         codes = np.zeros((2, 16), dtype=np.int64)
         codes[0, 0] = 1 << small_xbar.effective_input_bits
         with pytest.raises(CrossbarError):
-            kernel.mvm_batch(codes)
+            layer.mvm_batch(codes)
 
 
 class TestNoisyFusedReproducibility:
@@ -848,20 +848,20 @@ class TestNoisyFusedReproducibility:
             if walk:
                 return run_layer(programmed, x, with_noise=True)
             with mock.patch.object(
-                FusedLayerKernel, "mvm_batch", side_effect=AssertionError
+                ProgrammedLayer, "mvm_batch", side_effect=AssertionError
             ):
                 return run_layer(programmed, x, with_noise=True)
 
     def test_same_seed_reproduces(self, small_xbar, rng):
         assert small_xbar.device.read_noise_sigma > 0
-        x = layer_inputs(small_xbar, self._build(small_xbar, 7).kernel, 6, rng)
+        x = layer_inputs(small_xbar, self._build(small_xbar, 7), 6, rng)
         for walk in (False, True):
             out1 = self._run(self._build(small_xbar, 7), x, walk)
             out2 = self._run(self._build(small_xbar, 7), x, walk)
             assert np.array_equal(out1, out2)
 
     def test_different_seed_differs(self, small_xbar, rng):
-        x = layer_inputs(small_xbar, self._build(small_xbar, 7).kernel, 6, rng)
+        x = layer_inputs(small_xbar, self._build(small_xbar, 7), 6, rng)
         for walk in (False, True):
             out1 = self._run(self._build(small_xbar, 7), x, walk)
             out2 = self._run(self._build(small_xbar, 8), x, walk)
@@ -873,9 +873,9 @@ class TestNoisyFusedReproducibility:
         calls sample different read noise; call by call, plan and walk
         of same-seed copies agree."""
         plan, walk = self._build(small_xbar, 7), self._build(small_xbar, 7)
-        x = layer_inputs(small_xbar, plan.kernel, 6, rng)
-        plan_stream = plan.kernel._rng.bit_generator
-        walk_stream = walk.kernel._rng.bit_generator
+        x = layer_inputs(small_xbar, plan, 6, rng)
+        plan_stream = plan._rng.bit_generator
+        walk_stream = walk._rng.bit_generator
         outs = []
         for _ in range(2):
             before = plan_stream.state
@@ -894,14 +894,13 @@ class TestNoisyFusedReproducibility:
         made after resetting the shared generator to the stream's
         seed."""
         programmed = self._build(small_xbar, 7)
-        kernel = programmed.kernel
-        x = layer_inputs(small_xbar, kernel, 6, rng)
-        shared = kernel._rng.bit_generator
+        x = layer_inputs(small_xbar, programmed, 6, rng)
+        shared = programmed._rng.bit_generator
         before = shared.state
-        with scoped_noise_stream(kernel.noise_stream(3)):
+        with scoped_noise_stream(programmed.noise_stream(3)):
             scoped = self._run(programmed, x, walk)
         assert shared.state == before
-        shared.state = kernel.noise_stream(3).bit_generator.state
+        shared.state = programmed.noise_stream(3).bit_generator.state
         reset = self._run(programmed, x, walk)
         np.testing.assert_array_equal(scoped, reset)
 
@@ -942,21 +941,21 @@ class TestConcurrentWalks:
             weights = np.random.default_rng(5)
             return make_grid(small_xbar, [24, 8], [16, 5], weights)
 
-        kernel = FusedLayerKernel(grid())
-        engines = [e for row in kernel.tiles for e in row]
+        layer = ProgrammedLayer(grid(), None)
+        engines = [e for row in layer.tiles for e in row]
         for engine in engines:
             engine.__class__ = _YieldingEngine
             engine.mvm_invocations = 0
             engine.sense.__class__ = _YieldingSense
             engine.sense.conversions = 0
-        codes = make_codes(small_xbar, kernel, 3, np.random.default_rng(6))
-        once = FusedLayerKernel(grid())
+        codes = make_codes(small_xbar, layer, 3, np.random.default_rng(6))
+        once = ProgrammedLayer(grid(), None)
         once.mvm_batch(codes, with_noise=False)
         workers, rounds = 4, 50
 
         def walk():
             for _ in range(rounds):
-                kernel.mvm_batch(codes, with_noise=False)
+                layer.mvm_batch(codes, with_noise=False)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1120,7 +1119,6 @@ class TestProgrammedLayerState:
         layer = ProgrammedLayer(
             make_grid(small_xbar, [16], [16], rng), "fmt"
         )
-        assert layer.kernel is layer.kernel
         layer.in_fmt = "frozen"
         layer.output_shift = 3
         layer.reset_calibration()

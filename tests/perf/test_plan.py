@@ -18,6 +18,7 @@ from repro import telemetry
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.crossbar.layer import ProgrammedLayer
 from repro.errors import ExecutionError
 from repro.eval.workloads import get_workload
 from repro.nn.layers import Conv2D, Dense
@@ -152,8 +153,8 @@ class TestBitIdentity:
         self, executor, compiler, monkeypatch, trained_tiny_mlp,
         tiny_digit_data, batch,
     ):
-        """Tiny batches take the packed-field kernel, wide ones the
-        trimmed-stack kernel; both must match the per-engine walk."""
+        """Tiny batches take the packed-field stack, wide ones the
+        trimmed stacks; both must match the per-engine walk."""
         topology, net = trained_tiny_mlp
         _, _, x_test, _ = tiny_digit_data
         compiled, walked = _run_modes(
@@ -192,7 +193,7 @@ class TestSeededNoise:
     def test_noisy_run_reproduces_under_seed(
         self, compiler, trained_tiny_mlp, tiny_digit_data
     ):
-        """With noise on the plan delegates to the kernels' seeded
+        """With noise on, each array draws from the engines' seeded
         stream; two same-seed executors agree bit-for-bit."""
         topology, net = trained_tiny_mlp
         _, _, x_test, _ = tiny_digit_data
@@ -326,7 +327,7 @@ class TestPlanCache:
         host = programmed[0]
         first = host.compiled_plan
         for layer in programmed:
-            layer.kernel.invalidate()
+            layer.invalidate()
         after = executor.run_functional(
             net, plan, x_test[:8], programmed=programmed
         )
@@ -349,7 +350,7 @@ class TestPlanCache:
         xbar = DEFAULT_PRIME_CONFIG.crossbar
         engine = CrossbarMVMEngine(xbar)
         engine.program(rng.integers(-255, 256, (40, 9)))
-        layer = plan_mod.ProgrammedLayer([[engine]], DynamicFixedPoint(9, -6))
+        layer = ProgrammedLayer([[engine]], DynamicFixedPoint(9, -6))
         x = rng.random((5, 39)) * 3.0
 
         def calibrate(exponent, shift):
@@ -365,7 +366,7 @@ class TestPlanCache:
         lowered = step.in_fmt
         assert calibrate(-4, 10) is first and step.in_fmt is lowered
         assert calibrate(-3, 10) is first and step.in_fmt.exponent == -3
-        layer.kernel.invalidate()
+        layer.invalidate()
         assert calibrate(-3, 10) is not first
 
     def test_mismatched_programmed_list_raises(
@@ -423,12 +424,12 @@ def _im2col_forward(net, programmed, x, pin, float_im2col):
         vecs = np.concatenate([vectors, np.ones((len(vectors), 1))], axis=1)
         fmt = DynamicFixedPoint.for_data(vecs, bits=pin, signed=False)
         codes = fmt.quantize_int(np.clip(vecs, 0.0, None))
-        shift = entry.kernel.calibrate_output_shift(
+        shift = entry.calibrate_output_shift(
             codes, calibration_samples=len(codes)
         )
         frozen.append((fmt.exponent, shift))
         codes = entry.in_fmt.quantize_int(np.clip(vecs, 0.0, None))
-        out = entry.kernel.mvm_batch(
+        out = entry.mvm_batch(
             codes, with_noise=False, output_shift=entry.output_shift
         )
         scale = (

@@ -23,12 +23,12 @@ from repro import telemetry
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.crossbar.layer import ProgrammedLayer
 from repro.nn.layers import Conv2D
 from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
 from repro.params.prime import DEFAULT_PRIME_CONFIG
 from repro.perf import plan as plan_mod
-from repro.perf.kernels import FusedLayerKernel
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
 from repro.serve.dispatcher import WorkerSpec, reprogram_state
 from repro.serve.health import apply_drift
@@ -87,7 +87,7 @@ def _counted(run, engines):
     return out, (firings, deltas)
 
 
-# -- kernel level ------------------------------------------------------
+# -- layer level -------------------------------------------------------
 
 
 @st.composite
@@ -131,7 +131,7 @@ def test_fused_kernel_equals_walk(
 ):
     rows, cols = grid
     tiles = _varied_grid(rows, cols, weight_seed, variation_seed)
-    programmed = plan_mod.ProgrammedLayer(
+    programmed = ProgrammedLayer(
         tiles, DynamicFixedPoint(PARAMS.effective_weight_bits + 1, 0)
     )
     # Unit resolution: the inputs are the codes; run_layer drives the
@@ -140,10 +140,12 @@ def test_fused_kernel_equals_walk(
         PARAMS.effective_input_bits, 0, signed=False
     )
     programmed.output_shift = shift
-    kernel = programmed.kernel
-    assert not kernel.on_lattice and kernel._noisy(True)
+    assert not programmed.on_lattice
+    assert programmed.samples_read_noise(True)
     x = np.random.default_rng(weight_seed + 1).integers(
-        0, 1 << PARAMS.effective_input_bits, (batch, kernel.total_rows - 1)
+        0,
+        1 << PARAMS.effective_input_bits,
+        (batch, programmed.total_rows - 1),
     ).astype(float)
     for with_noise in (False, True):
         session = telemetry.enable(fresh=True)
@@ -167,7 +169,7 @@ def _program(executor, net, plan, seed):
     programs ideal arrays."""
     rng = None if seed is None else np.random.default_rng(seed)
     programmed = executor.program_network(net, plan, rng=rng)
-    assert all(p.kernel.on_lattice == (seed is None) for p in programmed)
+    assert all(p.on_lattice == (seed is None) for p in programmed)
     return programmed
 
 
@@ -276,7 +278,7 @@ def test_conv_geometries_delegated_with_noise(
 
     def noisy(walk=False):
         programmed = _program(executor, net, plan, 31)
-        assert all(p.kernel._noisy(True) for p in programmed)
+        assert all(p.samples_read_noise(True) for p in programmed)
         engines = _engines(p.tiles for p in programmed)
 
         def run():
@@ -292,20 +294,20 @@ def test_conv_geometries_delegated_with_noise(
 
     delegated = []
     delegate = plan_mod._WeightStep._delegate
-    mvm_batch = FusedLayerKernel.mvm_batch
+    mvm_batch = ProgrammedLayer.mvm_batch
 
     def spy_delegate(step, act, *args):
         delegated.append([step, act.copy(), None])
         return delegate(step, act, *args)
 
-    def spy_mvm(kernel, codes, *args, **kwargs):
+    def spy_mvm(layer, codes, *args, **kwargs):
         delegated[-1][2] = np.array(codes)
-        return mvm_batch(kernel, codes, *args, **kwargs)
+        return mvm_batch(layer, codes, *args, **kwargs)
 
     compiled, fired = noisy()
     np.testing.assert_array_equal(compiled, noisy()[0])
     monkeypatch.setattr(plan_mod._WeightStep, "_delegate", spy_delegate)
-    monkeypatch.setattr(FusedLayerKernel, "mvm_batch", spy_mvm)
+    monkeypatch.setattr(ProgrammedLayer, "mvm_batch", spy_mvm)
     walked, walk_fired = noisy(walk=True)
     np.testing.assert_array_equal(compiled, walked)
     assert fired == walk_fired and fired[0] > 0

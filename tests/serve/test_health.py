@@ -9,6 +9,7 @@ lives in ``test_chaos.py``.
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -564,6 +565,33 @@ class TestDriftRecovery:
         ) as runtime:
             # Probing needs a calibration batch to compare against.
             assert not runtime.spec.probe_reference
+
+    def test_shrink_drops_a_retired_replicas_probe(self, network, samples):
+        """A drift probe queued on a replica that a shrink retires is
+        cancelled with its pool; the next poll must not read that as a
+        failed probe and restart a replica the monitor no longer
+        tracks."""
+        gate = threading.Event()
+        with _runtime(
+            network,
+            samples,
+            serve=dict(mode="thread"),
+            health=HealthPolicy(probe_interval_batches=1, **FAST),
+        ) as runtime:
+            held = runtime.dispatcher._pools[1].submit(gate.wait, 60.0)
+            try:
+                runtime.submit(samples[0])
+                runtime.poll(flush=True)
+                replica, probe, _ = runtime._probe
+                assert replica == 1 and not probe.done()
+                runtime.scale_to(1)
+            finally:
+                gate.set()
+            assert held.result(timeout=60.0)
+            assert probe.cancelled()
+            runtime.poll(flush=True)
+            assert runtime._probe is None and runtime.restarts == []
+            assert len(runtime.monitor) == 1 and runtime.monitor.routable()
 
 
 @pytest.mark.chaos

@@ -19,6 +19,7 @@ from repro.params.prime import PrimeConfig
 from repro.params.reram import PT_TIO2_DEVICE
 from repro.resilience import ResiliencePolicy
 from repro.serve import (
+    MAX_BATCH_CAP,
     ServeConfig,
     ServingRuntime,
     ThreadDispatcher,
@@ -90,9 +91,7 @@ class TestDeployment:
             chunk = runtime.scheduler.executor.max_chunk_samples(
                 runtime.plan
             )
-            assert runtime.max_batch == max(
-                1, min(ServeConfig().max_batch_cap, chunk)
-            )
+            assert runtime.max_batch == max(1, min(MAX_BATCH_CAP, chunk))
             assert runtime.replicas == 2
 
     def test_explicit_max_batch_wins(self, network, samples):

@@ -135,7 +135,7 @@ class TestThreadBitIdentity:
         ) as runtime:
             assert runtime.spec.use_rng and not runtime.spec.with_noise
             disp = runtime.dispatcher
-            assert not any(p.kernel.on_lattice for p in disp._state[1])
+            assert not any(p.on_lattice for p in disp._state[1])
             disp.grow(2)
             spy = blas_spy(meet=2)
             served = runtime.serve(samples)

@@ -17,6 +17,7 @@ from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.core.scheduler import BankScheduler
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.device.cell import CellArray
 from repro.nn.datasets import synthetic_mnist
 from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
@@ -389,3 +390,40 @@ def test_functional_run_spans_and_counters(trained_tiny_mlp):
     ]
     assert telemetry.counter_value("executor.functional_runs") == 1
     assert telemetry.counter_value("mvm.invocations") > 0
+
+
+def test_noisy_stack_draws_run_inside_plan_counts(
+    monkeypatch, trained_tiny_mlp, trained_tiny_cnn
+):
+    """A noisy call reads its cells as it forms its counts: every
+    read-noise draw of a seeded noisy forward, dense and conv steps
+    alike, runs while ``plan.counts`` is the innermost open span."""
+    monkeypatch.delenv("PRIME_FUSED", raising=False)
+    conductances = CellArray.conductances
+    innermost = []
+
+    def spy(cells, with_read_noise=False):
+        if with_read_noise:
+            stack = telemetry.session().tracer._stack
+            innermost.append(stack[-1].name if stack else None)
+        return conductances(cells, with_read_noise)
+
+    telemetry.enable()
+    monkeypatch.setattr(CellArray, "conductances", spy)
+    compiler = PrimeCompiler()
+    executor = PrimeExecutor()
+    mlp_topology, mlp = trained_tiny_mlp
+    cnn_topology, cnn, cnn_x, _ = trained_tiny_cnn
+    mlp_x, _ = synthetic_mnist(4, flat=True, seed=9)
+    for topology, net, x in (
+        (mlp_topology, mlp, mlp_x),
+        (cnn_topology, cnn, cnn_x[:2]),
+    ):
+        executor.run_functional(
+            net,
+            compiler.compile(topology),
+            x,
+            rng=np.random.default_rng(0),
+            with_noise=True,
+        )
+    assert innermost and set(innermost) == {"plan.counts"}
