@@ -21,6 +21,7 @@ computes exactly — within the truncation/noise bound.
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -120,7 +121,9 @@ class CrossbarMVMEngine:
         The split runs once, in :attr:`level_dtype`, on weights
         :meth:`program` has range-checked: each magnitude splits into
         its high and low ``pw/2``-bit halves (``split_unsigned``), and
-        both halves take the weight's sign.
+        both halves take the weight's sign.  The verified writes use
+        it; an open-loop write gives each array its own half
+        (:meth:`_array_levels`).
         """
         rows, cols = w.shape
         dtype = self.level_dtype
@@ -137,6 +140,30 @@ class CrossbarMVMEngine:
         levels[:rows, 2 * slot0 + 1 : 2 * (slot0 + cols) : 2] = lo
         return levels
 
+    @staticmethod
+    def _array_levels(
+        w: np.ndarray, sign: int, half: int, shape: tuple[int, int]
+    ) -> np.ndarray:
+        """The int16 ``shape`` level matrix of the positive (``sign``
+        1) or the negative (-1) array for logical weights ``w`` at
+        slot 0.
+
+        Each weight of that sign splits its magnitude into its high and
+        low ``half``-bit halves on adjacent even/odd bitlines; every
+        other cell stays at level 0.  These are the two halves
+        :meth:`DifferentialPair.program_signed_levels` splits
+        :meth:`_signed_level_matrix` into, read from weights
+        :meth:`program` has range-checked.  Static, so the level source
+        a derived array keeps holds no reference back to its engine (a
+        closed deployment frees its engines without a gc pass).
+        """
+        rows, cols = w.shape
+        magnitude = np.maximum(sign * w, 0)
+        levels = np.zeros(shape, dtype=np.int16)
+        levels[:rows, 0 : 2 * cols : 2] = magnitude >> half
+        levels[:rows, 1 : 2 * cols : 2] = magnitude & ((1 << half) - 1)
+        return levels
+
     def program(
         self,
         signed_weights: np.ndarray,
@@ -147,6 +174,17 @@ class CrossbarMVMEngine:
         ``signed_weights`` has shape (rows_used, cols_used) with
         ``|w| < 2**pw``; rows_used ≤ physical rows and cols_used ≤
         logical columns.  Unused cells are left at HRS (zero weight).
+
+        Without an active ``resilience`` policy the write is open-loop:
+        the range-checked weights are kept as :attr:`programmed_weights`
+        and each array is written from them
+        (:meth:`~repro.device.cell.CellArray.program_levels_from`).  An
+        array whose write is exact — no programming-variation draw, no
+        fault map, no endurance tracker — builds its level matrix only
+        when something first reads its cells, which ideal serving never
+        does (see "Derived levels" in :mod:`repro.device.cell`); any
+        other array is programmed at once, with the draws it always
+        made.
 
         With an active ``resilience`` policy (``verify_writes`` true)
         the write runs the closed-loop verify pass, spares logical
@@ -177,7 +215,6 @@ class CrossbarMVMEngine:
         #: stacks (dead columns, if any, are zeroed to match the masked
         #: outputs).
         self.programmed_weights = w.astype(self.level_dtype)
-        levels = self._signed_level_matrix(self.programmed_weights, 0)
         self.pair.set_mode(ArrayMode.COMPUTE)
         self.driver.set_compute_mode(True)
         self.rows_used = rows
@@ -188,14 +225,28 @@ class CrossbarMVMEngine:
         self.spared_columns = 0
         self.program_report = None
         if resilience is None or not resilience.verify_writes:
-            self.pair.program_signed_levels(levels)
+            levels_of = partial(
+                self._array_levels,
+                self.programmed_weights,
+                half=self.spec.pw // 2,
+                shape=(self.params.rows, self.params.cols),
+            )
+            # Positive array first, as its write may draw variation.
+            self.pair.positive.cells.program_levels_from(
+                partial(levels_of, 1)
+            )
+            self.pair.negative.cells.program_levels_from(
+                partial(levels_of, -1)
+            )
         else:
             mask = np.zeros(
                 (self.params.rows, self.params.cols), dtype=bool
             )
             mask[:rows, : 2 * cols] = True
             report = self.pair.program_signed_levels(
-                levels, verify=resilience, verify_mask=mask
+                self._signed_level_matrix(self.programmed_weights, 0),
+                verify=resilience,
+                verify_mask=mask,
             )
             self._spare_and_mask(w, report, resilience)
         self._programmed = True

@@ -193,6 +193,21 @@ class ProgrammedLayer:
             )
         return np.random.Generator(type(self._rng.bit_generator)(seed))
 
+    @property
+    def calibration_dtype(self) -> type:
+        """The float dtype :meth:`calibrate_output_shift` multiplies in:
+        float32 while every product and partial sum of the calibration
+        matmul stays inside its ``2**24`` contiguous-integer range,
+        else float64.  Either holds every input code exactly, so a
+        caller may quantise the codes straight into it."""
+        spec = self.spec
+        bound = (
+            max(self.rows_used)
+            * ((1 << spec.pin) - 1)
+            * ((1 << spec.pw) - 1)
+        )
+        return np.float32 if bound < (1 << 24) else np.float64
+
     def calibrate_output_shift(
         self, codes: np.ndarray, calibration_samples: int = 64
     ) -> int:
@@ -210,17 +225,15 @@ class ProgrammedLayer:
         at most ``rows * (2**pin - 1) * (2**pw - 1)``.  Below float32's
         ``2**24`` contiguous-integer range (``256 * 63 * 255``, under
         ``2**22``, at the default geometry) it runs in float32, in any
-        summation order; otherwise in float64.  Dead columns count as
-        zero, since sparing zeroes them in ``programmed_weights``.
+        summation order; otherwise in float64
+        (:attr:`calibration_dtype`).  Codes already in that dtype are
+        used as they are, without a copy.  Dead columns count as zero,
+        since sparing zeroes them in ``programmed_weights``.
         """
-        spec = self.spec
-        bound = (
-            max(self.rows_used)
-            * ((1 << spec.pin) - 1)
-            * ((1 << spec.pw) - 1)
+        dtype = self.calibration_dtype
+        sample = np.asarray(codes)[:calibration_samples].astype(
+            dtype, copy=False
         )
-        dtype = np.float32 if bound < (1 << 24) else np.float64
-        sample = np.asarray(codes)[:calibration_samples].astype(dtype)
         peak = 1
         off = 0
         for rb, row in enumerate(self.tiles):
@@ -233,7 +246,7 @@ class ProgrammedLayer:
             partial = block @ row_weights
             peak = max(peak, int(partial.max()), -int(partial.min()))
             off += self.rows_used[rb]
-        return max(0, peak.bit_length() - spec.po)
+        return max(0, peak.bit_length() - self.spec.po)
 
     # -- the walk -----------------------------------------------------
 

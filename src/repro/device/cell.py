@@ -14,17 +14,29 @@ matrix-vector product exactly once.
 
 Derived conductances.  While an array's stored conductance is exactly
 the linear map of its levels (no perturbation was drawn and no fault
-map applies), it keeps only the int16 levels and derives the float64
-matrix on first read.  Every reader and every partial writer goes
+map applies), it stores no float64 matrix and derives it from the
+levels on first read.  Every reader and every partial writer goes
 through one accessor, :meth:`CellArray._stored_conductance`, which
 builds ``g_off + g_step * levels`` once and caches it; partial writes
 materialise the matrix before they change any level, so the cells they
 leave alone keep their old conductance.  Arrays programmed with
 variation or carrying a fault map are written eagerly, exactly as
 before, so every RNG draw and every seeded conductance is unchanged.
-Ideal serving never reads the matrix — the fused and compiled tiers
-run on the integer weights — so a deployed ideal network holds 2 B per
-cell on the host.
+Ideal serving never reads the matrix — the compiled plan runs on the
+integer weights — so a deployed ideal network holds no float matrix.
+
+Derived levels.  The level matrix is derived the same way.  A fresh
+array holds no level matrix (its cells sit at level 0), and an exact
+open-loop write (:meth:`CellArray.program_levels_from`: no
+programming-variation draw, no fault map, no endurance tracker) keeps
+only the function that builds the levels, which the crossbar engine
+takes from its programmed weights.  Every reader and every partial
+writer reaches the levels through one accessor,
+:meth:`CellArray._stored_levels`, beside :meth:`_stored_conductance`;
+it builds the matrix once, under the same lock, and keeps it, so
+reads, drift, partial writes, the verify loop and reprogramming see
+the levels an eager write stores.  An ideal deployment therefore
+holds no per-cell state at all until something reads its cells.
 
 Level lattice.  An array's stored conductances sit on the level
 lattice ``g_off + g_step * level`` until a programming-variation draw
@@ -52,6 +64,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+from typing import Callable
 
 import numpy as np
 
@@ -64,8 +77,8 @@ from repro.device.faults import FaultMap
 from repro.device.endurance import EnduranceTracker
 from repro.device.irdrop import apply_ir_drop
 
-#: Serialises first reads of derived conductances, so concurrent
-#: readers of one array build and share a single matrix.
+#: Serialises first reads of derived levels and conductances, so
+#: concurrent readers of one array build and share a single matrix.
 _DERIVE_LOCK = threading.Lock()
 
 #: Per-thread read-noise stream (see :func:`scoped_noise_stream`).
@@ -151,10 +164,12 @@ class CellArray:
             if track_endurance
             else None
         )
-        self._levels = np.zeros((rows, cols), dtype=np.int16)
-        # Conductances start at the exact level-0 mapping, derived on
-        # first read; programming may later perturb them (variation)
-        # and store them eagerly.  Stuck cells are stuck from the start.
+        # Levels start at 0 and conductances at their exact mapping,
+        # both derived on first read; programming may later perturb the
+        # conductances (variation) and store them eagerly.  Stuck cells
+        # are stuck from the start.
+        self._levels: np.ndarray | None = None
+        self._level_source: Callable[[], np.ndarray] | None = None
         self._conductance: np.ndarray | None = None
         if fault_map is not None:
             self._conductance = fault_map.apply(
@@ -199,12 +214,15 @@ class CellArray:
                 f"levels outside [0, {self.device.mlc_levels})"
             )
         self._levels = levels.astype(np.int16)
+        self._level_source = None
         self._lattice = not self._perturbs()
         if self._lattice and self.fault_map is None:
             self._conductance = None
         else:
             ideal = self._ideal_conductance(self._levels)
-            self._conductance = self._perturb(ideal)
+            self._conductance = self._perturb(
+                ideal, self.device.programming_sigma
+            )
         if self.fault_map is not None:
             self._conductance = self.fault_map.apply(
                 self._conductance, self.device
@@ -216,6 +234,30 @@ class CellArray:
         if verify_mask is None:
             verify_mask = np.ones((self.rows, self.cols), dtype=bool)
         return self._verify_and_retry(verify_mask, verify)
+
+    def program_levels_from(self, source: Callable[[], np.ndarray]) -> None:
+        """Open-loop write of every cell to the levels ``source()``
+        returns, an in-range integer (rows, cols) matrix.
+
+        When the write is exact — it draws no programming variation,
+        no fault map pins a cell, and no endurance tracker counts it —
+        the array keeps ``source`` and builds the level matrix on
+        first read (see "Derived levels" in the module docstring), so
+        the write itself touches no cell state.  Any other array calls
+        ``source`` now and programs as :meth:`program_levels` does,
+        with the same draws.
+        """
+        if (
+            self._perturbs()
+            or self.fault_map is not None
+            or self.endurance is not None
+        ):
+            self.program_levels(source())
+            return
+        self._levels = None
+        self._level_source = source
+        self._conductance = None
+        self._lattice = True
 
     def program_region(
         self,
@@ -234,9 +276,11 @@ class CellArray:
                 f"levels outside [0, {self.device.mlc_levels})"
             )
         g = self._stored_conductance()
-        self._levels[row0 : row0 + r, col0 : col0 + c] = levels
+        self._stored_levels()[row0 : row0 + r, col0 : col0 + c] = levels
         ideal = self._ideal_conductance(levels)
-        g[row0 : row0 + r, col0 : col0 + c] = self._perturb(ideal)
+        g[row0 : row0 + r, col0 : col0 + c] = self._perturb(
+            ideal, self.device.programming_sigma
+        )
         self._lattice = self._lattice and not self._perturbs()
         if self.fault_map is not None:
             self._conductance = self.fault_map.apply(
@@ -294,8 +338,9 @@ class CellArray:
                 f"levels outside [0, {self.device.mlc_levels})"
             )
         self._stored_conductance()  # materialise before levels change
-        self._levels[mask] = selected.astype(np.int16)
-        ideal = self._ideal_conductance(self._levels)
+        stored = self._stored_levels()
+        stored[mask] = selected.astype(np.int16)
+        ideal = self._ideal_conductance(stored)
         self._write_cells(mask, ideal, self.device.programming_sigma)
         self._lattice = self._lattice and not self._perturbs()
         if self.endurance is not None:
@@ -336,7 +381,7 @@ class CellArray:
     @property
     def levels(self) -> np.ndarray:
         """Programmed MLC levels (copy)."""
-        return self._levels.copy()
+        return self._stored_levels().copy()
 
     @property
     def effective_levels(self) -> np.ndarray:
@@ -344,7 +389,7 @@ class CellArray:
         with stuck-at-HRS cells at 0 and stuck-at-LRS cells at
         ``mlc_levels - 1``, where the fault map pins their
         conductance."""
-        levels = self._levels.copy()
+        levels = self._stored_levels().copy()
         if self.fault_map is not None:
             levels[self.fault_map.stuck_hrs] = 0
             levels[self.fault_map.stuck_lrs] = self.device.mlc_levels - 1
@@ -421,37 +466,68 @@ class CellArray:
 
     # -- internals ---------------------------------------------------
 
+    def _stored_levels(self) -> np.ndarray:
+        """The stored int16 level matrix, built on first read while the
+        array holds none: the write's level source, or zeros for a
+        fresh array (see the module docstring).  The one accessor
+        every reader and partial writer of the levels uses."""
+        levels = self._levels
+        if levels is None:
+            with _DERIVE_LOCK:
+                levels = self._levels
+                if levels is None:
+                    source = self._level_source
+                    if source is None:
+                        levels = np.zeros(
+                            (self.rows, self.cols), dtype=np.int16
+                        )
+                    else:
+                        levels = source().astype(np.int16, copy=False)
+                    self._levels = levels
+                    self._level_source = None
+        return levels
+
     def _stored_conductance(self) -> np.ndarray:
         """The stored conductance matrix, derived from the levels on
         first read while the array holds none (see the module
         docstring).  The one accessor every reader and partial writer
-        uses; a partial writer calls it before changing ``_levels``."""
+        uses; a partial writer calls it before changing the levels."""
         g = self._conductance
         if g is None:
+            levels = self._stored_levels()
             with _DERIVE_LOCK:
                 g = self._conductance
                 if g is None:
-                    g = self._ideal_conductance(self._levels)
+                    g = self._ideal_conductance(levels)
                     self._conductance = g
         return g
 
     def _ideal_conductance(self, levels: np.ndarray) -> np.ndarray:
         dev = self.device
         step = (dev.g_on - dev.g_off) / (dev.mlc_levels - 1)
-        return dev.g_off + step * levels.astype(np.float64)
+        g = levels.astype(np.float64)
+        g *= step
+        g += dev.g_off
+        return g
 
     def _perturbs(self) -> bool:
         """Whether programming applies a stochastic perturbation."""
         return self.rng is not None and self.device.programming_sigma > 0.0
 
-    def _perturb(self, ideal: np.ndarray) -> np.ndarray:
-        sigma = self.device.programming_sigma
+    def _perturb(self, ideal: np.ndarray, sigma: float) -> np.ndarray:
+        """A write's conductances for targets ``ideal``: ``ideal * (1 +
+        sigma * noise)`` clipped at zero, one clamped-Gaussian draw
+        per cell, computed in the draw's own buffer; ``ideal`` itself
+        when the write draws nothing."""
         if self.rng is None or sigma <= 0.0:
-            return ideal.copy()
+            return ideal
         noise = self.rng.standard_normal(ideal.shape)
         # Clamp at 3 sigma: write-and-verify rejects gross outliers.
-        noise = np.clip(noise, -3.0, 3.0)
-        return np.clip(ideal * (1.0 + sigma * noise), 0.0, None)
+        np.clip(noise, -3.0, 3.0, out=noise)
+        noise *= sigma
+        noise += 1.0
+        noise *= ideal
+        return np.clip(noise, 0.0, None, out=noise)
 
     def _write_cells(
         self, mask: np.ndarray, ideal: np.ndarray, sigma: float
@@ -464,12 +540,7 @@ class CellArray:
         bit-identical — this helper is only used by the masked and
         retry paths).
         """
-        targets = ideal[mask]
-        if self.rng is not None and sigma > 0.0:
-            noise = np.clip(
-                self.rng.standard_normal(targets.shape), -3.0, 3.0
-            )
-            targets = np.clip(targets * (1.0 + sigma * noise), 0.0, None)
+        targets = self._perturb(ideal[mask], sigma)
         self._stored_conductance()[mask] = targets
         if self.fault_map is not None:
             self._conductance = self.fault_map.apply(
@@ -487,7 +558,7 @@ class CellArray:
         dev = self.device
         step = (dev.g_on - dev.g_off) / (dev.mlc_levels - 1)
         tolerance = policy.tolerance_steps * step
-        ideal = self._ideal_conductance(self._levels)
+        ideal = self._ideal_conductance(self._stored_levels())
 
         def out_of_tolerance() -> np.ndarray:
             return mask & (

@@ -201,14 +201,18 @@ def _gather_patches(pix: np.ndarray, k: int, out: np.ndarray) -> None:
             out[r : r + c] = pix[..., di : di + oh, dj : dj + ow]
 
 
-def _input_codes(layer, act: np.ndarray, in_fmt: DynamicFixedPoint):
-    """``(vectors, rows)`` int64 input codes of one weight layer.
+def _input_codes(
+    layer, act: np.ndarray, in_fmt: DynamicFixedPoint, dtype=np.int64
+):
+    """``(vectors, rows)`` input codes of one weight layer, in ``dtype``.
 
     A dense layer takes one vector per sample, a conv layer one per
     output pixel, each ending in the bias input 1.  Conv codes are
     quantised once per zero-padded input pixel, channel-major, and
     gathered by :func:`_gather_patches`; negative activations quantise
-    to zero.
+    to zero.  The walk and the command stream take int64 codes; the
+    calibration quantises straight into its float matmul dtype, which
+    holds every code (at most ``2**pin - 1``) exactly.
     """
     one = in_fmt.quantize_int(1.0)
     if isinstance(layer, Conv2D):
@@ -216,17 +220,17 @@ def _input_codes(layer, act: np.ndarray, in_fmt: DynamicFixedPoint):
         p, k = layer.pad, layer.kernel
         padded = np.pad(act, ((0, 0), (p, p), (p, p), (0, 0)))
         pix = in_fmt.quantize_int(
-            np.clip(padded.transpose(3, 0, 1, 2), 0.0, None)
+            np.clip(padded.transpose(3, 0, 1, 2), 0.0, None), dtype
         )
         codes = np.empty(
-            (k * k * pix.shape[0] + 1, act.shape[0], oh, ow), dtype=np.int64
+            (k * k * pix.shape[0] + 1, act.shape[0], oh, ow), dtype=dtype
         )
         _gather_patches(pix, k, codes)
         codes[-1] = one
         return codes.reshape(len(codes), -1).T
     vectors = act.reshape(act.shape[0], -1)
-    codes = np.empty((len(vectors), vectors.shape[1] + 1), dtype=np.int64)
-    codes[:, :-1] = in_fmt.quantize_int(np.clip(vectors, 0.0, None))
+    codes = np.empty((len(vectors), vectors.shape[1] + 1), dtype=dtype)
+    codes[:, :-1] = in_fmt.quantize_int(np.clip(vectors, 0.0, None), dtype)
     codes[:, -1] = one
     return codes
 
@@ -240,17 +244,21 @@ def freeze_calibration(layer, programmed, act: np.ndarray, pin: int) -> None:
     ``|value|`` among the prefix's input vectors: the prefix's own peak
     or the bias input 1, since every pixel of a stride-1 conv input
     lies in some patch and padding adds only zeros.  The output shift
-    is the layer's calibration over the prefix's codes.  Later chunks
-    and batches reuse both; out-of-range activations saturate, as a
-    fixed hardware reference would.  Every weight step freezes through
-    here on its first run, whichever path it then takes.
+    is the layer's calibration over the prefix's codes, quantised
+    straight into the calibration's float dtype
+    (:attr:`ProgrammedLayer.calibration_dtype`).  Later chunks and
+    batches reuse both; out-of-range activations saturate, as a fixed
+    hardware reference would.  Every weight step freezes through here
+    on its first run, whichever path it then takes.
     """
     prefix = act[:CALIBRATION_SAMPLES]
     peak = max(float(np.max(np.abs(prefix), initial=0.0)), 1.0)
     in_fmt = DynamicFixedPoint.for_data(
         np.array([peak]), bits=pin, signed=False
     )
-    codes = _input_codes(layer, prefix, in_fmt)
+    codes = _input_codes(
+        layer, prefix, in_fmt, programmed.calibration_dtype
+    )
     programmed.output_shift = programmed.calibrate_output_shift(
         codes, calibration_samples=len(codes)
     )

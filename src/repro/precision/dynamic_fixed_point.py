@@ -98,11 +98,13 @@ class DynamicFixedPoint:
 
     # -- conversions ---------------------------------------------------
 
-    def quantize_int(self, values: np.ndarray) -> np.ndarray:
-        """Real values → saturating rounded integers."""
+    def quantize_int(self, values: np.ndarray, dtype=np.int64) -> np.ndarray:
+        """Real values → saturating rounded integers, held in ``dtype``
+        (a float dtype holds them exactly while ``2**bits`` fits its
+        contiguous-integer range)."""
         values = np.asarray(values, dtype=np.float64)
         q = np.rint(values / self.resolution)
-        return np.clip(q, self.int_min, self.int_max).astype(np.int64)
+        return np.clip(q, self.int_min, self.int_max).astype(dtype)
 
     def dequantize(self, integers: np.ndarray) -> np.ndarray:
         """Integers → real values."""

@@ -1,12 +1,14 @@
 """Deploy cost as retained bytes, not wall time.
 
-An ideal MLP-L deployment holds its cells' int16 levels, one int16
-copy of each engine's programmed weights, and the compiled plan's
-scaled count stacks; the calibration forward's scratch buffers are
-freed once deploy is done.  A second (unscaled) stack, int64 weight
-copies, float conductances or retained scratch would each add tens of
-MiB, so a ceiling on what ``program_state`` leaves allocated guards the
-deploy's cost deterministically, on any host.
+An ideal MLP-L deployment holds one int16 copy of each engine's
+programmed weights and the compiled plan's scaled count stacks; its
+cells hold no level matrix and no conductances (both are derived on
+first read, which fused serving never makes), and the calibration
+forward's scratch buffers are freed once deploy is done.  A second
+(unscaled) stack, int64 weight copies, stored cell levels, float
+conductances or retained scratch would each add tens of MiB, so a
+ceiling on what ``program_state`` leaves allocated guards the deploy's
+cost deterministically, on any host.
 """
 
 import gc
@@ -20,10 +22,11 @@ from repro.params.prime import DEFAULT_PRIME_CONFIG
 from repro.serve.dispatcher import WorkerSpec, program_state
 
 #: Most bytes an ideal MLP-L deployment may hold once programmed and
-#: calibrated (about 59.4 MiB with numpy 2.4: cells' int16 levels
-#: 28.5 MiB, the plan's count stacks 24.3 MiB, int16 programmed
-#: weights 6.1 MiB).
-RETAINED_LIMIT = int(60.5 * 2**20)
+#: calibrated (about 30.9 MiB with numpy 2.4: the plan's count stacks
+#: 24.3 MiB, int16 programmed weights 6.1 MiB, the engines' periphery
+#: and cell objects about 0.4 MiB; stored cell levels would add
+#: 28.5 MiB).
+RETAINED_LIMIT = int(31.5 * 2**20)
 
 
 def test_ideal_mlp_l_deploy_retained_bytes_stay_under_the_limit():
@@ -50,6 +53,14 @@ def test_ideal_mlp_l_deploy_retained_bytes_stay_under_the_limit():
         tracemalloc.stop()
     _, programmed = state
     assert all(p.in_fmt is not None for p in programmed)
+    cells = [
+        array.cells
+        for layer in programmed
+        for row in layer.tiles
+        for engine in row
+        for array in (engine.pair.positive, engine.pair.negative)
+    ]
+    assert all(c._levels is None and c._conductance is None for c in cells)
     breakdown = "\n".join(
         str(stat) for stat in snapshot.statistics("lineno")[:15]
     )

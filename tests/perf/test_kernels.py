@@ -1113,9 +1113,7 @@ class TestStreamingChunks:
 
 
 class TestProgrammedLayerState:
-    def test_kernel_cached_and_calibration_resettable(
-        self, small_xbar, rng
-    ):
+    def test_calibration_resettable(self, small_xbar, rng):
         layer = ProgrammedLayer(
             make_grid(small_xbar, [16], [16], rng), "fmt"
         )

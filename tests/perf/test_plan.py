@@ -313,7 +313,7 @@ class TestPlanCache:
         )
         assert host.compiled_plan is first
 
-    def test_kernel_invalidation_forces_recompile(
+    def test_invalidation_forces_recompile(
         self, executor, compiler, trained_tiny_mlp, tiny_digit_data
     ):
         """invalidate() (the resilience remap hook) must stale the

@@ -126,7 +126,7 @@ def _varied_grid(rows, cols, weight_seed, variation_seed):
     variation_seed=st.integers(0, 2**32 - 1),
     weight_seed=st.integers(0, 2**32 - 1),
 )
-def test_fused_kernel_equals_walk(
+def test_inline_layer_equals_walk(
     layer_runs, grid, batch, shift, variation_seed, weight_seed
 ):
     rows, cols = grid
