@@ -2,8 +2,8 @@
 
 Sequences Figure 4's blocks into a full signed digital MVM:
 
-1. the wordline driver latches the high/low 3-bit halves of each 6-bit
-   input and drives the pair in sequential phases;
+1. the wordlines carry the high and low 3-bit halves of each 6-bit
+   input in two phases;
 2. the differential pair produces signed count-domain bitline values
    (positive minus negative array, HRS baseline cancelled);
 3. with synapse composing, each logical column occupies two adjacent
@@ -12,6 +12,12 @@ Sequences Figure 4's blocks into a full signed digital MVM:
 4. the reconfigurable SA digitises each active partial product at the
    composing spec's precision, and the precision-control accumulator
    aligns and sums them into the Po-bit-windowed result.
+
+:meth:`CrossbarMVMEngine.mvm_batch` runs them as one read: both
+phases' input codes, over the rows the engine uses, times what its
+cells hold (:meth:`CrossbarMVMEngine.cell_weights`, the weights the
+compiled plan stacks), digitised through
+:func:`~repro.crossbar.sense.digitise` and summed.
 
 The engine's output approximates ``(inputs @ W) >> target_shift`` —
 the same quantity :func:`repro.precision.composing.reference_dot`
@@ -32,26 +38,39 @@ from repro.precision.composing import ComposingSpec, split_unsigned
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import PairProgramReport
 from repro.crossbar.array import ArrayMode
-from repro.crossbar.drivers import WordlineDriver
 from repro.crossbar.pair import DifferentialPair
 from repro.crossbar.sense import ReconfigurableSenseAmp, digitise, part_window
 
 #: Guards every engine's firing counters, ``mvm_invocations`` and
 #: ``sense.conversions``: replica threads walk and charge one shared
 #: programmed copy at once, and ``+=`` on an attribute is not atomic.
-#: :meth:`repro.crossbar.layer.ProgrammedLayer.charge` takes it too.
 COUNTER_LOCK = threading.Lock()
 
 
-def record_firings(params: CrossbarParams, firings: int) -> None:
-    """Charge ``firings`` composed MVM firings to the telemetry layer:
+def charge_firings(
+    engines: list["CrossbarMVMEngine"], vectors: int, output_shift: int
+) -> None:
+    """Charge ``vectors`` composed MVM firings at ``output_shift`` to
+    each of ``engines`` (one composing spec): each engine fires once
+    per vector, and its SA converts one value per active part
+    (:func:`~repro.crossbar.sense.part_window`) per sensed column
+    slot, spares included, per vector.  Telemetry gets
     ``mvm.invocations``, ``mvm.model_time_ns`` (``t_full_mvm`` each)
-    and ``mvm.energy_nj`` (``e_full_mvm`` for each of the pair's two
+    and ``mvm.energy_nj`` (``e_full_mvm`` for each of a pair's two
     arrays).  The walk's engines and
-    :meth:`~repro.crossbar.layer.ProgrammedLayer.charge`, which the
-    compiled plan's inline steps call, both charge through here."""
+    :meth:`~repro.crossbar.layer.ProgrammedLayer.charge` (the compiled
+    plan's inline steps) both charge through here."""
+    first = engines[0]
+    pre, _ = part_window(first.spec, output_shift)
+    active = int(np.count_nonzero(pre))
+    with COUNTER_LOCK:
+        for engine in engines:
+            engine.mvm_invocations += vectors
+            engine.sense.conversions += active * vectors * engine.slots_used
     if not telemetry.enabled():
         return
+    firings = vectors * len(engines)
+    params = first.params
     telemetry.count("mvm.invocations", firings)
     telemetry.count("mvm.model_time_ns", firings * params.t_full_mvm * 1e9)
     telemetry.count(
@@ -80,7 +99,6 @@ class CrossbarMVMEngine:
             pw=params.effective_weight_bits,
             po=params.output_bits,
         )
-        self.driver = WordlineDriver(params)
         self.pair = DifferentialPair(
             params, rng=rng, track_endurance=track_endurance
         )
@@ -216,7 +234,6 @@ class CrossbarMVMEngine:
         #: outputs).
         self.programmed_weights = w.astype(self.level_dtype)
         self.pair.set_mode(ArrayMode.COMPUTE)
-        self.driver.set_compute_mode(True)
         self.rows_used = rows
         self.cols_used = cols
         self.slots_used = cols
@@ -373,8 +390,7 @@ class CrossbarMVMEngine:
         cell pair's ``(G+ - G-) / g_step``, with this read's noise
         drawn when ``with_noise`` samples any.  Columns are read at
         the physical slot column sparing picked, and dead columns are
-        zero, in the order :meth:`_finalize_outputs` gives the walk's
-        outputs.
+        zero, in logical column order.
         """
         rows = self.pair.count_weights(with_noise)[: self.rows_used]
         if self._gather is None:
@@ -397,58 +413,7 @@ class CrossbarMVMEngine:
         """Logical output columns lost to zero-masking."""
         return 0 if self._dead is None else int(self._dead.sum())
 
-    def _finalize_outputs(self, out: np.ndarray) -> np.ndarray:
-        """Gather spared columns into logical order and zero the dead
-        ones.  Identity on the open-loop/healthy path."""
-        if self._gather is not None:
-            out = out[..., self._gather]
-        if self._dead is not None:
-            out[..., self._dead] = 0
-        return out
-
     # -- execution --------------------------------------------------------
-
-    def _record_mvms(self, n: int) -> None:
-        """Count ``n`` composed MVM firings on this engine and charge
-        them to the telemetry layer."""
-        with COUNTER_LOCK:
-            self.mvm_invocations += n
-        record_firings(self.params, n)
-
-    def _accumulate_parts(
-        self,
-        counts_hi: np.ndarray,
-        counts_lo: np.ndarray,
-        output_shift: int,
-    ) -> np.ndarray:
-        """Digitise and accumulate the four partial products.
-
-        ``counts_hi`` and ``counts_lo`` are the bitline counts of the
-        high and low input phases; even bitlines carry the high weight
-        halves, odd ones the low.  ``output_shift`` selects the layer's
-        output window: the result approximates ``(inputs @ W) >>
-        output_shift``.  The default, ``spec.target_shift``, reproduces
-        the paper's fixed Po-bit window; smaller shifts model the
-        calibrated SA reference real dot-product engines use so that
-        typical (far-below-full-scale) signals keep their significant
-        bits.  Each part conversion saturates at the SA's Po-bit
-        ceiling (:func:`~repro.crossbar.sense.digitise`).
-        """
-        cols = self.slots_used
-        parts = np.stack(
-            [counts_hi[..., : 2 * cols], counts_lo[..., : 2 * cols]]
-        )
-        # [input half, ..., column, weight half], as PART_GRID.
-        parts = parts.reshape(parts.shape[:-1] + (cols, 2))
-        pre, post = part_window(self.spec, output_shift)
-        grid = (2,) + (1,) * (parts.ndim - 2) + (2,)
-        digital = digitise(
-            parts, pre.reshape(grid), post.reshape(grid), self.spec.po
-        )
-        conversions = int(np.count_nonzero(pre)) * parts.size // 4
-        with COUNTER_LOCK:
-            self.sense.conversions += conversions
-        return digital.sum(axis=(0, -1)).astype(np.int64)
 
     def mvm(
         self,
@@ -456,33 +421,19 @@ class CrossbarMVMEngine:
         with_noise: bool = True,
         output_shift: int | None = None,
     ) -> np.ndarray:
-        """Composed signed MVM of one unsigned Pin-bit input vector.
+        """Composed signed MVM of one unsigned Pin-bit input vector:
+        :meth:`mvm_batch` on a one-vector batch.
 
         Returns ``cols_used`` signed integers approximating
         ``(inputs @ W) >> output_shift`` (default:
         ``spec.target_shift``, the paper's Eq. 3 window).
         """
-        if not self._programmed:
-            raise CrossbarError("engine must be programmed before mvm")
         inputs = np.asarray(inputs)
         if inputs.ndim != 1 or inputs.shape[0] != self.rows_used:
             raise CrossbarError(
                 f"expected {self.rows_used} inputs, got {inputs.shape}"
             )
-        if np.any(inputs < 0) or np.any(inputs >= (1 << self.spec.pin)):
-            raise CrossbarError(
-                f"inputs outside unsigned {self.spec.pin}-bit range"
-            )
-        shift = (
-            self.spec.target_shift if output_shift is None else output_shift
-        )
-        self._record_mvms(1)
-        in_hi, in_lo = split_unsigned(inputs.astype(np.int64), self.spec.pin)
-        counts_hi = self._drive_phase(in_hi, with_noise)
-        counts_lo = self._drive_phase(in_lo, with_noise)
-        return self._finalize_outputs(
-            self._accumulate_parts(counts_hi, counts_lo, shift)
-        )
+        return self.mvm_batch(inputs[None], with_noise, output_shift)[0]
 
     def mvm_batch(
         self,
@@ -492,9 +443,15 @@ class CrossbarMVMEngine:
     ) -> np.ndarray:
         """MVM over a (batch, rows_used) input matrix.
 
-        Functionally identical to calling :meth:`mvm` per row (the
-        hardware drives the crossbar once per input vector — latency
-        and energy scale with the batch), but evaluated vectorised.
+        The hardware drives the crossbar once per input vector (latency
+        and energy scale with the batch); the model reads the cells
+        once per call (:meth:`cell_weights`, drawing this call's read
+        noise when ``with_noise`` samples any), so spared columns come
+        from their slots and dead ones are zero.  ``output_shift``
+        selects the output window: the default, ``spec.target_shift``,
+        is the paper's fixed Po-bit window; smaller shifts model the
+        calibrated SA reference that keeps typical signals' significant
+        bits.
         """
         if not self._programmed:
             raise CrossbarError("engine must be programmed before mvm")
@@ -511,24 +468,22 @@ class CrossbarMVMEngine:
         shift = (
             self.spec.target_shift if output_shift is None else output_shift
         )
-        self._record_mvms(inputs.shape[0])
-        in_hi, in_lo = split_unsigned(inputs.astype(np.int64), self.spec.pin)
-        padded = np.zeros((2 * inputs.shape[0], self.params.rows))
-        padded[: inputs.shape[0], : self.rows_used] = in_hi
-        padded[inputs.shape[0] :, : self.rows_used] = in_lo
-        counts = self.pair.analog_mvm_counts(padded, with_noise=with_noise)
-        return self._finalize_outputs(
-            self._accumulate_parts(
-                counts[: inputs.shape[0]], counts[inputs.shape[0] :], shift
-            )
+        n = inputs.shape[0]
+        charge_firings([self], n, shift)
+        # One row per drive phase and vector, high input halves first.
+        drive = np.concatenate(
+            split_unsigned(inputs.astype(np.int64), self.spec.pin)
+        ).astype(np.float64)
+        # Each column's hi and lo weights on adjacent bitlines.
+        weights = np.stack(self.cell_weights(with_noise), axis=-1)
+        counts = drive @ weights.reshape(self.rows_used, -1)
+        # [input half, vector, column, weight half], as PART_GRID.
+        parts = counts.reshape(2, n, self.cols_used, 2)
+        pre, post = part_window(self.spec, shift)
+        digitise(
+            parts, pre[:, None, None], post[:, None, None], self.spec.po,
+            out=parts,
         )
-
-    def _drive_phase(
-        self, half_codes: np.ndarray, with_noise: bool
-    ) -> np.ndarray:
-        padded = np.zeros(self.params.rows, dtype=np.int64)
-        padded[: self.rows_used] = half_codes
-        self.driver.latch_inputs(padded)
-        return self.pair.analog_mvm_counts(
-            self.driver.latch, with_noise=with_noise
-        )
+        # Digitised parts are integers, so the sum is exact in any order.
+        by_column = parts[0] + parts[1]
+        return (by_column[..., 0] + by_column[..., 1]).astype(np.int64)

@@ -13,11 +13,17 @@ from it:
   format and SA output shift), so reusing a programmed layer skips
   recalibration;
 * the grid checks, and the state token (:attr:`~ProgrammedLayer.token`)
-  that :meth:`~ProgrammedLayer.invalidate` renews after reprogramming
-  or drift.  The layer holds no weight stack: the compiled plan's
+  that :meth:`~ProgrammedLayer.invalidate` renews after any change to
+  the cells.  The layer holds no weight stack: the compiled plan's
   weight step (:mod:`repro.perf.plan`) builds its own from what each
   engine's cells hold (:meth:`CrossbarMVMEngine.cell_weights`) and
   drops it when the token moves;
+* the writes a deployed layer takes after programming, retention drift
+  (:meth:`~ProgrammedLayer.apply_drift`) and the rewrite that recovers
+  from it (:meth:`~ProgrammedLayer.reprogram`): each visits the arrays
+  engine by engine in tile order, positive array first, and renews the
+  token, so nothing outside the crossbar and device packages touches a
+  cell;
 * the grid's state: :attr:`~ProgrammedLayer.on_lattice` (every
   noise-free count an integer), and whether a call samples read noise
   anywhere (:meth:`~ProgrammedLayer.samples_read_noise`);
@@ -27,15 +33,16 @@ from it:
   (:meth:`~ProgrammedLayer.calibrate_output_shift`), one exact host
   matmul per tile row of ``programmed_weights``;
 * :meth:`~ProgrammedLayer.mvm_batch`, the per-engine tile walk: one
-  :meth:`CrossbarMVMEngine.mvm_batch` call per tile, each padding its
-  inputs to the full physical array.  It is the semantic reference the
-  plan is tested against, and runs only under ``PRIME_FUSED=0`` (or
-  when a caller walks on purpose, as the command stream does);
+  :meth:`CrossbarMVMEngine.mvm_batch` call per tile, each reading the
+  rows its engine uses through the engine's cell weights.  It is the
+  semantic reference the plan is tested against, and runs only under
+  ``PRIME_FUSED=0`` (or when a caller walks on purpose, as the command
+  stream does);
 * :meth:`~ProgrammedLayer.charge`, which charges the hardware firings
   the plan's host matmuls replace — ``mvm.invocations``, model time
-  and energy (:func:`repro.crossbar.engine.record_firings`),
-  per-engine invocation counts, and sense-amp conversions — exactly as
-  the walk's engines count them;
+  and energy, per-engine invocation counts, and sense-amp conversions
+  — through the helper the walk's engines count with
+  (:func:`repro.crossbar.engine.charge_firings`);
 * the memoised compiled plan (:attr:`~ProgrammedLayer.compiled_plan`).
 
 Thread safety: every read is re-entrant over one programmed copy.  The
@@ -43,20 +50,18 @@ walk only reads the engines' state, read noise comes from the calling
 thread's scoped stream when it has one
 (:func:`repro.device.cell.scoped_noise_stream`), and the engines'
 counters change only under :data:`repro.crossbar.engine.COUNTER_LOCK`.
+Drift and reprogramming write the cells; the caller keeps reads out
+while they run (serving takes its state's write lock).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.crossbar.engine import (
-    COUNTER_LOCK,
-    CrossbarMVMEngine,
-    record_firings,
-)
-from repro.crossbar.sense import part_window
+from repro.crossbar.engine import CrossbarMVMEngine, charge_firings
 from repro.errors import CrossbarError
 from repro.precision.dynamic_fixed_point import DynamicFixedPoint
+from repro.resilience.policy import ResiliencePolicy
 
 __all__ = ["ProgrammedLayer"]
 
@@ -68,9 +73,10 @@ class ProgrammedLayer:
 
     ``tiles`` is the grid of programmed engines the executor builds;
     every engine must be programmed before the layer is built.  The
-    layer never owns the engines' state: it reads their programmed
-    cells and charges their counters, so the compiled plan's inline
-    steps and the walk stay interchangeable.  ``remapped_tiles`` counts
+    layer reads their programmed cells and charges their counters, so
+    the compiled plan's inline steps and the walk stay interchangeable,
+    and it is the one writer of their cells once programmed (drift and
+    reprogramming).  ``remapped_tiles`` counts
     the tiles the executor re-programmed onto spare pairs because their
     first engine came up degraded (resilience only).
     """
@@ -122,6 +128,8 @@ class ProgrammedLayer:
                     "engines in one tile column must share cols_used"
                 )
         self.tiles = [list(row) for row in tiles]
+        #: The engines in tile order, row by row.
+        self.engines = [engine for row in self.tiles for engine in row]
         self.w_fmt = w_fmt
         self.remapped_tiles = remapped_tiles
         self.in_fmt: DynamicFixedPoint | None = None
@@ -133,7 +141,6 @@ class ProgrammedLayer:
         self.row_blocks = len(self.tiles)
         self.col_blocks = width
         self.spec = first.spec
-        self.params = first.params
         self.rows_used = [row[0].rows_used for row in self.tiles]
         self.cols_used = [e.cols_used for e in self.tiles[0]]
         self.total_rows = sum(self.rows_used)
@@ -141,10 +148,7 @@ class ProgrammedLayer:
         rng = first.pair.positive.cells.rng
         self._rng = rng
         self._rng_shared = all(
-            e.pair.positive.cells.rng is rng
-            and e.pair.negative.cells.rng is rng
-            for row in self.tiles
-            for e in row
+            cells.rng is rng for cells in self._cell_arrays()
         )
         #: Identity token of the engines' programmed state, renewed by
         #: :meth:`invalidate`: a stack built under one token is stale
@@ -163,21 +167,54 @@ class ProgrammedLayer:
         """All engines' cells sit on the level lattice
         (:attr:`CrossbarMVMEngine.on_lattice`), so every noise-free
         count is an integer."""
-        return all(e.on_lattice for row in self.tiles for e in row)
+        return all(e.on_lattice for e in self.engines)
 
     def samples_read_noise(self, with_noise: bool) -> bool:
         """Whether this call actually samples read noise anywhere
         (:meth:`DifferentialPair.samples_read_noise`)."""
         return with_noise and any(
-            e.pair.samples_read_noise(True)
-            for row in self.tiles
-            for e in row
+            e.pair.samples_read_noise(True) for e in self.engines
         )
 
     def invalidate(self) -> None:
         """Renew :attr:`token` after reprogramming, drift, or any other
         in-place change to the engines' cells."""
         self.token = object()
+
+    # -- writes after programming -----------------------------------
+
+    def _cell_arrays(self):
+        """Every engine's cell arrays in write order: engine by engine
+        in tile order, the positive array first."""
+        for engine in self.engines:
+            yield engine.pair.positive.cells
+            yield engine.pair.negative.cells
+
+    def apply_drift(
+        self, magnitude: float, rng: np.random.Generator
+    ) -> None:
+        """Decay every cell's conductance toward HRS
+        (:meth:`~repro.device.cell.CellArray.apply_drift`), drawing
+        each array's rates from ``rng`` in write order, and renew
+        :attr:`token` so the plan's stacks over the old cells retire."""
+        for cells in self._cell_arrays():
+            cells.apply_drift(magnitude, rng)
+        self.invalidate()
+
+    def reprogram(self, verify: ResiliencePolicy | None = None) -> None:
+        """Rewrite every array from the levels it holds
+        (:meth:`~repro.device.cell.CellArray.reprogram`, through the
+        ``verify`` policy's program-and-verify loop when given), in
+        write order, and renew :attr:`token`.
+
+        Drift decays conductances but never the programmed levels, so
+        this restores the programmed state: an exact array returns to
+        its derived state, and an array programmed with variation
+        draws a fresh perturbation from its generator.
+        """
+        for cells in self._cell_arrays():
+            cells.reprogram(verify)
+        self.invalidate()
 
     def noise_stream(self, seed: int) -> np.random.Generator:
         """A fresh generator of the engines' shared kind, seeded with
@@ -303,21 +340,7 @@ class ProgrammedLayer:
 
     def charge(self, batch: int, output_shift: int) -> None:
         """Charge the hardware firings the plan's inline step replaced:
-        ``batch`` vectors at ``output_shift``.
-
-        Matches the per-engine path exactly: every engine fires once
-        per input vector, and its SA converts one value per active
-        part per sensed column slot (spares included) per vector.
+        ``batch`` vectors at ``output_shift``, counted as the per-engine
+        walk counts them (:func:`~repro.crossbar.engine.charge_firings`).
         """
-        pre, _ = part_window(self.spec, output_shift)
-        active = int(np.count_nonzero(pre))
-        with COUNTER_LOCK:
-            for row in self.tiles:
-                for engine in row:
-                    engine.mvm_invocations += batch
-                    engine.sense.conversions += (
-                        active * batch * engine.slots_used
-                    )
-        record_firings(
-            self.params, batch * self.row_blocks * self.col_blocks
-        )
+        charge_firings(self.engines, batch, output_shift)

@@ -16,8 +16,11 @@ conductances, each array drawing its read noise for the read, the
 positive one first.  It equals the difference of the two arrays'
 baseline-carrying analog currents
 (:meth:`~repro.crossbar.array.CrossbarArray.analog_mvm_counts`) up to
-float rounding, and the compiled plan stacks the same weights
-(:meth:`~repro.crossbar.engine.CrossbarMVMEngine.cell_weights`).
+float rounding.  Every functional tier reads the pair through it: the
+engine's walk and the compiled plan's stacks take it per logical
+column (:meth:`~repro.crossbar.engine.CrossbarMVMEngine.cell_weights`),
+and :meth:`DifferentialPair.analog_mvm_counts` multiplies a full
+wordline drive by it.
 """
 
 from __future__ import annotations

@@ -29,14 +29,19 @@ Derived levels.  The level matrix is derived the same way.  A fresh
 array holds no level matrix (its cells sit at level 0), and an exact
 open-loop write (:meth:`CellArray.program_levels_from`: no
 programming-variation draw, no fault map, no endurance tracker) keeps
-only the function that builds the levels, which the crossbar engine
-takes from its programmed weights.  Every reader and every partial
-writer reaches the levels through one accessor,
+only the function that builds the levels, its level source, which
+the crossbar engine takes from its programmed weights.  Every reader
+and every partial writer reaches the levels through one accessor,
 :meth:`CellArray._stored_levels`, beside :meth:`_stored_conductance`;
 it builds the matrix once, under the same lock, and keeps it, so
 reads, drift, partial writes, the verify loop and reprogramming see
-the levels an eager write stores.  An ideal deployment therefore
-holds no per-cell state at all until something reads its cells.
+the levels an eager write stores.  The array keeps its level source
+after that build until a write changes its levels (a partial write
+drops it), so the source always gives the levels the array holds, and
+reprogramming (:meth:`CellArray.reprogram`, the drift recovery) returns
+such an array to its derived state, holding neither matrix.  An ideal
+deployment therefore holds no per-cell state until something reads
+its cells, and none again once it has recovered from drift.
 
 Level lattice.  An array's stored conductances sit on the level
 lattice ``g_off + g_step * level`` until a programming-variation draw
@@ -259,6 +264,27 @@ class CellArray:
         self._conductance = None
         self._lattice = True
 
+    def reprogram(
+        self, verify: ResiliencePolicy | None = None
+    ) -> ProgramReport | None:
+        """Rewrite every cell to the level it holds: the drift
+        recovery, since drift decays conductances but never the
+        programmed levels.
+
+        Without ``verify``, an array that still has its level source
+        (only an exact write keeps one, and a write that changes its
+        levels drops it) drops both stored matrices and returns to its
+        derived state (see "Derived levels" in the module docstring).
+        Every other array is programmed as :meth:`program_levels`
+        programs its current levels, with the same draws.
+        """
+        if verify is None and self._level_source is not None:
+            self._levels = None
+            self._conductance = None
+            self._lattice = True
+            return None
+        return self.program_levels(self._stored_levels(), verify=verify)
+
     def program_region(
         self,
         row0: int,
@@ -271,12 +297,15 @@ class CellArray:
         r, c = levels.shape
         if row0 < 0 or col0 < 0 or row0 + r > self.rows or col0 + c > self.cols:
             raise DeviceError("programmed region exceeds array bounds")
+        if not np.issubdtype(levels.dtype, np.integer):
+            raise DeviceError("levels must be integers")
         if levels.min() < 0 or levels.max() >= self.device.mlc_levels:
             raise DeviceError(
                 f"levels outside [0, {self.device.mlc_levels})"
             )
         g = self._stored_conductance()
         self._stored_levels()[row0 : row0 + r, col0 : col0 + c] = levels
+        self._level_source = None
         ideal = self._ideal_conductance(levels)
         g[row0 : row0 + r, col0 : col0 + c] = self._perturb(
             ideal, self.device.programming_sigma
@@ -340,6 +369,7 @@ class CellArray:
         self._stored_conductance()  # materialise before levels change
         stored = self._stored_levels()
         stored[mask] = selected.astype(np.int16)
+        self._level_source = None
         ideal = self._ideal_conductance(stored)
         self._write_cells(mask, ideal, self.device.programming_sigma)
         self._lattice = self._lattice and not self._perturbs()
@@ -358,9 +388,9 @@ class CellArray:
         conductance relaxes multiplicatively toward ``g_off`` by a
         seeded random fraction around ``magnitude`` (cells drift at
         slightly different rates).  The programmed levels are *not*
-        changed — re-running :meth:`program_levels` with the stored
-        levels restores the array exactly, which is how the serving
-        layer's drift-triggered reprogramming recovers accuracy.
+        changed — :meth:`reprogram` rewrites the array from them, which
+        is how the serving layer's drift-triggered reprogramming
+        recovers accuracy.
         """
         if magnitude <= 0:
             raise DeviceError("drift magnitude must be > 0")
@@ -468,9 +498,10 @@ class CellArray:
 
     def _stored_levels(self) -> np.ndarray:
         """The stored int16 level matrix, built on first read while the
-        array holds none: the write's level source, or zeros for a
-        fresh array (see the module docstring).  The one accessor
-        every reader and partial writer of the levels uses."""
+        array holds none: the write's level source (which the array
+        keeps), or zeros for a fresh array (see the module docstring).
+        The one accessor every reader and partial writer of the levels
+        uses."""
         levels = self._levels
         if levels is None:
             with _DERIVE_LOCK:
@@ -484,7 +515,6 @@ class CellArray:
                     else:
                         levels = source().astype(np.int16, copy=False)
                     self._levels = levels
-                    self._level_source = None
         return levels
 
     def _stored_conductance(self) -> np.ndarray:

@@ -32,11 +32,6 @@ class EnduranceTracker:
         self._writes[mask] += 1
 
     @property
-    def write_counts(self) -> np.ndarray:
-        """Per-cell write counts (copy)."""
-        return self._writes.copy()
-
-    @property
     def max_writes(self) -> int:
         """The most-worn cell's write count."""
         return int(self._writes.max())

@@ -121,11 +121,6 @@ class MemoryOrganization:
         """FF mats available for computation in one bank."""
         return self.ff_subarrays_per_bank * self.mats_per_subarray
 
-    @property
-    def bytes_per_bank(self) -> int:
-        """Addressable bytes per bank."""
-        return self.capacity_bytes // self.total_banks
-
 
 DEFAULT_TIMING = MemoryTiming()
 DEFAULT_ORGANIZATION = MemoryOrganization()

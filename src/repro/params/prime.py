@@ -98,17 +98,6 @@ class PrimeConfig:
         return self.ff_mats_per_bank * self.organization.total_banks
 
     @property
-    def synapses_per_mat(self) -> int:
-        """Composed (8-bit) synaptic weights stored by one FF mat.
-
-        A mat pairs with its neighbour to hold positive and negative
-        weights, so a *pair* of physical crossbars implements
-        ``rows × logical_cols`` signed synapses; we count capacity in
-        mat pairs and report per-mat numbers as half of a pair.
-        """
-        return self.crossbar.rows * self.crossbar.logical_cols // 2
-
-    @property
     def pairs_per_bank(self) -> int:
         """Differential mat pairs (compute engines) per bank."""
         return self.ff_mats_per_bank // 2

@@ -255,18 +255,17 @@ def drift_distance(
 def reprogram_state(
     spec: WorkerSpec, programmed: list[ProgrammedLayer]
 ) -> None:
-    """Re-program every engine array to its stored MLC levels.
+    """Re-program every layer's cells to their stored MLC levels.
 
     The drift-recovery step: retention drift decays conductances but
-    never the programmed *levels*, so rewriting each
-    :class:`~repro.device.cell.CellArray` from its own levels (through
-    the spec's program-and-verify policy when one is active) restores
-    the deploy-time state — exactly, in the noise-free regime; with
-    programming variation each cell draws a fresh perturbation from
-    the copy's generator.  Each layer is invalidated afterwards
-    (:meth:`~repro.crossbar.layer.ProgrammedLayer.invalidate`, retiring
-    the stacks built over the old cells) so the recovered conductances
-    reach subsequent evaluations.
+    never the programmed *levels*, so each layer rewrites its cells
+    from their own levels
+    (:meth:`~repro.crossbar.layer.ProgrammedLayer.reprogram`, through
+    the spec's program-and-verify policy when one is active) and
+    renews its token, so the recovered cells reach subsequent
+    evaluations.  That restores the deploy-time state: an exact array
+    returns to its derived levels, and with programming variation each
+    cell draws a fresh perturbation from the copy's generator.
     """
     policy = (
         spec.resilience
@@ -275,16 +274,7 @@ def reprogram_state(
     )
     verify = policy if policy.verify_writes else None
     for layer in programmed:
-        for row in layer.tiles:
-            for engine in row:
-                for array in (
-                    engine.pair.positive,
-                    engine.pair.negative,
-                ):
-                    array.cells.program_levels(
-                        array.cells.levels, verify=verify
-                    )
-        layer.invalidate()
+        layer.reprogram(verify)
 
 
 def run_programmed(

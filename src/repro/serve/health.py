@@ -439,21 +439,16 @@ class ReprogramEvent:
 def apply_drift(programmed, magnitude: float, seed: int) -> None:
     """Apply seeded conductance drift to a programmed layer chain.
 
-    Walks every engine of every
-    :class:`~repro.crossbar.layer.ProgrammedLayer`, decays both
-    differential halves' conductances toward HRS via
-    :meth:`CellArray.apply_drift`, and invalidates each layer, which
-    retires the compiled plan's count stacks, so the drifted
-    conductances reach subsequent evaluations (the plan otherwise
-    serves from stacks built before the drift).  Deterministic in
-    ``(magnitude, seed)``.
+    Each :class:`~repro.crossbar.layer.ProgrammedLayer` decays its
+    cells' conductances toward HRS
+    (:meth:`~repro.crossbar.layer.ProgrammedLayer.apply_drift`, one
+    generator for the whole chain, layer by layer) and renews its
+    token, which retires the compiled plan's count stacks, so the
+    drifted conductances reach subsequent evaluations.  Deterministic
+    in ``(magnitude, seed)``.
     """
     if magnitude <= 0:
         raise ConfigurationError("drift magnitude must be > 0")
     rng = np.random.default_rng(seed)
     for layer in programmed:
-        for row in layer.tiles:
-            for engine in row:
-                for array in (engine.pair.positive, engine.pair.negative):
-                    array.cells.apply_drift(magnitude, rng)
-        layer.invalidate()
+        layer.apply_drift(magnitude, rng)

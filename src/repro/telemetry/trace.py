@@ -232,7 +232,3 @@ class Tracer:
             self.model_events.append(event)
             self._model_cursors[track] = ts_ns + event.dur_ns
             return event
-
-    def model_track_extent_ns(self, track: str) -> float:
-        """End of the last model event on ``track`` (ns)."""
-        return self._model_cursors.get(track, 0.0)

@@ -1,19 +1,69 @@
 """Tests for the composed MVM engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.crossbar.pair import DifferentialPair
+from repro.crossbar.sense import digitise, part_window
+from repro.device.cell import scoped_noise_stream
+from repro.device.faults import FaultMap
 from repro.errors import CrossbarError
 from repro.params.crossbar import CrossbarParams
-from repro.precision.composing import composing_error_bound
+from repro.params.reram import PT_TIO2_DEVICE
+from repro.precision.composing import composing_error_bound, split_unsigned
+from repro.resilience import ResiliencePolicy
 
 
 @pytest.fixture
 def engine() -> CrossbarMVMEngine:
     return CrossbarMVMEngine()  # ideal: no rng => no variation/noise
+
+
+def _spared_and_masked() -> CrossbarMVMEngine:
+    """A 32x32 engine with two unrepairable logical columns (a stuck-LRS
+    positive hi bitline over a stuck-HRS negative one) and one spare
+    slot: the worse column moves to the spare, the other is masked."""
+    device = dataclasses.replace(
+        PT_TIO2_DEVICE, programming_sigma=0.0, read_noise_sigma=0.0
+    )
+    params = CrossbarParams(rows=32, cols=32, sense_amps=8, device=device)
+    pos = FaultMap.none(params.rows, params.cols)
+    neg = FaultMap.none(params.rows, params.cols)
+    for col, rows in ((1, 16), (4, 12)):
+        pos.stuck_lrs[:rows, 2 * col] = True
+        neg.stuck_hrs[:rows, 2 * col] = True
+    engine = CrossbarMVMEngine(params)
+    engine.pair = DifferentialPair(params, fault_maps=(pos, neg))
+    w = np.random.default_rng(1).integers(-255, 256, (16, 6))
+    w[:, [1, 4]] = np.random.default_rng(2).integers(-15, 16, (16, 2))
+    policy = ResiliencePolicy(
+        verify_writes=True, spare_columns=1, mask_error_limit=1000.0
+    )
+    engine.program(w, resilience=policy)
+    assert engine.spared_columns == 1 and engine.masked_columns == 1
+    assert engine.slots_used == 7
+    return engine
+
+
+def _engine_of(kind: str) -> tuple[CrossbarMVMEngine, bool]:
+    """An engine of one cell state, and whether its reads sample read
+    noise."""
+    if kind == "spared+masked":
+        return _spared_and_masked(), False
+    rng = np.random.default_rng(9)
+    device = PT_TIO2_DEVICE
+    if kind == "varied":
+        device = dataclasses.replace(device, read_noise_sigma=0.0)
+    engine = CrossbarMVMEngine(
+        CrossbarParams(device=device), rng=None if kind == "ideal" else rng
+    )
+    engine.program(rng.integers(-255, 256, (200, 40)))
+    return engine, kind == "noisy"
 
 
 class TestProgramming:
@@ -142,6 +192,19 @@ class TestNoisyAccuracy:
         # device non-idealities cost a handful of output LSBs
         assert np.abs(out - exact).max() <= 8
 
+    def test_single_read_is_a_one_vector_batch(self):
+        # Both draw each array's read noise once per call.
+        engine, _ = _engine_of("noisy")
+        a = np.random.default_rng(11).integers(0, 64, 200)
+        reads = []
+        for read in (
+            lambda: engine.mvm(a, with_noise=True, output_shift=4),
+            lambda: engine.mvm_batch(a[None], True, 4)[0],
+        ):
+            with scoped_noise_stream(np.random.default_rng(12)):
+                reads.append(read())
+        np.testing.assert_array_equal(*reads)
+
     def test_noise_varies_between_calls(self):
         rng = np.random.default_rng(10)
         engine = CrossbarMVMEngine(rng=rng)
@@ -152,3 +215,39 @@ class TestNoisyAccuracy:
         o1 = engine.mvm(a, with_noise=True, output_shift=shift)
         o2 = engine.mvm(a, with_noise=True, output_shift=shift)
         assert not np.array_equal(o1, o2)
+
+
+class TestOneRead:
+    """The batch read is the split input codes times what the cells
+    hold (``cell_weights``), digitised part by part and summed."""
+
+    @pytest.mark.parametrize("shift", [None, 4])
+    @pytest.mark.parametrize(
+        "kind", ["ideal", "varied", "spared+masked", "noisy"]
+    )
+    def test_batch_read_is_digitised_cell_weights(self, kind, shift):
+        engine, with_noise = _engine_of(kind)
+        spec = engine.spec
+        codes = np.random.default_rng(3).integers(
+            0, 64, (5, engine.rows_used)
+        )
+        pre, post = part_window(
+            spec, spec.target_shift if shift is None else shift
+        )
+        with scoped_noise_stream(np.random.default_rng(4)):
+            weights = engine.cell_weights(with_noise)
+        expected = sum(
+            digitise(x.astype(np.float64) @ w, pre[i, j], post[i, j], spec.po)
+            for i, x in enumerate(split_unsigned(codes, spec.pin))
+            for j, w in enumerate(weights)
+        )
+        fired = engine.mvm_invocations
+        converted = engine.sense.conversions
+        with scoped_noise_stream(np.random.default_rng(4)):
+            out = engine.mvm_batch(codes, with_noise, shift)
+        np.testing.assert_array_equal(out, expected.astype(np.int64))
+        assert engine.mvm_invocations - fired == 5
+        # Every active part of every sensed slot, spares included.
+        assert engine.sense.conversions - converted == (
+            np.count_nonzero(pre) * 5 * engine.slots_used
+        )

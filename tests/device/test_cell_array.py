@@ -38,6 +38,14 @@ class TestProgramming:
         assert np.all(levels[1:3, 2:5] == 5)
         assert levels.sum() == 5 * 6  # everything else is 0
 
+    def test_region_rejects_float_levels(self, ideal_array):
+        # Every writer stores integer levels, so the count path (the
+        # levels) and the conductance readers cannot disagree.
+        with pytest.raises(DeviceError, match="integers"):
+            ideal_array.program_region(0, 0, np.array([[1.5, 2.0]]))
+        assert not ideal_array.levels.any()
+        assert ideal_array.on_lattice
+
     def test_region_out_of_bounds(self, ideal_array):
         with pytest.raises(DeviceError):
             ideal_array.program_region(7, 7, np.full((2, 2), 1))

@@ -6,9 +6,11 @@ only the engine's range-checked ``programmed_weights``; each array
 builds its level matrix on first read, and from then on behaves bit for
 bit like a twin written eagerly through the signed level split —
 through every read, drift, partial write, the verify loop and
-reprogramming.  Writes that draw variation, carry a fault map, count
-endurance or verify stay eager, with the seeded conductances the
-eager-only model produced.
+reprogramming.  Reprogramming an array whose levels its source still
+gives returns it to the derived state.  Writes that draw variation,
+carry a fault map, count endurance or verify stay eager, with the
+seeded conductances the eager-only model produced, and reprogram with
+the same draws.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import pytest
 from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.crossbar.engine import CrossbarMVMEngine
+from repro.crossbar.layer import ProgrammedLayer
 from repro.device.cell import CellArray
 from repro.nn.topology import parse_topology
 from repro.params.crossbar import CrossbarParams
@@ -129,7 +132,10 @@ class TestWhatStaysDerived:
         assert calls == [1]
         negative.levels
         assert calls == [1, -1]
-        assert positive._level_source is None
+        # The source stays, for reprogramming, and is not called again.
+        assert positive._level_source is not None
+        positive.levels, negative.effective_levels
+        assert calls == [1, -1]
 
 
 class TestDerivedEqualsEager:
@@ -182,6 +188,45 @@ class TestDerivedEqualsEager:
         for a, b in zip(_arrays(derived), _arrays(eager)):
             _same_cells(a, b)
             assert not a.is_ideal
+
+    def test_drift_then_reprogram_returns_to_derived(self):
+        derived, eager = _twins()
+        for engine in (derived, eager):
+            layer = ProgrammedLayer([[engine]], None)
+            token = layer.token
+            layer.apply_drift(0.3, np.random.default_rng(3))
+            assert not engine.on_lattice
+            layer.reprogram()
+            assert layer.token is not token
+        for a, b in zip(_arrays(derived), _arrays(eager)):
+            assert a._levels is None and a._conductance is None
+            assert b._levels is not None
+            _same_cells(a, b)
+            assert a.is_ideal
+
+    @pytest.mark.parametrize("write", ["region", "masked"])
+    def test_partial_write_then_reprogram_keeps_what_was_written(
+        self, write
+    ):
+        derived, eager = _twins()
+        region = np.random.default_rng(5).integers(0, 16, (4, 7))
+        mask = np.random.default_rng(6).random((32, 32)) < 0.3
+        target = np.random.default_rng(7).integers(0, 16, (32, 32))
+        for engine in (derived, eager):
+            for cells in _arrays(engine):
+                cells.levels  # derive, then overwrite part of it
+                if write == "region":
+                    cells.program_region(3, 5, region)
+                else:
+                    cells.program_masked(mask, target)
+                assert cells._level_source is None
+                cells.reprogram()
+        for a, b in zip(_arrays(derived), _arrays(eager)):
+            if write == "region":
+                np.testing.assert_array_equal(a.levels[3:7, 5:12], region)
+            else:
+                np.testing.assert_array_equal(a.levels[mask], target[mask])
+            _same_cells(a, b)
 
     def test_region_write(self):
         derived, eager = _twins()
@@ -283,6 +328,12 @@ def test_reprogram_state_after_drift_matches_eager():
             spec.network, spec.plan, x, programmed=programmed
         )
         np.testing.assert_array_equal(before, after)
+        if not eager:
+            # Reprogramming returned every exact array to its source.
+            assert all(
+                c._levels is None and c._conductance is None
+                for c in _all_cells(programmed)
+            )
         runs.append((before, _all_cells(programmed)))
     (derived_out, derived), (eager_out, eager) = runs
     np.testing.assert_array_equal(derived_out, eager_out)
@@ -419,3 +470,46 @@ def test_drawing_or_counting_writes_stay_eager(case):
             digest.update(np.ascontiguousarray(cells.conductances()).tobytes())
             digest.update(cells.levels.astype(np.int64).tobytes())
     assert digest.hexdigest() == SEEDED_DIGESTS[case]
+
+
+#: The same digest after seeded drift and a rewrite of every array from
+#: the levels it holds (through the verify loop in the ``verify``
+#: case), as the eager-only cell model rewrote them.
+REPROGRAMMED_DIGESTS = {
+    "endurance": (
+        "ce9a46750bdd76fcc470873324c80f75"
+        "2e2688735fdb0f91a84c56b8b1f541b9"
+    ),
+    "faults": (
+        "6bcf9a51399d177472cb6aca52a8f0a9"
+        "4f2759ce9ef6f6b14e0ea304ac7a72aa"
+    ),
+    "variation": (
+        "38d45dbce4608ee631405ffd35211b78"
+        "356d2e37d325a673dfbe21c14a9291e4"
+    ),
+    "verify": (
+        "c9455b6824aa03ec9e7007cde17998f4"
+        "0050c0025271ae19f1da6183fde83caf"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPROGRAMMED_DIGESTS))
+def test_drawing_or_counting_arrays_reprogram_with_the_same_draws(case):
+    _, _, policy = SEEDED_CASES[case]
+    engines = _seeded_engines(case)
+    drift = np.random.default_rng(3)
+    for engine in engines:
+        layer = ProgrammedLayer([[engine]], None)
+        layer.apply_drift(0.3, drift)
+        layer.reprogram(policy)
+    digest = hashlib.sha256()
+    for engine in engines:
+        for cells in _arrays(engine):
+            assert cells._levels is not None
+            digest.update(np.ascontiguousarray(cells.conductances()).tobytes())
+            digest.update(cells.levels.astype(np.int64).tobytes())
+            if case == "endurance":
+                assert cells.endurance.total_writes == 2 * 32 * 32
+    assert digest.hexdigest() == REPROGRAMMED_DIGESTS[case]

@@ -8,7 +8,8 @@ forward's scratch buffers are freed once deploy is done.  A second
 (unscaled) stack, int64 weight copies, stored cell levels, float
 conductances or retained scratch would each add tens of MiB, so a
 ceiling on what ``program_state`` leaves allocated guards the deploy's
-cost deterministically, on any host.
+cost deterministically, on any host.  The same ceiling holds after the
+copy recovers from drift.
 """
 
 import gc
@@ -19,17 +20,27 @@ import numpy as np
 from repro.core.compiler import PrimeCompiler
 from repro.eval.workloads import get_workload
 from repro.params.prime import DEFAULT_PRIME_CONFIG
-from repro.serve.dispatcher import WorkerSpec, program_state
+from repro.serve.dispatcher import (
+    WorkerSpec,
+    capture_reference,
+    program_state,
+    reprogram_state,
+)
+from repro.serve.health import apply_drift
 
 #: Most bytes an ideal MLP-L deployment may hold once programmed and
-#: calibrated (about 30.9 MiB with numpy 2.4: the plan's count stacks
+#: calibrated (about 30.6 MiB with numpy 2.4: the plan's count stacks
 #: 24.3 MiB, int16 programmed weights 6.1 MiB, the engines' periphery
-#: and cell objects about 0.4 MiB; stored cell levels would add
+#: and cell objects about 0.2 MiB; stored cell levels would add
 #: 28.5 MiB).
 RETAINED_LIMIT = int(31.5 * 2**20)
 
 
-def test_ideal_mlp_l_deploy_retained_bytes_stay_under_the_limit():
+def _assert_retained_under_the_limit(recovered: bool) -> None:
+    """Deploy an ideal MLP-L copy under ``tracemalloc`` and check what
+    it retains; ``recovered`` also drifts the copy, reprograms it and
+    runs one forward (the drift probe's reference capture), as serving
+    recovers from drift."""
     topology = get_workload("MLP-L").topology()
     net = topology.build(rng=np.random.default_rng(0))
     plan = PrimeCompiler(DEFAULT_PRIME_CONFIG).compile(topology)
@@ -42,10 +53,17 @@ def test_ideal_mlp_l_deploy_retained_bytes_stay_under_the_limit():
         config=DEFAULT_PRIME_CONFIG,
         seed=0,
         calibration=calibration,
+        probe_reference=recovered,
     )
     tracemalloc.start()
     try:
         state = program_state(spec)
+        if recovered:
+            executor, programmed = state
+            apply_drift(programmed, 0.2, seed=3)
+            reprogram_state(spec, programmed)
+            reference = capture_reference(spec, executor, programmed)
+            assert reference.shape == (64, 10)
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
         snapshot = tracemalloc.take_snapshot()
@@ -69,3 +87,14 @@ def test_ideal_mlp_l_deploy_retained_bytes_stay_under_the_limit():
         f"(limit {RETAINED_LIMIT / 2**20:.1f} MiB); largest holders:\n"
         f"{breakdown}"
     )
+
+
+def test_ideal_mlp_l_deploy_retained_bytes_stay_under_the_limit():
+    _assert_retained_under_the_limit(recovered=False)
+
+
+def test_ideal_mlp_l_copy_recovered_from_drift_stays_under_the_limit():
+    """Reprogramming returns every exact array to its derived state, so
+    the recovered copy holds what it held after deploy (an eager
+    rewrite of every level matrix kept 59.35 MiB)."""
+    _assert_retained_under_the_limit(recovered=True)
