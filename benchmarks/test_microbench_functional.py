@@ -81,7 +81,7 @@ def test_fused_speedup_and_parity(mlp_l):
 
     def firings():
         return [
-            (e.mvm_invocations, e.sense.conversions)
+            (e.mvm_invocations, e.sa_conversions)
             for layer in programmed
             for row in layer.tiles
             for e in row

@@ -37,12 +37,11 @@ from repro.params.crossbar import CrossbarParams, DEFAULT_CROSSBAR
 from repro.precision.composing import ComposingSpec, split_unsigned
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import PairProgramReport
-from repro.crossbar.array import ArrayMode
 from repro.crossbar.pair import DifferentialPair
-from repro.crossbar.sense import ReconfigurableSenseAmp, digitise, part_window
+from repro.crossbar.sense import digitise, part_window
 
 #: Guards every engine's firing counters, ``mvm_invocations`` and
-#: ``sense.conversions``: replica threads walk and charge one shared
+#: ``sa_conversions``: replica threads walk and charge one shared
 #: programmed copy at once, and ``+=`` on an attribute is not atomic.
 COUNTER_LOCK = threading.Lock()
 
@@ -66,7 +65,7 @@ def charge_firings(
     with COUNTER_LOCK:
         for engine in engines:
             engine.mvm_invocations += vectors
-            engine.sense.conversions += active * vectors * engine.slots_used
+            engine.sa_conversions += active * vectors * engine.slots_used
     if not telemetry.enabled():
         return
     firings = vectors * len(engines)
@@ -102,7 +101,6 @@ class CrossbarMVMEngine:
         self.pair = DifferentialPair(
             params, rng=rng, track_endurance=track_endurance
         )
-        self.sense = ReconfigurableSenseAmp(params)
         self.rows_used = 0
         self.cols_used = 0
         self._programmed = False
@@ -119,6 +117,9 @@ class CrossbarMVMEngine:
         #: Composed MVM firings since construction (one per input
         #: vector), for cost-model cross-validation.
         self.mvm_invocations = 0
+        #: SA conversions since construction, for the energy model
+        #: (:func:`charge_firings`).
+        self.sa_conversions = 0
 
     # -- programming ------------------------------------------------------
 
@@ -233,7 +234,6 @@ class CrossbarMVMEngine:
         #: stacks (dead columns, if any, are zeroed to match the masked
         #: outputs).
         self.programmed_weights = w.astype(self.level_dtype)
-        self.pair.set_mode(ArrayMode.COMPUTE)
         self.rows_used = rows
         self.cols_used = cols
         self.slots_used = cols
@@ -249,12 +249,8 @@ class CrossbarMVMEngine:
                 shape=(self.params.rows, self.params.cols),
             )
             # Positive array first, as its write may draw variation.
-            self.pair.positive.cells.program_levels_from(
-                partial(levels_of, 1)
-            )
-            self.pair.negative.cells.program_levels_from(
-                partial(levels_of, -1)
-            )
+            self.pair.positive.program_levels_from(partial(levels_of, 1))
+            self.pair.negative.program_levels_from(partial(levels_of, -1))
         else:
             mask = np.zeros(
                 (self.params.rows, self.params.cols), dtype=bool
@@ -371,8 +367,8 @@ class CrossbarMVMEngine:
         column's programmed weights are already zero)."""
         return (
             self._gather is None
-            and self.pair.positive.cells.is_ideal
-            and self.pair.negative.cells.is_ideal
+            and self.pair.positive.is_ideal
+            and self.pair.negative.is_ideal
         )
 
     def cell_weights(

@@ -145,7 +145,7 @@ class ProgrammedLayer:
         self.cols_used = [e.cols_used for e in self.tiles[0]]
         self.total_rows = sum(self.rows_used)
         self.total_cols = sum(self.cols_used)
-        rng = first.pair.positive.cells.rng
+        rng = first.pair.positive.rng
         self._rng = rng
         self._rng_shared = all(
             cells.rng is rng for cells in self._cell_arrays()
@@ -187,8 +187,8 @@ class ProgrammedLayer:
         """Every engine's cell arrays in write order: engine by engine
         in tile order, the positive array first."""
         for engine in self.engines:
-            yield engine.pair.positive.cells
-            yield engine.pair.negative.cells
+            yield engine.pair.positive
+            yield engine.pair.negative
 
     def apply_drift(
         self, magnitude: float, rng: np.random.Generator
@@ -202,18 +202,32 @@ class ProgrammedLayer:
         self.invalidate()
 
     def reprogram(self, verify: ResiliencePolicy | None = None) -> None:
-        """Rewrite every array from the levels it holds
-        (:meth:`~repro.device.cell.CellArray.reprogram`, through the
-        ``verify`` policy's program-and-verify loop when given), in
-        write order, and renew :attr:`token`.
+        """Rewrite every array from the levels it holds, in write
+        order, and renew :attr:`token`.
 
         Drift decays conductances but never the programmed levels, so
-        this restores the programmed state: an exact array returns to
-        its derived state, and an array programmed with variation
-        draws a fresh perturbation from its generator.
+        this restores the programmed state.  Open loop
+        (:meth:`~repro.device.cell.CellArray.reprogram`), an exact
+        array returns to its derived state, and an array programmed
+        with variation draws a fresh perturbation from its generator.
+        With ``verify``, each array is rewritten through the policy's
+        program-and-verify loop over its engine's programmed region,
+        ``[:rows_used, :2 * slots_used]``: the cells the engine's
+        verified write and its spare slots verified, and no others.
         """
-        for cells in self._cell_arrays():
-            cells.reprogram(verify)
+        if verify is None:
+            for cells in self._cell_arrays():
+                cells.reprogram()
+        else:
+            for engine in self.engines:
+                region = np.zeros(
+                    (engine.params.rows, engine.params.cols), dtype=bool
+                )
+                region[: engine.rows_used, : 2 * engine.slots_used] = True
+                for cells in (engine.pair.positive, engine.pair.negative):
+                    cells.program_levels(
+                        cells.levels, verify=verify, verify_mask=region
+                    )
         self.invalidate()
 
     def noise_stream(self, seed: int) -> np.random.Generator:

@@ -5,7 +5,10 @@ programmed with the positive weights and one with the negative-weight
 magnitudes — sharing the same input port.  The modified column
 multiplexer subtracts the negative array's bitline current from the
 positive array's before the sigmoid unit and the SA, which also cancels
-the common HRS-baseline current exactly.
+the common HRS-baseline current exactly.  :class:`DifferentialPair`
+holds the two arrays themselves, :attr:`~DifferentialPair.positive`
+and :attr:`~DifferentialPair.negative`, each a
+:class:`~repro.device.cell.CellArray`, and writes them directly.
 
 One formula reads the pair: a read counts ``inputs @
 count_weights(with_noise)``, each cell pair's signed weight in count
@@ -14,9 +17,10 @@ integer ``effective_levels`` difference, so the count is exact;
 otherwise it is ``(G+ - G-) / g_step`` from the two arrays'
 conductances, each array drawing its read noise for the read, the
 positive one first.  It equals the difference of the two arrays'
-baseline-carrying analog currents
-(:meth:`~repro.crossbar.array.CrossbarArray.analog_mvm_counts`) up to
-float rounding.  Every functional tier reads the pair through it: the
+baseline-carrying bitline currents
+(:meth:`~repro.device.cell.CellArray.bitline_currents` of ``inputs *
+v_step``, over the unit current ``v_step * g_step``) up to float
+rounding.  Every functional tier reads the pair through it: the
 engine's walk and the compiled plan's stacks take it per logical
 column (:meth:`~repro.crossbar.engine.CrossbarMVMEngine.cell_weights`),
 and :meth:`DifferentialPair.analog_mvm_counts` multiplies a full
@@ -28,15 +32,48 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CrossbarError
-from repro.device import FaultMap
+from repro.device import CellArray, FaultMap
 from repro.params.crossbar import CrossbarParams, DEFAULT_CROSSBAR
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import PairProgramReport
-from repro.crossbar.array import ArrayMode, CrossbarArray
+
+
+def _array(
+    params: CrossbarParams,
+    rng: np.random.Generator | None,
+    fault_map: FaultMap | None,
+    track_endurance: bool,
+) -> CellArray:
+    """One half of a pair.  Sampling a missing fault map from the
+    configured stuck-at rates gives call sites fault injection end to
+    end without building maps."""
+    rate_hrs, rate_lrs = params.fault_rate_hrs, params.fault_rate_lrs
+    if fault_map is None and (rate_hrs > 0.0 or rate_lrs > 0.0):
+        if rng is None:
+            raise CrossbarError(
+                "fault-rate injection needs a seeded rng; pass one to "
+                "the crossbar or clear the fault rates"
+            )
+        fault_map = FaultMap.random(
+            params.rows, params.cols, rate_hrs, rate_lrs, rng
+        )
+    return CellArray(
+        params.rows,
+        params.cols,
+        device=params.device,
+        rng=rng,
+        fault_map=fault_map,
+        track_endurance=track_endurance,
+    )
 
 
 class DifferentialPair:
-    """Positive/negative crossbar pair computing signed analog MVMs."""
+    """Positive/negative crossbar pair computing signed analog MVMs.
+
+    Each half is a :class:`~repro.device.cell.CellArray` with the
+    given fault map, or else one sampled from ``params.fault_rate_hrs``
+    and ``fault_rate_lrs`` with ``rng``, the positive half first.
+    """
 
     def __init__(
         self,
@@ -47,19 +84,9 @@ class DifferentialPair:
     ) -> None:
         self.params = params
         pos_faults, neg_faults = fault_maps if fault_maps else (None, None)
-        self.positive = CrossbarArray(
-            params, rng=rng, fault_map=pos_faults,
-            track_endurance=track_endurance,
-        )
-        self.negative = CrossbarArray(
-            params, rng=rng, fault_map=neg_faults,
-            track_endurance=track_endurance,
-        )
-
-    def set_mode(self, mode: ArrayMode) -> None:
-        """Both halves morph together."""
-        self.positive.set_mode(mode)
-        self.negative.set_mode(mode)
+        # The positive half first: a sampled fault map draws from rng.
+        self.positive = _array(params, rng, pos_faults, track_endurance)
+        self.negative = _array(params, rng, neg_faults, track_endurance)
 
     def _pos_neg(
         self, signed_levels: np.ndarray
@@ -101,15 +128,15 @@ class DifferentialPair:
         signed_levels = np.asarray(signed_levels)
         pos, neg = self._pos_neg(signed_levels)
         if verify is None:
-            self.positive.program_weight_levels(pos)
-            self.negative.program_weight_levels(neg)
+            self.positive.program_levels(pos)
+            self.negative.program_levels(neg)
             return None
         if verify_mask is None:
             verify_mask = np.ones(signed_levels.shape, dtype=bool)
-        report_pos = self.positive.program_weight_levels(
+        report_pos = self.positive.program_levels(
             pos, verify=verify, verify_mask=verify_mask
         )
-        report_neg = self.negative.program_weight_levels(
+        report_neg = self.negative.program_levels(
             neg, verify=verify, verify_mask=verify_mask
         )
         return self._compensate(
@@ -129,12 +156,8 @@ class DifferentialPair:
         """Verified programming of a cell subset (spare-column passes)."""
         signed_levels = np.asarray(signed_levels)
         pos, neg = self._pos_neg(signed_levels)
-        report_pos = self.positive.program_masked_weight_levels(
-            mask, pos, verify=verify
-        )
-        report_neg = self.negative.program_masked_weight_levels(
-            mask, neg, verify=verify
-        )
+        report_pos = self.positive.program_masked(mask, pos, verify=verify)
+        report_neg = self.negative.program_masked(mask, neg, verify=verify)
         return self._compensate(
             signed_levels.astype(np.int64),
             np.asarray(mask, dtype=bool),
@@ -169,30 +192,29 @@ class DifferentialPair:
         bad_neg = report_neg.failed
         if bad_pos.any() or bad_neg.any():
             achieved_pos = np.rint(
-                self.positive.cells.readback_levels()
+                self.positive.readback_levels()
             ).astype(np.int64)
             achieved_neg = np.rint(
-                self.negative.cells.readback_levels()
+                self.negative.readback_levels()
             ).astype(np.int64)
             fix_via_neg = bad_pos & ~bad_neg
             fix_via_pos = bad_neg & ~bad_pos
             if fix_via_neg.any():
                 target = np.clip(achieved_pos - desired, 0, limit)
-                repair = self.negative.program_masked_weight_levels(
+                repair = self.negative.program_masked(
                     fix_via_neg, target, verify=policy
                 )
                 report_neg.absorb(repair)
                 compensated += int(fix_via_neg.sum())
             if fix_via_pos.any():
                 target = np.clip(desired + achieved_neg, 0, limit)
-                repair = self.positive.program_masked_weight_levels(
+                repair = self.positive.program_masked(
                     fix_via_pos, target, verify=policy
                 )
                 report_pos.absorb(repair)
                 compensated += int(fix_via_pos.sum())
         achieved = (
-            self.positive.cells.readback_levels()
-            - self.negative.cells.readback_levels()
+            self.positive.readback_levels() - self.negative.readback_levels()
         )
         residual = np.abs(achieved - desired)
         residual[~mask] = 0.0
@@ -208,10 +230,7 @@ class DifferentialPair:
         """True when both halves' cells sit on the level lattice
         (:attr:`~repro.device.cell.CellArray.on_lattice`: ideal, or
         carrying only stuck-at faults)."""
-        return (
-            self.positive.cells.on_lattice
-            and self.negative.cells.on_lattice
-        )
+        return self.positive.on_lattice and self.negative.on_lattice
 
     def samples_read_noise(self, with_noise: bool) -> bool:
         """Whether a read with this noise flag draws read noise: the
@@ -221,8 +240,8 @@ class DifferentialPair:
             with_noise
             and self.params.device.read_noise_sigma > 0.0
             and (
-                self.positive.cells.rng is not None
-                or self.negative.cells.rng is not None
+                self.positive.rng is not None
+                or self.negative.rng is not None
             )
         )
 
@@ -238,7 +257,7 @@ class DifferentialPair:
         it samples any (:meth:`samples_read_noise`), the positive half
         first.  The HRS baseline cancels per cell pair.
         """
-        positive, negative = self.positive.cells, self.negative.cells
+        positive, negative = self.positive, self.negative
         noisy = self.samples_read_noise(with_noise)
         if not noisy and self.on_lattice:
             return positive.effective_levels - negative.effective_levels
@@ -269,7 +288,13 @@ class DifferentialPair:
         compiled plan's count stacks hold the same weights
         (:meth:`CrossbarMVMEngine.cell_weights`).
         """
-        op = "analog_mvm_counts"
-        self.negative._require(ArrayMode.COMPUTE, op)
-        inputs = self.positive._checked_compute_inputs(input_levels, op)
+        inputs = np.asarray(input_levels)
+        if inputs.shape[-1] != self.params.rows:
+            raise CrossbarError(
+                f"expected {self.params.rows} inputs, got {inputs.shape[-1]}"
+            )
+        if np.any(inputs < 0) or np.any(inputs >= self.params.input_levels):
+            raise CrossbarError(
+                f"input levels outside [0, {self.params.input_levels})"
+            )
         return inputs.astype(np.float64) @ self.count_weights(with_noise)

@@ -2,21 +2,22 @@
 
 The SA digitises a count-domain analog value with a precision
 configurable from 1 bit up to ``Po`` bits (a fabricated design from
-Li et al., IMW'11).  A counter steps the reference level; the result
-lands in the output register.  The precision-control circuit (register
-+ adder) accumulates multiple truncated conversions so low-precision
-cells can realise a high-precision weight — the digital half of the
-composing scheme.
+Li et al., IMW'11); the model always converts at the full ``Po``
+bits, ``CrossbarParams.output_bits``.  A counter steps the reference
+level; the result lands in the output register.  The
+precision-control circuit (register + adder) accumulates multiple
+truncated conversions so low-precision cells can realise a
+high-precision weight — the digital half of the composing scheme.
 
 The SA has one transfer function, :func:`digitise`, and
 :func:`part_window` gives each partial product of a composed MVM its
 window in it (Eq. 3-9).  Every functional tier digitises through these
 two: the per-engine walk
 (:class:`~repro.crossbar.engine.CrossbarMVMEngine`), the compiled
-plan, :meth:`ReconfigurableSenseAmp.convert`, and
-the paper's literal integer model,
+plan, and the paper's literal integer model,
 :func:`repro.precision.composing.composed_dot`, at the fixed Eq. 3
-window.
+window.  Each engine counts its conversions in ``sa_conversions``,
+charged by :func:`~repro.crossbar.engine.charge_firings`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import functools
 
 import numpy as np
 
-from repro.errors import CrossbarError
-from repro.params.crossbar import CrossbarParams, DEFAULT_CROSSBAR
 from repro.precision.composing import ComposingSpec
 
 #: Partial products by ``[input half, weight half]``, 0 = high half:
@@ -94,47 +93,3 @@ def digitise(
     if post is not None:
         out *= post
     return out
-
-
-class ReconfigurableSenseAmp:
-    """A bank of Po-bit reconfigurable SAs for one mat."""
-
-    def __init__(self, params: CrossbarParams = DEFAULT_CROSSBAR) -> None:
-        self.params = params
-        self._precision = params.output_bits
-        self.conversions = 0  # lifetime conversion count (for energy)
-
-    @property
-    def precision(self) -> int:
-        """Currently configured precision in bits."""
-        return self._precision
-
-    def configure_precision(self, bits: int) -> None:
-        """Set conversion precision to any value in [1, Po]."""
-        if not 1 <= bits <= self.params.output_bits:
-            raise CrossbarError(
-                f"SA precision must be in [1, {self.params.output_bits}], "
-                f"got {bits}"
-            )
-        self._precision = bits
-
-    def convert(
-        self, counts: np.ndarray, full_scale_bits: int
-    ) -> np.ndarray:
-        """Digitise count-domain values, keeping the top ``precision`` bits.
-
-        ``full_scale_bits`` is the bit width of the analog full-scale
-        window (``part_full_bits`` of the composing spec).  Values
-        saturate at the window's full scale; negative inputs (from the
-        analog subtraction unit) are digitised by magnitude with the
-        sign bit restored, matching a differential SA front end.  This
-        is :func:`digitise` at ``pre = 2**(keep - full_scale_bits)``
-        and ``post = 1``.
-        """
-        if full_scale_bits < 1:
-            raise CrossbarError("full_scale_bits must be >= 1")
-        keep = min(self._precision, full_scale_bits)
-        counts = np.asarray(counts, dtype=np.float64)
-        digital = digitise(counts, 2.0 ** (keep - full_scale_bits), None, keep)
-        self.conversions += counts.size
-        return digital.astype(np.int64)

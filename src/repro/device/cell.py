@@ -7,10 +7,10 @@ applies a multiplicative log-normal-ish perturbation (clamped Gaussian)
 with the device's ``programming_sigma``; reads can add independent
 Gaussian read noise.
 
-This is the lowest layer of the functional simulator: crossbar arrays
-delegate their conductance state to a :class:`CellArray` so that device
-non-idealities (variation, noise, faults, wear) affect every analog
-matrix-vector product exactly once.
+This is the lowest layer of the functional simulator: each half of a
+differential crossbar pair (:class:`repro.crossbar.pair.DifferentialPair`)
+is a :class:`CellArray`, so device non-idealities (variation, noise,
+faults, wear) affect every analog matrix-vector product exactly once.
 
 Derived conductances.  While an array's stored conductance is exactly
 the linear map of its levels (no perturbation was drawn and no fault
@@ -264,26 +264,24 @@ class CellArray:
         self._conductance = None
         self._lattice = True
 
-    def reprogram(
-        self, verify: ResiliencePolicy | None = None
-    ) -> ProgramReport | None:
-        """Rewrite every cell to the level it holds: the drift
-        recovery, since drift decays conductances but never the
+    def reprogram(self) -> None:
+        """Rewrite every cell, open loop, to the level it holds: the
+        drift recovery, since drift decays conductances but never the
         programmed levels.
 
-        Without ``verify``, an array that still has its level source
-        (only an exact write keeps one, and a write that changes its
-        levels drops it) drops both stored matrices and returns to its
-        derived state (see "Derived levels" in the module docstring).
-        Every other array is programmed as :meth:`program_levels`
-        programs its current levels, with the same draws.
+        An array that still has its level source (only an exact write
+        keeps one, and a write that changes its levels drops it) drops
+        both stored matrices and returns to its derived state (see
+        "Derived levels" in the module docstring).  Every other array
+        is programmed as :meth:`program_levels` programs its current
+        levels, with the same draws.
         """
-        if verify is None and self._level_source is not None:
+        if self._level_source is not None:
             self._levels = None
             self._conductance = None
             self._lattice = True
-            return None
-        return self.program_levels(self._stored_levels(), verify=verify)
+            return
+        self.program_levels(self._stored_levels())
 
     def program_region(
         self,

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import WorkloadError
-from repro.crossbar.array import ArrayMode
 from repro.crossbar.pair import DifferentialPair
 from repro.params.crossbar import CrossbarParams
 from repro.params.reram import ReRAMDeviceParams
@@ -108,7 +107,6 @@ def measure_enob(
     # pair loop stays sequential (and deterministic in trial order).
     for t in range(trials):
         pair = DifferentialPair(params, rng=device_rng)
-        pair.set_mode(ArrayMode.COMPUTE)
         pair.program_signed_levels(levels[t])
         analog = pair.analog_mvm_counts(codes[t], with_noise=True)
         errors[t] = analog - ideal[t]

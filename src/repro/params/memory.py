@@ -22,7 +22,6 @@ class MemoryTiming:
     t_rp: float = 0.5 * ns
     t_wr: float = 41.4 * ns
     io_clock_hz: float = 533.0 * MHz
-    burst_length: int = 8
 
     def __post_init__(self) -> None:
         for name in ("t_rcd", "t_cl", "t_rp", "t_wr"):

@@ -46,7 +46,6 @@ class NpuParams:
     in_buffer_bytes: int = 2 * KB
     out_buffer_bytes: int = 2 * KB
     weight_buffer_bytes: int = 32 * KB
-    data_bytes: int = 2  # 16-bit fixed point datapath
     memory_bandwidth: float = 8.528e9  # 533 MHz DDR x 8 B
     e_mac: float = 1.0 * pJ
     e_buffer_per_byte: float = 1.0 * pJ

@@ -50,7 +50,7 @@ def float_im2col():
 
 def _firings(engines) -> list[tuple[int, int]]:
     """Each engine's MVM invocation and sense-amp conversion counts."""
-    return [(e.mvm_invocations, e.sense.conversions) for e in engines]
+    return [(e.mvm_invocations, e.sa_conversions) for e in engines]
 
 
 @contextlib.contextmanager

@@ -1,7 +1,6 @@
 """The shared SA digitiser against its literal definition.
 
-Every functional tier (engine walk, fused kernel, compiled plan) and
-``ReconfigurableSenseAmp.convert`` digitise through
+Every functional tier (engine walk, compiled plan) digitises through
 :func:`repro.crossbar.sense.part_window` and
 :func:`repro.crossbar.sense.digitise`, so cross-tier oracles cannot
 catch a bug there.  These tests pin both to the definition, written
@@ -21,13 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.crossbar.sense import (
-    PART_GRID,
-    ReconfigurableSenseAmp,
-    digitise,
-    part_window,
-)
-from repro.params.crossbar import CrossbarParams
+from repro.crossbar.sense import PART_GRID, digitise, part_window
 from repro.precision.composing import ComposingSpec
 
 
@@ -137,31 +130,3 @@ def test_windows_are_cached_and_read_only():
         pre[0, 0] = 1.0
     with pytest.raises(ValueError):
         post[0, 0] = 1.0
-
-
-def _old_convert(counts, full_scale_bits, precision):
-    """``ReconfigurableSenseAmp.convert`` as it was written before it
-    shared the digitiser: clip the magnitude into the window, then
-    floor it to the kept bits."""
-    counts = np.asarray(counts, dtype=np.float64)
-    sign = np.sign(counts)
-    magnitude = np.clip(np.abs(counts), 0.0, 2.0**full_scale_bits - 1.0)
-    shift = full_scale_bits - min(precision, full_scale_bits)
-    digital = np.floor(magnitude / 2.0**shift).astype(np.int64)
-    return sign.astype(np.int64) * digital
-
-
-def test_convert_matches_clip_then_floor():
-    sa = ReconfigurableSenseAmp(CrossbarParams(output_bits=12))
-    spec = ComposingSpec(pin=6, pw=8, po=12, pn=8)
-    counts = _counts(spec, np.float64)
-    integers = np.rint(counts[:48]).astype(np.int64)
-    for full in range(1, 17):
-        for precision in range(1, 13):
-            sa.configure_precision(precision)
-            for values in (counts, integers):
-                got = sa.convert(values, full)
-                assert got.dtype == np.int64
-                np.testing.assert_array_equal(
-                    got, _old_convert(values, full, precision)
-                )

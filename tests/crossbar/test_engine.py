@@ -77,7 +77,7 @@ class TestProgramming:
         w = np.zeros((4, 2), dtype=np.int64)
         w[0, 0] = 0xAB  # hi=0xA, lo=0xB
         engine.program(w)
-        pos = engine.pair.positive.cells.levels
+        pos = engine.pair.positive.levels
         assert pos[0, 0] == 0xA  # high nibble, even bitline
         assert pos[0, 1] == 0xB  # low nibble, odd bitline
 
@@ -85,7 +85,7 @@ class TestProgramming:
         w = np.zeros((4, 2), dtype=np.int64)
         w[1, 1] = -0x5C
         engine.program(w)
-        neg = engine.pair.negative.cells.levels
+        neg = engine.pair.negative.levels
         assert neg[1, 2] == 0x5
         assert neg[1, 3] == 0xC
 
@@ -242,12 +242,12 @@ class TestOneRead:
             for j, w in enumerate(weights)
         )
         fired = engine.mvm_invocations
-        converted = engine.sense.conversions
+        converted = engine.sa_conversions
         with scoped_noise_stream(np.random.default_rng(4)):
             out = engine.mvm_batch(codes, with_noise, shift)
         np.testing.assert_array_equal(out, expected.astype(np.int64))
         assert engine.mvm_invocations - fired == 5
         # Every active part of every sensed slot, spares included.
-        assert engine.sense.conversions - converted == (
+        assert engine.sa_conversions - converted == (
             np.count_nonzero(pre) * 5 * engine.slots_used
         )

@@ -1,10 +1,8 @@
-"""Tests for drivers, sense amplifiers, pairs, and functional units."""
+"""Tests for differential pairs and functional units."""
 
 import numpy as np
 import pytest
 
-from repro.crossbar.array import ArrayMode
-from repro.crossbar.drivers import WordlineDriver
 from repro.crossbar.functional_units import (
     MAXPOOL4_WEIGHTS,
     MaxPool4Unit,
@@ -13,9 +11,9 @@ from repro.crossbar.functional_units import (
     mean_pool_weights,
 )
 from repro.crossbar.pair import DifferentialPair
-from repro.crossbar.sense import ReconfigurableSenseAmp
-from repro.errors import CrossbarError
+from repro.errors import CrossbarError, DeviceError
 from repro.params.crossbar import CrossbarParams
+from repro.resilience import ResiliencePolicy
 
 
 @pytest.fixture
@@ -23,101 +21,9 @@ def params() -> CrossbarParams:
     return CrossbarParams(rows=16, cols=16, sense_amps=8)
 
 
-class TestWordlineDriver:
-    def test_memory_mode_rejects_latch(self, params):
-        driver = WordlineDriver(params)
-        with pytest.raises(CrossbarError):
-            driver.latch_inputs(np.zeros(16, dtype=int))
-
-    def test_latch_zero_extends(self, params):
-        driver = WordlineDriver(params)
-        driver.set_compute_mode(True)
-        driver.latch_inputs(np.array([7, 3]))
-        latch = driver.latch
-        assert latch[0] == 7 and latch[1] == 3
-        assert np.all(latch[2:] == 0)
-
-    def test_code_range_enforced(self, params):
-        driver = WordlineDriver(params)
-        driver.set_compute_mode(True)
-        with pytest.raises(CrossbarError):
-            driver.latch_inputs(np.array([8]))
-        with pytest.raises(CrossbarError):
-            driver.latch_inputs(np.array([-1]))
-
-    def test_too_many_codes(self, params):
-        driver = WordlineDriver(params)
-        driver.set_compute_mode(True)
-        with pytest.raises(CrossbarError):
-            driver.latch_inputs(np.zeros(17, dtype=int))
-
-    def test_quantize_inputs_endpoints(self, params):
-        driver = WordlineDriver(params)
-        codes = driver.quantize_inputs(np.array([0.0, 1.0, 0.5]))
-        assert codes[0] == 0
-        assert codes[1] == params.input_levels - 1
-        assert 0 < codes[2] < params.input_levels - 1
-
-    def test_quantize_rejects_unnormalised(self, params):
-        driver = WordlineDriver(params)
-        with pytest.raises(CrossbarError):
-            driver.quantize_inputs(np.array([1.5]))
-
-    def test_leaving_compute_clears_latch(self, params):
-        driver = WordlineDriver(params)
-        driver.set_compute_mode(True)
-        driver.latch_inputs(np.full(16, 5))
-        driver.set_compute_mode(False)
-        assert np.all(driver.latch == 0)
-
-
-class TestSenseAmp:
-    def test_default_full_precision(self, params):
-        sa = ReconfigurableSenseAmp(params)
-        assert sa.precision == params.output_bits
-
-    def test_precision_reconfigurable_1_to_po(self, params):
-        sa = ReconfigurableSenseAmp(params)
-        for bits in range(1, params.output_bits + 1):
-            sa.configure_precision(bits)
-            assert sa.precision == bits
-
-    def test_precision_bounds(self, params):
-        sa = ReconfigurableSenseAmp(params)
-        with pytest.raises(CrossbarError):
-            sa.configure_precision(0)
-        with pytest.raises(CrossbarError):
-            sa.configure_precision(params.output_bits + 1)
-
-    def test_convert_keeps_top_bits(self, params):
-        sa = ReconfigurableSenseAmp(params)
-        sa.configure_precision(3)
-        # full scale 6 bits; value 0b101101 -> top 3 bits 0b101
-        out = sa.convert(np.array([0b101101]), full_scale_bits=6)
-        assert out[0] == 0b101
-
-    def test_convert_signed(self, params):
-        sa = ReconfigurableSenseAmp(params)
-        sa.configure_precision(6)
-        out = sa.convert(np.array([-10.0, 10.0]), full_scale_bits=6)
-        assert out[0] == -10 and out[1] == 10
-
-    def test_convert_clips_overrange(self, params):
-        sa = ReconfigurableSenseAmp(params)
-        sa.configure_precision(6)
-        out = sa.convert(np.array([1000.0]), full_scale_bits=6)
-        assert out[0] == 63
-
-    def test_conversion_counting(self, params):
-        sa = ReconfigurableSenseAmp(params)
-        sa.convert(np.zeros(10), full_scale_bits=6)
-        assert sa.conversions == 10
-
-
 class TestDifferentialPair:
     def test_signed_mvm_cancels_baseline(self, params, rng):
         pair = DifferentialPair(params)
-        pair.set_mode(ArrayMode.COMPUTE)
         signed = rng.integers(-15, 16, (16, 16))
         pair.program_signed_levels(signed)
         inputs = rng.integers(0, 8, 16)
@@ -126,21 +32,53 @@ class TestDifferentialPair:
 
     def test_positive_and_negative_split(self, params):
         pair = DifferentialPair(params)
-        pair.set_mode(ArrayMode.COMPUTE)
         signed = np.zeros((16, 16), dtype=np.int64)
         signed[0, 0] = 7
         signed[1, 1] = -5
         pair.program_signed_levels(signed)
-        assert pair.positive.cells.levels[0, 0] == 7
-        assert pair.positive.cells.levels[1, 1] == 0
-        assert pair.negative.cells.levels[1, 1] == 5
-        assert pair.negative.cells.levels[0, 0] == 0
+        assert pair.positive.levels[0, 0] == 7
+        assert pair.positive.levels[1, 1] == 0
+        assert pair.negative.levels[1, 1] == 5
+        assert pair.negative.levels[0, 0] == 0
 
     def test_magnitude_limit(self, params):
         pair = DifferentialPair(params)
-        pair.set_mode(ArrayMode.COMPUTE)
         with pytest.raises(CrossbarError):
             pair.program_signed_levels(np.full((16, 16), 16))
+
+    def test_input_level_range_enforced(self, params):
+        pair = DifferentialPair(params)
+        pair.program_signed_levels(np.zeros((16, 16), dtype=np.int64))
+        with pytest.raises(CrossbarError):
+            pair.analog_mvm_counts(np.full(16, 8))
+        with pytest.raises(CrossbarError):
+            pair.analog_mvm_counts(np.full(16, -1))
+
+    def test_wrong_input_length(self, params):
+        pair = DifferentialPair(params)
+        pair.program_signed_levels(np.zeros((16, 16), dtype=np.int64))
+        with pytest.raises(CrossbarError):
+            pair.analog_mvm_counts(np.zeros(8))
+
+    def test_non_integer_levels_rejected(self, params):
+        # Every pair write hands its levels to the cells, which reject
+        # non-integers instead of truncating them to other levels.
+        signed = np.zeros((16, 16))
+        signed[0, :4] = [1.5, -2.7, 3.2, -0.4]
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[0, :4] = True
+        verify = ResiliencePolicy(verify_writes=True)
+        pair = DifferentialPair(params)
+        with pytest.raises(DeviceError):
+            pair.program_signed_levels(signed)
+        with pytest.raises(DeviceError):
+            pair.program_signed_levels(
+                signed, verify=verify, verify_mask=mask
+            )
+        with pytest.raises(DeviceError):
+            pair.program_signed_masked(signed, mask, verify)
+        assert not pair.positive.levels.any()
+        assert not pair.negative.levels.any()
 
 
 class TestSigmoidUnit:

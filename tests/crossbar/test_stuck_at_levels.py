@@ -20,11 +20,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.crossbar.array import CrossbarArray
 from repro.crossbar.engine import CrossbarMVMEngine
 from repro.crossbar.pair import DifferentialPair
 from repro.crossbar.sense import digitise, part_window
-from repro.device.cell import scoped_noise_stream
+from repro.device.cell import CellArray, scoped_noise_stream
 from repro.device.faults import FaultMap
 from repro.params.crossbar import CrossbarParams
 from repro.params.reram import PT_TIO2_DEVICE
@@ -63,12 +62,12 @@ def _faulted_engine(
     return engine
 
 
-def _effective(array: CrossbarArray) -> np.ndarray:
+def _effective(array: CellArray) -> np.ndarray:
     """The levels an array's cells hold, from its fault map alone."""
-    levels = array.cells.levels.astype(np.int64)
-    faults = array.cells.fault_map
+    levels = array.levels.astype(np.int64)
+    faults = array.fault_map
     levels[faults.stuck_hrs] = 0
-    levels[faults.stuck_lrs] = array.params.device.mlc_levels - 1
+    levels[faults.stuck_lrs] = array.device.mlc_levels - 1
     return levels
 
 
@@ -83,7 +82,7 @@ def _codes(engine: CrossbarMVMEngine, rng) -> np.ndarray:
 def test_faulted_pair_counts_are_exact_integers(rng):
     engine = _faulted_engine(rng)
     pair = engine.pair
-    assert pair.positive.cells.fault_map.fault_count > 0
+    assert pair.positive.fault_map.fault_count > 0
     assert engine.on_lattice and not engine.holds_programmed
     x = rng.integers(
         0, engine.params.input_levels, (BATCH, engine.params.rows)
@@ -95,7 +94,7 @@ def test_faulted_pair_counts_are_exact_integers(rng):
     assert np.array_equal(pair.analog_mvm_counts(x), expected)
     for array in (pair.positive, pair.negative):
         assert np.array_equal(
-            array.cells.effective_levels, _effective(array)
+            array.effective_levels, _effective(array)
         )
 
 
@@ -136,14 +135,14 @@ def _varied(rng, device=QUIET_DEVICE):
 def _drifted(rng, device=QUIET_DEVICE):
     engine = _faulted_engine(rng, device=device)
     for array in (engine.pair.positive, engine.pair.negative):
-        array.cells.apply_drift(0.05, rng)
+        array.apply_drift(0.05, rng)
     return engine
 
 
 def _wired(rng, device=QUIET_DEVICE):
     engine = _faulted_engine(rng, device=device)
     for array in (engine.pair.positive, engine.pair.negative):
-        array.cells.wire_resistance = 2.0
+        array.wire_resistance = 2.0
     return engine
 
 
@@ -172,8 +171,8 @@ def test_off_lattice_reads_take_the_analog_path(
     the exact integers of its effective levels."""
     engine = build(rng)
     pair = engine.pair
-    assert pair.positive.cells.on_lattice is on_lattice
-    assert pair.negative.cells.on_lattice is on_lattice
+    assert pair.positive.on_lattice is on_lattice
+    assert pair.negative.on_lattice is on_lattice
     x = rng.integers(
         0, engine.params.input_levels, (BATCH, engine.params.rows)
     )
@@ -222,18 +221,28 @@ PAIR_STATES = {
 def test_pair_read_is_the_difference_of_array_currents(
     rng, state, with_noise
 ):
-    """The pair's read equals the positive array's analog counts minus
-    the negative array's (each with the HRS baseline included), up to
-    float rounding, with noise off and, from equal generator states,
-    on: the two formulas read one device state."""
+    """The pair's read equals the positive array's bitline currents
+    minus the negative array's (each with the HRS baseline included),
+    in units of the unit current ``v_step * g_step``, up to float
+    rounding, with noise off and, from equal generator states, on: the
+    two formulas read one device state."""
     device = NOISY_DEVICE if with_noise else QUIET_DEVICE
     pair = PAIR_STATES[state](rng, device=device).pair
     x = rng.integers(0, pair.params.input_levels, (BATCH, pair.params.rows))
+    v_step = device.v_read / (pair.params.input_levels - 1)
+    g_step = (device.g_on - device.g_off) / (device.mlc_levels - 1)
+
+    def counts_of(array):
+        currents = array.bitline_currents(
+            x * v_step, with_read_noise=with_noise
+        )
+        return currents / (v_step * g_step)
+
     with scoped_noise_stream(np.random.default_rng(7)):
         counts = pair.analog_mvm_counts(x, with_noise=with_noise)
     with scoped_noise_stream(np.random.default_rng(7)):
-        pos = pair.positive.analog_mvm_counts(x, with_noise=with_noise)
-        neg = pair.negative.analog_mvm_counts(x, with_noise=with_noise)
+        pos = counts_of(pair.positive)
+        neg = counts_of(pair.negative)
     # Each current carries the HRS baseline; the difference cancels it
     # up to rounding on the baseline's scale.
     np.testing.assert_allclose(
@@ -247,11 +256,7 @@ def test_pair_read_is_the_difference_of_array_currents(
 
 def test_lattice_state_tracks_writes(rng):
     faults = FaultMap.random(8, 8, 0.1, 0.1, rng)
-    params = CrossbarParams(
-        rows=8, cols=8, sense_amps=8, device=QUIET_DEVICE
-    )
-    array = CrossbarArray(params, rng=rng, fault_map=faults)
-    cells = array.cells
+    cells = CellArray(8, 8, device=QUIET_DEVICE, rng=rng, fault_map=faults)
     # Stuck from the start: an unwritten array already reads its faults.
     np.testing.assert_allclose(
         cells.readback_levels(), cells.effective_levels, atol=1e-9

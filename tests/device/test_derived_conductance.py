@@ -279,13 +279,13 @@ def test_seeded_conductances_unchanged(case):
         for row in layer.tiles:
             for engine in row:
                 for array in (engine.pair.positive, engine.pair.negative):
-                    assert array.cells._conductance is not None
+                    assert array._conductance is not None
                     digest.update(
                         np.ascontiguousarray(
-                            array.cells.conductances()
+                            array.conductances()
                         ).tobytes()
                     )
                     digest.update(
-                        array.cells.levels.astype(np.int64).tobytes()
+                        array.levels.astype(np.int64).tobytes()
                     )
     assert digest.hexdigest() == SEEDED_DIGESTS[case]

@@ -56,7 +56,7 @@ def _weights(seed: int = 4, rows: int = 27, cols: int = 13) -> np.ndarray:
 
 
 def _arrays(engine: CrossbarMVMEngine) -> tuple[CellArray, CellArray]:
-    return engine.pair.positive.cells, engine.pair.negative.cells
+    return engine.pair.positive, engine.pair.negative
 
 
 def _eager(engine: CrossbarMVMEngine) -> CrossbarMVMEngine:
@@ -381,7 +381,7 @@ def test_concurrent_first_reads_build_one_matrix(monkeypatch):
             engine.program(
                 np.random.default_rng(trial).integers(-255, 256, (256, 128))
             )
-            cells = engine.pair.negative.cells
+            cells = engine.pair.negative
             gate = threading.Barrier(8)
             results = [None] * 8
 
@@ -473,8 +473,10 @@ def test_drawing_or_counting_writes_stay_eager(case):
 
 
 #: The same digest after seeded drift and a rewrite of every array from
-#: the levels it holds (through the verify loop in the ``verify``
-#: case), as the eager-only cell model rewrote them.
+#: the levels it holds, as the eager-only cell model rewrote them; in
+#: the ``verify`` case through the verify loop over the engine's
+#: programmed region (``program_levels(levels, verify, verify_mask)``
+#: on the eager-only model).
 REPROGRAMMED_DIGESTS = {
     "endurance": (
         "ce9a46750bdd76fcc470873324c80f75"
@@ -489,8 +491,8 @@ REPROGRAMMED_DIGESTS = {
         "356d2e37d325a673dfbe21c14a9291e4"
     ),
     "verify": (
-        "c9455b6824aa03ec9e7007cde17998f4"
-        "0050c0025271ae19f1da6183fde83caf"
+        "93ed2028c1d1256a9dd35736de80bad4"
+        "0d6a75fb3253623e990de5e7a5bee317"
     ),
 }
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.crossbar.engine import CrossbarMVMEngine
 from repro.crossbar.pair import DifferentialPair
-from repro.crossbar.array import ArrayMode
 from repro.device.faults import FaultMap
 from repro.params.crossbar import CrossbarParams
 from repro.params.reram import ReRAMDeviceParams

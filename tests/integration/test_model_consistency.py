@@ -93,7 +93,7 @@ class TestInvocationAccounting:
             net, plan, x_test[:4], programmed=programmed
         )
         total_conversions = sum(
-            engine.sense.conversions
+            engine.sa_conversions
             for layer in programmed
             for row in layer.tiles
             for engine in row

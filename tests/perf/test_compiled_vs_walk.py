@@ -111,7 +111,7 @@ def networks(draw):
 
 def _firings(programmed):
     return [
-        (e.mvm_invocations, e.sense.conversions)
+        (e.mvm_invocations, e.sa_conversions)
         for p in programmed
         for row in p.tiles
         for e in row
@@ -392,7 +392,7 @@ LAYER_BATCHES = [1, 2, 3, 65]
 
 
 def _engine_firings(engines):
-    return [(e.mvm_invocations, e.sense.conversions) for e in engines]
+    return [(e.mvm_invocations, e.sa_conversions) for e in engines]
 
 
 def _trained(params, seed, batch, walk=False):

@@ -72,7 +72,7 @@ def _assert_retained_under_the_limit(recovered: bool) -> None:
     _, programmed = state
     assert all(p.in_fmt is not None for p in programmed)
     cells = [
-        array.cells
+        array
         for layer in programmed
         for row in layer.tiles
         for engine in row

@@ -30,7 +30,6 @@ from repro.core.compiler import PrimeCompiler
 from repro.core.executor import PrimeExecutor
 from repro.crossbar.engine import CrossbarMVMEngine
 from repro.crossbar.layer import ProgrammedLayer
-from repro.crossbar.sense import ReconfigurableSenseAmp
 from repro.device.cell import scoped_noise_stream
 from repro.errors import CrossbarError
 from repro.params.prime import DEFAULT_PRIME_CONFIG
@@ -278,7 +277,7 @@ class TestFusedBitIdentity:
         tiles = make_grid(small_xbar, [32, 11], [16, 9], rng)
         for engine in (e for row in tiles for e in row):
             for array in (engine.pair.positive, engine.pair.negative):
-                array.cells.wire_resistance = 2.0
+                array.wire_resistance = 2.0
         programmed = programmed_layer(small_xbar, tiles)
         assert not programmed.on_lattice
         x = layer_inputs(small_xbar, programmed, 17, rng)
@@ -304,7 +303,7 @@ class TestFusedBitIdentity:
             tiles = make_grid(small_xbar, [small_xbar.rows], [16], rng)
             pair = tiles[0][0].pair
             for array in (pair.positive, pair.negative):
-                array.cells.wire_resistance = 2.0
+                array.wire_resistance = 2.0
             programmed = programmed_layer(small_xbar, tiles)
             for shift in (0, 2):
                 programmed.output_shift = shift
@@ -324,10 +323,10 @@ class TestFusedBitIdentity:
         params = quiet_params()
         tiles = make_grid(params, [32, 11], [16, 9], rng)
         for array in (tiles[0][1].pair.positive, tiles[0][1].pair.negative):
-            array.cells.apply_drift(0.3, np.random.default_rng(3))
+            array.apply_drift(0.3, np.random.default_rng(3))
         tiles[1][0] = faulted_engine(params, 11, 16, rng)
         for array in (tiles[1][1].pair.positive, tiles[1][1].pair.negative):
-            array.cells.wire_resistance = 2.0
+            array.wire_resistance = 2.0
         assert [[e.on_lattice for e in row] for row in tiles] == [
             [True, False],
             [True, False],
@@ -392,9 +391,9 @@ class TestFusedBitIdentity:
                 engine.program(engine.programmed_weights)
             for array in (engine.pair.positive, engine.pair.negative):
                 if state == "drift":
-                    array.cells.apply_drift(0.3, noise)
+                    array.apply_drift(0.3, noise)
                 elif state == "wire-resistance":
-                    array.cells.wire_resistance = 2.0
+                    array.wire_resistance = 2.0
         programmed = programmed_layer(params, tiles)
         assert programmed.samples_read_noise(True)
         assert programmed.on_lattice == (state in ("ideal", "stuck-at"))
@@ -926,16 +925,13 @@ class _YieldingCounter:
 
 class _YieldingEngine(CrossbarMVMEngine):
     mvm_invocations = _YieldingCounter()
-
-
-class _YieldingSense(ReconfigurableSenseAmp):
-    conversions = _YieldingCounter()
+    sa_conversions = _YieldingCounter()
 
 
 class TestConcurrentWalks:
     def test_racing_walks_lose_no_counter_increment(self, small_xbar):
         """Replica threads walk one shared copy at once; every engine's
-        ``mvm_invocations`` and ``sense.conversions`` count each walk."""
+        ``mvm_invocations`` and ``sa_conversions`` count each walk."""
 
         def grid():
             weights = np.random.default_rng(5)
@@ -946,8 +942,7 @@ class TestConcurrentWalks:
         for engine in engines:
             engine.__class__ = _YieldingEngine
             engine.mvm_invocations = 0
-            engine.sense.__class__ = _YieldingSense
-            engine.sense.conversions = 0
+            engine.sa_conversions = 0
         codes = make_codes(small_xbar, layer, 3, np.random.default_rng(6))
         once = ProgrammedLayer(grid(), None)
         once.mvm_batch(codes, with_noise=False)
@@ -974,8 +969,8 @@ class TestConcurrentWalks:
             assert engine.mvm_invocations == (
                 workers * rounds * single.mvm_invocations
             )
-            assert engine.sense.conversions == (
-                workers * rounds * single.sense.conversions
+            assert engine.sa_conversions == (
+                workers * rounds * single.sa_conversions
             )
 
 
@@ -1043,7 +1038,7 @@ class TestTelemetryParity:
             for e in row
         )
         conversions = sum(
-            e.sense.conversions
+            e.sa_conversions
             for layer in programmed
             for row in layer.tiles
             for e in row

@@ -232,7 +232,7 @@ class TestTelemetryParity:
                 for e in row
             ),
             sum(
-                e.sense.conversions
+                e.sa_conversions
                 for layer in programmed
                 for row in layer.tiles
                 for e in row

@@ -73,7 +73,7 @@ def _counted(run, engines):
     """``run()`` plus the hardware firings it charged: the
     ``mvm.invocations`` counter and each engine's invocation and
     sense-amp conversion increments."""
-    before = [(e.mvm_invocations, e.sense.conversions) for e in engines]
+    before = [(e.mvm_invocations, e.sa_conversions) for e in engines]
     session = telemetry.enable(fresh=True)
     try:
         out = run()
@@ -81,7 +81,7 @@ def _counted(run, engines):
     finally:
         telemetry.disable()
     deltas = [
-        (e.mvm_invocations - inv, e.sense.conversions - conv)
+        (e.mvm_invocations - inv, e.sa_conversions - conv)
         for e, (inv, conv) in zip(engines, before)
     ]
     return out, (firings, deltas)

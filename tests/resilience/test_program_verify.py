@@ -12,7 +12,8 @@ from repro.device.cell import CellArray
 from repro.device.faults import FaultMap
 from repro.errors import ConfigurationError
 from repro.params.reram import PT_TIO2_DEVICE
-from repro.crossbar.array import ArrayMode
+from repro.crossbar.engine import CrossbarMVMEngine
+from repro.crossbar.layer import ProgrammedLayer
 from repro.crossbar.pair import DifferentialPair
 from repro.params.crossbar import CrossbarParams
 from repro.resilience import ResiliencePolicy
@@ -153,7 +154,6 @@ class TestDifferentialCompensation:
         pair = DifferentialPair(
             params, fault_maps=(pos_faults, neg_faults)
         )
-        pair.set_mode(ArrayMode.COMPUTE)
         return pair
 
     def test_stuck_lrs_cancelled_by_complement(self):
@@ -167,7 +167,7 @@ class TestDifferentialCompensation:
         report = pair.program_signed_levels(desired, verify=VERIFY)
         assert report.compensated_cells == 1
         assert report.residual.max() < 1e-9
-        assert int(pair.negative.cells.levels[3, 4]) == 10
+        assert int(pair.negative.levels[3, 4]) == 10
 
     def test_doubly_stuck_cell_keeps_residual(self):
         """With both complements frozen the difference is wrong and the
@@ -191,3 +191,33 @@ class TestDifferentialCompensation:
         assert report.clean
         assert report.compensated_cells == 0
         assert report.residual.max() < 1e-9
+
+
+class TestVerifiedRecovery:
+    def test_recovery_gives_up_on_no_more_cells_than_deploy(self):
+        """A verified drift recovery verifies each engine's programmed
+        region, as the deploy did, not the cells no column uses: it
+        gives up on no more cells than the deploy."""
+        params = CrossbarParams(
+            rows=32, cols=32, sense_amps=8,
+            fault_rate_hrs=0.02, fault_rate_lrs=0.02,
+        )
+        rng = np.random.default_rng(17)
+        weights = np.random.default_rng(4)
+        telemetry.enable()
+        engines = []
+        for _ in range(3):
+            engine = CrossbarMVMEngine(params, rng=rng)
+            engine.program(
+                weights.integers(-255, 256, (20, 9)), resilience=VERIFY
+            )
+            engines.append(engine)
+        deployed = telemetry.counter_total("resilience.program.giveup")
+        layer = ProgrammedLayer([engines], None)
+        layer.apply_drift(0.2, np.random.default_rng(3))
+        layer.reprogram(VERIFY)
+        recovered = (
+            telemetry.counter_total("resilience.program.giveup") - deployed
+        )
+        assert deployed > 0
+        assert 0 < recovered <= deployed

@@ -185,11 +185,11 @@ class TestFaultRateKnobs:
     def test_config_rates_build_fault_maps(self):
         params = _small_params(fault_rate_hrs=0.05, fault_rate_lrs=0.05)
         engine = CrossbarMVMEngine(params, rng=np.random.default_rng(0))
-        assert engine.pair.positive.cells.fault_map is not None
-        assert engine.pair.positive.cells.fault_map.fault_count > 0
+        assert engine.pair.positive.fault_map is not None
+        assert engine.pair.positive.fault_map.fault_count > 0
         # Independent draws per array half.
-        pos = engine.pair.positive.cells.fault_map
-        neg = engine.pair.negative.cells.fault_map
+        pos = engine.pair.positive.fault_map
+        neg = engine.pair.negative.fault_map
         assert not np.array_equal(pos.stuck_hrs, neg.stuck_hrs)
 
     def test_fault_rates_require_rng(self):

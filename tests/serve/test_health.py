@@ -542,7 +542,7 @@ class TestDriftRecovery:
                 runtime.serve(samples)
                 assert len(runtime.reprograms) == 1
                 cells[mode] = [
-                    array.cells.conductances()
+                    array.conductances()
                     for layer in runtime.dispatcher._state[1]
                     for row in layer.tiles
                     for engine in row

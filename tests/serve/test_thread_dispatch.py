@@ -450,7 +450,7 @@ class TestInlineTinyBatches:
 
 def _cell_arrays(programmed):
     return [
-        array.cells
+        array
         for layer in programmed
         for row in layer.tiles
         for engine in row
